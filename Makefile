@@ -3,8 +3,9 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test obs-smoke chaos bench bench-wallclock bench-parallel \
-	bench-pipeline bench-kernels serve-smoke tune-smoke coverage lint
+.PHONY: verify test obs-smoke chaos bench bench-smoke bench-check \
+	bench-parallel bench-pipeline bench-kernels serve-smoke tune-smoke \
+	coverage lint
 
 # Default gate: lint (when ruff is available), tier-1 tests, and the
 # observability smoke check.
@@ -38,7 +39,7 @@ chaos:
 
 # Reduced-scale sweep over every figure plus the blocking-vs-overlapped
 # exchange ablation, the pipeline farm-width sweep, the host-time
-# ablations, and the autotuning ablation; writes BENCH_PR9.json.
+# ablations, and the autotuning ablation; writes BENCH_PR12.json.
 bench:
 	$(PYTHON) -m repro.bench all
 
@@ -55,12 +56,20 @@ bench-pipeline:
 serve-smoke:
 	$(PYTHON) -m repro.serve smoke
 
-# Wall-clock fast-path smoke: one sample per mode, digest identity
-# checked, and a deliberately generous regression floor (typical
-# speedups are ~1.5-2x; 0.2x only trips if a change re-serialises the
-# hot path or breaks the off-mode baseline outright).
-bench-wallclock:
-	$(PYTHON) -m repro.bench wallclock --repeats 1 --min-speedup 0.2
+# Bench-of-record smoke: a <= 20 s pass over every perfbench workload
+# (serve_miss, serve_hit, sim_comm, sim_kernel) — every pinned digest,
+# virtual makespan and message count in perfbench/expected.json must
+# hold — then perfbench's own unit tests.
+bench-smoke:
+	python3 -m perfbench --smoke
+	$(PYTHON) -m pytest perfbench/tests -q
+
+# Host-time regression gate: a full perfbench run compared against the
+# committed result set.  Same-host only (perfbench/results/seed.json was
+# measured on the reference container) and ~12 min, so not in CI.
+bench-check:
+	python3 -m perfbench --seed 7 --out perfbench/out/check.json
+	python3 -m perfbench --compare perfbench/results/seed.json perfbench/out/check.json
 
 # Process-parallel smoke: serial vs one-OS-process-per-rank, digest
 # identity checked on every row.  The speedup floor is generous (real
@@ -73,7 +82,7 @@ bench-parallel:
 # identity checked on every row.  The floor is deliberately generous
 # (0.2x trips only if fusion catastrophically regresses or the A/B
 # harness breaks) because host timing on shared CI runners is noisy;
-# the committed BENCH_PR9.json records the measured win.
+# the committed BENCH_PR12.json records the measured win.
 bench-kernels:
 	$(PYTHON) -m repro.bench kernels --repeats 1 --min-speedup 0.2
 

@@ -6,21 +6,19 @@ Usage::
     python -m repro.bench fig17 --json out.json
     python -m repro.bench overlap          # blocking vs overlapped A/B
     python -m repro.bench pipeline         # farm-width throughput/latency
-    python -m repro.bench wallclock        # simulator host-time ablation
     python -m repro.bench parallel         # serial vs process-parallel
     python -m repro.bench kernels          # kernel-fusion off vs on
     python -m repro.bench tune             # tuned vs default makespan
     python -m repro.bench all              # every figure, reduced scale,
-                                           #   writes BENCH_PR9.json
+                                           #   writes BENCH_PR12.json
     python -m repro.bench list
 
 Each figure command runs the corresponding experiment, prints the
 speedup table and an ASCII plot, and optionally writes the series as
-JSON.  ``wallclock`` measures *host* seconds for the messaging-heavy
-workloads with the fast path off vs on (virtual time is identical in
-both modes — that is checked); ``parallel`` measures the same workloads
-on the deterministic backend vs one-OS-process-per-rank
-(:mod:`repro.runtime.parallel`), again digest-checked.  ``kernels``
+JSON.  ``parallel`` measures *host* seconds for the messaging-heavy
+workloads on the deterministic backend vs one-OS-process-per-rank
+(:mod:`repro.runtime.parallel`); virtual time is identical in both
+modes — that is digest-checked.  ``kernels``
 measures host seconds with par-loop fusion forced off vs on
 (:mod:`repro.bench.kernels`) — the plan, virtual clocks, and digests
 are identical in both modes; only the group-body walk changes.
@@ -31,8 +29,8 @@ machines.  ``tune`` runs exhaustive autotuning searches
 tuned-vs-default virtual makespans, prediction error, and prune
 hit-rates.  ``all`` sweeps every figure at a reduced problem scale,
 runs the blocking-vs-overlapped exchange ablation, the pipeline
-farm-width sweep, the three host-time ablations, and the autotuning
-ablation, and emits a machine-readable artifact (``BENCH_PR9.json``)
+farm-width sweep, the two host-time ablations, and the autotuning
+ablation, and emits a machine-readable artifact (``BENCH_PR12.json``)
 so the performance trajectory can be tracked across PRs.
 """
 
@@ -42,7 +40,7 @@ import argparse
 import json
 import sys
 
-from repro.bench import figures, wallclock
+from repro.bench import figures
 from repro.bench import kernels as kernels_bench
 from repro.bench import parallel as parallel_bench
 from repro.bench import tune as tune_bench
@@ -59,7 +57,7 @@ FIGURES = {
 }
 
 #: default output of ``python -m repro.bench all``
-ARTIFACT = "BENCH_PR9.json"
+ARTIFACT = "BENCH_PR12.json"
 
 #: machine model each figure runs on (matches the figure defaults)
 FIGURE_MACHINES = {
@@ -126,7 +124,7 @@ def render_overlap_table(rows: list[dict]) -> str:
 
 def run_all(json_path: str) -> int:
     """Sweep every figure at reduced scale and write the JSON artifact."""
-    report: dict = {"artifact": "BENCH_PR9", "figures": {}}
+    report: dict = {"artifact": "BENCH_PR12", "figures": {}}
     for name, (experiment, description) in FIGURES.items():
         curves = experiment(**FAST_PARAMS[name])
         entry = {
@@ -161,29 +159,18 @@ def run_all(json_path: str) -> int:
     }
     print()
     print(render_pipeline_table(pipeline_rows))
-    rows = wallclock.run_ablation()
-    report["wallclock"] = {
-        "description": "simulator host-seconds, fast path off vs on "
-        "(virtual time identical)",
-        "procs": wallclock.DEFAULT_NPROCS,
-        "repeats": wallclock.DEFAULT_REPEATS,
-        "rows": [r.to_json() for r in rows],
-    }
-    print()
-    print(wallclock.render_table(rows))
-    problems = wallclock.check_rows(rows, min_speedup=None)
     parallel_rows = parallel_bench.run_ablation()
     report["parallel"] = {
         "description": "simulator host-seconds, deterministic backend vs "
         "one OS process per rank (virtual time identical)",
-        "procs": wallclock.DEFAULT_NPROCS,
-        "repeats": wallclock.DEFAULT_REPEATS,
+        "procs": parallel_bench.DEFAULT_NPROCS,
+        "repeats": parallel_bench.DEFAULT_REPEATS,
         "host_cpus": parallel_bench.host_cpus(),
         "rows": [r.to_json() for r in parallel_rows],
     }
     print()
     print(parallel_bench.render_table(parallel_rows))
-    problems += parallel_bench.check_rows(parallel_rows, min_speedup=None)
+    problems = parallel_bench.check_rows(parallel_rows, min_speedup=None)
     kernel_rows = kernels_bench.run_ablation()
     report["kernels"] = {
         "description": "simulator host-seconds, par-loop fusion off vs on "
@@ -226,7 +213,6 @@ def main(argv: list[str] | None = None) -> int:
             *FIGURES,
             "overlap",
             "pipeline",
-            "wallclock",
             "parallel",
             "kernels",
             "tune",
@@ -235,8 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         ],
         help="figure to regenerate, 'overlap' for the blocking-vs-"
         "overlapped exchange ablation, 'pipeline' for the image-pipeline "
-        "farm-width sweep, 'wallclock' for the simulator "
-        "host-time ablation, 'parallel' for the serial-vs-process-"
+        "farm-width sweep, 'parallel' for the serial-vs-process-"
         "parallel ablation, 'kernels' for the par-loop fusion ablation, "
         "'tune' for the autotuned-vs-default makespan ablation, "
         f"'all' for the reduced-scale sweep (writes {ARTIFACT}), "
@@ -249,15 +234,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--repeats",
         type=int,
-        default=wallclock.DEFAULT_REPEATS,
-        help="wallclock/parallel: host-time samples per mode (best-of)",
+        default=parallel_bench.DEFAULT_REPEATS,
+        help="parallel/kernels: host-time samples per mode (best-of)",
     )
     parser.add_argument(
         "--min-speedup",
         type=float,
         default=None,
         metavar="X",
-        help="wallclock/parallel: fail unless the speedup clears X "
+        help="parallel/kernels: fail unless the speedup clears X "
         "(the CI smoke's generous regression floor; for 'parallel' the "
         "best row must clear it, and only on hosts with --min-cpus cores)",
     )
@@ -275,16 +260,16 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="P",
         help="parallel/kernels: rank count for the ablation "
-        f"(default {wallclock.DEFAULT_NPROCS} for parallel, "
+        f"(default {parallel_bench.DEFAULT_NPROCS} for parallel, "
         f"{kernels_bench.DEFAULT_NPROCS} for kernels)",
     )
     parser.add_argument(
         "--apps",
         nargs="+",
-        choices=sorted(set(wallclock.WORKLOADS) | set(kernels_bench.WORKLOADS)),
+        choices=sorted(set(parallel_bench.WORKLOADS) | set(kernels_bench.WORKLOADS)),
         default=None,
         metavar="APP",
-        help="wallclock/parallel/kernels: restrict the ablation to these "
+        help="parallel/kernels: restrict the ablation to these "
         "registry workloads (default: all the command knows)",
     )
     args = parser.parse_args(argv)
@@ -306,36 +291,21 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name}: {description}")
         print("  overlap: blocking vs overlapped ghost-exchange ablation")
         print("  pipeline: image-pipeline throughput/latency vs farm width")
-        print("  wallclock: simulator host-time ablation (fast path off vs on)")
         print("  parallel: serial vs process-parallel host-time ablation")
         print("  kernels: par-loop fusion host-time ablation (off vs on)")
         print("  tune: autotuned vs default virtual-makespan ablation")
         print("ablation workloads (from the shared app registry):")
-        for name, (_, description) in sorted(wallclock.WORKLOADS.items()):
+        for name, (_, description) in sorted(parallel_bench.WORKLOADS.items()):
             print(f"  {name}: {description}")
         return 0
 
     if args.figure == "all":
         return run_all(args.json or ARTIFACT)
 
-    if args.figure == "wallclock":
-        rows = wallclock.run_ablation(
-            apps=known_apps(wallclock.WORKLOADS), repeats=args.repeats
-        )
-        print(wallclock.render_table(rows))
-        problems = wallclock.check_rows(rows, min_speedup=args.min_speedup)
-        for p in problems:
-            print(f"FAIL: {p}")
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump([r.to_json() for r in rows], fh, indent=2)
-            print(f"\nseries written to {args.json}")
-        return 1 if problems else 0
-
     if args.figure == "parallel":
         rows = parallel_bench.run_ablation(
             apps=known_apps(parallel_bench.WORKLOADS),
-            nprocs=args.nprocs or wallclock.DEFAULT_NPROCS,
+            nprocs=args.nprocs or parallel_bench.DEFAULT_NPROCS,
             repeats=args.repeats,
         )
         print(parallel_bench.render_table(rows))

@@ -10,7 +10,7 @@ declare several loops over the same region (smog fuses an eight-loop
 transport/chemistry chain; spectralflow fuses its advection pair and
 hoists the streamfunction exchange).
 
-Mirrors :mod:`repro.bench.wallclock` (best-of-N, digest-gated, generous
+Mirrors :mod:`repro.bench.parallel` (best-of-N, digest-gated, generous
 CI floor); additionally captures the ``core.kernels.*`` counters so the
 artifact records how much fusion and hoisting actually happened.
 """

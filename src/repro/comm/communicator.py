@@ -43,24 +43,8 @@ class Comm(RankContext):
         self._coll_seq += 1
         return tag
 
-    def send(
-        self, dest: int, payload: Any, tag: int = 0, *, nbytes: int | None = None
-    ) -> None:
-        if 0 <= tag < MAX_USER_TAG or tag >= _COLL_TAG_BASE:
-            super().send(dest, payload, tag, nbytes=nbytes)
-        else:
-            raise CommError(f"user tags must be < {MAX_USER_TAG} (got {tag})")
-
-    def isend(
-        self, dest: int, payload: Any, tag: int = 0, *, nbytes: int | None = None
-    ):
-        if 0 <= tag < MAX_USER_TAG or tag >= _COLL_TAG_BASE:
-            return super().isend(dest, payload, tag, nbytes=nbytes)
-        raise CommError(f"user tags must be < {MAX_USER_TAG} (got {tag})")
-
     def _validate_send_tag(self, tag: int) -> None:
-        # Mirror of send/isend's user-tag window, for the fused sendrecv
-        # fast path (which bypasses those wrappers).
+        # Sends may use the user-tag window or the collective tag space.
         if not (0 <= tag < MAX_USER_TAG or tag >= _COLL_TAG_BASE):
             raise CommError(f"user tags must be < {MAX_USER_TAG} (got {tag})")
 

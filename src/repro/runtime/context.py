@@ -22,7 +22,6 @@ from typing import Any
 
 import numpy as np
 
-from repro import fastpath
 from repro.errors import CommError
 from repro.machines.model import MachineModel
 from repro.obs.metrics import TIME_BUCKETS, counter_handle, histogram_handle
@@ -30,7 +29,7 @@ from repro.runtime.message import ANY_SOURCE, ANY_TAG, Message
 from repro.runtime.request import Request
 from repro.runtime.scheduler import Backend
 from repro.trace.tracer import Tracer
-from repro.util.nbytes import _OVERHEAD_BYTES, _SCALAR_BYTES, _nbytes, nbytes_of
+from repro.util.nbytes import _OVERHEAD_BYTES, _SCALAR_BYTES, _nbytes
 
 _REQ_POSTED = counter_handle(
     "comm.requests.posted", help="nonblocking requests posted"
@@ -43,30 +42,6 @@ _REQ_WAIT = histogram_handle(
     buckets=TIME_BUCKETS,
     help="virtual time spent blocked completing a request",
 )
-
-
-def _copy_payload(payload: Any) -> Any:
-    """Deep-copy a message payload (send-by-value semantics).
-
-    Common cases are handled without the generic ``copy.deepcopy``
-    machinery: immutable scalars pass through, ndarrays are copied
-    contiguously, and containers recurse.
-    """
-    if payload is None or isinstance(
-        payload, (bool, int, float, complex, str, bytes, frozenset)
-    ):
-        return payload
-    if isinstance(payload, np.ndarray):
-        return payload.copy()
-    if isinstance(payload, np.generic):
-        return payload
-    if isinstance(payload, tuple):
-        return tuple(_copy_payload(item) for item in payload)
-    if isinstance(payload, list):
-        return [_copy_payload(item) for item in payload]
-    if isinstance(payload, dict):
-        return {k: _copy_payload(v) for k, v in payload.items()}
-    return copy.deepcopy(payload)
 
 
 def _array_frozen(array: np.ndarray) -> bool:
@@ -87,8 +62,8 @@ def _array_frozen(array: np.ndarray) -> bool:
 def _freeze_payload(payload: Any) -> Any:
     """Produce an immutable equivalent of *payload*, sharing what it can.
 
-    The fast-path replacement for :func:`_copy_payload`: ndarrays are
-    copied **once** and marked read-only at first injection; a payload
+    Send-by-value without the eager deep copy: ndarrays are copied
+    **once** and marked read-only at first injection; a payload
     that is already frozen (every forwarded hop of a ``bcast``, the
     ring-passed slabs of an ``allgather``) is shared zero-copy, because
     neither sender nor receiver can mutate it.  Mutable containers are
@@ -112,18 +87,6 @@ def _freeze_payload(payload: Any) -> Any:
     if isinstance(payload, dict):
         return {k: _freeze_payload(v) for k, v in payload.items()}
     return copy.deepcopy(payload)
-
-
-def _transfer_payload(payload: Any) -> Any:
-    """Detach *payload* from the sender for delivery.
-
-    Fast path on: copy-on-write — freeze once, then share (received
-    arrays are read-only; ``np.asarray(x).copy()`` to mutate).  Fast path
-    off: the historical eager deep copy.
-    """
-    if fastpath._enabled:
-        return _freeze_payload(payload)
-    return _copy_payload(payload)
 
 
 def _freeze_measure(payload: Any) -> tuple[Any, int]:
@@ -206,7 +169,7 @@ class _Endpoint:
 class RankContext:
     """One rank's view of the virtual machine (possibly a group view)."""
 
-    #: per-(machine, size) constants for the fused fast paths; instances
+    #: per-(machine, size) constants for the inlined cost formulas; instances
     #: populate their own cache on first use (group views built by
     #: ``split`` bypass ``__init__`` and inherit this class default)
     _cost_cache: tuple | None = None
@@ -273,9 +236,9 @@ class RankContext:
             )
 
     def _validate_send_tag(self, tag: int) -> None:
-        """Reject an invalid send tag.  Subclasses that restrict the tag
-        space (the communicator's user-tag window) override this so fused
-        fast paths raise exactly what their ``send``/``isend`` would."""
+        """Reject an invalid send tag (``send``, ``isend`` and ``sendrecv``
+        all call this).  Subclasses that restrict the tag space (the
+        communicator's user-tag window) override it."""
         if tag < 0:
             raise CommError(f"tags must be >= 0 (got {tag}); negatives are wildcards")
 
@@ -283,11 +246,12 @@ class RankContext:
         """Constants of the machine's per-message cost formulas for this
         (machine, size) pair, cached on the instance.
 
-        The fused fast paths inline :meth:`MachineModel.message_time` /
-        ``send_overhead`` / ``recv_overhead`` to skip three method calls
-        per exchange.  Each product below groups terms exactly as the
-        model's own expressions associate them, so the inlined arithmetic
-        is bitwise identical to calling the model.
+        ``isend``, ``waitall`` and ``sendrecv`` inline
+        :meth:`MachineModel.message_time` / ``send_overhead`` /
+        ``recv_overhead`` to skip three method calls per exchange.  Each
+        product below groups terms exactly as the model's own expressions
+        associate them, so the inlined arithmetic is bitwise identical to
+        calling the model.
         """
         m = self.machine
         congestion = 1.0 + m.congestion_per_node * max(self.size - 2, 0)
@@ -348,9 +312,10 @@ class RankContext:
         reach back).  NumPy views are especially hazardous without this —
         a contiguous slab of a local array "sent" by reference would
         deliver whatever the array holds when the receiver is finally
-        scheduled.  With the fast path on, detachment is copy-on-write:
-        arrays are copied once and frozen read-only, and already-frozen
-        payloads (collective forwards) are shared zero-copy.
+        scheduled.  Detachment is copy-on-write: arrays are copied once
+        and frozen read-only (a receiver that wants to mutate takes
+        ``np.asarray(x).copy()``), and already-frozen payloads
+        (collective forwards) are shared zero-copy.
 
         ``nbytes`` overrides the payload-size traversal when the caller
         already knows the size — collectives forwarding a received
@@ -359,18 +324,12 @@ class RankContext:
         ``nbytes_of(payload)``; virtual costs depend on it.
         """
         self.check_peer(dest)
-        if tag < 0:
-            raise CommError(f"tags must be >= 0 (got {tag}); negatives are wildcards")
-        if fastpath._enabled:
-            if nbytes is None:
-                payload, nbytes = _freeze_measure(payload)
-                nbytes += _OVERHEAD_BYTES
-            else:
-                payload = _freeze_payload(payload)
+        self._validate_send_tag(tag)
+        if nbytes is None:
+            payload, nbytes = _freeze_measure(payload)
+            nbytes += _OVERHEAD_BYTES
         else:
-            payload = _copy_payload(payload)
-            if nbytes is None:
-                nbytes = nbytes_of(payload)
+            payload = _freeze_payload(payload)
         start = self.clock
         self.clock += self.machine.message_time(nbytes, nodes=self.size)
         self._endpoint.send_seq += 1
@@ -460,34 +419,23 @@ class RankContext:
         """Post a nonblocking send; complete it with ``wait``/``waitall``.
 
         The payload is detached at post time (send-by-value, as for
-        :meth:`send`, copy-on-write with the fast path on) and delivered
-        with the same arrival stamp a blocking send would produce; only
-        the post overhead is charged here.  ``nbytes`` as for
-        :meth:`send`.
+        :meth:`send`) and delivered with the same arrival stamp a blocking
+        send would produce; only the post overhead is charged here.
+        ``nbytes`` as for :meth:`send`.
         """
         self.check_peer(dest)
-        if tag < 0:
-            raise CommError(f"tags must be >= 0 (got {tag}); negatives are wildcards")
-        if fastpath._enabled:
-            if nbytes is None:
-                payload, nbytes = _freeze_measure(payload)
-                nbytes += _OVERHEAD_BYTES
-            else:
-                payload = _freeze_payload(payload)
+        self._validate_send_tag(tag)
+        if nbytes is None:
+            payload, nbytes = _freeze_measure(payload)
+            nbytes += _OVERHEAD_BYTES
         else:
-            payload = _copy_payload(payload)
-            if nbytes is None:
-                nbytes = nbytes_of(payload)
+            payload = _freeze_payload(payload)
         start = self.clock
-        if fastpath._enabled:
-            costs = self._cost_cache
-            if costs is None or costs[0] is not self.machine or costs[1] != self.size:
-                costs = self._machine_costs()
-            arrival = start + (costs[3] + costs[4] * nbytes) * costs[2]
-            self.clock = start + (costs[5] + costs[6] * nbytes) * costs[2]
-        else:
-            arrival = start + self.machine.message_time(nbytes, nodes=self.size)
-            self.clock += self.machine.send_overhead(nbytes, nodes=self.size)
+        costs = self._cost_cache
+        if costs is None or costs[0] is not self.machine or costs[1] != self.size:
+            costs = self._machine_costs()
+        arrival = start + (costs[3] + costs[4] * nbytes) * costs[2]
+        self.clock = start + (costs[5] + costs[6] * nbytes) * costs[2]
         self._endpoint.send_seq += 1
         msg = Message(
             source=self.global_rank,
@@ -639,44 +587,10 @@ class RankContext:
         perturbs which fulfilled receive is drained first — but *charged*
         canonically (sends in list order, then receives sorted by arrival),
         so the virtual clock is independent of the observation order.
-        """
-        if fastpath._enabled:
-            return self._waitall_fast(requests)
-        for request in requests:
-            self._check_request(request)
-        rank = self.global_rank
-        pending = {
-            r.post_id: r for r in requests if r.kind == "recv" and not r.done
-        }
-        describe = f"waitall({len(requests)} requests, ctx={self._ctx})"
-        fulfilled: list[tuple[Request, Message]] = []
-        while pending:
-            ready = self._backend.wait_any_post(rank, list(pending), describe)
-            candidates = [
-                (m.source, m.tag)
-                for m in (self._backend.peek_post(rank, pid) for pid in ready)
-            ]
-            pos = self._backend.choose_completion(rank, candidates)
-            post_id = ready[pos]
-            msg = self._backend.take_post(rank, post_id)
-            fulfilled.append((pending.pop(post_id), msg))
-        for request in requests:
-            if request.kind == "send" and not request.done:
-                self._complete_send(request)
-        fulfilled.sort(key=lambda pair: (pair[1].arrival, pair[1].source, pair[1].seq))
-        for request, msg in fulfilled:
-            self._complete_recv(request, msg)
-        return [r.payload if r.kind == "recv" else None for r in requests]
 
-    def _waitall_fast(self, requests: list[Request]) -> list[Any]:
-        """The fast-path ``waitall`` body: same backend call sequence and
-        charges, with the per-request bookkeeping of the historical loop
-        (request dicts, completion helpers) flattened into locals.
-
-        ``choose_completion`` is elided when exactly one receive is
-        fulfillable: with a single candidate every backend returns
-        position 0 without consuming randomness or tracing, so the elision
-        is unobservable.
+        ``choose_completion`` is consulted only when more than one receive
+        is fulfillable: with a single candidate every backend returns
+        position 0 without consuming randomness or tracing.
         """
         ep = self._endpoint
         backend = self._backend
@@ -824,39 +738,14 @@ class RankContext:
         Either peer may be ``None`` to skip that direction (the boundary
         of a non-periodic shifted exchange), in which case a skipped
         receive returns ``None``.
+
+        Observably ``irecv``/``isend``/``waitall`` fused into one frame
+        with no :class:`Request` objects: the same validation order,
+        payload detachment, clock charges (send completion first, then
+        the receive), request-id allocation, metric totals, trace events
+        and backend call sequence (post, deliver, one ``wait_any_post``).
         """
         recv_tag = send_tag if recv_tag is None else recv_tag
-        if fastpath._enabled:
-            return self._sendrecv_fast(dest, payload, source, send_tag, recv_tag)
-        requests: list[Request] = []
-        recv_req: Request | None = None
-        if source is not None:
-            recv_req = self.irecv(source, tag=recv_tag)
-            requests.append(recv_req)
-        if dest is not None:
-            requests.append(self.isend(dest, payload, tag=send_tag))
-        self.waitall(requests)
-        return None if recv_req is None else recv_req.payload
-
-    def _sendrecv_fast(
-        self,
-        dest: int | None,
-        payload: Any,
-        source: int | None,
-        send_tag: int,
-        recv_tag: int,
-    ) -> Any:
-        """The fast-path ``sendrecv`` body: ``irecv``/``isend``/``waitall``
-        fused into one frame, with no :class:`Request` objects.
-
-        Everything observable is reproduced bit-for-bit — validation
-        order, payload detachment, clock charges (send completion first,
-        then the receive), request-id allocation, metric totals, trace
-        events, and the exact backend call sequence (post, deliver, one
-        ``wait_any_post``).  ``choose_completion`` is skipped as in
-        :meth:`_waitall_fast`: a single candidate always yields position
-        0 with no side effects.
-        """
         ep = self._endpoint
         backend = self._backend
         machine = self.machine

@@ -15,24 +15,17 @@ matching unposted record — MPI's posted-receive-queue semantics.  Bound
 messages leave the pending queue, so a concurrent blocking receive can
 never steal a message already claimed by a posted request.
 
-Two implementations share the interface:
+Next to the delivery-order slot list, :class:`Mailbox` keeps one queue
+per exact ``(source, tag, ctx)`` channel.  The exact-match operations
+the scheduler polls every step — ``has_match``/``take_match`` with no
+wildcard — are O(1) (amortised) instead of a linear scan, and removal
+tombstones a slot instead of paying an O(n) ``del deque[i]``.  Wildcard
+matching and the fuzzed backend's ``match_indices`` scan the
+delivery-order view.
 
-- :class:`Mailbox` (the default, fast path on) keeps, next to the
-  delivery-order slot list, one queue per exact ``(source, tag, ctx)``
-  channel.  The exact-match operations the scheduler polls every step —
-  ``has_match``/``take_match`` with no wildcard — are O(1) (amortised)
-  instead of a linear scan, and removal tombstones a slot instead of
-  paying the old O(n) ``del deque[i]``.  Wildcard matching and the
-  fuzzed backend's ``match_indices`` keep the linear path over the
-  delivery-order view.
-- :class:`_LinearMailbox` is the historical single-deque linear-scan
-  implementation, byte-for-byte in behaviour.  It serves as the fast
-  path *off* ablation baseline and as the reference implementation the
-  property tests pit the indexed mailbox against.
-
-``Mailbox()`` transparently constructs a :class:`_LinearMailbox` when
-the fast path is disabled (:mod:`repro.fastpath`), so backends and
-tests need no dispatch of their own.
+:class:`_LinearMailbox` is the single-deque linear-scan reference the
+property tests pit :class:`Mailbox` against; nothing constructs it at
+run time.
 """
 
 from __future__ import annotations
@@ -40,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import deque
 
-from repro import fastpath
 from repro.errors import ReproError
 from repro.obs.metrics import (
     COUNT_BUCKETS,
@@ -106,12 +98,7 @@ class _Channel:
 
 
 class Mailbox:
-    """Pending-message store for one rank (channel-indexed fast path)."""
-
-    def __new__(cls) -> "Mailbox":
-        if cls is Mailbox and not fastpath.enabled():
-            return super().__new__(_LinearMailbox)
-        return super().__new__(cls)
+    """Pending-message store for one rank (channel-indexed)."""
 
     def __init__(self) -> None:
         #: delivery-order message slots; a taken message leaves a ``None``
@@ -301,12 +288,9 @@ class Mailbox:
 
 
 class _LinearMailbox(Mailbox):
-    """The historical linear-scan mailbox (single delivery-order deque).
-
-    Selected automatically by ``Mailbox()`` when the fast path is off;
-    also the reference implementation the indexed mailbox's property
-    tests compare selections against.
-    """
+    """Linear-scan mailbox over a single delivery-order deque: the
+    reference implementation the indexed mailbox's property tests compare
+    selections against."""
 
     def __init__(self) -> None:
         self._pending: deque[Message] = deque()

@@ -23,7 +23,7 @@ worker drains its queue into its (indexed) :class:`~repro.runtime.
 mailbox.Mailbox`, where the usual (source, tag, ctx) matching applies.
 Large ndarray payloads do not travel through the pipe: they are staged
 in :mod:`multiprocessing.shared_memory` segments — the copy-on-write
-freeze contract of the fast path maps directly onto shared *read-only*
+freeze contract of ``send`` maps directly onto shared *read-only*
 segments (the receiver maps the segment and never writes it; neither
 does anyone else, the sender staged a private copy).  Small and
 non-array payloads fall back to pickle, controlled by a size threshold
@@ -75,7 +75,6 @@ from typing import Any
 
 import numpy as np
 
-from repro import fastpath
 from repro.errors import DeadlockError, RankFailedError, ReproError
 from repro.machines.model import MachineModel
 from repro.obs.metrics import counter_handle, get_registry, scoped_registry
@@ -276,7 +275,6 @@ class _Wiring:
         self.describes = ctx.Array("c", nprocs * _DESC_BYTES, lock=False)
         self.prefix = prefix
         self.shm_threshold = threshold
-        self.fastpath = fastpath.enabled()
 
     def describe_of(self, rank: int) -> str:
         raw = bytes(self.describes[rank * _DESC_BYTES : (rank + 1) * _DESC_BYTES])
@@ -418,7 +416,6 @@ def _worker_main(
 ) -> None:
     """One rank's process: build the transport and a communicator, run the
     body, report the terminal record."""
-    fastpath.set_enabled(wiring.fastpath)
     backend = ParallelBackend(rank, nprocs, wiring)
     tracer = Tracer(nprocs) if trace else None
     backend.tracer = tracer

@@ -31,7 +31,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-from repro import fastpath
 from repro.errors import DeadlockError, InjectedFaultError, RankFailedError
 from repro.obs.metrics import counter_handle
 from repro.runtime.mailbox import Mailbox
@@ -188,15 +187,14 @@ class Backend:
 class DeterministicBackend(Backend):
     """Run-to-block scheduling: one rank at a time, lowest runnable first.
 
-    With the fast path on (:mod:`repro.fastpath`, captured at
-    construction), scheduling decisions come from a clock-keyed heap of
-    *wakeable* ranks maintained at the moments runnability can actually
-    change — a rank blocking, or a delivery fulfilling a blocked rank's
-    predicate — so a pick is O(log P) instead of the naive O(P) scan
-    that re-evaluated every blocked rank's predicate on every step.
-    Runnability is monotone while a rank is blocked (only the owner
-    removes messages from its mailbox), so deferring predicate
-    evaluation to delivery time selects exactly the same rank sequence.
+    Scheduling decisions come from a clock-keyed heap of *wakeable*
+    ranks maintained at the moments runnability can actually change — a
+    rank blocking, or a delivery fulfilling a blocked rank's predicate —
+    so a pick is O(log P) rather than an O(P) re-evaluation of every
+    blocked rank's predicate on every step.  Runnability is monotone
+    while a rank is blocked (only the owner removes messages from its
+    mailbox), so deferring predicate evaluation to delivery time selects
+    the same rank sequence such a scan would.
     """
 
     def __init__(self, nprocs: int):
@@ -208,13 +206,12 @@ class DeterministicBackend(Backend):
         self._to_scheduler = threading.Event()
         self._abort = False
         self._failures: dict[int, BaseException] = {}
-        self._fast = fastpath.enabled()
-        #: ranks currently believed runnable (fast path bookkeeping)
+        #: ranks currently believed runnable
         self._wakeable: set[int] = set()
         #: (clock, rank) entries for wakeable ranks; lazily invalidated
         self._heap: list[tuple[float, int]] = []
 
-    # -- fast-path wake bookkeeping ---------------------------------------
+    # -- wake bookkeeping -------------------------------------------------
     def _wake(self, rank: int) -> None:
         """Mark *rank* runnable (it is READY, or its predicate holds)."""
         if rank in self._wakeable:
@@ -232,20 +229,18 @@ class DeterministicBackend(Backend):
     def _deposit(self, msg: Message) -> None:
         """Put *msg* in its destination mailbox and update wakeability."""
         self.mailboxes[msg.dest].put(msg)
-        if self._fast:
-            self._wake_if_unblocked(msg.dest)
+        self._wake_if_unblocked(msg.dest)
 
     def _handoff(self, rank: int | None) -> bool:
-        """Hand the CPU directly to the next runnable rank (fast path).
+        """Hand the CPU directly to the next runnable rank.
 
         Run-to-block has exactly one active thread, so the thread giving
-        up the CPU can run the pick itself and resume its successor in
-        one context switch, instead of two via the scheduler thread.
-        The pick logic is byte-identical; only which thread executes it
-        changes.  Returns True when *rank* picked itself (wait already
-        satisfiable): the caller keeps running, zero switches.  With no
-        runnable rank, wakes the scheduler thread, which owns run
-        completion, failure unwinding, and deadlock reporting.
+        up the CPU runs the pick itself and resumes its successor in one
+        context switch, instead of two via the scheduler thread.  Returns
+        True when *rank* picked itself (wait already satisfiable): the
+        caller keeps running, zero switches.  With no runnable rank, wakes
+        the scheduler thread, which owns run completion, failure
+        unwinding, and deadlock reporting.
         """
         if self._abort:
             # Unwinding: several aborted rank threads reach here at once;
@@ -311,13 +306,10 @@ class DeterministicBackend(Backend):
         # control back keeps the wakeable invariant robust even if a
         # future caller blocks with an already-satisfiable wait.  Must
         # happen before the handoff: picking reads the heap.
-        if self._fast:
-            if predicate():
-                self._wake(rank)
-            if self._handoff(rank):
-                return  # picked ourselves again: no switch needed
-        else:
-            self._to_scheduler.set()
+        if predicate():
+            self._wake(rank)
+        if self._handoff(rank):
+            return  # picked ourselves again: no switch needed
         self._resume[rank].wait()
         self._resume[rank].clear()
         if self._abort:
@@ -325,6 +317,9 @@ class DeterministicBackend(Backend):
 
     # -- scheduling loop ---------------------------------------------------
     def run(self, bodies: list[Callable[[], None]]) -> None:
+        """Ranks hand off to each other directly (:meth:`_handoff`); this
+        thread sleeps until a handoff finds no runnable rank, then decides
+        completion / failure / deadlock."""
         threads = [
             threading.Thread(
                 target=self._rank_main,
@@ -337,10 +332,24 @@ class DeterministicBackend(Backend):
         for t in threads:
             t.start()
         try:
-            if self._fast:
-                self._run_fast(threads)
-            else:
-                self._run_scan(threads)
+            for rank in range(self.nprocs):
+                self._wake(rank)
+            self._handoff(None)  # kick the first rank
+            while True:
+                self._to_scheduler.wait()
+                self._to_scheduler.clear()
+                nxt = self._pick_next()
+                if nxt is not None:
+                    # A terminal signal raced a wake; resume and keep going.
+                    _STEPS.inc()
+                    self._status[nxt] = _Status.RUNNING
+                    self._resume[nxt].set()
+                    continue
+                if self._failures or all(
+                    s in (_Status.DONE, _Status.FAILED) for s in self._status
+                ):
+                    break
+                self._raise_deadlock(threads)
         finally:
             if self._failures or any(s == _Status.BLOCKED for s in self._status):
                 self._abort_all(threads)
@@ -349,47 +358,6 @@ class DeterministicBackend(Backend):
         if self._failures:
             rank = min(self._failures)
             raise RankFailedError(rank, self._failures[rank]) from self._failures[rank]
-
-    def _run_scan(self, threads: list[threading.Thread]) -> None:
-        """The historical scheduling loop: every pick runs on the
-        scheduler thread, two context switches per handoff."""
-        while True:
-            nxt = self._pick_next()
-            if nxt is None:
-                if all(s in (_Status.DONE, _Status.FAILED) for s in self._status):
-                    return
-                if self._failures:
-                    return
-                self._raise_deadlock(threads)
-            _STEPS.inc()
-            self._status[nxt] = _Status.RUNNING
-            self._to_scheduler.clear()
-            self._resume[nxt].set()
-            self._to_scheduler.wait()
-
-    def _run_fast(self, threads: list[threading.Thread]) -> None:
-        """Fast scheduling loop: ranks hand off to each other directly
-        (:meth:`_handoff`); this thread sleeps until a handoff finds no
-        runnable rank, then decides completion / failure / deadlock.
-        The pick sequence is identical to :meth:`_run_scan`'s."""
-        for rank in range(self.nprocs):
-            self._wake(rank)
-        self._handoff(None)  # kick the first rank
-        while True:
-            self._to_scheduler.wait()
-            self._to_scheduler.clear()
-            nxt = self._pick_next()
-            if nxt is not None:
-                # A terminal signal raced a wake; resume and keep going.
-                _STEPS.inc()
-                self._status[nxt] = _Status.RUNNING
-                self._resume[nxt].set()
-                continue
-            if all(s in (_Status.DONE, _Status.FAILED) for s in self._status):
-                return
-            if self._failures:
-                return
-            self._raise_deadlock(threads)
 
     def _raise_deadlock(self, threads: list[threading.Thread]) -> None:
         self._abort_all(threads)
@@ -411,20 +379,11 @@ class DeterministicBackend(Backend):
         message population a real run would have had.  Ties break by
         rank, keeping execution fully deterministic.
 
-        Fast path: pop the heap of wakeable ranks.  A wakeable rank's
-        clock cannot have moved since it was pushed (blocked ranks do not
-        advance their clocks), so the heap's (clock, rank) order is the
-        same min-clock lowest-rank selection the O(P) scan makes.
+        Pops the heap of wakeable ranks.  A wakeable rank's clock cannot
+        have moved since it was pushed (blocked ranks do not advance
+        their clocks), so the heap's (clock, rank) order is the min-clock
+        lowest-rank selection over all runnable ranks.
         """
-        if not self._fast:
-            best: int | None = None
-            best_clock = 0.0
-            for rank in range(self.nprocs):
-                if self._is_runnable(rank):
-                    clock = self._clock_of(rank)
-                    if best is None or clock < best_clock:
-                        best, best_clock = rank, clock
-            return best
         heap = self._heap
         while heap:
             _, rank = heapq.heappop(heap)
@@ -457,12 +416,9 @@ class DeterministicBackend(Backend):
             self._failures[rank] = exc
             self._status[rank] = _Status.FAILED
         finally:
-            if self._fast:
-                # Hand off to the next rank directly (or wake the
-                # scheduler thread for terminal handling).
-                self._handoff(None)
-            else:
-                self._to_scheduler.set()
+            # Hand off to the next rank directly (or wake the scheduler
+            # thread for terminal handling).
+            self._handoff(None)
 
     def _abort_all(self, threads: list[threading.Thread]) -> None:
         self._abort = True
@@ -645,26 +601,19 @@ class FuzzedBackend(DeterministicBackend):
         # A blocked rank whose crash is due counts as runnable so it can be
         # scheduled once more and raise, instead of hanging forever on a
         # receive that will never be satisfied.
-        if self._fast:
-            # The wakeable set is exactly {READY or predicate-true BLOCKED}
-            # (monotone runnability, maintained at deposit/block time), so
-            # sorting it reproduces the ascending list the O(P) scan
-            # builds — the rng.choice stream is bit-identical.
-            ranks = set(self._wakeable)
-            plan = self.faults
-            if plan is not None and plan.crash_rank is not None:
-                crash_rank = plan.crash_rank
-                if self._status[crash_rank] == _Status.BLOCKED and self._crash_due(
-                    crash_rank
-                ):
-                    ranks.add(crash_rank)
-            return sorted(ranks)
-        return [
-            rank
-            for rank in range(self.nprocs)
-            if self._is_runnable(rank)
-            or (self._status[rank] == _Status.BLOCKED and self._crash_due(rank))
-        ]
+        # The wakeable set is exactly {READY or predicate-true BLOCKED}
+        # (monotone runnability, maintained at deposit/block time); sorted
+        # ascending so the rng.choice stream is a function of the seed and
+        # the runnable set alone.
+        ranks = set(self._wakeable)
+        plan = self.faults
+        if plan is not None and plan.crash_rank is not None:
+            crash_rank = plan.crash_rank
+            if self._status[crash_rank] == _Status.BLOCKED and self._crash_due(
+                crash_rank
+            ):
+                ranks.add(crash_rank)
+        return sorted(ranks)
 
     def _flush_delayed(self) -> None:
         for key in list(self._delayed):

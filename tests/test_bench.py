@@ -159,10 +159,10 @@ class TestBenchArtifact:
 
         from repro.bench.__main__ import FIGURE_MACHINES, FIGURES, main
 
-        out = tmp_path / "BENCH_PR9.json"
+        out = tmp_path / "BENCH_PR12.json"
         assert main(["all", "--json", str(out)]) == 0
         data = json.loads(out.read_text())
-        assert data["artifact"] == "BENCH_PR9"
+        assert data["artifact"] == "BENCH_PR12"
         assert set(data["figures"]) == set(FIGURES) | {"fig_overlap", "fig_pipeline"}
         for name, entry in data["figures"].items():
             if name in ("fig_overlap", "fig_pipeline"):
@@ -200,7 +200,7 @@ class TestBenchArtifact:
             for row in series:
                 assert row["latency"] > 0.0 and row["makespan"] > 0.0
         # Both host-time ablations ride along, digest-identical rows only.
-        assert {r["app"] for r in data["wallclock"]["rows"]} == {
+        assert {r["app"] for r in data["parallel"]["rows"]} == {
             "poisson",
             "fft2d",
             "mergesort",
@@ -230,4 +230,4 @@ class TestBenchArtifact:
     def test_default_artifact_name(self):
         from repro.bench.__main__ import ARTIFACT
 
-        assert ARTIFACT == "BENCH_PR9.json"
+        assert ARTIFACT == "BENCH_PR12.json"

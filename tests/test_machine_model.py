@@ -19,6 +19,7 @@ from repro.machines import (
     get_machine,
     list_machines,
 )
+from repro.runtime.context import RankContext
 
 
 class TestMessageTime:
@@ -144,6 +145,16 @@ class TestCatalog:
         assert CLOUD_25GBE.bandwidth() > 10 * CRAY_T3D.bandwidth()
 
 
+class _CollectingBackend:
+    """Just enough backend for ``isend``: keeps what was delivered."""
+
+    def __init__(self):
+        self.delivered = []
+
+    def deliver(self, msg):
+        self.delivered.append(msg)
+
+
 class TestCatalogInvariants:
     """Invariants every catalogued machine must satisfy.
 
@@ -188,3 +199,41 @@ class TestCatalogInvariants:
             assert machine.send_overhead(nbytes) <= mt
             assert machine.recv_overhead(nbytes) <= mt
         assert machine.send_overhead(0) <= machine.alpha
+
+
+    # RankContext inlines the per-message cost formulas from cached
+    # constants instead of calling the model; the two must agree bitwise
+    # (exact ==, not approx), or virtual clocks would depend on which
+    # call site charged a message.
+    COST_SIZES = (1, 2, 3, 16, 64)
+    COST_NBYTES = (0, 24, 4096, 2**23)
+
+    def test_context_cost_constants_reproduce_the_model(self, machine):
+        for size in self.COST_SIZES:
+            ctx = RankContext(0, size, _CollectingBackend(), machine)
+            _, _, congestion, alpha, beta, send_a, send_b, recv_a, recv_b = (
+                ctx._machine_costs()
+            )
+            for n in self.COST_NBYTES:
+                where = f"size={size} nbytes={n}"
+                assert (alpha + beta * n) * congestion == machine.message_time(
+                    n, nodes=size
+                ), where
+                assert (send_a + send_b * n) * congestion == machine.send_overhead(
+                    n, nodes=size
+                ), where
+                assert (recv_a + recv_b * n) * congestion == machine.recv_overhead(
+                    n, nodes=size
+                ), where
+
+    def test_isend_charges_what_the_model_says(self, machine):
+        for size in self.COST_SIZES:
+            for n in self.COST_NBYTES:
+                backend = _CollectingBackend()
+                ctx = RankContext(0, size, backend, machine)
+                ctx.isend(0, None, nbytes=n)
+                where = f"size={size} nbytes={n}"
+                assert ctx.clock == machine.send_overhead(n, nodes=size), where
+                assert backend.delivered[0].arrival == machine.message_time(
+                    n, nodes=size
+                ), where

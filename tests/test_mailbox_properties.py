@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro import fastpath
 from repro.runtime.mailbox import Mailbox, _LinearMailbox
 from repro.runtime.message import ANY_SOURCE, ANY_TAG, Message
 
@@ -175,23 +174,15 @@ def test_ctx_isolation(seed):
         assert got == expected
 
 
-def _indexed_mailbox() -> Mailbox:
-    """An indexed (fast-path) mailbox regardless of the suite's mode."""
-    with fastpath.forced(True):
-        box = Mailbox()
-    assert type(box) is Mailbox
-    return box
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_indexed_mailbox_equals_linear_reference(seed):
-    """Drive the channel-indexed mailbox and the historical linear-scan
+    """Drive the channel-indexed mailbox and the linear-scan reference
     implementation with one randomized stream of deliveries, blocking
     takes, indexed takes (the fuzzer's path), and posted receives; every
     observable — selected messages, membership, post fulfilment, queue
     length — must agree at every step."""
     rng = random.Random(1000 + seed)
-    fast = _indexed_mailbox()
+    fast = Mailbox()
     ref = _LinearMailbox()
     feed = iter(_random_messages(rng, 80))
     live_posts: list[tuple[int, int]] = []  # (fast post_id, ref post_id)
@@ -258,13 +249,13 @@ def _drain_exact(box: Mailbox, n: int) -> float:
 def test_exact_match_is_constant_time_at_depth_1000():
     """The PR-4 microbenchmark: draining 1000 exact matches from a
     depth-1000 queue is O(n) total on the indexed mailbox but O(n^2) on
-    the historical one (full scan per take plus ``del deque[i]``).  The
+    the linear reference (full scan per take plus ``del deque[i]``).  The
     asymptotic gap at this depth is ~100x, so asserting a modest 3x
     keeps the test meaningful yet immune to CI noise."""
     depth = 1000
     best_fast, best_ref = float("inf"), float("inf")
     for _ in range(3):
-        fast = _indexed_mailbox()
+        fast = Mailbox()
         _deep_queue(fast, depth)
         best_fast = min(best_fast, _drain_exact(fast, depth))
         ref = _LinearMailbox()
