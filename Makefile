@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test obs-smoke chaos bench bench-smoke bench-check \
+.PHONY: verify test obs-smoke chaos bench bench-smoke bench-check bench-pairs \
 	bench-parallel bench-pipeline bench-kernels serve-smoke tune-smoke \
 	coverage lint
 
@@ -70,6 +70,19 @@ bench-smoke:
 bench-check:
 	python3 -m perfbench --seed 7 --out perfbench/out/check.json
 	python3 -m perfbench --compare perfbench/results/seed.json perfbench/out/check.json
+
+# The paired rule (choosing-metrics section 8) as a command: BASE and the
+# working tree run each workload alternately, PAIRS times, one seed per
+# pair; prints medians, quartiles, wins and a verdict per metric and
+# writes every run to OUT.  ~1.2 min per pair per serve workload.
+#   make bench-pairs BASE=<commit> WORKLOADS="serve_miss serve_hit" PAIRS=10
+BASE ?= HEAD
+WORKLOADS ?= serve_miss serve_hit
+PAIRS ?= 10
+OUT ?= bench_pairs.json
+bench-pairs:
+	python3 tools/bench_pairs.py --base $(BASE) --workloads "$(WORKLOADS)" \
+		--pairs $(PAIRS) --out $(OUT)
 
 # Process-parallel smoke: serial vs one-OS-process-per-rank, digest
 # identity checked on every row.  The speedup floor is generous (real

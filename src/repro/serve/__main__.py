@@ -66,13 +66,24 @@ def _call(server: str, method: str, path: str, body: dict | None = None) -> Any:
 
 def _wait_for(server: str, job_id: str, timeout: float) -> dict:
     deadline = time.monotonic() + timeout
+    pause = 0.005  # backs off 5 -> 50 ms: short jobs are not kept waiting
     while True:
         status = _call(server, "GET", f"/v1/jobs/{job_id}")
         if status["state"] in ("done", "failed"):
             return status
         if time.monotonic() > deadline:
             raise ServeError(f"timed out waiting for {job_id} (last: {status['state']})")
-        time.sleep(0.05)
+        time.sleep(pause)
+        pause = min(pause * 2, 0.05)
+
+
+def _timed_job(server: str, request: dict) -> tuple[dict, float]:
+    """Submit *request* and wait; (final status, submit -> done milliseconds)."""
+    started = time.perf_counter()
+    status = _call(server, "POST", "/v1/jobs", request)
+    if status["state"] not in ("done", "failed"):
+        status = _wait_for(server, status["id"], 60.0)
+    return status, (time.perf_counter() - started) * 1e3
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -101,7 +112,6 @@ def cmd_start(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_dir=args.cache_dir,
         batch_max=args.batch_max,
-        batch_linger=args.batch_linger,
         default_timeout=args.timeout,
         verify_cache_every=args.verify_cache,
     )
@@ -221,13 +231,11 @@ def cmd_smoke(args: argparse.Namespace) -> int:
             port=0, workers=args.workers, cache_dir=tmp, verify_cache_every=2
         ) as server:
             url = server.url
-            first = _call(url, "POST", "/v1/jobs", request)
-            first = _wait_for(url, first["id"], 60.0)
+            first, miss_ms = _timed_job(url, request)
             metrics_between = _call(url, "GET", "/v1/metrics")
-            second = _call(url, "POST", "/v1/jobs", request)
+            second, hit_ms = _timed_job(url, request)
             if not second.get("cache_hit"):
                 failures.append("second identical submission was not a cache hit")
-            second = _wait_for(url, second["id"], 60.0)
             d1 = _call(url, "GET", f"/v1/jobs/{first['id']}/result")["record"]["digest"]
             d2 = _call(url, "GET", f"/v1/jobs/{second['id']}/result")["record"]["digest"]
             if d1 != d2:
@@ -243,8 +251,7 @@ def cmd_smoke(args: argparse.Namespace) -> int:
                 failures.append("cache-hit counter did not increment to 1")
             # Third submission: the sampled (every-2nd) hit re-executes
             # and must reproduce the cached digest bitwise.
-            third = _call(url, "POST", "/v1/jobs", request)
-            third = _wait_for(url, third["id"], 60.0)
+            third, verify_ms = _timed_job(url, request)
             if not third.get("verified"):
                 failures.append(f"sampled hit was not verified: {third}")
             verify_fail = _call(url, "GET", "/v1/metrics").get(
@@ -256,6 +263,10 @@ def cmd_smoke(args: argparse.Namespace) -> int:
                 f"[{'FAIL' if failures else 'ok'}] submit/run/cache-hit/verify "
                 f"round-trip on {url}: digest {d1[:16]}, "
                 f"hit verified={third.get('verified')}"
+            )
+            print(
+                f"     submit -> done: miss {miss_ms:.1f} ms, hit {hit_ms:.1f} ms, "
+                f"verified re-run {verify_ms:.1f} ms"
             )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
@@ -283,8 +294,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--cache-dir", default=".repro-serve-cache")
     p.add_argument("--batch-max", type=int, default=4,
                    help="max small jobs grouped into one dispatch")
-    p.add_argument("--batch-linger", type=float, default=0.05,
-                   help="seconds a small job waits for batchmates")
     p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
                    help="default per-job timeout (seconds)")
     p.add_argument("--verify-cache", type=int, default=0, metavar="N",

@@ -1,13 +1,14 @@
 """Job bookkeeping and the admission queue with small-job batching.
 
 The queue orders jobs by ``(-priority, submission sequence)`` — strict
-priority, FIFO within a priority.  Admission is *batched*: when the
-dispatcher asks for work, a job at or below the small-weight threshold
+priority, FIFO within a priority.  Admission is *batched*: when a worker
+frees and asks for work, a job at or below the small-weight threshold
 pulls further small jobs (in queue order) into the same dispatch, up to
 ``batch_max`` — one worker wake-up, one IPC round-trip, and one metrics
 merge for a whole group of cheap runs.  A job above the threshold always
 dispatches alone.  Grouping never reorders: every job in a batch was
-ahead of every job left behind.
+ahead of every job left behind.  Batching is work-conserving: it groups
+whatever is already queued and never holds a job back to wait for more.
 
 State discipline (the Danelutto–Torquati access-pattern vocabulary the
 pipeline archetype uses): the queue and the job table are *serial* state
@@ -43,8 +44,8 @@ class Job:
     error: str | None = None
     worker: int | None = None
     submitted_at: float = field(default_factory=time.time)
-    #: monotonic timestamp of the last (re)queueing — the admission
-    #: linger window is measured from here
+    #: monotonic timestamp of the last (re)queueing — queue-wait latency
+    #: (``core.serve.latency.queue_seconds``) is measured from here
     queued_mono: float = field(default_factory=time.monotonic)
     started_at: float | None = None
     finished_at: float | None = None

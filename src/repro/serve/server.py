@@ -14,8 +14,14 @@ One :class:`ServeServer` owns three moving parts and two threads:
 - an **HTTP thread** (stdlib ``ThreadingHTTPServer``) serving the JSON
   API, and a **dispatcher thread** running the control loop: drain
   worker results, detect dead workers and requeue their jobs (bounded
-  retries), enforce per-job timeouts, and dispatch batches to idle
-  workers.
+  retries), enforce per-job timeouts, and hand the backlog to workers
+  as they free.
+
+No job waits on a server timer: a submission that finds an idle worker
+is dispatched from its own HTTP thread before the reply is written, and
+a finished batch wakes the dispatcher through the result queue.  Batches
+are what a backlog behind busy workers produces, never something a job
+is held back for.
 
 Every mutation of the job table goes through one lock (serial state, in
 the pipeline archetype's access-pattern vocabulary); workers share
@@ -91,7 +97,30 @@ _VERIFY_FAILURES = counter_handle(
 )
 _DEPTH = gauge_handle("core.serve.queue.depth", help="jobs waiting for a worker")
 
-#: dispatcher tick (seconds): results latency and failure-detection grain
+#: histogram buckets for *host* seconds: 1-2-5 steps from 0.5 ms to 10 s
+#: (TIME_BUCKETS is decade-wide, sized for virtual time)
+HOST_TIME_BUCKETS: tuple[float, ...] = (
+    0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0,
+)  # fmt: skip
+_QUEUE_SECONDS = histogram_handle(
+    "core.serve.latency.queue_seconds",
+    buckets=HOST_TIME_BUCKETS,
+    help="host seconds from (re)queueing to dispatch",
+)
+_EXEC_SECONDS = histogram_handle(
+    "core.serve.latency.exec_seconds",
+    buckets=HOST_TIME_BUCKETS,
+    help="host seconds a job ran inside its worker",
+)
+_TOTAL_SECONDS = histogram_handle(
+    "core.serve.latency.total_seconds",
+    buckets=HOST_TIME_BUCKETS,
+    help="host seconds from submission to completion",
+)
+
+#: dispatcher tick (seconds): the liveness / timeout detection grain only.
+#: Results wake the dispatcher through ``pool.poll`` and submissions
+#: dispatch themselves, so no job waits on it.
 _TICK = 0.02
 
 _JOB_IDS = itertools.count(1)
@@ -118,18 +147,31 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        return loads(self.rfile.read(length)) if length else {}
+    def _read_body(self) -> bytes:
+        """The request body, consumed whatever the route does with it —
+        unread bytes would be parsed as the connection's next request."""
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+            if length < 0:
+                raise ValueError
+        except ValueError:
+            # The body's extent is unknown, so the connection cannot be reused.
+            self.close_connection = True
+            raise ServeError(f"invalid Content-Length {raw!r}") from None
+        return self.rfile.read(length)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib handler API
         serve = self.server.serve
         try:
+            raw = self._read_body()
             if self.path == "/v1/jobs":
-                job = serve.submit(self._body())
+                job = serve.submit(loads(raw) if raw else {})
                 self._reply(200, job.status_json())
             elif self.path == "/v1/shutdown":
                 self._reply(200, {"status": "stopping"})
@@ -174,7 +216,6 @@ class ServeServer:
         workers: int = 2,
         cache_dir: str = ".repro-serve-cache",
         batch_max: int = 4,
-        batch_linger: float = 0.05,
         small_weight: float = 1.0,
         default_timeout: float = DEFAULT_TIMEOUT,
         max_retries: int = 2,
@@ -186,7 +227,6 @@ class ServeServer:
         self.queue = AdmissionQueue(batch_max=batch_max, small_weight=small_weight)
         pool_kwargs = {} if heartbeat_timeout is None else {"heartbeat_timeout": heartbeat_timeout}
         self.pool = WorkerPool(workers, start_method=start_method, **pool_kwargs)
-        self.batch_linger = batch_linger
         self.default_timeout = default_timeout
         self.max_retries = max_retries
         self.verify_cache_every = verify_cache_every
@@ -242,7 +282,8 @@ class ServeServer:
 
     # -- submission and views ----------------------------------------------
     def submit(self, body: dict[str, Any]) -> Job:
-        """Validate, consult the cache, and either complete or enqueue."""
+        """Validate, consult the cache, and either complete or enqueue —
+        and dispatch at once when a worker is idle."""
         request = JobRequest.from_json(body).validated()
         key = request.cache_key()
         job = Job(id=f"job-{next(_JOB_IDS):06d}", request=request, key=key)
@@ -266,6 +307,8 @@ class ServeServer:
             else:
                 _MISSES.inc()
                 self._enqueue(job)
+            if job.state is JobState.QUEUED:
+                self._dispatch_ready()
         return job
 
     def _enqueue(self, job: Job) -> None:
@@ -274,7 +317,6 @@ class ServeServer:
         job.deadline = None
         job.queued_mono = time.monotonic()
         self.queue.push(job)
-        _DEPTH.set(len(self.queue))
 
     def jobs(self) -> list[Job]:
         with self._lock:
@@ -356,7 +398,6 @@ class ServeServer:
                 self._reap_dead_workers()
                 self._enforce_timeouts()
                 self._dispatch_ready()
-                _DEPTH.set(len(self.queue))
 
     def _handle_record(self, record: tuple) -> None:
         kind, worker_id, *rest = record
@@ -405,6 +446,8 @@ class ServeServer:
         job.finished_at = time.time()
         job.deadline = None
         _COMPLETED.inc()
+        _EXEC_SECONDS.observe(outcome.host_seconds)
+        _TOTAL_SECONDS.observe(job.finished_at - job.submitted_at)
 
     def _fail(self, job: Job, error: str) -> None:
         job.state = JobState.FAILED
@@ -463,26 +506,15 @@ class ServeServer:
             self.pool.replace(worker)
 
     def _dispatch_ready(self) -> None:
-        while True:
-            worker = self.pool.idle_worker()
-            if worker is None:
-                return
-            head = self.queue.peek()
-            if head is None:
-                return
-            # Admission linger: hold a small head job briefly so later
-            # small submissions can share its dispatch.
-            if (
-                head.request.weight <= self.queue.small_weight
-                and len(self.queue) < self.queue.batch_max
-                and time.monotonic() - head.queued_mono < self.batch_linger
-            ):
-                return
+        """Work-conserving dispatch (caller holds the lock): while a worker
+        is idle and anything is queued, the head batch leaves now."""
+        while len(self.queue) and (worker := self.pool.idle_worker()) is not None:
             batch = [j for j in self.queue.pop_batch() if j.state is JobState.QUEUED]
             if not batch:
                 continue
             now = time.monotonic()
             for job in batch:
+                _QUEUE_SECONDS.observe(now - job.queued_mono)
                 job.state = JobState.RUNNING
                 job.worker = worker.id
                 job.attempts += 1
@@ -494,3 +526,4 @@ class ServeServer:
             )
             _BATCHES.inc()
             _BATCH_SIZE.observe(len(batch))
+        _DEPTH.set(len(self.queue))

@@ -10,9 +10,12 @@ digest).
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -27,7 +30,7 @@ from repro.serve.executor import execute
 from repro.serve.pool import WorkerPool, fork_available
 from repro.serve.protocol import JobRequest, ServeError
 from repro.serve.scheduler import AdmissionQueue, Job
-from repro.serve.server import ServeServer
+from repro.serve.server import HOST_TIME_BUCKETS, ServeServer
 from repro.verify import fuzzed_schedule
 from repro.verify.digest import value_digest
 from tests.conftest import wait_until
@@ -93,6 +96,18 @@ def _http(url: str, method: str = "GET", body: dict | None = None):
         return exc.code, json.loads(exc.read().decode())
 
 
+def _persistent(server: ServeServer) -> http.client.HTTPConnection:
+    return http.client.HTTPConnection(*server.address, timeout=10)
+
+
+def _exchange(conn, method: str, path: str, body: dict | None = None):
+    """One request/response on a persistent connection: (status, raw body)."""
+    data = json.dumps(body) if body is not None else None
+    conn.request(method, path, body=data, headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
 def _wait_done(url: str, job_id: str, timeout: float = 20.0) -> dict:
     last = {}
 
@@ -112,7 +127,6 @@ def server(tmp_path):
             port=0,
             workers=1,
             cache_dir=tmp_path / "cache",
-            batch_linger=0.0,
             heartbeat_timeout=5.0,
         ) as srv:
             yield srv
@@ -353,13 +367,155 @@ class TestServerE2E:
         assert "comm.requests.posted" in metrics
 
 
+class TestKeepAliveFraming:
+    """A persistent connection stays in sync whatever a POST's route does
+    with its body."""
+
+    def test_unrouted_post_body_is_consumed(self, server):
+        conn = _persistent(server)
+        try:
+            status, raw = _exchange(conn, "POST", "/v1/nope", TestServerE2E.BODY)
+            assert status == 404 and "error" in json.loads(raw)
+            # Parsed from leftover body bytes, this would be the stdlib's HTML 400.
+            status, raw = _exchange(conn, "GET", "/v1/health")
+            assert status == 200 and json.loads(raw)["status"] == "ok"
+            status, raw = _exchange(conn, "POST", "/v1/jobs", TestServerE2E.BODY)
+            assert status == 200 and json.loads(raw)["app"] == "mergesort"
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_a_json_400(self, server, length):
+        conn = _persistent(server)
+        try:
+            conn.putrequest("POST", "/v1/jobs")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 400
+            assert "Content-Length" in payload["error"]
+            # The body's extent is unknown: the server gives the connection up
+            # rather than guess where the next request starts.
+            assert response.getheader("Connection") == "close"
+            status, raw = _exchange(conn, "GET", "/v1/health")  # reconnects
+            assert status == 200 and json.loads(raw)["status"] == "ok"
+        finally:
+            conn.close()
+
+
+class TestWorkConservingDispatch:
+    def test_idle_worker_takes_a_submission_before_the_reply(self, server, tmp_path):
+        gate = tmp_path / "gate"
+        gate.touch()
+        conn = _persistent(server)
+        try:
+            conn.request(
+                "POST",
+                "/v1/jobs",
+                body=json.dumps(
+                    {"app": "serve-test-sleeper", "params": {"gate": str(gate)}}
+                ),
+            )
+            # Dispatched from the submitting thread: the batch counter moves
+            # with the reply still unread, on no dispatcher tick.
+            wait_until(
+                lambda: _counter("core.serve.batches.dispatched") == 1,
+                desc="dispatch at submit",
+            )
+            response = conn.getresponse()
+            job = json.loads(response.read())
+            assert response.status == 200
+            assert job["state"] == "running"
+            assert job["attempts"] == 1 and job["worker"] is not None
+            gate.unlink()
+            assert _wait_done(server.url, job["id"])["state"] == "done"
+        finally:
+            conn.close()
+            gate.unlink(missing_ok=True)
+
+    def test_concurrent_submitters_never_double_book_a_worker(self, tmp_path):
+        # HTTP threads now dispatch too: with more submitters than cores,
+        # every job must still leave exactly once (a worker handed a second
+        # batch while busy would raise inside submit).
+        nthreads, each = 8, 6
+        errors: list[BaseException] = []
+        jobs: list[Job] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with scoped_registry(), ServeServer(
+                port=0, workers=2, cache_dir=tmp_path / "cache"
+            ) as server:
+
+                def submitter(base: int) -> None:
+                    try:
+                        for seed in range(base, base + each):
+                            jobs.append(
+                                server.submit(
+                                    {"app": "mergesort", "params": {"n": 64, "seed": seed}}
+                                )
+                            )
+                    except BaseException as exc:  # noqa: BLE001 - reported below
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=submitter, args=(i * each,))
+                    for i in range(nthreads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors, errors
+                wait_until(
+                    lambda: all(j.state.value in ("done", "failed") for j in jobs),
+                    timeout=30.0,
+                    desc="every concurrent job finishing",
+                )
+                total = nthreads * each
+                assert [j.state.value for j in jobs] == ["done"] * total
+                assert [j.attempts for j in jobs] == [1] * total
+                assert _counter("core.serve.jobs.dispatched") == total
+                sizes = get_registry().get("core.serve.batch.size").snapshot()
+                assert sizes["sum"] == total
+                assert sizes["count"] == _counter("core.serve.batches.dispatched")
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_latency_histograms_record_host_seconds(self, server):
+        _, job = _http(f"{server.url}/v1/jobs", "POST", TestServerE2E.BODY)
+        assert _wait_done(server.url, job["id"])["state"] == "done"
+        _, result = _http(f"{server.url}/v1/jobs/{job['id']}/result")
+        snap = {
+            part: get_registry().get(f"core.serve.latency.{part}_seconds").snapshot()
+            for part in ("queue", "exec", "total")
+        }
+        assert [snap[part]["count"] for part in ("queue", "exec", "total")] == [1, 1, 1]
+        assert snap["exec"]["sum"] == result["record"]["host_seconds"]
+        assert snap["total"]["sum"] >= snap["exec"]["sum"] + snap["queue"]["sum"]
+        # An idle worker took it at once: queueing is not a timer any more.
+        assert snap["queue"]["sum"] < 0.02
+        # Cache hits complete at submit: they never enter these histograms.
+        _http(f"{server.url}/v1/jobs", "POST", TestServerE2E.BODY)
+        assert get_registry().get("core.serve.latency.total_seconds").snapshot()["count"] == 1
+
+    def test_host_time_buckets_resolve_milliseconds(self):
+        # 1-2-5 steps, 0.5 ms .. 10 s: 3 ms and 9 ms land in different buckets
+        # (the decade-wide virtual-time TIME_BUCKETS would merge them).
+        assert HOST_TIME_BUCKETS[0] == 0.0005 and HOST_TIME_BUCKETS[-1] == 10.0
+        assert list(HOST_TIME_BUCKETS) == sorted(set(HOST_TIME_BUCKETS))
+        bucket_of = lambda x: next(b for b in HOST_TIME_BUCKETS if x <= b)  # noqa: E731
+        assert bucket_of(0.003) != bucket_of(0.009)
+
+
 class TestCacheVerification:
     def test_sampled_hit_reexecutes_and_verifies(self, tmp_path):
         with scoped_registry(), ServeServer(
             port=0,
             workers=1,
             cache_dir=tmp_path / "cache",
-            batch_linger=0.0,
             verify_cache_every=1,
         ) as server:
             body = {"app": "mergesort", "params": {"n": 256}, "machine": "ibm-sp"}
@@ -389,7 +545,6 @@ class TestBatchedAdmission:
             workers=1,
             cache_dir=tmp_path / "cache",
             batch_max=4,
-            batch_linger=0.05,
         ) as server:
             _, blocker = _http(
                 f"{server.url}/v1/jobs",
@@ -419,6 +574,59 @@ class TestBatchedAdmission:
             sizes = get_registry().get("core.serve.batch.size").snapshot()
             assert sizes["max"] == 3
 
+    def test_big_job_in_a_backlog_dispatches_alone_and_in_order(self, tmp_path):
+        gate, big_gate = tmp_path / "gate", tmp_path / "big-gate"
+        gate.touch()
+        big_gate.touch()
+        try:
+            with scoped_registry(), ServeServer(
+                port=0, workers=1, cache_dir=tmp_path / "cache", batch_max=4
+            ) as server:
+
+                def submit(body):
+                    return _http(f"{server.url}/v1/jobs", "POST", body)[1]
+
+                def small(seed):
+                    return {"app": "mergesort", "params": {"n": 64, "seed": seed}}
+
+                def worker_jobs():
+                    return _http(f"{server.url}/v1/health")[1]["workers"][0]["jobs"]
+
+                blocker = submit(
+                    {"app": "serve-test-sleeper", "params": {"gate": str(gate)}}
+                )
+                assert blocker["state"] == "running"
+                # Backlog behind the busy worker: small, BIG, small, small.
+                s1 = submit(small(1))
+                big = submit(
+                    {
+                        "app": "serve-test-sleeper",
+                        "params": {"gate": str(big_gate), "seed": 1},
+                        "weight": 8.0,
+                    }
+                )
+                s2, s3 = submit(small(2)), submit(small(3))
+                assert [j["state"] for j in (s1, big, s2, s3)] == ["queued"] * 4
+                gate.unlink()
+                # The big job holds the worker alone, after s1 and before s2/s3.
+                wait_until(lambda: worker_jobs() == [big["id"]], desc="big job running")
+                states = {
+                    j["id"]: j["state"] for j in _http(f"{server.url}/v1/jobs")[1]
+                }
+                assert states[s1["id"]] == "done"
+                assert states[s2["id"]] == states[s3["id"]] == "queued"
+                big_gate.unlink()
+                for job in (blocker, s1, big, s2, s3):
+                    assert _wait_done(server.url, job["id"])["state"] == "done"
+                # [blocker] [s1] [big] [s2, s3]
+                assert _counter("core.serve.jobs.dispatched") == 5
+                assert _counter("core.serve.batches.dispatched") == 4
+                sizes = get_registry().get("core.serve.batch.size").snapshot()
+                assert sizes["max"] == 2 and sizes["sum"] == 5
+        finally:
+            gate.unlink(missing_ok=True)
+            big_gate.unlink(missing_ok=True)
+
 
 @pytest.mark.skipif(os.name != "posix", reason="needs SIGKILL")
 class TestWorkerFailure:
@@ -429,7 +637,6 @@ class TestWorkerFailure:
             port=0,
             workers=1,
             cache_dir=tmp_path / "cache",
-            batch_linger=0.0,
             heartbeat_timeout=5.0,
         ) as server:
             _, job = _http(
@@ -470,7 +677,6 @@ class TestWorkerFailure:
                 port=0,
                 workers=1,
                 cache_dir=tmp_path / "cache",
-                batch_linger=0.0,
             ) as server:
                 _, job = _http(
                     f"{server.url}/v1/jobs",
@@ -506,7 +712,6 @@ class TestWorkerFailure:
                 port=0,
                 workers=1,
                 cache_dir=tmp_path / "cache",
-                batch_linger=0.0,
                 max_retries=0,
             ) as server:
                 _, job = _http(

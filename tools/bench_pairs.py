@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""Paired parent/change runs of the bench of record (``make bench-pairs``).
+
+The ``choosing-metrics`` section-8 rule as a command: check the base commit
+out into a temp dir (``git archive``), then for each workload run ::
+
+    python3 -m perfbench --workload W --seed S --seconds 25 --trace 0
+
+on the base and on the working tree alternately — which side goes first
+alternates from pair to pair, and every pair has its own seed.  Prints, per
+end-to-end metric, each side's median and quartiles, wins/ties and a verdict,
+and writes every run (with ``host_cpus``) to a JSON file.
+
+Verdicts (direction and bound per metric come from ``BENCHMARK.json``):
+
+- ``better``: the change wins >= 9/10 of all pairs (ties count for neither
+  side) and the medians differ by more than the distance between the base's
+  quartiles — the only verdict that supports a claimed gain;
+- ``worse``: the change's median is worse than the base's by more than the
+  metric's bound;
+- ``unresolved``: neither, and the base's quartile distance is itself wider
+  than the bound, so "no regression" cannot be told from noise;
+- ``same``: everything else.
+
+This script only *calls* the benchmark's command line; it imports nothing
+from ``perfbench/`` and writes nothing under it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in *tree*; its JSON result line (the last line)."""
+    done = subprocess.run(
+        [
+            "python3", "-m", "perfbench", "--workload", workload,
+            "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0",
+        ],
+        cwd=tree, stdout=subprocess.PIPE, text=True, check=True,
+    )  # fmt: skip
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, mid, q3 = statistics.quantiles(values, n=4)
+    return q1, mid, q3
+
+
+def judge(base: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Section 8 over paired values (``base[i]`` ran beside ``change[i]``)."""
+    sign = 1.0 if better == "lower" else -1.0  # signed so that lower is better
+    wins = sum(sign * c < sign * b for b, c in zip(base, change))
+    ties = sum(c == b for b, c in zip(base, change))
+    (bq1, bmed, bq3), (cq1, cmed, cq3) = quartiles(base), quartiles(change)
+    gain = sign * (bmed - cmed)  # positive: the change's median is better
+    if wins >= 0.9 * len(base) and gain > bq3 - bq1:
+        verdict = "better"
+    elif -gain > bound * abs(bmed):
+        verdict = "worse"
+    elif bq3 - bq1 > bound * abs(bmed):
+        verdict = "unresolved"
+    else:
+        verdict = "same"
+    return {
+        "base": {"q1": bq1, "median": bmed, "q3": bq3},
+        "change": {"q1": cq1, "median": cmed, "q3": cq3},
+        "wins": wins, "ties": ties, "pairs": len(base), "verdict": verdict,
+    }  # fmt: skip
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", required=True, help="commit to compare the working tree against")
+    parser.add_argument("--workloads", default="serve_miss serve_hit", help="space-separated")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seed-base", type=int, default=100, help="pair i runs seed SEED_BASE + i")
+    parser.add_argument("--out", default="bench_pairs.json")
+    args = parser.parse_args(argv)
+
+    declared = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    base_commit = subprocess.run(
+        ["git", "rev-parse", args.base], cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True
+    ).stdout.strip()
+    rows: list[dict] = []
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-base-") as tmp:
+        archive = subprocess.Popen(["git", "archive", base_commit], cwd=ROOT, stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", tmp], stdin=archive.stdout, check=True)
+        if archive.wait():
+            raise SystemExit(f"git archive {base_commit} failed")
+        trees = {"base": Path(tmp), "change": ROOT}
+        for workload in args.workloads.split():
+            for pair in range(args.pairs):
+                seed = args.seed_base + pair
+                order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+                for side in order:
+                    line = run_one(trees[side], workload, seed, args.seconds)
+                    rows.append(
+                        {
+                            "workload": workload, "pair": pair, "seed": seed, "side": side,
+                            "first": order[0], "correct": line["correct"],
+                            "attempted": line["attempted"], "failed": line["failed"],
+                            "metrics": {k: v["value"] for k, v in line["metrics"].items()},
+                        }
+                    )  # fmt: skip
+                    print(
+                        f"{workload} pair {pair} seed {seed} {side:<6} "
+                        + " ".join(f"{k}={v:.4g}" for k, v in rows[-1]["metrics"].items()),
+                        file=sys.stderr, flush=True,
+                    )  # fmt: skip
+
+    summary: dict[str, dict] = {}
+    broken = False
+    print(f"{'workload':<11} {'metric':<15} {'base q1/med/q3':>26} {'change q1/med/q3':>26}  wins ties  verdict")
+    for workload in args.workloads.split():
+        mine = [r for r in rows if r["workload"] == workload]
+        summary[workload] = {
+            "failed": {s: sum(r["failed"] for r in mine if r["side"] == s) for s in ("base", "change")},
+            "all_correct": all(r["correct"] for r in mine),
+            "metrics": {},
+        }
+        for name, spec in declared.items():
+            sides = {
+                s: [r["metrics"][name] for r in mine if r["side"] == s] for s in ("base", "change")
+            }
+            result = judge(sides["base"], sides["change"], spec["better"], spec["bound"])
+            summary[workload]["metrics"][name] = result
+            b, c = result["base"], result["change"]
+            print(
+                f"{workload:<11} {name:<15} "
+                f"{b['q1']:>8.4g}/{b['median']:>8.4g}/{b['q3']:>8.4g} "
+                f"{c['q1']:>8.4g}/{c['median']:>8.4g}/{c['q3']:>8.4g}  "
+                f"{result['wins']:>2}/{result['pairs']:<2} {result['ties']:>3}  {result['verdict']}"
+            )
+        if summary[workload]["failed"]["change"] or not summary[workload]["all_correct"]:
+            print(f"{workload}: FAILED OPERATIONS OR INCORRECT RUNS: {summary[workload]['failed']}")
+            broken = True
+        broken |= any(m["verdict"] == "worse" for m in summary[workload]["metrics"].values())
+    with open(args.out, "w") as fh:
+        json.dump(
+            {
+                "base": base_commit, "host_cpus": len(os.sched_getaffinity(0)),
+                "seconds": args.seconds, "pairs": args.pairs,
+                "command": "python3 -m perfbench --workload W --seed S --seconds N --trace 0",
+                "summary": summary, "rows": rows,
+            },
+            fh, indent=1,
+        )  # fmt: skip
+        fh.write("\n")
+    print(f"wrote {len(rows)} runs to {args.out}")
+    return 1 if broken else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
