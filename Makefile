@@ -74,8 +74,18 @@ bench-check:
 # The paired rule (choosing-metrics section 8) as a command: BASE and the
 # working tree run each workload alternately, PAIRS times, one seed per
 # pair; prints medians, quartiles, wins and a verdict per metric and
-# writes every run to OUT.  ~1.2 min per pair per serve workload.
+# writes every run to OUT; beside each verdict stands the driver's spread
+# rule (change's quartile distance <= bound x BASE's median).  ~1.2 min
+# per pair per serve workload, ~1 min per sim workload.  WORKLOADS takes
+# any of BENCHMARK.json's four: a serve-path change runs the serve pair, a
+# runtime / comm / kernels change runs the sim pair to claim and the serve
+# pair to show nothing moved —
 #   make bench-pairs BASE=<commit> WORKLOADS="serve_miss serve_hit" PAIRS=10
+#   make bench-pairs BASE=<commit> PAIRS=10 \
+#       WORKLOADS="sim_comm sim_kernel serve_miss serve_hit"
+# (sim_comm: 16 ranks on small sections — scheduler, mailbox, exchange
+# and per-call kernel overhead; sim_kernel: 2 ranks on large grids —
+# kernel bodies and payload copies.)
 BASE ?= HEAD
 WORKLOADS ?= serve_miss serve_hit
 PAIRS ?= 10

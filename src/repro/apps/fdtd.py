@@ -86,8 +86,9 @@ def fdtd_program(
     optionally the Ez field are returned.
 
     With *overlap* (default) the packed E/H boundary exchanges run
-    nonblocking and deep cells update while slabs travel; the curl is a
-    star stencil, so results are bitwise identical to the blocking path.
+    nonblocking and, on the virtual clock, deep cells update while slabs
+    travel; the curl is a star stencil, so results are bitwise identical
+    to the blocking path.
     """
     mesh.overlap = overlap
     shape = (nx, ny, nz)
@@ -119,8 +120,8 @@ def fdtd_program(
 
     for step in range(steps):
         # Packed exchange of the three E components, then the H curl
-        # update (overlapped over the deep cells when enabled); then the
-        # mirrored half-step for H -> E.
+        # update (charged as overlapped over the deep cells when
+        # enabled); then the mirrored half-step for H -> E.
         mesh.overlapped_update(
             e, h_update, writes=h, flops_per_point=FLOPS_PER_CELL / 2, label="h-update"
         )

@@ -12,6 +12,7 @@ since the "parameters" are the whole (small) merged result.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,9 +20,37 @@ from repro.core.onedeep import OneDeepDC, PhaseSpec
 from repro.apps.sorting.common import sort_cost
 
 
+#: relative rounding error of the float orientation determinant
+#: (Shewchuk's orient2d bound, (3 + 16 eps) eps with eps = 2**-53) and an
+#: absolute floor under which a product may have underflowed
+_CROSS_REL_ERR = 3.4e-16
+_CROSS_ABS_ERR = 1e-300
+
+
 def cross(o: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """z-component of (a - o) x (b - o); > 0 for a counter-clockwise turn."""
-    return float((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
+    """z-component of (a - o) x (b - o); > 0 for a counter-clockwise turn.
+
+    The *sign* is exact.  The float determinant is returned when it
+    clears its own rounding-error bound; a near-collinear triple (or one
+    whose products underflow) is decided in rational arithmetic instead.
+    Exact signs are what make the hull a function of the point *set*: a
+    rank's local hull and the sequential chain look at the same triple
+    through different subtractions, and with rounded signs one can call
+    a turn collinear where the other sees it, so ``hull(hull(A) | hull(B))``
+    could differ from ``hull(A | B)``.
+    """
+    left = (a[0] - o[0]) * (b[1] - o[1])
+    right = (a[1] - o[1]) * (b[0] - o[0])
+    det = float(left - right)
+    if abs(det) > _CROSS_REL_ERR * (abs(left) + abs(right)) + _CROSS_ABS_ERR:
+        return det
+    ox, oy, ax, ay, bx, by = (Fraction(float(v)) for v in (*o, *a, *b))
+    exact = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+    if exact == 0:
+        return 0.0
+    # keep the sign even where the magnitude rounds to zero
+    magnitude = max(abs(float(exact)), 5e-324)
+    return magnitude if exact > 0 else -magnitude
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:

@@ -5,6 +5,11 @@ surrounded by a *ghost boundary* holding shadow copies of the neighbours'
 edge values.  ``exchange_ghosts`` refreshes those shadows: for every grid
 axis, each rank swaps a ``ghost``-deep slab with its face neighbours.
 
+Who talks to whom, under which tag, about which slab is static — a
+function of the rank, the process grid, the local shape, the ghost width
+and the periodicity — so every variant reads it from one memoised
+:func:`exchange_geometry` and only posts, waits and copies per call.
+
 Two variants are provided:
 
 - the **blocking** exchange processes axes in order, each slab spanning
@@ -23,6 +28,8 @@ Two variants are provided:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.errors import DistributionError
@@ -36,15 +43,6 @@ from repro.runtime.request import Request
 _BOUNDARY_TAG_BASE = MAX_USER_TAG - 64
 _OVERLAP_OFFSET = 16
 _PACKED_OFFSET = 32
-
-
-def _slab(
-    arr: np.ndarray, axis: int, start: int, stop: int
-) -> tuple[slice, ...]:
-    """Full-extent slices except ``start:stop`` along *axis*."""
-    return tuple(
-        slice(start, stop) if d == axis else slice(None) for d in range(arr.ndim)
-    )
 
 
 def _check_exchange_args(
@@ -78,6 +76,180 @@ def _check_exchange_args(
     return periodic
 
 
+#: one transfer of an exchange: (peer rank, tag, slab selector) — for a
+#: receive the selector names the ghost slab the payload fills, for a
+#: send the owned edge slab that travels
+Transfer = tuple[int, int, tuple[slice, ...]]
+#: one grid axis of an exchange: (receives, sends), each in posting order
+AxisTransfers = tuple[tuple[Transfer, ...], tuple[Transfer, ...]]
+
+
+@lru_cache(maxsize=1024)
+def exchange_geometry(
+    rank: int,
+    dims: tuple[int, ...],
+    shape: tuple[int, ...],
+    ghost: int,
+    periodic: tuple[bool, ...],
+    tag_base: int,
+) -> tuple[AxisTransfers, ...]:
+    """The static half of a face exchange: per grid axis, *rank*'s
+    ``(receives, sends)`` in posting order.
+
+    Everything here is a pure function of the arguments — neighbours come
+    from the process grid *dims*, tags from *tag_base* (2 per axis: even
+    travels toward lower coordinates, odd toward higher), slabs from the
+    ghosted local *shape* — and none of it changes between the sweeps of
+    an iteration, so it is derived once per distinct key.  The key and
+    the result hold ranks, ints and slices only: never an array, a grid
+    or a communicator, so a cached entry pins no field memory.
+
+    Per axis the receives come first (high ghost, then low) so a
+    self-neighbouring periodic axis binds its own slabs to the
+    already-posted patterns; a slab spans the *full* extent of the other
+    axes, ghost layers included.
+    """
+    grid = CartGrid(dims)
+    ndim = len(shape)
+
+    def slab(axis: int, start: int, stop: int) -> tuple[slice, ...]:
+        return tuple(
+            slice(start, stop) if d == axis else slice(None) for d in range(ndim)
+        )
+
+    axes = []
+    for axis in range(grid.ndim):
+        n = shape[axis]
+        lo_nbr = grid.shift(rank, axis, -1, periodic[axis])
+        hi_nbr = grid.shift(rank, axis, +1, periodic[axis])
+        tag_lo = tag_base + 2 * axis  # travelling toward lower coords
+        tag_hi = tag_lo + 1  # travelling toward higher
+        recvs: list[Transfer] = []
+        sends: list[Transfer] = []
+        if hi_nbr is not None:
+            recvs.append((hi_nbr, tag_lo, slab(axis, n - ghost, n)))
+        if lo_nbr is not None:
+            recvs.append((lo_nbr, tag_hi, slab(axis, 0, ghost)))
+            sends.append((lo_nbr, tag_lo, slab(axis, ghost, 2 * ghost)))
+        if hi_nbr is not None:
+            sends.append((hi_nbr, tag_hi, slab(axis, n - 2 * ghost, n - ghost)))
+        axes.append((tuple(recvs), tuple(sends)))
+    return tuple(axes)
+
+
+class GhostExchange:
+    """The transfers of one ghost exchange over some of its axes.
+
+    Every face transfer of the given axes (both directions, all receives
+    before any send) is posted nonblocking before the constructor
+    returns; :meth:`wait` completes them and writes the received slabs
+    into the ghost layers.  Outgoing slabs are snapshotted at post time
+    (messages copy-on-send), so the caller may update interior cells
+    freely between start and wait.
+
+    The blocking exchanges drive one of these per axis, in axis order, so
+    each axis's slabs carry the ghosts the previous axis filled and
+    corner/edge ghost cells come out right.  The overlapped exchanges
+    (:func:`exchange_ghosts_start` / :func:`exchange_ghosts_many_start`)
+    post every axis at once and hand the object to the caller, who
+    computes on cells that do not read ghosts while the slabs travel;
+    there axes are *not* serialised, so ghost cells in the corner/edge
+    regions (offsets along more than one axis) hold stale values
+    afterwards — fine for star stencils, which never read them.
+
+    *packed* stacks the slabs of all *locals_* into one message per
+    neighbour per direction; otherwise *locals_* is a single array.
+    """
+
+    def __init__(
+        self,
+        comm: Comm,
+        locals_: list[np.ndarray],
+        axes: tuple[AxisTransfers, ...],
+        packed: bool,
+    ):
+        self._comm = comm
+        self._locals = locals_
+        self._packed = packed
+        self._requests: list[Request] = []
+        #: receive bookkeeping: (request, ghost slab the payload fills)
+        self._recvs: list[tuple[Request, tuple[slice, ...]]] = []
+        for recvs, _ in axes:
+            for peer, tag, sel in recvs:
+                req = comm.irecv(peer, tag=tag)
+                self._requests.append(req)
+                self._recvs.append((req, sel))
+        for _, sends in axes:
+            for peer, tag, sel in sends:
+                piece = (
+                    np.stack([a[sel] for a in locals_]) if packed else locals_[0][sel]
+                )
+                self._requests.append(comm.isend(peer, piece, tag=tag))
+        self._done = not axes
+
+    @property
+    def done(self) -> bool:
+        """True once :meth:`wait` has completed the exchange."""
+        return self._done
+
+    def wait(self) -> None:
+        """Complete all transfers and fill the ghost layers (idempotent)."""
+        if self._done:
+            return
+        self._comm.waitall(self._requests)
+        for req, sel in self._recvs:
+            if self._packed:
+                for a, piece in zip(self._locals, req.payload):
+                    a[sel] = piece
+            else:
+                self._locals[0][sel] = req.payload
+        self._done = True
+
+
+def _geometry_for(
+    comm: Comm,
+    locals_: list[np.ndarray],
+    grid: CartGrid,
+    ghost: int,
+    periodic: tuple[bool, ...] | bool,
+    tag_offset: int,
+) -> tuple[AxisTransfers, ...]:
+    """Validate one exchange request and look its geometry up."""
+    first = locals_[0]
+    for arr in locals_[1:]:
+        if arr.shape != first.shape:
+            raise DistributionError(
+                "a packed exchange needs same-shaped arrays; got "
+                f"{arr.shape} vs {first.shape}"
+            )
+    periodic = _check_exchange_args(
+        comm, first.shape, first.ndim, grid, ghost, periodic
+    )
+    return exchange_geometry(
+        comm.rank,
+        tuple(grid.dims),
+        first.shape,
+        ghost,
+        tuple(periodic),
+        _BOUNDARY_TAG_BASE + tag_offset,
+    )
+
+
+def _exchange_blocking(
+    comm: Comm,
+    locals_: list[np.ndarray],
+    grid: CartGrid,
+    ghost: int,
+    periodic: tuple[bool, ...] | bool,
+    packed: bool,
+) -> None:
+    # One axis at a time: the two directions' wires overlap, but axes
+    # stay serialised so corner ghosts are built up correctly.
+    offset = _PACKED_OFFSET if packed else 0
+    for axis in _geometry_for(comm, locals_, grid, ghost, periodic, offset):
+        GhostExchange(comm, locals_, (axis,), packed).wait()
+
+
 def exchange_ghosts(
     comm: Comm,
     local: np.ndarray,
@@ -101,36 +273,7 @@ def exchange_ghosts(
         physical edges the ghost cells are left untouched (they hold
         boundary conditions maintained by the application).
     """
-    periodic = _check_exchange_args(
-        comm, local.shape, local.ndim, grid, ghost, periodic
-    )
-    n = local.shape
-    for axis in range(grid.ndim):
-        lo_nbr = grid.shift(comm.rank, axis, -1, periodic[axis])
-        hi_nbr = grid.shift(comm.rank, axis, +1, periodic[axis])
-        tag_lo = _BOUNDARY_TAG_BASE + 2 * axis  # travelling toward lower coords
-        tag_hi = _BOUNDARY_TAG_BASE + 2 * axis + 1  # travelling toward higher
-
-        # Post all of this axis's transfers (receives first, so a
-        # self-neighbouring periodic axis binds its own slabs) and
-        # complete them with one waitall: the two directions' wires
-        # overlap, but axes stay serialised so corner ghosts are built
-        # up correctly.  Outgoing slabs are snapshotted by copy-on-send
-        # before either ghost is written.
-        recv_hi = comm.irecv(hi_nbr, tag=tag_lo) if hi_nbr is not None else None
-        recv_lo = comm.irecv(lo_nbr, tag=tag_hi) if lo_nbr is not None else None
-        requests = [r for r in (recv_hi, recv_lo) if r is not None]
-        if lo_nbr is not None:
-            piece = local[_slab(local, axis, ghost, 2 * ghost)]
-            requests.append(comm.isend(lo_nbr, piece, tag=tag_lo))
-        if hi_nbr is not None:
-            piece = local[_slab(local, axis, n[axis] - 2 * ghost, n[axis] - ghost)]
-            requests.append(comm.isend(hi_nbr, piece, tag=tag_hi))
-        comm.waitall(requests)
-        if recv_hi is not None:
-            local[_slab(local, axis, n[axis] - ghost, n[axis])] = recv_hi.payload
-        if recv_lo is not None:
-            local[_slab(local, axis, 0, ghost)] = recv_lo.payload
+    _exchange_blocking(comm, [local], grid, ghost, periodic, packed=False)
 
 
 def exchange_ghosts_many(
@@ -148,164 +291,8 @@ def exchange_ghosts_many(
     packed variant of :func:`exchange_ghosts` (and the subject of the
     message-packing ablation benchmark).
     """
-    if not locals_:
-        return
-    first = locals_[0]
-    for arr in locals_[1:]:
-        if arr.shape != first.shape:
-            raise DistributionError(
-                "exchange_ghosts_many needs same-shaped arrays; got "
-                f"{arr.shape} vs {first.shape}"
-            )
-    periodic = _check_exchange_args(
-        comm, first.shape, first.ndim, grid, ghost, periodic
-    )
-    n = first.shape
-    for axis in range(grid.ndim):
-        lo_nbr = grid.shift(comm.rank, axis, -1, periodic[axis])
-        hi_nbr = grid.shift(comm.rank, axis, +1, periodic[axis])
-        tag_lo = _BOUNDARY_TAG_BASE + _PACKED_OFFSET + 2 * axis
-        tag_hi = _BOUNDARY_TAG_BASE + _PACKED_OFFSET + 2 * axis + 1
-        recv_hi = comm.irecv(hi_nbr, tag=tag_lo) if hi_nbr is not None else None
-        recv_lo = comm.irecv(lo_nbr, tag=tag_hi) if lo_nbr is not None else None
-        requests = [r for r in (recv_hi, recv_lo) if r is not None]
-        if lo_nbr is not None:
-            sel = _slab(first, axis, ghost, 2 * ghost)
-            requests.append(
-                comm.isend(lo_nbr, np.stack([a[sel] for a in locals_]), tag=tag_lo)
-            )
-        if hi_nbr is not None:
-            sel = _slab(first, axis, n[axis] - 2 * ghost, n[axis] - ghost)
-            requests.append(
-                comm.isend(hi_nbr, np.stack([a[sel] for a in locals_]), tag=tag_hi)
-            )
-        comm.waitall(requests)
-        if recv_hi is not None:
-            sel = _slab(first, axis, n[axis] - ghost, n[axis])
-            for a, piece in zip(locals_, recv_hi.payload):
-                a[sel] = piece
-        if recv_lo is not None:
-            sel = _slab(first, axis, 0, ghost)
-            for a, piece in zip(locals_, recv_lo.payload):
-                a[sel] = piece
-
-
-class GhostExchange:
-    """An in-flight overlapped ghost exchange.
-
-    Created by :func:`exchange_ghosts_start` /
-    :func:`exchange_ghosts_many_start`: every face transfer (all axes,
-    both directions) is posted nonblocking before the constructor
-    returns, so the caller can compute on cells that do not read ghosts
-    while the slabs travel.  :meth:`wait` completes the transfers and
-    writes the received slabs into the ghost layers.
-
-    Unlike the blocking exchange, axes are *not* serialised, so ghost
-    cells in the corner/edge regions (offsets along more than one axis)
-    hold stale values afterwards — fine for star stencils, which never
-    read them.  Outgoing slabs are snapshotted at post time (messages
-    copy-on-send), so the caller may update interior cells freely
-    between start and wait.
-    """
-
-    def __init__(
-        self,
-        comm: Comm,
-        locals_: list[np.ndarray],
-        grid: CartGrid,
-        ghost: int,
-        periodic: tuple[bool, ...] | bool,
-        packed: bool,
-    ):
-        if not locals_:
-            self._comm = comm
-            self._requests: list[Request] = []
-            self._recvs: list[tuple[Request, int, str]] = []
-            self._locals = locals_
-            self._ghost = ghost
-            self._packed = packed
-            self._done = True
-            return
-        first = locals_[0]
-        for arr in locals_[1:]:
-            if arr.shape != first.shape:
-                raise DistributionError(
-                    "overlapped exchange needs same-shaped arrays; got "
-                    f"{arr.shape} vs {first.shape}"
-                )
-        periodic = _check_exchange_args(
-            comm, first.shape, first.ndim, grid, ghost, periodic
-        )
-        self._comm = comm
-        self._locals = locals_
-        self._ghost = ghost
-        self._packed = packed
-        self._done = False
-        self._requests = []
-        #: receive bookkeeping: (request, axis, side) with side "lo"/"hi"
-        #: naming the ghost slab the payload fills
-        self._recvs = []
-        base = _BOUNDARY_TAG_BASE + _OVERLAP_OFFSET
-        if packed:
-            base += _PACKED_OFFSET
-        n = first.shape
-        neighbours = []
-        for axis in range(grid.ndim):
-            lo_nbr = grid.shift(comm.rank, axis, -1, periodic[axis])
-            hi_nbr = grid.shift(comm.rank, axis, +1, periodic[axis])
-            tag_lo = base + 2 * axis
-            tag_hi = base + 2 * axis + 1
-            neighbours.append((axis, lo_nbr, hi_nbr, tag_lo, tag_hi))
-            # Post all receives before any send so a self-neighbouring
-            # periodic axis (one rank along it) binds its own slabs to
-            # the already-posted patterns.
-            if hi_nbr is not None:
-                req = comm.irecv(hi_nbr, tag=tag_lo)
-                self._requests.append(req)
-                self._recvs.append((req, axis, "hi"))
-            if lo_nbr is not None:
-                req = comm.irecv(lo_nbr, tag=tag_hi)
-                self._requests.append(req)
-                self._recvs.append((req, axis, "lo"))
-        for axis, lo_nbr, hi_nbr, tag_lo, tag_hi in neighbours:
-            if lo_nbr is not None:
-                sel = _slab(first, axis, ghost, 2 * ghost)
-                self._requests.append(comm.isend(lo_nbr, self._pack(sel), tag=tag_lo))
-            if hi_nbr is not None:
-                sel = _slab(first, axis, n[axis] - 2 * ghost, n[axis] - ghost)
-                self._requests.append(comm.isend(hi_nbr, self._pack(sel), tag=tag_hi))
-
-    def _pack(self, sel: tuple[slice, ...]) -> np.ndarray:
-        if self._packed:
-            return np.stack([a[sel] for a in self._locals])
-        return self._locals[0][sel]
-
-    def _unpack(self, sel: tuple[slice, ...], payload: np.ndarray) -> None:
-        if self._packed:
-            for a, piece in zip(self._locals, payload):
-                a[sel] = piece
-        else:
-            self._locals[0][sel] = payload
-
-    @property
-    def done(self) -> bool:
-        """True once :meth:`wait` has completed the exchange."""
-        return self._done
-
-    def wait(self) -> None:
-        """Complete all transfers and fill the ghost layers (idempotent)."""
-        if self._done:
-            return
-        self._comm.waitall(self._requests)
-        n = self._locals[0].shape
-        ghost = self._ghost
-        for req, axis, side in self._recvs:
-            if side == "hi":
-                sel = _slab(self._locals[0], axis, n[axis] - ghost, n[axis])
-            else:
-                sel = _slab(self._locals[0], axis, 0, ghost)
-            self._unpack(sel, req.payload)
-        self._done = True
+    if locals_:
+        _exchange_blocking(comm, locals_, grid, ghost, periodic, packed=True)
 
 
 def exchange_ghosts_start(
@@ -318,7 +305,8 @@ def exchange_ghosts_start(
     """Begin an overlapped ghost exchange of one array; returns the
     in-flight handle.  Compute on non-ghost-reading cells, then
     ``handle.wait()`` before touching cells that read ghosts."""
-    return GhostExchange(comm, [local], grid, ghost, periodic, packed=False)
+    axes = _geometry_for(comm, [local], grid, ghost, periodic, _OVERLAP_OFFSET)
+    return GhostExchange(comm, [local], axes, packed=False)
 
 
 def exchange_ghosts_many_start(
@@ -330,7 +318,12 @@ def exchange_ghosts_many_start(
 ) -> GhostExchange:
     """Packed overlapped exchange of several same-shaped arrays (one
     message per neighbour per direction); returns the in-flight handle."""
-    return GhostExchange(comm, locals_, grid, ghost, periodic, packed=True)
+    if not locals_:
+        return GhostExchange(comm, locals_, (), packed=True)
+    axes = _geometry_for(
+        comm, locals_, grid, ghost, periodic, _OVERLAP_OFFSET + _PACKED_OFFSET
+    )
+    return GhostExchange(comm, locals_, axes, packed=True)
 
 
 def add_ghosts(section: np.ndarray, ghost: int, fill: float = 0.0) -> np.ndarray:

@@ -222,13 +222,14 @@ class MeshContext:
         is checked and violations raise :class:`ArchetypeError`.
 
         With *overlap* (defaulting to the context's :attr:`overlap`), the
-        ghost exchange runs nonblocking: cells deep enough that their
-        stencil reads stay within owned data are updated while boundary
-        slabs travel, then the exchange completes and the shell cells are
-        updated.  Numerically identical to the blocking path for star
-        stencils (the update is the same elementwise expression applied
-        region by region); corner ghosts are stale in overlap mode, so
-        box stencils reading diagonal offsets must pass ``overlap=False``.
+        ghost exchange runs nonblocking and the virtual clock is charged
+        as the overlapped pipeline: cells deep enough that their stencil
+        reads stay within owned data while boundary slabs travel, then
+        the exchange completes, then the shell cells.  *fn* itself runs
+        once, over the whole region, after the exchange completes — so
+        the result is numerically identical to the blocking path for
+        star stencils; corner ghosts are stale in overlap mode, so box
+        stencils reading diagonal offsets must pass ``overlap=False``.
         (Shim: declares a par-loop whose inputs read at the full ghost
         width; blocking mode requests corner-correct serialised
         exchanges, matching the historical semantics exactly.)
@@ -294,14 +295,17 @@ class MeshContext:
         must compute the update restricted to the given region — any
         composition of elementwise expressions over ghost-shifted reads
         qualifies, and produces bitwise-identical results however the
-        region is tiled.
+        region is tiled (a fused group walks it in row blocks).
 
         Blocking mode exchanges, optionally fills physical-edge ghosts
-        (*fill_edges* as in :meth:`DistGrid.fill_edge_ghosts`), and calls
-        *apply* once on the full owned region.  Overlap mode posts the
-        packed exchange, fills edges, updates the deep cells while slabs
-        travel, completes the exchange, and updates the shell tiles.
-        Corner/edge ghosts are stale in overlap mode (star stencils only).
+        (*fill_edges* as in :meth:`DistGrid.fill_edge_ghosts`), charges
+        the whole region, and calls *apply* on it.  Overlap mode posts
+        the packed exchange, fills edges, charges the deep cells while
+        slabs travel, completes the exchange, charges the shell tiles —
+        and then calls *apply* on the full owned region just the same:
+        overlap is a property of the virtual clock, not of the order the
+        host computes in.  Corner/edge ghosts are stale in overlap mode
+        (star stencils only).
 
         *writes* declares the grids *apply* writes (its access set).  A
         declared write set lets the kernel layer keep ghost-validity

@@ -9,10 +9,22 @@ validity epoch, fuse depth) is per rank: under the threads backend every
 rank shares one process, and any cross-rank sharing here would let one
 rank's writes perturb another rank's message pattern.
 
+**A group is walked twice: once for the virtual clock, once for the
+values.**  The *accounting walk* is the modelled machine's schedule —
+post the exchanges, charge the deep cells (whose stencil reads stay in
+owned data) while the slabs travel, ``wait()``, charge each shell tile —
+and it alone decides clocks, trace events and message order.  The
+*execution walk* then runs every loop body over the whole region.  On
+the host there is nothing to hide a transfer behind (a run-to-block
+engine runs one rank at a time; the process engine delivers at send
+time), so cutting the region into a deep tile and two shells per axis
+would only multiply numpy dispatch overhead; kernel bodies are
+elementwise, so one call computes what the tiles did, bit for bit.
+
 **The fusion switch changes execution, never the plan.**  Groups,
-exchange packs, hoists, deep/shell splits, and the charge sequence are
-computed identically whether ``REPRO_KERNEL_FUSION`` is on or off; the
-switch only selects how a group's bodies walk the region —
+exchange packs, hoists and the charge sequence are computed identically
+whether ``REPRO_KERNEL_FUSION`` is on or off; the switch only selects
+how the execution walk covers the region —
 
 - *fused*: the region is tiled into cache-sized row blocks and every
   loop body runs per tile (loop-interleaved, hot data stays resident);
@@ -31,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import os
 from collections.abc import Iterator
+from functools import lru_cache
 
 from repro.comm.boundary import (
     exchange_ghosts,
@@ -114,6 +127,21 @@ def tile_bytes() -> int:
         return max(1, int(os.environ.get(_TILE_ENV, _DEFAULT_TILE_BYTES)))
     except ValueError:
         return _DEFAULT_TILE_BYTES
+
+
+@lru_cache(maxsize=1024)
+def _phase_points(
+    bounds: tuple[tuple[int, int], ...], ghost: int, shape: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Point counts of an overlapped group's charge phases: the deep
+    tile first, then each shell tile (:func:`split_deep_shell` order).
+    *bounds* are the region's ``(start, stop)`` pairs — slices do not
+    hash — and the result is geometry only, so it is derived once per
+    distinct region instead of once per sweep."""
+    deep, shells = split_deep_shell(
+        tuple(slice(lo, hi) for lo, hi in bounds), ghost, shape
+    )
+    return (region_size(deep), *(region_size(tile) for tile in shells))
 
 
 def _row_tiles(
@@ -230,14 +258,16 @@ class KernelEngine:
                 # physical-edge ghosts have no neighbour; filling them
                 # does not race the in-flight slabs.
                 a.grid.fill_edge_ghosts(a.edges)
-            deep, shells = split_deep_shell(
-                region, max(group.halo_max, 1), group.shape
+            deep_points, *shell_points = _phase_points(
+                tuple((s.start, s.stop) for s in region),
+                max(group.halo_max, 1),
+                group.shape,
             )
-            self._run_phase(group, deep)
+            self._charge_phase(group, deep_points)
             for handle in handles:
                 handle.wait()
-            for tile in shells:
-                self._run_phase(group, tile)
+            for npoints in shell_points:
+                self._charge_phase(group, npoints)
         else:
             for a in plan.serial:
                 exchange_ghosts(comm, a.local, a.cart, a.ghost, a.periodic)
@@ -260,7 +290,8 @@ class KernelEngine:
                 _EXCHANGES.inc()
             for a in plan.fills:
                 a.grid.fill_edge_ghosts(a.edges)
-            self._run_phase(group, region)
+            self._charge_phase(group, region_size(region))
+        self._execute(group, region)
         # Post-state: refreshed dats are clean at this epoch, written
         # dats are dirty (clean marks land first, so a dat both read and
         # written in the group correctly ends dirty).
@@ -271,14 +302,14 @@ class KernelEngine:
         if any(loop.writes_undeclared for loop in group.loops):
             self.epoch += 1
 
-    def _run_phase(self, group: LoopGroup, region: tuple[slice, ...]) -> None:
-        """Charge and execute every group loop over one region tile.
+    def _charge_phase(self, group: LoopGroup, npoints: int) -> None:
+        """The accounting walk's step: charge every group loop for one
+        phase of *npoints* points.
 
         The charge sequence (one charge per loop, declaration order,
         zero-point phases silent) is fixed here and shared by both
         fusion modes — the virtual-clock half of the A/B identity.
         """
-        npoints = region_size(region)
         if npoints == 0:
             return
         comm = self.mesh.comm
@@ -290,6 +321,12 @@ class KernelEngine:
                     label=loop.label,
                     working_set_bytes=working_set,
                 )
+
+    def _execute(self, group: LoopGroup, region: tuple[slice, ...]) -> None:
+        """The execution walk: run every group body over the whole
+        *region*, after all of the group's charges and waits."""
+        if region_size(region) == 0:
+            return
         if fusion_enabled() and len(group.loops) > 1:
             tiles = _row_tiles(region, group)
             for tile in tiles:

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from repro import spmd_run
 from repro.errors import DistributionError, RankFailedError
 from repro.comm import CartGrid, block_layout, exchange_ghosts
+from repro.comm import boundary
 from repro.comm.boundary import (
     add_ghosts,
+    exchange_geometry,
     exchange_ghosts_many,
     exchange_ghosts_many_start,
     exchange_ghosts_start,
@@ -391,6 +393,149 @@ class TestOverlappedExchange:
             return True
 
         assert all(run_both_backends(2, body).values)
+
+
+def _reference_geometry(rank, dims, shape, ghost, periodic, tag_base):
+    """The axis loop the three exchange variants each used to carry,
+    kept here as the reference the memoised derivation is held to."""
+    grid = CartGrid(dims)
+
+    def slab(axis, start, stop):
+        return tuple(
+            slice(start, stop) if d == axis else slice(None)
+            for d in range(len(shape))
+        )
+
+    axes = []
+    for axis, n in enumerate(shape):
+        lo = grid.shift(rank, axis, -1, periodic[axis])
+        hi = grid.shift(rank, axis, +1, periodic[axis])
+        tag_lo, tag_hi = tag_base + 2 * axis, tag_base + 2 * axis + 1
+        recvs, sends = [], []
+        if hi is not None:
+            recvs.append((hi, tag_lo, slab(axis, n - ghost, n)))
+        if lo is not None:
+            recvs.append((lo, tag_hi, slab(axis, 0, ghost)))
+            sends.append((lo, tag_lo, slab(axis, ghost, 2 * ghost)))
+        if hi is not None:
+            sends.append((hi, tag_hi, slab(axis, n - 2 * ghost, n - ghost)))
+        axes.append((tuple(recvs), tuple(sends)))
+    return tuple(axes)
+
+
+@st.composite
+def _exchange_configs(draw):
+    ndim = draw(st.integers(1, 3))
+    dims = tuple(
+        draw(st.lists(st.integers(1, 3), min_size=ndim, max_size=ndim))
+    )
+    while int(np.prod(dims)) > 6:  # keep the rank count small
+        dims = tuple(max(1, d - 1) for d in dims)
+    ghost = draw(st.integers(1, 2))
+    # owned cells per rank per axis; >= ghost so edge slabs are all owned
+    owned = tuple(draw(st.integers(ghost, ghost + 2)) for _ in range(ndim))
+    periodic = tuple(draw(st.booleans()) for _ in range(ndim))
+    return dims, owned, ghost, periodic
+
+
+def _plain(obj) -> bool:
+    """True when *obj* is built of ints, bools, slices and tuples only."""
+    if isinstance(obj, tuple):
+        return all(_plain(x) for x in obj)
+    if isinstance(obj, slice):
+        return _plain((obj.start, obj.stop, obj.step))
+    return obj is None or type(obj) in (int, bool)
+
+
+class TestExchangeGeometry:
+    """One memoised derivation feeds the blocking, packed and overlapped
+    exchanges; caching may change neither what it yields nor what they
+    fill."""
+
+    @given(config=_exchange_configs(), tag_base=st.sampled_from([0, 16, 32, 48]))
+    @settings(max_examples=60, deadline=None)
+    def test_cached_equals_fresh_derivation_on_every_rank(self, config, tag_base):
+        dims, owned, ghost, periodic = config
+        shape = tuple(n + 2 * ghost for n in owned)
+        for rank in range(int(np.prod(dims))):
+            key = (rank, dims, shape, ghost, periodic, tag_base)
+            cached = exchange_geometry(*key)
+            assert cached == _reference_geometry(*key)
+            assert cached == exchange_geometry.__wrapped__(*key)
+            assert exchange_geometry(*key) is cached  # served from the cache
+            assert _plain(cached)
+
+    @given(config=_exchange_configs())
+    @settings(max_examples=25, deadline=None)
+    def test_every_variant_fills_the_same_ghosts_cold_and_warm(self, config):
+        dims, owned, ghost, periodic = config
+        cart = CartGrid(dims)
+        full_shape = tuple(n * d for n, d in zip(owned, dims))
+        full_a = np.arange(float(np.prod(full_shape))).reshape(full_shape)
+        full_b = -3.0 * full_a
+
+        def body(comm):
+            def sections():
+                return [
+                    _ghosted_sections(comm, full, dims, ghost, fill=-7.0)[1]
+                    for full in (full_a, full_b)
+                ]
+
+            blocking, packed, overlapped, overlapped_packed = (
+                sections() for _ in range(4)
+            )
+            for local in blocking:
+                exchange_ghosts(comm, local, cart, ghost, periodic)
+            exchange_ghosts_many(comm, packed, cart, ghost, periodic)
+            handles = [
+                exchange_ghosts_start(comm, local, cart, ghost, periodic)
+                for local in overlapped
+            ]
+            handles.append(
+                exchange_ghosts_many_start(
+                    comm, overlapped_packed, cart, ghost, periodic
+                )
+            )
+            for handle in handles:
+                handle.wait()
+            # packing never changes what lands where
+            assert all(np.array_equal(x, y) for x, y in zip(blocking, packed))
+            assert all(
+                np.array_equal(x, y) for x, y in zip(overlapped, overlapped_packed)
+            )
+            return blocking + overlapped
+
+        nprocs = cart.nranks
+        exchange_geometry.cache_clear()
+        cold = spmd_run(nprocs, body)
+        derived = exchange_geometry.cache_info().misses
+        warm = spmd_run(nprocs, body)
+        info = exchange_geometry.cache_info()
+        assert info.misses == derived and info.hits > 0  # warm run derived nothing
+        for a, b in zip(cold.values, warm.values):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_cache_key_and_entries_hold_geometry_only(self, monkeypatch):
+        """No ndarray, ``DistGrid``, ``CartGrid`` or communicator may be
+        pinned by the cache: keys and values are ints, bools, slices and
+        tuples of those, even when the request comes down from the
+        kernel layer's grids."""
+        from repro.apps import registry
+
+        keys = []
+
+        def recording(*key):
+            keys.append(key)
+            return exchange_geometry(*key)
+
+        monkeypatch.setattr(boundary, "exchange_geometry", recording)
+        for app in ("poisson", "cfd", "fdtd"):
+            spec = registry.get(app)
+            spec.run(spec.verify_overrides, machine="ibm-sp")
+        assert keys
+        for key in keys:
+            assert _plain(key), key
+            assert _plain(exchange_geometry(*key))
 
 
 class TestExchangeErrors:

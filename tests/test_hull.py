@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.apps.hull import (
     convex_hull,
+    cross,
     hull_area,
     one_deep_hull,
     point_in_hull,
@@ -17,6 +18,27 @@ points_strategy = hnp.arrays(
     shape=st.tuples(st.integers(1, 120), st.just(2)),
     elements=st.floats(-100, 100, allow_nan=False, allow_infinity=False),
 )
+
+
+class TestCross:
+    def test_sign_survives_underflow(self):
+        o, a, b = np.array([-8.9e-164, 0.0]), np.array([0.0, -4.7e-229]), np.zeros(2)
+        assert cross(o, a, b) > 0  # the float products round to 0 - 0
+        assert cross(o, b, a) < 0
+
+    def test_exactly_collinear_is_zero(self):
+        pts = [np.array([0.1 * k, 0.3 * k]) for k in (1, 2, 4)]
+        assert cross(*pts) == 0.0
+
+    def test_near_collinear_sign_is_exact(self):
+        # the middle point sits one ulp above the diagonal
+        o, b = np.array([0.0, 0.0]), np.array([2.0, 2.0])
+        above = np.array([1.0, np.nextafter(1.0, 2.0)])
+        assert cross(o, b, above) > 0
+        assert cross(o, above, b) < 0
+
+    def test_clear_turns_are_the_float_determinant(self):
+        assert cross(np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
 
 
 class TestConvexHull:
@@ -80,8 +102,25 @@ class TestOneDeepHull:
             assert np.allclose(v, expected)
 
     @given(pts=points_strategy, p=st.integers(1, 5))
+    @example(
+        pts=np.array(
+            [[-1.0, 0.0], [0.0, 0.0], [-8.9e-164, 0.0], [0.0, -4.7e-229], [0.0, 0.0]]
+        ),
+        p=2,
+    )
     @settings(max_examples=20, deadline=None)
     def test_property(self, pts, p):
+        """The merge is a homomorphism: the hull of the ranks' hulls is
+        the hull of all points, for any input the strategy can draw.
+
+        The pinned example once gave 2 points in parallel and 3
+        sequentially: ``8.9e-164 * 4.7e-229`` underflows, so the rank
+        holding the last three points saw a zero cross product, called
+        them collinear and dropped ``(0, -4.7e-229)``, while the
+        sequential chain met that point beside ``(-1, 0)`` and kept it.
+        :func:`repro.apps.hull.cross` now decides such triples exactly,
+        so the strategy stays unbounded (subnormals included).
+        """
         expected = convex_hull(pts)
         res = one_deep_hull().run(p, pts)
         assert np.allclose(

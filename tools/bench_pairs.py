@@ -22,6 +22,15 @@ Verdicts (direction and bound per metric come from ``BENCHMARK.json``):
   than the bound, so "no regression" cannot be told from noise;
 - ``same``: everything else.
 
+Beside the verdict stands the **spread rule** the driver's benchmark check
+applies before it compares anything: the distance between the change's
+quartiles must not exceed the metric's bound (25 %) times the *base's*
+median, or the runs are "too wide to tell" and the change is refused
+whatever its medians say.  A metric whose scale the change moves a long way
+(a burst rate freed of a stall) can fail it while being better on every
+pair; the column prints the change's quartile distance over that limit and
+``WIDE`` where it is exceeded, and the command exits 1.
+
 This script only *calls* the benchmark's command line; it imports nothing
 from ``perfbench/`` and writes nothing under it.
 """
@@ -74,10 +83,12 @@ def judge(base: list[float], change: list[float], better: str, bound: float) -> 
         verdict = "unresolved"
     else:
         verdict = "same"
+    limit = bound * abs(bmed)
     return {
         "base": {"q1": bq1, "median": bmed, "q3": bq3},
         "change": {"q1": cq1, "median": cmed, "q3": cq3},
         "wins": wins, "ties": ties, "pairs": len(base), "verdict": verdict,
+        "spread": {"change_iqr": cq3 - cq1, "limit": limit, "ok": cq3 - cq1 <= limit},
     }  # fmt: skip
 
 
@@ -124,7 +135,10 @@ def main(argv: list[str] | None = None) -> int:
 
     summary: dict[str, dict] = {}
     broken = False
-    print(f"{'workload':<11} {'metric':<15} {'base q1/med/q3':>26} {'change q1/med/q3':>26}  wins ties  verdict")
+    print(
+        f"{'workload':<11} {'metric':<15} {'base q1/med/q3':>26} {'change q1/med/q3':>26}"
+        f"  wins ties  {'verdict':<10}  spread (change iqr / bound x base median)"
+    )
     for workload in args.workloads.split():
         mine = [r for r in rows if r["workload"] == workload]
         summary[workload] = {
@@ -138,17 +152,21 @@ def main(argv: list[str] | None = None) -> int:
             }
             result = judge(sides["base"], sides["change"], spec["better"], spec["bound"])
             summary[workload]["metrics"][name] = result
-            b, c = result["base"], result["change"]
+            b, c, spread = result["base"], result["change"], result["spread"]
             print(
                 f"{workload:<11} {name:<15} "
                 f"{b['q1']:>8.4g}/{b['median']:>8.4g}/{b['q3']:>8.4g} "
                 f"{c['q1']:>8.4g}/{c['median']:>8.4g}/{c['q3']:>8.4g}  "
-                f"{result['wins']:>2}/{result['pairs']:<2} {result['ties']:>3}  {result['verdict']}"
+                f"{result['wins']:>2}/{result['pairs']:<2} {result['ties']:>3}  {result['verdict']:<10}  "
+                f"{spread['change_iqr']:.3g} / {spread['limit']:.3g}{'' if spread['ok'] else '  WIDE'}"
             )
         if summary[workload]["failed"]["change"] or not summary[workload]["all_correct"]:
             print(f"{workload}: FAILED OPERATIONS OR INCORRECT RUNS: {summary[workload]['failed']}")
             broken = True
-        broken |= any(m["verdict"] == "worse" for m in summary[workload]["metrics"].values())
+        broken |= any(
+            m["verdict"] == "worse" or not m["spread"]["ok"]
+            for m in summary[workload]["metrics"].values()
+        )
     with open(args.out, "w") as fh:
         json.dump(
             {
