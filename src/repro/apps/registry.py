@@ -1,8 +1,7 @@
 """Named application workloads: one registry from app names to runs.
 
 Before this module each CLI kept its own ad-hoc app table — the obs CLI
-(:mod:`repro.obs.workloads`), the parallel bench ablation
-(:mod:`repro.bench.parallel`), the cross-backend digest matrix
+(:mod:`repro.obs.workloads`), the cross-backend digest matrix
 (:mod:`repro.verify.crossbackend`), and the conformance registry
 (:mod:`repro.verify.conformance`) all re-spelled "how do I run mergesort
 on 4 ranks" with slightly different inputs.  The job server

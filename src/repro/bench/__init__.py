@@ -4,7 +4,8 @@
 time vs. a sequential baseline on a modelled machine);
 :mod:`repro.bench.figures` defines one experiment per numeric figure of
 the paper (Figures 6, 12, 15, 16, 17, 18); :mod:`repro.bench.report`
-renders the series as the tables/ASCII plots the benchmark suite prints.
+renders the series as the tables/ASCII plots ``python -m repro.bench``
+prints.  Virtual time only: host seconds are ``perfbench``'s.
 """
 
 from repro.bench.harness import SpeedupCurve, SpeedupPoint, measure_speedups

@@ -6,32 +6,26 @@ Usage::
     python -m repro.bench fig17 --json out.json
     python -m repro.bench overlap          # blocking vs overlapped A/B
     python -m repro.bench pipeline         # farm-width throughput/latency
-    python -m repro.bench parallel         # serial vs process-parallel
-    python -m repro.bench kernels          # kernel-fusion off vs on
     python -m repro.bench tune             # tuned vs default makespan
-    python -m repro.bench all              # every figure, reduced scale,
-                                           #   writes BENCH_PR12.json
+    python -m repro.bench all              # every command, reduced scale,
+                                           #   writes BENCH_FIGURES.json
     python -m repro.bench list
+
+Everything here is *virtual* time on a modelled machine, so every number
+is deterministic: ``all`` regenerates the committed ``BENCH_FIGURES.json``
+byte for byte (a tier-1 test holds it to that).  Host seconds — what the
+simulator, the process engine or the server cost to run — are measured
+by ``perfbench`` and ``make bench-pairs`` and nowhere in this package.
 
 Each figure command runs the corresponding experiment, prints the
 speedup table and an ASCII plot, and optionally writes the series as
-JSON.  ``parallel`` measures *host* seconds for the messaging-heavy
-workloads on the deterministic backend vs one-OS-process-per-rank
-(:mod:`repro.runtime.parallel`); virtual time is identical in both
-modes — that is digest-checked.  ``kernels``
-measures host seconds with par-loop fusion forced off vs on
-(:mod:`repro.bench.kernels`) — the plan, virtual clocks, and digests
-are identical in both modes; only the group-body walk changes.
-``pipeline`` sweeps the image pipeline's blur-farm width and reports
-virtual-time throughput and per-frame latency on both modelled
-machines.  ``tune`` runs exhaustive autotuning searches
-(:mod:`repro.bench.tune`) over the modern machine models and reports
-tuned-vs-default virtual makespans, prediction error, and prune
-hit-rates.  ``all`` sweeps every figure at a reduced problem scale,
-runs the blocking-vs-overlapped exchange ablation, the pipeline
-farm-width sweep, the two host-time ablations, and the autotuning
-ablation, and emits a machine-readable artifact (``BENCH_PR12.json``)
-so the performance trajectory can be tracked across PRs.
+JSON.  ``overlap`` compares blocking and overlapped ghost exchange on
+the mesh apps.  ``pipeline`` sweeps the image pipeline's blur-farm width
+and reports throughput and per-frame latency on both modelled machines.
+``tune`` runs exhaustive autotuning searches (:mod:`repro.bench.tune`)
+over the modern machine models and reports tuned-vs-default makespans,
+prediction error, and prune hit-rates.  ``all`` runs every one of them
+at a reduced problem scale.
 """
 
 from __future__ import annotations
@@ -39,10 +33,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from repro.bench import figures
-from repro.bench import kernels as kernels_bench
-from repro.bench import parallel as parallel_bench
 from repro.bench import tune as tune_bench
 from repro.bench.harness import SpeedupCurve
 from repro.bench.report import format_curves, render_ascii_plot
@@ -57,9 +50,12 @@ FIGURES = {
 }
 
 #: default output of ``python -m repro.bench all``
-ARTIFACT = "BENCH_PR12.json"
+ARTIFACT = "BENCH_FIGURES.json"
 
-#: machine model each figure runs on (matches the figure defaults)
+_BOTH_MACHINES = ", ".join(m.name for m in figures.OVERLAP_MACHINES)
+
+#: machine model(s) each command's artifact entry runs on (matches the
+#: experiments' defaults)
 FIGURE_MACHINES = {
     "fig06": "intel-delta",
     "fig12": "ibm-sp",
@@ -67,6 +63,8 @@ FIGURE_MACHINES = {
     "fig16": "intel-delta",
     "fig17": "ibm-sp",
     "fig18": "ibm-sp-small-mem",
+    "overlap": _BOTH_MACHINES,
+    "pipeline": _BOTH_MACHINES,
 }
 
 #: reduced problem scales for the ``all`` sweep — the same sizes the test
@@ -79,6 +77,9 @@ FAST_PARAMS: dict[str, dict] = {
     "fig16": {"nx": 128, "ny": 128, "steps": 2, "procs": (1, 4, 16)},
     "fig17": {"n": 16, "steps": 2, "procs": (1, 8, 16, 18)},
     "fig18": {"nr": 128, "nz": 256, "steps": 1, "procs": (5, 10, 20), "base_procs": 5},
+    "overlap": {"procs": 4},
+    "pipeline": {"widths": (1, 2, 4), "items": 16, "shape": (16, 16)},
+    "tune": {},
 }
 
 
@@ -122,261 +123,122 @@ def render_overlap_table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def run_all(json_path: str) -> int:
-    """Sweep every figure at reduced scale and write the JSON artifact."""
-    report: dict = {"artifact": "BENCH_PR12", "figures": {}}
-    for name, (experiment, description) in FIGURES.items():
-        curves = experiment(**FAST_PARAMS[name])
-        entry = {
-            "description": description,
-            "machine": FIGURE_MACHINES[name],
-            "params": {
-                k: list(v) if isinstance(v, tuple) else v
-                for k, v in FAST_PARAMS[name].items()
-            },
-            "curves": curves_to_json(curves),
-        }
-        report["figures"][name] = entry
-        peaks = ", ".join(
-            f"{c.label}: {c.peak().speedup:.2f}x @ P={c.peak().procs}" for c in curves
-        )
-        print(f"{name} [{entry['machine']}] {description} — {peaks}")
-    ablation = figures.overlap_ablation()
-    report["figures"]["fig_overlap"] = {
-        "description": "blocking vs overlapped ghost exchange makespan",
-        "machine": ", ".join(m.name for m in figures.OVERLAP_MACHINES),
-        "params": {"procs": 4},
-        "rows": ablation,
+def commands() -> dict[str, tuple]:
+    """Every runnable command: ``name -> (run, render, check, description)``.
+
+    ``run(**params)`` returns the result (curves or rows), ``render``
+    turns it into the printed table, ``check`` (or ``None``) lists what
+    is wrong with it.  Built per call from :data:`FIGURES`, which stays
+    the one place a figure is registered."""
+    table: dict[str, tuple] = {
+        name: (experiment, partial(format_curves, f"{name} — {description}"), None, description)
+        for name, (experiment, description) in FIGURES.items()
     }
-    print()
-    print(render_overlap_table(ablation))
-    pipeline_rows = figures.pipeline_farm(widths=(1, 2, 4), items=16, shape=(16, 16))
-    report["figures"]["fig_pipeline"] = {
-        "description": "image pipeline throughput/latency vs blur-farm width",
-        "machine": ", ".join(m.name for m in figures.OVERLAP_MACHINES),
-        "params": {"widths": [1, 2, 4], "items": 16, "shape": [16, 16]},
-        "rows": pipeline_rows,
-    }
-    print()
-    print(render_pipeline_table(pipeline_rows))
-    parallel_rows = parallel_bench.run_ablation()
-    report["parallel"] = {
-        "description": "simulator host-seconds, deterministic backend vs "
-        "one OS process per rank (virtual time identical)",
-        "procs": parallel_bench.DEFAULT_NPROCS,
-        "repeats": parallel_bench.DEFAULT_REPEATS,
-        "host_cpus": parallel_bench.host_cpus(),
-        "rows": [r.to_json() for r in parallel_rows],
-    }
-    print()
-    print(parallel_bench.render_table(parallel_rows))
-    problems = parallel_bench.check_rows(parallel_rows, min_speedup=None)
-    kernel_rows = kernels_bench.run_ablation()
-    report["kernels"] = {
-        "description": "simulator host-seconds, par-loop fusion off vs on "
-        "(plan and virtual time identical)",
-        "procs": kernels_bench.DEFAULT_NPROCS,
-        "repeats": kernels_bench.DEFAULT_REPEATS,
-        "rows": [r.to_json() for r in kernel_rows],
-    }
-    print()
-    print(kernels_bench.render_table(kernel_rows))
-    problems += kernels_bench.check_rows(kernel_rows, min_speedup=None)
-    tune_rows = tune_bench.run_ablation()
-    report["tune"] = {
-        "description": "autotuned vs default virtual makespan, exhaustive "
+    table["overlap"] = (
+        figures.overlap_ablation,
+        render_overlap_table,
+        None,
+        "blocking vs overlapped ghost exchange makespan",
+    )
+    table["pipeline"] = (
+        figures.pipeline_farm,
+        render_pipeline_table,
+        None,
+        "image pipeline throughput/latency vs blur-farm width",
+    )
+    table["tune"] = (
+        tune_bench.run_ablation,
+        tune_bench.render_table,
+        tune_bench.check_rows,
+        "autotuned vs default virtual makespan, exhaustive "
         "search (predicted-vs-measured error and prune hit-rate per case)",
-        "machines": list(tune_bench.MACHINES),
-        "rows": [r.to_json() for r in tune_rows],
-    }
-    print()
-    print(tune_bench.render_table(tune_rows))
-    problems += tune_bench.check_rows(tune_rows)
+    )
+    return table
+
+
+def execute(name: str, params: dict, plot: bool = False) -> tuple[list[dict], list[str]]:
+    """Run one command and print its table; returns its JSON series and
+    what its check found wrong."""
+    run, render, check, _ = commands()[name]
+    result = run(**params)
+    print(render(result))
+    if name in FIGURES:
+        if plot:
+            print()
+            print(render_ascii_plot(result))
+        series = curves_to_json(result)
+    else:
+        series = [r if isinstance(r, dict) else r.to_json() for r in result]
+    return series, check(result) if check else []
+
+
+def finish(payload, problems: list[str], json_path: str | None) -> int:
+    """Every command ends here: a failed check prints its problems,
+    writes nothing and exits 1."""
+    for p in problems:
+        print(f"FAIL: {p}")
     if problems:
-        for p in problems:
-            print(f"FAIL: {p}")
         return 1
-    with open(json_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-    print(f"\nartifact written to {json_path}")
+    if json_path:
+        with open(json_path, "w") as fh:
+            json.dump(payload, fh, indent=2)
+        print(f"written to {json_path}")
     return 0
 
 
+def run_all(json_path: str) -> int:
+    """Sweep every command at reduced scale and write the JSON artifact."""
+    report: dict = {"artifact": ARTIFACT.removesuffix(".json"), "figures": {}}
+    problems: list[str] = []
+    for name, (_, _, _, description) in commands().items():
+        params = FAST_PARAMS[name]
+        series, bad = execute(name, params)
+        print()
+        problems += bad
+        if name == "tune":
+            report["tune"] = {
+                "description": description,
+                "machines": list(tune_bench.MACHINES),
+                "rows": series,
+            }
+            continue
+        is_figure = name in FIGURES
+        report["figures"][name if is_figure else f"fig_{name}"] = {
+            "description": description,
+            "machine": FIGURE_MACHINES[name],
+            "params": {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()},
+            "curves" if is_figure else "rows": series,
+        }
+    return finish(report, problems, json_path)
+
+
 def main(argv: list[str] | None = None) -> int:
+    table = commands()
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate a figure from Massingill & Chandy (IPPS 1999).",
     )
     parser.add_argument(
         "figure",
-        choices=[
-            *FIGURES,
-            "overlap",
-            "pipeline",
-            "parallel",
-            "kernels",
-            "tune",
-            "all",
-            "list",
-        ],
-        help="figure to regenerate, 'overlap' for the blocking-vs-"
-        "overlapped exchange ablation, 'pipeline' for the image-pipeline "
-        "farm-width sweep, 'parallel' for the serial-vs-process-"
-        "parallel ablation, 'kernels' for the par-loop fusion ablation, "
-        "'tune' for the autotuned-vs-default makespan ablation, "
-        f"'all' for the reduced-scale sweep (writes {ARTIFACT}), "
-        "or 'list' to enumerate them",
+        choices=[*table, "all", "list"],
+        help="figure or ablation to run (see 'list'), 'all' for the "
+        f"reduced-scale sweep of every one (writes {ARTIFACT}), or 'list' "
+        "to enumerate them",
     )
     parser.add_argument("--json", metavar="PATH", help="also write the series as JSON")
     parser.add_argument(
         "--no-plot", action="store_true", help="table only, skip the ASCII plot"
     )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=parallel_bench.DEFAULT_REPEATS,
-        help="parallel/kernels: host-time samples per mode (best-of)",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="parallel/kernels: fail unless the speedup clears X "
-        "(the CI smoke's generous regression floor; for 'parallel' the "
-        "best row must clear it, and only on hosts with --min-cpus cores)",
-    )
-    parser.add_argument(
-        "--min-cpus",
-        type=int,
-        default=4,
-        metavar="N",
-        help="parallel only: apply --min-speedup only when the host has "
-        "at least N usable cores (speedup is capped by core count)",
-    )
-    parser.add_argument(
-        "--nprocs",
-        type=int,
-        default=None,
-        metavar="P",
-        help="parallel/kernels: rank count for the ablation "
-        f"(default {parallel_bench.DEFAULT_NPROCS} for parallel, "
-        f"{kernels_bench.DEFAULT_NPROCS} for kernels)",
-    )
-    parser.add_argument(
-        "--apps",
-        nargs="+",
-        choices=sorted(set(parallel_bench.WORKLOADS) | set(kernels_bench.WORKLOADS)),
-        default=None,
-        metavar="APP",
-        help="parallel/kernels: restrict the ablation to these "
-        "registry workloads (default: all the command knows)",
-    )
     args = parser.parse_args(argv)
 
-    def known_apps(workloads: dict) -> list[str] | None:
-        """The requested apps this command's ablation knows (the --apps
-        choices are the union across commands)."""
-        if args.apps is None:
-            return None
-        picked = [a for a in args.apps if a in workloads]
-        if not picked:
-            parser.error(
-                f"none of {args.apps} apply here; choose from {sorted(workloads)}"
-            )
-        return picked
-
     if args.figure == "list":
-        for name, (_, description) in FIGURES.items():
-            print(f"  {name}: {description}")
-        print("  overlap: blocking vs overlapped ghost-exchange ablation")
-        print("  pipeline: image-pipeline throughput/latency vs farm width")
-        print("  parallel: serial vs process-parallel host-time ablation")
-        print("  kernels: par-loop fusion host-time ablation (off vs on)")
-        print("  tune: autotuned vs default virtual-makespan ablation")
-        print("ablation workloads (from the shared app registry):")
-        for name, (_, description) in sorted(parallel_bench.WORKLOADS.items()):
+        for name, (_, _, _, description) in table.items():
             print(f"  {name}: {description}")
         return 0
-
     if args.figure == "all":
         return run_all(args.json or ARTIFACT)
-
-    if args.figure == "parallel":
-        rows = parallel_bench.run_ablation(
-            apps=known_apps(parallel_bench.WORKLOADS),
-            nprocs=args.nprocs or parallel_bench.DEFAULT_NPROCS,
-            repeats=args.repeats,
-        )
-        print(parallel_bench.render_table(rows))
-        problems = parallel_bench.check_rows(
-            rows, min_speedup=args.min_speedup, min_cpus=args.min_cpus
-        )
-        for p in problems:
-            print(f"FAIL: {p}")
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump([r.to_json() for r in rows], fh, indent=2)
-            print(f"\nseries written to {args.json}")
-        return 1 if problems else 0
-
-    if args.figure == "kernels":
-        rows = kernels_bench.run_ablation(
-            apps=known_apps(kernels_bench.WORKLOADS),
-            nprocs=args.nprocs or kernels_bench.DEFAULT_NPROCS,
-            repeats=args.repeats,
-        )
-        print(kernels_bench.render_table(rows))
-        problems = kernels_bench.check_rows(rows, min_speedup=args.min_speedup)
-        for p in problems:
-            print(f"FAIL: {p}")
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump([r.to_json() for r in rows], fh, indent=2)
-            print(f"\nseries written to {args.json}")
-        return 1 if problems else 0
-
-    if args.figure == "tune":
-        rows = tune_bench.run_ablation()
-        print(tune_bench.render_table(rows))
-        problems = tune_bench.check_rows(rows)
-        for p in problems:
-            print(f"FAIL: {p}")
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump([r.to_json() for r in rows], fh, indent=2)
-            print(f"\nseries written to {args.json}")
-        return 1 if problems else 0
-
-    if args.figure == "overlap":
-        rows = figures.overlap_ablation()
-        print(render_overlap_table(rows))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(rows, fh, indent=2)
-            print(f"\nseries written to {args.json}")
-        return 0
-
-    if args.figure == "pipeline":
-        rows = figures.pipeline_farm()
-        print(render_pipeline_table(rows))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(rows, fh, indent=2)
-            print(f"\nseries written to {args.json}")
-        return 0
-
-    experiment, description = FIGURES[args.figure]
-    curves = experiment()
-    print(format_curves(f"{args.figure} — {description}", curves))
-    if not args.no_plot:
-        print()
-        print(render_ascii_plot(curves))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(curves_to_json(curves), fh, indent=2)
-        print(f"\nseries written to {args.json}")
-    return 0
+    series, problems = execute(args.figure, {}, plot=not args.no_plot)
+    return finish(series, problems, args.json)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 Each ``figureNN_*`` function runs the corresponding workload on the
 modelled machine and returns the speedup curve(s) the figure plots.
 Workload parameters garbled in the source scan are chosen to land in the
-regime the prose describes (see EXPERIMENTS.md); the assertions the
-benchmark suite applies check the *shape* claims the paper makes in
-text, not absolute numbers.
+regime the prose describes (see EXPERIMENTS.md); the assertions
+``tests/test_paper_claims.py`` applies at these defaults check the
+*shape* claims the paper makes in text, not absolute numbers.
 
 All experiments execute the real algorithms on real data through the
 virtual machine; virtual times come from the machine model applied to

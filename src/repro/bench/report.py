@@ -16,10 +16,8 @@ def format_curves(title: str, curves: list[SpeedupCurve]) -> str:
     for p in procs:
         row = [str(p).rjust(widths[0])]
         for c, w in zip(curves, widths[1:]):
-            try:
-                row.append(f"{c.at(p).speedup:.2f}".rjust(w))
-            except Exception:
-                row.append("-".rjust(w))
+            cell = f"{c.at(p).speedup:.2f}" if p in c.procs else "-"
+            row.append(cell.rjust(w))
         lines.append("  ".join(row))
     return "\n".join(lines)
 

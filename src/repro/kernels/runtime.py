@@ -114,7 +114,7 @@ def set_fusion(flag: bool) -> bool:
 @contextlib.contextmanager
 def fusion_forced(flag: bool) -> Iterator[None]:
     """Force fusion on/off for the duration of the block — the A/B lever
-    used by ``python -m repro.bench kernels`` and the identity tests."""
+    of the fused-vs-unfused identity tests."""
     previous = set_fusion(flag)
     try:
         yield

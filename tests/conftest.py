@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import spmd_run
+from repro.apps import registry
 from repro.machines.catalog import IDEAL
 from repro.verify import fuzzed_schedule
 
@@ -95,6 +96,25 @@ def rng() -> np.random.Generator:
 def backend(request) -> str:
     """Run a test under both scheduling backends."""
     return request.param
+
+
+def _registry_workload(app: str, machine: str, knob: str, base: int):
+    def run(nprocs: int, scale: int = 1):
+        return registry.get(app).run(
+            {"nprocs": nprocs, knob: base * scale}, machine=machine
+        )
+
+    return run, registry.get(app).description
+
+
+#: The messaging-heavy trio — ``name -> (run(nprocs, scale=1), registry
+#: description)`` — at the parameters ``tests/data/slowpath_pins.json``
+#: was recorded with; also the cross-backend digest matrix's workloads.
+WORKLOADS = {
+    "poisson": _registry_workload("poisson", "ibm-sp", "max_iters", 8),
+    "fft2d": _registry_workload("fft2d", "ibm-sp", "repeats", 2),
+    "mergesort": _registry_workload("mergesort", "intel-delta", "n", 4096),
+}
 
 
 def run_both_backends(nprocs, fn, args=(), machine=IDEAL, **kwargs):

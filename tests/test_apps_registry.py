@@ -125,7 +125,7 @@ class TestSharedConsumers:
             }
 
     def test_wallclock_descriptions_come_from_registry(self):
-        from repro.bench.parallel import WORKLOADS
+        from tests.conftest import WORKLOADS
 
         for name, (_, description) in WORKLOADS.items():
             assert description == registry.get(name).description

@@ -28,8 +28,8 @@ import numpy as np
 import pytest
 
 from repro import spmd_run
-from repro.bench.parallel import WORKLOADS
 from repro.verify import fuzzed_schedule, value_digest
+from tests.conftest import WORKLOADS
 
 _PINS = json.loads((Path(__file__).parent / "data" / "slowpath_pins.json").read_text())
 NPROCS = _PINS["nprocs"]

@@ -278,6 +278,25 @@ class TestExchangeHoisting:
         assert np.array_equal(one[1], four[1])
 
 
+class TestPlanningOnRegisteredApps:
+    """Packing and hoisting engage on the *registered* mesh-spectral
+    apps at verification scale, not only on hand-built loop chains."""
+
+    @pytest.mark.parametrize(
+        "app, engaged",
+        [
+            ("smog", ("dats_packed",)),
+            ("spectralflow", ("dats_packed", "exchanges_hoisted")),
+        ],
+    )
+    def test_counters_engage(self, app, engaged):
+        with scoped_registry() as reg:
+            run_app(app)
+            counters = _kernel_counters(reg.snapshot())
+        for name in engaged:
+            assert counters.get(name, 0) > 0, (app, name, counters)
+
+
 class TestTiling:
     def test_tiny_tiles_match_unfused(self, monkeypatch):
         """Forcing many row tiles exercises the fused walk without
