@@ -211,21 +211,22 @@ def cfd_program(
                 return _shift_region(a, g, di, dj, region)
 
             def fluxes(di, dj):
-                r = sh(rho, di, dj)
+                # The flux along the shift's axis: x for (±1, 0), y for (0, ±1).
                 mxs, mys, es = sh(mx, di, dj), sh(my, di, dj), sh(e, di, dj)
-                u_, v_, p_ = _primitive(r, mxs, mys, es)
-                fx = [mxs, mxs * u_ + p_, mys * u_, u_ * (es + p_)]
-                gy = [mys, mxs * v_, mys * v_ + p_, v_ * (es + p_)]
+                u_, v_, p_ = _primitive(sh(rho, di, dj), mxs, mys, es)
+                if di:
+                    flux = [mxs, mxs * u_ + p_, mys * u_, u_ * (es + p_)]
+                else:
+                    flux = [mys, mxs * v_, mys * v_ + p_, v_ * (es + p_)]
                 if reactive:
-                    rls = sh(rl, di, dj)  # rho * lambda, advected with the flow
-                    fx.append(rls * u_)
-                    gy.append(rls * v_)
-                return fx, gy
+                    # rho * lambda, advected with the flow
+                    flux.append(sh(rl, di, dj) * (u_ if di else v_))
+                return flux
 
-            fx_e, _ = fluxes(1, 0)
-            fx_w, _ = fluxes(-1, 0)
-            _, gy_n = fluxes(0, 1)
-            _, gy_s = fluxes(0, -1)
+            fx_e = fluxes(1, 0)
+            fx_w = fluxes(-1, 0)
+            gy_n = fluxes(0, 1)
+            gy_s = fluxes(0, -1)
             for k in range(ncomp):
                 cons = state[k].local
                 new_state[k].interior[region] = (

@@ -1,4 +1,4 @@
-"""Shared sorting machinery: vectorised merges and the analytic cost model.
+"""Shared sorting machinery: the stable merge and the analytic cost model.
 
 The cost model charges comparison-sort work as
 ``SORT_FLOPS_PER_KEY * n * log2(n)`` operations and merge work as
@@ -33,12 +33,10 @@ def merge_cost(n: int, ways: int = 2) -> float:
 
 
 def merge_two_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stable O(n) merge of two sorted arrays (vectorised).
+    """Stable merge of two sorted arrays: equal keys keep ``a`` first.
 
-    Positions each input run in the output with one ``searchsorted`` per
-    side: ``a[i]`` lands at ``i`` plus the number of strictly smaller
-    ``b`` keys; ``b[j]`` at ``j`` plus the number of ``a`` keys <= it —
-    the asymmetry (left/right) keeps equal keys stable (``a`` first).
+    An empty side returns a copy of the other (its dtype, untouched by
+    promotion); otherwise this is :func:`merge_sorted` on the pair.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -46,29 +44,24 @@ def merge_two_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return b.copy()
     if b.size == 0:
         return a.copy()
-    out = np.empty(a.size + b.size, dtype=np.result_type(a, b))
-    idx_a = np.arange(a.size) + np.searchsorted(b, a, side="left")
-    idx_b = np.arange(b.size) + np.searchsorted(a, b, side="right")
-    out[idx_a] = a
-    out[idx_b] = b
-    return out
+    return merge_sorted([a, b])
 
 
 def merge_sorted(arrays: list[np.ndarray]) -> np.ndarray:
-    """Stable k-way merge by balanced pairwise two-way merges.
+    """Stable k-way merge: equal keys keep the order of their runs.
 
-    ``ceil(log2 k)`` passes over the data, each pass a vectorised two-way
-    merge — the same O(n log k) work the analytic :func:`merge_cost`
-    charges.
+    The non-empty runs are laid end to end and stable-sorted in place:
+    NumPy's stable sort (timsort) finds the k ascending runs and merges
+    them — the same keys in the same tie order, dtype ``np.result_type``
+    of the runs, in one pass of C; the modelled machine is still charged
+    :func:`merge_cost`.  A single non-empty run is returned as it is.
     """
     runs = [np.asarray(a) for a in arrays if np.asarray(a).size > 0]
     if not runs:
         base = arrays[0] if arrays else np.empty(0)
         return np.asarray(base).copy()
-    while len(runs) > 1:
-        merged = [
-            merge_two_sorted(runs[i], runs[i + 1]) if i + 1 < len(runs) else runs[i]
-            for i in range(0, len(runs), 2)
-        ]
-        runs = merged
-    return runs[0]
+    if len(runs) == 1:
+        return runs[0]
+    out = np.concatenate(runs)
+    out.sort(kind="stable")
+    return out

@@ -3,9 +3,9 @@
 This is the paper's §2.4 development in full:
 
 - :func:`sequential_mergesort` — the starting sequential algorithm
-  (bottom-up with vectorised merges) and its analytic cost, used as the
-  speedup baseline exactly as the paper compares "to sequential
-  mergesort";
+  (bottom-up, doubling runs of stable merges) and its analytic cost,
+  used as the speedup baseline exactly as the paper compares "to
+  sequential mergesort";
 - :func:`traditional_mergesort` — the Figure 1 parallelisation: data
   starts on one rank, recursive halving over the rank tree;
 - :func:`one_deep_mergesort` — the archetype version of Figures 4/5:
@@ -41,7 +41,7 @@ OVERSAMPLE = 32
 
 
 def sequential_mergesort(data: np.ndarray) -> np.ndarray:
-    """Bottom-up mergesort (stable): doubling runs of vectorised merges."""
+    """Bottom-up mergesort (stable): doubling runs of two-way merges."""
     arr = np.asarray(data).copy()
     n = arr.size
     run = 1

@@ -202,7 +202,11 @@ class DeterministicBackend(Backend):
         self._status = [_Status.READY] * nprocs
         self._predicate: list[Callable[[], bool] | None] = [None] * nprocs
         self._describe = [""] * nprocs
-        self._resume = [threading.Event() for _ in range(nprocs)]
+        #: one bare lock per rank, held at rest: ``release()`` hands the
+        #: rank its token to run, the rank's own ``acquire()`` consumes it
+        self._resume = [threading.Lock() for _ in range(nprocs)]
+        for lock in self._resume:
+            lock.acquire()
         self._to_scheduler = threading.Event()
         self._abort = False
         self._failures: dict[int, BaseException] = {}
@@ -255,7 +259,7 @@ class DeterministicBackend(Backend):
         self._status[nxt] = _Status.RUNNING
         if nxt == rank:
             return True
-        self._resume[nxt].set()
+        self._resume[nxt].release()
         return False
 
     # -- transport --------------------------------------------------------
@@ -310,8 +314,7 @@ class DeterministicBackend(Backend):
             self._wake(rank)
         if self._handoff(rank):
             return  # picked ourselves again: no switch needed
-        self._resume[rank].wait()
-        self._resume[rank].clear()
+        self._resume[rank].acquire()
         if self._abort:
             raise _Aborted()
 
@@ -343,7 +346,7 @@ class DeterministicBackend(Backend):
                     # A terminal signal raced a wake; resume and keep going.
                     _STEPS.inc()
                     self._status[nxt] = _Status.RUNNING
-                    self._resume[nxt].set()
+                    self._resume[nxt].release()
                     continue
                 if self._failures or all(
                     s in (_Status.DONE, _Status.FAILED) for s in self._status
@@ -404,8 +407,7 @@ class DeterministicBackend(Backend):
         return False
 
     def _rank_main(self, rank: int, body: Callable[[], None]) -> None:
-        self._resume[rank].wait()
-        self._resume[rank].clear()
+        self._resume[rank].acquire()
         try:
             if not self._abort:
                 body()
@@ -422,8 +424,11 @@ class DeterministicBackend(Backend):
 
     def _abort_all(self, threads: list[threading.Thread]) -> None:
         self._abort = True
-        for event in self._resume:
-            event.set()
+        for lock in self._resume:
+            try:
+                lock.release()
+            except RuntimeError:
+                pass  # token still there: the deadlock path aborts twice
 
 
 class FuzzedBackend(DeterministicBackend):

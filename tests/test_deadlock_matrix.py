@@ -9,10 +9,14 @@ Three canonical shapes:
   the *failure* (naming the dead rank), never a hang or a bare deadlock.
 """
 
+import threading
+
 import pytest
 
 from repro import DeadlockError, spmd_run
+from repro.comm import SUM
 from repro.errors import RankFailedError
+from repro.runtime.scheduler import FaultPlan
 
 RUN_TO_BLOCK = ["deterministic", "fuzzed"]
 
@@ -78,3 +82,64 @@ class TestRecvFromFailedRank:
         assert info.value.rank == 1
         assert isinstance(info.value.original, ValueError)
         assert "rank 1" in str(info.value)
+
+
+def _allreduce(comm):
+    return comm.allreduce(comm.rank, SUM)
+
+
+#: every way a run-to-block run ends: nprocs, body, spmd_run options, error
+_OUTCOMES = {
+    "return": (4, _allreduce, {}, None),
+    "head-to-head": (2, _head_to_head, {}, DeadlockError),
+    "cycle": (3, _cycle3, {}, DeadlockError),
+    "body-raises": (3, _recv_from_failed, {}, RankFailedError),
+    "crash": (
+        4,
+        lambda comm: comm.barrier(),
+        {"seed": 1, "faults": FaultPlan(crash_rank=2, crash_at_step=3)},
+        RankFailedError,
+    ),
+}
+
+
+class TestNoRankOutlivesItsRun:
+    """The handoff token invariant: every rank thread is woken exactly as
+    often as it waits, so each one exits with its run — whichever way the
+    run ends.  (``run()`` joins with a timeout, so a rank that never woke
+    would be left behind silently.)"""
+
+    @pytest.mark.parametrize(
+        ("backend", "outcome"),
+        [
+            (backend, outcome)
+            for backend in RUN_TO_BLOCK
+            for outcome in _OUTCOMES
+            # a FaultPlan is the fuzzed backend's; the others ignore it
+            if outcome != "crash" or backend == "fuzzed"
+        ],
+    )
+    def test_after_every_terminal_outcome(self, backend, outcome):
+        nprocs, body, options, error = _OUTCOMES[outcome]
+        before = set(threading.enumerate())
+        if error is None:
+            spmd_run(nprocs, body, backend=backend, **options)
+        else:
+            with pytest.raises(error):
+                spmd_run(nprocs, body, backend=backend, **options)
+        ranks = [
+            t
+            for t in set(threading.enumerate()) - before
+            if t.name.startswith("repro-rank-")
+        ]
+        for t in ranks:
+            t.join(timeout=1.0)
+        assert [t.name for t in ranks if t.is_alive()] == []
+
+    @pytest.mark.parametrize("backend", RUN_TO_BLOCK)
+    def test_back_to_back_runs_leave_no_thread(self, backend):
+        started_with = threading.active_count()
+        for seed in range(100):
+            res = spmd_run(16, _allreduce, backend=backend, seed=seed)
+            assert res.values == [120] * 16
+        assert threading.active_count() == started_with

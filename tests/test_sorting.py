@@ -1,8 +1,10 @@
 """Sorting applications: mergesort (three ways) and quicksort."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.apps.sorting import (
@@ -41,7 +43,57 @@ class TestMergePrimitives:
         merged = merge_two_sorted(a, b)
         assert list(merged) == [5, 5, 5]
 
+    def test_merge_two_stability_on_bits(self):
+        """-0.0 == 0.0, so only a stable merge keeps every `a` zero ahead
+        of every `b` zero; the long runs with a tail of larger keys are
+        what an unstable sort's partitioning visibly reorders."""
+        assert list(np.signbit(merge_two_sorted([-0.0], [0.0]))) == [True, False]
+        assert list(np.signbit(merge_two_sorted([0.0], [-0.0]))) == [False, True]
+        neg = np.r_[np.full(1000, -0.0), np.ones(1000)]
+        pos = np.r_[np.full(1000, 0.0), np.ones(1000)]
+        signs = np.signbit(merge_two_sorted(neg, pos)[:2000])
+        assert signs[:1000].all() and not signs[1000:].any()
+        signs = np.signbit(merge_two_sorted(pos, neg)[:2000])
+        assert not signs[:1000].any() and signs[1000:].all()
+
+    @pytest.mark.parametrize("order", itertools.permutations(range(3)))
+    def test_merge_k_stability_on_bits(self, order):
+        """Equal keys come out in run order: each run is NaNs (all equal
+        to a sort) whose payload bits carry the run's index."""
+        quiet_nan = np.array(np.nan).view(np.uint64)
+        runs = [np.full(700, quiet_nan + i, dtype=np.uint64).view(np.float64) for i in order]
+        merged = merge_sorted(runs)
+        assert list(merged.view(np.uint64) - quiet_nan) == list(np.repeat(order, 700))
+
+    @pytest.mark.parametrize(
+        "dtypes",
+        [
+            (np.int32, np.int32),
+            (np.int32, np.int64),
+            (np.int64, np.float64),
+            (np.float64, np.int32),
+            (np.int32, np.int64, np.float64),
+        ],
+    )
+    def test_merge_dtype_is_result_type(self, dtypes):
+        runs = [np.arange(i, i + 5).astype(dt) for i, dt in enumerate(dtypes)]
+        assert merge_sorted(runs).dtype == np.result_type(*runs)
+        assert merge_sorted(runs[::-1]).dtype == np.result_type(*runs)
+        if len(runs) == 2:
+            assert merge_two_sorted(*runs).dtype == np.result_type(*runs)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_merge_result_is_fresh_and_inputs_untouched(self, k, rng):
+        runs = [np.sort(rng.integers(0, 50, size=40)) for _ in range(k)]
+        kept = [r.copy() for r in runs]
+        merged = merge_sorted(runs) if k > 2 else merge_two_sorted(*runs)
+        assert not any(np.shares_memory(merged, r) for r in runs)
+        merged[...] = -1
+        assert all(np.array_equal(r, c) for r, c in zip(runs, kept))
+
     @given(a=int_arrays, b=int_arrays)
+    @example(a=np.array([3, 3, 7], dtype=np.int64), b=np.array([3, 7, 7], dtype=np.int64))
+    @example(a=np.array([], dtype=np.int64), b=np.array([1, 1], dtype=np.int64))
     def test_merge_two_property(self, a, b):
         a, b = np.sort(a), np.sort(b)
         merged = merge_two_sorted(a, b)
@@ -49,6 +101,15 @@ class TestMergePrimitives:
 
     @given(
         arrays=st.lists(int_arrays, min_size=1, max_size=6),
+    )
+    @example(arrays=[np.array([2, 2, 5], dtype=np.int64)] * 3)
+    @example(
+        arrays=[
+            np.array([], dtype=np.int64),
+            np.array([4, 4], dtype=np.int64),
+            np.array([], dtype=np.int64),
+            np.array([4], dtype=np.int64),
+        ]
     )
     @settings(max_examples=40)
     def test_merge_k_property(self, arrays):
