@@ -305,7 +305,7 @@ def cfd_program(
 
 def cfd_archetype() -> MeshProgram:
     """Archetype driver for the compressible-flow code."""
-    return MeshProgram(cfd_program, app_name="cfd")
+    return MeshProgram(cfd_program)
 
 
 def sequential_cfd_time(nx: int, ny: int, steps: int, machine: MachineModel) -> float:

@@ -179,7 +179,7 @@ def _apply_pec(e_grids) -> None:
 
 def fdtd_archetype() -> MeshProgram:
     """Archetype driver for the FDTD code."""
-    return MeshProgram(fdtd_program, app_name="fdtd")
+    return MeshProgram(fdtd_program)
 
 
 def sequential_fdtd_time(

@@ -62,7 +62,7 @@ def fft2d_program(
 
 def fft2d_archetype() -> MeshProgram:
     """Archetype driver for the distributed 2-D FFT."""
-    return MeshProgram(fft2d_program, app_name="fft2d")
+    return MeshProgram(fft2d_program)
 
 
 def run_fft2d(

@@ -63,7 +63,7 @@ def fft3d_program(
 
 def fft3d_archetype() -> MeshProgram:
     """Archetype driver for the distributed 3-D FFT."""
-    return MeshProgram(fft3d_program, app_name="fft3d")
+    return MeshProgram(fft3d_program)
 
 
 def sequential_fft3d_time(shape: tuple[int, int, int], machine: MachineModel) -> float:

@@ -154,7 +154,7 @@ def _local_interior_diff(ukp, uk) -> float:
 
 def poisson_archetype() -> MeshProgram:
     """Archetype driver for the Jacobi Poisson solver."""
-    return MeshProgram(poisson_program, app_name="poisson")
+    return MeshProgram(poisson_program)
 
 
 def sequential_poisson_time(

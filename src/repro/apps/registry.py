@@ -73,12 +73,15 @@ class AppSpec:
     ) -> RunResult:
         """Run the app with *params* overriding the registered defaults.
 
-        When the tuned-config catalog holds a winner for (app, machine,
-        nprocs) it is applied by default: tuned *parameter* knobs fill
-        only the keys the caller left at their defaults (explicit params
-        always win) and tuned runtime knobs (process grid, tile bytes,
-        shm threshold) scope the run.  ``REPRO_TUNE=0`` disables the
-        lookup; see :mod:`repro.tune.catalog`.
+        This is where a named app consults the tuned-config catalog
+        (the archetype underneath never does).  When the catalog holds a
+        winner for (app, machine, nprocs) it is applied by default:
+        tuned *parameter* knobs fill only the keys the caller left at
+        their defaults (explicit params always win) and the tuned
+        process grid scopes the run.  ``REPRO_TUNE=0`` disables the
+        lookup, and so does an open ``applying`` / ``disabled`` scope —
+        the searcher's and the serve executor's way of deciding the
+        configuration themselves; see :mod:`repro.tune.catalog`.
         """
         if isinstance(machine, str):
             machine = get_machine(machine)
@@ -89,10 +92,7 @@ class AppSpec:
             self.name, machine.name, int(merged.get("nprocs", 0))
         )
         if entry is None:
-            # No tuned entry (or consultation is off): suppress the
-            # archetype-level lookup too — same key, same answer.
-            with tune_catalog.disabled():
-                return self.runner(merged, machine=machine, mode=mode, trace=trace)
+            return self.runner(merged, machine=machine, mode=mode, trace=trace)
         merged.update(
             {
                 k: v

@@ -245,7 +245,7 @@ def _transport_update(
 
 def smog_archetype() -> MeshProgram:
     """Archetype driver for the airshed model."""
-    return MeshProgram(smog_program, app_name="smog")
+    return MeshProgram(smog_program)
 
 
 def sequential_smog_time(

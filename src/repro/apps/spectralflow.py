@@ -284,7 +284,7 @@ def _upwind_update(dr: float, dz: float, dt: float, nu: float):
 
 def spectralflow_archetype() -> MeshProgram:
     """Archetype driver for the spectral flow code."""
-    return MeshProgram(spectralflow_program, app_name="spectralflow")
+    return MeshProgram(spectralflow_program)
 
 
 def sequential_spectralflow_time(

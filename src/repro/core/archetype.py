@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 from typing import Any
 
+from repro.comm.cart import proc_grid_override
 from repro.errors import ArchetypeError
 from repro.machines.catalog import IDEAL
 from repro.machines.model import MachineModel
@@ -59,10 +60,6 @@ class Archetype:
     #: archetype name used in diagnostics
     name: str = "archetype"
 
-    #: registered application name for tuned-config lookup; ``None`` means
-    #: the instance never consults the tuned catalog
-    app_name: str | None = None
-
     def body(self, comm: Any, *args: Any, **kwargs: Any) -> Any:
         """The per-rank program.  Subclasses must override."""
         raise NotImplementedError
@@ -94,17 +91,18 @@ class Archetype:
         sequential execution.
 
         *proc_grid* pins the default ("blocks") process-grid factorisation
-        for the run.  When it is left unset and the instance carries an
-        :attr:`app_name`, the tuned-config catalog is consulted for a
-        winner recorded for this (app, machine, nprocs) — explicit
-        parameters always beat the catalog, and ``REPRO_TUNE=0`` disables
-        the lookup entirely.
+        for the run.  Nothing else is looked up: a run depends on its
+        arguments and the machine model alone, so the paper's curves do
+        not move with what a tuner stored on this host.  The tuned-config
+        catalog is consulted by the named-app entry points instead
+        (:meth:`repro.apps.registry.AppSpec.run`, the job server's
+        admission).
         """
         if nprocs < 1:
             raise ArchetypeError(f"{self.name}: nprocs must be >= 1, got {nprocs}")
         backend = None if mode is None else ExecutionMode(mode).backend
         body_args, body_kwargs = self.prepare(nprocs, *args, **kwargs)
-        with self._runtime_config(nprocs, machine, proc_grid):
+        with proc_grid_override(proc_grid):
             return spmd_run(
                 nprocs,
                 self.body,
@@ -114,17 +112,3 @@ class Archetype:
                 backend=backend,
                 trace=trace,
             )
-
-    def _runtime_config(self, nprocs: int, machine: MachineModel, proc_grid):
-        """Context scoping the run's grid/knob configuration."""
-        from repro.comm.cart import proc_grid_override
-
-        if proc_grid is not None:
-            return proc_grid_override(tuple(int(d) for d in proc_grid))
-        if self.app_name is not None:
-            from repro.tune.catalog import consulting
-
-            return consulting(self.app_name, machine.name, nprocs)
-        import contextlib
-
-        return contextlib.nullcontext()

@@ -616,9 +616,8 @@ class MeshProgram(Archetype):
 
     name = "mesh-spectral"
 
-    def __init__(self, program: Callable[..., Any], app_name: str | None = None):
+    def __init__(self, program: Callable[..., Any]):
         self.program = program
-        self.app_name = app_name
 
     def body(self, comm: Comm, *args: Any, **kwargs: Any) -> Any:
         return self.program(MeshContext(comm), *args, **kwargs)

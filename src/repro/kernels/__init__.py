@@ -3,10 +3,10 @@
 Programs declare *what* each grid sweep reads and writes (``Dat`` data
 descriptors, ``READ``/``WRITE``/``RW``/``INC`` access modes with halo
 depths, ``Kernel`` bodies); the runtime fuses adjacent compatible
-loops, hoists and packs ghost exchanges, and optionally JITs
-expression kernels (``REPRO_KERNEL_JIT``).  ``REPRO_KERNEL_FUSION=0``
+loops, and hoists and packs ghost exchanges.  ``fusion_forced(False)``
 switches to loop-by-loop execution that is bitwise- and
-virtual-clock-identical.  See ``docs/kernel_layer.md``.
+virtual-clock-identical — the reference the identity tests compare
+against.  See ``docs/kernel_layer.md``.
 """
 
 from repro.kernels.ir import (
@@ -17,21 +17,17 @@ from repro.kernels.ir import (
     Access,
     Arg,
     Dat,
+    ExprKernel,
     Kernel,
     ParLoop,
+    Ref,
     RegionKernel,
     StencilView,
     dat_of,
     split_deep_shell,
 )
-from repro.kernels.jit import ExprKernel, Ref, jit_forced, jit_mode, set_jit
 from repro.kernels.plan import LoopGroup, build_groups, can_fuse, plan_exchanges
-from repro.kernels.runtime import (
-    KernelEngine,
-    fusion_enabled,
-    fusion_forced,
-    set_fusion,
-)
+from repro.kernels.runtime import KernelEngine, fusion_enabled, fusion_forced
 
 __all__ = [
     "Access",
@@ -56,8 +52,4 @@ __all__ = [
     "KernelEngine",
     "fusion_enabled",
     "fusion_forced",
-    "set_fusion",
-    "jit_mode",
-    "set_jit",
-    "jit_forced",
 ]

@@ -7,7 +7,7 @@ redundant (hoisted — the dat's ghosts are still valid from an earlier
 group), and how the remaining refreshes pack into combined messages.
 
 The plan is a pure function of the declared access sets, *not* of the
-fusion switch: ``REPRO_KERNEL_FUSION=0`` changes only how group bodies
+fusion switch: ``fusion_forced(False)`` changes only how group bodies
 are walked (loop-by-loop instead of tile-interleaved), never the
 grouping, the exchanges, or the charge sequence — that is what makes the
 fused path bitwise- and virtual-clock-identical to the unfused one.

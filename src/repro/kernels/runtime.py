@@ -23,8 +23,8 @@ elementwise, so one call computes what the tiles did, bit for bit.
 
 **The fusion switch changes execution, never the plan.**  Groups,
 exchange packs, hoists and the charge sequence are computed identically
-whether ``REPRO_KERNEL_FUSION`` is on or off; the switch only selects
-how the execution walk covers the region —
+whether :func:`fusion_forced` has fusion on or off; the switch only
+selects how the execution walk covers the region —
 
 - *fused*: the region is tiled into cache-sized row blocks and every
   loop body runs per tile (loop-interleaved, hot data stays resident);
@@ -41,7 +41,6 @@ digest machinery across all four backends.
 from __future__ import annotations
 
 import contextlib
-import os
 from collections.abc import Iterator
 from functools import lru_cache
 
@@ -57,23 +56,16 @@ from repro.kernels.ir import (
     region_size,
     split_deep_shell,
 )
-from repro.kernels.jit import ExprKernel
 from repro.kernels.plan import LoopGroup, build_groups, plan_exchanges
 from repro.obs.metrics import counter_handle
 
-_FUSION_ENV = "REPRO_KERNEL_FUSION"
-_TILE_ENV = "REPRO_KERNEL_TILE_BYTES"
-#: default fused-tile footprint: the slice of all group arrays walked per
-#: tile stays within a typical per-core last-level-cache share.  Smaller
+#: fused-tile footprint: the slice of all group arrays walked per tile
+#: stays within a typical per-core last-level-cache share.  Smaller
 #: tiles fit tighter caches but multiply the per-tile Python dispatch
 #: cost; 4 MiB is where the mesh-spectral chains come out ahead.
-_DEFAULT_TILE_BYTES = 1 << 22
+_TILE_BYTES = 1 << 22
 
-_fusion_enabled: bool = os.environ.get(_FUSION_ENV, "1").lower() not in (
-    "0",
-    "false",
-    "off",
-)
+_fusion_enabled = True
 
 _LOOPS = counter_handle("core.kernels.loops", help="par-loops declared")
 _GROUPS = counter_handle("core.kernels.groups", help="fusion groups executed")
@@ -100,33 +92,23 @@ def fusion_enabled() -> bool:
     return _fusion_enabled
 
 
-def set_fusion(flag: bool) -> bool:
-    """Set the fusion flag; returns the previous value.  The flag is
-    mirrored into the environment so backend workers spawned later (the
-    parallel backend forks one process per rank) derive the same mode."""
-    global _fusion_enabled
-    previous = _fusion_enabled
-    _fusion_enabled = bool(flag)
-    os.environ[_FUSION_ENV] = "1" if flag else "0"
-    return previous
-
-
 @contextlib.contextmanager
 def fusion_forced(flag: bool) -> Iterator[None]:
     """Force fusion on/off for the duration of the block — the A/B lever
-    of the fused-vs-unfused identity tests."""
-    previous = set_fusion(flag)
+    of the fused-vs-unfused identity tests.
+
+    The flag is module state: thread ranks share it and forked rank
+    processes inherit it.  Rank processes started by ``spawn`` or
+    ``forkserver`` import the module afresh and run fused, which the
+    identity contract makes bitwise-identical.
+    """
+    global _fusion_enabled
+    previous = _fusion_enabled
+    _fusion_enabled = bool(flag)
     try:
         yield
     finally:
-        set_fusion(previous)
-
-
-def tile_bytes() -> int:
-    try:
-        return max(1, int(os.environ.get(_TILE_ENV, _DEFAULT_TILE_BYTES)))
-    except ValueError:
-        return _DEFAULT_TILE_BYTES
+        _fusion_enabled = previous
 
 
 @lru_cache(maxsize=1024)
@@ -160,7 +142,7 @@ def _row_tiles(
                 continue
             seen.add(id(a.grid.local))
             row_bytes += row_elems * a.grid.local.itemsize
-    rows_per_tile = max(1, tile_bytes() // max(row_bytes, 1))
+    rows_per_tile = max(1, _TILE_BYTES // max(row_bytes, 1))
     if rows_per_tile >= nrows:
         return [region]
     return [
@@ -343,8 +325,4 @@ class KernelEngine:
         if kernel.kind == "region":
             kernel.fn(region)
             return
-        views = build_views(loop, region)
-        if isinstance(kernel, ExprKernel):
-            kernel.execute(views)
-        else:
-            kernel.fn(*views)
+        kernel.fn(*build_views(loop, region))

@@ -27,7 +27,8 @@ freeze contract of ``send`` maps directly onto shared *read-only*
 segments (the receiver maps the segment and never writes it; neither
 does anyone else, the sender staged a private copy).  Small and
 non-array payloads fall back to pickle, controlled by a size threshold
-(``REPRO_SHM_THRESHOLD`` bytes, default 32768).
+(:data:`DEFAULT_SHM_THRESHOLD` bytes; ``run_parallel(threshold=)`` is
+the only override).
 
 Segment lifecycle: the sender creates, fills, and closes its mapping;
 the receiver attaches and immediately *unlinks* the name (POSIX keeps
@@ -117,14 +118,6 @@ def default_start_method() -> str:
     if env:
         return env
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-
-
-def shm_threshold() -> int:
-    """The ndarray size (bytes) at which payloads switch to shared memory."""
-    try:
-        return int(os.environ.get("REPRO_SHM_THRESHOLD", DEFAULT_SHM_THRESHOLD))
-    except ValueError:
-        return DEFAULT_SHM_THRESHOLD
 
 
 def _untrack(name: str) -> None:
@@ -497,7 +490,7 @@ def run_parallel(
     trace: bool = False,
     deadlock_timeout: float = 30.0,
     start_method: str | None = None,
-    threshold: int | None = None,
+    threshold: int = DEFAULT_SHM_THRESHOLD,
 ):
     """Run ``fn(comm, *args, **kwargs)`` on *nprocs* rank processes.
 
@@ -506,7 +499,8 @@ def run_parallel(
     use ``spmd_run(..., backend="parallel")``).  Returns the same
     :class:`~repro.runtime.spmd.RunResult`: per-rank values and final
     virtual clocks, a merged tracer when *trace* is set, and every
-    worker's metrics folded into the parent's registry.
+    worker's metrics folded into the parent's registry.  *threshold* is
+    the ndarray size (bytes) at which payloads switch to shared memory.
     """
     import multiprocessing as mp
 
@@ -516,7 +510,7 @@ def run_parallel(
     machine = IDEAL if machine is None else machine
     ctx = mp.get_context(start_method or default_start_method())
     prefix = f"repro-{os.getpid()}-{next(_RUN_IDS)}"
-    wiring = _Wiring(ctx, nprocs, prefix, shm_threshold() if threshold is None else threshold)
+    wiring = _Wiring(ctx, nprocs, prefix, threshold)
     procs = [
         ctx.Process(
             target=_worker_main,

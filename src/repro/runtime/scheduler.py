@@ -136,7 +136,7 @@ class Backend:
 
         Backends with out-of-band transport (the process-parallel backend's
         delivery queues) override this to ingest pending deliveries before
-        consulting the mailbox.
+        asking the mailbox.
         """
         return self.mailboxes[rank].has_match(source, tag, ctx)
 

@@ -24,7 +24,8 @@ result digests; that is what makes serving a cached result sound.
 Tuned configurations resolve at *admission*, not execution: a request
 arriving without a ``tuned`` field gets the server's current
 tuned-config catalog answer (possibly the empty config) pinned into it
-by :meth:`JobRequest.validated` before the cache key is derived, and
+by :meth:`JobRequest.validated` before the cache key is derived, a
+client-supplied one is canonicalised there (malformed is a 400), and
 the executor applies exactly the pinned config.  Tuned runtime knobs
 change virtual clocks, so letting a worker's catalog state leak into a
 run unrecorded would poison the cache; pinning makes the tuned state
@@ -120,29 +121,31 @@ class JobRequest:
             raise ServeError(f"timeout must be positive, got {self.timeout}")
         if self.weight <= 0:
             raise ServeError(f"weight must be positive, got {self.weight}")
-        tuned = self.tuned
-        if tuned is None:
-            from repro.tune import catalog as tune_catalog
+        from repro.tune import catalog as tune_catalog
 
+        if self.tuned is None:
             entry = tune_catalog.consult(
                 self.app, self.machine, int(params.get("nprocs", 0))
             )
-            # A default-config winner pins as {} so it cannot split the
-            # cache between "untuned" and "tuned to the default".
-            if entry is None or entry.config.is_default():
-                tuned = {}
-            else:
-                tuned = entry.config.to_dict()
-        elif not isinstance(tuned, dict):
+            config = tune_catalog.TunedConfig() if entry is None else entry.config
+        elif isinstance(self.tuned, dict):
+            try:
+                config = tune_catalog.TunedConfig.from_dict(self.tuned)
+            except (TypeError, ValueError) as exc:
+                raise ServeError(f"malformed tuned config: {exc}") from None
+        else:
             raise ServeError(
-                f"tuned must be an object or null, got {type(tuned).__name__}"
+                f"tuned must be an object or null, got {type(self.tuned).__name__}"
             )
-        if tuned:
-            # Tuned parameter knobs fill only keys the caller left at the
-            # app's defaults — explicit params always win.
-            for key, value in (tuned.get("params") or {}).items():
-                if key in spec.defaults and key not in self.params:
-                    params[key] = value
+        # Pin the canonical form: keys the config does not have are
+        # dropped, and a default config (a default winner included) pins
+        # as {}, so one run cannot be cached under two keys.
+        tuned = {} if config.is_default() else config.to_dict()
+        # Tuned parameter knobs fill only keys the caller left at the
+        # app's defaults — explicit params always win.
+        for key, value in config.params.items():
+            if key in spec.defaults and key not in self.params:
+                params[key] = value
         return replace(
             self,
             params=params,

@@ -7,18 +7,18 @@ configurations, :mod:`repro.tune.predict` prunes them with the
 closed-form models of :mod:`repro.bench.predict`, :mod:`repro.tune.search`
 ranks the survivors by *measured* virtual makespan (bit-for-bit
 reproducible on any backend, by the cross-backend identity contract),
-and :mod:`repro.tune.catalog` persists the winners where
-``Archetype.run`` and the app registry find them by default.
+and :mod:`repro.tune.catalog` persists the winners where the named-app
+entry points — the app registry's ``AppSpec.run`` and the job server's
+admission — find them by default.
 """
 
-from repro.tune.catalog import TunedConfig, TunedEntry, applying, consulting, disabled
+from repro.tune.catalog import TunedConfig, TunedEntry, applying, disabled
 from repro.tune.search import SearchOutcome, search
 
 __all__ = [
     "TunedConfig",
     "TunedEntry",
     "applying",
-    "consulting",
     "disabled",
     "SearchOutcome",
     "search",

@@ -120,10 +120,6 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     cfg = entry.config
     if cfg.proc_grid:
         print("export REPRO_PROC_GRID=" + "x".join(str(d) for d in cfg.proc_grid))
-    if cfg.tile_bytes is not None:
-        print(f"export REPRO_KERNEL_TILE_BYTES={cfg.tile_bytes}")
-    if cfg.shm_threshold is not None:
-        print(f"export REPRO_SHM_THRESHOLD={cfg.shm_threshold}")
     for key, value in sorted(cfg.params.items()):
         print(f"# app parameter: {key}={json.dumps(value)}")
     if cfg.is_default():

@@ -8,19 +8,24 @@ makespans, the default's makespan, the canonical result digest, and a
 signature of the search space), so a later ``search`` over an unchanged
 space is a catalog hit that re-measures nothing.
 
-Consultation rules (enforced by :func:`consulting`):
+Who consults: the named-app entry points, once per run —
+:meth:`repro.apps.registry.AppSpec.run` (registry, obs, verify and tune
+callers) and :meth:`repro.serve.protocol.JobRequest.validated` (the job
+server, at admission).  ``Archetype.run`` never does: a program run
+directly depends on its arguments alone, and ``proc_grid=`` is how a
+caller pins a grid by hand.  Consultation rules (enforced by
+:func:`consult`):
 
-* explicit parameters always win — ``Archetype.run(proc_grid=...)``
-  never reaches the catalog, and registry callers' explicit params are
-  never overridden by tuned ones;
+* explicit parameters always win — registry callers' explicit params
+  are never overridden by tuned ones;
 * ``REPRO_TUNE=0`` disables lookup entirely;
-* while a tuned or search configuration is being applied, nested
-  consultation is a no-op, so the searcher's candidate measurements and
-  registry-then-archetype double dispatch cannot stack overrides.
+* while a configuration scope is open (:func:`applying` or
+  :func:`disabled`), consultation is a no-op, so the searcher's
+  candidate measurements and the serve executor's pinned config reach
+  ``AppSpec.run`` without a stored winner stacking on top.
 
-Applying a config is env-backed (:data:`repro.comm.cart.PROC_GRID_ENV`,
-``REPRO_KERNEL_TILE_BYTES``, ``REPRO_SHM_THRESHOLD``) so forked
-parallel-backend workers inherit it.
+Applying a config is env-backed (:data:`repro.comm.cart.PROC_GRID_ENV`)
+so forked parallel-backend workers inherit it.
 """
 
 from __future__ import annotations
@@ -41,9 +46,6 @@ SCHEMA_VERSION = 1
 
 TUNE_ENV = "REPRO_TUNE"
 DIR_ENV = "REPRO_TUNE_DIR"
-
-_TILE_ENV = "REPRO_KERNEL_TILE_BYTES"
-_SHM_ENV = "REPRO_SHM_THRESHOLD"
 
 _HITS = counter_handle("core.tune.catalog_hits", help="catalog lookups that found an entry")
 _MISSES = counter_handle("core.tune.catalog_misses", help="catalog lookups that found nothing")
@@ -71,52 +73,40 @@ def entry_path(app: str, machine: str) -> Path:
 
 @dataclass(frozen=True)
 class TunedConfig:
-    """One configuration point: runtime knobs plus app-parameter overrides.
+    """One configuration point: the two things virtual time can see.
 
-    ``None`` fields mean "leave the default alone".  *params* holds
-    knobs that are app parameters (``overlap``, farm widths/windows) —
-    applied by the registry's :meth:`AppSpec.run`, not by env.
+    *proc_grid* ``None`` means "leave the default factorisation alone".
+    *params* holds knobs that are app parameters (``overlap``, farm
+    widths/windows) — applied by the registry's :meth:`AppSpec.run`,
+    not by env.
     """
 
     proc_grid: tuple[int, ...] | None = None
-    tile_bytes: int | None = None
-    shm_threshold: int | None = None
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def is_default(self) -> bool:
-        return (
-            self.proc_grid is None
-            and self.tile_bytes is None
-            and self.shm_threshold is None
-            and not self.params
-        )
+        return self.proc_grid is None and not self.params
 
     def to_dict(self) -> dict:
         return {
             "proc_grid": list(self.proc_grid) if self.proc_grid else None,
-            "tile_bytes": self.tile_bytes,
-            "shm_threshold": self.shm_threshold,
             "params": dict(self.params),
         }
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "TunedConfig":
+        """Unknown keys are ignored, so files and requests written when
+        the config had more fields still load."""
         grid = d.get("proc_grid")
-        return cls(
-            proc_grid=tuple(int(x) for x in grid) if grid else None,
-            tile_bytes=d.get("tile_bytes"),
-            shm_threshold=d.get("shm_threshold"),
-            params=dict(d.get("params") or {}),
-        )
+        proc_grid = tuple(int(x) for x in grid) if grid else None
+        if proc_grid and min(proc_grid) < 1:
+            raise ValueError(f"process-grid dims must be >= 1, got {proc_grid}")
+        return cls(proc_grid=proc_grid, params=dict(d.get("params") or {}))
 
     def describe(self) -> str:
         parts = []
         if self.proc_grid:
             parts.append("grid=" + "x".join(str(d) for d in self.proc_grid))
-        if self.tile_bytes is not None:
-            parts.append(f"tile={self.tile_bytes}")
-        if self.shm_threshold is not None:
-            parts.append(f"shm={self.shm_threshold}")
         parts.extend(f"{k}={v}" for k, v in sorted(self.params.items()))
         return " ".join(parts) or "default"
 
@@ -230,38 +220,19 @@ def _scope() -> Iterator[None]:
 
 
 @contextmanager
-def _env_override(name: str, value: int | None) -> Iterator[None]:
-    if value is None:
-        yield
-        return
-    prev = os.environ.get(name)
-    os.environ[name] = str(int(value))
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = prev
-
-
-@contextmanager
 def applying(config: TunedConfig) -> Iterator[None]:
-    """Apply *config*'s runtime knobs for the scope (env-backed, so the
-    parallel backend's forked workers see them); suppresses nested
+    """Apply *config*'s process grid for the scope (env-backed, so the
+    parallel backend's forked workers see it); suppresses nested
     catalog consultation."""
-    with _scope():
-        with proc_grid_override(config.proc_grid):
-            with _env_override(_TILE_ENV, config.tile_bytes):
-                with _env_override(_SHM_ENV, config.shm_threshold):
-                    yield
+    with _scope(), proc_grid_override(config.proc_grid):
+        yield
 
 
 @contextmanager
 def disabled() -> Iterator[None]:
     """Suppress catalog consultation for the scope without applying
-    anything — the searcher measures baselines and candidates here so a
-    previously-stored winner can never contaminate a measurement."""
+    anything — how the serve executor runs a request pinned untuned and
+    how a caller measures the untuned baseline beside a stored winner."""
     with _scope():
         yield
 
@@ -276,15 +247,3 @@ def consult(app: str, machine: str, nprocs: int) -> TunedEntry | None:
     else:
         _HITS.inc()
     return entry
-
-
-def consulting(app: str, machine: str, nprocs: int):
-    """Context manager applying the tuned config for (app, machine,
-    nprocs) when one exists and consultation is allowed; a no-op scope
-    otherwise.  This is ``Archetype.run``'s entry point."""
-    entry = consult(app, machine, nprocs)
-    if entry is None:
-        import contextlib
-
-        return contextlib.nullcontext()
-    return applying(entry.config)

@@ -5,10 +5,6 @@ maps its parameter dict plus a candidate's knobs onto the corresponding
 analytic T(P) model.  Apps without a closed form return ``None`` and are
 never pruned — the searcher measures them all, which is the honest
 fallback when no model exists.
-
-Kernel tile bytes and shm thresholds are host wall-clock knobs the
-virtual clock cannot see, so candidates varying only those inherit the
-base prediction unchanged.
 """
 
 from __future__ import annotations

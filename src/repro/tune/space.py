@@ -4,16 +4,17 @@ The space builder turns an :class:`~repro.apps.registry.AppSpec` into an
 ordered list of :class:`~repro.tune.catalog.TunedConfig` candidates.
 Candidate 0 is always the default (empty) config, and ordering is part
 of the search contract: ranking ties break toward the earliest
-candidate, so the default wins any tie and knob variants that cannot
-move the virtual makespan (kernel tile bytes, shm thresholds — host
-wall-clock knobs invisible to the virtual clock) never displace it.
+candidate, so the default wins any tie.  Every other candidate sets a
+process grid or an app parameter — the two things the virtual clock
+the search ranks by can see; a knob only host time feels would tie with
+the default by construction and cost a full run per search to say so.
 
 Mesh apps get every divisor-pair process grid for their rank count,
-crossed with ``overlap`` on/off where the app exposes that parameter,
-plus tile/shm variants of the default point.  Ghost widths are fixed by
-each stencil's radius (all current mesh apps are one-deep), so no ghost
-candidates are emitted.  Pipeline-farm apps get farm-width x
-credit-window grids — those change the virtual makespan directly.
+crossed with ``overlap`` on/off where the app exposes that parameter.
+Ghost widths are fixed by each stencil's radius (all current mesh apps
+are one-deep), so no ghost candidates are emitted.  Pipeline-farm apps
+get farm-width x credit-window grids — those change the virtual
+makespan directly.
 
 The module also defines the *canonical digest* used for the tuner's
 correctness contract: a candidate is admissible only when its canonical
@@ -32,10 +33,6 @@ from repro.runtime.spmd import RunResult
 from repro.tune.catalog import TunedConfig
 from repro.verify.digest import value_digest
 
-#: kernel-tile footprints tried around the 4 MiB default
-TILE_CANDIDATES = (1 << 20, 1 << 24)
-#: shared-memory transport thresholds tried around the 32 KiB default
-SHM_CANDIDATES = (4096, 262144)
 #: farm widths tried (capped by the app's default-derived maximum)
 FARM_WIDTHS = (1, 2, 3, 4)
 #: credit-window sizes tried per width
@@ -92,10 +89,6 @@ def build_space(spec: AppSpec, params: Mapping[str, Any]) -> list[TunedConfig]:
                     params={} if overlap is None else {"overlap": overlap},
                 )
             )
-    for tile in TILE_CANDIDATES:
-        candidates.append(TunedConfig(tile_bytes=tile))
-    for shm in SHM_CANDIDATES:
-        candidates.append(TunedConfig(shm_threshold=shm))
     return candidates
 
 

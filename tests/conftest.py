@@ -50,10 +50,12 @@ def pytest_generate_tests(metafunc: pytest.Metafunc) -> None:
 def _isolated_tune_catalog(tmp_path, monkeypatch):
     """Point the tuned-config catalog at an empty per-test directory.
 
-    Registry and archetype runs consult the catalog by default; without
+    Named-app runs (``AppSpec.run`` — registry, obs, verify, tune) and
+    the job server's admission consult the catalog by default; without
     this, entries tuned on the host (under ``~/.cache/repro/tuned``)
-    would leak process grids and runtime knobs into the digest, clock,
-    and conformance suites.
+    would leak process grids and tuned app parameters into the digest,
+    clock, and conformance suites.  ``Archetype.run`` itself never
+    consults it.
     """
     monkeypatch.setenv("REPRO_TUNE_DIR", str(tmp_path / "tuned"))
 

@@ -1,6 +1,6 @@
 """The par-loop kernel layer: fusion A/B identity and planning units.
 
-The load-bearing invariant: ``REPRO_KERNEL_FUSION`` selects *how group
+The load-bearing invariant: ``fusion_forced`` selects *how group
 bodies walk the region* (tile-interleaved vs loop-by-loop) and nothing
 else — groups, exchange packs, hoists, charges, and therefore values,
 virtual clocks, and traces are identical in both modes, on every
@@ -26,7 +26,6 @@ from repro.kernels import (
     Ref,
     build_groups,
     fusion_forced,
-    jit_forced,
 )
 from repro.obs.metrics import scoped_registry
 from repro.verify import fuzzed_schedule
@@ -85,8 +84,8 @@ class TestFusionIdentity:
         assert digest_of(off) == digest_of(on)
 
     def test_identity_on_parallel_backend(self):
-        # One app suffices: the switch reaches forked workers through the
-        # environment mirror, which is backend-global, not per-app.
+        # One app suffices: forked workers inherit the switch as module
+        # state, which is backend-global, not per-app.
         try:
             with fusion_forced(False):
                 off = run_app("smog", mode="parallel")
@@ -301,7 +300,7 @@ class TestTiling:
     def test_tiny_tiles_match_unfused(self, monkeypatch):
         """Forcing many row tiles exercises the fused walk without
         changing a bit of the output."""
-        monkeypatch.setenv("REPRO_KERNEL_TILE_BYTES", "128")
+        monkeypatch.setattr("repro.kernels.runtime._TILE_BYTES", 128)
 
         def run():
             return run_app("smog")
@@ -316,27 +315,12 @@ class TestTiling:
 
 
 class TestExprKernelJIT:
-    def test_missing_engine_falls_back_to_numpy(self):
-        """Neither numexpr nor numba ships in this environment: asking
-        for them must fall back (counted) and still produce the exact
-        numpy-eval result."""
+    def test_expression_evaluates_exactly(self):
         kernel = ExprKernel("2.0 * x + c", {"x": Ref(1), "c": 3.0}, name="axpc")
         x = np.arange(12.0).reshape(3, 4)
         out = np.empty_like(x)
-        with jit_forced("numexpr"), scoped_registry() as reg:
-            kernel.execute([out, x])
-            snap = reg.snapshot()
+        kernel.fn(out, x)
         assert np.array_equal(out, 2.0 * x + 3.0)
-        assert snap["core.kernels.jit_fallbacks"]["value"] >= 1
-
-    def test_jit_off_by_default_end_to_end(self):
-        """The poisson run's jacobi ExprKernel evaluates via numpy when
-        the switch is off — no fallback is counted because no engine was
-        requested."""
-        with scoped_registry() as reg:
-            run_app("poisson")
-            snap = reg.snapshot()
-        assert snap.get("core.kernels.jit_fallbacks", {"value": 0})["value"] == 0
 
     def test_pointwise_offset_rejected(self):
         from repro.errors import ArchetypeError
@@ -344,7 +328,7 @@ class TestExprKernelJIT:
         kernel = ExprKernel("x", {"x": Ref(1, (1, 0))}, name="bad")
         x = np.zeros((3, 3))
         with pytest.raises(ArchetypeError):
-            kernel.execute([np.empty_like(x), x])
+            kernel.fn(np.empty_like(x), x)
 
 
 class TestShims:

@@ -18,6 +18,7 @@ from repro import spmd_run
 from repro.errors import DeadlockError, RankFailedError
 from repro.machines.catalog import get_machine
 from repro.obs.metrics import scoped_registry
+from repro.runtime.parallel import run_parallel
 from repro.verify.digest import value_digest
 
 pytestmark = pytest.mark.skipif(
@@ -145,19 +146,17 @@ class TestSegmentLifecycle:
         assert small_writeable is False
         assert sample == 1.0
 
-    def test_threshold_routes_transport(self, monkeypatch):
-        """REPRO_SHM_THRESHOLD switches arrays between segment and pickle."""
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "1000000000")
+    def test_threshold_routes_transport(self):
+        """``threshold`` switches arrays between segment and pickle."""
         with scoped_registry() as registry:
-            spmd_run(4, _ring_body, args=(50_000,), backend="parallel")
+            run_parallel(4, _ring_body, args=(50_000,), threshold=1_000_000_000)
             snap = registry.snapshot()
         assert "runtime.parallel.shm_segments" not in snap
         assert snap["runtime.parallel.pickled_payloads"]["value"] == 4
         assert _segments() == []
 
-        monkeypatch.setenv("REPRO_SHM_THRESHOLD", "1024")
         with scoped_registry() as registry:
-            spmd_run(4, _ring_body, args=(50_000,), backend="parallel")
+            run_parallel(4, _ring_body, args=(50_000,), threshold=1024)
             snap = registry.snapshot()
         assert snap["runtime.parallel.shm_segments"]["value"] == 4
         assert _segments() == []

@@ -403,6 +403,26 @@ class TestKeepAliveFraming:
         finally:
             conn.close()
 
+    def test_malformed_tuned_is_a_json_400(self, server):
+        """A ``tuned`` the config cannot be built from is refused at
+        admission — not a 500, not a job that fails in the worker — and
+        the connection stays usable."""
+        conn = _persistent(server)
+        try:
+            for tuned in (
+                {"params": [1]},
+                {"proc_grid": "ab"},
+                {"proc_grid": [0, 4]},
+                [],
+            ):
+                body = dict(TestServerE2E.BODY, tuned=tuned)
+                status, raw = _exchange(conn, "POST", "/v1/jobs", body)
+                assert status == 400 and "tuned" in json.loads(raw)["error"], tuned
+            status, raw = _exchange(conn, "POST", "/v1/jobs", TestServerE2E.BODY)
+            assert status == 200 and json.loads(raw)["app"] == "mergesort"
+        finally:
+            conn.close()
+
 
 class TestWorkConservingDispatch:
     def test_idle_worker_takes_a_submission_before_the_reply(self, server, tmp_path):

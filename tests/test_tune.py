@@ -18,6 +18,7 @@ from repro.comm.cart import (
 from repro.core.meshspectral import MeshProgram
 from repro.errors import DistributionError
 from repro.machines.catalog import get_machine
+from repro.obs.metrics import scoped_registry
 from repro.serve.executor import execute
 from repro.serve.protocol import JobRequest
 from repro.tune import catalog
@@ -88,7 +89,7 @@ class TestProcGridOverride:
 
 class TestCatalogStore:
     def test_roundtrip(self):
-        cfg = TunedConfig(proc_grid=(4, 1), tile_bytes=1 << 20, params={"overlap": False})
+        cfg = TunedConfig(proc_grid=(4, 1), params={"overlap": False})
         catalog.store("poisson", "ibm-sp", 4, _entry(cfg))
         loaded = catalog.lookup("poisson", "ibm-sp", 4)
         assert loaded is not None
@@ -115,15 +116,23 @@ class TestCatalogStore:
         assert not catalog.enabled()
 
     def test_applying_sets_and_restores_env(self):
-        cfg = TunedConfig(proc_grid=(4, 1), tile_bytes=123456, shm_threshold=999)
-        with catalog.applying(cfg):
-            assert os.environ[PROC_GRID_ENV] == "4x1"
-            assert os.environ["REPRO_KERNEL_TILE_BYTES"] == "123456"
-            assert os.environ["REPRO_SHM_THRESHOLD"] == "999"
+        before = dict(os.environ)
+        with catalog.applying(TunedConfig(proc_grid=(4, 1))):
+            # The process grid is the one thing a config puts in the env.
+            assert dict(os.environ) == {**before, PROC_GRID_ENV: "4x1"}
             assert catalog.active()
-        assert os.environ.get(PROC_GRID_ENV) is None
-        assert "REPRO_KERNEL_TILE_BYTES" not in os.environ
+        assert dict(os.environ) == before
         assert not catalog.active()
+
+    def test_retired_and_unknown_keys_still_load(self):
+        """Files written when the config had tile/shm fields load as the
+        grid + params they also carry; a malformed grid is an error the
+        catalog loader turns into "no entry"."""
+        old = {"proc_grid": [4, 1], "tile_bytes": 5, "shm_threshold": 9, "params": {}}
+        assert TunedConfig.from_dict(old) == TunedConfig(proc_grid=(4, 1))
+        assert TunedConfig.from_dict({"tile_bytes": 5, "bogus": 1}).is_default()
+        with pytest.raises(ValueError):
+            TunedConfig.from_dict({"proc_grid": [0, 4]})
 
     def test_consult_suppressed_while_active(self):
         catalog.store("poisson", "ibm-sp", 4, _entry(TunedConfig(proc_grid=(4, 1))))
@@ -134,12 +143,24 @@ class TestCatalogStore:
 
 class TestSpace:
     def test_default_first_and_unique(self):
+        # A loop, not a parametrisation: the test id is on the floor.
+        for spec in registry.specs():
+            space = build_space(spec, spec.params_with(None))
+            assert space[0].is_default(), spec.name
+            # Every other candidate moves something virtual time can see.
+            assert all(c.proc_grid or c.params for c in space[1:]), spec.name
+            dicts = [json.dumps(c.to_dict(), sort_keys=True) for c in space]
+            assert len(dicts) == len(set(dicts)), spec.name
+
+    def test_exhaustive_search_measures_the_whole_space(self):
         spec = registry.get("poisson")
-        space = build_space(spec, spec.params_with(None))
-        assert space[0].is_default()
-        assert not any(c.is_default() for c in space[1:])
-        dicts = [json.dumps(c.to_dict(), sort_keys=True) for c in space]
-        assert len(dicts) == len(set(dicts))
+        space = build_space(spec, spec.params_with(TINY_POISSON))
+        with scoped_registry() as reg:
+            search("poisson", "cloud-25gbe", overrides=TINY_POISSON, exhaustive=True)
+            snap = reg.snapshot()
+        # P=4: three grids x overlap on/off, one of them the default.
+        assert snap["core.tune.candidates_generated"]["value"] == 6 == len(space)
+        assert snap["core.tune.candidates_measured"]["value"] == len(space)
 
     def test_mesh_space_matches_grid_ndim(self):
         spec = registry.get("fdtd")
@@ -272,11 +293,12 @@ class TestConsultation:
         consulted = registry.get("poisson").run(params, machine="ibm-sp")
         assert consulted.times == tuned.times
 
-    def test_archetype_run_applies_tuned_grid(self):
-        params, tuned, _ = self._store_grid_entry()
+    @staticmethod
+    def _run_archetype(params, **kwargs):
+        """The poisson program run directly, not through the registry."""
         from repro.apps.poisson import poisson_archetype
 
-        result = poisson_archetype().run(
+        return poisson_archetype().run(
             params["nprocs"],
             params["nx"],
             params["ny"],
@@ -284,23 +306,29 @@ class TestConsultation:
             max_iters=params["max_iters"],
             gather_solution=params["gather_solution"],
             machine=get_machine("ibm-sp"),
+            **kwargs,
         )
-        assert result.times == tuned.times
+
+    def test_archetype_run_ignores_catalog(self):
+        params, tuned, default = self._store_grid_entry()
+        assert self._run_archetype(params).times == default.times
+        # The explicit argument is how a direct caller gets the tuned grid.
+        assert self._run_archetype(params, proc_grid=(4, 1)).times == tuned.times
+
+    def test_figures_do_not_read_the_catalog(self):
+        """The paper's curves depend on machine model and problem size
+        alone: a stored winner for the very key a figure runs at must
+        not move a point."""
+        from repro.bench.figures import figure15_poisson
+
+        clean = figure15_poisson(procs=(1, 4, 8))
+        catalog.store("poisson", "ibm-sp", 8, _entry(TunedConfig(proc_grid=(8, 1))))
+        assert catalog.consult("poisson", "ibm-sp", 8) is not None
+        assert figure15_poisson(procs=(1, 4, 8)) == clean
 
     def test_explicit_proc_grid_beats_catalog(self):
         params, tuned, default = self._store_grid_entry(grid=(4, 1))
-        from repro.apps.poisson import poisson_archetype
-
-        result = poisson_archetype().run(
-            params["nprocs"],
-            params["nx"],
-            params["ny"],
-            tolerance=params["tolerance"],
-            max_iters=params["max_iters"],
-            gather_solution=params["gather_solution"],
-            machine=get_machine("ibm-sp"),
-            proc_grid=(2, 2),
-        )
+        result = self._run_archetype(params, proc_grid=(2, 2))
         assert result.times == default.times
 
     def test_explicit_params_beat_tuned_params(self):
@@ -351,7 +379,25 @@ class TestServeIntegration:
         assert pinned.tuned["proc_grid"] == [4, 1]
         assert pinned.cache_key() != untuned_key
         # Re-validating an already-pinned request is a no-op.
-        assert pinned.validated().tuned == pinned.tuned
+        assert pinned.validated() == pinned
+
+    def test_client_tuned_is_canonicalised(self):
+        def pin(tuned):
+            return JobRequest(
+                app="poisson", params=TINY_POISSON, machine="ibm-sp", tuned=tuned
+            ).validated()
+
+        untuned = pin({})
+        # Unknown and retired keys run to the untuned digest, so they
+        # must share its cache key.
+        for tuned in ({"bogus": 1}, {"tile_bytes": 5}, {"proc_grid": None, "params": {}}):
+            assert pin(tuned) == untuned, tuned
+            assert pin(tuned).cache_key() == untuned.cache_key(), tuned
+        gridded = pin({"proc_grid": [4, 1]})
+        assert gridded.tuned == TunedConfig(proc_grid=(4, 1)).to_dict()
+        assert pin({"proc_grid": [4, 1], "tile_bytes": 5}) == gridded
+        assert gridded.validated() == gridded
+        assert gridded.cache_key() != untuned.cache_key()
 
     def test_explicitly_untuned_request_ignores_catalog(self):
         spec = registry.get("poisson")
