@@ -62,20 +62,16 @@ def _primitive(rho, mx, my, e):
     return u, v, p
 
 
-def _shift(a: np.ndarray, g: int, di: int, dj: int) -> np.ndarray:
-    """Owned-region view of ghosted array *a* shifted by (di, dj)."""
-    n0, n1 = a.shape
-    return a[g + di : n0 - g + di, g + dj : n1 - g + dj]
-
-
-def _shift_region(
-    a: np.ndarray, g: int, di: int, dj: int, region: tuple[slice, ...]
+def _window(
+    a: np.ndarray, g: int, region: tuple[slice, ...], lo: tuple[int, int], hi: tuple[int, int]
 ) -> np.ndarray:
-    """View of ghosted array *a* at *region* (owned-interior coordinates)
-    shifted by (di, dj) — the regionised form of :func:`_shift`."""
+    """View of ghosted array *a* (ghost width *g*) at *region*
+    (owned-interior coordinates) with each axis's start moved by *lo* and
+    stop by *hi*: ``lo == hi`` is a shift, ``lo < hi`` a widening."""
     si, sj = region
     return a[
-        g + si.start + di : g + si.stop + di, g + sj.start + dj : g + sj.stop + dj
+        g + si.start + lo[0] : g + si.stop + hi[0],
+        g + sj.start + lo[1] : g + sj.stop + hi[1],
     ]
 
 
@@ -199,46 +195,40 @@ def cfd_program(
             smax = mesh.reduce(local_speed, MAX)
             dt = cfl * min(dx, dy) / max(smax, 1e-12)
 
-        rho, mx, my, e = (grid.local for grid in state[:4])
-        rl = state[4].local if reactive else None
+        fields = [grid.local for grid in state]
 
         def lf_update(region: tuple[slice, ...]) -> None:
-            # Lax–Friedrichs update restricted to *region*: fluxes are
-            # evaluated directly on each shifted window (elementwise ops
-            # commute with slicing, so this is bitwise identical to
-            # evaluating whole-array fluxes and then shifting).
+            # Lax–Friedrichs update restricted to *region*.  Each axis's
+            # flux is evaluated once, over the region widened by one cell
+            # along that axis (its E/W or N/S ghosts, never a corner), and
+            # read at its two shifts: elementwise ops commute with
+            # slicing, so this is bitwise identical to evaluating the
+            # flux on each shifted window.
             def sh(a, di, dj):
-                return _shift_region(a, g, di, dj, region)
+                return _window(a, g, region, (di, dj), (di, dj))
 
-            def fluxes(di, dj):
-                # The flux along the shift's axis: x for (±1, 0), y for (0, ±1).
-                mxs, mys, es = sh(mx, di, dj), sh(my, di, dj), sh(e, di, dj)
-                u_, v_, p_ = _primitive(sh(rho, di, dj), mxs, mys, es)
-                if di:
+            def flux(wi, wj):
+                # The flux along the widened axis: x for (1, 0), y for (0, 1).
+                wide = [_window(a, g, region, (-wi, -wj), (wi, wj)) for a in fields]
+                rhos, mxs, mys, es = wide[:4]
+                u_, v_, p_ = _primitive(rhos, mxs, mys, es)
+                if wi:
                     flux = [mxs, mxs * u_ + p_, mys * u_, u_ * (es + p_)]
                 else:
                     flux = [mys, mxs * v_, mys * v_ + p_, v_ * (es + p_)]
                 if reactive:
                     # rho * lambda, advected with the flow
-                    flux.append(sh(rl, di, dj) * (u_ if di else v_))
+                    flux.append(wide[4] * (u_ if wi else v_))
                 return flux
 
-            fx_e = fluxes(1, 0)
-            fx_w = fluxes(-1, 0)
-            gy_n = fluxes(0, 1)
-            gy_s = fluxes(0, -1)
-            for k in range(ncomp):
-                cons = state[k].local
-                new_state[k].interior[region] = (
-                    0.25
-                    * (
-                        sh(cons, 1, 0)
-                        + sh(cons, -1, 0)
-                        + sh(cons, 0, 1)
-                        + sh(cons, 0, -1)
-                    )
-                    - dt / (2 * dx) * (fx_e[k] - fx_w[k])
-                    - dt / (2 * dy) * (gy_n[k] - gy_s[k])
+            fx = flux(1, 0)
+            gy = flux(0, 1)
+            for k, cons in enumerate(fields):
+                around = sh(cons, 1, 0) + sh(cons, -1, 0) + sh(cons, 0, 1) + sh(cons, 0, -1)
+                np.subtract(
+                    0.25 * around - dt / (2 * dx) * (fx[k][2:] - fx[k][:-2]),
+                    dt / (2 * dy) * (gy[k][:, 2:] - gy[k][:, :-2]),
+                    out=new_state[k].interior[region],
                 )
 
         if packed_exchange:

@@ -16,6 +16,7 @@ scheme stable for the unit grid spacing used here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,33 +40,16 @@ class FDTDResult:
 
 
 def _d(
-    a: np.ndarray, axis: int, g: int, region: tuple[slice, ...]
+    a: np.ndarray, axis: int, cells: tuple[slice, ...], shift: int, out: np.ndarray
 ) -> np.ndarray:
-    """Forward difference along *axis*, aligned with the owned cells
-    selected by *region* (owned-interior coordinates): ``a[i+1] - a[i]``."""
-    lo = tuple(slice(s.start + g, s.stop + g) for s in region)
-    hi = tuple(
-        slice(s.start + g + 1, s.stop + g + 1)
-        if d == axis
-        else slice(s.start + g, s.stop + g)
-        for d, s in enumerate(region)
-    )
-    return a[hi] - a[lo]
-
-
-def _db(
-    a: np.ndarray, axis: int, g: int, region: tuple[slice, ...]
-) -> np.ndarray:
-    """Backward difference along *axis* over the selected owned cells:
-    ``a[i] - a[i-1]``."""
-    lo = tuple(
-        slice(s.start + g - 1, s.stop + g - 1)
-        if d == axis
-        else slice(s.start + g, s.stop + g)
-        for d, s in enumerate(region)
-    )
-    hi = tuple(slice(s.start + g, s.stop + g) for s in region)
-    return a[hi] - a[lo]
+    """Difference of ghosted array *a* along *axis* over *cells* (slices
+    in *a*'s own, ghosted coordinates), written into *out*:
+    ``a[i+1] - a[i]`` (forward) at *shift* 0, ``a[i] - a[i-1]``
+    (backward) at *shift* -1."""
+    s = cells[axis]
+    lo = cells[:axis] + (slice(s.start + shift, s.stop + shift),) + cells[axis + 1 :]
+    hi = cells[:axis] + (slice(s.start + shift + 1, s.stop + shift + 1),) + cells[axis + 1 :]
+    return np.subtract(a[hi], a[lo], out=out)
 
 
 def fdtd_program(
@@ -103,20 +87,29 @@ def fdtd_program(
     local_source = tuple(c - lo + ez_grid.ghost for c, (lo, _) in zip(centre, rect))
 
     g = 1
-    ex, ey, ez = (grid.local for grid in e)
-    hx, hy, hz = (grid.local for grid in h)
+    scratch: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    def h_update(region: tuple[slice, ...]) -> None:
-        # H -= dt * curl E, restricted to *region* of the owned cells.
-        h[0].interior[region] -= dt * (_d(ez, 1, g, region) - _d(ey, 2, g, region))
-        h[1].interior[region] -= dt * (_d(ex, 2, g, region) - _d(ez, 0, g, region))
-        h[2].interior[region] -= dt * (_d(ey, 0, g, region) - _d(ex, 1, g, region))
+    def curl_update(fields, src, shift, accumulate, region: tuple[slice, ...]) -> None:
+        # fields[c] (+|-)= dt * curl(src)[c] over *region* of the owned
+        # cells, through two scratch blocks per region shape (the row
+        # blocks of a run have at most two) instead of fresh temporaries.
+        shape = tuple(s.stop - s.start for s in region)
+        if shape not in scratch:
+            scratch[shape] = (np.empty(shape), np.empty(shape))
+        s1, s2 = scratch[shape]
+        cells = tuple(slice(s.start + g, s.stop + g) for s in region)
+        for c, grid in enumerate(fields):
+            a, b = (c + 1) % 3, (c + 2) % 3
+            _d(src[b].local, a, cells, shift, s1)
+            _d(src[a].local, b, cells, shift, s2)
+            np.subtract(s1, s2, out=s1)
+            np.multiply(dt, s1, out=s1)
+            target = grid.interior[region]
+            accumulate(target, s1, out=target)
 
-    def e_update(region: tuple[slice, ...]) -> None:
-        # E += dt * curl H.
-        e[0].interior[region] += dt * (_db(hz, 1, g, region) - _db(hy, 2, g, region))
-        e[1].interior[region] += dt * (_db(hx, 2, g, region) - _db(hz, 0, g, region))
-        e[2].interior[region] += dt * (_db(hy, 0, g, region) - _db(hx, 1, g, region))
+    # H -= dt * curl E (forward differences); E += dt * curl H (backward).
+    h_update = partial(curl_update, h, e, 0, np.subtract)
+    e_update = partial(curl_update, e, h, -1, np.add)
 
     for step in range(steps):
         # Packed exchange of the three E components, then the H curl

@@ -54,19 +54,29 @@ class SmogResult:
     fields: dict[str, np.ndarray] | None = None
 
 
+def _wind_pattern(i: np.ndarray, j: np.ndarray, nx: int, ny: int):
+    """The wind's time-independent spatial part, per component."""
+    shape = np.broadcast(i, j).shape
+    x = np.broadcast_to(i, shape) / nx
+    y = np.broadcast_to(j, shape) / ny
+    return 0.1 * np.sin(2 * np.pi * y), 0.1 * np.sin(2 * np.pi * x)
+
+
+def _wind_veer(t: float):
+    """The wind's space-independent diurnal part, per component."""
+    phase = 2.0 * np.pi * t
+    return 0.6 + 0.2 * np.sin(phase), 0.3 * np.cos(phase)
+
+
 def sea_breeze_wind(i: np.ndarray, j: np.ndarray, nx: int, ny: int, t: float):
     """Prescribed wind: onshore flow that veers over the day.
 
     Returns (u, v) broadcast over the given index arrays; the direction
-    rotates slowly with *t* to mimic the diurnal sea-breeze cycle.
+    rotates slowly with *t* to mimic the diurnal sea-breeze cycle.  (A
+    step loop evaluates the pattern once and adds each step's veer.)
     """
-    shape = np.broadcast(i, j).shape
-    x = np.broadcast_to(i, shape) / nx
-    y = np.broadcast_to(j, shape) / ny
-    phase = 2.0 * np.pi * t
-    u = 0.6 + 0.2 * np.sin(phase) + 0.1 * np.sin(2 * np.pi * y)
-    v = 0.3 * np.cos(phase) + 0.1 * np.sin(2 * np.pi * x)
-    return u, v
+    (pattern_u, pattern_v), (veer_u, veer_v) = _wind_pattern(i, j, nx, ny), _wind_veer(t)
+    return veer_u + pattern_u, veer_v + pattern_v
 
 
 def emission_field(i: np.ndarray, j: np.ndarray, nx: int, ny: int) -> np.ndarray:
@@ -113,6 +123,7 @@ def smog_program(
     new = {name: grid.like() for name, grid in species.items()}
     ii, jj = species["no"].coord_arrays()
     emis = emission_field(ii, jj, nx, ny)
+    pattern_u, pattern_v = _wind_pattern(ii, jj, nx, ny)
     # Clean background: a little NO2, trace ozone.
     species["no2"].interior[...] = 0.1
     species["o3"].interior[...] = 0.05
@@ -127,7 +138,8 @@ def smog_program(
 
     t = 0.0
     for _ in range(steps):
-        u, v = sea_breeze_wind(ii, jj, nx, ny, t)
+        veer_u, veer_v = _wind_veer(t)
+        u, v = veer_u + pattern_u, veer_v + pattern_v  # sea_breeze_wind at t
         j_rate = photolysis_rate(t)
         h = dt / chem_substeps if chem_substeps else 0.0
 
@@ -135,9 +147,10 @@ def smog_program(
             for _ in range(chem_substeps):
                 r1 = j_rate * no2  # NO2 photolysis  # noqa: B023
                 r2 = K_NO_O3 * no * o3  # titration
-                no += h * (r1 - r2)  # noqa: B023
+                released = h * (r1 - r2)  # NO and O3 gain the same  # noqa: B023
+                no += released
                 no2 += h * (r2 - r1)  # noqa: B023
-                o3 += h * (r1 - r2)  # noqa: B023
+                o3 += released
                 np.clip(no, 0.0, None, out=no)
                 np.clip(no2, 0.0, None, out=no2)
                 np.clip(o3, 0.0, None, out=o3)
@@ -212,10 +225,31 @@ def smog_program(
     )
 
 
+def upwind_step(
+    out: np.ndarray, q, u, v, dx: float, dy: float, dt: float, kdiff: float
+) -> None:
+    """One explicit step of first-order upwind advection in wind (u, v)
+    plus central diffusion, at every point of stencil view *q* (halo 1),
+    written into *out*:
+    ``q - dt * (u dq/dx + v dq/dy) + dt * kdiff * lap(q)``.
+
+    The upwind difference is selected first and scaled once, each
+    neighbour view and ``2 * q`` is formed once, and the last sum lands
+    in *out* directly — the same arithmetic at every point as scaling
+    both one-sided differences, selecting, and assigning the result.
+    """
+    c, w, e, s, n = q[0, 0], q[-1, 0], q[1, 0], q[0, -1], q[0, 1]
+    adv_x = u * np.where(u > 0, c - w, e - c) / dx
+    adv_y = v * np.where(v > 0, c - s, n - c) / dy
+    c2 = 2 * c
+    lap = (e - c2 + w) / dx**2 + (n - c2 + s) / dy**2
+    np.add(c - dt * (adv_x + adv_y), dt * kdiff * lap, out=out)
+
+
 def _transport_update(
     qgrid, ogrid, u, v, dx: float, dy: float, dt: float, kdiff: float
 ):
-    """Upwind advection in wind (u, v) plus central diffusion.
+    """:func:`upwind_step` of *qgrid* into *ogrid*.
 
     A region kernel (rather than a views kernel) because the wind
     arrays are plain full-interior fields the body must slice to the
@@ -223,22 +257,7 @@ def _transport_update(
 
     def update(region: tuple[slice, ...]) -> None:
         q = StencilView(qgrid, region)
-        uu = u[region]
-        vv = v[region]
-        adv_x = np.where(
-            uu > 0,
-            uu * (q[0, 0] - q[-1, 0]) / dx,
-            uu * (q[1, 0] - q[0, 0]) / dx,
-        )
-        adv_y = np.where(
-            vv > 0,
-            vv * (q[0, 0] - q[0, -1]) / dy,
-            vv * (q[0, 1] - q[0, 0]) / dy,
-        )
-        lap = (q[1, 0] - 2 * q[0, 0] + q[-1, 0]) / dx**2 + (
-            q[0, 1] - 2 * q[0, 0] + q[0, -1]
-        ) / dy**2
-        ogrid.interior[region] = q[0, 0] - dt * (adv_x + adv_y) + dt * kdiff * lap
+        upwind_step(ogrid.interior[region], q, u[region], v[region], dx, dy, dt, kdiff)
 
     return update
 

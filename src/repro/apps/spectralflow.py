@@ -27,12 +27,14 @@ preserves the archetype's dataflow and cost structure exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from repro.core.meshspectral import MeshContext, MeshProgram
 from repro.comm.reductions import MAX
 from repro.apps.fftlib import fft, fft_cost, fft_frequencies
+from repro.apps.smog import upwind_step
 from repro.kernels import READ, WRITE, Arg
 from repro.machines.model import MachineModel
 
@@ -54,28 +56,57 @@ class SpectralFlowResult:
     swirl: np.ndarray | None
 
 
-def thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Thomas algorithm for a batch of tridiagonal systems.
+def thomas_factor(
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, dtype: np.dtype | type
+) -> tuple[np.ndarray, np.ndarray]:
+    """The right-hand-side-independent half of the Thomas algorithm.
 
     ``diag`` has shape ``(m, n)`` — m independent systems of n unknowns;
     ``lower``/``upper`` are the off-diagonals (length n, shared across the
-    batch); ``rhs`` has shape ``(m, n)``.  Returns the solutions, shape
-    ``(m, n)``.
+    batch).  Returns the eliminated super-diagonal and the pivots, both
+    ``(n, m)`` — one system per *column*, so every sweep step reads and
+    writes a contiguous row — and read-only, because a factor is meant to
+    be applied many times.  *dtype* is the dtype of the right-hand sides
+    the factor will meet: the recurrences run in it, as the one-shot
+    solve's always did.
     """
-    m, n = rhs.shape
-    cp = np.empty((m, n), dtype=rhs.dtype)
-    dp = np.empty((m, n), dtype=rhs.dtype)
-    cp[:, 0] = upper[0] / diag[:, 0]
-    dp[:, 0] = rhs[:, 0] / diag[:, 0]
+    m, n = diag.shape
+    cp = np.empty((n, m), dtype=dtype)
+    denom = np.empty((n, m), dtype=dtype)
+    denom[0] = diag[:, 0]
+    cp[0] = upper[0] / diag[:, 0]
     for i in range(1, n):
-        denom = diag[:, i] - lower[i] * cp[:, i - 1]
-        cp[:, i] = (upper[i] if i < n - 1 else 0.0) / denom
-        dp[:, i] = (rhs[:, i] - lower[i] * dp[:, i - 1]) / denom
-    x = np.empty_like(dp)
-    x[:, -1] = dp[:, -1]
+        denom[i] = diag[:, i] - lower[i] * cp[i - 1]
+        cp[i] = (upper[i] if i < n - 1 else 0.0) / denom[i]
+    cp.flags.writeable = denom.flags.writeable = False
+    return cp, denom
+
+
+def thomas_apply(
+    factor: tuple[np.ndarray, np.ndarray], lower: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve the systems behind *factor* (:func:`thomas_factor`, same
+    *lower*) for ``rhs`` of shape ``(m, n)``; returns the solutions,
+    shape ``(m, n)``."""
+    cp, denom = factor
+    n = cp.shape[0]
+    x = np.empty(cp.shape, dtype=rhs.dtype)
+    step = np.empty(cp.shape[1], dtype=rhs.dtype)
+    np.divide(rhs[:, 0], denom[0], out=x[0])
+    for i in range(1, n):
+        np.multiply(lower[i], x[i - 1], out=step)
+        np.subtract(rhs[:, i], step, out=step)
+        np.divide(step, denom[i], out=x[i])
     for i in range(n - 2, -1, -1):
-        x[:, i] = dp[:, i] - cp[:, i] * x[:, i + 1]
-    return x
+        np.multiply(cp[i], x[i + 1], out=step)
+        x[i] -= step
+    return x.T
+
+
+def thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Thomas algorithm for a batch of tridiagonal systems: factor
+    (:func:`thomas_factor`) and apply (:func:`thomas_apply`) in one call."""
+    return thomas_apply(thomas_factor(lower, diag, upper, rhs.dtype), lower, rhs)
 
 
 def vortex_ic(i: np.ndarray, j: np.ndarray, nr: int, nz: int):
@@ -120,6 +151,22 @@ def spectralflow_program(
     # Modal wavenumbers for the axial direction.
     kz = 2.0 * np.pi * fft_frequencies(nz, d=dz)
 
+    # The Helmholtz operator is the same at every step: factor it once,
+    # for the mode range this rank holds by columns.  The cache is a local
+    # of this call, so nothing outlives the run.
+    lower = np.full(nr, 1.0 / dr**2)
+    lower[-1] = 0.0
+    upper = np.full(nr, 1.0 / dr**2)
+    upper[0] = 0.0
+
+    @cache
+    def helmholtz_factor(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        diag = (-2.0 / dr**2) - (kz[lo:hi, None] ** 2) * np.ones((hi - lo, nr))
+        # Dirichlet walls: fix the first/last unknown to zero.
+        diag[:, 0] = 1.0
+        diag[:, -1] = 1.0
+        return thomas_factor(lower, diag, upper, np.complex128)
+
     t = 0.0
     max_vort = 0.0
     for _ in range(steps):
@@ -140,23 +187,10 @@ def spectralflow_program(
             # modes: (local_nmodes, nr); solve (D2 - k^2) psi = -omega
             # with psi = 0 at both radial walls (rows of the transposed
             # block are mode vectors over r).
-            m = modes.shape[0]
-            lo, _ = hat_cols.rect[1]
-            k = kz[lo : lo + m]
-            lower = np.full(nr, 1.0 / dr**2)
-            upper = np.full(nr, 1.0 / dr**2)
-            diag = (-2.0 / dr**2) - (k[:, None] ** 2) * np.ones((m, nr))
-            # Dirichlet walls: fix the first/last unknown to zero.
-            diag[:, 0] = 1.0
-            diag[:, -1] = 1.0
-            rhs = -modes.copy()
+            rhs = -modes
             rhs[:, 0] = 0.0
             rhs[:, -1] = 0.0
-            upper0 = upper.copy()
-            lower0 = lower.copy()
-            upper0[0] = 0.0
-            lower0[-1] = 0.0
-            return thomas_solve(lower0, diag, upper0, rhs)
+            return thomas_apply(helmholtz_factor(*hat_cols.rect[1]), lower, rhs)  # noqa: B023
 
         mesh.col_op(
             helmholtz,
@@ -216,7 +250,9 @@ def spectralflow_program(
         # declared halo-0 reads (the body uses only the centre value),
         # so — unlike the historical stencil-input formulation — they
         # need no ghost exchange at all.
-        advect = _upwind_update(dr, dz, step_dt, nu)
+        def advect(out: np.ndarray, q, u_r: np.ndarray, u_z: np.ndarray) -> None:
+            upwind_step(out, q, u_r, u_z, dr, dz, step_dt, nu)  # noqa: B023
+
         new_om = omega.like()
         new_sw = swirl.like()
 
@@ -253,33 +289,6 @@ def spectralflow_program(
         max_vorticity=float(max_vort),
         swirl=swirl_full if mesh.comm.rank == 0 else None,
     )
-
-
-def _upwind_update(dr: float, dz: float, dt: float, nu: float):
-    """First-order upwind advection + central diffusion of one scalar.
-
-    The returned callback has the views-kernel signature
-    ``fn(out, q, u_r, u_z)``: *q* is a stencil view (declared halo 1),
-    the velocities plain aligned views (declared halo 0).
-    """
-
-    def update(out: np.ndarray, q, u_r: np.ndarray, u_z: np.ndarray) -> None:
-        adv_r = np.where(
-            u_r > 0,
-            u_r * (q[0, 0] - q[-1, 0]) / dr,
-            u_r * (q[1, 0] - q[0, 0]) / dr,
-        )
-        adv_z = np.where(
-            u_z > 0,
-            u_z * (q[0, 0] - q[0, -1]) / dz,
-            u_z * (q[0, 1] - q[0, 0]) / dz,
-        )
-        lap = (q[1, 0] - 2 * q[0, 0] + q[-1, 0]) / dr**2 + (
-            q[0, 1] - 2 * q[0, 0] + q[0, -1]
-        ) / dz**2
-        out[...] = q[0, 0] - dt * (adv_r + adv_z) + dt * nu * lap
-
-    return update
 
 
 def spectralflow_archetype() -> MeshProgram:

@@ -295,14 +295,15 @@ class MeshContext:
         must compute the update restricted to the given region — any
         composition of elementwise expressions over ghost-shifted reads
         qualifies, and produces bitwise-identical results however the
-        region is tiled (a fused group walks it in row blocks).
+        region is tiled (the engine walks it in cache-sized row blocks;
+        a region inside the budget is one call).
 
         Blocking mode exchanges, optionally fills physical-edge ghosts
         (*fill_edges* as in :meth:`DistGrid.fill_edge_ghosts`), charges
         the whole region, and calls *apply* on it.  Overlap mode posts
         the packed exchange, fills edges, charges the deep cells while
         slabs travel, completes the exchange, charges the shell tiles —
-        and then calls *apply* on the full owned region just the same:
+        and then calls *apply* over the full owned region just the same:
         overlap is a property of the virtual clock, not of the order the
         host computes in.  Corner/edge ghosts are stale in overlap mode
         (star stencils only).

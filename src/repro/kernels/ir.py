@@ -21,6 +21,7 @@ backward compatibility) and imports only errors + numpy.
 
 from __future__ import annotations
 
+import ast
 import enum
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -241,15 +242,28 @@ class Ref:
     offset: tuple[int, ...] | None = None
 
 
+#: root operators whose ufunc can write the kernel's result in place
+_ROOT_UFUNCS = {
+    ast.Add: np.add,
+    ast.Sub: np.subtract,
+    ast.Mult: np.multiply,
+    ast.Div: np.true_divide,
+}
+
+
 class ExprKernel(Kernel):
     """A kernel body given as one elementwise expression string.
 
     ``bindings`` maps each free name of *expr* to a :class:`Ref` (a view
     of one loop argument, optionally stencil-shifted) or a plain scalar
     constant.  The expression is compiled once and evaluated by numpy
-    over the views; the result is assigned into argument 0's view.  It
-    is self-describing for docs and traces where a Python callable is
-    opaque.  Example — the Jacobi sweep::
+    over the views; the result lands in argument 0's view.  When the
+    expression's root is ``+ - * /`` its two operands are compiled
+    separately and the root's ufunc writes straight into that view
+    (``out=``), so no full-size result is built only to be copied; any
+    other root is evaluated whole and assigned.  It is self-describing
+    for docs and traces where a Python callable is opaque.  Example —
+    the Jacobi sweep::
 
         ExprKernel(
             "0.25 * (un + us + uw + ue - h2 * f)",
@@ -260,13 +274,17 @@ class ExprKernel(Kernel):
         )
     """
 
-    __slots__ = ("expr", "bindings", "_code")
+    __slots__ = ("expr", "bindings", "_root", "_operands")
 
     def __init__(self, expr: str, bindings: dict[str, Ref | float], name: str = "expr"):
         super().__init__(self._evaluate, name=name)
         self.expr = expr
         self.bindings = dict(bindings)
-        self._code = compile(expr, f"<kernel {name}>", "eval")
+        filename = f"<kernel {name}>"
+        root = ast.parse(expr, filename, "eval").body
+        self._root = _ROOT_UFUNCS.get(type(root.op)) if isinstance(root, ast.BinOp) else None
+        parts = (root,) if self._root is None else (root.left, root.right)
+        self._operands = [compile(ast.Expression(part), filename, "eval") for part in parts]
 
     def _evaluate(self, *views: Any) -> None:
         ns: dict[str, object] = {}
@@ -284,7 +302,12 @@ class ExprKernel(Kernel):
                     ns[name] = view
             else:
                 ns[name] = binding
-        views[0][...] = eval(self._code, {"__builtins__": {}}, ns)
+        operands = [eval(code, {"__builtins__": {}}, ns) for code in self._operands]
+        if self._root is None:
+            views[0][...] = operands[0]
+        else:
+            # casting: what the assignment above would do with the result
+            self._root(*operands, out=views[0], casting="unsafe")
 
 
 class ParLoop:

@@ -14,12 +14,17 @@ values.**  The *accounting walk* is the modelled machine's schedule —
 post the exchanges, charge the deep cells (whose stencil reads stay in
 owned data) while the slabs travel, ``wait()``, charge each shell tile —
 and it alone decides clocks, trace events and message order.  The
-*execution walk* then runs every loop body over the whole region.  On
-the host there is nothing to hide a transfer behind (a run-to-block
-engine runs one rank at a time; the process engine delivers at send
-time), so cutting the region into a deep tile and two shells per axis
-would only multiply numpy dispatch overhead; kernel bodies are
-elementwise, so one call computes what the tiles did, bit for bit.
+*execution walk* then runs every loop body over the region, after all of
+the group's charges and waits.  It does not follow the deep/shell split
+(a run-to-block engine runs one rank at a time and the process engine
+delivers at send time, so the host has no transfer to hide behind); it
+cuts the region by *cache block* — row blocks holding
+:data:`_TILE_BYTES` of the group's arrays — for every group, one loop or
+many, views kernel or region kernel, because a body's temporaries (5–40
+region-sized arrays in the mesh applications) are what falls out of
+cache on a whole-region call.  Kernel bodies are elementwise, so the
+blocks compute what one call did, bit for bit; a region inside the
+budget is one call.
 
 **The fusion switch changes execution, never the plan.**  Groups,
 exchange packs, hoists and the charge sequence are computed identically
@@ -59,11 +64,11 @@ from repro.kernels.ir import (
 from repro.kernels.plan import LoopGroup, build_groups, plan_exchanges
 from repro.obs.metrics import counter_handle
 
-#: fused-tile footprint: the slice of all group arrays walked per tile
-#: stays within a typical per-core last-level-cache share.  Smaller
-#: tiles fit tighter caches but multiply the per-tile Python dispatch
-#: cost; 4 MiB is where the mesh-spectral chains come out ahead.
-_TILE_BYTES = 1 << 22
+#: row-block footprint: bytes of *group arrays* walked per tile.  What a
+#: body allocates is not counted and is what must stay resident: at 1 MiB
+#: of declared arrays the temporaries still fit a 4 MiB L2, at 4 MiB only
+#: the arrays themselves do (docs/kernel_layer.md has the per-case table).
+_TILE_BYTES = 1 << 20
 
 _fusion_enabled = True
 
@@ -84,7 +89,7 @@ _DATS_PACKED = counter_handle(
     "core.kernels.dats_packed",
     help="dats whose refresh rode a packed multi-array exchange",
 )
-_TILES = counter_handle("core.kernels.tiles", help="fused row-block tiles executed")
+_TILES = counter_handle("core.kernels.tiles", help="row-block tiles executed")
 
 
 def fusion_enabled() -> bool:
@@ -305,20 +310,20 @@ class KernelEngine:
                 )
 
     def _execute(self, group: LoopGroup, region: tuple[slice, ...]) -> None:
-        """The execution walk: run every group body over the whole
-        *region*, after all of the group's charges and waits."""
+        """The execution walk: run every group body over *region*, row
+        block by row block, after all of the group's charges and waits."""
         if region_size(region) == 0:
             return
-        if fusion_enabled() and len(group.loops) > 1:
+        tiles = [region]
+        if fusion_enabled():
             tiles = _row_tiles(region, group)
-            for tile in tiles:
-                for loop in group.loops:
-                    self._run_body(loop, tile)
             _TILES.inc(len(tiles))
-            _LOOPS_FUSED.inc(len(group.loops))
-        else:
+            interleaved = len(group.loops)
+            if interleaved > 1:
+                _LOOPS_FUSED.inc(interleaved)
+        for tile in tiles:
             for loop in group.loops:
-                self._run_body(loop, region)
+                self._run_body(loop, tile)
 
     def _run_body(self, loop: ParLoop, region: tuple[slice, ...]) -> None:
         kernel = loop.kernel

@@ -4,10 +4,12 @@ The load-bearing invariant: ``fusion_forced`` selects *how group
 bodies walk the region* (tile-interleaved vs loop-by-loop) and nothing
 else — groups, exchange packs, hoists, charges, and therefore values,
 virtual clocks, and traces are identical in both modes, on every
-backend.  The A/B classes check exactly that on the three converted
-mesh-spectral applications; the unit classes pin the planning rules the
-invariant rests on (fusion legality, exchange hoisting, validity
-invalidation, tiling).
+backend.  The A/B classes check exactly that on the five mesh
+applications — the three par-loop chains and the two region-kernel codes
+(cfd, fdtd: single-loop groups and a 3-D grid, which the switch reaches
+now that every group is walked by row block); the unit classes pin the
+planning rules the invariant rests on (fusion legality, exchange
+hoisting, validity invalidation, tiling).
 """
 
 import numpy as np
@@ -31,8 +33,8 @@ from repro.obs.metrics import scoped_registry
 from repro.verify import fuzzed_schedule
 from repro.verify.digest import value_digest
 
-#: the converted mesh-spectral applications the A/B gate covers
-AB_APPS = ("poisson", "smog", "spectralflow")
+#: the mesh applications the A/B gate covers
+AB_APPS = ("poisson", "smog", "spectralflow", "cfd", "fdtd")
 
 #: the ISSUE's fuzzed-schedule bar
 FUZZ_SEEDS = tuple(range(8))
@@ -297,21 +299,56 @@ class TestPlanningOnRegisteredApps:
 
 
 class TestTiling:
-    def test_tiny_tiles_match_unfused(self, monkeypatch):
-        """Forcing many row tiles exercises the fused walk without
-        changing a bit of the output."""
+    @staticmethod
+    def _tiny_tiles_vs_unfused(app, monkeypatch):
         monkeypatch.setattr("repro.kernels.runtime._TILE_BYTES", 128)
-
-        def run():
-            return run_app("smog")
-
         with fusion_forced(True), scoped_registry() as reg:
-            fused = run()
+            fused = run_app(app)
             counters = _kernel_counters(reg.snapshot())
         with fusion_forced(False):
-            unfused = run()
+            unfused = run_app(app)
         assert counters["tiles"] > counters["groups"], "expected multi-tile groups"
         assert digest_of(fused) == digest_of(unfused)
+        return counters
+
+    def test_tiny_tiles_match_unfused(self, monkeypatch):
+        """Forcing many row tiles exercises the tiled walk without
+        changing a bit of the output."""
+        counters = self._tiny_tiles_vs_unfused("smog", monkeypatch)
+        assert counters["loops_fused"] > 0
+
+    def test_single_loop_groups_tile_too(self, monkeypatch):
+        """Poisson's groups hold one loop each: tiled all the same, and
+        nothing counts as interleaved."""
+        counters = self._tiny_tiles_vs_unfused("poisson", monkeypatch)
+        assert counters.get("loops_fused", 0) == 0
+
+    def test_region_inside_the_budget_is_one_call(self):
+        """One tile per group at the default footprint: every body runs
+        exactly once over its whole region, and a run whose groups are
+        all single-loop interleaves nothing."""
+        regions = []
+
+        def prog(mesh):
+            a = mesh.grid((24, 24), ghost=1, fill=1.0)
+            b = mesh.grid((24, 24), ghost=1)
+
+            def views_body(out, src):
+                regions.append(out.shape)
+                out[...] = src[0, 1]
+
+            def region_body(region):
+                regions.append(region)
+
+            mesh.parloop(views_body, Arg(b, WRITE), Arg(a, READ, halo=1))
+            mesh.overlapped_update([b], region_body, writes=[a])
+
+        with scoped_registry() as reg:
+            MeshProgram(prog).run(1)
+            counters = _kernel_counters(reg.snapshot())
+        assert regions == [(24, 24), (slice(0, 24), slice(0, 24))]
+        assert counters["tiles"] == counters["groups"] == 2
+        assert counters.get("loops_fused", 0) == 0
 
 
 class TestExprKernelJIT:

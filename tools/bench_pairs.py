@@ -9,7 +9,11 @@ out into a temp dir (``git archive``), then for each workload run ::
 on the base and on the working tree alternately — which side goes first
 alternates from pair to pair, and every pair has its own seed.  Prints, per
 end-to-end metric, each side's median and quartiles, wins/ties and a verdict,
-and writes every run (with ``host_cpus``) to a JSON file.
+and writes every run (with ``host_cpus``) to a JSON file.  A run whose
+process crashes or prints no result is written as a row too (``"crashed":
+true``, exit status, the end of its stderr); its pair is left out of both
+sides' statistics, the table says so, the remaining runs are still made and
+written, and the command exits 1.
 
 Verdicts (direction and bound per metric come from ``BENCHMARK.json``):
 
@@ -50,15 +54,31 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in *tree*; its JSON result line (the last line)."""
+    """One benchmark run in *tree*, as the fields of its row: what its JSON
+    result line (the last line it prints) says, or ``{"crashed": True, ...}``
+    with the exit status and the last 20 lines of stderr when the process
+    died or printed no result."""
     done = subprocess.run(
         [
             "python3", "-m", "perfbench", "--workload", workload,
             "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0",
         ],
-        cwd=tree, stdout=subprocess.PIPE, text=True, check=True,
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )  # fmt: skip
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    if done.returncode == 0:
+        try:
+            line = json.loads(done.stdout.strip().splitlines()[-1])
+            return {
+                "correct": line["correct"], "attempted": line["attempted"],
+                "failed": line["failed"],
+                "metrics": {k: v["value"] for k, v in line["metrics"].items()},
+            }  # fmt: skip
+        except (IndexError, KeyError, TypeError, ValueError):
+            pass  # printed no result line: reported like a crash
+    return {
+        "crashed": True, "returncode": done.returncode,
+        "stderr": done.stderr.splitlines()[-20:],
+    }  # fmt: skip
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -92,6 +112,55 @@ def judge(base: list[float], change: list[float], better: str, bound: float) -> 
     }  # fmt: skip
 
 
+def summarise(rows: list[dict], workloads: list[str], declared: dict) -> tuple[dict, bool]:
+    """Print the table; ``(summary per workload, anything wrong)``."""
+    summary: dict[str, dict] = {}
+    broken = False
+    print(
+        f"{'workload':<11} {'metric':<15} {'base q1/med/q3':>26} {'change q1/med/q3':>26}"
+        f"  wins ties  {'verdict':<10}  spread (change iqr / bound x base median)"
+    )
+    for workload in workloads:
+        mine = [r for r in rows if r["workload"] == workload]
+        # a crashed run takes its pair out of both sides: the rule compares pairs
+        crashed = sorted({r["pair"] for r in mine if r.get("crashed")})
+        mine = [r for r in mine if r["pair"] not in crashed]
+        if crashed:
+            print(f"{workload}: A RUN CRASHED IN PAIR(S) {crashed}: left out of both sides below")
+            broken = True
+        if not mine:
+            summary[workload] = {"crashed_pairs": crashed, "metrics": {}}
+            continue
+        summary[workload] = {
+            "crashed_pairs": crashed,
+            "failed": {s: sum(r["failed"] for r in mine if r["side"] == s) for s in ("base", "change")},
+            "all_correct": all(r["correct"] for r in mine),
+            "metrics": {},
+        }
+        for name, spec in declared.items():
+            sides = {
+                s: [r["metrics"][name] for r in mine if r["side"] == s] for s in ("base", "change")
+            }
+            result = judge(sides["base"], sides["change"], spec["better"], spec["bound"])
+            summary[workload]["metrics"][name] = result
+            b, c, spread = result["base"], result["change"], result["spread"]
+            print(
+                f"{workload:<11} {name:<15} "
+                f"{b['q1']:>8.4g}/{b['median']:>8.4g}/{b['q3']:>8.4g} "
+                f"{c['q1']:>8.4g}/{c['median']:>8.4g}/{c['q3']:>8.4g}  "
+                f"{result['wins']:>2}/{result['pairs']:<2} {result['ties']:>3}  {result['verdict']:<10}  "
+                f"{spread['change_iqr']:.3g} / {spread['limit']:.3g}{'' if spread['ok'] else '  WIDE'}"
+            )
+        if summary[workload]["failed"]["change"] or not summary[workload]["all_correct"]:
+            print(f"{workload}: FAILED OPERATIONS OR INCORRECT RUNS: {summary[workload]['failed']}")
+            broken = True
+        broken |= any(
+            m["verdict"] == "worse" or not m["spread"]["ok"]
+            for m in summary[workload]["metrics"].values()
+        )
+    return summary, broken
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="commit to compare the working tree against")
@@ -118,55 +187,24 @@ def main(argv: list[str] | None = None) -> int:
                 seed = args.seed_base + pair
                 order = ("base", "change") if pair % 2 == 0 else ("change", "base")
                 for side in order:
-                    line = run_one(trees[side], workload, seed, args.seconds)
                     rows.append(
                         {
                             "workload": workload, "pair": pair, "seed": seed, "side": side,
-                            "first": order[0], "correct": line["correct"],
-                            "attempted": line["attempted"], "failed": line["failed"],
-                            "metrics": {k: v["value"] for k, v in line["metrics"].items()},
+                            "first": order[0], **run_one(trees[side], workload, seed, args.seconds),
                         }
                     )  # fmt: skip
+                    if rows[-1].get("crashed"):
+                        told = f"CRASHED (exit {rows[-1]['returncode']}): " + " | ".join(
+                            rows[-1]["stderr"][-3:]
+                        )
+                    else:
+                        told = " ".join(f"{k}={v:.4g}" for k, v in rows[-1]["metrics"].items())
                     print(
-                        f"{workload} pair {pair} seed {seed} {side:<6} "
-                        + " ".join(f"{k}={v:.4g}" for k, v in rows[-1]["metrics"].items()),
+                        f"{workload} pair {pair} seed {seed} {side:<6} {told}",
                         file=sys.stderr, flush=True,
                     )  # fmt: skip
 
-    summary: dict[str, dict] = {}
-    broken = False
-    print(
-        f"{'workload':<11} {'metric':<15} {'base q1/med/q3':>26} {'change q1/med/q3':>26}"
-        f"  wins ties  {'verdict':<10}  spread (change iqr / bound x base median)"
-    )
-    for workload in args.workloads.split():
-        mine = [r for r in rows if r["workload"] == workload]
-        summary[workload] = {
-            "failed": {s: sum(r["failed"] for r in mine if r["side"] == s) for s in ("base", "change")},
-            "all_correct": all(r["correct"] for r in mine),
-            "metrics": {},
-        }
-        for name, spec in declared.items():
-            sides = {
-                s: [r["metrics"][name] for r in mine if r["side"] == s] for s in ("base", "change")
-            }
-            result = judge(sides["base"], sides["change"], spec["better"], spec["bound"])
-            summary[workload]["metrics"][name] = result
-            b, c, spread = result["base"], result["change"], result["spread"]
-            print(
-                f"{workload:<11} {name:<15} "
-                f"{b['q1']:>8.4g}/{b['median']:>8.4g}/{b['q3']:>8.4g} "
-                f"{c['q1']:>8.4g}/{c['median']:>8.4g}/{c['q3']:>8.4g}  "
-                f"{result['wins']:>2}/{result['pairs']:<2} {result['ties']:>3}  {result['verdict']:<10}  "
-                f"{spread['change_iqr']:.3g} / {spread['limit']:.3g}{'' if spread['ok'] else '  WIDE'}"
-            )
-        if summary[workload]["failed"]["change"] or not summary[workload]["all_correct"]:
-            print(f"{workload}: FAILED OPERATIONS OR INCORRECT RUNS: {summary[workload]['failed']}")
-            broken = True
-        broken |= any(
-            m["verdict"] == "worse" or not m["spread"]["ok"]
-            for m in summary[workload]["metrics"].values()
-        )
+    summary, broken = summarise(rows, args.workloads.split(), declared)
     with open(args.out, "w") as fh:
         json.dump(
             {

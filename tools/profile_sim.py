@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""Where one perfbench sim case spends host CPU, over all its threads.
+"""Where a perfbench sim workload spends host CPU, over all its threads.
 
-    python3 tools/profile_sim.py sim_comm poisson
+    python3 tools/profile_sim.py sim_kernel            # one row per case
+    python3 tools/profile_sim.py sim_comm poisson      # one case in detail
 
 cProfile sees only the thread that enabled it and the deterministic engine
 runs each rank on a thread of its own, so ``DeterministicBackend._rank_main``
 is wrapped to run under one profiler per rank thread; their stats are merged
 with the main thread's.  ``lock.acquire`` is dropped: it is a rank waiting
 its turn, which on the one CPU this pins itself to is some other rank's
-work, already counted.  Prints self time by module and the top functions,
-and asserts the case's perfbench pin (perfbench is imported, never changed).
+work, already counted.  With no app it walks every case of the workload and
+prints each case's total self time and the share of it in the application
+bodies (``repro/apps`` + ``<kernel ...>``), the par-loop layer
+(``repro/kernels`` + ``repro/core``), the engine (``repro/runtime`` +
+``repro/comm`` + ``repro/obs``) and native code; with an app it prints that
+case's self time by module and its top functions.  Either way every case's
+perfbench pin is asserted (perfbench is imported, never changed).
 cProfile taxes Python calls and not native code: this finds candidates,
 ``make bench-pairs`` measures them.
 """
@@ -25,10 +31,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src") + os.sep
 
+#: the summary's columns: name, module prefixes (relative to ``src/``)
+LAYERS = (
+    ("bodies", ("repro/apps/", "<kernel ")),
+    ("par-loop", ("repro/kernels/", "repro/core/")),
+    ("engine", ("repro/runtime/", "repro/comm/", "repro/obs/")),
+    ("native", ("<native>",)),
+)
 
-def main(workload: str, app: str) -> None:
-    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-    sys.path[:0] = [SRC, str(ROOT)]
+
+def profile_case(workload: str, app: str) -> tuple[dict, int]:
+    """``({(file, line, function): self seconds}, threads)`` of one warm run."""
     from perfbench import cases, pins
     from repro.runtime.scheduler import DeterministicBackend
 
@@ -42,24 +55,55 @@ def main(workload: str, app: str) -> None:
         profile.runcall(rank_main, self, rank, body)
 
     DeterministicBackend._rank_main = profiled_rank_main
-    with tempfile.TemporaryDirectory() as tune_dir:
-        os.environ["REPRO_TUNE_DIR"] = tune_dir  # as perfbench: no host catalog
+    try:
         pins.run_case(app, params)  # cold run: imports, memoised geometry
         profiles[:] = [cProfile.Profile()]
         run = profiles[0].runcall(pins.run_case, app, params)
+    finally:
+        DeterministicBackend._rank_main = rank_main
     if error := run.mismatch(pins.load()[cases.case_id(workload, app)]):
-        raise SystemExit(f"pin broken: {error}")
+        raise SystemExit(f"pin broken: {workload}/{app}: {error}")
     rows = {
         func: self_s
         for func, (_, _, self_s, _, _) in pstats.Stats(*profiles).stats.items()
         if "'acquire' of '_thread.lock'" not in func[2]
     }
-    total = sum(rows.values())
-    by_module: Counter[str] = Counter()
+    return rows, len(profiles)
+
+
+def by_module(rows: dict) -> Counter[str]:
+    modules: Counter[str] = Counter()
     for (filename, _, _), self_s in rows.items():
-        by_module["<native>" if filename == "~" else filename.replace(SRC, "")] += self_s
-    print(f"{workload}/{app}: {total * 1e3:.1f} ms self time on {len(profiles)} threads (pin holds)")
-    for module, self_s in by_module.most_common(12):
+        modules["<native>" if filename == "~" else filename.replace(SRC, "")] += self_s
+    return modules
+
+
+def main(workload: str, app: str | None = None) -> None:
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    sys.path[:0] = [SRC, str(ROOT)]
+    from perfbench import cases
+
+    with tempfile.TemporaryDirectory() as tune_dir:
+        os.environ["REPRO_TUNE_DIR"] = tune_dir  # as perfbench: no host catalog
+        if app is None:
+            print(f"{'case':<24} {'self ms':>8} " + " ".join(f"{name:>9}" for name, _ in LAYERS))
+            for case, _ in cases.SIM_CASES[workload]:
+                modules = by_module(profile_case(workload, case)[0])
+                total = sum(modules.values())
+                shares = (
+                    sum(s for m, s in modules.items() if m.startswith(prefixes)) / total
+                    for _, prefixes in LAYERS
+                )
+                print(
+                    f"{workload + '/' + case:<24} {total * 1e3:8.1f} "
+                    + " ".join(f"{share:9.1%}" for share in shares)
+                )
+            print("every pin holds")
+            return
+        rows, threads = profile_case(workload, app)
+    total = sum(rows.values())
+    print(f"{workload}/{app}: {total * 1e3:.1f} ms self time on {threads} threads (pin holds)")
+    for module, self_s in by_module(rows).most_common(12):
         print(f"{self_s * 1e3:9.1f} ms {self_s / total:6.1%}  {module}")
     for (filename, line, name), self_s in sorted(rows.items(), key=lambda r: -r[1])[:20]:
         where = "" if filename == "~" else f"  {filename.replace(SRC, '')}:{line}"
