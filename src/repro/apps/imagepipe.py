@@ -47,8 +47,11 @@ def _normalize(ctx, img: np.ndarray, state) -> np.ndarray:
 
 def _box3(img: np.ndarray) -> np.ndarray:
     """3×3 box filter with edge-replicated padding, fixed summation order."""
-    p = np.pad(img, 1, mode="edge")
     h, w = img.shape
+    p = np.empty((h + 2, w + 2), dtype=img.dtype)
+    p[1:-1, 1:-1] = img
+    p[0, 1:-1], p[-1, 1:-1] = img[0], img[-1]
+    p[:, 0], p[:, -1] = p[:, 1], p[:, -2]  # == np.pad(img, 1, mode="edge")
     out = np.zeros_like(img)
     for di in range(3):
         for dj in range(3):

@@ -113,33 +113,33 @@ def poisson_program(
     def copy_new_to_old(old: np.ndarray, new: np.ndarray) -> None:
         old[...] = new
 
-    region = uk.interior_intersection(1)
+    # Declared above the sweep loop: validated and planned here, once.  A
+    # grid operation with declared neighbour reads — the kernel layer inserts
+    # the boundary exchange and updates only global-interior points.
+    sweep = mesh.loop(
+        jacobi,
+        Arg(ukp, WRITE),
+        Arg(uk, READ, halo=1),
+        Arg(fgrid, READ),
+        margin=1,
+        flops_per_point=FLOPS_PER_POINT,
+        label="jacobi",
+    )
+    copy_back = mesh.loop(
+        copy_new_to_old,
+        Arg(uk, WRITE),
+        Arg(ukp, READ),
+        margin=1,
+        flops_per_point=2.0,
+        label="copy-new-to-old",
+    )
+    new, old = ukp.interior[sweep.region], uk.interior[sweep.region]
     while diffmax.value > tolerance and iterations < max_iters:
-        # Grid operation with declared neighbour reads: the kernel layer
-        # inserts the boundary exchange and updates only global-interior
-        # points.
-        mesh.parloop(
-            jacobi,
-            Arg(ukp, WRITE),
-            Arg(uk, READ, halo=1),
-            Arg(fgrid, READ),
-            margin=1,
-            flops_per_point=FLOPS_PER_POINT,
-            label="jacobi",
-        )
+        sweep()
         # Convergence check: a max-reduction whose result every rank holds.
-        mesh.charge(2.0 * ukp.interior[region].size, label="diffmax")
-        diffmax.set_from_reduction(
-            _local_interior_diff(ukp, uk), MAX
-        )
-        mesh.parloop(
-            copy_new_to_old,
-            Arg(uk, WRITE),
-            Arg(ukp, READ),
-            margin=1,
-            flops_per_point=2.0,
-            label="copy-new-to-old",
-        )
+        mesh.charge(2.0 * new.size, label="diffmax")
+        diffmax.set_from_reduction(_local_max_diff(new, old), MAX)
+        copy_back()
         iterations += 1
 
     solution = uk.gather(root=0) if gather_solution else None
@@ -156,13 +156,11 @@ def poisson_program(
 _BLOCK_BYTES = 1 << 18
 
 
-def _local_interior_diff(ukp, uk) -> float:
-    """Local max |u' - u| over the global-interior part of the section,
-    taken over row blocks through one scratch block (the max of the
-    blocks' maxima is the max; no section-sized temporary is built)."""
-    region = uk.interior_intersection(1)
-    a = ukp.interior[region]
-    b = uk.interior[region]
+def _local_max_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """Local max |a - b| — the caller passes the global-interior part of
+    the section in u' and u — taken over row blocks through one scratch
+    block (the max of the blocks' maxima is the max; no section-sized
+    temporary is built)."""
     if not a.size:
         return float("-inf")
     rows = max(1, _BLOCK_BYTES // a[0].nbytes)

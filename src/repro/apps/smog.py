@@ -136,71 +136,76 @@ def smog_program(
     def emissions_body(region: tuple[slice, ...]) -> None:
         species["no"].interior[region] += dt * emis[region]
 
+    # Per-step values the declared bodies read at each run: wind, j_rate.
+    u, v = np.empty_like(pattern_u), np.empty_like(pattern_v)
+    j_rate = 0.0
+    h = dt / chem_substeps if chem_substeps else 0.0
+
+    def chemistry(no, no2, o3) -> None:
+        for _ in range(chem_substeps):
+            r1 = j_rate * no2  # NO2 photolysis
+            r2 = K_NO_O3 * no * o3  # titration
+            released = h * (r1 - r2)  # NO and O3 gain the same
+            no += released
+            no2 += h * (r2 - r1)
+            o3 += released
+            np.clip(no, 0.0, None, out=no)
+            np.clip(no2, 0.0, None, out=no2)
+            np.clip(o3, 0.0, None, out=o3)
+
+    # One step, declared once: the kernel layer packs the three species
+    # ghost refreshes into one message per neighbour per direction, fuses
+    # the three transports into one tiled walk, and fuses the pointwise
+    # copy-back/emissions/chemistry chain so each row block stays
+    # cache-resident across it.
+    step = [
+        # --- transport: upwind advection + diffusion, per species ------
+        *(
+            mesh.loop(
+                RegionKernel(
+                    _transport_update(grid, new[name], u, v, dx, dy, dt, diffusion),
+                    name=f"transport:{name}",
+                ),
+                Arg(new[name], WRITE),
+                # open basin boundary: edge ghosts copy the rim value
+                Arg(grid, READ, halo=1, edges="copy"),
+                margin=0,
+                flops_per_point=TRANSPORT_FLOPS,
+                label=f"transport:{name}",
+            )
+            for name, grid in species.items()
+        ),
+        *(
+            mesh.loop(copy_field, Arg(grid, WRITE), Arg(new[name], READ), label=f"copy:{name}")
+            for name, grid in species.items()
+        ),
+        # --- emissions -------------------------------------------------
+        mesh.loop(
+            RegionKernel(emissions_body, name="emissions"),
+            Arg(species["no"], INC),
+            flops_per_point=2.0,
+            label="emissions",
+        ),
+        # --- chemistry: pointwise NOx cycle, sub-stepped ----------------
+        mesh.loop(
+            Kernel(chemistry, name="chemistry"),
+            Arg(species["no"], RW),
+            Arg(species["no2"], RW),
+            Arg(species["o3"], RW),
+            flops_per_point=CHEMISTRY_FLOPS * chem_substeps,
+            label="chemistry",
+        ),
+    ]
+
     t = 0.0
     for _ in range(steps):
         veer_u, veer_v = _wind_veer(t)
-        u, v = veer_u + pattern_u, veer_v + pattern_v  # sea_breeze_wind at t
+        np.add(veer_u, pattern_u, out=u)  # sea_breeze_wind at t
+        np.add(veer_v, pattern_v, out=v)
         j_rate = photolysis_rate(t)
-        h = dt / chem_substeps if chem_substeps else 0.0
-
-        def chemistry(no, no2, o3) -> None:
-            for _ in range(chem_substeps):
-                r1 = j_rate * no2  # NO2 photolysis  # noqa: B023
-                r2 = K_NO_O3 * no * o3  # titration
-                released = h * (r1 - r2)  # NO and O3 gain the same  # noqa: B023
-                no += released
-                no2 += h * (r2 - r1)  # noqa: B023
-                o3 += released
-                np.clip(no, 0.0, None, out=no)
-                np.clip(no2, 0.0, None, out=no2)
-                np.clip(o3, 0.0, None, out=o3)
-
-        # One declared step: the kernel layer packs the three species
-        # ghost refreshes into one message per neighbour per direction,
-        # fuses the three transports into one tiled walk, and fuses the
-        # copy-back/emissions/chemistry chain (all pointwise over the
-        # same region) so each row block stays cache-resident across the
-        # whole chain.
         with mesh.fuse():
-            # --- transport: upwind advection + diffusion, per species --
-            for name, grid in species.items():
-                mesh.parloop(
-                    RegionKernel(
-                        _transport_update(grid, new[name], u, v, dx, dy, dt, diffusion),
-                        name=f"transport:{name}",
-                    ),
-                    Arg(new[name], WRITE),
-                    # open basin boundary: edge ghosts copy the rim value
-                    Arg(grid, READ, halo=1, edges="copy"),
-                    margin=0,
-                    flops_per_point=TRANSPORT_FLOPS,
-                    label=f"transport:{name}",
-                )
-            for name in species:
-                mesh.parloop(
-                    copy_field,
-                    Arg(species[name], WRITE),
-                    Arg(new[name], READ),
-                    label=f"copy:{name}",
-                )
-
-            # --- emissions -------------------------------------------
-            mesh.parloop(
-                RegionKernel(emissions_body, name="emissions"),
-                Arg(species["no"], INC),
-                flops_per_point=2.0,
-                label="emissions",
-            )
-
-            # --- chemistry: pointwise NOx cycle, sub-stepped ----------
-            mesh.parloop(
-                Kernel(chemistry, name="chemistry"),
-                Arg(species["no"], RW),
-                Arg(species["no2"], RW),
-                Arg(species["o3"], RW),
-                flops_per_point=CHEMISTRY_FLOPS * chem_substeps,
-                label="chemistry",
-            )
+            for loop in step:
+                loop()
 
         o3 = species["o3"].interior
         local_max = float(np.max(o3)) if o3.size else 0.0

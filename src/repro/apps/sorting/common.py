@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from repro.util.sampling import sort_keys, sorted_keys  # noqa: F401 (re-exported)
+
 #: operations charged per key per comparison level of a sort
 SORT_FLOPS_PER_KEY = 4.0
 #: operations charged per key moved during a merge
@@ -50,11 +52,14 @@ def merge_two_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def merge_sorted(arrays: list[np.ndarray]) -> np.ndarray:
     """Stable k-way merge: equal keys keep the order of their runs.
 
-    The non-empty runs are laid end to end and stable-sorted in place:
+    The non-empty runs are laid end to end and sorted in place by
+    :func:`~repro.util.sampling.sort_keys`: where ties can be told apart
     NumPy's stable sort (timsort) finds the k ascending runs and merges
-    them — the same keys in the same tie order, dtype ``np.result_type``
-    of the runs, in one pass of C; the modelled machine is still charged
-    :func:`merge_cost`.  A single non-empty run is returned as it is.
+    them; integer keys — a join over sorted runs depends only on the
+    multiset — take the default sort, the same bytes sooner.  Dtype
+    ``np.result_type`` of the runs, one pass of C; the modelled machine
+    is still charged :func:`merge_cost`.  A single non-empty run is
+    returned as it is.
     """
     runs = [np.asarray(a) for a in arrays if np.asarray(a).size > 0]
     if not runs:
@@ -63,5 +68,5 @@ def merge_sorted(arrays: list[np.ndarray]) -> np.ndarray:
     if len(runs) == 1:
         return runs[0]
     out = np.concatenate(runs)
-    out.sort(kind="stable")
+    sort_keys(out)
     return out

@@ -27,6 +27,7 @@ from repro.apps.sorting.common import (
     merge_sorted,
     merge_two_sorted,
     sort_cost,
+    sorted_keys,
 )
 from repro.machines.model import MachineModel
 from repro.util.sampling import (
@@ -92,7 +93,7 @@ def one_deep_mergesort(
     array is the concatenation of the per-rank values.
     """
     return OneDeepDC(
-        solve=lambda local: np.sort(local, kind="stable"),
+        solve=sorted_keys,
         solve_cost=lambda local: sort_cost(np.asarray(local).size),
         merge=_merge_phase(oversample),
         strategy=strategy,
@@ -108,7 +109,7 @@ def traditional_mergesort() -> TraditionalDC:
     """
     return TraditionalDC(
         divide=lambda d: (d[: d.size // 2], d[d.size // 2 :]),
-        leaf_solve=lambda d: np.sort(d, kind="stable"),
+        leaf_solve=sorted_keys,
         merge2=merge_two_sorted,
         # The top-level divide touches every key (the paper's first
         # inefficiency); charge a per-key inspection cost.

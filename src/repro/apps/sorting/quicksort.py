@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.onedeep import OneDeepDC, PhaseSpec, SplitterStrategy
-from repro.apps.sorting.common import MERGE_FLOPS_PER_KEY, sort_cost
+from repro.apps.sorting.common import MERGE_FLOPS_PER_KEY, sort_cost, sorted_keys
 from repro.util.sampling import splitters_from_samples
 
 #: local samples per rank used to choose pivots
@@ -77,7 +77,7 @@ def one_deep_quicksort(
         combine_cost=lambda combined: 2.0 * np.asarray(combined).size,
     )
     return OneDeepDC(
-        solve=lambda local: np.sort(local, kind="stable"),
+        solve=sorted_keys,
         solve_cost=lambda local: sort_cost(np.asarray(local).size),
         split=split,
         merge=None,

@@ -167,6 +167,46 @@ def spectralflow_program(
         diag[:, -1] = 1.0
         return thomas_factor(lower, diag, upper, np.complex128)
 
+    # --- the advection stage, declared once ------------------------------
+    # Its grids are the same every step (velocities and scratch copies
+    # are allocated here), so its four loops are built above the time
+    # loop.  The two advections share a region and access pattern: they
+    # fuse into one tiled walk and their ghost refreshes pack into one
+    # message per neighbour per direction.  The velocities are halo-0
+    # reads (the body uses only the centre value), so — unlike the
+    # historical stencil-input formulation — they need no exchange.
+    ur = mesh.grid((nr, nz), dist="rows", ghost=1)  # radial velocity
+    uz = mesh.grid((nr, nz), dist="rows", ghost=1)  # axial velocity
+    new_om = omega.like()
+    new_sw = swirl.like()
+    step_dt = 0.0  # set by each step's CFL reduction before the loops run
+
+    def advect(out: np.ndarray, q, u_r: np.ndarray, u_z: np.ndarray) -> None:
+        upwind_step(out, q, u_r, u_z, dr, dz, step_dt, nu)
+
+    def copy_field(dst: np.ndarray, src: np.ndarray) -> None:
+        dst[...] = src
+
+    advection = [
+        *(
+            mesh.loop(
+                advect,
+                Arg(new, WRITE),
+                Arg(field, READ, halo=1, periodic=(False, True)),
+                Arg(ur, READ),
+                Arg(uz, READ),
+                margin=(1, 0),
+                flops_per_point=FD_FLOPS_PER_POINT / 2,
+                label="advect",
+            )
+            for field, new in ((omega, new_om), (swirl, new_sw))
+        ),
+        *(
+            mesh.loop(copy_field, Arg(field, WRITE), Arg(new, READ), label="copy-advected")
+            for field, new in ((omega, new_om), (swirl, new_sw))
+        ),
+    ]
+
     t = 0.0
     max_vort = 0.0
     for _ in range(steps):
@@ -210,13 +250,12 @@ def spectralflow_program(
         psi = mesh.grid((nr, nz), dist="rows", ghost=1)
         psi.interior[...] = psi_hat.interior.real
 
-        # --- velocities from psi (declared stencil par-loops) ----------
-        # Both loops read psi at halo 1; the kernel layer exchanges
+        # --- velocities from psi (stencil par-loops) --------------------
+        # psi is a new grid every step, so these two are declared where
+        # they run.  Both read psi at halo 1; the kernel layer exchanges
         # psi's ghosts once for the first loop and *hoists* the second
         # exchange automatically (the historical code hand-managed this
         # with an ``exchange=False`` flag).
-        ur = mesh.grid((nr, nz), dist="rows", ghost=1)  # radial velocity
-        uz = mesh.grid((nr, nz), dist="rows", ghost=1)  # axial velocity
         with mesh.fuse():
             mesh.parloop(
                 lambda out, p: out.__setitem__(..., (p[0, 1] - p[0, -1]) / (2 * dz)),
@@ -244,40 +283,9 @@ def spectralflow_program(
         step_dt = dt if dt is not None else 0.4 / max(smax, 1e-12)
 
         # --- advect omega and swirl (upwind stencil par-loops) ----------
-        # The two advections share a region and access pattern, so they
-        # fuse into one tiled walk, and their ghost refreshes pack into
-        # one message per neighbour per direction.  The velocities are
-        # declared halo-0 reads (the body uses only the centre value),
-        # so — unlike the historical stencil-input formulation — they
-        # need no ghost exchange at all.
-        def advect(out: np.ndarray, q, u_r: np.ndarray, u_z: np.ndarray) -> None:
-            upwind_step(out, q, u_r, u_z, dr, dz, step_dt, nu)  # noqa: B023
-
-        new_om = omega.like()
-        new_sw = swirl.like()
-
-        def copy_field(dst: np.ndarray, src: np.ndarray) -> None:
-            dst[...] = src
-
         with mesh.fuse():
-            for field, new in ((omega, new_om), (swirl, new_sw)):
-                mesh.parloop(
-                    advect,
-                    Arg(new, WRITE),
-                    Arg(field, READ, halo=1, periodic=(False, True)),
-                    Arg(ur, READ),
-                    Arg(uz, READ),
-                    margin=(1, 0),
-                    flops_per_point=FD_FLOPS_PER_POINT / 2,
-                    label="advect",
-                )
-            for field, new in ((omega, new_om), (swirl, new_sw)):
-                mesh.parloop(
-                    copy_field,
-                    Arg(field, WRITE),
-                    Arg(new, READ),
-                    label="copy-advected",
-                )
+            for loop in advection:
+                loop()
         t += step_dt
 
     local_max = float(np.max(np.abs(omega.interior))) if omega.interior.size else 0.0

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.parfor import parfor
 from repro.apps.fftlib import fft
-from repro.apps.sorting.common import merge_sorted
+from repro.apps.sorting.common import merge_sorted, sorted_keys
 from repro.util.partition import split_evenly
 from repro.util.sampling import (
     pad_partition,
@@ -41,7 +41,7 @@ def mergesort_v1(data: np.ndarray, nprocs: int, oversample: int = 32) -> np.ndar
 
     # --- solve phase ---
     def local_sort(i: int) -> np.ndarray:
-        return np.sort(sections[i], kind="stable")
+        return sorted_keys(sections[i])
 
     sections = parfor(nprocs, local_sort)
 

@@ -347,7 +347,7 @@ def strip_ghosts(arr_with_ghosts: np.ndarray, ghost: int) -> np.ndarray:
     return arr_with_ghosts[interior(arr_with_ghosts, ghost)].copy()
 
 
-# -- exchange-plan dedup (the kernel layer's packing substrate) ---------------
+# -- the kernel layer's packing rule ----------------------------------------------
 
 def exchange_plan_key(
     local: np.ndarray,
@@ -362,6 +362,7 @@ def exchange_plan_key(
     message per neighbour per direction (``exchange_ghosts_many``).  The
     dtype is part of the key — stacking mixed dtypes would silently
     upcast the packed buffer and change the bytes on the wire.
+    (:class:`repro.kernels.plan.LoopGroup` keys each request once.)
     """
     return (
         tuple(local.shape),
@@ -370,27 +371,3 @@ def exchange_plan_key(
         tuple(periodic),
         tuple(grid.dims),
     )
-
-
-def dedup_exchange_requests(requests: list) -> list[list]:
-    """Group exchange *requests* into packable runs.
-
-    Each request is any object exposing ``local`` (the ghosted array),
-    ``cart`` (its :class:`CartGrid`), ``ghost``, and ``periodic`` — the
-    kernel layer passes its loop arguments directly.  Returns the
-    requests partitioned by :func:`exchange_plan_key`, preserving
-    first-seen order across groups and request order within one, so the
-    resulting message schedule is deterministic.  Singleton groups
-    should use the unpacked exchange (no stack/unstack copies).
-    """
-    groups: list[list] = []
-    index: dict[tuple, int] = {}
-    for req in requests:
-        key = exchange_plan_key(req.local, req.cart, req.ghost, req.periodic)
-        slot = index.get(key)
-        if slot is None:
-            index[key] = len(groups)
-            groups.append([req])
-        else:
-            groups[slot].append(req)
-    return groups

@@ -11,6 +11,8 @@ all instances.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.errors import DistributionError
@@ -37,20 +39,6 @@ _VIRTUAL_SECONDS = histogram_handle(
 
 def _intersect(a: Rect, b: Rect) -> Rect | None:
     """Intersection of two rectangles, or ``None`` when empty."""
-    if len(a) == 2:
-        # Unrolled 2-D case: the dominant shape (every rows<->cols
-        # redistribution), called P times per rank per redistribution.
-        (al0, ah0), (al1, ah1) = a
-        (bl0, bh0), (bl1, bh1) = b
-        lo0 = al0 if al0 > bl0 else bl0
-        hi0 = ah0 if ah0 < bh0 else bh0
-        if lo0 >= hi0:
-            return None
-        lo1 = al1 if al1 > bl1 else bl1
-        hi1 = ah1 if ah1 < bh1 else bh1
-        if lo1 >= hi1:
-            return None
-        return ((lo0, hi0), (lo1, hi1))
     out = []
     for (alo, ahi), (blo, bhi) in zip(a, b):
         lo, hi = max(alo, blo), min(ahi, bhi)
@@ -63,11 +51,30 @@ def _intersect(a: Rect, b: Rect) -> Rect | None:
 def _local_slices(rect: Rect, base: Rect) -> tuple[slice, ...]:
     """Slices selecting global rectangle *rect* inside a local array whose
     origin is *base*'s low corner."""
-    if len(rect) == 2:
-        (lo0, hi0), (lo1, hi1) = rect
-        (b0, _), (b1, _) = base
-        return slice(lo0 - b0, hi0 - b0), slice(lo1 - b1, hi1 - b1)
     return tuple(slice(lo - blo, hi - blo) for (lo, hi), (blo, _) in zip(rect, base))
+
+
+@lru_cache(maxsize=1024)
+def _transfers(old: Layout, new: Layout, rank: int) -> tuple[tuple, tuple]:
+    """The static half of a redistribution, for *rank*: ``sends[dest]``
+    is the global rectangle *dest* gets from this rank with the slices of
+    the old local array that hold it, ``pastes[src]`` the slices of the
+    new local array *src*'s piece fills — ``None`` where the rectangles
+    do not meet.  A pure function of two (frozen, hashable) layouts and a
+    rank, asked for again at every step of a time loop; key and result
+    hold ints and slices only, never an array."""
+    my_old, my_new = old.rect(rank), new.rect(rank)
+    sends = []
+    for dest in range(new.nranks):
+        overlap = _intersect(my_old, new.rect(dest))
+        sends.append(
+            None if overlap is None else (overlap, _local_slices(overlap, my_old))
+        )
+    pastes = []
+    for src in range(old.nranks):
+        overlap = _intersect(old.rect(src), my_new)
+        pastes.append(None if overlap is None else _local_slices(overlap, my_new))
+    return tuple(sends), tuple(pastes)
 
 
 def redistribute(
@@ -92,7 +99,6 @@ def redistribute(
             f"{comm.size}-rank communicator"
         )
     local = np.asarray(local)
-    my_old = old.rect(comm.rank)
     if local.shape != old.shape(comm.rank):
         raise DistributionError(
             f"rank {comm.rank}: local shape {local.shape} does not match "
@@ -100,16 +106,17 @@ def redistribute(
         )
 
     entry_clock = comm.clock
+    sends, pastes = _transfers(old, new, comm.rank)
     # Build one parcel per destination: list of (global_rect, block) pieces.
     outgoing: list[list[tuple[Rect, np.ndarray]] | None] = []
     parcels = 0
     parcel_bytes = 0
-    for dest in range(comm.size):
-        overlap = _intersect(my_old, new.rect(dest))
-        if overlap is None:
+    for send in sends:
+        if send is None:
             outgoing.append(None)
         else:
-            piece = np.ascontiguousarray(local[_local_slices(overlap, my_old)])
+            overlap, where = send
+            piece = np.ascontiguousarray(local[where])
             outgoing.append([(overlap, piece)])
             parcels += 1
             parcel_bytes += piece.nbytes
@@ -121,14 +128,13 @@ def redistribute(
     _PARCELS.observe(parcels)
     _VIRTUAL_SECONDS.observe(comm.clock - entry_clock)
 
-    my_new = new.rect(comm.rank)
     out = np.empty(new.shape(comm.rank), dtype=local.dtype)
     filled = 0
-    for parcel in incoming:
+    for parcel, where in zip(incoming, pastes):
         if parcel is None:
             continue
-        for rect, piece in parcel:
-            out[_local_slices(rect, my_new)] = piece
+        for _, piece in parcel:
+            out[where] = piece
             filled += piece.size
     if filled != out.size:
         raise DistributionError(

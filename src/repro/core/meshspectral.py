@@ -133,7 +133,7 @@ class MeshContext:
         return GlobalVar(self.comm, value, sync=sync)
 
     # -- grid operations --------------------------------------------------------
-    def parloop(
+    def loop(
         self,
         kernel: Kernel | Callable[..., None],
         *args: Arg,
@@ -141,30 +141,36 @@ class MeshContext:
         flops_per_point: float = 0.0,
         label: str | None = None,
         overlap: bool | None = None,
-    ) -> None:
-        """Declare one par-loop (the kernel-layer front door).
+    ) -> ParLoop:
+        """Declare one par-loop (the kernel-layer front door); calling
+        the returned :class:`~repro.kernels.ir.ParLoop` runs it.
 
         *kernel* is a :class:`~repro.kernels.ir.Kernel` (or a bare
         callable, wrapped as one) applied over the owned interior of the
         first argument's grid intersected with *margin*; *args* bind
-        grids with access modes (``Arg(grid, READ, halo=1)``, or the
-        :class:`~repro.kernels.ir.Dat` helpers).  Outside a
-        :meth:`fuse` block the loop runs immediately; inside one, loops
-        queue so adjacent compatible loops fuse and ghost exchanges
-        dedup across them.  Exchanges for declared halo reads are
-        hoisted automatically when the dat's ghosts are still valid.
+        grids with access modes (``Arg(grid, READ, halo=1)``).  Declare
+        above the time loop and call inside it: validation and everything
+        derived from the declaration happen here, once.  A called loop
+        runs at once or, inside a :meth:`fuse` block, queues so adjacent
+        compatible loops fuse and ghost exchanges dedup across them.
+        Exchanges for halo reads whose ghosts are still valid are hoisted;
+        ``overlap=None`` follows :attr:`overlap` as it stands at each run.
         """
         if not isinstance(kernel, Kernel):
             kernel = Kernel(kernel, name=label or "parloop")
-        loop = ParLoop(
+        return ParLoop(
+            self,
             kernel,
             list(args),
             margin=margin,
             flops_per_point=flops_per_point,
             label=label,
-            overlap=self.overlap if overlap is None else overlap,
+            overlap=overlap,
         )
-        self.kernels.submit(loop)
+
+    def parloop(self, kernel: Kernel | Callable[..., None], *args: Arg, **declaration) -> None:
+        """Declare a par-loop and run it once: ``mesh.loop(...)()``."""
+        self.loop(kernel, *args, **declaration)()
 
     def fuse(self):
         """Context manager batching the par-loops declared inside into
@@ -187,17 +193,14 @@ class MeshContext:
         neighbour data is read, so no exchange happens and ``out`` may
         alias an input.  (Shim: declares a pointwise par-loop.)
         """
-        self._check_compatible(out, ins)
-        args = [Arg(dat_of(out), WRITE)] + [Arg(dat_of(g), READ) for g in ins]
-        self.kernels.submit(
-            ParLoop(
-                Kernel(fn, name=label),
-                args,
-                margin=0,
-                flops_per_point=flops_per_point,
-                label=label,
-            )
-        )
+        self.loop(
+            Kernel(fn, name=label),
+            Arg(dat_of(out), WRITE),
+            *(Arg(dat_of(g), READ) for g in ins),
+            flops_per_point=flops_per_point,
+            label=label,
+            overlap=False,
+        )()
 
     @_instrumented
     def stencil_op(
@@ -234,13 +237,7 @@ class MeshContext:
         width; blocking mode requests corner-correct serialised
         exchanges, matching the historical semantics exactly.)
         """
-        self._check_compatible(out, ins)
         for g in ins:
-            if g.local is out.local:
-                raise ArchetypeError(
-                    "grid operations reading neighbours require output "
-                    "disjoint from inputs (paper §3.1)"
-                )
             if g.ghost < 1:
                 raise ArchetypeError(
                     f"stencil input grid has ghost width {g.ghost}; need >= 1"
@@ -263,16 +260,14 @@ class MeshContext:
                     corners=not use_overlap,
                 )
             )
-        self.kernels.submit(
-            ParLoop(
-                Kernel(fn, name=label),
-                args,
-                margin=margin,
-                flops_per_point=flops_per_point,
-                label=label,
-                overlap=use_overlap,
-            )
-        )
+        self.loop(
+            Kernel(fn, name=label),
+            *args,
+            margin=margin,
+            flops_per_point=flops_per_point,
+            label=label,
+            overlap=use_overlap,
+        )()
 
     @_instrumented
     def overlapped_update(
@@ -316,9 +311,7 @@ class MeshContext:
         """
         if not ins:
             raise ArchetypeError("overlapped_update needs at least one grid")
-        first = ins[0]
-        self._check_compatible(first, tuple(ins[1:]))
-        ghost = first.ghost
+        ghost = ins[0].ghost
         for g in ins:
             if g.ghost != ghost:
                 raise ArchetypeError(
@@ -341,17 +334,15 @@ class MeshContext:
         ]
         if writes is not None:
             args.extend(Arg(dat_of(g), WRITE) for g in writes)
-        self.kernels.submit(
-            ParLoop(
-                RegionKernel(apply, name=label),
-                args,
-                margin=0,
-                flops_per_point=flops_per_point,
-                label=label,
-                overlap=use_overlap,
-                writes_undeclared=writes is None,
-            )
-        )
+        # a region kernel that declares no write is one whose write set
+        # is unknown: ParLoop derives that from the arguments
+        self.loop(
+            RegionKernel(apply, name=label),
+            *args,
+            flops_per_point=flops_per_point,
+            label=label,
+            overlap=use_overlap,
+        )()
 
     # -- row / column operations ---------------------------------------------------
     def _require_whole_axis(self, grid: DistGrid, axis: int, what: str) -> None:
@@ -498,7 +489,10 @@ class MeshContext:
     def max_abs_diff(self, a: DistGrid, b: DistGrid) -> float:
         """Convergence helper: global max |a - b| over owned interiors."""
         self.kernels.flush()
-        self._check_compatible(a, (b,))
+        if a.layout.rects != b.layout.rects:
+            raise ArchetypeError(
+                "grids in one operation must share a distribution; redistribute first"
+            )
         sec_a, sec_b = a.interior, b.interior
         self.comm.charge(2.0 * sec_a.size, label="max_abs_diff", working_set_bytes=self.working_set)
         local = float(np.max(np.abs(sec_a - sec_b))) if sec_a.size else float("-inf")
@@ -596,14 +590,6 @@ class MeshContext:
         """Charge extra analytic work to this rank's virtual clock."""
         self.kernels.flush()
         self.comm.charge(flops, label=label, working_set_bytes=self.working_set)
-
-    def _check_compatible(self, out: DistGrid, ins: tuple[DistGrid, ...]) -> None:
-        for g in ins:
-            if g.layout.rects != out.layout.rects:
-                raise ArchetypeError(
-                    "grids in one operation must share a distribution; "
-                    "redistribute first"
-                )
 
 
 class MeshProgram(Archetype):

@@ -135,9 +135,15 @@ class Arg:
     no write declarations, so ghost validity cannot be tracked across
     calls; *corners* demands the serialised blocking exchange whose
     corner ghosts are correct (box stencils).
+
+    Derived here: *needs_exchange* (the planner owes a ghost refresh) and
+    *ghost_key* (two refreshes with equal keys are interchangeable).
     """
 
-    __slots__ = ("dat", "mode", "halo", "periodic", "edges", "exchange", "fresh", "corners")
+    __slots__ = (
+        "dat", "mode", "halo", "periodic", "edges", "exchange", "fresh", "corners",
+        "needs_exchange", "ghost_key",
+    )  # fmt: skip
 
     def __init__(
         self,
@@ -171,34 +177,12 @@ class Arg:
         self.exchange = exchange
         self.fresh = fresh
         self.corners = corners
+        self.needs_exchange = mode.reads and halo > 0 and exchange
+        self.ghost_key = (self.periodic, edges, corners)
 
     @property
     def grid(self) -> DistGrid:
         return self.dat.grid
-
-    # duck-typed exchange-request surface consumed by
-    # repro.comm.boundary.dedup_exchange_requests
-    @property
-    def local(self) -> np.ndarray:
-        return self.dat.grid.local
-
-    @property
-    def cart(self) -> Any:
-        return self.dat.grid.cart
-
-    @property
-    def ghost(self) -> int:
-        return self.dat.grid.ghost
-
-    @property
-    def needs_exchange(self) -> bool:
-        """True when this argument asks the planner for a ghost refresh."""
-        return self.mode.reads and self.halo > 0 and self.exchange
-
-    @property
-    def ghost_key(self) -> tuple:
-        """Validity key: two refreshes with equal keys are interchangeable."""
-        return (self.periodic, self.edges, self.corners)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Arg({self.mode.name}, halo={self.halo})"
@@ -313,34 +297,28 @@ class ExprKernel(Kernel):
 class ParLoop:
     """One declared parallel loop: kernel + args + iteration region.
 
-    The region is the owned interior of the first argument's grid
-    intersected with *margin* cells from the **global** edge (matching
-    ``stencil_op``).  Loops are queued by the engine and executed in
-    groups; *overlap* is the resolved exchange mode (the context default
-    already applied).  *writes_undeclared* marks legacy region kernels
-    whose write set is unknown — they fuse with nothing and bump the
-    validity epoch.
+    Built by :meth:`repro.core.meshspectral.MeshContext.loop`, above the
+    time loop; calling it submits it to its mesh's engine, any number of
+    times.  Declaration validates and derives what depends only on what
+    was declared: the *region* — the owned interior of the first
+    argument's grid intersected with *margin* cells from the **global**
+    edge (matching ``stencil_op``) — *halo_max*, the dats it *writes*,
+    and *writes_undeclared*: a region kernel declaring no write
+    (``overlapped_update`` without ``writes=``) writes what the planner
+    cannot see, so it fuses with nothing and bumps the validity epoch.
+    Ghost validity and ``overlap=None`` (the mesh's default) are state,
+    read at every run.
     """
-
-    __slots__ = (
-        "kernel",
-        "args",
-        "region",
-        "flops_per_point",
-        "label",
-        "overlap",
-        "writes_undeclared",
-    )
 
     def __init__(
         self,
+        mesh: Any,
         kernel: Kernel,
         args: list[Arg],
         margin: int | tuple[int, ...] = 0,
         flops_per_point: float = 0.0,
         label: str | None = None,
-        overlap: bool = False,
-        writes_undeclared: bool = False,
+        overlap: bool | None = None,
     ):
         if not args:
             raise ArchetypeError("a par-loop needs at least one argument")
@@ -353,33 +331,45 @@ class ParLoop:
                 )
         # §3.1: an output may never alias a stencil (halo > 0) input.
         writes = [a for a in args if a.mode.writes]
-        for a in args:
-            if a.halo > 0 and any(w.grid.local is a.grid.local for w in writes):
+        halo_reads = [a for a in args if a.halo > 0]
+        for a in halo_reads:
+            if any(w.grid.local is a.grid.local for w in writes):
                 raise ArchetypeError(
                     "grid operations reading neighbours require output "
                     "disjoint from inputs (paper §3.1)"
                 )
         if kernel.kind == "views":
-            for a in args:
-                if a.mode is not READ and a.halo > 0:
+            for a in halo_reads:
+                if a.mode is not READ:
                     raise ArchetypeError(
                         "non-READ view arguments must be pointwise (halo 0)"
                     )
+        self.mesh = mesh
         self.kernel = kernel
         self.args = args
         self.region = anchor.interior_intersection(margin)
+        self.halo_max = max([a.halo for a in halo_reads], default=0)
+        self.writes = [a.dat for a in writes]
         self.flops_per_point = float(flops_per_point)
         self.label = label or kernel.name
         self.overlap = overlap
-        self.writes_undeclared = writes_undeclared
+        self.writes_undeclared = kernel.kind == "region" and not writes
+        #: submissions so far; the engine keeps a plan from the second on
+        self.runs = 0
 
-    @property
-    def halo_max(self) -> int:
-        return max((a.halo for a in self.args), default=0)
+    def __call__(self) -> None:
+        """Submit the loop: it runs now, or when an open ``mesh.fuse()`` ends."""
+        self.mesh.kernels.submit(self)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.args[0].grid.interior.shape
+        """The owned section's shape (what a deep/shell split measures)."""
+        return self.args[0].grid.owned_shape()
+
+    @property
+    def overlapped(self) -> bool:
+        """The exchange mode a run submitted now would use."""
+        return self.mesh.overlap if self.overlap is None else self.overlap
 
 
 class StencilView:

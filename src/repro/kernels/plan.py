@@ -30,55 +30,83 @@ nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from repro.comm.boundary import dedup_exchange_requests
-from repro.kernels.ir import Arg, Dat, ParLoop
+from repro.comm.boundary import exchange_plan_key
+from repro.kernels.ir import Arg, Dat, ParLoop, region_size, split_deep_shell
 
 
-@dataclass
+@lru_cache(maxsize=1024)
+def _phase_points(
+    bounds: tuple[tuple[int, int], ...], ghost: int, shape: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Point counts of an overlapped group's charge phases: the deep
+    tile first, then each shell tile (:func:`split_deep_shell` order).
+    *bounds* are the region's ``(start, stop)`` pairs (slices do not
+    hash).  Geometry only: the shims' one-shot loops share it here."""
+    deep, shells = split_deep_shell(
+        tuple(slice(lo, hi) for lo, hi in bounds), ghost, shape
+    )
+    return (region_size(deep), *(region_size(tile) for tile in shells))
+
+
 class LoopGroup:
-    """Adjacent loops that execute as one fused region walk."""
+    """Adjacent loops that execute as one fused region walk.
 
-    loops: list[ParLoop]
+    A pure function of its loops' declarations and of *overlap*, the
+    exchange mode they resolved to when it was built, so everything here
+    is derived once — and the engine keeps the groups of a loop sequence
+    it is handed again (:meth:`repro.kernels.runtime.KernelEngine.flush`).
+    Ghost validity is not in here: :func:`plan_exchanges` reads it at
+    every run.  *requests* are the ghost refreshes the group may need,
+    one per distinct (dat, ghost key) in first-seen order — a refresh
+    serves every reader — each with the geometry key it packs under;
+    *charges* the ``(flops per point, label)`` of every charging loop, in
+    declaration order; *walks* the engine's walks, by fusion mode.
+    """
 
-    @property
-    def region(self) -> tuple[slice, ...]:
-        return self.loops[0].region
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.loops[0].shape
-
-    @property
-    def overlap(self) -> bool:
-        return self.loops[0].overlap
-
-    @property
-    def halo_max(self) -> int:
-        return max(loop.halo_max for loop in self.loops)
-
-    @property
-    def writes(self) -> list[Dat]:
-        out: list[Dat] = []
-        for loop in self.loops:
+    def __init__(self, loops: list[ParLoop], overlap: bool):
+        self.loops = loops
+        self.overlap = overlap
+        self.region = loops[0].region
+        self.points = region_size(self.region)
+        self.writes: list[Dat] = [dat for loop in loops for dat in loop.writes]
+        self.writes_undeclared = any(loop.writes_undeclared for loop in loops)
+        first: dict[tuple, Arg] = {}
+        for loop in loops:
             for a in loop.args:
-                if a.mode.writes and a.dat not in out:
-                    out.append(a.dat)
-        return out
+                if a.needs_exchange:
+                    first.setdefault((id(a.dat), a.ghost_key), a)
+        self.requests = [
+            (a, exchange_plan_key(a.grid.local, a.grid.cart, a.grid.ghost, a.periodic))
+            for a in first.values()
+        ]
+        self.charges = [
+            (loop.flops_per_point, loop.label) for loop in loops if loop.flops_per_point
+        ]
+        self.walks: dict[bool, tuple] = {}
+        #: an overlapped run's charge phases: deep points, then each shell's
+        self.phase_points: tuple[int, ...] = ()
+        if overlap and self.requests:
+            self.phase_points = _phase_points(
+                tuple((s.start, s.stop) for s in self.region),
+                max(1, *(loop.halo_max for loop in loops)),
+                loops[0].shape,
+            )
 
 
-def can_fuse(group: LoopGroup, loop: ParLoop) -> bool:
-    """May *loop* join *group* (tile-interleaved execution stays
-    bitwise-identical to loop-by-loop execution)?"""
-    head = group.loops[0]
-    if loop.writes_undeclared or any(p.writes_undeclared for p in group.loops):
+def can_fuse(group: list[ParLoop], loop: ParLoop) -> bool:
+    """May *loop* join the loops of *group* (tile-interleaved execution
+    stays bitwise-identical to loop-by-loop execution)?"""
+    head = group[0]
+    if loop.writes_undeclared or any(p.writes_undeclared for p in group):
         return False
     if loop.region != head.region or loop.shape != head.shape:
         return False
-    if loop.overlap != head.overlap:
+    if loop.overlapped != head.overlapped:
         return False
-    for prev in group.loops:
-        prev_writes = {id(a.dat) for a in prev.args if a.mode.writes}
+    for prev in group:
+        prev_writes = {id(dat) for dat in prev.writes}
         prev_halo_reads = {id(a.dat) for a in prev.args if a.mode.reads and a.halo > 0}
         for a in loop.args:
             if a.mode.reads and a.halo > 0 and id(a.dat) in prev_writes:
@@ -93,18 +121,18 @@ def build_groups(loops: list[ParLoop]) -> list[LoopGroup]:
     legal, else starts a new one.  Order is preserved — groups never
     reorder loops, so unfused execution is exactly the declared
     sequence."""
-    groups: list[LoopGroup] = []
+    groups: list[list[ParLoop]] = []
     for loop in loops:
         if groups and can_fuse(groups[-1], loop):
-            groups[-1].loops.append(loop)
+            groups[-1].append(loop)
         else:
-            groups.append(LoopGroup([loop]))
-    return groups
+            groups.append([loop])
+    return [LoopGroup(group, group[0].overlapped) for group in groups]
 
 
 @dataclass
 class ExchangePlan:
-    """The ghost refreshes one group performs.
+    """The ghost refreshes one run of a group performs.
 
     *packs* are lists of same-geometry args combined into one
     ``exchange_ghosts_many`` (one message per neighbour per direction
@@ -126,40 +154,27 @@ class ExchangePlan:
         return not self.packs and not self.serial
 
 
-def plan_packs(args: list[Arg]) -> list[list[Arg]]:
-    """Combine exchange requests into packed-message groups.
-
-    Args pack together when their arrays stack (same local shape, dtype,
-    ghost width) and their exchanges coincide (same periodicity, same
-    process grid) — :func:`repro.comm.boundary.dedup_exchange_requests`
-    holds the geometry rule.  First-seen order is preserved both across
-    packs and within one, so the message schedule is deterministic.
-    """
-    return dedup_exchange_requests(args)
-
-
 def plan_exchanges(group: LoopGroup, epoch: int) -> ExchangePlan:
-    """Derive the group's exchange plan against the current validity
-    *epoch* (see :class:`repro.kernels.runtime.KernelEngine`)."""
+    """This run's exchange plan: the group's requests checked against
+    the current validity *epoch* (see
+    :class:`repro.kernels.runtime.KernelEngine`).  Due requests pack
+    together when their arrays stack and their exchanges coincide
+    (:func:`repro.comm.boundary.exchange_plan_key`); first-seen order is
+    kept across packs and within one, so the message schedule is
+    deterministic."""
     plan = ExchangePlan()
-    needed: list[Arg] = []
-    seen: set[tuple[int, tuple]] = set()
-    for loop in group.loops:
-        for a in loop.args:
-            if not a.needs_exchange:
-                continue
-            ident = (id(a.dat), a.ghost_key)
-            if ident in seen:
-                continue  # within-group dedup: one refresh serves all readers
-            seen.add(ident)
-            if not a.fresh and a.dat.clean.get(a.ghost_key) == epoch:
+    packs: dict[tuple, list[Arg]] = {}
+    for a, pack_key in group.requests:
+        if not a.fresh:
+            if a.dat.clean.get(a.ghost_key) == epoch:
                 plan.hoisted += 1
                 continue
-            needed.append(a)
-            if not a.fresh:
-                plan.performed.append((a.dat, a.ghost_key))
-            if a.edges is not None:
-                plan.fills.append(a)
-    plan.serial = [a for a in needed if a.corners]
-    plan.packs = plan_packs([a for a in needed if not a.corners])
+            plan.performed.append((a.dat, a.ghost_key))
+        if a.corners:
+            plan.serial.append(a)
+        else:
+            packs.setdefault(pack_key, []).append(a)
+        if a.edges is not None:
+            plan.fills.append(a)
+    plan.packs = list(packs.values())
     return plan

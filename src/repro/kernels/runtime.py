@@ -1,13 +1,24 @@
 """The par-loop execution engine: queueing, fusion, exchange hoisting.
 
 One :class:`KernelEngine` lives on each rank's ``MeshContext``.  Loops
-submitted via :meth:`KernelEngine.submit` execute immediately unless a
-``with engine.fuse():`` block is open, in which case they queue and
+submitted via :meth:`KernelEngine.submit` (calling a declared
+:class:`~repro.kernels.ir.ParLoop` does that) execute immediately unless
+a ``with engine.fuse():`` block is open, in which case they queue and
 flush together at block exit — giving the planner a window of adjacent
 loops to fuse and a wider scope for exchange dedup.  All state (queue,
-validity epoch, fuse depth) is per rank: under the threads backend every
-rank shares one process, and any cross-rank sharing here would let one
-rank's writes perturb another rank's message pattern.
+validity epoch, fuse depth, remembered plans) is per rank: under the
+threads backend every rank shares one process, and any cross-rank
+sharing here would let one rank's writes perturb another rank's message
+pattern.
+
+**Planned once, run many times.**  What follows from the declarations
+alone — grouping, exchange requests and pack keys, charges, phase point
+counts, row tiles, the views each body is called on — is derived when a
+:class:`~repro.kernels.plan.LoopGroup` is built, and the engine keeps
+the groups of every sequence of loops it is handed again (a time loop
+submits the same loop objects every sweep).  State is read at every run:
+which ghosts are valid (``dat.clean`` against the epoch), the mesh's
+overlap default, the fusion switch.
 
 **A group is walked twice: once for the virtual clock, once for the
 values.**  The *accounting walk* is the modelled machine's schedule —
@@ -47,7 +58,6 @@ from __future__ import annotations
 
 import contextlib
 from collections.abc import Iterator
-from functools import lru_cache
 
 from repro.comm.boundary import (
     exchange_ghosts,
@@ -55,12 +65,7 @@ from repro.comm.boundary import (
     exchange_ghosts_many_start,
     exchange_ghosts_start,
 )
-from repro.kernels.ir import (
-    ParLoop,
-    build_views,
-    region_size,
-    split_deep_shell,
-)
+from repro.kernels.ir import ParLoop, build_views, region_size
 from repro.kernels.plan import LoopGroup, build_groups, plan_exchanges
 from repro.obs.metrics import counter_handle
 
@@ -116,21 +121,6 @@ def fusion_forced(flag: bool) -> Iterator[None]:
         _fusion_enabled = previous
 
 
-@lru_cache(maxsize=1024)
-def _phase_points(
-    bounds: tuple[tuple[int, int], ...], ghost: int, shape: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Point counts of an overlapped group's charge phases: the deep
-    tile first, then each shell tile (:func:`split_deep_shell` order).
-    *bounds* are the region's ``(start, stop)`` pairs — slices do not
-    hash — and the result is geometry only, so it is derived once per
-    distinct region instead of once per sweep."""
-    deep, shells = split_deep_shell(
-        tuple(slice(lo, hi) for lo, hi in bounds), ghost, shape
-    )
-    return (region_size(deep), *(region_size(tile) for tile in shells))
-
-
 def _row_tiles(
     region: tuple[slice, ...], group: LoopGroup
 ) -> list[tuple[slice, ...]]:
@@ -156,6 +146,28 @@ def _row_tiles(
     ]
 
 
+def _walk(group: LoopGroup, fused: bool) -> tuple[int, list[tuple]]:
+    """The group's execution walk in one fusion mode — ``(tile count,
+    [(body, views), ...])``, tile-major; row tiles when *fused*, else the
+    whole region — built on first use and kept on the group: the views
+    are of ``grid.local``, which a grid never rebinds, so they stay valid."""
+    walk = group.walks.get(fused)
+    if walk is None:
+        tiles = _row_tiles(group.region, group) if fused else [group.region]
+        walk = group.walks[fused] = (
+            len(tiles),
+            [
+                (
+                    loop.kernel.fn,
+                    (tile,) if loop.kernel.kind == "region" else tuple(build_views(loop, tile)),
+                )
+                for tile in tiles
+                for loop in group.loops
+            ],
+        )
+    return walk
+
+
 class KernelEngine:
     """Per-rank par-loop queue, planner driver, and executor."""
 
@@ -167,18 +179,25 @@ class KernelEngine:
         #: write set runs, invalidating every dat's ghost cleanliness
         #: (a raw write could have hit any grid).
         self.epoch = 0
+        #: the groups of every flushed sequence of loops that had all run
+        #: before, by ``(mesh.overlap, *loops)``.  A sequence holding a
+        #: loop on its first run (every ``mesh.parloop`` call) is planned
+        #: and forgotten, so one-shot loops leave nothing behind; what is
+        #: kept dies with this rank's program.
+        self._plans: dict[tuple, list[LoopGroup]] = {}
 
     # -- submission -----------------------------------------------------------
     def submit(self, loop: ParLoop) -> None:
         """Queue one loop; executes immediately outside a fuse block."""
         _LOOPS.inc()
+        loop.runs += 1
         self.queue.append(loop)
         if self._fuse_depth == 0:
             self.flush()
 
     @contextlib.contextmanager
     def fuse(self) -> Iterator[None]:
-        """Batch the loops declared inside the block into one flush, so
+        """Batch the loops submitted inside the block into one flush, so
         adjacent compatible loops fuse and exchanges dedup across them."""
         self._fuse_depth += 1
         try:
@@ -189,11 +208,19 @@ class KernelEngine:
                 self.flush()
 
     def flush(self) -> None:
-        """Plan and execute every queued loop, in declaration order."""
+        """Plan (or recall the plan of) and execute every queued loop, in
+        submission order."""
         if not self.queue:
             return
         loops, self.queue = self.queue, []
-        for group in build_groups(loops):
+        if any(loop.runs == 1 for loop in loops):
+            groups = build_groups(loops)
+        else:
+            key = (self.mesh.overlap, *loops)
+            groups = self._plans.get(key)
+            if groups is None:
+                groups = self._plans[key] = build_groups(loops)
+        for group in groups:
             self._run_group(group)
 
     # -- write tracking for non-kernel operations -----------------------------
@@ -211,74 +238,45 @@ class KernelEngine:
         _GROUPS.inc()
         if plan.hoisted:
             _EXCHANGES_HOISTED.inc(plan.hoisted)
-        region = group.region
-        use_overlap = group.overlap and not plan.empty
-        if use_overlap:
-            handles = []
-            for a in plan.serial:
-                # corner-correct requests never reach the overlap path
-                # (legacy shims request corners only in blocking mode),
-                # but stay safe if one does: exchange before compute.
-                exchange_ghosts(comm, a.local, a.cart, a.ghost, a.periodic)
-                _EXCHANGES.inc()
-            for pack in plan.packs:
-                first = pack[0]
-                if len(pack) == 1:
-                    handles.append(
-                        exchange_ghosts_start(
-                            comm, first.local, first.cart, first.ghost, first.periodic
-                        )
-                    )
+        overlapped = group.overlap and not plan.empty
+        for a in plan.serial:
+            # corner-correct requests never reach the overlap path
+            # (legacy shims request corners only in blocking mode), but
+            # stay safe if one does: exchange before compute.
+            exchange_ghosts(comm, a.grid.local, a.grid.cart, a.grid.ghost, a.periodic)
+        handles = []
+        for pack in plan.packs:
+            grid = pack[0].grid
+            where = (grid.cart, grid.ghost, pack[0].periodic)
+            if len(pack) > 1:
+                arrays = [a.grid.local for a in pack]
+                if overlapped:
+                    handles.append(exchange_ghosts_many_start(comm, arrays, *where))
                 else:
-                    handles.append(
-                        exchange_ghosts_many_start(
-                            comm,
-                            [a.local for a in pack],
-                            first.cart,
-                            first.ghost,
-                            first.periodic,
-                        )
-                    )
-                    _DATS_PACKED.inc(len(pack))
-                _EXCHANGES.inc()
-            for a in plan.fills:
-                # physical-edge ghosts have no neighbour; filling them
-                # does not race the in-flight slabs.
-                a.grid.fill_edge_ghosts(a.edges)
-            deep_points, *shell_points = _phase_points(
-                tuple((s.start, s.stop) for s in region),
-                max(group.halo_max, 1),
-                group.shape,
-            )
+                    exchange_ghosts_many(comm, arrays, *where)
+                _DATS_PACKED.inc(len(pack))
+            elif overlapped:
+                handles.append(exchange_ghosts_start(comm, grid.local, *where))
+            else:
+                exchange_ghosts(comm, grid.local, *where)
+        if not plan.empty:
+            _EXCHANGES.inc(len(plan.serial) + len(plan.packs))
+        for a in plan.fills:
+            # physical-edge ghosts have no neighbour; filling them does
+            # not race in-flight slabs.
+            a.grid.fill_edge_ghosts(a.edges)
+        if overlapped:
+            # the overlapped pipeline: deep cells (whose stencil reads
+            # stay in owned data) while the slabs travel, then the shells
+            deep_points, *shell_points = group.phase_points
             self._charge_phase(group, deep_points)
             for handle in handles:
                 handle.wait()
             for npoints in shell_points:
                 self._charge_phase(group, npoints)
         else:
-            for a in plan.serial:
-                exchange_ghosts(comm, a.local, a.cart, a.ghost, a.periodic)
-                _EXCHANGES.inc()
-            for pack in plan.packs:
-                first = pack[0]
-                if len(pack) == 1:
-                    exchange_ghosts(
-                        comm, first.local, first.cart, first.ghost, first.periodic
-                    )
-                else:
-                    exchange_ghosts_many(
-                        comm,
-                        [a.local for a in pack],
-                        first.cart,
-                        first.ghost,
-                        first.periodic,
-                    )
-                    _DATS_PACKED.inc(len(pack))
-                _EXCHANGES.inc()
-            for a in plan.fills:
-                a.grid.fill_edge_ghosts(a.edges)
-            self._charge_phase(group, region_size(region))
-        self._execute(group, region)
+            self._charge_phase(group, group.points)
+        self._execute(group)
         # Post-state: refreshed dats are clean at this epoch, written
         # dats are dirty (clean marks land first, so a dat both read and
         # written in the group correctly ends dirty).
@@ -286,7 +284,7 @@ class KernelEngine:
             dat.clean[key] = self.epoch
         for dat in group.writes:
             dat.clean.clear()
-        if any(loop.writes_undeclared for loop in group.loops):
+        if group.writes_undeclared:
             self.epoch += 1
 
     def _charge_phase(self, group: LoopGroup, npoints: int) -> None:
@@ -301,33 +299,19 @@ class KernelEngine:
             return
         comm = self.mesh.comm
         working_set = self.mesh.working_set
-        for loop in group.loops:
-            if loop.flops_per_point:
-                comm.charge(
-                    loop.flops_per_point * npoints,
-                    label=loop.label,
-                    working_set_bytes=working_set,
-                )
+        for flops_per_point, label in group.charges:
+            comm.charge(flops_per_point * npoints, label=label, working_set_bytes=working_set)
 
-    def _execute(self, group: LoopGroup, region: tuple[slice, ...]) -> None:
-        """The execution walk: run every group body over *region*, row
+    def _execute(self, group: LoopGroup) -> None:
+        """The execution walk: run every group body over the region, row
         block by row block, after all of the group's charges and waits."""
-        if region_size(region) == 0:
+        if group.points == 0:
             return
-        tiles = [region]
-        if fusion_enabled():
-            tiles = _row_tiles(region, group)
-            _TILES.inc(len(tiles))
-            interleaved = len(group.loops)
-            if interleaved > 1:
-                _LOOPS_FUSED.inc(interleaved)
-        for tile in tiles:
-            for loop in group.loops:
-                self._run_body(loop, tile)
-
-    def _run_body(self, loop: ParLoop, region: tuple[slice, ...]) -> None:
-        kernel = loop.kernel
-        if kernel.kind == "region":
-            kernel.fn(region)
-            return
-        kernel.fn(*build_views(loop, region))
+        fused = fusion_enabled()
+        ntiles, calls = _walk(group, fused)
+        if fused:
+            _TILES.inc(ntiles)
+            if len(group.loops) > 1:
+                _LOOPS_FUSED.inc(len(group.loops))
+        for fn, views in calls:
+            fn(*views)

@@ -14,6 +14,24 @@ from collections.abc import Sequence
 import numpy as np
 
 
+def sort_keys(keys: np.ndarray) -> None:
+    """Sort *keys* in place, into the order a stable sort gives them.
+
+    Bool and integer keys take NumPy's default sort: equal integers are
+    indistinguishable, so every correct sort returns the same bytes, the
+    default one several times sooner than timsort.  Other dtypes keep the
+    stable sort: signed zeros, NaN payloads, equal records are observable.
+    """
+    keys.sort(kind=None if keys.dtype.kind in "biu" else "stable")
+
+
+def sorted_keys(a: np.ndarray) -> np.ndarray:
+    """A sorted copy of *a*, byte for byte ``np.sort(a, kind="stable")``."""
+    out = np.array(a)
+    sort_keys(out)
+    return out
+
+
 def regular_sample(sorted_local: np.ndarray, s: int) -> np.ndarray:
     """Return ``s`` evenly spaced samples from a locally sorted array.
 
@@ -36,7 +54,7 @@ def splitters_from_samples(samples: np.ndarray, p: int) -> np.ndarray:
     fewer samples than requested splitters, duplicates are allowed (some
     destination parts then receive no data, which is legal).
     """
-    pooled = np.sort(np.asarray(samples).ravel(), kind="stable")
+    pooled = sorted_keys(np.asarray(samples).ravel())
     m = pooled.shape[0]
     if p <= 1 or m == 0:
         return pooled[:0]

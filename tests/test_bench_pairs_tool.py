@@ -93,3 +93,64 @@ class TestSummarise:
         summary, broken = bench_pairs.summarise(rows, ["w"], _DECLARED)
         assert not broken and summary["w"]["crashed_pairs"] == []
         assert summary["w"]["metrics"]["run_s"]["verdict"] == "same"
+
+
+def _artifact(values: dict[str, list[float | None]], workload: str = "sim_comm") -> dict:
+    rows = [{**row, "workload": workload} for row in _rows(values)]
+    summary, _ = bench_pairs.summarise(rows, [workload], _DECLARED)
+    return {"base": "0123456789abcdef", "summary": summary, "rows": rows}
+
+
+class TestTrajectory:
+    """One row per artifact, appended below whatever the file holds."""
+
+    def test_row_holds_commits_date_and_the_headline_medians(self):
+        better = _artifact({"base": [1.0, 1.1, 1.2, 1.1], "change": [0.5, 0.4, 0.6, 0.55]})
+        row = bench_pairs.trajectory_row("BENCH_PRn_pairs", better, "fedcba9+", "2026-10-03")
+        assert row.endswith("|\n") and row.count("\n") == 1
+        cells = [c.strip() for c in row.strip().strip("|").split("|")]
+        # sim_comm run_s is the first headline column; the others were not run
+        assert cells == [
+            "`BENCH_PRn_pairs`", "2026-10-03", "0123456 → fedcba9+", "**1.1 → 0.525**", "—", "—", "—",
+        ]  # fmt: skip
+        same = _artifact({"base": [1.0, 1.1, 1.2], "change": [1.0, 1.1, 1.2]})
+        assert "| 1.1 → 1.1 |" in bench_pairs.trajectory_row("x", same, "c", "d")
+
+    def test_crashed_pairs_are_told_in_the_cell(self, capsys):
+        partly = _artifact({"base": [1.0, None, 1.2, 1.1], "change": [0.5, 0.4, 0.6, 0.55]})
+        assert "→ 0.55** (1 pair(s) crashed) |" in bench_pairs.trajectory_row("x", partly, "c", "d")
+        wholly = _artifact({"base": [None], "change": [0.5]})
+        assert "| — (1 pair(s) crashed) |" in bench_pairs.trajectory_row("x", wholly, "c", "d")
+
+    def test_append_never_rewrites(self, tmp_path):
+        path = tmp_path / "BENCH_TRAJECTORY.md"
+        bench_pairs.append_trajectory(path, "| first |\n")
+        head = path.read_text()
+        assert head.startswith("# Perf trajectory") and head.endswith("|---|\n| first |\n")
+        path.write_text(head + "a line someone added by hand\n")
+        bench_pairs.append_trajectory(path, "| second |\n")
+        assert path.read_text() == head + "a line someone added by hand\n| second |\n"
+
+    def test_from_artifact_runs_nothing_and_appends(self, tmp_path):
+        artifact = _artifact({"base": [1.0, 1.1, 1.2], "change": [1.0, 1.1, 1.2]})
+        artifact.update(change="abc1234", date="2026-01-02")
+        (tmp_path / "BENCH_PRn_pairs.json").write_text(json.dumps(artifact))
+        out = tmp_path / "T.md"
+        argv = ["--from-artifact", str(tmp_path / "BENCH_PRn_pairs.json"), "--trajectory", str(out)]
+        assert bench_pairs.main(argv) == 0 and bench_pairs.main(argv) == 0
+        lines = out.read_text().splitlines()
+        assert lines[-1] == lines[-2] and lines[-1].startswith(
+            "| `BENCH_PRn_pairs` | 2026-01-02 | 0123456 → abc1234 | 1.1 → 1.1 |"
+        )
+
+    def test_the_committed_file_is_what_the_artifacts_say(self):
+        """BENCH_TRAJECTORY.md holds, in order, the row of every committed
+        ``BENCH_PR*_pairs.json`` (cells only: provenance comes from git)."""
+        root = Path(bench_pairs.ROOT)
+        table = (root / "BENCH_TRAJECTORY.md").read_text()
+        assert table.startswith(bench_pairs._TRAJECTORY_HEAD)
+        rows = table[len(bench_pairs._TRAJECTORY_HEAD) :].splitlines()
+        for path in sorted(root.glob("BENCH_PR*_pairs.json"), key=lambda p: int(p.stem[8:-6])):
+            expected = bench_pairs.trajectory_row(path.stem, json.loads(path.read_text()), "c", "d")
+            mine = [r for r in rows if r.startswith(f"| `{path.stem}` |")]
+            assert len(mine) == 1 and mine[0].split(" | ")[3:] == expected.rstrip("\n").split(" | ")[3:]

@@ -23,9 +23,8 @@ from repro.kernels import (
     WRITE,
     Arg,
     ExprKernel,
-    Kernel,
-    ParLoop,
     Ref,
+    RegionKernel,
     build_groups,
     fusion_forced,
 )
@@ -108,9 +107,9 @@ def _loops_for_grouping(mesh):
     def body(*views):
         pass
 
-    read_a = ParLoop(Kernel(body), [Arg(b, WRITE), Arg(a, READ, halo=1)])
-    write_a = ParLoop(Kernel(body), [Arg(a, WRITE), Arg(c, READ)])
-    read_a_again = ParLoop(Kernel(body), [Arg(c, WRITE), Arg(a, READ, halo=1)])
+    read_a = mesh.loop(body, Arg(b, WRITE), Arg(a, READ, halo=1))
+    write_a = mesh.loop(body, Arg(a, WRITE), Arg(c, READ))
+    read_a_again = mesh.loop(body, Arg(c, WRITE), Arg(a, READ, halo=1))
     return [read_a, write_a, read_a_again]
 
 
@@ -136,9 +135,9 @@ class TestFusionLegality:
                 pass
 
             loops = [
-                ParLoop(Kernel(body), [Arg(b, WRITE), Arg(a, READ)]),
-                ParLoop(Kernel(body), [Arg(a, WRITE), Arg(b, READ)]),
-                ParLoop(Kernel(body), [Arg(a, RW), Arg(b, RW)]),
+                mesh.loop(body, Arg(b, WRITE), Arg(a, READ)),
+                mesh.loop(body, Arg(a, WRITE), Arg(b, READ)),
+                mesh.loop(body, Arg(a, RW), Arg(b, RW)),
             ]
             return [len(g.loops) for g in build_groups(loops)]
 
@@ -154,8 +153,8 @@ class TestFusionLegality:
                 pass
 
             loops = [
-                ParLoop(Kernel(body), [Arg(b, WRITE), Arg(a, READ)], margin=0),
-                ParLoop(Kernel(body), [Arg(b, WRITE), Arg(a, READ)], margin=1),
+                mesh.loop(body, Arg(b, WRITE), Arg(a, READ), margin=0),
+                mesh.loop(body, Arg(b, WRITE), Arg(a, READ), margin=1),
             ]
             return [len(g.loops) for g in build_groups(loops)]
 
@@ -170,10 +169,10 @@ class TestFusionLegality:
             def body(*views):
                 pass
 
-            declared = ParLoop(Kernel(body), [Arg(b, WRITE), Arg(a, READ)])
-            legacy = ParLoop(
-                Kernel(body), [Arg(b, WRITE), Arg(a, READ)], writes_undeclared=True
-            )
+            declared = mesh.loop(body, Arg(b, WRITE), Arg(a, READ))
+            # a region kernel declaring no write: its write set is unknown
+            legacy = mesh.loop(RegionKernel(body), Arg(b, READ), Arg(a, READ))
+            assert legacy.writes_undeclared and not declared.writes_undeclared
             return [len(g.loops) for g in build_groups([declared, legacy, declared])]
 
         res = MeshProgram(prog).run(1)
@@ -349,6 +348,236 @@ class TestTiling:
         assert regions == [(24, 24), (slice(0, 24), slice(0, 24))]
         assert counters["tiles"] == counters["groups"] == 2
         assert counters.get("loops_fused", 0) == 0
+
+
+class TestDeclaredLoops:
+    """``mesh.loop`` declares once; what a run reads — ghost validity,
+    the overlap default, the fusion window — is read at every run."""
+
+    @staticmethod
+    def _observe(prog, nprocs=2):
+        with scoped_registry() as reg:
+            res = MeshProgram(prog).run(nprocs, trace=True)
+            counters = _kernel_counters(reg.snapshot())
+        return digest_of(res), flat_trace(res), counters
+
+    @pytest.mark.parametrize("nprocs", [1, 2, 4])
+    def test_n_runs_are_n_parloop_calls(self, nprocs):
+        def body(out, a):
+            out[...] = a[1, 0] + a[0, -1]
+
+        def bump(a, b):
+            a += b
+
+        def grids(mesh):
+            a = mesh.grid((12, 10), ghost=1)
+            a.fill_from(lambda i, j: np.cos(i * 1.0) + j)
+            return a, mesh.grid((12, 10), ghost=1)
+
+        def declared(mesh):
+            a, b = grids(mesh)
+            sweep = mesh.loop(body, Arg(b, WRITE), Arg(a, READ, halo=1), margin=1, flops_per_point=3.0)
+            feed = mesh.loop(bump, Arg(a, RW), Arg(b, READ), flops_per_point=1.0, label="bump")
+            for _ in range(5):
+                sweep()
+                feed()
+            return a.gather(root=0)
+
+        def called(mesh):
+            a, b = grids(mesh)
+            for _ in range(5):
+                mesh.parloop(body, Arg(b, WRITE), Arg(a, READ, halo=1), margin=1, flops_per_point=3.0)
+                mesh.parloop(bump, Arg(a, RW), Arg(b, READ), flops_per_point=1.0, label="bump")
+            return a.gather(root=0)
+
+        assert self._observe(declared, nprocs) == self._observe(called, nprocs)
+
+    def test_ghost_validity_is_read_at_every_run(self):
+        """Second run hoists; a write the engine is told about, or one it
+        cannot see (an undeclared-write loop bumps the epoch), makes the
+        next run exchange again."""
+
+        def body(out, a):
+            out[...] = a[0, 1]
+
+        def prog(mesh):
+            a = mesh.grid((8, 8), ghost=1, fill=1.0)
+            b = mesh.grid((8, 8), ghost=1)
+            c = mesh.grid((8, 8), ghost=1)
+            read_a = mesh.loop(body, Arg(b, WRITE), Arg(a, READ, halo=1), margin=1)
+            read_a()  # exchanges
+            read_a()  # hoisted
+            read_a()  # hoisted, from the remembered plan
+            a.interior[...] = 2.0
+            mesh.kernels.note_write(a)
+            read_a()  # exchanges
+            mesh.overlapped_update([c], lambda region: None, label="legacy")  # its own exchange
+            read_a()  # exchanges: the epoch moved
+            read_a()  # hoisted
+            return float(b.interior.max())
+
+        _, _, counters = self._observe(prog)
+        assert counters["exchanges"] == 2 * (3 + 1)  # per rank: read_a x3, legacy x1
+        assert counters["exchanges_hoisted"] == 2 * 3
+
+    def test_overlap_default_is_read_at_every_run(self):
+        def body(out, a):
+            out[...] = a[-1, 0]
+
+        def grids(mesh):
+            a = mesh.grid((8, 8), ghost=1)
+            a.fill_from(lambda i, j: i - 2.0 * j)
+            return a, mesh.grid((8, 8), ghost=1)
+
+        modes = (True, False, False, True, True)
+
+        def declared(mesh):
+            a, b = grids(mesh)
+            loop = mesh.loop(body, Arg(b, WRITE), Arg(a, READ, halo=1), margin=1, flops_per_point=2.0)
+            dirty = mesh.loop(lambda x: None, Arg(a, RW))
+            for mode in modes:
+                mesh.overlap = mode
+                loop()
+                dirty()
+
+        def explicit(mesh, modes=modes):
+            a, b = grids(mesh)
+            for mode in modes:
+                mesh.parloop(
+                    body, Arg(b, WRITE), Arg(a, READ, halo=1), margin=1, flops_per_point=2.0, overlap=mode
+                )
+                mesh.parloop(lambda x: None, Arg(a, RW), overlap=mode)
+
+        got, expected = self._observe(declared), self._observe(explicit)
+        assert got == expected
+        blocking_only = self._observe(lambda mesh: explicit(mesh, (False,) * len(modes)))
+        assert got[1] != blocking_only[1], "the overlapped runs must show in the trace"
+
+    def test_one_loop_fuses_with_different_neighbours(self):
+        def scale(out, a):
+            out[...] = 2.0 * a
+
+        def shift(out, a):
+            out[...] = a[1, 0]
+
+        def run(mesh, once):
+            a = mesh.grid((10, 10), ghost=1)
+            a.fill_from(lambda i, j: i + 0.5 * j)
+            b, c, d = (mesh.grid((10, 10), ghost=1) for _ in range(3))
+            declare = mesh.loop if not once else (lambda *x, **k: (lambda: mesh.parloop(*x, **k)))
+            double = declare(scale, Arg(b, WRITE), Arg(a, READ))
+            again = declare(scale, Arg(c, WRITE), Arg(b, READ))  # pointwise on b: fuses
+            neighbour = declare(shift, Arg(d, WRITE), Arg(b, READ, halo=1))  # b's halo: breaks
+            for _ in range(3):
+                with mesh.fuse():
+                    double()
+                    again()
+                with mesh.fuse():
+                    double()
+                    neighbour()
+            return c.gather(root=0), d.gather(root=0)
+
+        got = self._observe(lambda mesh: run(mesh, once=False))
+        assert got == self._observe(lambda mesh: run(mesh, once=True))
+        # per rank per round: [double+again] = 1 group, [double | neighbour] = 2
+        assert got[2]["groups"] == 2 * 3 * 3
+        assert got[2]["loops_fused"] == 2 * 3 * 2
+
+    def test_errors_are_raised_at_declaration(self):
+        from repro.errors import ArchetypeError
+
+        def body(*views):
+            raise AssertionError("a rejected loop never runs")
+
+        def prog(mesh):
+            a = mesh.grid((8, 8), ghost=1)
+            cols = mesh.grid((8, 8), dist="cols", ghost=1)
+            bare = mesh.grid((8, 8))
+            cases = {
+                "no args": lambda: mesh.loop(body),
+                "distribution": lambda: mesh.loop(body, Arg(a, WRITE), Arg(cols, READ)),
+                "aliasing": lambda: mesh.loop(body, Arg(a, WRITE), Arg(a, READ, halo=1)),
+                "halo write": lambda: mesh.loop(body, Arg(a, WRITE, halo=1)),
+                "halo > ghost": lambda: mesh.loop(body, Arg(a, WRITE), Arg(bare, READ, halo=1)),
+                "negative halo": lambda: mesh.loop(body, Arg(a, READ, halo=-1)),
+            }
+            raised = {}
+            for name, declare in cases.items():
+                with pytest.raises(ArchetypeError) as info:
+                    declare()
+                raised[name] = str(info.value)
+            return raised
+
+        # the messages ParLoop / Arg raised at the parent, from parloop()
+        assert MeshProgram(prog).run(2).values[0] == {
+            "no args": "a par-loop needs at least one argument",
+            "distribution": "grids in one operation must share a distribution; redistribute first",
+            "aliasing": "grid operations reading neighbours require output disjoint from inputs (paper §3.1)",
+            "halo write": "halo reads require mode READ; writes are pointwise "
+            "(paper §3.1: outputs disjoint from stencil inputs)",
+            "halo > ghost": "declared halo 1 exceeds grid ghost width 0",
+            "negative halo": "negative halo -1",
+        }
+
+    def test_planning_does_not_grow_with_the_sweeps(self, monkeypatch):
+        """sim_comm/poisson: per rank 2 declarations, each loop grouped
+        and tiled on its first and on its second run, never again."""
+        import repro.kernels.runtime as engine
+        from repro.core.grid import DistGrid
+        from repro.kernels.ir import ParLoop
+
+        calls = {}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(ParLoop, "__init__")
+        counted(engine, "build_groups")
+        counted(engine, "_row_tiles")
+        counted(DistGrid, "interior_intersection")
+        for sweeps in (40, 10):
+            calls.clear()
+            registry.get("poisson").run(
+                {"nprocs": 16, "nx": 64, "ny": 64, "max_iters": sweeps}, machine="ibm-sp"
+            )
+            assert calls == {
+                "__init__": 16 * 2,
+                "interior_intersection": 16 * 2,
+                "build_groups": 16 * 4,
+                "_row_tiles": 16 * 4,
+            }, sweeps
+
+    def test_nothing_outlives_the_mesh(self):
+        import gc
+        import weakref
+
+        alive = []
+
+        def prog(mesh):
+            a = mesh.grid((8, 8), ghost=1, fill=1.0)
+            b = mesh.grid((8, 8), ghost=1)
+            loops = [
+                mesh.loop(lambda out, x: None, Arg(b, WRITE), Arg(a, READ, halo=1)),
+                mesh.loop(lambda x: None, Arg(a, RW)),
+            ]
+            for _ in range(3):  # solo, then fused: both plans are remembered
+                for loop in loops:
+                    loop()
+                with mesh.fuse():
+                    for loop in loops:
+                        loop()
+            assert mesh.kernels._plans
+            alive.extend(weakref.ref(x) for x in (mesh, a, a.local, b.local))
+
+        MeshProgram(prog).run(2)
+        gc.collect()
+        assert len(alive) == 8 and [ref() for ref in alive] == [None] * 8
 
 
 class TestExprKernelJIT:

@@ -1,0 +1,104 @@
+"""Declaring a par-loop once changes nothing an observer can see.
+
+``mesh.loop(...)`` moved validation and planning out of the time loop:
+poisson, smog and spectralflow declare their loops above it and the
+engine keeps the grouping of a sequence of loop objects it has seen
+before.  What a run *does* must not move: ``tests/data/loop_pins.json``
+holds, for each of the three at two sizes and P in {1, 2, 4, 16}, what
+the parent commit (every sweep re-planned through ``mesh.parloop``)
+produced — value digest, every rank's final virtual clock
+(``float.hex``), ``runtime.mailbox.enqueued``, the ``core.kernels.*``
+counters under ``fusion_forced(True)`` and ``(False)``, and a SHA-256 of
+the trace event list on the deterministic engine, the process-parallel
+engine and eight fuzzed schedules.  ``python tests/test_loop_identity.py``
+re-records the file from the tree it runs in (run it at the parent only).
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.apps import registry
+from repro.kernels import fusion_forced
+from repro.obs.metrics import scoped_registry
+from repro.verify import fuzzed_schedule, value_digest
+
+_PATH = Path(__file__).parent / "data" / "loop_pins.json"
+_MACHINE = "ibm-sp"
+_NPROCS = (1, 2, 4, 16)
+_ENGINES = ("deterministic", "parallel", *(f"fuzzed-{seed}" for seed in range(8)))
+_CASES = {
+    "poisson-16": ("poisson", {"nx": 16, "ny": 16, "max_iters": 5}),
+    "poisson-24x20": ("poisson", {"nx": 24, "ny": 20, "max_iters": 7}),
+    "smog-12": ("smog", {"nx": 12, "ny": 12, "steps": 3}),
+    "smog-20x16": ("smog", {"nx": 20, "ny": 16, "steps": 2}),
+    "spectralflow-16": ("spectralflow", {"nr": 16, "nz": 16, "steps": 2}),
+    "spectralflow-32x16": ("spectralflow", {"nr": 32, "nz": 16, "steps": 3}),
+}
+
+
+def observe(case: str, nprocs: int, engine: str, fused: bool) -> dict:
+    """Everything one run shows: values, clocks, messages, counters, trace."""
+    app, params = _CASES[case]
+    with scoped_registry() as reg, fusion_forced(fused):
+        run = lambda mode=None: registry.get(app).run(  # noqa: E731
+            {"nprocs": nprocs, **params}, machine=_MACHINE, mode=mode, trace=True
+        )
+        if engine.startswith("fuzzed-"):
+            with fuzzed_schedule(int(engine.split("-")[1])):
+                res = run()
+        else:
+            res = run("parallel" if engine == "parallel" else None)
+        snapshot = reg.snapshot()
+    events = "\n".join(repr(e) for rank in res.tracer.events for e in rank)
+    return {
+        "digest": value_digest(res.values),
+        "clocks": [float(t).hex() for t in res.times],
+        # absent at P = 1: nothing is ever enqueued
+        "enqueued": snapshot.get("runtime.mailbox.enqueued", {"value": 0.0})["value"],
+        "counters": {
+            name: entry["value"]
+            for name, entry in sorted(snapshot.items())
+            if name.startswith("core.kernels.")
+        },
+        "trace": hashlib.sha256(events.encode()).hexdigest(),
+    }
+
+
+def _pin(case: str, nprocs: int) -> dict:
+    """One (case, P) entry: what every engine and both fusion modes share,
+    the counters per fusion mode, the trace hash per engine."""
+    pin: dict = {"counters": {}, "trace": {}}
+    for engine in _ENGINES:
+        for fused in (True, False):
+            seen = observe(case, nprocs, engine, fused)
+            shared = {k: seen[k] for k in ("digest", "clocks", "enqueued")}
+            assert pin.setdefault("shared", shared) == shared, (case, nprocs, engine, fused)
+            mode = "fused" if fused else "unfused"
+            assert pin["counters"].setdefault(mode, seen["counters"]) == seen["counters"]
+            assert pin["trace"].setdefault(engine, seen["trace"]) == seen["trace"]
+    return pin
+
+
+_PINS = json.loads(_PATH.read_text()) if _PATH.exists() else {"pins": {}}
+
+
+@pytest.mark.parametrize("nprocs", _NPROCS)
+@pytest.mark.parametrize("case", _CASES)
+def test_declared_loops_reproduce_the_parent(case, nprocs):
+    assert _pin(case, nprocs) == _PINS["pins"][f"{case}-p{nprocs}"]
+
+
+if __name__ == "__main__":
+    import subprocess
+
+    commit = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"], capture_output=True, text=True, check=True
+    ).stdout.strip()
+    pins = {f"{case}-p{p}": _pin(case, p) for case in _CASES for p in _NPROCS}
+    _PATH.write_text(
+        json.dumps({"commit": commit, "machine": _MACHINE, "pins": pins}, indent=1) + "\n"
+    )
+    print(f"recorded {len(pins)} pins at {commit} -> {_PATH}")

@@ -1,12 +1,16 @@
 """Sorting applications: mergesort (three ways) and quicksort."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import repro
+from repro.apps.sorting.common import sorted_keys
 from repro.apps.sorting import (
     merge_cost,
     merge_sorted,
@@ -119,6 +123,127 @@ class TestMergePrimitives:
 
     def test_merge_sorted_all_empty(self):
         assert merge_sorted([np.array([]), np.array([])]).size == 0
+
+
+#: every dtype whose equal keys are indistinguishable (``dtype.kind in "biu"``)
+INTEGER_KEY_DTYPES = [np.bool_, *(np.dtype(f"{kind}{size}").type for kind in "iu" for size in (1, 2, 4, 8))]
+
+
+def _bits_of_stable_sort(a: np.ndarray) -> tuple:
+    out = np.sort(a, kind="stable")
+    return out.dtype, out.shape, out.tobytes()
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _extreme_keys(dtype) -> st.SearchStrategy:
+    """Arrays of *dtype* drawn from a handful of values (many duplicates),
+    the dtype's extremes, or its whole range."""
+    dtype = np.dtype(dtype)
+    if dtype.kind == "b":
+        elements = st.booleans()
+    else:
+        info = np.iinfo(dtype)
+        elements = st.one_of(
+            st.integers(info.min, info.max),
+            st.sampled_from([info.min, info.min + 1, 0, 1, info.max - 1, info.max]),
+            st.integers(0, 3),
+        )
+    return hnp.arrays(dtype=dtype, shape=st.integers(0, 300), elements=elements)
+
+
+class TestSortedKeys:
+    """``sorted_keys`` is ``np.sort(kind="stable")`` byte for byte: by the
+    default sort where no observer could tell (bool and integer keys),
+    by the stable sort everywhere else."""
+
+    @pytest.mark.parametrize("dtype", INTEGER_KEY_DTYPES, ids=lambda d: np.dtype(d).name)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_integer_keys_match_the_stable_sort(self, dtype, data):
+        a = data.draw(_extreme_keys(dtype))
+        kept = a.copy()
+        assert _bits(sorted_keys(a)) == _bits_of_stable_sort(a)
+        assert _bits(a) == _bits(kept), "the input is not sorted in place"
+        # ... and already sorted, reversed, and as a merge of up to 16 sorted runs
+        ordered = np.sort(a, kind="stable")
+        assert _bits(sorted_keys(ordered)) == _bits(ordered)
+        assert _bits(sorted_keys(ordered[::-1])) == _bits(ordered)
+        nruns = data.draw(st.integers(1, 16))
+        runs = [np.sort(run, kind="stable") for run in np.array_split(a, nruns)]
+        assert _bits(merge_sorted(runs)) == _bits_of_stable_sort(np.concatenate(runs))
+
+    @pytest.mark.parametrize("dtype", INTEGER_KEY_DTYPES, ids=lambda d: np.dtype(d).name)
+    def test_sixteen_presorted_runs_of_integer_keys(self, dtype, rng):
+        """sim_comm/mergesort's shape: 16 sorted runs laid end to end."""
+        high = 1 if np.dtype(dtype).kind == "b" else np.iinfo(dtype).max
+        runs = [
+            np.sort(rng.integers(0, high, size=4096, dtype=dtype, endpoint=True))
+            for _ in range(16)
+        ]
+        laid = np.concatenate(runs)
+        assert _bits(sorted_keys(laid)) == _bits_of_stable_sort(laid)
+        assert _bits(merge_sorted(runs)) == _bits_of_stable_sort(laid)
+
+    @pytest.mark.parametrize("dtype", INTEGER_KEY_DTYPES, ids=lambda d: np.dtype(d).name)
+    def test_empty_and_single_key(self, dtype):
+        for a in (np.empty(0, dtype=dtype), np.ones(1, dtype=dtype)):
+            assert _bits(sorted_keys(a)) == _bits(a)
+            assert sorted_keys(a) is not a
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_keys_keep_the_stable_sort(self, dtype, rng):
+        """Equal floats differ in bits — signed zeros, NaN payloads — and
+        the long runs with a tail of larger keys are what NumPy's default
+        sort visibly reorders (it does, on both inputs, at this size)."""
+        zeros = np.r_[np.full(1000, 0.0), np.full(1000, -0.0), np.ones(1000)].astype(dtype)
+        assert _bits(sorted_keys(zeros)) == _bits_of_stable_sort(zeros)
+        signs = np.signbit(sorted_keys(zeros)[:2000])
+        assert not signs[:1000].any() and signs[1000:].all()
+        uint = np.uint32 if dtype is np.float32 else np.uint64
+        quiet_nan = np.array(np.nan, dtype=dtype).view(uint)
+        tags = rng.permutation(2000).astype(uint)
+        nans = np.r_[(quiet_nan + tags).view(dtype), np.ones(500, dtype=dtype)]
+        # ones first, then every NaN in input order: payloads intact
+        assert list(sorted_keys(nans)[500:].view(uint) - quiet_nan) == list(tags)
+        assert _bits(sorted_keys(nans)) == _bits_of_stable_sort(nans)
+
+    def test_complex_keys_keep_the_stable_sort(self, rng):
+        z = np.empty(4000, dtype=np.complex128)
+        z.real = np.r_[np.where(rng.random(3000) < 0.5, 0.0, -0.0), np.ones(1000)]
+        z.imag = np.r_[np.where(rng.random(3000) < 0.5, 0.0, -0.0), np.zeros(1000)]
+        assert _bits(sorted_keys(z)) == _bits_of_stable_sort(z)
+        assert _bits(merge_sorted([z[:1500], z[1500:3000]])) == _bits_of_stable_sort(z[:3000])
+
+    def test_object_and_record_keys_keep_the_stable_sort(self):
+        equal = [1, 1.0, True, 1, 1.0, True, 0, False]
+        keys = np.array(equal, dtype=object)
+        assert [type(k) for k in sorted_keys(keys)] == [type(k) for k in np.sort(keys, kind="stable")]
+        records = np.array([(2, 0.0), (1, -0.0), (1, 0.0), (2, -0.0)], dtype="i4,f8")
+        assert _bits(sorted_keys(records)) == _bits_of_stable_sort(records)
+
+    def test_the_stable_sort_is_spelled_once(self):
+        """Every key sort under the one-deep applications goes through
+        ``sorted_keys``; quicksort's ``argsort`` orders
+        an index, where ties do show, and stays stable."""
+        src = Path(repro.__file__).parent
+        files = [
+            *(src / "apps" / "sorting").glob("*.py"),
+            src / "apps" / "version1.py",
+            *(src / "util").glob("*.py"),
+        ]
+        asked_for_stable = sorted(
+            (path.name, call.func.attr)
+            for path in files
+            for call in ast.walk(ast.parse(path.read_text()))
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            for kw in call.keywords
+            if kw.arg == "kind"
+            and any(isinstance(n, ast.Constant) and n.value == "stable" for n in ast.walk(kw.value))
+        )
+        assert asked_for_stable == [("quicksort.py", "argsort"), ("sampling.py", "sort")]
 
 
 class TestSequentialMergesort:

@@ -35,6 +35,15 @@ whatever its medians say.  A metric whose scale the change moves a long way
 pair; the column prints the change's quartile distance over that limit and
 ``WIDE`` where it is exceeded, and the command exits 1.
 
+After the runs, one ``base -> change`` row — date, the two commits, the
+medians of the four headline metrics (bold where the verdict is ``better``)
+— is appended to ``BENCH_TRAJECTORY.md`` (``--trajectory``; ``''`` skips
+it).  The file is only ever appended to: a row is what one artifact
+measured on its day, and only a within-row ratio is a measurement.
+``--from-artifact FILE...`` appends the rows of artifacts already written
+and runs nothing (how the file was seeded from the committed
+``BENCH_PR*_pairs.json``).
+
 This script only *calls* the benchmark's command line; it imports nothing
 from ``perfbench/`` and writes nothing under it.
 """
@@ -42,6 +51,7 @@ from ``perfbench/`` and writes nothing under it.
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import os
 import statistics
@@ -161,15 +171,83 @@ def summarise(rows: list[dict], workloads: list[str], declared: dict) -> tuple[d
     return summary, broken
 
 
+#: the trajectory's columns: the metric each workload exists to show
+HEADLINE = (
+    ("sim_comm", "run_s"),
+    ("sim_kernel", "run_s"),
+    ("serve_miss", "lat_p50_ms"),
+    ("serve_hit", "throughput_rps"),
+)
+_TRAJECTORY_HEAD = (
+    "# Perf trajectory\n\n"
+    "One row per `make bench-pairs` artifact, appended by `tools/bench_pairs.py`:\n"
+    "base → change medians over alternating pairs on this 2-CPU host, **bold** where\n"
+    "the paired rule says `better`.  Read rows, not columns: the same code reads\n"
+    "differently on different days, so only a within-row ratio is a measurement.\n\n"
+    "| artifact | date | base → change | "
+    + " | ".join(f"`{w}` `{m}`" for w, m in HEADLINE)
+    + " |\n|---|---|---|"
+    + "---|" * len(HEADLINE)
+    + "\n"
+)
+
+
+def _git(*args: str) -> str:
+    done = subprocess.run(["git", *args], cwd=ROOT, stdout=subprocess.PIPE, text=True)
+    return done.stdout.strip() if done.returncode == 0 else ""
+
+
+def trajectory_row(label: str, artifact: dict, change: str, date: str) -> str:
+    """The artifact's line of the trajectory table."""
+    cells = []
+    for workload, metric in HEADLINE:
+        summary = artifact["summary"].get(workload, {})
+        result = summary.get("metrics", {}).get(metric)
+        if result is None:  # workload not run, or every pair crashed
+            cell = "—"
+        else:
+            cell = f"{result['base']['median']:.4g} → {result['change']['median']:.4g}"
+            if result["verdict"] == "better":
+                cell = f"**{cell}**"
+        if summary.get("crashed_pairs"):
+            cell += f" ({len(summary['crashed_pairs'])} pair(s) crashed)"
+        cells.append(cell)
+    return f"| `{label}` | {date} | {artifact['base'][:7]} → {change} | " + " | ".join(cells) + " |\n"
+
+
+def append_trajectory(path: Path, row: str) -> None:
+    """Add *row* below whatever *path* holds (the table head, if nothing)."""
+    with open(path, "a") as fh:
+        if fh.tell() == 0:
+            fh.write(_TRAJECTORY_HEAD)
+        fh.write(row)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--base", required=True, help="commit to compare the working tree against")
+    parser.add_argument("--base", help="commit to compare the working tree against")
+    parser.add_argument(
+        "--from-artifact", nargs="+", metavar="FILE", type=Path,
+        help="run nothing: append these artifacts' rows to the trajectory",
+    )  # fmt: skip
+    parser.add_argument("--trajectory", default=str(ROOT / "BENCH_TRAJECTORY.md"))
     parser.add_argument("--workloads", default="serve_miss serve_hit", help="space-separated")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--seed-base", type=int, default=100, help="pair i runs seed SEED_BASE + i")
     parser.add_argument("--out", default="bench_pairs.json")
     args = parser.parse_args(argv)
+    if args.from_artifact:
+        for path in args.from_artifact:
+            # an artifact that does not say where it ran is dated by the
+            # commit that added it, which is also the change it measured
+            added = _git("log", "--diff-filter=A", "--format=%h %as", "--", str(path)).split()
+            artifact = json.loads(path.read_text())
+            change, date = artifact.get("change") or added[0], artifact.get("date") or added[1]
+            append_trajectory(Path(args.trajectory), trajectory_row(path.stem, artifact, change, date))
+        return 0
+    if not args.base:
+        parser.error("--base is required")
 
     declared = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     base_commit = subprocess.run(
@@ -205,18 +283,24 @@ def main(argv: list[str] | None = None) -> int:
                     )  # fmt: skip
 
     summary, broken = summarise(rows, args.workloads.split(), declared)
+    artifact = {
+        "base": base_commit,
+        # the change is the working tree: HEAD, "+" when it differs from it
+        "change": _git("rev-parse", "--short", "HEAD") + ("+" if _git("status", "--porcelain") else ""),
+        "date": datetime.date.today().isoformat(),
+        "host_cpus": len(os.sched_getaffinity(0)),
+        "seconds": args.seconds, "pairs": args.pairs,
+        "command": "python3 -m perfbench --workload W --seed S --seconds N --trace 0",
+        "summary": summary, "rows": rows,
+    }  # fmt: skip
     with open(args.out, "w") as fh:
-        json.dump(
-            {
-                "base": base_commit, "host_cpus": len(os.sched_getaffinity(0)),
-                "seconds": args.seconds, "pairs": args.pairs,
-                "command": "python3 -m perfbench --workload W --seed S --seconds N --trace 0",
-                "summary": summary, "rows": rows,
-            },
-            fh, indent=1,
-        )  # fmt: skip
+        json.dump(artifact, fh, indent=1)
         fh.write("\n")
     print(f"wrote {len(rows)} runs to {args.out}")
+    if args.trajectory:
+        row = trajectory_row(Path(args.out).stem, artifact, artifact["change"], artifact["date"])
+        append_trajectory(Path(args.trajectory), row)
+        print(f"appended to {args.trajectory}: {row}", end="")
     return 1 if broken else 0
 
 

@@ -12,10 +12,14 @@ its turn, which on the one CPU this pins itself to is some other rank's
 work, already counted.  With no app it walks every case of the workload and
 prints each case's total self time and the share of it in the application
 bodies (``repro/apps`` + ``<kernel ...>``), the par-loop layer
-(``repro/kernels`` + ``repro/core``), the engine (``repro/runtime`` +
-``repro/comm`` + ``repro/obs``) and native code; with an app it prints that
-case's self time by module and its top functions.  Either way every case's
-perfbench pin is asserted (perfbench is imported, never changed).
+(``repro/kernels``), the archetype skeletons (``repro/core``: mesh context
+and grids, the pipeline, the one-deep skeleton), the engine
+(``repro/runtime`` + ``repro/comm`` + ``repro/obs``) and native code, and
+beside them how many ``ParLoop`` objects the case built for how many loop
+runs (a time loop that declares its loops builds a constant number); with
+an app it prints that case's self time by module and its top functions.
+Either way every case's perfbench pin is asserted (perfbench is imported,
+never changed).
 cProfile taxes Python calls and not native code: this finds candidates,
 ``make bench-pairs`` measures them.
 """
@@ -34,15 +38,19 @@ SRC = str(ROOT / "src") + os.sep
 #: the summary's columns: name, module prefixes (relative to ``src/``)
 LAYERS = (
     ("bodies", ("repro/apps/", "<kernel ")),
-    ("par-loop", ("repro/kernels/", "repro/core/")),
+    ("kernels", ("repro/kernels/",)),
+    ("skeleton", ("repro/core/",)),
     ("engine", ("repro/runtime/", "repro/comm/", "repro/obs/")),
     ("native", ("<native>",)),
 )
 
 
-def profile_case(workload: str, app: str) -> tuple[dict, int]:
-    """``({(file, line, function): self seconds}, threads)`` of one warm run."""
+def profile_case(workload: str, app: str) -> tuple[dict, int, str]:
+    """``({(file, line, function): self seconds}, threads, "built/runs")`` of
+    one warm run: the profile, and ``ParLoop`` constructions per loop run."""
     from perfbench import cases, pins
+    from repro.kernels.ir import ParLoop
+    from repro.kernels.runtime import KernelEngine
     from repro.runtime.scheduler import DeterministicBackend
 
     params = dict(cases.SIM_CASES[workload])[app]
@@ -63,12 +71,19 @@ def profile_case(workload: str, app: str) -> tuple[dict, int]:
         DeterministicBackend._rank_main = rank_main
     if error := run.mismatch(pins.load()[cases.case_id(workload, app)]):
         raise SystemExit(f"pin broken: {workload}/{app}: {error}")
+    stats = pstats.Stats(*profiles).stats
     rows = {
         func: self_s
-        for func, (_, _, self_s, _, _) in pstats.Stats(*profiles).stats.items()
+        for func, (_, _, self_s, _, _) in stats.items()
         if "'acquire' of '_thread.lock'" not in func[2]
     }
-    return rows, len(profiles)
+
+    def calls(fn) -> int:  # the profile's key is where the code object says it is
+        code = fn.__code__
+        return stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
+
+    runs = calls(KernelEngine.submit)
+    return rows, len(profiles), f"{calls(ParLoop.__init__)}/{runs}" if runs else "-"
 
 
 def by_module(rows: dict) -> Counter[str]:
@@ -86,9 +101,14 @@ def main(workload: str, app: str | None = None) -> None:
     with tempfile.TemporaryDirectory() as tune_dir:
         os.environ["REPRO_TUNE_DIR"] = tune_dir  # as perfbench: no host catalog
         if app is None:
-            print(f"{'case':<24} {'self ms':>8} " + " ".join(f"{name:>9}" for name, _ in LAYERS))
+            print(
+                f"{'case':<24} {'self ms':>8} "
+                + " ".join(f"{name:>9}" for name, _ in LAYERS)
+                + "  ParLoops built/run"
+            )
             for case, _ in cases.SIM_CASES[workload]:
-                modules = by_module(profile_case(workload, case)[0])
+                rows, _, built = profile_case(workload, case)
+                modules = by_module(rows)
                 total = sum(modules.values())
                 shares = (
                     sum(s for m, s in modules.items() if m.startswith(prefixes)) / total
@@ -97,12 +117,16 @@ def main(workload: str, app: str | None = None) -> None:
                 print(
                     f"{workload + '/' + case:<24} {total * 1e3:8.1f} "
                     + " ".join(f"{share:9.1%}" for share in shares)
+                    + f"  {built}"
                 )
             print("every pin holds")
             return
-        rows, threads = profile_case(workload, app)
+        rows, threads, built = profile_case(workload, app)
     total = sum(rows.values())
-    print(f"{workload}/{app}: {total * 1e3:.1f} ms self time on {threads} threads (pin holds)")
+    print(
+        f"{workload}/{app}: {total * 1e3:.1f} ms self time on {threads} threads "
+        f"(pin holds; ParLoops built/run: {built})"
+    )
     for module, self_s in by_module(rows).most_common(12):
         print(f"{self_s * 1e3:9.1f} ms {self_s / total:6.1%}  {module}")
     for (filename, line, name), self_s in sorted(rows.items(), key=lambda r: -r[1])[:20]:
