@@ -19,6 +19,7 @@ from repro.apps.sorting.mergesort import _merge_phase
 from repro.comm.reductions import MAX, SUM
 from repro.core.meshspectral import MeshContext
 from repro.core.onedeep import OneDeepDC
+from repro.kernels import READ, WRITE, Arg
 from repro.util.partition import split_evenly
 
 NPROCS = 12
@@ -43,17 +44,21 @@ def pipeline(comm, data):
         unew = u.like()
         u.fill_from(lambda i, j: (i == 0) * 1.0)
         unew.interior[...] = u.interior
+        sweep = mesh.loop(
+            lambda out, s: out.__setitem__(
+                ..., 0.25 * (s[-1, 0] + s[1, 0] + s[0, -1] + s[0, 1])
+            ),
+            Arg(unew, WRITE),
+            Arg(u, READ, halo=1),
+            margin=1,
+            flops_per_point=6.0,
+        )
+        copy_back = mesh.loop(
+            lambda out, new: out.__setitem__(..., new), Arg(u, WRITE), Arg(unew, READ), margin=1
+        )
         for _ in range(50):
-            mesh.stencil_op(
-                lambda out, s: out.__setitem__(
-                    ..., 0.25 * (s[-1, 0] + s[1, 0] + s[0, -1] + s[0, 1])
-                ),
-                unew,
-                u,
-                flops_per_point=6.0,
-            )
-            region = u.interior_intersection(1)
-            u.interior[region] = unew.interior[region]
+            sweep()
+            copy_back()
         heat = mesh.grid_reduce(u, np.sum, SUM, identity=0.0)
         summary = ("interior-heat", float(heat) if sub.rank == 0 else 0.0)
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.meshspectral import MeshContext, MeshProgram
 from repro.comm.reductions import MAX
+from repro.kernels import READ, WRITE, Arg, RegionKernel
 from repro.machines.model import MachineModel
 
 #: ratio of specific heats (diatomic gas)
@@ -174,31 +175,16 @@ def cfd_program(
     g = 1  # ghost width
     wrap = bool(periodic or ic == "smooth")
     dt = 0.0
-    for step in range(steps):
-        # CFL time step from the global maximum wave speed: a reduction
-        # whose result (a copy-consistent global) every rank holds.
-        # Recomputed every `cfl_interval` steps, as production codes do.
-        # The speed is evaluated over owned interiors only — ghost cells
-        # replicate some rank's owned values, so the global maximum is
-        # unchanged — which keeps it independent of the exchange and
-        # lets the exchange overlap the flux computation below.
-        if step % cfl_interval == 0:
-            rho_i, mx_i, my_i, e_i = (grid.interior for grid in state[:4])
-            u_i, v_i, p_i = _primitive(rho_i, mx_i, my_i, e_i)
-            c = np.sqrt(GAMMA * np.clip(p_i, 1e-12, None) / rho_i)
-            local_speed = (
-                float(np.max(np.abs(u_i) + c + np.abs(v_i) + c))
-                if rho_i.size
-                else 0.0
-            )
-            mesh.charge(6.0 * rho_i.size, label="wave-speed")
-            smax = mesh.reduce(local_speed, MAX)
-            dt = cfl * min(dx, dy) / max(smax, 1e-12)
 
-        fields = [grid.local for grid in state]
+    def lf_sweep(src, dst):
+        # One orientation of the state/new_state swap as one declared
+        # loop: a packed exchange of the *src* fields, then the update
+        # of *dst*.
+        fields = [grid.local for grid in src]
 
         def lf_update(region: tuple[slice, ...]) -> None:
-            # Lax–Friedrichs update restricted to *region*.  Each axis's
+            # Lax–Friedrichs update of *dst* from *src* restricted to
+            # *region*, at the enclosing scope's current `dt`.  Each axis's
             # flux is evaluated once, over the region widened by one cell
             # along that axis (its E/W or N/S ghosts, never a corner), and
             # read at its two shifts: elementwise ops commute with
@@ -228,19 +214,45 @@ def cfd_program(
                 np.subtract(
                     0.25 * around - dt / (2 * dx) * (fx[k][2:] - fx[k][:-2]),
                     dt / (2 * dy) * (gy[k][:, 2:] - gy[k][:, :-2]),
-                    out=new_state[k].interior[region],
+                    out=dst[k].interior[region],
                 )
 
-        if packed_exchange:
-            mesh.overlapped_update(
-                state,
-                lf_update,
-                writes=new_state,
-                periodic=wrap,
-                fill_edges=None if wrap else "copy",
-                flops_per_point=FLOPS_PER_CELL,
-                label="lf-update",
+        if not packed_exchange:
+            return lf_update  # the ablation path exchanges and charges by hand
+        edges = None if wrap else "copy"
+        return mesh.loop(
+            RegionKernel(lf_update, name="lf-update"),
+            *(Arg(grid, READ, halo=1, periodic=wrap, edges=edges) for grid in src),
+            *(Arg(grid, WRITE) for grid in dst),
+            flops_per_point=FLOPS_PER_CELL,
+            label="lf-update",
+        )
+
+    sweeps = (lf_sweep(state, new_state), lf_sweep(new_state, state))
+
+    for step in range(steps):
+        # CFL time step from the global maximum wave speed: a reduction
+        # whose result (a copy-consistent global) every rank holds.
+        # Recomputed every `cfl_interval` steps, as production codes do.
+        # The speed is evaluated over owned interiors only — ghost cells
+        # replicate some rank's owned values, so the global maximum is
+        # unchanged — which keeps it independent of the exchange and
+        # lets the exchange overlap the flux computation below.
+        if step % cfl_interval == 0:
+            rho_i, mx_i, my_i, e_i = (grid.interior for grid in state[:4])
+            u_i, v_i, p_i = _primitive(rho_i, mx_i, my_i, e_i)
+            c = np.sqrt(GAMMA * np.clip(p_i, 1e-12, None) / rho_i)
+            local_speed = (
+                float(np.max(np.abs(u_i) + c + np.abs(v_i) + c))
+                if rho_i.size
+                else 0.0
             )
+            mesh.charge(6.0 * rho_i.size, label="wave-speed")
+            smax = mesh.reduce(local_speed, MAX)
+            dt = cfl * min(dx, dy) / max(smax, 1e-12)
+
+        if packed_exchange:
+            sweeps[step % 2]()
         else:
             # Unpacked ablation path (one message per component per
             # neighbour); always blocking.
@@ -249,7 +261,7 @@ def cfd_program(
                 if not wrap:
                     grid.fill_edge_ghosts(mode="copy")
             mesh.charge(FLOPS_PER_CELL * state[0].interior.size, label="lf-update")
-            lf_update(tuple(slice(0, n) for n in state[0].interior.shape))
+            sweeps[step % 2](tuple(slice(0, n) for n in state[0].interior.shape))
         state, new_state = new_state, state
 
         if reactive:

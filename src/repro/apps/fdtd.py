@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.meshspectral import MeshContext, MeshProgram
 from repro.comm.reductions import SUM
+from repro.kernels import READ, RW, Arg, RegionKernel
 from repro.machines.model import MachineModel
 
 #: flops charged per cell per full time step (both curl updates)
@@ -107,20 +108,25 @@ def fdtd_program(
             target = grid.interior[region]
             accumulate(target, s1, out=target)
 
+    def half_step(label, fields, src, shift, accumulate):
+        # One packed exchange of the three *src* components, then the
+        # curl update of *fields* (charged as overlapped over the deep
+        # cells when enabled).
+        return mesh.loop(
+            RegionKernel(partial(curl_update, fields, src, shift, accumulate), name=label),
+            *(Arg(grid, READ, halo=1) for grid in src),
+            *(Arg(grid, RW) for grid in fields),
+            flops_per_point=FLOPS_PER_CELL / 2,
+            label=label,
+        )
+
     # H -= dt * curl E (forward differences); E += dt * curl H (backward).
-    h_update = partial(curl_update, h, e, 0, np.subtract)
-    e_update = partial(curl_update, e, h, -1, np.add)
+    h_update = half_step("h-update", h, e, 0, np.subtract)
+    e_update = half_step("e-update", e, h, -1, np.add)
 
     for step in range(steps):
-        # Packed exchange of the three E components, then the H curl
-        # update (charged as overlapped over the deep cells when
-        # enabled); then the mirrored half-step for H -> E.
-        mesh.overlapped_update(
-            e, h_update, writes=h, flops_per_point=FLOPS_PER_CELL / 2, label="h-update"
-        )
-        mesh.overlapped_update(
-            h, e_update, writes=e, flops_per_point=FLOPS_PER_CELL / 2, label="e-update"
-        )
+        h_update()
+        e_update()
 
         # Soft source on the rank owning the centre cell.
         if owns_source:

@@ -20,13 +20,11 @@ A mesh-spectral program is a composition of the operation classes of
 Programs are written against a :class:`MeshContext`; the
 :class:`MeshProgram` archetype runs them sequentially or SPMD.
 
-Since the kernel-layer refactor every grid operation is *declared* as a
-par-loop (:mod:`repro.kernels`) and executed by the context's
-:class:`~repro.kernels.runtime.KernelEngine`: ``point_op``,
-``stencil_op``, and ``overlapped_update`` keep their signatures as thin
-shims over :meth:`MeshContext.parloop`, and programs that declare
-access modes directly gain loop fusion and ghost-exchange hoisting (see
-``docs/kernel_layer.md``).
+A grid operation is *declared* as a par-loop (:mod:`repro.kernels`) —
+:meth:`MeshContext.loop` above the time loop, called inside it — and
+executed by the context's :class:`~repro.kernels.runtime.KernelEngine`,
+which fuses adjacent loops and hoists ghost exchanges whose halos are
+still valid (see ``docs/kernel_layer.md``).
 """
 
 from __future__ import annotations
@@ -44,17 +42,7 @@ from repro.comm.reductions import MAX, MIN, SUM, Op
 from repro.core.archetype import Archetype
 from repro.core.globals import GlobalVar
 from repro.core.grid import DistGrid
-from repro.kernels.ir import (
-    READ,
-    WRITE,
-    Arg,
-    Kernel,
-    ParLoop,
-    RegionKernel,
-    StencilView,
-    dat_of,
-    split_deep_shell,
-)
+from repro.kernels.ir import Arg, Kernel, ParLoop, StencilView, split_deep_shell
 from repro.kernels.runtime import KernelEngine
 from repro.obs.metrics import counter_handle, histogram_handle
 
@@ -176,173 +164,6 @@ class MeshContext:
         """Context manager batching the par-loops declared inside into
         one planner flush: ``with mesh.fuse(): ...``."""
         return self.kernels.fuse()
-
-    @_instrumented
-    def point_op(
-        self,
-        fn: Callable[..., None],
-        out: DistGrid,
-        *ins: DistGrid,
-        flops_per_point: float = 0.0,
-        label: str = "point_op",
-    ) -> None:
-        """Pointwise grid operation: ``fn(out_view, *in_views)``.
-
-        All views are aligned owned-interior views; *fn* must write its
-        result into ``out_view`` (e.g. ``out_view[...] = a + b``).  No
-        neighbour data is read, so no exchange happens and ``out`` may
-        alias an input.  (Shim: declares a pointwise par-loop.)
-        """
-        self.loop(
-            Kernel(fn, name=label),
-            Arg(dat_of(out), WRITE),
-            *(Arg(dat_of(g), READ) for g in ins),
-            flops_per_point=flops_per_point,
-            label=label,
-            overlap=False,
-        )()
-
-    @_instrumented
-    def stencil_op(
-        self,
-        fn: Callable[..., None],
-        out: DistGrid,
-        *ins: DistGrid,
-        margin: int | tuple[int, ...] = 1,
-        periodic: tuple[bool, ...] | bool = False,
-        exchange: bool = True,
-        overlap: bool | None = None,
-        flops_per_point: float = 0.0,
-        label: str = "stencil_op",
-    ) -> None:
-        """Stencil grid operation: ``fn(out_view, *in_stencils)``.
-
-        Each input is wrapped in a :class:`StencilView`; the output view
-        covers the owned cells at least *margin* from the global edge
-        (Dirichlet-style boundaries stay untouched; pass ``margin=0`` with
-        ``periodic=True`` for fully periodic updates).  Per the paper's
-        §3.1 restriction, ``out`` must be disjoint from every input; this
-        is checked and violations raise :class:`ArchetypeError`.
-
-        With *overlap* (defaulting to the context's :attr:`overlap`), the
-        ghost exchange runs nonblocking and the virtual clock is charged
-        as the overlapped pipeline: cells deep enough that their stencil
-        reads stay within owned data while boundary slabs travel, then
-        the exchange completes, then the shell cells.  *fn* itself runs
-        once, over the whole region, after the exchange completes — so
-        the result is numerically identical to the blocking path for
-        star stencils; corner ghosts are stale in overlap mode, so box
-        stencils reading diagonal offsets must pass ``overlap=False``.
-        (Shim: declares a par-loop whose inputs read at the full ghost
-        width; blocking mode requests corner-correct serialised
-        exchanges, matching the historical semantics exactly.)
-        """
-        for g in ins:
-            if g.ghost < 1:
-                raise ArchetypeError(
-                    f"stencil input grid has ghost width {g.ghost}; need >= 1"
-                )
-        use_overlap = (self.overlap if overlap is None else overlap) and exchange
-        args = [Arg(dat_of(out), WRITE)]
-        for g in ins:
-            args.append(
-                Arg(
-                    dat_of(g),
-                    READ,
-                    halo=g.ghost,
-                    periodic=periodic,
-                    exchange=exchange,
-                    # the old API declares no writes, so ghost validity
-                    # cannot be tracked across calls: always refresh
-                    fresh=True,
-                    # blocking mode historically serialised axes per
-                    # grid, leaving corner ghosts correct (box stencils)
-                    corners=not use_overlap,
-                )
-            )
-        self.loop(
-            Kernel(fn, name=label),
-            *args,
-            margin=margin,
-            flops_per_point=flops_per_point,
-            label=label,
-            overlap=use_overlap,
-        )()
-
-    @_instrumented
-    def overlapped_update(
-        self,
-        ins: list[DistGrid],
-        apply: Callable[[tuple[slice, ...]], None],
-        periodic: tuple[bool, ...] | bool = False,
-        fill_edges: str | None = None,
-        flops_per_point: float = 0.0,
-        overlap: bool | None = None,
-        label: str = "overlapped_update",
-        writes: list[DistGrid] | None = None,
-    ) -> None:
-        """Packed ghost refresh of *ins* followed by a regionised update.
-
-        The workhorse of multi-grid stencil codes (FDTD, CFD): all *ins*
-        are exchanged in one message per neighbour per direction, and
-        *apply* is called with slice tuples (in owned-interior
-        coordinates) covering every owned cell exactly once.  *apply*
-        must compute the update restricted to the given region — any
-        composition of elementwise expressions over ghost-shifted reads
-        qualifies, and produces bitwise-identical results however the
-        region is tiled (the engine walks it in cache-sized row blocks;
-        a region inside the budget is one call).
-
-        Blocking mode exchanges, optionally fills physical-edge ghosts
-        (*fill_edges* as in :meth:`DistGrid.fill_edge_ghosts`), charges
-        the whole region, and calls *apply* on it.  Overlap mode posts
-        the packed exchange, fills edges, charges the deep cells while
-        slabs travel, completes the exchange, charges the shell tiles —
-        and then calls *apply* over the full owned region just the same:
-        overlap is a property of the virtual clock, not of the order the
-        host computes in.  Corner/edge ghosts are stale in overlap mode
-        (star stencils only).
-
-        *writes* declares the grids *apply* writes (its access set).  A
-        declared write set lets the kernel layer keep ghost-validity
-        tracking sound across the call; without it, the engine must
-        conservatively invalidate every grid's halo (any grid could have
-        been written), and the loop fuses with nothing.
-        """
-        if not ins:
-            raise ArchetypeError("overlapped_update needs at least one grid")
-        ghost = ins[0].ghost
-        for g in ins:
-            if g.ghost != ghost:
-                raise ArchetypeError(
-                    "overlapped_update grids must share one ghost width; got "
-                    f"{g.ghost} vs {ghost}"
-                )
-        if ghost < 1:
-            raise ArchetypeError("overlapped_update needs ghost width >= 1")
-        use_overlap = self.overlap if overlap is None else overlap
-        args = [
-            Arg(
-                dat_of(g),
-                READ,
-                halo=g.ghost,
-                periodic=periodic,
-                edges=fill_edges,
-                fresh=True,
-            )
-            for g in ins
-        ]
-        if writes is not None:
-            args.extend(Arg(dat_of(g), WRITE) for g in writes)
-        # a region kernel that declares no write is one whose write set
-        # is unknown: ParLoop derives that from the arguments
-        self.loop(
-            RegionKernel(apply, name=label),
-            *args,
-            flops_per_point=flops_per_point,
-            label=label,
-            overlap=use_overlap,
-        )()
 
     # -- row / column operations ---------------------------------------------------
     def _require_whole_axis(self, grid: DistGrid, axis: int, what: str) -> None:

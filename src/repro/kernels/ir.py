@@ -1,22 +1,19 @@
 """The par-loop IR: data descriptors, access modes, kernels, loops.
 
-The mesh-spectral hot path used to be interpret-per-op: every
-``stencil_op``/``point_op`` independently walked ghosts, sliced
-interiors, and allocated numpy temporaries, so the runtime could never
-see across op boundaries.  This module gives programs a way to *declare*
-each sweep instead (the PyOP2 Sets/Dats/Kernels move, and the
-access-mode vocabulary of Danelutto & Torquati's state-access-pattern
-work): a :class:`Dat` wraps a distributed grid field, an :class:`Arg`
-binds it to one loop with an access mode (:data:`READ`/:data:`WRITE`/
-:data:`RW`/:data:`INC`) and a declared halo depth, and a
-:class:`ParLoop` pairs a :class:`Kernel` body with its argument list.
-The runtime (:mod:`repro.kernels.runtime`) then fuses adjacent loops
-whose access sets compose and hoists ghost exchanges that feed multiple
-ops — legality rules live in :mod:`repro.kernels.plan`.
+A grid operation (paper §3.1) is *declared*, so the runtime sees across
+sweeps (the PyOP2 Sets/Dats/Kernels move, and the access-mode vocabulary
+of Danelutto & Torquati's state-access-pattern work): a :class:`Dat`
+wraps a distributed grid field, an :class:`Arg` binds it to one loop
+with an access mode (:data:`READ`/:data:`WRITE`/:data:`RW`/:data:`INC`)
+and a declared halo depth, and a :class:`ParLoop` pairs a
+:class:`Kernel` body with its argument list.  The runtime
+(:mod:`repro.kernels.runtime`) then fuses adjacent loops whose access
+sets compose and hoists ghost exchanges that feed multiple loops —
+legality rules live in :mod:`repro.kernels.plan`.
 
 Layering: this module sits below :mod:`repro.core.meshspectral` (which
-re-exports :class:`StencilView` and :func:`split_deep_shell` for
-backward compatibility) and imports only errors + numpy.
+re-exports :class:`StencilView` and :func:`split_deep_shell`) and
+imports only errors + numpy.
 """
 
 from __future__ import annotations
@@ -71,20 +68,20 @@ class Dat:
 
     One :class:`Dat` exists per grid per rank (use :func:`dat_of`, which
     caches the descriptor on the grid object — never keyed by ``id()``,
-    which could be reused after garbage collection).  ``clean`` maps a
-    ghost key ``(periodic, edges)`` to the engine epoch at which this
-    dat's ghosts were last refreshed with that configuration; the
-    planner skips (hoists) an exchange whose key is clean at the current
-    epoch.  Any kernel write clears the map; raw (undeclared) writes are
-    covered by the engine epoch bump (see
-    :class:`repro.kernels.runtime.KernelEngine`).
+    which could be reused after garbage collection).  ``clean`` is the
+    ghost key ``(periodic, edges)`` this dat's ghosts were last refreshed
+    under, or ``None`` when they are stale: one slot, because a refresh
+    under one key overwrites what another key put in the ghosts.  The
+    planner skips (hoists) an exchange whose key is the clean one; any
+    declared write clears the slot, and a raw write is reported through
+    :meth:`repro.kernels.runtime.KernelEngine.note_write`.
     """
 
     __slots__ = ("grid", "clean")
 
     def __init__(self, grid: DistGrid):
         self.grid = grid
-        self.clean: dict[tuple, int] = {}
+        self.clean: tuple | None = None
 
     # -- access-mode constructors (the declarative app-facing API) -----------
     def read(
@@ -130,19 +127,12 @@ class Arg:
     *exchange=False* declares the halo already valid by construction
     (the caller manages ghosts).
 
-    Two internal flags serve the legacy shims: *fresh* forces the
-    exchange (and never records cleanliness) because the old APIs made
-    no write declarations, so ghost validity cannot be tracked across
-    calls; *corners* demands the serialised blocking exchange whose
-    corner ghosts are correct (box stencils).
-
     Derived here: *needs_exchange* (the planner owes a ghost refresh) and
     *ghost_key* (two refreshes with equal keys are interchangeable).
     """
 
     __slots__ = (
-        "dat", "mode", "halo", "periodic", "edges", "exchange", "fresh", "corners",
-        "needs_exchange", "ghost_key",
+        "dat", "mode", "halo", "periodic", "edges", "exchange", "needs_exchange", "ghost_key",
     )  # fmt: skip
 
     def __init__(
@@ -153,8 +143,6 @@ class Arg:
         periodic: tuple[bool, ...] | bool = False,
         edges: str | None = None,
         exchange: bool = True,
-        fresh: bool = False,
-        corners: bool = False,
     ):
         if not isinstance(dat, Dat):
             dat = dat_of(dat)
@@ -175,10 +163,8 @@ class Arg:
         self.periodic = _normalize_periodic(periodic, dat.grid.ndim)
         self.edges = edges
         self.exchange = exchange
-        self.fresh = fresh
-        self.corners = corners
         self.needs_exchange = mode.reads and halo > 0 and exchange
-        self.ghost_key = (self.periodic, edges, corners)
+        self.ghost_key = (self.periodic, edges)
 
     @property
     def grid(self) -> DistGrid:
@@ -210,9 +196,9 @@ class Kernel:
 
 class RegionKernel(Kernel):
     """A kernel body called as ``fn(region)`` with interior-coordinate
-    slices (the :meth:`MeshContext.overlapped_update` calling
-    convention).  Same elementwise/tiling-safety contract as
-    :class:`Kernel`; the body slices its own grids."""
+    slices; the body slices its own grids, so the loop's arguments are
+    its whole declaration and must name what it writes.  Same
+    elementwise/tiling-safety contract as :class:`Kernel`."""
 
     kind = "region"
 
@@ -302,12 +288,8 @@ class ParLoop:
     times.  Declaration validates and derives what depends only on what
     was declared: the *region* — the owned interior of the first
     argument's grid intersected with *margin* cells from the **global**
-    edge (matching ``stencil_op``) — *halo_max*, the dats it *writes*,
-    and *writes_undeclared*: a region kernel declaring no write
-    (``overlapped_update`` without ``writes=``) writes what the planner
-    cannot see, so it fuses with nothing and bumps the validity epoch.
-    Ghost validity and ``overlap=None`` (the mesh's default) are state,
-    read at every run.
+    edge — *halo_max* and the dats it *writes*.  Ghost validity and
+    ``overlap=None`` (the mesh's default) are state, read at every run.
     """
 
     def __init__(
@@ -338,12 +320,12 @@ class ParLoop:
                     "grid operations reading neighbours require output "
                     "disjoint from inputs (paper §3.1)"
                 )
-        if kernel.kind == "views":
-            for a in halo_reads:
-                if a.mode is not READ:
-                    raise ArchetypeError(
-                        "non-READ view arguments must be pointwise (halo 0)"
-                    )
+        self.label = label or kernel.name
+        if kernel.kind == "region" and not writes:
+            raise ArchetypeError(
+                f"region-kernel loop {self.label!r} declares no write: its body "
+                "slices its own grids, so the arguments must name what it writes"
+            )
         self.mesh = mesh
         self.kernel = kernel
         self.args = args
@@ -351,9 +333,7 @@ class ParLoop:
         self.halo_max = max([a.halo for a in halo_reads], default=0)
         self.writes = [a.dat for a in writes]
         self.flops_per_point = float(flops_per_point)
-        self.label = label or kernel.name
         self.overlap = overlap
-        self.writes_undeclared = kernel.kind == "region" and not writes
         #: submissions so far; the engine keeps a plan from the second on
         self.runs = 0
 

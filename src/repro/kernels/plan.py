@@ -20,11 +20,11 @@ an earlier loop A and a candidate B:
   breaks fusion").
 - A reads d with halo > 0 and B writes d → **break** (tile-interleaving
   would let B overwrite cells a later tile of A still reads).
+- A and B both read d with halo > 0 under different ghost keys →
+  **break** (a group performs all its refreshes and edge fills before
+  any body runs, so A would read the ghosts B's key filled).
 - All halo-0 interactions compose: per point, tile-interleaved order
   equals loop order, because kernel bodies are elementwise.
-
-Loops whose write set is undeclared (legacy region kernels) fuse with
-nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def _phase_points(
     """Point counts of an overlapped group's charge phases: the deep
     tile first, then each shell tile (:func:`split_deep_shell` order).
     *bounds* are the region's ``(start, stop)`` pairs (slices do not
-    hash).  Geometry only: the shims' one-shot loops share it here."""
+    hash).  Geometry only, so one-shot loops share it here."""
     deep, shells = split_deep_shell(
         tuple(slice(lo, hi) for lo, hi in bounds), ghost, shape
     )
@@ -71,7 +71,6 @@ class LoopGroup:
         self.region = loops[0].region
         self.points = region_size(self.region)
         self.writes: list[Dat] = [dat for loop in loops for dat in loop.writes]
-        self.writes_undeclared = any(loop.writes_undeclared for loop in loops)
         first: dict[tuple, Arg] = {}
         for loop in loops:
             for a in loop.args:
@@ -99,19 +98,19 @@ def can_fuse(group: list[ParLoop], loop: ParLoop) -> bool:
     """May *loop* join the loops of *group* (tile-interleaved execution
     stays bitwise-identical to loop-by-loop execution)?"""
     head = group[0]
-    if loop.writes_undeclared or any(p.writes_undeclared for p in group):
-        return False
     if loop.region != head.region or loop.shape != head.shape:
         return False
     if loop.overlapped != head.overlapped:
         return False
     for prev in group:
         prev_writes = {id(dat) for dat in prev.writes}
-        prev_halo_reads = {id(a.dat) for a in prev.args if a.mode.reads and a.halo > 0}
+        prev_halo_reads = {id(a.dat): a.ghost_key for a in prev.args if a.halo > 0}
         for a in loop.args:
-            if a.mode.reads and a.halo > 0 and id(a.dat) in prev_writes:
+            if a.halo > 0 and id(a.dat) in prev_writes:
                 return False
             if a.mode.writes and id(a.dat) in prev_halo_reads:
+                return False
+            if a.halo > 0 and prev_halo_reads.get(id(a.dat), a.ghost_key) != a.ghost_key:
                 return False
     return True
 
@@ -137,43 +136,34 @@ class ExchangePlan:
     *packs* are lists of same-geometry args combined into one
     ``exchange_ghosts_many`` (one message per neighbour per direction
     covering every dat); singleton packs use the unpacked variant.
-    *serial* args demand the axis-serialised blocking exchange (correct
-    corner ghosts).  *fills* are the physical-edge ghost fills to apply
-    after the refresh.  *hoisted* counts reads whose ghosts were already
-    valid; *performed* lists ``(dat, key)`` pairs to mark clean.
+    *fills* are the physical-edge ghost fills to apply after the
+    refresh.  *hoisted* counts reads whose ghosts were already valid;
+    *performed* lists the args whose dat to mark clean under their key.
     """
 
     packs: list[list[Arg]] = field(default_factory=list)
-    serial: list[Arg] = field(default_factory=list)
     fills: list[Arg] = field(default_factory=list)
     hoisted: int = 0
-    performed: list[tuple[Dat, tuple]] = field(default_factory=list)
-
-    @property
-    def empty(self) -> bool:
-        return not self.packs and not self.serial
+    performed: list[Arg] = field(default_factory=list)
 
 
-def plan_exchanges(group: LoopGroup, epoch: int) -> ExchangePlan:
+def plan_exchanges(group: LoopGroup, epoch: object = None) -> ExchangePlan:
     """This run's exchange plan: the group's requests checked against
-    the current validity *epoch* (see
-    :class:`repro.kernels.runtime.KernelEngine`).  Due requests pack
-    together when their arrays stack and their exchanges coincide
+    each dat's clean ghost key.  Due requests pack together when their
+    arrays stack and their exchanges coincide
     (:func:`repro.comm.boundary.exchange_plan_key`); first-seen order is
     kept across packs and within one, so the message schedule is
-    deterministic."""
+    deterministic.  *epoch* is ignored: perfbench's ``kernels.plan_us``
+    probe, which a PR outside ``perfbench/`` may not edit, still passes
+    one."""
     plan = ExchangePlan()
     packs: dict[tuple, list[Arg]] = {}
     for a, pack_key in group.requests:
-        if not a.fresh:
-            if a.dat.clean.get(a.ghost_key) == epoch:
-                plan.hoisted += 1
-                continue
-            plan.performed.append((a.dat, a.ghost_key))
-        if a.corners:
-            plan.serial.append(a)
-        else:
-            packs.setdefault(pack_key, []).append(a)
+        if a.dat.clean == a.ghost_key:
+            plan.hoisted += 1
+            continue
+        plan.performed.append(a)
+        packs.setdefault(pack_key, []).append(a)
         if a.edges is not None:
             plan.fills.append(a)
     plan.packs = list(packs.values())

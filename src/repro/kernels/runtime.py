@@ -6,10 +6,9 @@ submitted via :meth:`KernelEngine.submit` (calling a declared
 a ``with engine.fuse():`` block is open, in which case they queue and
 flush together at block exit — giving the planner a window of adjacent
 loops to fuse and a wider scope for exchange dedup.  All state (queue,
-validity epoch, fuse depth, remembered plans) is per rank: under the
-threads backend every rank shares one process, and any cross-rank
-sharing here would let one rank's writes perturb another rank's message
-pattern.
+fuse depth, remembered plans) is per rank: under the threads backend
+every rank shares one process, and any cross-rank sharing here would let
+one rank's writes perturb another rank's message pattern.
 
 **Planned once, run many times.**  What follows from the declarations
 alone — grouping, exchange requests and pack keys, charges, phase point
@@ -17,8 +16,8 @@ counts, row tiles, the views each body is called on — is derived when a
 :class:`~repro.kernels.plan.LoopGroup` is built, and the engine keeps
 the groups of every sequence of loops it is handed again (a time loop
 submits the same loop objects every sweep).  State is read at every run:
-which ghosts are valid (``dat.clean`` against the epoch), the mesh's
-overlap default, the fusion switch.
+which ghosts are valid (``dat.clean``), the mesh's overlap default, the
+fusion switch.
 
 **A group is walked twice: once for the virtual clock, once for the
 values.**  The *accounting walk* is the modelled machine's schedule —
@@ -175,10 +174,6 @@ class KernelEngine:
         self.mesh = mesh
         self.queue: list[ParLoop] = []
         self._fuse_depth = 0
-        #: validity epoch: bumped whenever a loop with an undeclared
-        #: write set runs, invalidating every dat's ghost cleanliness
-        #: (a raw write could have hit any grid).
-        self.epoch = 0
         #: the groups of every flushed sequence of loops that had all run
         #: before, by ``(mesh.overlap, *loops)``.  A sequence holding a
         #: loop on its first run (every ``mesh.parloop`` call) is planned
@@ -229,21 +224,16 @@ class KernelEngine:
         ops, redistribution targets, file input): its ghosts are stale."""
         dat = getattr(grid, "_kernel_dat", None)
         if dat is not None:
-            dat.clean.clear()
+            dat.clean = None
 
     # -- execution ------------------------------------------------------------
     def _run_group(self, group: LoopGroup) -> None:
         comm = self.mesh.comm
-        plan = plan_exchanges(group, self.epoch)
+        plan = plan_exchanges(group)
         _GROUPS.inc()
         if plan.hoisted:
             _EXCHANGES_HOISTED.inc(plan.hoisted)
-        overlapped = group.overlap and not plan.empty
-        for a in plan.serial:
-            # corner-correct requests never reach the overlap path
-            # (legacy shims request corners only in blocking mode), but
-            # stay safe if one does: exchange before compute.
-            exchange_ghosts(comm, a.grid.local, a.grid.cart, a.grid.ghost, a.periodic)
+        overlapped = group.overlap and bool(plan.packs)
         handles = []
         for pack in plan.packs:
             grid = pack[0].grid
@@ -259,8 +249,8 @@ class KernelEngine:
                 handles.append(exchange_ghosts_start(comm, grid.local, *where))
             else:
                 exchange_ghosts(comm, grid.local, *where)
-        if not plan.empty:
-            _EXCHANGES.inc(len(plan.serial) + len(plan.packs))
+        if plan.packs:
+            _EXCHANGES.inc(len(plan.packs))
         for a in plan.fills:
             # physical-edge ghosts have no neighbour; filling them does
             # not race in-flight slabs.
@@ -277,15 +267,13 @@ class KernelEngine:
         else:
             self._charge_phase(group, group.points)
         self._execute(group)
-        # Post-state: refreshed dats are clean at this epoch, written
-        # dats are dirty (clean marks land first, so a dat both read and
-        # written in the group correctly ends dirty).
-        for dat, key in plan.performed:
-            dat.clean[key] = self.epoch
+        # Post-state: refreshed dats are clean under the key they were
+        # refreshed with, written dats are dirty (clean marks land first,
+        # so a dat both read and written in the group correctly ends dirty).
+        for a in plan.performed:
+            a.dat.clean = a.ghost_key
         for dat in group.writes:
-            dat.clean.clear()
-        if group.writes_undeclared:
-            self.epoch += 1
+            dat.clean = None
 
     def _charge_phase(self, group: LoopGroup, npoints: int) -> None:
         """The accounting walk's step: charge every group loop for one

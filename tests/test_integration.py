@@ -114,8 +114,7 @@ class TestWholeApplicationTraces:
         )
         breakdown = phase_breakdown(res.tracer)
         # The par-loop layer charges under each loop's declared label,
-        # so the sweep shows up as "jacobi" rather than a generic
-        # "stencil_op" bucket.
+        # so the sweep shows up as "jacobi".
         assert "jacobi" in breakdown
         assert "diffmax" in breakdown
         s = summarize(res.tracer)

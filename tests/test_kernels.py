@@ -5,10 +5,9 @@ bodies walk the region* (tile-interleaved vs loop-by-loop) and nothing
 else — groups, exchange packs, hoists, charges, and therefore values,
 virtual clocks, and traces are identical in both modes, on every
 backend.  The A/B classes check exactly that on the five mesh
-applications — the three par-loop chains and the two region-kernel codes
-(cfd, fdtd: single-loop groups and a 3-D grid, which the switch reaches
-now that every group is walked by row block); the unit classes pin the
-planning rules the invariant rests on (fusion legality, exchange
+applications — the three views-kernel chains and the two region-kernel
+codes (cfd, fdtd: single-loop groups and a 3-D grid); the unit classes
+pin the planning rules the invariant rests on (fusion legality, exchange
 hoisting, validity invalidation, tiling).
 """
 
@@ -161,22 +160,79 @@ class TestFusionLegality:
         res = MeshProgram(prog).run(1)
         assert res.values[0] == [1, 1]
 
-    def test_undeclared_write_fuses_with_nothing(self):
+    def test_two_ghost_keys_on_one_dat_break_fusion(self):
+        """A group refreshes and edge-fills before any body runs, so two
+        halo reads of one dat fuse only under one ghost key: fused, the
+        first loop would read the second's fill."""
+
+        def prog(mesh, fused):
+            u, a, b, copy, zero = _two_key_loops(mesh)
+            if fused:
+                with mesh.fuse():
+                    copy()
+                    zero()
+            else:
+                copy()
+                zero()
+            return a.gather(root=0), b.gather(root=0)
+
+        fused = MeshProgram(prog).run(2, True).values[0]
+        sequential = MeshProgram(prog).run(2, False).values[0]
+        assert np.array_equal(fused[0], sequential[0])
+        assert np.array_equal(fused[1], sequential[1])
+        assert np.array_equal(fused[0][0], 1.0 + np.arange(6))  # the copied edge
+        assert not fused[1][0].any()  # the zeroed one
+
+    def test_one_ghost_key_on_one_dat_fuses_and_dedups(self):
         def prog(mesh):
-            a = mesh.grid((8, 8), ghost=1, fill=1.0)
+            u = mesh.grid((6, 6), ghost=1, fill=1.0)
+            outs = [mesh.grid((6, 6), ghost=1) for _ in range(2)]
+            with mesh.fuse():
+                for out in outs:
+                    mesh.parloop(_row_above, Arg(out, WRITE), Arg(u, READ, halo=1, edges="copy"))
+
+        with scoped_registry() as reg:
+            MeshProgram(prog).run(2)
+            counters = _kernel_counters(reg.snapshot())
+        assert counters["groups"] == 2  # one per rank
+        assert counters["loops_fused"] == 4
+        assert counters["exchanges"] == 2
+
+    def test_region_kernel_must_declare_a_write(self):
+        """A region body slices its own grids: a loop that names no write
+        has a write set nobody can see, and is refused by name."""
+        from repro.errors import ArchetypeError
+
+        def prog(mesh):
+            a = mesh.grid((8, 8), ghost=1)
             b = mesh.grid((8, 8), ghost=1)
+            with pytest.raises(ArchetypeError, match="'blind-update' declares no write"):
+                mesh.loop(
+                    RegionKernel(lambda region: None),
+                    Arg(b, READ),
+                    Arg(a, READ, halo=1),
+                    label="blind-update",
+                )
+            mesh.loop(RegionKernel(lambda region: None), Arg(b, RW), Arg(a, READ, halo=1))
+            return True
 
-            def body(*views):
-                pass
+        assert all(MeshProgram(prog).run(2).values)
 
-            declared = mesh.loop(body, Arg(b, WRITE), Arg(a, READ))
-            # a region kernel declaring no write: its write set is unknown
-            legacy = mesh.loop(RegionKernel(body), Arg(b, READ), Arg(a, READ))
-            assert legacy.writes_undeclared and not declared.writes_undeclared
-            return [len(g.loops) for g in build_groups([declared, legacy, declared])]
 
-        res = MeshProgram(prog).run(1)
-        assert res.values[0] == [1, 1, 1]
+def _row_above(out, u):
+    out[...] = u[-1, 0]
+
+
+def _two_key_loops(mesh):
+    """``u`` (row i holds 1 + j) read one row up under ``edges="copy"``
+    into ``a`` and under ``edges="zero"`` into ``b``: global row 0 of the
+    result is the physical-edge ghost row, the copied edge or zeros."""
+    u = mesh.grid((6, 6), ghost=1)
+    u.fill_from(lambda i, j: 1.0 + j + 0.0 * i)
+    a, b = u.like(), u.like()
+    copy = mesh.loop(_row_above, Arg(a, WRITE), Arg(u, READ, halo=1, edges="copy"))
+    zero = mesh.loop(_row_above, Arg(b, WRITE), Arg(u, READ, halo=1, edges="zero"))
+    return u, a, b, copy, zero
 
 
 def _kernel_counters(snapshot: dict) -> dict:
@@ -230,31 +286,46 @@ class TestExchangeHoisting:
         assert counters["exchanges"] == 4  # both reads exchange, per rank
         assert counters.get("exchanges_hoisted", 0) == 0
 
-    def test_undeclared_write_bumps_epoch(self):
-        """A legacy op with an unknown write set invalidates everything."""
-
-        def body(out, a):
-            out[...] = a[0, 0]
+    def test_refresh_under_another_key_is_not_hoisted_over(self):
+        """``dat.clean`` is one slot: after copy(); zero() the ghosts
+        hold zero's fill, so the second copy() must refresh again, not
+        find its own mark still standing."""
 
         def prog(mesh):
-            a = mesh.grid((8, 8), ghost=1, fill=1.0)
-            b = mesh.grid((8, 8), ghost=1)
-            mesh.parloop(body, Arg(b, WRITE), Arg(a, READ, halo=1), margin=1)
-            # Legacy region update whose write set is undeclared.
-            mesh.overlapped_update(
-                [b], lambda region: None, flops_per_point=0.0, label="legacy"
-            )
-            mesh.parloop(body, Arg(b, WRITE), Arg(a, READ, halo=1), margin=1)
+            u, a, b, copy, zero = _two_key_loops(mesh)
+            copy()
+            first = a.gather(root=0)
+            zero()
+            copy()
+            return first, a.gather(root=0)
 
         with scoped_registry() as reg:
-            MeshProgram(prog).run(2)
+            first, again = MeshProgram(prog).run(2).values[0]
             counters = _kernel_counters(reg.snapshot())
-        assert counters.get("exchanges_hoisted", 0) == 0
+        assert np.array_equal(first[0], 1.0 + np.arange(6))
+        assert np.array_equal(again, first)
+        assert counters["exchanges"] == 2 * 3 and "exchanges_hoisted" not in counters
+
+    def test_periodic_then_edge_copy_refreshes_again(self):
+        def prog(mesh):
+            u = mesh.grid((6, 6), ghost=1)
+            u.fill_from(lambda i, j: 1.0 * i + 0.0 * j)
+            a, b = u.like(), u.like()
+            wrapped = mesh.loop(_row_above, Arg(a, WRITE), Arg(u, READ, halo=1, periodic=True))
+            copied = mesh.loop(_row_above, Arg(b, WRITE), Arg(u, READ, halo=1, edges="copy"))
+            copied()
+            wrapped()
+            copied()
+            return a.gather(root=0), b.gather(root=0)
+
+        wrapped, copied = MeshProgram(prog).run(2).values[0]
+        assert np.all(wrapped[0] == 5.0)  # row 0 reads row 5 round the torus
+        assert np.all(copied[0] == 0.0)  # and its own edge under "copy"
 
     def test_hoist_across_fused_groups_matches_values(self):
         """Hoisting never changes values: a two-group fuse block where
-        the second group's exchange hoists must equal the blocking
-        legacy formulation."""
+        the second group's exchange hoists must equal the one-rank
+        run."""
 
         def diff(out, a):
             out[...] = a[1, 0] - a[-1, 0]
@@ -340,7 +411,7 @@ class TestTiling:
                 regions.append(region)
 
             mesh.parloop(views_body, Arg(b, WRITE), Arg(a, READ, halo=1))
-            mesh.overlapped_update([b], region_body, writes=[a])
+            mesh.parloop(RegionKernel(region_body), Arg(b, READ, halo=1), Arg(a, WRITE))
 
         with scoped_registry() as reg:
             MeshProgram(prog).run(1)
@@ -393,8 +464,7 @@ class TestDeclaredLoops:
         assert self._observe(declared, nprocs) == self._observe(called, nprocs)
 
     def test_ghost_validity_is_read_at_every_run(self):
-        """Second run hoists; a write the engine is told about, or one it
-        cannot see (an undeclared-write loop bumps the epoch), makes the
+        """Second run hoists; a write the engine is told about makes the
         next run exchange again."""
 
         def body(out, a):
@@ -403,7 +473,6 @@ class TestDeclaredLoops:
         def prog(mesh):
             a = mesh.grid((8, 8), ghost=1, fill=1.0)
             b = mesh.grid((8, 8), ghost=1)
-            c = mesh.grid((8, 8), ghost=1)
             read_a = mesh.loop(body, Arg(b, WRITE), Arg(a, READ, halo=1), margin=1)
             read_a()  # exchanges
             read_a()  # hoisted
@@ -411,13 +480,11 @@ class TestDeclaredLoops:
             a.interior[...] = 2.0
             mesh.kernels.note_write(a)
             read_a()  # exchanges
-            mesh.overlapped_update([c], lambda region: None, label="legacy")  # its own exchange
-            read_a()  # exchanges: the epoch moved
             read_a()  # hoisted
             return float(b.interior.max())
 
         _, _, counters = self._observe(prog)
-        assert counters["exchanges"] == 2 * (3 + 1)  # per rank: read_a x3, legacy x1
+        assert counters["exchanges"] == 2 * 2  # per rank
         assert counters["exchanges_hoisted"] == 2 * 3
 
     def test_overlap_default_is_read_at_every_run(self):
@@ -595,53 +662,3 @@ class TestExprKernelJIT:
         x = np.zeros((3, 3))
         with pytest.raises(ArchetypeError):
             kernel.fn(np.empty_like(x), x)
-
-
-class TestShims:
-    """The legacy grid-op API rides the kernel layer unchanged."""
-
-    def test_point_op_is_a_parloop(self):
-        def prog(mesh):
-            a = mesh.grid((6, 6), fill=2.0)
-            out = mesh.grid((6, 6))
-            mesh.point_op(lambda o, x: o.__setitem__(..., x * 3), out, a)
-            return out.gather(root=0)
-
-        with scoped_registry() as reg:
-            res = MeshProgram(prog).run(2)
-            counters = _kernel_counters(reg.snapshot())
-        assert np.all(res.values[0] == 6.0)
-        assert counters["loops"] >= 2  # one per rank
-
-    def test_stencil_op_value_identity_with_parloop(self):
-        """A stencil_op and the equivalent declared par-loop produce
-        bitwise-identical results at any process count."""
-
-        def legacy(mesh):
-            a = mesh.grid((10, 10), ghost=1)
-            a.fill_from(lambda i, j: i * 10.0 + j)
-            out = mesh.grid((10, 10), ghost=1)
-            mesh.stencil_op(
-                lambda o, s: o.__setitem__(..., s[1, 0] + s[-1, 0]),
-                out,
-                a,
-                margin=1,
-            )
-            return out.gather(root=0)
-
-        def declared(mesh):
-            a = mesh.grid((10, 10), ghost=1)
-            a.fill_from(lambda i, j: i * 10.0 + j)
-            out = mesh.grid((10, 10), ghost=1)
-            mesh.parloop(
-                lambda o, s: o.__setitem__(..., s[1, 0] + s[-1, 0]),
-                Arg(out, WRITE),
-                Arg(a, READ, halo=1),
-                margin=1,
-            )
-            return out.gather(root=0)
-
-        for p in (1, 2, 4):
-            l = MeshProgram(legacy).run(p).values[0]
-            d = MeshProgram(declared).run(p).values[0]
-            assert np.array_equal(l, d), p

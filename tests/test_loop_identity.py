@@ -1,17 +1,19 @@
 """Declaring a par-loop once changes nothing an observer can see.
 
-``mesh.loop(...)`` moved validation and planning out of the time loop:
-poisson, smog and spectralflow declare their loops above it and the
-engine keeps the grouping of a sequence of loop objects it has seen
-before.  What a run *does* must not move: ``tests/data/loop_pins.json``
-holds, for each of the three at two sizes and P in {1, 2, 4, 16}, what
-the parent commit (every sweep re-planned through ``mesh.parloop``)
-produced — value digest, every rank's final virtual clock
-(``float.hex``), ``runtime.mailbox.enqueued``, the ``core.kernels.*``
-counters under ``fusion_forced(True)`` and ``(False)``, and a SHA-256 of
-the trace event list on the deterministic engine, the process-parallel
-engine and eight fuzzed schedules.  ``python tests/test_loop_identity.py``
-re-records the file from the tree it runs in (run it at the parent only).
+``mesh.loop(...)`` moved validation and planning out of the time loop,
+and all five mesh applications declare their loops above it.  What a run
+*does* must not move: ``tests/data/loop_pins.json`` holds, for each case
+at P in {1, 2, 4, 16}, what the tree produced before the application was
+ported — poisson, smog and spectralflow re-planned every sweep through
+``mesh.parloop``; cfd and fdtd ran the exchange-every-call mesh
+operation that PR 24 deleted (its pins were recorded at 6479e67, where
+the 24 older entries came out byte-identical) — value digest, every
+rank's final virtual clock (``float.hex``), ``runtime.mailbox.enqueued``,
+the ``core.kernels.*`` counters under ``fusion_forced(True)`` and
+``(False)``, and a SHA-256 of the trace event list on the deterministic
+engine, the process-parallel engine and eight fuzzed schedules.
+``python tests/test_loop_identity.py`` re-records the file from the tree
+it runs in (run it at the parent of a port only).
 """
 
 import hashlib
@@ -36,6 +38,23 @@ _CASES = {
     "smog-20x16": ("smog", {"nx": 20, "ny": 16, "steps": 2}),
     "spectralflow-16": ("spectralflow", {"nr": 16, "nz": 16, "steps": 2}),
     "spectralflow-32x16": ("spectralflow", {"nr": 32, "nz": 16, "steps": 3}),
+    "cfd-16": ("cfd", {"nx": 16, "ny": 16, "steps": 4, "gather": True}),
+    "cfd-24x20-reactive": (
+        "cfd",
+        {"nx": 24, "ny": 20, "steps": 3, "reactive": True, "gather": True},
+    ),
+    "cfd-16-smooth": ("cfd", {"nx": 16, "ny": 16, "steps": 3, "ic": "smooth", "gather": True}),
+    "cfd-16-blocking": ("cfd", {"nx": 16, "ny": 16, "steps": 3, "overlap": False, "gather": True}),
+    "cfd-16-unpacked": (
+        "cfd",
+        {"nx": 16, "ny": 16, "steps": 3, "packed_exchange": False, "gather": True},
+    ),
+    "fdtd-8": ("fdtd", {"nx": 8, "ny": 8, "nz": 8, "steps": 3, "gather": True}),
+    "fdtd-12x8x10": ("fdtd", {"nx": 12, "ny": 8, "nz": 10, "steps": 2, "gather": True}),
+    "fdtd-8-blocking": (
+        "fdtd",
+        {"nx": 8, "ny": 8, "nz": 8, "steps": 2, "overlap": False, "gather": True},
+    ),
 }
 
 

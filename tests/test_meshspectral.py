@@ -6,6 +6,7 @@ import pytest
 from repro.comm.reductions import MAX, SUM
 from repro.core import MeshProgram
 from repro.errors import ArchetypeError, RankFailedError
+from repro.kernels import READ, WRITE, Arg
 
 
 def run_mesh(nprocs, program, *args, **kwargs):
@@ -21,7 +22,12 @@ class TestPointOp:
             a.fill_from(lambda i, j: i * 1.0)
             b.fill_from(lambda i, j: j * 1.0)
             out = mesh.grid((6, 6))
-            mesh.point_op(lambda o, x, y: o.__setitem__(..., x + 2 * y), out, a, b)
+            mesh.parloop(
+                lambda o, x, y: o.__setitem__(..., x + 2 * y),
+                Arg(out, WRITE),
+                Arg(a, READ),
+                Arg(b, READ),
+            )
             return out.gather(root=0)
 
         res = run_mesh(p, prog)
@@ -31,7 +37,7 @@ class TestPointOp:
     def test_output_may_alias_input(self):
         def prog(mesh):
             a = mesh.grid((4, 4), fill=1.0)
-            mesh.point_op(lambda o, x: o.__setitem__(..., x * 2), a, a)
+            mesh.parloop(lambda o, x: o.__setitem__(..., x * 2), Arg(a, WRITE), Arg(a, READ))
             return a.gather(root=0)
 
         res = run_mesh(2, prog)
@@ -41,7 +47,7 @@ class TestPointOp:
         def prog(mesh):
             a = mesh.grid((4, 4), dist="rows")
             b = mesh.grid((4, 4), dist="cols")
-            mesh.point_op(lambda o, x: None, a, b)
+            mesh.parloop(lambda o, x: None, Arg(a, WRITE), Arg(b, READ))
 
         with pytest.raises(RankFailedError) as info:
             run_mesh(2, prog)
@@ -54,7 +60,7 @@ class TestPointOp:
 
         def prog(mesh):
             a = mesh.grid((10, 10))
-            mesh.point_op(lambda o: o.__setitem__(..., 0), a, flops_per_point=3.0)
+            mesh.parloop(lambda o: o.__setitem__(..., 0), Arg(a, WRITE), flops_per_point=3.0)
 
         res = run_mesh(1, prog, machine=toy)
         assert res.times[0] == pytest.approx(300e-6)
@@ -71,12 +77,13 @@ class TestStencilOp:
 
             u = DistGrid.from_global(mesh.comm, full if mesh.comm.rank == 0 else None, ghost=1)
             out = u.like()
-            mesh.stencil_op(
+            mesh.parloop(
                 lambda o, s: o.__setitem__(
                     ..., 0.25 * (s[-1, 0] + s[1, 0] + s[0, -1] + s[0, 1])
                 ),
-                out,
-                u,
+                Arg(out, WRITE),
+                Arg(u, READ, halo=1),
+                margin=1,
             )
             return out.gather(root=0)
 
@@ -90,7 +97,7 @@ class TestStencilOp:
     def test_output_disjointness_enforced(self):
         def prog(mesh):
             u = mesh.grid((4, 4), ghost=1)
-            mesh.stencil_op(lambda o, s: None, u, u)
+            mesh.parloop(lambda o, s: None, Arg(u, WRITE), Arg(u, READ, halo=1), margin=1)
 
         with pytest.raises(RankFailedError) as info:
             run_mesh(2, prog)
@@ -101,7 +108,7 @@ class TestStencilOp:
         def prog(mesh):
             u = mesh.grid((4, 4), ghost=0)
             out = mesh.grid((4, 4), ghost=0)
-            mesh.stencil_op(lambda o, s: None, out, u)
+            mesh.parloop(lambda o, s: None, Arg(out, WRITE), Arg(u, READ, halo=1), margin=1)
 
         with pytest.raises(RankFailedError) as info:
             run_mesh(1, prog)
@@ -111,7 +118,7 @@ class TestStencilOp:
         def prog(mesh):
             u = mesh.grid((6, 6), ghost=1)
             out = u.like()
-            mesh.stencil_op(lambda o, s: s[2, 0], out, u)
+            mesh.parloop(lambda o, s: s[2, 0], Arg(out, WRITE), Arg(u, READ, halo=1), margin=1)
 
         with pytest.raises(RankFailedError) as info:
             run_mesh(1, prog)
@@ -122,12 +129,10 @@ class TestStencilOp:
             u = mesh.grid((4, 4), ghost=1)
             u.fill_from(lambda i, j: i * 4.0 + j)
             out = u.like()
-            mesh.stencil_op(
+            mesh.parloop(
                 lambda o, s: o.__setitem__(..., s[-1, 0]),
-                out,
-                u,
-                margin=0,
-                periodic=True,
+                Arg(out, WRITE),
+                Arg(u, READ, halo=1, periodic=True),
             )
             return out.gather(root=0)
 
@@ -140,12 +145,11 @@ class TestStencilOp:
             u = mesh.grid((4, 6), ghost=1, fill=0.0)
             u.fill_from(lambda i, j: 1.0 + 0 * i * j)
             out = u.like(fill=-1.0)
-            mesh.stencil_op(
+            mesh.parloop(
                 lambda o, s: o.__setitem__(..., s[0, 1]),
-                out,
-                u,
+                Arg(out, WRITE),
+                Arg(u, READ, halo=1, periodic=(False, True)),
                 margin=(1, 0),
-                periodic=(False, True),
             )
             return out.gather(root=0)
 
@@ -159,7 +163,7 @@ class TestStencilOp:
         def prog(mesh):
             u = mesh.grid((4, 4), dist="rows", ghost=1)
             out = mesh.grid((4, 4), dist="cols", ghost=1)
-            mesh.stencil_op(lambda o, s: None, out, u)
+            mesh.parloop(lambda o, s: None, Arg(out, WRITE), Arg(u, READ, halo=1), margin=1)
 
         with pytest.raises(RankFailedError) as info:
             run_mesh(2, prog)
@@ -313,7 +317,7 @@ class TestWorkingSet:
         def prog(mesh, ws):
             mesh.set_working_set(ws)
             g = mesh.grid((10, 10))
-            mesh.point_op(lambda o: o.__setitem__(..., 0.0), g, flops_per_point=1.0)
+            mesh.parloop(lambda o: o.__setitem__(..., 0.0), Arg(g, WRITE), flops_per_point=1.0)
 
         fast = run_mesh(1, prog, 50, machine=tight).times[0]
         slow = run_mesh(1, prog, 200, machine=tight).times[0]

@@ -111,6 +111,7 @@ class TestGridDtypes:
     def test_ghost_two_stencil(self):
         """A 5-wide stencil (ghost=2) across rank boundaries."""
         from repro.core import MeshProgram
+        from repro.kernels import READ, WRITE, Arg
 
         full = np.arange(64.0).reshape(8, 8)
 
@@ -121,10 +122,10 @@ class TestGridDtypes:
                 mesh.comm, full if mesh.comm.rank == 0 else None, dist="rows", ghost=2
             )
             out = u.like()
-            mesh.stencil_op(
+            mesh.parloop(
                 lambda o, s: o.__setitem__(..., s[-2, 0] + s[2, 0]),
-                out,
-                u,
+                Arg(out, WRITE),
+                Arg(u, READ, halo=2),
                 margin=2,
             )
             return out.gather(root=0)

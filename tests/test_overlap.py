@@ -28,6 +28,7 @@ from repro.apps import registry
 from repro.core import MeshProgram
 from repro.core.meshspectral import StencilView, split_deep_shell
 from repro.errors import RankFailedError
+from repro.kernels import READ, WRITE, Arg, RegionKernel
 from repro.machines.catalog import IBM_SP, INTEL_DELTA
 from repro.verify import fuzzed_schedule, value_digest
 
@@ -85,16 +86,19 @@ class TestStencilOpIdentity:
                 mesh.comm, full if mesh.comm.rank == 0 else None, ghost=1
             )
             out = u.like()
+            average = mesh.loop(
+                lambda o, s: o.__setitem__(
+                    ..., 0.25 * (s[-1, 0] + s[1, 0] + s[0, -1] + s[0, 1])
+                ),
+                Arg(out, WRITE),
+                Arg(u, READ, halo=1),
+                margin=1,
+                flops_per_point=4.0,
+            )
+            copy_back = mesh.loop(lambda o, x: o.__setitem__(..., x), Arg(u, WRITE), Arg(out, READ))
             for _ in range(3):
-                mesh.stencil_op(
-                    lambda o, s: o.__setitem__(
-                        ..., 0.25 * (s[-1, 0] + s[1, 0] + s[0, -1] + s[0, 1])
-                    ),
-                    out,
-                    u,
-                    flops_per_point=4.0,
-                )
-                u.interior[...] = out.interior
+                average()
+                copy_back()
             return out.gather(root=0)
 
         a = _run(prog, p, True)
@@ -198,6 +202,15 @@ class TestTwoWalks:
                 s = StencilView(u, region)
                 out.interior[region] = s[-1, 0] + s[1, 0] + s[0, -1] + s[0, 1]
 
+            declaration = dict(flops_per_point=4.0, overlap=True)
+            args = (RegionKernel(apply), Arg(u, READ, halo=1), Arg(out, WRITE))
+            # declared above the poisoning or at the point of use: what a
+            # run exchanges is state, read when it runs
+            update = (
+                mesh.loop(*args, **declaration)
+                if declared
+                else lambda: mesh.parloop(*args, **declaration)
+            )
             for axis, (lo, hi) in enumerate(u.rect):
                 # poison only ghosts that have a neighbour to refresh them
                 sel = [slice(1, -1)] * 2
@@ -207,13 +220,7 @@ class TestTwoWalks:
                 if hi < 12:
                     sel[axis] = -1
                     u.local[tuple(sel)] = -1.0
-            mesh.overlapped_update(
-                [u],
-                apply,
-                flops_per_point=4.0,
-                overlap=True,
-                writes=[out] if declared else None,
-            )
+            update()
             owned = tuple(slice(0, n) for n in u.interior.shape)
             return calls == [owned], out.gather(root=0)
 
@@ -231,8 +238,12 @@ class TestTwoWalks:
 
         def prog(mesh):
             u = mesh.grid((12, 12), ghost=1, fill=1.0)
-            mesh.overlapped_update(
-                [u], lambda region: None, flops_per_point=1.0, overlap=True,
+            mesh.parloop(
+                RegionKernel(lambda region: None),
+                Arg(u, READ, halo=1),
+                Arg(u.like(), WRITE),
+                flops_per_point=1.0,
+                overlap=True,
                 label="walk",
             )
 
@@ -255,7 +266,9 @@ class TestTwoWalks:
             def apply(region):
                 raise ValueError("body failed")
 
-            mesh.overlapped_update([u], apply, overlap=True)
+            mesh.parloop(
+                RegionKernel(apply), Arg(u, READ, halo=1), Arg(u.like(), WRITE), overlap=True
+            )
 
         with pytest.raises(RankFailedError) as info:
             _run(prog, 4)

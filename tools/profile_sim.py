@@ -16,7 +16,10 @@ bodies (``repro/apps`` + ``<kernel ...>``), the par-loop layer
 and grids, the pipeline, the one-deep skeleton), the engine
 (``repro/runtime`` + ``repro/comm`` + ``repro/obs``) and native code, and
 beside them how many ``ParLoop`` objects the case built for how many loop
-runs (a time loop that declares its loops builds a constant number); with
+runs (every mesh app declares its loops above the time loop, so it builds
+ranks x declared loops: ``sim_comm`` poisson 32/1280, cfd 32/192;
+``sim_kernel`` smog 16/80, spectralflow 48/120, poisson 4/96, cfd 4/56,
+fdtd 4/96); with
 an app it prints that case's self time by module and its top functions.
 Either way every case's perfbench pin is asserted (perfbench is imported,
 never changed).
