@@ -70,8 +70,9 @@ def pair_messages(tracer: Tracer) -> list[MessagePair]:
     """Match send events to recv events by per-channel FIFO order.
 
     Channels are (source, dest, tag) triples.  Within a channel the
-    mailbox matches messages in arrival (= send) order, so pairing the
-    k-th send with the k-th recv reconstructs the actual matching.
+    mailbox takes messages in send order (a FIFO per channel, whatever
+    their arrivals), so pairing the k-th send with the k-th recv
+    reconstructs the actual matching.
     Unmatched events (none in a completed run) are skipped.
     """
     pending: dict[tuple[int, int, int], deque[tuple[int, int, CommEvent]]] = {}

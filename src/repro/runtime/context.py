@@ -362,13 +362,9 @@ class RankContext:
         if source != ANY_SOURCE:
             self.check_peer(source)
         start = self.clock
-        describe = (
-            f"recv(source={'ANY' if source == ANY_SOURCE else source}, "
-            f"tag={'ANY' if tag == ANY_TAG else tag}, ctx={self._ctx})"
-        )
         global_source = source if source == ANY_SOURCE else self._to_global(source)
         msg = self._backend.wait_for_match(
-            self.global_rank, global_source, tag, self._ctx, describe
+            self.global_rank, global_source, tag, self._ctx, source
         )
         self.clock = max(self.clock, msg.arrival)
         self.clock += self.machine.recv_overhead(msg.nbytes, nodes=self.size)
@@ -479,8 +475,9 @@ class RankContext:
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Post a nonblocking receive pattern; costs nothing until waited.
 
-        Posting pins the match: the pattern binds to the earliest pending
-        match now (or the next matching delivery), and a bound message can
+        Posting pins the match: the pattern binds to the message a
+        blocking receive would take now (or the next matching delivery,
+        oldest post first), and a bound message can
         no longer be stolen by other receives — MPI posted-receive
         semantics.
         """
@@ -569,13 +566,8 @@ class RankContext:
             return None
         rank = self.global_rank
         if not self._backend.post_ready(rank, request.post_id):
-            describe = (
-                f"wait(recv #{request.req_id}, "
-                f"source={'ANY' if request.peer == ANY_SOURCE else request.peer}, "
-                f"tag={'ANY' if request.tag == ANY_TAG else request.tag}, "
-                f"ctx={self._ctx})"
-            )
-            self._backend.wait_any_post(rank, [request.post_id], describe)
+            label = ("wait", request.req_id, request.peer, request.tag, self._ctx)
+            self._backend.wait_any_post(rank, (request.post_id,), label)
         msg = self._backend.take_post(rank, request.post_id)
         self._complete_recv(request, msg)
         return request.payload
@@ -603,9 +595,9 @@ class RankContext:
                 pending[r.post_id] = r
         fulfilled: list[tuple[Request, Message]] = []
         if pending:
-            describe = f"waitall({len(requests)} requests, ctx={self._ctx})"
+            label = ("waitall", len(requests), self._ctx)
             while pending:
-                ready = backend.wait_any_post(rank, list(pending), describe)
+                ready = backend.wait_any_post(rank, tuple(pending), label)
                 if len(ready) == 1:
                     post_id = ready[0]
                 else:
@@ -687,10 +679,10 @@ class RankContext:
             if r.kind == "send" or self._backend.post_ready(rank, r.post_id)
         ]
         if not ready:
-            describe = f"waitany({len(incomplete)} requests, ctx={self._ctx})"
+            label = ("waitany", len(incomplete), self._ctx)
             got = set(
                 self._backend.wait_any_post(
-                    rank, [r.post_id for _, r in incomplete], describe
+                    rank, tuple(r.post_id for _, r in incomplete), label
                 )
             )
             ready = [(i, r) for i, r in incomplete if r.post_id in got]
@@ -808,9 +800,7 @@ class RankContext:
         _REQ_POSTED.inc(nreq)
         got = None
         if post_id is not None:
-            ready = backend.wait_any_post(
-                rank, [post_id], f"waitall({nreq} requests, ctx={self._ctx})"
-            )
+            ready = backend.wait_any_post(rank, (post_id,), ("waitall", nreq, self._ctx))
             got = backend.take_post(rank, ready[0])
         completed = 0
         if send_arrival is not None:

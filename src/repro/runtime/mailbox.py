@@ -1,44 +1,42 @@
-"""Per-rank mailboxes with MPI-style (source, tag) matching.
+"""Per-rank mailboxes with MPI-style (source, tag, ctx) matching.
 
-Matching returns the pending message with the earliest *virtual arrival
-time* (ties broken by source then per-source sequence number), which is
-what a receive on the modelled machine would see.  Same-source same-tag
-messages have monotonically increasing arrivals, so MPI's non-overtaking
-guarantee holds.  Synchronisation is the backend's job; the mailbox
-itself is a plain data structure.
+One matching rule, the one MPI states: a receive's *candidates* are each
+sender's oldest pending message that matches its pattern — messages from
+one sender are never overtaken by later ones (non-overtaking), however
+their virtual arrivals compare.  ``isend`` makes that distinction real:
+it charges only the post overhead, so a large message followed by a
+small one on the same channel *arrives* after it.  Among the candidates
+(one per sender) :meth:`Mailbox.take_match` takes the earliest-arriving,
+ties broken by source, which is what a receive on the modelled machine
+would see; the fuzzed backend instead draws a seeded-random one from
+:meth:`Mailbox.candidates`.  Synchronisation is the backend's job; the
+mailbox itself is a plain data structure.
+
+Pending messages wait in one FIFO per exact ``(source, tag, ctx)``
+channel, in delivery order; every engine delivers a channel in send
+order.  An exact receive reads one channel head; a wildcard receive
+reads the heads of the channels its pattern covers.
 
 Posted receives (the nonblocking layer's half of matching): a rank may
 *post* a (source, tag, ctx) pattern ahead of time with :meth:`post`.  A
-post binds immediately to the best pending match if one exists;
-otherwise the next delivered matching message binds to the oldest
-matching unposted record — MPI's posted-receive-queue semantics.  Bound
-messages leave the pending queue, so a concurrent blocking receive can
-never steal a message already claimed by a posted request.
+post binds immediately to the candidate a blocking receive would take,
+if one exists; otherwise the next delivered matching message binds to
+the oldest matching open post — MPI's posted-receive-queue semantics.
+Bound messages never enter the pending queues, so a concurrent blocking
+receive cannot steal a message already claimed by a posted request.
 
-Next to the delivery-order slot list, :class:`Mailbox` keeps one queue
-per exact ``(source, tag, ctx)`` channel.  The exact-match operations
-the scheduler polls every step — ``has_match``/``take_match`` with no
-wildcard — are O(1) (amortised) instead of a linear scan, and removal
-tombstones a slot instead of paying an O(n) ``del deque[i]``.  Wildcard
-matching and the fuzzed backend's ``match_indices`` scan the
-delivery-order view.
-
-:class:`_LinearMailbox` is the single-deque linear-scan reference the
+:class:`_LinearMailbox` is the single-list linear-scan reference the
 property tests pit :class:`Mailbox` against; nothing constructs it at
 run time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import deque
+from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.obs.metrics import (
-    COUNT_BUCKETS,
-    counter_handle,
-    histogram_handle,
-)
+from repro.obs.metrics import COUNT_BUCKETS, counter_handle, histogram_handle
 from repro.runtime.message import ANY_SOURCE, ANY_TAG, Message
 
 _ENQUEUED = counter_handle(
@@ -68,194 +66,111 @@ class _PostedRecv:
     msg: Message | None = None
 
 
-class _Channel:
-    """Slot indices of one exact (source, tag, ctx) channel.
-
-    ``indices`` holds positions into the mailbox's slot list, in
-    delivery order.  ``sorted`` records whether the channel's
-    ``(arrival, seq)`` keys have stayed nondecreasing in delivery order —
-    true for every message a monotone virtual clock can produce — in
-    which case the head is the earliest-arriving candidate and a take is
-    O(1).  Out-of-order arrivals (possible only through hand-built
-    messages) drop the flag and fall back to a scan of this channel
-    alone.
-    """
-
-    __slots__ = ("indices", "sorted", "last_key")
-
-    def __init__(self) -> None:
-        self.indices: deque[int] = deque()
-        self.sorted = True
-        self.last_key = (float("-inf"), -1)
-
-    def append(self, index: int, msg: Message) -> None:
-        self.indices.append(index)
-        key = (msg.arrival, msg.seq)
-        if key < self.last_key:
-            self.sorted = False
-        else:
-            self.last_key = key
+def _earliest(candidates: list[Message]) -> Message:
+    """The earliest-arriving of *candidates* (``min`` keeps the first of
+    equals, so source order breaks ties)."""
+    return min(candidates, key=lambda msg: msg.arrival)
 
 
 class Mailbox:
-    """Pending-message store for one rank (channel-indexed)."""
+    """Pending-message store for one rank: a FIFO per channel."""
 
     def __init__(self) -> None:
-        #: delivery-order message slots; a taken message leaves a ``None``
-        #: tombstone so sibling indices stay stable (no O(n) deletes)
-        self._slots: list[Message | None] = []
-        self._live = 0
-        self._dead = 0
-        self._channels: dict[tuple[int, int, int], _Channel] = {}
-        # Posted receives in post order (dicts preserve insertion order);
-        # delivery binds to the oldest matching unfulfilled post first.
+        #: pending messages per (source, tag, ctx), delivery order; a
+        #: channel that empties is dropped
+        self._pending: dict[tuple[int, int, int], deque[Message]] = {}
+        self._len = 0
+        #: live posts by id, post order (open or bound, until taken)
         self._posts: dict[int, _PostedRecv] = {}
         self._next_post_id = 0
 
     def __len__(self) -> int:
-        return self._live
+        return self._len
 
     # -- delivery ----------------------------------------------------------
-    def put(self, msg: Message) -> None:
-        """Deliver a message: bind it to the oldest matching unfulfilled
-        posted receive, else append to the pending queue (delivery order
-        == matching order)."""
+    def put(self, msg: Message) -> _PostedRecv | None:
+        """Deliver a message: bind it to the oldest matching open posted
+        receive and return that post, else queue it on its channel and
+        return ``None``."""
         _ENQUEUED.inc()
         for post in self._posts.values():
             if post.msg is None and msg.matches(post.source, post.tag, post.ctx):
                 post.msg = msg
                 _MATCHED.inc()
-                return
-        index = len(self._slots)
-        self._slots.append(msg)
-        self._live += 1
+                return post
         key = (msg.source, msg.tag, msg.ctx)
-        channel = self._channels.get(key)
-        if channel is None:
-            channel = self._channels[key] = _Channel()
-        channel.append(index, msg)
-        _DEPTH.observe(self._live)
-
-    # -- matching ----------------------------------------------------------
-    def _channel_head(self, channel: _Channel) -> int | None:
-        """Index of the channel's oldest live entry (drops tombstones)."""
-        indices = channel.indices
-        while indices:
-            index = indices[0]
-            if self._slots[index] is not None:
-                return index
-            indices.popleft()
+        queue = self._pending.get(key)
+        if queue is None:
+            queue = self._pending[key] = deque()
+        queue.append(msg)
+        self._len += 1
+        _DEPTH.observe(self._len)
         return None
 
-    def _channel_best(self, channel: _Channel) -> int | None:
-        """Index of the channel's earliest-arriving live entry."""
-        head = self._channel_head(channel)
-        if head is None or channel.sorted:
-            return head
-        best, best_key = None, None
-        for index in channel.indices:
-            msg = self._slots[index]
-            if msg is None:
-                continue
-            key = (msg.arrival, msg.seq)
-            if best_key is None or key < best_key:
-                best, best_key = index, key
-        return best
+    # -- matching ----------------------------------------------------------
+    def _matching_queues(self, source: int, tag: int, ctx: int):
+        for (src, tg, cx), queue in self._pending.items():
+            if cx == ctx and source in (ANY_SOURCE, src) and tag in (ANY_TAG, tg):
+                yield queue
 
     def has_match(self, source: int, tag: int, ctx: int = 0) -> bool:
         """True when a pending message matches the (source, tag, ctx) pattern."""
         if source != ANY_SOURCE and tag != ANY_TAG:
-            channel = self._channels.get((source, tag, ctx))
-            return channel is not None and self._channel_head(channel) is not None
-        return any(
-            m is not None and m.matches(source, tag, ctx) for m in self._slots
-        )
+            return (source, tag, ctx) in self._pending
+        return next(self._matching_queues(source, tag, ctx), None) is not None
+
+    def candidates(self, source: int, tag: int, ctx: int = 0) -> list[Message]:
+        """The messages a receive for the pattern may legally take: each
+        sender's oldest matching pending message (non-overtaking), in
+        source order."""
+        if source != ANY_SOURCE and tag != ANY_TAG:
+            queue = self._pending.get((source, tag, ctx))
+            return [queue[0]] if queue else []
+        oldest: dict[int, Message] = {}
+        for queue in self._matching_queues(source, tag, ctx):
+            head = queue[0]
+            best = oldest.get(head.source)
+            if best is None or head.seq < best.seq:
+                oldest[head.source] = head
+        return [oldest[src] for src in sorted(oldest)]
+
+    def take(self, msg: Message) -> Message:
+        """Remove candidate *msg* — the head of its channel — and return it."""
+        key = (msg.source, msg.tag, msg.ctx)
+        queue = self._pending.get(key)
+        if not queue or queue[0] is not msg:
+            raise ReproError("mailbox take of a message that is not a candidate")
+        return self._pop(key, queue)
+
+    def _pop(self, key: tuple[int, int, int], queue: deque[Message]) -> Message:
+        msg = queue.popleft()
+        if not queue:
+            del self._pending[key]
+        self._len -= 1
+        _MATCHED.inc()
+        return msg
 
     def take_match(self, source: int, tag: int, ctx: int = 0) -> Message | None:
-        """Remove and return the earliest-*arriving* matching message
-        (virtual time; deterministic tie-break), or ``None``."""
+        """Remove and return the earliest-arriving candidate (ties broken
+        by source), or ``None``."""
         if source != ANY_SOURCE and tag != ANY_TAG:
-            channel = self._channels.get((source, tag, ctx))
-            if channel is None:
-                return None
-            best = self._channel_best(channel)
-            if best is None:
-                return None
-            return self._take_slot(best, channel)
-        best, best_key = None, None
-        for index, m in enumerate(self._slots):
-            if m is not None and m.matches(source, tag, ctx):
-                key = (m.arrival, m.source, m.seq)
-                if best_key is None or key < best_key:
-                    best, best_key = index, key
-        if best is None:
-            return None
-        return self._take_slot(best)
-
-    def match_indices(self, source: int, tag: int, ctx: int = 0) -> list[int]:
-        """Indices (in delivery order) of all pending messages matching the
-        (source, tag, ctx) pattern.  Backends with non-default matching
-        policies (e.g. the fuzzed backend's wildcard perturbation) use this
-        to enumerate the legal choices before taking one with
-        :meth:`take_at`.  Indices stay valid until the next take."""
-        return [
-            i
-            for i, m in enumerate(self._slots)
-            if m is not None and m.matches(source, tag, ctx)
-        ]
-
-    def peek_at(self, index: int) -> Message:
-        """The pending message at *index* without removing it."""
-        msg = self._slots[index]
-        if msg is None:
-            raise ReproError(f"mailbox slot {index} already taken")
-        return msg
-
-    def take_at(self, index: int) -> Message:
-        """Remove and return the pending message at *index*."""
-        msg = self._slots[index]
-        if msg is None:
-            raise ReproError(f"mailbox slot {index} already taken")
-        return self._take_slot(index)
-
-    def _take_slot(self, index: int, channel: _Channel | None = None) -> Message:
-        msg = self._slots[index]
-        self._slots[index] = None
-        self._live -= 1
-        self._dead += 1
-        if channel is not None and channel.indices and channel.indices[0] == index:
-            channel.indices.popleft()
-        _MATCHED.inc()
-        if self._dead > 64 and self._dead > self._live:
-            self._compact()
-        return msg
-
-    def _compact(self) -> None:
-        """Drop tombstones and rebuild the channel index (amortised O(1))."""
-        self._slots = [m for m in self._slots if m is not None]
-        self._dead = 0
-        self._channels = {}
-        for index, msg in enumerate(self._slots):
-            key = (msg.source, msg.tag, msg.ctx)
-            channel = self._channels.get(key)
-            if channel is None:
-                channel = self._channels[key] = _Channel()
-            channel.append(index, msg)
+            key = (source, tag, ctx)
+            queue = self._pending.get(key)
+            return None if queue is None else self._pop(key, queue)
+        candidates = self.candidates(source, tag, ctx)
+        return self.take(_earliest(candidates)) if candidates else None
 
     # -- posted receives ---------------------------------------------------
     def post(self, source: int, tag: int, ctx: int = 0) -> int:
         """Post a receive pattern; returns its post id.
 
-        If a matching message is already pending, the post binds to the
-        earliest-arriving one immediately (the same selection a blocking
-        receive would make); otherwise it binds to the next matching
+        If a candidate is pending, the post binds to the one a blocking
+        receive would take; otherwise it binds to the next matching
         delivery, in post order.
         """
         post = _PostedRecv(self._next_post_id, source, tag, ctx)
         self._next_post_id += 1
-        msg = self.take_match(source, tag, ctx)
-        if msg is not None:
-            post.msg = msg
+        post.msg = self.take_match(source, tag, ctx)
         self._posts[post.post_id] = post
         _POSTED.inc()
         return post.post_id
@@ -273,9 +188,10 @@ class Mailbox:
 
     def take_post(self, post_id: int) -> Message:
         """Remove a fulfilled posted receive and return its message."""
-        post = self._posts.pop(post_id)
+        post = self._posts[post_id]
         if post.msg is None:
             raise ReproError(f"posted receive {post_id} taken before fulfilment")
+        del self._posts[post_id]
         return post.msg
 
     def posts_pending(self) -> int:
@@ -283,62 +199,55 @@ class Mailbox:
         return sum(1 for post in self._posts.values() if post.msg is None)
 
     def snapshot(self) -> list[Message]:
-        """Copy of the pending queue (diagnostics only)."""
-        return [m for m in self._slots if m is not None]
+        """Copy of the pending messages, channel by channel (diagnostics only)."""
+        return [msg for queue in self._pending.values() for msg in queue]
 
 
 class _LinearMailbox(Mailbox):
-    """Linear-scan mailbox over a single delivery-order deque: the
-    reference implementation the indexed mailbox's property tests compare
+    """Linear-scan mailbox over one delivery-order list: the reference
+    implementation the channel-indexed mailbox's property tests compare
     selections against."""
 
     def __init__(self) -> None:
-        self._pending: deque[Message] = deque()
+        self._list: list[Message] = []
         self._posts: dict[int, _PostedRecv] = {}
         self._next_post_id = 0
 
     def __len__(self) -> int:
-        return len(self._pending)
+        return len(self._list)
 
-    def put(self, msg: Message) -> None:
-        _ENQUEUED.inc()
+    def put(self, msg: Message) -> _PostedRecv | None:
         for post in self._posts.values():
             if post.msg is None and msg.matches(post.source, post.tag, post.ctx):
                 post.msg = msg
-                _MATCHED.inc()
-                return
-        self._pending.append(msg)
-        _DEPTH.observe(len(self._pending))
+                return post
+        self._list.append(msg)
+        return None
 
     def has_match(self, source: int, tag: int, ctx: int = 0) -> bool:
-        return any(m.matches(source, tag, ctx) for m in self._pending)
+        return any(m.matches(source, tag, ctx) for m in self._list)
+
+    def candidates(self, source: int, tag: int, ctx: int = 0) -> list[Message]:
+        oldest: dict[int, Message] = {}
+        for m in self._list:  # delivery order: the first seen is the oldest
+            if m.matches(source, tag, ctx) and m.source not in oldest:
+                oldest[m.source] = m
+        return [oldest[src] for src in sorted(oldest)]
+
+    def take(self, msg: Message) -> Message:
+        del self._list[next(i for i, m in enumerate(self._list) if m is msg)]
+        return msg
 
     def take_match(self, source: int, tag: int, ctx: int = 0) -> Message | None:
-        best_i = -1
-        best_key: tuple[float, int, int] | None = None
-        for i, m in enumerate(self._pending):
-            if m.matches(source, tag, ctx):
-                key = (m.arrival, m.source, m.seq)
-                if best_key is None or key < best_key:
-                    best_i, best_key = i, key
-        if best_i < 0:
-            return None
-        msg = self._pending[best_i]
-        del self._pending[best_i]
-        _MATCHED.inc()
-        return msg
+        candidates = self.candidates(source, tag, ctx)
+        return self.take(_earliest(candidates)) if candidates else None
 
-    def match_indices(self, source: int, tag: int, ctx: int = 0) -> list[int]:
-        return [i for i, m in enumerate(self._pending) if m.matches(source, tag, ctx)]
-
-    def peek_at(self, index: int) -> Message:
-        return self._pending[index]
-
-    def take_at(self, index: int) -> Message:
-        msg = self._pending[index]
-        del self._pending[index]
-        _MATCHED.inc()
-        return msg
+    def post(self, source: int, tag: int, ctx: int = 0) -> int:
+        msg = self.take_match(source, tag, ctx)
+        post = _PostedRecv(self._next_post_id, source, tag, ctx, msg)
+        self._next_post_id += 1
+        self._posts[post.post_id] = post
+        return post.post_id
 
     def snapshot(self) -> list[Message]:
-        return list(self._pending)
+        return list(self._list)

@@ -17,9 +17,14 @@ class Message:
 
     ``arrival`` is the virtual time at which the message becomes visible
     to the receiver (the sender's clock after paying the transfer cost).
-    ``seq`` is a per-sender sequence number preserving the non-overtaking
-    guarantee: two messages from the same source with the same tag are
-    received in send order.  ``ctx`` is the communication context of the
+    Arrivals are *not* monotone in send order: an ``isend`` charges only
+    its post overhead, so a small message sent after a large one arrives
+    first.  ``seq`` is a per-sender sequence number, increasing in send
+    order; a wildcard-tag receive uses it to find each sender's oldest
+    pending message, and that message is the only one of the sender's it
+    may take (non-overtaking: two messages from the same source that
+    match one receive are received in send order, whatever their
+    arrivals).  ``ctx`` is the communication context of the
     sending communicator: receives only match messages of their own
     context, isolating sub-communicators (MPI-style groups) from the
     world communicator and from each other even under wildcard receives.

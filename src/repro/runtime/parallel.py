@@ -41,8 +41,8 @@ so no path leaks segments.
 
 Failure detection
 -----------------
-The run-to-block schedulers detect deadlock by evaluating blocked-rank
-predicates in-process; no such global view exists across processes.
+The run-to-block schedulers detect deadlock by testing blocked ranks'
+waits in-process; no such global view exists across processes.
 Instead, workers publish heartbeat state through shared memory: a
 per-rank progress counter (bumped on every send, delivery, and
 completion) plus a blocked/running/done flag and the blocked wait's
@@ -80,7 +80,7 @@ from repro.errors import DeadlockError, RankFailedError, ReproError
 from repro.machines.model import MachineModel
 from repro.obs.metrics import counter_handle, get_registry, scoped_registry
 from repro.runtime.message import Message
-from repro.runtime.scheduler import Backend, _Aborted
+from repro.runtime.scheduler import Backend, _Aborted, _recv_label, _wait_holds, describe_wait
 from repro.trace.tracer import Tracer
 
 _DEADLOCKS = counter_handle(
@@ -280,8 +280,8 @@ class ParallelBackend(Backend):
     Only this rank's mailbox is populated; ``deliver`` routes cross-rank
     messages through the destination's delivery queue (payloads encoded
     per the module contract), and the wait operations drain the local
-    queue into the indexed mailbox before applying the ordinary matching
-    predicates.  There is exactly one thread per process, so mailbox
+    queue into the mailbox before applying the ordinary matching rule.
+    There is exactly one thread per process, so mailbox
     access needs no locking at all.
     """
 
@@ -319,20 +319,20 @@ class ParallelBackend(Backend):
                 return
             self._deposit(msg)
 
-    def _await(self, ready, describe: str):
-        """Drain deliveries until ``ready()`` yields a non-None result.
+    def _await(self, waiting: tuple, label: tuple) -> None:
+        """Drain deliveries until the wait on this rank's mailbox holds.
 
         While waiting, the worker publishes *blocked* state (and the
         wait's description) through the shared heartbeat arrays and wakes
         every :data:`_TICK` seconds to notice an abort.
         """
+        mailbox = self.mailboxes[self.rank]
         self._drain_nowait()
-        got = ready()
-        if got is not None:
-            return got
-        self._set_blocked(describe)
+        if _wait_holds(mailbox, waiting, label):
+            return
+        self._set_blocked(describe_wait(label))
         try:
-            while True:
+            while not _wait_holds(mailbox, waiting, label):
                 try:
                     msg = self._inbox.get(timeout=_TICK)
                 except Empty:
@@ -342,9 +342,6 @@ class ParallelBackend(Backend):
                 if msg is not None:
                     self._deposit(msg)
                     self._drain_nowait()
-                    got = ready()
-                    if got is not None:
-                        return got
         finally:
             self._wiring.states[self.rank] = _RUNNING
 
@@ -357,19 +354,15 @@ class ParallelBackend(Backend):
 
     # -- blocking operations ----------------------------------------------
     def wait_for_match(
-        self, rank: int, source: int, tag: int, ctx: int, describe: str
+        self, rank: int, source: int, tag: int, ctx: int, shown_source: int | None = None
     ) -> Message:
+        self._await((source, tag, ctx), _recv_label(source, tag, ctx, shown_source))
+        return self.mailboxes[rank].take_match(source, tag, ctx)
+
+    def wait_any_post(self, rank: int, post_ids: tuple[int, ...], label: tuple) -> list[int]:
+        self._await(post_ids, label)
         mailbox = self.mailboxes[rank]
-        return self._await(lambda: mailbox.take_match(source, tag, ctx), describe)
-
-    def wait_any_post(self, rank: int, post_ids: list[int], describe: str) -> list[int]:
-        mailbox = self.mailboxes[rank]
-
-        def ready():
-            fulfilled = [p for p in post_ids if mailbox.post_ready(p)]
-            return fulfilled or None
-
-        return self._await(ready, describe)
+        return [p for p in post_ids if mailbox.post_ready(p)]
 
     def probe_match(self, rank: int, source: int, tag: int, ctx: int) -> bool:
         self._drain_nowait()

@@ -4,19 +4,22 @@ All backends expose the same two operations to the communication layer:
 
 - ``deliver(msg)`` — place a message in the destination rank's mailbox and
   wake anyone waiting for it;
-- ``wait_for_match(rank, source, tag, describe)`` — block the calling rank
+- ``wait_for_match(rank, source, tag, ctx)`` — block the calling rank
   until a matching message is available, then remove and return it.
 
-The deterministic backend runs exactly one rank at a time and always picks
-the runnable rank furthest behind in virtual time (ties by rank id), so
-executions are reproducible and a global block is detected immediately and
-reported as a :class:`~repro.errors.DeadlockError` naming what each rank
-was waiting for.
+A blocked rank waits on one small value — a receive pattern
+``(source, tag, ctx)`` or a tuple of post ids — beside a *label* tuple
+that :func:`describe_wait` turns into text only when the wait is
+reported.  The deterministic backend runs exactly one rank at a time and
+always picks the runnable rank furthest behind in virtual time (ties by
+rank id), so executions are reproducible and a global block is detected
+immediately and reported as a :class:`~repro.errors.DeadlockError` naming
+what each rank was waiting for.
 
 The fuzzed backend (:class:`FuzzedBackend`) keeps the run-to-block
 machinery but drives every scheduling decision from a seeded PRNG, so each
 seed is a distinct — yet fully reproducible — legal interleaving.  It can
-also perturb which message a *wildcard* receive matches and inject faults
+also perturb which of a *wildcard* receive's candidates it takes and inject faults
 (message delay/reordering, rank crashes) from a :class:`FaultPlan`.  The
 verification layer (:mod:`repro.verify`) builds on it.
 """
@@ -33,7 +36,7 @@ from enum import Enum
 
 from repro.errors import DeadlockError, InjectedFaultError, RankFailedError
 from repro.obs.metrics import counter_handle
-from repro.runtime.mailbox import Mailbox
+from repro.runtime.mailbox import Mailbox, _earliest
 from repro.runtime.message import ANY_SOURCE, ANY_TAG, Message
 
 _STEPS = counter_handle(
@@ -61,6 +64,41 @@ class _Status(Enum):
     BLOCKED = "blocked"
     DONE = "done"
     FAILED = "failed"
+
+
+def _shown(value: int) -> int | str:
+    return "ANY" if value in (ANY_SOURCE, ANY_TAG) else value
+
+
+def describe_wait(label: tuple) -> str:
+    """The report text for a blocked rank's wait *label*.
+
+    A label is ``("recv", source, tag, ctx)`` for a blocking receive,
+    ``("wait", req_id, source, tag, ctx)`` for ``wait`` on one receive
+    request, or ``(kind, nrequests, ctx)`` for ``waitall``/``waitany``;
+    sources are numbered as the caller's communicator numbers them.
+    """
+    kind, *fields = label
+    if kind == "recv":
+        source, tag, ctx = fields
+        return f"recv(source={_shown(source)}, tag={_shown(tag)}, ctx={ctx})"
+    if kind == "wait":
+        req_id, source, tag, ctx = fields
+        return f"wait(recv #{req_id}, source={_shown(source)}, tag={_shown(tag)}, ctx={ctx})"
+    count, ctx = fields
+    return f"{kind}({count} requests, ctx={ctx})"
+
+
+def _recv_label(source: int, tag: int, ctx: int, shown_source: int | None) -> tuple:
+    return ("recv", source if shown_source is None else shown_source, tag, ctx)
+
+
+def _wait_holds(mailbox: Mailbox, waiting: tuple, label: tuple) -> bool:
+    """Is the wait satisfied: a pending match for a receive pattern, or a
+    bound message on one of a tuple of post ids?"""
+    if label[0] == "recv":
+        return mailbox.has_match(*waiting)
+    return any(mailbox.post_ready(p) for p in waiting)
 
 
 @dataclass(frozen=True)
@@ -127,8 +165,11 @@ class Backend:
         raise NotImplementedError
 
     def wait_for_match(
-        self, rank: int, source: int, tag: int, ctx: int, describe: str
+        self, rank: int, source: int, tag: int, ctx: int, shown_source: int | None = None
     ) -> Message:
+        """Block *rank* until a message matches (source, tag, ctx), then
+        take it.  *shown_source* is *source* as the caller's communicator
+        numbers it, for the report of a wait that never ends."""
         raise NotImplementedError
 
     def probe_match(self, rank: int, source: int, tag: int, ctx: int) -> bool:
@@ -161,9 +202,10 @@ class Backend:
         """The message bound to a fulfilled posted receive (not removed)."""
         return self.mailboxes[rank].peek_post(post_id)
 
-    def wait_any_post(self, rank: int, post_ids: list[int], describe: str) -> list[int]:
+    def wait_any_post(self, rank: int, post_ids: tuple[int, ...], label: tuple) -> list[int]:
         """Block *rank* until at least one of its posted receives is
-        fulfilled; returns the fulfilled subset in post order."""
+        fulfilled; returns the fulfilled subset in post order.  *label*
+        is the wait's :func:`describe_wait` label."""
         raise NotImplementedError
 
     def choose_completion(self, rank: int, candidates: list[tuple[int, int]]) -> int:
@@ -189,19 +231,21 @@ class DeterministicBackend(Backend):
 
     Scheduling decisions come from a clock-keyed heap of *wakeable*
     ranks maintained at the moments runnability can actually change — a
-    rank blocking, or a delivery fulfilling a blocked rank's predicate —
-    so a pick is O(log P) rather than an O(P) re-evaluation of every
-    blocked rank's predicate on every step.  Runnability is monotone
-    while a rank is blocked (only the owner removes messages from its
-    mailbox), so deferring predicate evaluation to delivery time selects
-    the same rank sequence such a scan would.
+    rank blocking, or a delivery satisfying a blocked rank's wait — so a
+    pick is O(log P) rather than an O(P) re-evaluation of every blocked
+    rank's wait on every step.  Runnability is monotone while a rank is
+    blocked (only the owner removes messages from its mailbox), so a
+    delivery wakes the rank exactly when the message it queued matches
+    the rank's receive pattern, or the post it bound is one the rank
+    waits on — the same rank sequence a scan would select.
     """
 
     def __init__(self, nprocs: int):
         super().__init__(nprocs)
         self._status = [_Status.READY] * nprocs
-        self._predicate: list[Callable[[], bool] | None] = [None] * nprocs
-        self._describe = [""] * nprocs
+        #: per blocked rank: its receive pattern or post ids, and its label
+        self._waiting: list[tuple] = [()] * nprocs
+        self._label: list[tuple] = [()] * nprocs
         #: one bare lock per rank, held at rest: ``release()`` hands the
         #: rank its token to run, the rank's own ``acquire()`` consumes it
         self._resume = [threading.Lock() for _ in range(nprocs)]
@@ -217,23 +261,25 @@ class DeterministicBackend(Backend):
 
     # -- wake bookkeeping -------------------------------------------------
     def _wake(self, rank: int) -> None:
-        """Mark *rank* runnable (it is READY, or its predicate holds)."""
+        """Mark *rank* runnable (it is READY, or its wait holds)."""
         if rank in self._wakeable:
             return
         self._wakeable.add(rank)
         heapq.heappush(self._heap, (self._clock_of(rank), rank))
 
-    def _wake_if_unblocked(self, rank: int) -> None:
-        """Wake a blocked rank whose wait was just satisfied by a delivery."""
-        if self._status[rank] == _Status.BLOCKED and rank not in self._wakeable:
-            predicate = self._predicate[rank]
-            if predicate is not None and predicate():
-                self._wake(rank)
-
     def _deposit(self, msg: Message) -> None:
-        """Put *msg* in its destination mailbox and update wakeability."""
-        self.mailboxes[msg.dest].put(msg)
-        self._wake_if_unblocked(msg.dest)
+        """Put *msg* in its destination mailbox and wake the destination
+        if that satisfied its wait."""
+        rank = msg.dest
+        post = self.mailboxes[rank].put(msg)
+        if self._status[rank] == _Status.BLOCKED and rank not in self._wakeable:
+            waiting = self._waiting[rank]
+            if self._label[rank][0] == "recv":
+                satisfied = post is None and msg.matches(*waiting)
+            else:
+                satisfied = post is not None and post.post_id in waiting
+            if satisfied:
+                self._wake(rank)
 
     def _handoff(self, rank: int | None) -> bool:
         """Hand the CPU directly to the next runnable rank.
@@ -268,50 +314,39 @@ class DeterministicBackend(Backend):
         self._deposit(msg)
 
     def wait_for_match(
-        self, rank: int, source: int, tag: int, ctx: int, describe: str
+        self, rank: int, source: int, tag: int, ctx: int, shown_source: int | None = None
     ) -> Message:
-        mailbox = self.mailboxes[rank]
-        msg = mailbox.take_match(source, tag, ctx)
+        msg = self._take_match(rank, source, tag, ctx)
         if msg is not None:
             return msg
-        self._block(rank, lambda: mailbox.has_match(source, tag, ctx), describe)
-        msg = mailbox.take_match(source, tag, ctx)
+        self._block(rank, (source, tag, ctx), _recv_label(source, tag, ctx, shown_source))
+        msg = self._take_match(rank, source, tag, ctx)
         assert msg is not None, "scheduler resumed rank without a matching message"
         return msg
 
-    def wait_any_post(self, rank: int, post_ids: list[int], describe: str) -> list[int]:
+    def _take_match(self, rank: int, source: int, tag: int, ctx: int) -> Message | None:
+        """Take the earliest-arriving candidate (the fuzzer overrides)."""
+        return self.mailboxes[rank].take_match(source, tag, ctx)
+
+    def wait_any_post(self, rank: int, post_ids: tuple[int, ...], label: tuple) -> list[int]:
         mailbox = self.mailboxes[rank]
         ready = [p for p in post_ids if mailbox.post_ready(p)]
         if ready:
             return ready
-        if len(post_ids) == 1:
-            # One post: the predicate needs no any()/generator machinery.
-            # It is re-evaluated on every delivery to this rank while
-            # blocked, so the flat closure is worth having.
-            post_id = post_ids[0]
-            self._block(rank, lambda: mailbox.post_ready(post_id), describe)
-        else:
-            self._block(
-                rank, lambda: any(mailbox.post_ready(p) for p in post_ids), describe
-            )
+        self._block(rank, post_ids, label)
         ready = [p for p in post_ids if mailbox.post_ready(p)]
         assert ready, "scheduler resumed rank without a fulfilled posted receive"
         return ready
 
-    def _block(self, rank: int, predicate: Callable[[], bool], describe: str) -> None:
+    def _block(self, rank: int, waiting: tuple, label: tuple) -> None:
+        # Callers block only after failing to satisfy the wait, so the
+        # rank is not wakeable until a delivery satisfies it.
         if self._abort:
             raise _Aborted()
         _BLOCKS.inc()
-        self._predicate[rank] = predicate
-        self._describe[rank] = describe
+        self._waiting[rank] = waiting
+        self._label[rank] = label
         self._status[rank] = _Status.BLOCKED
-        # Callers only block after failing to satisfy the wait directly,
-        # so the predicate is false here; re-checking before handing
-        # control back keeps the wakeable invariant robust even if a
-        # future caller blocks with an already-satisfiable wait.  Must
-        # happen before the handoff: picking reads the heap.
-        if predicate():
-            self._wake(rank)
         if self._handoff(rank):
             return  # picked ourselves again: no switch needed
         self._resume[rank].acquire()
@@ -365,7 +400,7 @@ class DeterministicBackend(Backend):
     def _raise_deadlock(self, threads: list[threading.Thread]) -> None:
         self._abort_all(threads)
         waiting = {
-            r: self._describe[r]
+            r: describe_wait(self._label[r])
             for r in range(self.nprocs)
             if self._status[r] == _Status.BLOCKED
         }
@@ -401,10 +436,9 @@ class DeterministicBackend(Backend):
         status = self._status[rank]
         if status == _Status.READY:
             return True
-        if status == _Status.BLOCKED:
-            predicate = self._predicate[rank]
-            return predicate is not None and predicate()
-        return False
+        return status == _Status.BLOCKED and _wait_holds(
+            self.mailboxes[rank], self._waiting[rank], self._label[rank]
+        )
 
     def _rank_main(self, rank: int, body: Callable[[], None]) -> None:
         self._resume[rank].acquire()
@@ -441,11 +475,12 @@ class FuzzedBackend(DeterministicBackend):
     scheduling decisions ⇒ same mailbox states ⇒ same results and traces.
 
     With ``perturb_matching`` (default on), a *wildcard* receive that has
-    several legal candidate messages pending takes a random one instead of
-    the earliest-arriving one.  Only choices a real machine could make are
-    explored: per-source candidates are restricted to the oldest matching
-    message from that source, preserving the non-overtaking guarantee.
-    Each perturbed match is recorded as a
+    several candidates pending takes a random one instead of the
+    earliest-arriving one.  It draws from the same candidate set the
+    deterministic backend chooses from (:meth:`Mailbox.candidates
+    <repro.runtime.mailbox.Mailbox.candidates>`: each sender's oldest
+    matching message, so non-overtaking holds), which holds only choices
+    a real machine could make.  Each wildcard match is recorded as a
     :class:`~repro.trace.events.MatchEvent` when a tracer is installed,
     which is what the wildcard-race detector consumes.
 
@@ -500,59 +535,44 @@ class FuzzedBackend(DeterministicBackend):
         self._deposit(msg)
 
     def wait_for_match(
-        self, rank: int, source: int, tag: int, ctx: int, describe: str
+        self, rank: int, source: int, tag: int, ctx: int, shown_source: int | None = None
     ) -> Message:
         self._check_crash(rank)
-        mailbox = self.mailboxes[rank]
-        msg = self._take_match(rank, source, tag, ctx)
-        if msg is not None:
-            return msg
-        self._block(rank, lambda: mailbox.has_match(source, tag, ctx), describe)
-        msg = self._take_match(rank, source, tag, ctx)
-        assert msg is not None, "scheduler resumed rank without a matching message"
-        return msg
+        return super().wait_for_match(rank, source, tag, ctx, shown_source)
 
     def _take_match(self, rank: int, source: int, tag: int, ctx: int) -> Message | None:
-        """Take a matching message, randomising *legal* wildcard choices.
+        """Take a matching message, drawing a random wildcard candidate.
 
-        For a wildcard receive, any source's oldest matching message is a
-        legal match; picking among them at random is exactly the freedom a
-        real network's arrival order has.  Non-wildcard receives (and the
-        per-source ordering inside a wildcard) stay canonical.
+        A wildcard receive may legally take any of the mailbox's
+        candidates — each sender's oldest matching message; picking among
+        them at random is exactly the freedom a real network's arrival
+        order has.  Exact receives have one candidate and stay canonical.
         """
         mailbox = self.mailboxes[rank]
-        indices = mailbox.match_indices(source, tag, ctx)
-        if not indices:
+        if source != ANY_SOURCE and tag != ANY_TAG:
+            return mailbox.take_match(source, tag, ctx)
+        candidates = mailbox.candidates(source, tag, ctx)
+        if not candidates:
             return None
-        wildcard = source == ANY_SOURCE or tag == ANY_TAG
-        # Oldest legal candidate per source (non-overtaking).
-        per_source: dict[int, int] = {}
-        for i in indices:
-            m = mailbox.peek_at(i)
-            best = per_source.get(m.source)
-            if best is None or m.seq < mailbox.peek_at(best).seq:
-                per_source[m.source] = i
-        candidates = sorted(per_source)
-        if wildcard and self.perturb_matching and len(candidates) > 1:
-            chosen = mailbox.take_at(per_source[self._rng.choice(candidates)])
+        if self.perturb_matching and len(candidates) > 1:
+            chosen = mailbox.take(self._rng.choice(candidates))
         else:
-            chosen = mailbox.take_match(source, tag, ctx)
-        if wildcard and self.tracer is not None:
-            clock = self._clock_of(rank)
+            chosen = mailbox.take(_earliest(candidates))
+        if self.tracer is not None:
             self.tracer.match(
                 rank=rank,
-                clock=clock,
+                clock=self._clock_of(rank),
                 source=chosen.source,
                 tag=chosen.tag,
                 wildcard_source=source == ANY_SOURCE,
                 wildcard_tag=tag == ANY_TAG,
-                candidates=tuple(candidates),
+                candidates=tuple(m.source for m in candidates),
             )
         return chosen
 
-    def wait_any_post(self, rank: int, post_ids: list[int], describe: str) -> list[int]:
+    def wait_any_post(self, rank: int, post_ids: tuple[int, ...], label: tuple) -> list[int]:
         self._check_crash(rank)
-        return super().wait_any_post(rank, post_ids, describe)
+        return super().wait_any_post(rank, post_ids, label)
 
     def choose_completion(self, rank: int, candidates: list[tuple[int, int]]) -> int:
         """Randomise which fulfilled request a wait observes first.
@@ -606,7 +626,7 @@ class FuzzedBackend(DeterministicBackend):
         # A blocked rank whose crash is due counts as runnable so it can be
         # scheduled once more and raise, instead of hanging forever on a
         # receive that will never be satisfied.
-        # The wakeable set is exactly {READY or predicate-true BLOCKED}
+        # The wakeable set is exactly {READY, or BLOCKED with its wait held}
         # (monotone runnability, maintained at deposit/block time); sorted
         # ascending so the rng.choice stream is a function of the seed and
         # the runnable set alone.
@@ -672,10 +692,10 @@ class FuzzedBackend(DeterministicBackend):
                 f"injected crash of rank {rank} at scheduler step {self._step}"
             )
 
-    def _block(self, rank: int, predicate: Callable[[], bool], describe: str) -> None:
-        super()._block(rank, predicate, describe)
-        # Resumed either because the predicate holds or because the crash
-        # came due while blocked; the crash wins.
+    def _block(self, rank: int, waiting: tuple, label: tuple) -> None:
+        super()._block(rank, waiting, label)
+        # Resumed either because the wait holds or because the crash came
+        # due while blocked; the crash wins.
         self._check_crash(rank)
 
 
@@ -705,33 +725,43 @@ class ThreadedBackend(Backend):
             cond.notify_all()
 
     def wait_for_match(
-        self, rank: int, source: int, tag: int, ctx: int, describe: str
+        self, rank: int, source: int, tag: int, ctx: int, shown_source: int | None = None
     ) -> Message:
+        with self._conds[rank]:
+            self._await(rank, (source, tag, ctx), _recv_label(source, tag, ctx, shown_source))
+            return self.mailboxes[rank].take_match(source, tag, ctx)
+
+    def wait_any_post(self, rank: int, post_ids: tuple[int, ...], label: tuple) -> list[int]:
+        mailbox = self.mailboxes[rank]
+        with self._conds[rank]:
+            self._await(rank, post_ids, label)
+            return [p for p in post_ids if mailbox.post_ready(p)]
+
+    def _await(self, rank: int, waiting: tuple, label: tuple) -> None:
+        """Sleep on *rank*'s condition (held by the caller) until its wait
+        holds; raise :class:`DeadlockError` after ``deadlock_timeout``."""
         cond = self._conds[rank]
         mailbox = self.mailboxes[rank]
-        with cond:
-            start = time.monotonic()
-            while True:
-                msg = mailbox.take_match(source, tag, ctx)
-                if msg is not None:
-                    return msg
-                if self._failed.is_set():
-                    raise _Aborted()
-                # Wait out the full remaining budget on the condition
-                # variable: a delivery or failure notifies, so idle waits
-                # burn no wake cycles, and the timeout is measured from
-                # the monotonic clock instead of accumulated in coarse
-                # polling steps that could overshoot by up to 100 ms.
-                waited = time.monotonic() - start
-                remaining = self.deadlock_timeout - waited
-                if remaining <= 0.0:
-                    _DEADLOCKS.inc()
-                    raise DeadlockError(
-                        f"rank {rank} waited {waited:.1f}s for {describe}; "
-                        "presumed deadlock",
-                        waiting={rank: describe},
-                    )
-                cond.wait(remaining)
+        start = time.monotonic()
+        while not _wait_holds(mailbox, waiting, label):
+            if self._failed.is_set():
+                raise _Aborted()
+            # Wait out the full remaining budget on the condition
+            # variable: a delivery or failure notifies, so idle waits
+            # burn no wake cycles, and the timeout is measured from the
+            # monotonic clock instead of accumulated in coarse polling
+            # steps that could overshoot by up to 100 ms.
+            waited = time.monotonic() - start
+            remaining = self.deadlock_timeout - waited
+            if remaining <= 0.0:
+                _DEADLOCKS.inc()
+                describe = describe_wait(label)
+                raise DeadlockError(
+                    f"rank {rank} waited {waited:.1f}s for {describe}; "
+                    "presumed deadlock",
+                    waiting={rank: describe},
+                )
+            cond.wait(remaining)
 
     # Posted-receive operations serialise with deliveries under the
     # destination rank's condition lock (the mailbox itself is unlocked).
@@ -754,28 +784,6 @@ class ThreadedBackend(Backend):
     def probe_match(self, rank: int, source: int, tag: int, ctx: int) -> bool:
         with self._conds[rank]:
             return self.mailboxes[rank].has_match(source, tag, ctx)
-
-    def wait_any_post(self, rank: int, post_ids: list[int], describe: str) -> list[int]:
-        cond = self._conds[rank]
-        mailbox = self.mailboxes[rank]
-        with cond:
-            start = time.monotonic()
-            while True:
-                ready = [p for p in post_ids if mailbox.post_ready(p)]
-                if ready:
-                    return ready
-                if self._failed.is_set():
-                    raise _Aborted()
-                waited = time.monotonic() - start
-                remaining = self.deadlock_timeout - waited
-                if remaining <= 0.0:
-                    _DEADLOCKS.inc()
-                    raise DeadlockError(
-                        f"rank {rank} waited {waited:.1f}s for {describe}; "
-                        "presumed deadlock",
-                        waiting={rank: describe},
-                    )
-                cond.wait(remaining)
 
     def run(self, bodies: list[Callable[[], None]]) -> None:
         threads = [

@@ -1,15 +1,18 @@
 """Property-based Mailbox tests (seeded stdlib ``random``).
 
-Each property generates a randomized stream of messages and receive
-patterns from ``random.Random(seed)`` and checks the matching invariants
-the runtime's correctness rests on:
+Each property generates a randomized stream of legal ``isend`` traffic
+and receive patterns from ``random.Random(seed)`` and checks the
+matching rule the runtime's correctness rests on:
 
-- match order is by earliest virtual arrival (ties by source, then seq),
-  independent of delivery order;
+- FIFO per channel: messages on one (source, tag, ctx) channel are taken
+  in send order, under any receive pattern that matches them;
+- a take returns the earliest-arriving of the per-source oldest matching
+  messages (ties by source) — the *candidates* — whatever order the
+  sources' streams were interleaved in on delivery;
 - wildcard source/tag patterns match exactly the envelope predicate;
-- FIFO per (source, tag): same-channel messages are always taken in send
-  order, under any receive pattern that matches them;
-- ``has_match``/``take_match``/``match_indices`` agree with each other.
+- ``has_match``/``take_match``/``candidates`` agree with each other and
+  with the linear-scan reference, including the fuzzer's
+  take-any-candidate path.
 """
 
 import random
@@ -24,15 +27,19 @@ SEEDS = range(20)
 
 
 def _random_messages(rng: random.Random, n: int) -> list[Message]:
-    """A legal message population: per-source seq strictly increasing and
-    arrival nondecreasing in seq (clocks are monotonic)."""
+    """Legal ``isend`` traffic to one rank, in a random interleaving of
+    four senders: per-source ``seq`` strictly increasing in list order.
+    A sender's clock advances by the post overhead only, and the arrival
+    adds a transfer time drawn per message, so arrivals are *not*
+    monotone in ``seq`` — a large message followed by a small one
+    arrives after it."""
     seq_of: dict[int, int] = {}
     clock_of: dict[int, float] = {}
     out = []
     for _ in range(n):
         source = rng.randrange(4)
         seq_of[source] = seq_of.get(source, 0) + 1
-        clock_of[source] = clock_of.get(source, 0.0) + rng.random()
+        clock_of[source] = clock_of.get(source, 0.0) + 0.1 * rng.random()
         out.append(
             Message(
                 source=source,
@@ -40,11 +47,47 @@ def _random_messages(rng: random.Random, n: int) -> list[Message]:
                 tag=rng.randrange(3),
                 payload=None,
                 nbytes=8,
-                arrival=clock_of[source],
+                arrival=clock_of[source] + 2.0 * rng.random(),
                 seq=seq_of[source],
             )
         )
     return out
+
+
+def _interleave(rng: random.Random, msgs: list[Message]) -> list[Message]:
+    """Another legal delivery order of *msgs*: the senders' streams
+    re-interleaved at random, each sender's own order kept (every engine
+    delivers one sender's messages to one rank in send order)."""
+    streams: dict[int, list[Message]] = {}
+    for m in msgs:
+        streams.setdefault(m.source, []).append(m)
+    out = []
+    while streams:
+        source = rng.choice(sorted(streams))
+        out.append(streams[source].pop(0))
+        if not streams[source]:
+            del streams[source]
+    return out
+
+
+def _oldest_per_source(pending: list[Message], source: int, tag: int) -> list[Message]:
+    """The candidate set stated plainly: each sender's lowest-``seq``
+    message matching the pattern, in source order."""
+    oldest: dict[int, Message] = {}
+    for m in pending:
+        if m.matches(source, tag) and (
+            m.source not in oldest or m.seq < oldest[m.source].seq
+        ):
+            oldest[m.source] = m
+    return [oldest[src] for src in sorted(oldest)]
+
+
+def _earliest(candidates: list[Message]) -> Message:
+    return min(candidates, key=lambda m: (m.arrival, m.source))
+
+
+def _remove(pending: list[Message], msg: Message) -> None:
+    del pending[next(i for i, m in enumerate(pending) if m is msg)]
 
 
 def _drain(mailbox: Mailbox, source: int, tag: int) -> list[Message]:
@@ -58,17 +101,25 @@ def _drain(mailbox: Mailbox, source: int, tag: int) -> list[Message]:
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_match_order_is_arrival_order_regardless_of_delivery_order(seed):
+    """Each wildcard take is the earliest-arriving of the per-source
+    oldest messages, and two legal delivery orders drain identically."""
     rng = random.Random(seed)
     msgs = _random_messages(rng, 30)
-    delivery = msgs[:]
-    rng.shuffle(delivery)  # delivery order ≠ send order
-    mailbox = Mailbox()
-    for m in delivery:
-        mailbox.put(m)
-    drained = _drain(mailbox, ANY_SOURCE, ANY_TAG)
-    keys = [(m.arrival, m.source, m.seq) for m in drained]
-    assert keys == sorted(keys), "wildcard drain not in (arrival, source, seq) order"
-    assert len(drained) == len(msgs)
+    per_source = [[m.arrival for m in msgs if m.source == s] for s in range(4)]
+    assert any(a != sorted(a) for a in per_source), "traffic is monotone"
+    drains = []
+    for delivery in (msgs, _interleave(rng, msgs)):
+        mailbox = Mailbox()
+        for m in delivery:
+            mailbox.put(m)
+        pending = list(msgs)
+        drained = _drain(mailbox, ANY_SOURCE, ANY_TAG)
+        for msg in drained:
+            assert msg is _earliest(_oldest_per_source(pending, ANY_SOURCE, ANY_TAG))
+            _remove(pending, msg)
+        assert not pending
+        drains.append([id(m) for m in drained])
+    assert drains[0] == drains[1], "drain order depends on the delivery interleaving"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -87,8 +138,8 @@ def test_wildcard_patterns_match_exactly_the_predicate(seed):
                 and (pattern_tag in (ANY_TAG, m.tag))
             ]
             assert mailbox.has_match(pattern_source, pattern_tag) == bool(expected)
-            assert len(mailbox.match_indices(pattern_source, pattern_tag)) == len(
-                expected
+            assert [m.source for m in mailbox.candidates(pattern_source, pattern_tag)] == (
+                sorted({m.source for m in expected})
             )
             drained = _drain(mailbox, pattern_source, pattern_tag)
             assert sorted((m.source, m.seq) for m in drained) == sorted(
@@ -101,11 +152,12 @@ def test_wildcard_patterns_match_exactly_the_predicate(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fifo_per_source_and_tag(seed):
     """Under a random interleaving of receives (random legal patterns),
-    messages on one (source, tag) channel come out in send order."""
+    messages on one (source, tag) channel come out in send order — and,
+    for a receive that names its source, so does each source's stream."""
     rng = random.Random(seed)
     msgs = _random_messages(rng, 40)
     mailbox = Mailbox()
-    for m in msgs:
+    for m in _interleave(rng, msgs):
         mailbox.put(m)
     taken: list[Message] = []
     while len(mailbox):
@@ -120,27 +172,37 @@ def test_fifo_per_source_and_tag(seed):
     for channel, seqs in per_channel.items():
         assert seqs == sorted(seqs), f"channel {channel} violated FIFO: {seqs}"
     assert len(taken) == len(msgs)
+    mailbox = Mailbox()
+    for m in msgs:
+        mailbox.put(m)
+    for src in range(4):
+        seqs = [m.seq for m in _drain(mailbox, src, ANY_TAG)]
+        assert seqs == sorted(seqs), f"source {src} overtaken: {seqs}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_take_match_agrees_with_match_indices(seed):
+    """``has_match``, ``candidates`` and ``take_match`` agree: the
+    candidates are the per-source oldest matches and the take is the
+    earliest-arriving of them."""
     rng = random.Random(seed)
     msgs = _random_messages(rng, 20)
     mailbox = Mailbox()
     for m in msgs:
         mailbox.put(m)
+    pending = list(msgs)
     for _ in range(60):
         source = rng.choice([ANY_SOURCE, 0, 1, 2, 3])
         tag = rng.choice([ANY_TAG, 0, 1, 2])
-        indices = mailbox.match_indices(source, tag)
-        assert mailbox.has_match(source, tag) == bool(indices)
-        if indices:
-            # take_match must return one of the enumerated candidates —
-            # specifically the earliest-arriving one.
-            candidates = [mailbox.peek_at(i) for i in indices]
-            best = min(candidates, key=lambda m: (m.arrival, m.source, m.seq))
+        candidates = mailbox.candidates(source, tag)
+        expected = _oldest_per_source(pending, source, tag)
+        assert len(candidates) == len(expected)
+        assert all(a is b for a, b in zip(candidates, expected))
+        assert mailbox.has_match(source, tag) == bool(candidates)
+        if candidates:
             msg = mailbox.take_match(source, tag)
-            assert msg is best
+            assert msg is _earliest(candidates)
+            _remove(pending, msg)
         if not len(mailbox):
             break
 
@@ -178,14 +240,15 @@ def test_ctx_isolation(seed):
 def test_indexed_mailbox_equals_linear_reference(seed):
     """Drive the channel-indexed mailbox and the linear-scan reference
     implementation with one randomized stream of deliveries, blocking
-    takes, indexed takes (the fuzzer's path), and posted receives; every
-    observable — selected messages, membership, post fulfilment, queue
-    length — must agree at every step."""
+    takes, candidate takes (the fuzzer's path), and posted receives;
+    every observable — selected messages, candidate sets, the post a
+    delivery binds, membership, post fulfilment, queue length — must
+    agree at every step."""
     rng = random.Random(1000 + seed)
     fast = Mailbox()
     ref = _LinearMailbox()
     feed = iter(_random_messages(rng, 80))
-    live_posts: list[tuple[int, int]] = []  # (fast post_id, ref post_id)
+    live_posts: list[int] = []  # post ids number alike in both
     for _ in range(400):
         action = rng.random()
         source = rng.choice([ANY_SOURCE, 0, 1, 2, 3])
@@ -193,31 +256,32 @@ def test_indexed_mailbox_equals_linear_reference(seed):
         if action < 0.35:
             msg = next(feed, None)
             if msg is not None:
-                fast.put(msg)
-                ref.put(msg)
+                pa, pb = fast.put(msg), ref.put(msg)
+                assert (pa is None) == (pb is None)
+                if pa is not None:
+                    assert pa.post_id == pb.post_id
         elif action < 0.55:
             a, b = fast.take_match(source, tag), ref.take_match(source, tag)
             assert a is b, f"take_match({source}, {tag}) diverged"
         elif action < 0.70:
-            # The fuzzed backend's arbitrary-candidate path: enumerate the
-            # legal choices, take the same (kth) candidate from each.
-            # Index values differ between implementations (tombstoned
-            # slots vs a dense deque), so compare the *messages*.
-            ia, ib = fast.match_indices(source, tag), ref.match_indices(source, tag)
-            assert [fast.peek_at(i) for i in ia] == [ref.peek_at(i) for i in ib]
-            if ia:
-                k = rng.randrange(len(ia))
-                assert fast.take_at(ia[k]) is ref.take_at(ib[k])
+            # The fuzzed backend's path: the same candidate set, and the
+            # same (kth) candidate taken from each.
+            ca, cb = fast.candidates(source, tag), ref.candidates(source, tag)
+            assert len(ca) == len(cb) and all(a is b for a, b in zip(ca, cb))
+            if ca:
+                k = rng.randrange(len(ca))
+                assert fast.take(ca[k]) is ref.take(cb[k])
         elif action < 0.80:
-            pa, pb = fast.post(source, tag), ref.post(source, tag)
-            live_posts.append((pa, pb))
+            post_id = fast.post(source, tag)
+            assert ref.post(source, tag) == post_id
+            live_posts.append(post_id)
         elif action < 0.90 and live_posts:
-            pa, pb = rng.choice(live_posts)
-            assert fast.post_ready(pa) == ref.post_ready(pb)
-            if fast.post_ready(pa):
-                assert fast.peek_post(pa) is ref.peek_post(pb)
-                assert fast.take_post(pa) is ref.take_post(pb)
-                live_posts.remove((pa, pb))
+            post_id = rng.choice(live_posts)
+            assert fast.post_ready(post_id) == ref.post_ready(post_id)
+            if fast.post_ready(post_id):
+                assert fast.peek_post(post_id) is ref.peek_post(post_id)
+                assert fast.take_post(post_id) is ref.take_post(post_id)
+                live_posts.remove(post_id)
         else:
             assert fast.has_match(source, tag) == ref.has_match(source, tag)
         assert len(fast) == len(ref)
@@ -249,7 +313,7 @@ def _drain_exact(box: Mailbox, n: int) -> float:
 def test_exact_match_is_constant_time_at_depth_1000():
     """The PR-4 microbenchmark: draining 1000 exact matches from a
     depth-1000 queue is O(n) total on the indexed mailbox but O(n^2) on
-    the linear reference (full scan per take plus ``del deque[i]``).  The
+    the linear reference (full scan per take plus a list delete).  The
     asymptotic gap at this depth is ~100x, so asserting a modest 3x
     keeps the test meaningful yet immune to CI noise."""
     depth = 1000

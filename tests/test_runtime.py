@@ -252,7 +252,7 @@ class TestClockSourceContract:
             )
 
         def body1():
-            backend_obj.wait_for_match(1, 0, 0, 0, "recv(source=0, tag=0)")
+            backend_obj.wait_for_match(1, 0, 0, 0)
 
         return [body0, body1]
 
