@@ -30,8 +30,8 @@ test:
 obs-smoke:
 	$(PYTHON) -m repro.obs --smoke
 
-# The chaos suite on its own: the 4-seed smoke sweep over the flagship
-# apps + racy controls, then every @pytest.mark.chaos test.
+# The chaos suite on its own: the 4-seed smoke sweep over every registered
+# app + the racy controls, then every @pytest.mark.chaos test.
 chaos:
 	$(PYTHON) -m repro.verify --smoke
 	$(PYTHON) -m pytest -q -m chaos
@@ -96,11 +96,11 @@ bench-pairs:
 	python3 tools/bench_pairs.py --base $(BASE) --workloads "$(WORKLOADS)" \
 		--pairs $(PAIRS) --out $(OUT)
 
-# Autotuning smoke: exhaustive searches on poisson + fft2d over two
-# modern machines against a throwaway catalog — checks the entry is
-# written, the tuned makespan never exceeds the default, a second
-# search is a pure catalog hit, and the tuned end-to-end run's digest
-# is bitwise-equal to the untuned run's.
+# Autotuning smoke: exhaustive searches on every registered app at its
+# verify_overrides sizes over two modern machines against a throwaway
+# catalog — checks the entry is written, the tuned makespan never
+# exceeds the default, a second search is a pure catalog hit, and the
+# tuned end-to-end run's digest is bitwise-equal to the untuned run's.
 tune-smoke:
 	$(PYTHON) -m repro.tune smoke
 

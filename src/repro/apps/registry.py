@@ -1,15 +1,16 @@
-"""Named application workloads: one registry from app names to runs.
+"""Named applications: the one table from app names to runs and models.
 
-Before this module each CLI kept its own ad-hoc app table — the obs CLI
-(:mod:`repro.obs.workloads`), the cross-backend digest matrix
-(:mod:`repro.verify.crossbackend`), and the conformance registry
-(:mod:`repro.verify.conformance`) all re-spelled "how do I run mergesort
-on 4 ranks" with slightly different inputs.  The job server
-(:mod:`repro.serve`) needs the same resolution over a wire protocol, so
-the lookup becomes one shared source of truth: an :class:`AppSpec` per
-application, resolvable by string, with JSON-able parameters (every knob
-is a scalar with a default) so a request like ``{"app": "poisson",
-"params": {"nx": 64}}`` fully determines a run.
+An :class:`AppSpec` per application, resolvable by string, with JSON-able
+parameters (every knob is a scalar with a default) so a request like
+``{"app": "poisson", "params": {"nx": 64}}`` fully determines a run.
+Each spec carries what every consumer needs: the runner, the reduced
+``verify_overrides`` sizes, and, where :mod:`repro.bench.predict` has
+a closed form, the app's performance model (:meth:`AppSpec.predict`).
+
+No suite keeps its own list of apps.  The conformance suite, the
+cross-backend matrix and the chaos sweep (:mod:`repro.verify`), the obs
+CLI, the tuner and the job server all iterate :func:`names`, so adding
+an app is adding one :class:`AppSpec` here.
 
 Determinism contract: an app's runner derives *all* of its input from
 the parameter dict (data seeds included), so two runs with equal
@@ -49,6 +50,9 @@ class AppSpec:
     #: reduced sizes for verification runs (conformance programs and the
     #: cross-backend digest matrix) — overrides applied onto defaults
     verify_overrides: Mapping[str, Any] = field(default_factory=dict)
+    #: ``model(params, machine, proc_grid) -> seconds``: the closed-form
+    #: virtual makespan, or ``None`` when the app has no model
+    model: Callable[..., float] | None = None
 
     def params_with(self, overrides: Mapping[str, Any] | None = None) -> dict:
         """Defaults overlaid with *overrides*; unknown keys are an error."""
@@ -103,6 +107,20 @@ class AppSpec:
         with tune_catalog.applying(entry.config):
             return self.runner(merged, machine=machine, mode=mode, trace=trace)
 
+    def predict(
+        self,
+        params: Mapping[str, Any] | None,
+        machine: MachineModel | str,
+        proc_grid: tuple[int, ...] | None = None,
+    ) -> float | None:
+        """The model's virtual makespan for *params* (overriding the
+        defaults) on *proc_grid*, or ``None`` when the app has no model."""
+        if self.model is None:
+            return None
+        if isinstance(machine, str):
+            machine = get_machine(machine)
+        return self.model(self.params_with(params), machine, proc_grid)
+
 
 _REGISTRY: dict[str, AppSpec] = {}
 
@@ -142,16 +160,48 @@ def specs() -> tuple[AppSpec, ...]:
 
 # ---------------------------------------------------------------------------
 # Registered workloads.  Runners derive every input from the params dict
-# (reproducible data seeds), so equal params mean equal digests.
+# (reproducible data seeds), so equal params mean equal digests.  A model
+# adapter maps the full params dict onto its bench/predict.py closed form.
+
+
+def _keys(params: dict) -> np.ndarray:
+    rng = np.random.default_rng(params["seed"])
+    return rng.integers(0, np.iinfo(np.int64).max, size=params["n"])
 
 
 def _run_mergesort(params: dict, *, machine, mode, trace) -> RunResult:
     from repro.apps.sorting.mergesort import one_deep_mergesort
 
-    rng = np.random.default_rng(params["seed"])
-    data = rng.integers(0, np.iinfo(np.int64).max, size=params["n"])
     return one_deep_mergesort().run(
-        params["nprocs"], data, mode=mode, machine=machine, trace=trace
+        params["nprocs"], _keys(params), mode=mode, machine=machine, trace=trace
+    )
+
+
+def _model_mergesort(p: dict, machine, proc_grid) -> float:
+    from repro.bench.predict import predict_onedeep_sort
+
+    return predict_onedeep_sort(p["n"], p["nprocs"], machine)
+
+
+def _run_quicksort(params: dict, *, machine, mode, trace) -> RunResult:
+    from repro.apps.sorting.quicksort import one_deep_quicksort
+
+    return one_deep_quicksort().run(
+        params["nprocs"], _keys(params), mode=mode, machine=machine, trace=trace
+    )
+
+
+def _run_skyline(params: dict, *, machine, mode, trace) -> RunResult:
+    from repro.apps.skyline import one_deep_skyline
+
+    rng = np.random.default_rng(params["seed"])
+    n = params["n"]
+    left = rng.uniform(0.0, 1000.0, n)
+    buildings = np.column_stack(
+        [left, rng.uniform(1.0, 50.0, n), left + rng.uniform(0.5, 20.0, n)]
+    )
+    return one_deep_skyline().run(
+        params["nprocs"], buildings, mode=mode, machine=machine, trace=trace
     )
 
 
@@ -169,6 +219,20 @@ def _run_poisson(params: dict, *, machine, mode, trace) -> RunResult:
         mode=mode,
         machine=machine,
         trace=trace,
+    )
+
+
+def _model_poisson(p: dict, machine, proc_grid) -> float:
+    from repro.bench.predict import predict_poisson
+
+    return predict_poisson(
+        p["nx"],
+        p["ny"],
+        p["max_iters"],
+        p["nprocs"],
+        machine,
+        proc_grid=proc_grid,
+        overlap=p["overlap"],
     )
 
 
@@ -191,6 +255,21 @@ def _run_cfd(params: dict, *, machine, mode, trace) -> RunResult:
         mode=mode,
         machine=machine,
         trace=trace,
+    )
+
+
+def _model_cfd(p: dict, machine, proc_grid) -> float:
+    from repro.bench.predict import predict_cfd
+
+    return predict_cfd(
+        p["nx"],
+        p["ny"],
+        p["steps"],
+        p["nprocs"],
+        machine,
+        proc_grid=proc_grid,
+        cfl_interval=p["cfl_interval"],
+        overlap=p["overlap"],
     )
 
 
@@ -231,6 +310,21 @@ def _run_smog(params: dict, *, machine, mode, trace) -> RunResult:
     )
 
 
+def _model_smog(p: dict, machine, proc_grid) -> float:
+    from repro.bench.predict import predict_smog
+
+    return predict_smog(
+        p["nx"],
+        p["ny"],
+        p["steps"],
+        p["nprocs"],
+        machine,
+        chem_substeps=p["chem_substeps"],
+        proc_grid=proc_grid,
+        overlap=True,
+    )
+
+
 def _run_spectralflow(params: dict, *, machine, mode, trace) -> RunResult:
     from repro.apps.spectralflow import spectralflow_archetype
 
@@ -255,6 +349,14 @@ def _run_fft2d(params: dict, *, machine, mode, trace) -> RunResult:
     array = rng.standard_normal((params["rows"], params["cols"]))
     return fft2d_archetype().run(
         params["nprocs"], array, params["repeats"], mode=mode, machine=machine, trace=trace
+    )
+
+
+def _model_fft2d(p: dict, machine, proc_grid) -> float:
+    from repro.bench.predict import predict_fft2d
+
+    return predict_fft2d(
+        p["rows"], p["cols"], p["repeats"], p["nprocs"], machine, gather=True
     )
 
 
@@ -292,6 +394,27 @@ register(
         runner=_run_mergesort,
         defaults={"nprocs": 4, "n": 4096, "seed": 0},
         verify_overrides={"n": 512},
+        model=_model_mergesort,
+    )
+)
+register(
+    AppSpec(
+        name="quicksort",
+        archetype="one-deep-dc",
+        description="one-deep quicksort (sample sort: pivots split, local sorts)",
+        runner=_run_quicksort,
+        defaults={"nprocs": 4, "n": 4096, "seed": 0},
+        verify_overrides={"n": 512},
+    )
+)
+register(
+    AppSpec(
+        name="skyline",
+        archetype="one-deep-dc",
+        description="one-deep skyline (local sweeps, cut-line merge)",
+        runner=_run_skyline,
+        defaults={"nprocs": 4, "n": 1024, "seed": 0},
+        verify_overrides={"n": 128},
     )
 )
 register(
@@ -310,6 +433,7 @@ register(
             "overlap": True,
         },
         verify_overrides={"nx": 12, "ny": 12, "tolerance": 1e-3, "max_iters": 10_000},
+        model=_model_poisson,
     )
 )
 register(
@@ -333,6 +457,7 @@ register(
             "overlap": True,
         },
         verify_overrides={"nx": 12, "ny": 12, "steps": 2},
+        model=_model_cfd,
     )
 )
 register(
@@ -372,6 +497,7 @@ register(
             "gather": False,
         },
         verify_overrides={"nx": 12, "ny": 12, "steps": 3},
+        model=_model_smog,
     )
 )
 register(
@@ -400,6 +526,7 @@ register(
         runner=_run_fft2d,
         defaults={"nprocs": 4, "rows": 64, "cols": 64, "repeats": 2, "seed": 0},
         verify_overrides={"rows": 16, "cols": 16, "repeats": 1},
+        model=_model_fft2d,
     )
 )
 register(

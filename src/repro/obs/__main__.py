@@ -7,11 +7,11 @@ Usage::
     python -m repro.obs fft2d --compare-model --machine intel-delta
     python -m repro.obs --smoke        # the make obs-smoke CI gate
 
-Runs a small traced archetype application (Poisson, one-deep mergesort,
-or 2-D FFT) and reports on it: trace summary + metrics, critical path,
-Chrome trace-event export (open the file at https://ui.perfetto.dev),
-and measured-vs-model comparison.  With no report flags, ``--summary``
-is implied.
+Runs any registered application (:mod:`repro.apps.registry`) traced,
+at its registered defaults, and reports on it: trace summary + metrics,
+critical path, Chrome trace-event export (open the file at
+https://ui.perfetto.dev), and, for an app with a model, measured vs
+``AppSpec.predict``.  With no report flags, ``--summary`` is implied.
 """
 
 from __future__ import annotations
@@ -21,19 +21,20 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro.apps import registry
 from repro.machines.catalog import get_machine, list_machines
 from repro.obs.chrome import export_chrome_trace
 from repro.obs.critical import critical_path, rank_activity, render_comm_matrix
 from repro.obs.metrics import get_registry, scoped_registry
-from repro.obs.workloads import WORKLOADS, WorkloadRun
+from repro.runtime.spmd import RunResult
 from repro.trace.analysis import render_gantt, summarize
 
 
-def _print_summary(run: WorkloadRun) -> None:
-    tracer = run.result.tracer
+def _print_summary(result: RunResult, description: str) -> None:
+    tracer = result.tracer
     summary = summarize(tracer)
-    print(f"{run.description} on {run.nprocs} rank(s)")
-    print(f"virtual makespan: {run.measured:.6g}s")
+    print(f"{description} on {len(result.times)} rank(s)")
+    print(f"virtual makespan: {result.elapsed:.6g}s")
     print()
     print("rank  compute      comm         idle         sent     received")
     for rs in summary.ranks:
@@ -57,23 +58,22 @@ def _print_summary(run: WorkloadRun) -> None:
     print(get_registry().render())
 
 
-def _print_critical_path(run: WorkloadRun) -> None:
-    report = critical_path(run.result.tracer)
+def _print_critical_path(result: RunResult) -> None:
+    report = critical_path(result.tracer)
     print(report.render())
     print()
     print("per-rank activity (seconds):")
     print("rank  compute      send         recv         wait         idle")
-    for act in rank_activity(run.result.tracer):
+    for act in rank_activity(result.tracer):
         print(
             f"{act.rank:>4}  {act.compute:<11.6g}  {act.send:<11.6g}  "
             f"{act.recv:<11.6g}  {act.wait:<11.6g}  {act.idle:<11.6g}"
         )
 
 
-def _print_comparison(run: WorkloadRun) -> None:
-    machine = run.result.machine
-    measured = run.measured
-    predicted = run.predicted
+def _print_comparison(result: RunResult, predicted: float) -> None:
+    machine = result.machine
+    measured = result.elapsed
     ratio = measured / predicted if predicted > 0 else float("inf")
     print(f"machine: {machine.describe()}")
     print(f"measured (simulated) makespan: {measured:.6g}s")
@@ -88,27 +88,28 @@ def _print_comparison(run: WorkloadRun) -> None:
 def smoke(machine_name: str = "ibm-sp") -> int:
     """The ``make obs-smoke`` gate: trace two archetypes, export, validate.
 
-    Runs a small Poisson and mergesort job, exports each to a Chrome
-    trace (validated on export), and checks the critical-path invariant
-    (path length == virtual makespan).  Returns a process exit code.
+    Runs Poisson and mergesort at their registered defaults, exports each
+    to a Chrome trace (validated on export), and checks the critical-path
+    invariant (path length == virtual makespan).  Returns a process exit
+    code.
     """
     machine = get_machine(machine_name)
     failures = 0
     with tempfile.TemporaryDirectory(prefix="repro-obs-smoke-") as tmp:
         for app in ("poisson", "mergesort"):
             with scoped_registry():
-                run = WORKLOADS[app](4, machine)
+                result = registry.get(app).run(machine=machine, trace=True)
                 path = Path(tmp) / f"{app}.trace.json"
-                data = export_chrome_trace(run.result.tracer, path)
-                report = critical_path(run.result.tracer)
-                drift = abs(report.length - run.measured)
-                ok = drift <= 1e-9 * max(run.measured, 1.0)
+                data = export_chrome_trace(result.tracer, path)
+                report = critical_path(result.tracer)
+                drift = abs(report.length - result.elapsed)
+                ok = drift <= 1e-9 * max(result.elapsed, 1.0)
                 recorded = len(get_registry().names())
                 status = "ok" if ok else "FAIL"
                 print(
                     f"[{status}] {app}: {len(data['traceEvents'])} trace events "
                     f"exported and validated; critical path {report.length:.6g}s "
-                    f"vs makespan {run.measured:.6g}s; {recorded} metrics recorded"
+                    f"vs makespan {result.elapsed:.6g}s; {recorded} metrics recorded"
                 )
                 if not ok:
                     failures += 1
@@ -119,7 +120,7 @@ def smoke(machine_name: str = "ibm-sp") -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Observe a traced archetype run: summary, critical path, "
@@ -129,11 +130,14 @@ def main(argv: list[str] | None = None) -> int:
         "app",
         nargs="?",
         default="poisson",
-        choices=sorted(WORKLOADS),
-        help="application to run (default: poisson)",
+        choices=registry.names(),
+        help="registered application to run (default: poisson)",
     )
     parser.add_argument(
-        "--procs", type=int, default=4, metavar="N", help="rank count (default: 4)"
+        "--procs",
+        type=int,
+        metavar="N",
+        help="rank count (default: the app's registered nprocs)",
     )
     parser.add_argument(
         "--machine",
@@ -159,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--compare-model",
         action="store_true",
-        help="measured makespan vs the closed-form MachineModel prediction",
+        help="measured makespan vs the app's closed-form model prediction",
     )
     parser.add_argument(
         "--smoke",
@@ -167,34 +171,54 @@ def main(argv: list[str] | None = None) -> int:
         help="CI gate: run poisson+mergesort, export+validate traces, "
         "check the critical-path invariant",
     )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.smoke:
         return smoke(args.machine)
 
-    if args.procs < 1:
-        parser.error("--procs must be >= 1")
+    spec = registry.get(args.app)
+    params = {}
+    if args.procs is not None:
+        if "nprocs" not in spec.defaults:
+            parser.error(
+                f"{spec.name} takes no --procs: its rank count follows from its stages"
+            )
+        if args.procs < 1:
+            parser.error("--procs must be >= 1")
+        params["nprocs"] = args.procs
+    if args.compare_model and spec.model is None:
+        modelled = [s.name for s in registry.specs() if s.model is not None]
+        parser.error(
+            f"{spec.name} has no model to compare against; "
+            f"apps with one: {', '.join(modelled)}"
+        )
     machine = get_machine(args.machine)
     wants_report = args.summary or args.critical_path or args.compare_model
     if not wants_report and not args.export_chrome:
         args.summary = True
 
     with scoped_registry():
-        run = WORKLOADS[args.app](args.procs, machine)
+        result = spec.run(params, machine=machine, trace=True)
         sections: list = []
         if args.summary:
-            sections.append(lambda: _print_summary(run))
+            sections.append(lambda: _print_summary(result, spec.description))
         if args.critical_path:
-            sections.append(lambda: _print_critical_path(run))
+            sections.append(lambda: _print_critical_path(result))
         if args.compare_model:
-            sections.append(lambda: _print_comparison(run))
+            predicted = spec.predict(params, machine)
+            sections.append(lambda: _print_comparison(result, predicted))
         for i, section in enumerate(sections):
             if i:
                 print()
                 print("-" * 64)
             section()
         if args.export_chrome:
-            data = export_chrome_trace(run.result.tracer, args.export_chrome)
+            data = export_chrome_trace(result.tracer, args.export_chrome)
             print(
                 f"wrote {len(data['traceEvents'])} trace events to "
                 f"{args.export_chrome} (open in https://ui.perfetto.dev)"

@@ -127,9 +127,6 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
-# reduced problem sizes so the smoke search stays in CI-seconds territory
-_SMOKE_POISSON = {"nx": 16, "ny": 16, "max_iters": 2}
-_SMOKE_FFT2D = {"rows": 16, "cols": 16, "repeats": 1}
 _SMOKE_MACHINES = ("numa-epyc", "cloud-25gbe")
 
 
@@ -145,9 +142,11 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-tune-smoke-") as tmp:
         if not os.environ.get(catalog.DIR_ENV):
             os.environ[catalog.DIR_ENV] = tmp
-        plan = [("poisson", _SMOKE_POISSON, m) for m in _SMOKE_MACHINES]
-        plan.append(("fft2d", _SMOKE_FFT2D, _SMOKE_MACHINES[0]))
-        for app, overrides, machine in plan:
+        # every registered app at its verify_overrides sizes, so the
+        # smoke search stays in CI-seconds territory
+        plan = [(spec, m) for spec in registry.specs() for m in _SMOKE_MACHINES]
+        for spec, machine in plan:
+            app, overrides = spec.name, spec.verify_overrides
             first = search(app, machine, overrides=overrides, exhaustive=True)
             check(
                 f"{app} @ {machine}: catalog entry written",
@@ -167,7 +166,6 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
             # End-to-end digest check through the public consultation
             # path: a registry run that picks up the tuned config must
             # reproduce the untuned run's canonical value bit-for-bit.
-            spec = registry.get(app)
             tuned_run = spec.run(overrides, machine=machine)
             with catalog.disabled():
                 default_run = spec.run(overrides, machine=machine)

@@ -1,8 +1,9 @@
 """The search driver: predict, prune, measure, rank, persist.
 
 ``search(app, machine)`` enumerates the app's candidate space, prunes
-it with the closed-form predictions, measures the survivors' *virtual*
-makespans, and persists the winner to the catalog.  Three properties
+it with the app's own closed-form model
+(:meth:`~repro.apps.registry.AppSpec.predict`), measures the survivors'
+*virtual* makespans, and persists the winner to the catalog.  Three properties
 make the loop trustworthy:
 
 * **Reproducible rankings.**  Candidates are ranked by simulated time,
@@ -36,7 +37,6 @@ from repro.machines.model import MachineModel
 from repro.obs.metrics import counter_handle, gauge_handle
 from repro.tune import catalog
 from repro.tune.catalog import TunedConfig, TunedEntry
-from repro.tune.predict import predict_candidate, prune
 from repro.tune.space import build_space, canonical_digest, space_signature
 
 _GENERATED = counter_handle(
@@ -59,6 +59,24 @@ _ACCURACY = gauge_handle(
 
 #: candidate dispositions, in the order they are decided
 PRUNED, MEASURED, REJECTED, WINNER = "pruned", "measured", "digest-reject", "winner"
+
+#: survivors are candidates predicted within this factor of the best
+#: prediction — wide enough to absorb the skew/wait effects the closed
+#: forms ignore (the test suite holds model-vs-simulator agreement to
+#: ~10%), tight enough to discard clearly-lost grid shapes
+PRUNE_SLACK = 1.15
+
+
+def prune(predictions: list[float | None]) -> list[bool]:
+    """Keep-flags per candidate: candidate 0 (the default) and every
+    unpredicted candidate always survive; predicted candidates survive
+    within :data:`PRUNE_SLACK` of the best prediction."""
+    finite = [p for p in predictions if p is not None]
+    cutoff = PRUNE_SLACK * min(finite) if finite else None
+    keep = []
+    for i, p in enumerate(predictions):
+        keep.append(i == 0 or p is None or p <= cutoff)
+    return keep
 
 
 @dataclass(frozen=True)
@@ -160,7 +178,11 @@ def search(
         )
 
     _GENERATED.inc(len(space))
-    predictions = [predict_candidate(spec, params, machine, c) for c in space]
+    # Apps without a model predict None and are never pruned: the search
+    # measures them all, the honest fallback when no closed form exists.
+    predictions = [
+        spec.predict({**params, **c.params}, machine, c.proc_grid) for c in space
+    ]
     keep = prune(predictions)
     _PRUNED.inc(keep.count(False))
 

@@ -1,22 +1,22 @@
 """Command-line entry point: ``python -m repro.verify``.
 
-Runs the schedule-fuzzing suite over the paper's flagship applications
-(one-deep mergesort, 2-D FFT, Jacobi Poisson), the pipeline/farm
-conformance programs (imagepipe, knapfarm), and the intentionally racy
-positive controls, and exits nonzero when anything unexpected is found:
+Runs the schedule-fuzzing suite over every registered application (each
+at its ``verify_overrides`` sizes on IBM SP, the conformance run of
+:func:`repro.verify.conformance.run_app`) and the demo controls, and
+exits nonzero when anything unexpected is found:
 
 - a *clean* application diverging under any seed (nondeterminism bug), or
 - a *racy* control **not** being detected (fuzzer regression).
 
-``--smoke`` uses 4 seeds and small inputs (the CI gate, well under a
-minute); the default is the acceptance sweep with 16 seeds.  ``--replay
-SEED --program NAME`` re-runs one seed of one program and prints its
-digests — the debugging workflow once a finding names a seed.
+``--smoke`` uses 4 seeds (the CI gate, a few seconds); the default is the
+acceptance sweep with 16 seeds.  ``--replay SEED --program NAME`` re-runs
+one seed of one program and prints its digests — the debugging workflow
+once a finding names a seed.
 
-``--cross-backend`` runs the digest-identity matrix instead: each clean
-application on the deterministic, threaded, and process-parallel
-backends, requiring bitwise-identical digests of (clocks, values)
-across all three (:mod:`repro.verify.crossbackend`).
+``--cross-backend`` runs the digest-identity matrix instead: each
+registered application on the deterministic, threaded, and
+process-parallel backends, requiring bitwise-identical digests of
+(clocks, values) across all three (:mod:`repro.verify.crossbackend`).
 """
 
 from __future__ import annotations
@@ -25,79 +25,27 @@ import argparse
 import sys
 from collections.abc import Callable
 
-import numpy as np
-
+from repro.apps import registry
+from repro.verify.conformance import run_app
 from repro.verify.demo import race_free_arrival, racy_first_arrival, racy_float_reduction
 from repro.verify.explorer import ScheduleExplorer
 
 
-def _mergesort_explorer(nprocs: int = 4) -> ScheduleExplorer:
-    from repro.apps.sorting.mergesort import one_deep_mergesort
-
-    data = np.random.default_rng(0).integers(0, 10**6, size=2048)
-    return ScheduleExplorer(lambda: one_deep_mergesort().run(nprocs, data))
+def _app(name: str) -> Callable[[], ScheduleExplorer]:
+    return lambda: ScheduleExplorer(lambda: run_app(name))
 
 
-def _fft2d_explorer(nprocs: int = 4) -> ScheduleExplorer:
-    from repro.apps.fft2d import fft2d_archetype
-
-    rng = np.random.default_rng(1)
-    arr = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    return ScheduleExplorer(lambda: fft2d_archetype().run(nprocs, arr, 1))
+def _control(nprocs: int, body: Callable) -> Callable[[], ScheduleExplorer]:
+    return lambda: ScheduleExplorer.for_body(nprocs, body)
 
 
-def _poisson_explorer(nprocs: int = 4) -> ScheduleExplorer:
-    from repro.apps.poisson import poisson_archetype
-
-    return ScheduleExplorer(
-        lambda: poisson_archetype().run(nprocs, 12, 12, tolerance=1e-3)
-    )
-
-
-def _racy_arrival_explorer(nprocs: int = 4) -> ScheduleExplorer:
-    return ScheduleExplorer.for_body(nprocs, racy_first_arrival)
-
-
-def _racy_reduction_explorer(nprocs: int = 5) -> ScheduleExplorer:
-    return ScheduleExplorer.for_body(nprocs, racy_float_reduction)
-
-
-def _race_free_arrival_explorer(nprocs: int = 4) -> ScheduleExplorer:
-    return ScheduleExplorer.for_body(nprocs, race_free_arrival)
-
-
-def _imagepipe_explorer() -> ScheduleExplorer:
-    from repro.verify.conformance import PROGRAMS as CONFORMANCE
-
-    runner = CONFORMANCE["imagepipe"].runner
-    return ScheduleExplorer(lambda: runner(mode=None))
-
-
-def _knapfarm_explorer() -> ScheduleExplorer:
-    from repro.verify.conformance import PROGRAMS as CONFORMANCE
-
-    runner = CONFORMANCE["knapfarm"].runner
-    return ScheduleExplorer(lambda: runner(mode=None))
-
-
-def _fusedmesh_explorer() -> ScheduleExplorer:
-    from repro.verify.conformance import PROGRAMS as CONFORMANCE
-
-    runner = CONFORMANCE["fusedmesh"].runner
-    return ScheduleExplorer(lambda: runner(mode=None))
-
-
-#: name -> (explorer factory, races expected?)
+#: name -> (explorer factory, races expected?): every registered app, then
+#: the racy positive controls and their race-free twin
 PROGRAMS: dict[str, tuple[Callable[[], ScheduleExplorer], bool]] = {
-    "mergesort": (_mergesort_explorer, False),
-    "fft2d": (_fft2d_explorer, False),
-    "poisson": (_poisson_explorer, False),
-    "racy-arrival": (_racy_arrival_explorer, True),
-    "racy-reduction": (_racy_reduction_explorer, True),
-    "race-free-arrival": (_race_free_arrival_explorer, False),
-    "imagepipe": (_imagepipe_explorer, False),
-    "knapfarm": (_knapfarm_explorer, False),
-    "fusedmesh": (_fusedmesh_explorer, False),
+    **{name: (_app(name), False) for name in registry.names()},
+    "racy-arrival": (_control(4, racy_first_arrival), True),
+    "racy-reduction": (_control(5, racy_float_reduction), True),
+    "race-free-arrival": (_control(4, race_free_arrival), False),
 }
 
 
@@ -133,12 +81,10 @@ def main(argv: list[str] | None = None) -> int:
     names = args.program or sorted(PROGRAMS)
 
     if args.cross_backend:
-        from repro.verify.crossbackend import PROGRAMS as MATRIX_PROGRAMS
         from repro.verify.crossbackend import cross_backend_matrix
 
-        # With no explicit --program, run the full matrix — including
-        # programs registered only for the cross-backend check.
-        chosen = [n for n in names if n in MATRIX_PROGRAMS] if args.program else None
+        # With no explicit --program, run the full matrix.
+        chosen = [n for n in names if n in registry.names()] if args.program else None
         report = cross_backend_matrix(programs=chosen)
         print(report.summary())
         print("cross-backend matrix:", "passed" if report.ok else "FAILED")
@@ -147,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.replay is not None:
         if len(names) != 1:
             parser.error("--replay requires exactly one --program")
-        explorer, _ = PROGRAMS[names[0]][0](), PROGRAMS[names[0]][1]
+        explorer = PROGRAMS[names[0]][0]()
         result = explorer.replay(args.replay)
         print(f"{names[0]} seed {args.replay} digests:")
         for rank, digest in enumerate(explorer.digests(result)):

@@ -1,76 +1,47 @@
-"""Canonical conformance programs: one small run per registered archetype.
+"""Conformance programs: every registered app, small, on a modelled machine.
 
 Every archetype in the library promises the same execution contract —
 deterministic results, schedule-independent virtual clocks, consistent
-traces — but until this module the contract was re-checked ad hoc per
-archetype.  Here each archetype registers one small, fast, canonical
-program; the conformance suite (``tests/test_archetype_contract.py``)
-and the cross-backend digest matrix (:mod:`repro.verify.crossbackend`)
-iterate over this registry, so a new archetype buys into every contract
-check by adding one entry.
+traces.  The conformance suite (``tests/test_archetype_contract.py``),
+the cross-backend digest matrix (:mod:`repro.verify.crossbackend`) and
+the chaos sweep (``python -m repro.verify``) check it for every app in
+the shared registry (:mod:`repro.apps.registry`).  None of them keeps a
+list of its own: a new app buys into every contract check by registering
+one :class:`~repro.apps.registry.AppSpec`.
 
-Runners accept ``mode`` (an :class:`~repro.core.archetype.ExecutionMode`
-string, or ``None`` to defer to ``REPRO_BACKEND``) and ``trace``; they
-run on a modelled machine (IBM SP) so virtual clocks are non-trivial and
-clock-canonicality checks bite.
-
-Program definitions live in the shared app registry
-(:mod:`repro.apps.registry`): each conformance program is one registered
-app run at its ``verify_overrides`` sizes, so the conformance suite, the
-cross-backend matrix, and the job server all resolve the *same* runs.
+All of them run an app the same way, through :func:`run_app`: at its
+``verify_overrides`` sizes, on IBM SP (so virtual clocks are non-trivial
+and clock-canonicality checks bite), with ``mode`` an
+:class:`~repro.core.archetype.ExecutionMode` string or ``None`` to defer
+to ``REPRO_BACKEND``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
-
 from repro.apps import registry
 from repro.runtime.spmd import RunResult
 
-
-@dataclass(frozen=True)
-class ConformanceProgram:
-    """One archetype's canonical program for contract checking."""
-
-    #: registry key (also the cross-backend matrix name)
-    name: str
-    #: which archetype family the program exercises
-    archetype: str
-    #: runner(mode=..., trace=...) -> RunResult
-    runner: Callable[..., RunResult]
-
-
-def _registry_runner(app: str) -> Callable[..., RunResult]:
-    def run(mode: str | None = None, trace: bool = False) -> RunResult:
-        spec = registry.get(app)
-        return spec.run(
-            spec.verify_overrides, machine="ibm-sp", mode=mode, trace=trace
-        )
-
-    return run
-
-
-def _program(name: str, app: str) -> ConformanceProgram:
-    return ConformanceProgram(name, registry.get(app).archetype, _registry_runner(app))
-
-
-#: every registered archetype's canonical program, keyed by program name
-PROGRAMS: dict[str, ConformanceProgram] = {
-    "onedeep": _program("onedeep", "mergesort"),
-    "meshspectral": _program("meshspectral", "poisson"),
-    # The fused mesh-spectral program: multi-species transport/chemistry
-    # through the kernel layer's fusion, packing, and hoisting paths.
-    "fusedmesh": _program("fusedmesh", "smog"),
-    # Packed-exchange mesh programs: the 2-D flow solver (CFL max
-    # reductions) and the 3-D leapfrog FDTD code (energy sum reduction).
-    "cfdmesh": _program("cfdmesh", "cfd"),
-    "fdtdmesh": _program("fdtdmesh", "fdtd"),
-    "imagepipe": _program("imagepipe", "imagepipe"),
-    "knapfarm": _program("knapfarm", "knapfarm"),
+#: app -> the conformance program name it had before every registered app
+#: was a conformance program.  Kept only so existing test ids keep their
+#: names; every other app's program name is the app name.
+_OLD_NAMES = {
+    "mergesort": "onedeep",
+    "poisson": "meshspectral",
+    "smog": "fusedmesh",
+    "cfd": "cfdmesh",
+    "fdtd": "fdtdmesh",
 }
+
+#: program name -> registered app, one per app in registration order
+PROGRAMS: dict[str, str] = {_OLD_NAMES.get(app, app): app for app in registry.names()}
+
+
+def run_app(app: str, mode: str | None = None, trace: bool = False) -> RunResult:
+    """One verification run of *app*: its ``verify_overrides`` on IBM SP."""
+    spec = registry.get(app)
+    return spec.run(spec.verify_overrides, machine="ibm-sp", mode=mode, trace=trace)
 
 
 def archetypes() -> tuple[str, ...]:
     """The archetype families covered by the registry."""
-    return tuple(dict.fromkeys(p.archetype for p in PROGRAMS.values()))
+    return tuple(dict.fromkeys(spec.archetype for spec in registry.specs()))

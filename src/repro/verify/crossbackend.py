@@ -9,53 +9,24 @@ free-running threads, and one-OS-process-per-rank — because canonical
 clock charging makes virtual time schedule-independent and race freedom
 makes values interleaving-independent.  This is the property that lets
 ``backend="parallel"`` be a pure wall-clock optimisation.
+
+The matrix has one row per registered app
+(:func:`repro.apps.registry.names`), each run by
+:func:`repro.verify.conformance.run_app` at its verification sizes: the
+same runs the conformance suite checks.
 """
 
 from __future__ import annotations
 
-import os
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.runtime.backends import BACKEND_ENV, resolve
-from repro.runtime.spmd import RunResult
+from repro.apps import registry
+from repro.runtime import backends as backend_registry
+from repro.verify.conformance import run_app
 from repro.verify.digest import value_digest
 
 #: the engines compared by default (canonical names)
 DEFAULT_BACKENDS = ("deterministic", "threads", "parallel")
-
-
-def _registry_runner(app: str) -> Callable[[str], RunResult]:
-    """A matrix runner from the shared app registry: the app at its
-    verification sizes, with ``mode=None`` so the ``REPRO_BACKEND``
-    default set by :func:`cross_backend_matrix` selects the engine."""
-
-    def run(backend: str) -> RunResult:
-        from repro.apps import registry
-
-        spec = registry.get(app)
-        return spec.run(spec.verify_overrides, machine="ibm-sp", mode=None)
-
-    return run
-
-
-#: name -> runner(backend) for the matrix: the shared app registry's
-#: workloads at verification scale (one source of truth with the
-#: conformance suite and the job server)
-PROGRAMS: dict[str, Callable[[str], RunResult]] = {
-    name: _registry_runner(name)
-    for name in (
-        "mergesort",
-        "fft2d",
-        "poisson",
-        "cfd",
-        "fdtd",
-        "smog",
-        "spectralflow",
-        "imagepipe",
-        "knapfarm",
-    )
-}
 
 
 @dataclass
@@ -95,38 +66,31 @@ def cross_backend_matrix(
     backends: tuple[str, ...] = DEFAULT_BACKENDS,
     reference: str = "deterministic",
 ) -> CrossBackendReport:
-    """Run each program on each backend and diff digests vs *reference*.
+    """Run each registered app (or just *programs*) on each backend and
+    diff digests vs *reference*.
 
-    Backends are selected through the ``REPRO_BACKEND`` environment
-    default (restored afterwards), so the matrix exercises exactly the
-    resolution path users and CI rely on.
+    Each engine is passed explicitly, as its ``ExecutionMode``
+    (:attr:`~repro.runtime.backends.BackendSpec.mode`).  The fuzzed
+    engine has no mode of its own; sweep it with
+    :class:`~repro.verify.explorer.ScheduleExplorer` instead.
     """
-    names = [resolve(b) for b in backends]
-    reference = resolve(reference)
+    names = [backend_registry.resolve(b) for b in backends]
+    reference = backend_registry.resolve(reference)
     if reference not in names:
         names.insert(0, reference)
     report = CrossBackendReport(reference=reference)
-    previous = os.environ.get(BACKEND_ENV)
-    try:
-        for program in programs or list(PROGRAMS):
-            runner = PROGRAMS[program]
-            digests: dict[str, str] = {}
-            for backend in names:
-                os.environ[BACKEND_ENV] = backend
-                result = runner(backend)
-                digests[backend] = value_digest([result.times, result.values])
-            for backend in names:
-                report.cells.append(
-                    MatrixCell(
-                        program=program,
-                        backend=backend,
-                        digest=digests[backend],
-                        matches_reference=digests[backend] == digests[reference],
-                    )
+    for program in programs or registry.names():
+        digests: dict[str, str] = {}
+        for backend in names:
+            result = run_app(program, mode=backend_registry.get(backend).mode)
+            digests[backend] = value_digest([result.times, result.values])
+        for backend in names:
+            report.cells.append(
+                MatrixCell(
+                    program=program,
+                    backend=backend,
+                    digest=digests[backend],
+                    matches_reference=digests[backend] == digests[reference],
                 )
-    finally:
-        if previous is None:
-            os.environ.pop(BACKEND_ENV, None)
-        else:
-            os.environ[BACKEND_ENV] = previous
+            )
     return report

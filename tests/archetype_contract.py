@@ -17,10 +17,10 @@ the virtual-clock runtime (ROADMAP "uniform correctness contracts"):
    the deterministic engine's digest bitwise.
 
 ``tests/test_archetype_contract.py`` applies these checks to every
-program in :mod:`repro.verify.conformance` × every registered backend;
-new archetypes get the whole battery by registering one program there.
-The checks are plain functions so other suites (or a REPL) can call them
-against any conformance program.
+program in :mod:`repro.verify.conformance` (one per registered app) ×
+every registered backend; a new app gets the whole battery by
+registering one ``AppSpec``.  The checks are plain functions so other
+suites (or a REPL) can call them against any conformance program.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.obs.chrome import chrome_trace, validate_chrome_trace
 from repro.obs.critical import critical_path, trace_makespan
 from repro.runtime.spmd import RunResult
 from repro.verify import fuzzed_schedule
-from repro.verify.conformance import PROGRAMS
+from repro.verify.conformance import PROGRAMS, run_app
 from repro.verify.digest import value_digest
 
 #: every registered backend, in contract-suite order
@@ -43,12 +43,12 @@ def run_program(
     name: str, backend: str = "deterministic", seed: int = 0, trace: bool = False
 ) -> RunResult:
     """Run conformance program *name* on *backend* (seeded when fuzzed)."""
-    program = PROGRAMS[name]
+    app = PROGRAMS[name]
     if backend == "fuzzed":
         with fuzzed_schedule(seed):
-            return program.runner(mode="sequential", trace=trace)
+            return run_app(app, mode="sequential", trace=trace)
     mode = {"deterministic": "sequential"}.get(backend, backend)
-    return program.runner(mode=mode, trace=trace)
+    return run_app(app, mode=mode, trace=trace)
 
 
 def digest_of(result: RunResult) -> str:

@@ -7,7 +7,7 @@ from repro.apps.registry import AppSpec
 from repro.errors import ReproError
 from repro.verify.digest import value_digest
 
-EXPECTED_APPS = {"mergesort", "poisson", "fft2d", "imagepipe", "knapfarm"}
+EXPECTED_APPS = {"mergesort", "quicksort", "skyline", "poisson", "fft2d", "imagepipe", "knapfarm"}
 
 
 def _digest(result):
@@ -119,10 +119,34 @@ class TestSharedConsumers:
     def test_conformance_programs_resolve_registry_apps(self):
         from repro.verify.conformance import PROGRAMS
 
-        for program in PROGRAMS.values():
-            assert program.archetype in {
-                registry.get(n).archetype for n in registry.names()
-            }
+        for app in PROGRAMS.values():
+            registry.get(app)
+        # Only the programs that predate the registry keep another name.
+        renamed = {program for program, app in PROGRAMS.items() if program != app}
+        assert renamed == {"onedeep", "meshspectral", "fusedmesh", "cfdmesh", "fdtdmesh"}
+
+    def test_every_suite_iterates_the_registry(self):
+        from repro.obs.__main__ import _parser
+        from repro.verify.__main__ import PROGRAMS as CHAOS
+        from repro.verify.conformance import PROGRAMS as CONFORMANCE
+        from repro.verify.crossbackend import cross_backend_matrix
+
+        # Other test modules register throwaway apps (archetype "test")
+        # at import time, so a suite built earlier or later may differ
+        # from this one by those apps alone.
+        scratch = {s.name for s in registry.specs() if s.archetype == "test"}
+        controls = {"racy-arrival", "racy-reduction", "race-free-arrival"}
+
+        def apps(names):
+            return tuple(n for n in names if n not in scratch | controls)
+
+        names = apps(registry.names())
+        assert apps(CONFORMANCE.values()) == names
+        matrix = cross_backend_matrix(backends=("deterministic",))
+        assert apps(cell.program for cell in matrix.cells) == names
+        assert apps(CHAOS) == names and controls < set(CHAOS)
+        (app,) = [a for a in _parser()._actions if a.dest == "app"]
+        assert apps(app.choices) == names
 
     def test_wallclock_descriptions_come_from_registry(self):
         from tests.conftest import WORKLOADS

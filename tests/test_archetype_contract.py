@@ -1,9 +1,9 @@
 """The conformance suite: every archetype × every backend × the contract.
 
 Thin pytest parameterization over :mod:`archetype_contract`; the check
-bodies live there so they stay importable outside pytest.  A new
-archetype joins by registering a program in
-:mod:`repro.verify.conformance` — no new test code.
+bodies live there so they stay importable outside pytest.  Every
+registered app is a program (:mod:`repro.verify.conformance`), so a new
+app joins by registering its ``AppSpec`` — no new test code.
 """
 
 from __future__ import annotations

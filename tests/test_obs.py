@@ -595,3 +595,33 @@ class TestCli:
 
         with pytest.raises(ReproError):
             main(["poisson", "--machine", "nonesuch"])
+
+    def test_procs_defaults_to_the_registered_nprocs(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from repro.apps import registry
+        from repro.obs.__main__ import main
+
+        spec = registry.get("poisson")
+        two = replace(spec, defaults={**spec.defaults, "nprocs": 2})
+        monkeypatch.setitem(registry._REGISTRY, "poisson", two)
+        assert main(["poisson"]) == 0
+        assert f"{spec.description} on 2 rank(s)" in capsys.readouterr().out
+
+    def test_pipeline_app_rejects_procs(self, capsys):
+        from repro.obs.__main__ import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["imagepipe", "--procs", "4"])
+        assert info.value.code == 2
+        assert "imagepipe takes no --procs" in capsys.readouterr().err
+
+    def test_compare_model_without_a_model_names_the_modelled_apps(self, capsys):
+        from repro.obs.__main__ import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["quicksort", "--compare-model"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "quicksort has no model" in err
+        assert "apps with one: mergesort, poisson, cfd, smog, fft2d" in err

@@ -356,9 +356,7 @@ class TestServerE2E:
         assert status == 200 and health["status"] == "ok"
         assert len(health["workers"]) == 1
         _, apps = _http(f"{server.url}/v1/apps")
-        assert {"mergesort", "poisson", "fft2d", "imagepipe", "knapfarm"} <= {
-            a["name"] for a in apps
-        }
+        assert [a["name"] for a in apps] == list(registry.names())
         _, job = _http(f"{server.url}/v1/jobs", "POST", self.BODY)
         _wait_done(server.url, job["id"])
         _, metrics = _http(f"{server.url}/v1/metrics")

@@ -23,8 +23,7 @@ from repro.serve.executor import execute
 from repro.serve.protocol import JobRequest
 from repro.tune import catalog
 from repro.tune.catalog import TunedConfig, TunedEntry
-from repro.tune.predict import PRUNE_SLACK, predict_candidate, prune
-from repro.tune.search import REJECTED, search
+from repro.tune.search import PRUNE_SLACK, REJECTED, prune, search
 from repro.tune.space import build_space, canonical_digest
 
 TINY_POISSON = {"nx": 12, "ny": 12, "max_iters": 2}
@@ -184,7 +183,7 @@ class TestSpace:
         spec = registry.get("poisson")
         params = spec.params_with(TINY_POISSON)
         machine = get_machine("cloud-25gbe")
-        predicted = predict_candidate(spec, params, machine, TunedConfig())
+        predicted = spec.predict(params, machine)
         with catalog.disabled():
             measured = spec.run(params, machine=machine).elapsed
         assert predicted == pytest.approx(measured, rel=0.25)
