@@ -2,7 +2,7 @@
 
 Solves the Poisson problem  ∇²u = f  on the unit square with Dirichlet
 boundary condition u = g on the domain edge, by discretising on an
-NX x NY grid and applying Jacobi iteration
+NX x NY grid and running Jacobi iteration
 
     u'[i,j] = ( u[i-1,j] + u[i+1,j] + u[i,j-1] + u[i,j+1] - h² f[i,j] ) / 4
 

@@ -1,18 +1,22 @@
-"""Named applications: the one table from app names to runs and models.
+"""Named applications: the one table from app names to programs and models.
 
 An :class:`AppSpec` per application, resolvable by string, with JSON-able
 parameters (every knob is a scalar with a default) so a request like
 ``{"app": "poisson", "params": {"nx": 64}}`` fully determines a run.
-Each spec carries what every consumer needs: the runner, the reduced
-``verify_overrides`` sizes, and, where :mod:`repro.bench.predict` has
-a closed form, the app's performance model (:meth:`AppSpec.predict`).
+Each spec is a declaration, not a runner: :attr:`AppSpec.build` maps the
+parameters to the archetype program and its inputs, and
+:meth:`AppSpec.run` is the one place a run is configured (engine,
+machine, tracing, tuned configuration).  Beside it sit the reduced
+``verify_overrides`` sizes and, where :mod:`repro.bench.predict` has a
+closed form, the app's performance model (:meth:`AppSpec.predict`).
 
 No suite keeps its own list of apps.  The conformance suite, the
-cross-backend matrix and the chaos sweep (:mod:`repro.verify`), the obs
-CLI, the tuner and the job server all iterate :func:`names`, so adding
-an app is adding one :class:`AppSpec` here.
+cross-backend matrix and the chaos sweep (:mod:`repro.verify`), the
+version-1 chain (``tests/test_version1.py``), the obs CLI, the tuner and
+the job server all iterate :func:`names`, so adding an app is adding one
+:class:`AppSpec` here.
 
-Determinism contract: an app's runner derives *all* of its input from
+Determinism contract: an app's ``build`` derives *all* of its input from
 the parameter dict (data seeds included), so two runs with equal
 ``(app, params, machine, backend, seed)`` produce bitwise-identical
 digests — the property the serve result cache keys on.
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -31,19 +35,27 @@ from repro.machines.catalog import IDEAL, get_machine
 from repro.machines.model import MachineModel
 from repro.runtime.spmd import RunResult
 
+if TYPE_CHECKING:
+    from repro.core.archetype import Archetype
+    from repro.tune.catalog import TunedConfig
+
+#: what ``build`` returns: the program, its rank count, and the positional
+#: and keyword arguments of ``archetype.run(nprocs, *args, **kwargs)``
+Build = tuple["Archetype", int, tuple, dict]
+
 
 @dataclass(frozen=True)
 class AppSpec:
-    """One named workload: how to run an application from plain parameters."""
+    """One named workload: an archetype program declared from plain parameters."""
 
     #: registry key (the name requests and CLIs resolve)
     name: str
     #: archetype family the app exercises (diagnostics / grouping)
     archetype: str
     description: str
-    #: ``runner(params, machine=..., mode=..., trace=...) -> RunResult``;
-    #: *params* is :attr:`defaults` overlaid with the caller's overrides
-    runner: Callable[..., RunResult]
+    #: ``build(params) -> (archetype, nprocs, args, kwargs)``; *params*
+    #: is :attr:`defaults` overlaid with the caller's overrides
+    build: Callable[[dict], Build]
     #: every knob the app accepts, with its default value (JSON-able
     #: scalars only, so specs serialise over the serve wire protocol)
     defaults: Mapping[str, Any]
@@ -67,6 +79,34 @@ class AppSpec:
             merged.update(overrides)
         return merged
 
+    def configure(
+        self,
+        params: Mapping[str, Any] | None,
+        machine: str,
+        tuned: TunedConfig | None = None,
+    ) -> tuple[dict, TunedConfig]:
+        """The parameters a run of *params* on *machine* uses, and the
+        tuned configuration it applies.
+
+        *tuned* ``None`` consults the tuned-config catalog for (app,
+        machine, nprocs); an explicit config, the empty one included, is
+        taken as given and the catalog is not read.  Tuned parameter
+        knobs fill only the keys the caller left at their defaults:
+        explicit *params* always win.  :meth:`run` and the job server's
+        admission (:meth:`repro.serve.protocol.JobRequest.validated`)
+        both configure through here.
+        """
+        from repro.tune import catalog
+
+        merged = self.params_with(params)
+        if tuned is None:
+            entry = catalog.consult(self.name, machine, int(merged.get("nprocs", 0)))
+            tuned = catalog.TunedConfig() if entry is None else entry.config
+        for key, value in tuned.params.items():
+            if key in merged and (params is None or key not in params):
+                merged[key] = value
+        return merged, tuned
+
     def run(
         self,
         params: Mapping[str, Any] | None = None,
@@ -74,38 +114,31 @@ class AppSpec:
         machine: MachineModel | str = IDEAL,
         mode: str | None = None,
         trace: bool = False,
+        tuned: TunedConfig | None = None,
     ) -> RunResult:
         """Run the app with *params* overriding the registered defaults.
 
-        This is where a named app consults the tuned-config catalog
-        (the archetype underneath never does).  When the catalog holds a
-        winner for (app, machine, nprocs) it is applied by default:
-        tuned *parameter* knobs fill only the keys the caller left at
-        their defaults (explicit params always win) and the tuned
-        process grid scopes the run.  ``REPRO_TUNE=0`` disables the
-        lookup, and so does an open ``applying`` / ``disabled`` scope —
-        the searcher's and the serve executor's way of deciding the
-        configuration themselves; see :mod:`repro.tune.catalog`.
+        This is where a named app meets the tuned-config catalog (the
+        archetype underneath never does): see :meth:`configure` for what
+        *tuned* selects.  ``None`` applies the catalog's winner for (app,
+        machine, nprocs) when there is one; the searcher passes each
+        candidate and the serve executor the config pinned at admission.
+        The tuned process grid reaches the program as
+        ``Archetype.run(proc_grid=)``.
         """
         if isinstance(machine, str):
             machine = get_machine(machine)
-        from repro.tune import catalog as tune_catalog
-
-        merged = self.params_with(params)
-        entry = tune_catalog.consult(
-            self.name, machine.name, int(merged.get("nprocs", 0))
+        merged, tuned = self.configure(params, machine.name, tuned)
+        archetype, nprocs, args, kwargs = self.build(merged)
+        return archetype.run(
+            nprocs,
+            *args,
+            mode=mode,
+            machine=machine,
+            trace=trace,
+            proc_grid=tuned.proc_grid,
+            **kwargs,
         )
-        if entry is None:
-            return self.runner(merged, machine=machine, mode=mode, trace=trace)
-        merged.update(
-            {
-                k: v
-                for k, v in entry.config.params.items()
-                if k in self.defaults and (params is None or k not in params)
-            }
-        )
-        with tune_catalog.applying(entry.config):
-            return self.runner(merged, machine=machine, mode=mode, trace=trace)
 
     def predict(
         self,
@@ -159,7 +192,7 @@ def specs() -> tuple[AppSpec, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Registered workloads.  Runners derive every input from the params dict
+# Registered workloads.  Builds derive every input from the params dict
 # (reproducible data seeds), so equal params mean equal digests.  A model
 # adapter maps the full params dict onto its bench/predict.py closed form.
 
@@ -169,12 +202,16 @@ def _keys(params: dict) -> np.ndarray:
     return rng.integers(0, np.iinfo(np.int64).max, size=params["n"])
 
 
-def _run_mergesort(params: dict, *, machine, mode, trace) -> RunResult:
+def _program_kwargs(p: dict) -> dict:
+    """A mesh program's keyword arguments: every parameter but ``nprocs``
+    (the mesh apps' parameters are named after their program's)."""
+    return {k: v for k, v in p.items() if k != "nprocs"}
+
+
+def _build_mergesort(p: dict) -> Build:
     from repro.apps.sorting.mergesort import one_deep_mergesort
 
-    return one_deep_mergesort().run(
-        params["nprocs"], _keys(params), mode=mode, machine=machine, trace=trace
-    )
+    return one_deep_mergesort(), p["nprocs"], (_keys(p),), {}
 
 
 def _model_mergesort(p: dict, machine, proc_grid) -> float:
@@ -183,43 +220,28 @@ def _model_mergesort(p: dict, machine, proc_grid) -> float:
     return predict_onedeep_sort(p["n"], p["nprocs"], machine)
 
 
-def _run_quicksort(params: dict, *, machine, mode, trace) -> RunResult:
+def _build_quicksort(p: dict) -> Build:
     from repro.apps.sorting.quicksort import one_deep_quicksort
 
-    return one_deep_quicksort().run(
-        params["nprocs"], _keys(params), mode=mode, machine=machine, trace=trace
-    )
+    return one_deep_quicksort(), p["nprocs"], (_keys(p),), {}
 
 
-def _run_skyline(params: dict, *, machine, mode, trace) -> RunResult:
+def _build_skyline(p: dict) -> Build:
     from repro.apps.skyline import one_deep_skyline
 
-    rng = np.random.default_rng(params["seed"])
-    n = params["n"]
+    rng = np.random.default_rng(p["seed"])
+    n = p["n"]
     left = rng.uniform(0.0, 1000.0, n)
     buildings = np.column_stack(
         [left, rng.uniform(1.0, 50.0, n), left + rng.uniform(0.5, 20.0, n)]
     )
-    return one_deep_skyline().run(
-        params["nprocs"], buildings, mode=mode, machine=machine, trace=trace
-    )
+    return one_deep_skyline(), p["nprocs"], (buildings,), {}
 
 
-def _run_poisson(params: dict, *, machine, mode, trace) -> RunResult:
+def _build_poisson(p: dict) -> Build:
     from repro.apps.poisson import poisson_archetype
 
-    return poisson_archetype().run(
-        params["nprocs"],
-        params["nx"],
-        params["ny"],
-        tolerance=params["tolerance"],
-        max_iters=params["max_iters"],
-        gather_solution=params["gather_solution"],
-        overlap=params["overlap"],
-        mode=mode,
-        machine=machine,
-        trace=trace,
-    )
+    return poisson_archetype(), p["nprocs"], (), _program_kwargs(p)
 
 
 def _model_poisson(p: dict, machine, proc_grid) -> float:
@@ -236,26 +258,10 @@ def _model_poisson(p: dict, machine, proc_grid) -> float:
     )
 
 
-def _run_cfd(params: dict, *, machine, mode, trace) -> RunResult:
+def _build_cfd(p: dict) -> Build:
     from repro.apps.cfd import cfd_archetype
 
-    return cfd_archetype().run(
-        params["nprocs"],
-        params["nx"],
-        params["ny"],
-        params["steps"],
-        ic=params["ic"],
-        cfl=params["cfl"],
-        periodic=params["periodic"],
-        gather=params["gather"],
-        packed_exchange=params["packed_exchange"],
-        cfl_interval=params["cfl_interval"],
-        reactive=params["reactive"],
-        overlap=params["overlap"],
-        mode=mode,
-        machine=machine,
-        trace=trace,
-    )
+    return cfd_archetype(), p["nprocs"], (), _program_kwargs(p)
 
 
 def _model_cfd(p: dict, machine, proc_grid) -> float:
@@ -273,41 +279,16 @@ def _model_cfd(p: dict, machine, proc_grid) -> float:
     )
 
 
-def _run_fdtd(params: dict, *, machine, mode, trace) -> RunResult:
+def _build_fdtd(p: dict) -> Build:
     from repro.apps.fdtd import fdtd_archetype
 
-    return fdtd_archetype().run(
-        params["nprocs"],
-        params["nx"],
-        params["ny"],
-        params["nz"],
-        params["steps"],
-        source_freq=params["source_freq"],
-        courant=params["courant"],
-        gather=params["gather"],
-        overlap=params["overlap"],
-        mode=mode,
-        machine=machine,
-        trace=trace,
-    )
+    return fdtd_archetype(), p["nprocs"], (), _program_kwargs(p)
 
 
-def _run_smog(params: dict, *, machine, mode, trace) -> RunResult:
+def _build_smog(p: dict) -> Build:
     from repro.apps.smog import smog_archetype
 
-    return smog_archetype().run(
-        params["nprocs"],
-        params["nx"],
-        params["ny"],
-        params["steps"],
-        dt=params["dt"],
-        diffusion=params["diffusion"],
-        chem_substeps=params["chem_substeps"],
-        gather=params["gather"],
-        mode=mode,
-        machine=machine,
-        trace=trace,
-    )
+    return smog_archetype(), p["nprocs"], (), _program_kwargs(p)
 
 
 def _model_smog(p: dict, machine, proc_grid) -> float:
@@ -325,31 +306,18 @@ def _model_smog(p: dict, machine, proc_grid) -> float:
     )
 
 
-def _run_spectralflow(params: dict, *, machine, mode, trace) -> RunResult:
+def _build_spectralflow(p: dict) -> Build:
     from repro.apps.spectralflow import spectralflow_archetype
 
-    return spectralflow_archetype().run(
-        params["nprocs"],
-        params["nr"],
-        params["nz"],
-        steps=params["steps"],
-        dt=params["dt"],
-        nu=params["nu"],
-        gather=params["gather"],
-        mode=mode,
-        machine=machine,
-        trace=trace,
-    )
+    return spectralflow_archetype(), p["nprocs"], (), _program_kwargs(p)
 
 
-def _run_fft2d(params: dict, *, machine, mode, trace) -> RunResult:
+def _build_fft2d(p: dict) -> Build:
     from repro.apps.fft2d import fft2d_archetype
 
-    rng = np.random.default_rng(params["seed"])
-    array = rng.standard_normal((params["rows"], params["cols"]))
-    return fft2d_archetype().run(
-        params["nprocs"], array, params["repeats"], mode=mode, machine=machine, trace=trace
-    )
+    rng = np.random.default_rng(p["seed"])
+    array = rng.standard_normal((p["rows"], p["cols"]))
+    return fft2d_archetype(), p["nprocs"], (array, p["repeats"]), {}
 
 
 def _model_fft2d(p: dict, machine, proc_grid) -> float:
@@ -360,30 +328,20 @@ def _model_fft2d(p: dict, machine, proc_grid) -> float:
     )
 
 
-def _run_imagepipe(params: dict, *, machine, mode, trace) -> RunResult:
+def _build_imagepipe(p: dict) -> Build:
     from repro.apps.imagepipe import imagepipe_archetype, make_images
 
-    pipeline = imagepipe_archetype(
-        blur_workers=params["width"], window=params["window"]
-    )
-    images = make_images(
-        params["items"], (params["rows"], params["cols"]), seed=params["seed"]
-    )
-    return pipeline.run(
-        pipeline.nprocs, images, mode=mode, machine=machine, trace=trace
-    )
+    pipeline = imagepipe_archetype(blur_workers=p["width"], window=p["window"])
+    images = make_images(p["items"], (p["rows"], p["cols"]), seed=p["seed"])
+    return pipeline, pipeline.nprocs, (images,), {}
 
 
-def _run_knapfarm(params: dict, *, machine, mode, trace) -> RunResult:
+def _build_knapfarm(p: dict) -> Build:
     from repro.apps.knapfarm import knapsack_farm, random_instances
 
-    pipeline = knapsack_farm(workers=params["workers"], window=params["window"])
-    instances = random_instances(
-        params["instances"], nitems=params["nitems"], seed=params["seed"]
-    )
-    return pipeline.run(
-        pipeline.nprocs, instances, mode=mode, machine=machine, trace=trace
-    )
+    pipeline = knapsack_farm(workers=p["workers"], window=p["window"])
+    instances = random_instances(p["instances"], nitems=p["nitems"], seed=p["seed"])
+    return pipeline, pipeline.nprocs, (instances,), {}
 
 
 register(
@@ -391,7 +349,7 @@ register(
         name="mergesort",
         archetype="one-deep-dc",
         description="one-deep mergesort (divide and conquer)",
-        runner=_run_mergesort,
+        build=_build_mergesort,
         defaults={"nprocs": 4, "n": 4096, "seed": 0},
         verify_overrides={"n": 512},
         model=_model_mergesort,
@@ -402,7 +360,7 @@ register(
         name="quicksort",
         archetype="one-deep-dc",
         description="one-deep quicksort (sample sort: pivots split, local sorts)",
-        runner=_run_quicksort,
+        build=_build_quicksort,
         defaults={"nprocs": 4, "n": 4096, "seed": 0},
         verify_overrides={"n": 512},
     )
@@ -412,7 +370,7 @@ register(
         name="skyline",
         archetype="one-deep-dc",
         description="one-deep skyline (local sweeps, cut-line merge)",
-        runner=_run_skyline,
+        build=_build_skyline,
         defaults={"nprocs": 4, "n": 1024, "seed": 0},
         verify_overrides={"n": 128},
     )
@@ -422,7 +380,7 @@ register(
         name="poisson",
         archetype="mesh-spectral",
         description="Jacobi Poisson solver (mesh; ghost exchanges per sweep)",
-        runner=_run_poisson,
+        build=_build_poisson,
         defaults={
             "nprocs": 4,
             "nx": 48,
@@ -441,7 +399,7 @@ register(
         name="cfd",
         archetype="mesh-spectral",
         description="compressible-flow step loop (packed exchanges, CFL reductions)",
-        runner=_run_cfd,
+        build=_build_cfd,
         defaults={
             "nprocs": 4,
             "nx": 32,
@@ -465,7 +423,7 @@ register(
         name="fdtd",
         archetype="mesh-spectral",
         description="3-D FDTD electromagnetics (leapfrog E/H updates)",
-        runner=_run_fdtd,
+        build=_build_fdtd,
         defaults={
             "nprocs": 4,
             "nx": 12,
@@ -485,7 +443,7 @@ register(
         name="smog",
         archetype="mesh-spectral",
         description="airshed photochemical smog model (fused transport/chemistry)",
-        runner=_run_smog,
+        build=_build_smog,
         defaults={
             "nprocs": 4,
             "nx": 24,
@@ -505,7 +463,7 @@ register(
         name="spectralflow",
         archetype="mesh-spectral",
         description="axisymmetric spectral flow (FFT + tridiagonal solves + hoisted stencils)",
-        runner=_run_spectralflow,
+        build=_build_spectralflow,
         defaults={
             "nprocs": 4,
             "nr": 32,
@@ -523,7 +481,7 @@ register(
         name="fft2d",
         archetype="mesh-spectral",
         description="distributed 2-D FFT (spectral; all-to-all transposes)",
-        runner=_run_fft2d,
+        build=_build_fft2d,
         defaults={"nprocs": 4, "rows": 64, "cols": 64, "repeats": 2, "seed": 0},
         verify_overrides={"rows": 16, "cols": 16, "repeats": 1},
         model=_model_fft2d,
@@ -534,7 +492,7 @@ register(
         name="imagepipe",
         archetype="pipeline-farm",
         description="image pipeline with a farmed blur stage",
-        runner=_run_imagepipe,
+        build=_build_imagepipe,
         defaults={
             "width": 2,
             "window": 2,
@@ -550,7 +508,7 @@ register(
         name="knapfarm",
         archetype="pipeline-farm",
         description="knapsack-instance stream through a branch-and-bound farm",
-        runner=_run_knapfarm,
+        build=_build_knapfarm,
         defaults={
             "workers": 2,
             "window": 2,

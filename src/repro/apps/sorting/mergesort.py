@@ -15,8 +15,6 @@ This is the paper's §2.4 development in full:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.onedeep import OneDeepDC, PhaseSpec, SplitterStrategy
@@ -117,16 +115,3 @@ def traditional_mergesort() -> TraditionalDC:
         leaf_cost=lambda d: sort_cost(np.asarray(d).size),
         merge_cost=lambda merged: merge_cost(np.asarray(merged).size),
     )
-
-
-def expected_onedeep_messages(nprocs: int) -> int:
-    """Message count of one one-deep mergesort run (analysis helper):
-    the allgather ring plus the pairwise all-to-all."""
-    if nprocs <= 1:
-        return 0
-    return nprocs * (nprocs - 1) * 2
-
-
-def expected_tree_depth(nprocs: int) -> int:
-    """Depth of the traditional algorithm's process tree."""
-    return max(1, math.ceil(math.log2(max(nprocs, 1)))) if nprocs > 1 else 0

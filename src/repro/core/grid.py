@@ -14,7 +14,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.errors import DistributionError
-from repro.comm.boundary import GhostExchange, exchange_ghosts, exchange_ghosts_start
+from repro.comm.boundary import exchange_ghosts
 from repro.comm.cart import CartGrid, choose_proc_grid, override_for
 from repro.comm.communicator import Comm
 from repro.comm.layout import Layout, block_layout
@@ -182,18 +182,6 @@ class DistGrid:
         if self.ghost == 0:
             raise DistributionError("grid has no ghost layers to exchange")
         exchange_ghosts(self.comm, self.local, self.cart, self.ghost, periodic)
-
-    def exchange_start(
-        self, periodic: tuple[bool, ...] | bool = False
-    ) -> GhostExchange:
-        """Begin an overlapped ghost refresh; compute on interior cells,
-        then ``handle.wait()`` before reading ghosts.  Corner/edge ghost
-        cells are stale afterwards (see :class:`GhostExchange`)."""
-        if self.ghost == 0:
-            raise DistributionError("grid has no ghost layers to exchange")
-        return exchange_ghosts_start(
-            self.comm, self.local, self.cart, self.ghost, periodic
-        )
 
     def fill_edge_ghosts(self, mode: str = "copy") -> None:
         """Fill ghost cells on *physical* domain edges from own edge values.

@@ -36,6 +36,7 @@ from typing import Any
 from repro.errors import ArchetypeError
 from repro.comm.communicator import Comm
 from repro.core.archetype import Archetype
+from repro.core.parfor import parfor
 from repro.obs.metrics import CounterHandle, counter_handle, histogram_handle
 from repro.util.partition import split_evenly
 
@@ -201,14 +202,48 @@ class OneDeepDC(Archetype):
 
         if spec.partition_cost is not None:
             comm.charge(spec.partition_cost(local), label=f"{label}:partition")
-        pieces = list(spec.partition(params, local, comm.size))
-        if len(pieces) != comm.size:
-            raise ArchetypeError(
-                f"{label} partition produced {len(pieces)} pieces for "
-                f"{comm.size} ranks"
-            )
-        received = comm.alltoall(pieces)
+        received = comm.alltoall(_pieces(spec, params, local, comm.size, label))
         combined = spec.combine(received)
         if spec.combine_cost is not None:
             comm.charge(spec.combine_cost(combined), label=f"{label}:combine")
         return combined
+
+    # -- version 1 ------------------------------------------------------------
+    def version1(self, nparts: int, problem: Any) -> list[Any]:
+        """The paper's version 1 of this program (§1.2 step 3, Figure 4).
+
+        The same callbacks as :meth:`body`, run in one address space as
+        ``parfor`` loops over *nparts* logical processes, with list
+        indexing where the skeleton calls ``allgather`` / ``alltoall``.
+        :func:`~repro.core.parfor.parfor` runs each loop in shuffled
+        order, so a callback that is not independent across parts shows
+        up as a result that differs from :meth:`run`'s.  Returns the
+        per-part results: :meth:`run`'s per-rank values.
+        """
+        (sections,), _ = self.prepare(nparts, problem)
+        if self.split is not None:
+            sections = _phase_v1(self.split, sections, "split")
+        subs = parfor(nparts, lambda i: self.solve(sections[i]))
+        if self.merge is not None:
+            subs = _phase_v1(self.merge, subs, "merge")
+        return subs
+
+
+def _pieces(spec: PhaseSpec, params: Any, local: Any, nparts: int, label: str) -> list:
+    """``spec.partition``'s pieces, exactly one per part."""
+    pieces = list(spec.partition(params, local, nparts))
+    if len(pieces) != nparts:
+        raise ArchetypeError(
+            f"{label} partition produced {len(pieces)} pieces for {nparts} ranks"
+        )
+    return pieces
+
+
+def _phase_v1(spec: PhaseSpec, parts: Sequence[Any], label: str) -> list[Any]:
+    """One split/merge phase as parfor loops: sample, params, partition,
+    then part *j* combines every part's *j*-th piece."""
+    n = len(parts)
+    samples = parfor(n, lambda i: spec.sample(parts[i]))
+    params = spec.params(samples, n)
+    pieces = parfor(n, lambda i: _pieces(spec, params, parts[i], n, label))
+    return parfor(n, lambda j: spec.combine([pieces[i][j] for i in range(n)]))

@@ -1,4 +1,4 @@
-"""The paper's "version 1" notation: ``parfor`` / ``forall``.
+"""The paper's "version 1" notation: ``parfor``.
 
 The initial archetype-based version of an algorithm (paper §1.2 step 3)
 is written with exploitable-concurrency constructs — CC++'s ``parfor``
@@ -7,27 +7,27 @@ be independent.  Such a program "can be executed sequentially by
 replacing the parfor loops with for loops", and for deterministic
 programs gives the same result as parallel execution.
 
-This module makes that notation executable in one address space:
+:func:`parfor` makes that notation executable in one address space: it
+runs the iteration body over the index range in a *deterministically
+shuffled* order.  Independence means order cannot matter, so a program
+whose iterations secretly depend on each other fails loudly when its
+results change — the shuffle is a built-in independence check, not an
+optimisation.
 
-- :func:`parfor` runs the iteration body over the index range in a
-  *deterministically shuffled* order.  Independence means order cannot
-  matter, so a program whose iterations secretly depend on each other
-  fails loudly when its results change — the shuffle is a built-in
-  independence check, not an optimisation.
-- :func:`forall` evaluates the element expression for every index
-  against a snapshot of the arrays it reads, then assigns — HPF's
-  "all right-hand sides before any left-hand side" semantics, which is
-  what makes ``forall`` safe for in-place array updates.
-
-The version-1 applications in :mod:`repro.apps.version1` are written
-with these constructs and tested for equality against both the plain
-sequential algorithms and the SPMD (version 2) archetype programs —
-the paper's semantics-preservation chain, end to end.
+Version 1 is derived from each archetype's declaration, not written
+again: :meth:`repro.core.onedeep.OneDeepDC.version1` runs a one-deep
+program's phase callbacks under :func:`parfor`, and a mesh program's
+version 1 is the same program at P = 1, where every grid operation is a
+declared par-loop over the undistributed grid — a ``forall`` whose reads
+precede its writes because a loop's output may not overlap its halo
+inputs (paper §3.1).  ``tests/test_version1.py`` closes the chain
+*sequential == version 1 == version 2 (SPMD)* for every registered
+one-deep and mesh app.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from typing import Any
 
 import numpy as np
@@ -64,27 +64,3 @@ def parfor(
     for i in order:
         results[i] = body(i)
     return results
-
-
-def forall(
-    out: np.ndarray,
-    indices: Iterable[tuple[int, ...]] | None,
-    expr: Callable[..., Any],
-    *reads: np.ndarray,
-) -> None:
-    """HPF-style ``forall``: evaluate *expr* for every index against a
-    snapshot of *reads*, then assign into *out*.
-
-    ``indices=None`` means every index of *out*.  ``expr`` receives the
-    index components followed by the snapshot arrays:
-    ``forall(u_new, None, lambda i, j, u: 0.5 * u[i, j], u)``.
-
-    Snapshotting gives the standard forall guarantee: the right-hand
-    side sees pre-update values even when *out* is among the inputs.
-    """
-    snapshots = tuple(np.array(r, copy=True) for r in reads)
-    if indices is None:
-        indices = np.ndindex(*out.shape)
-    updates = [(idx, expr(*idx, *snapshots)) for idx in indices]
-    for idx, value in updates:
-        out[idx] = value

@@ -83,25 +83,6 @@ class Dat:
         self.grid = grid
         self.clean: tuple | None = None
 
-    # -- access-mode constructors (the declarative app-facing API) -----------
-    def read(
-        self,
-        halo: int = 0,
-        periodic: tuple[bool, ...] | bool = False,
-        edges: str | None = None,
-        exchange: bool = True,
-    ) -> Arg:
-        return Arg(self, READ, halo=halo, periodic=periodic, edges=edges, exchange=exchange)
-
-    def write(self) -> Arg:
-        return Arg(self, WRITE)
-
-    def rw(self) -> Arg:
-        return Arg(self, RW)
-
-    def inc(self) -> Arg:
-        return Arg(self, INC)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Dat(shape={self.grid.interior.shape}, ghost={self.grid.ghost})"
 

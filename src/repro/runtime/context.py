@@ -280,7 +280,7 @@ class RankContext:
 
         Applications call this with analytic work terms (e.g. ``n * log2(n)``
         comparisons for a sort); the machine model converts work to time,
-        applying a paging penalty when ``working_set_bytes`` exceeds node
+        adding a paging penalty when ``working_set_bytes`` exceeds node
         memory.
         """
         start = self.clock

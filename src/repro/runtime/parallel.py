@@ -280,7 +280,7 @@ class ParallelBackend(Backend):
     Only this rank's mailbox is populated; ``deliver`` routes cross-rank
     messages through the destination's delivery queue (payloads encoded
     per the module contract), and the wait operations drain the local
-    queue into the mailbox before applying the ordinary matching rule.
+    queue into the mailbox before the ordinary matching rule runs.
     There is exactly one thread per process, so mailbox
     access needs no locking at all.
     """

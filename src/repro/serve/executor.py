@@ -14,6 +14,7 @@ trace document, and the run's metrics snapshot.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -120,37 +121,27 @@ def execute(request: JobRequest, trace: bool = True) -> JobOutcome:
     per-job snapshots into its own registry.
 
     The tuned configuration applied is exactly the one pinned into the
-    request at admission (see :mod:`repro.serve.protocol`): a pinned
-    config is applied, and an empty/absent one runs with consultation
-    suppressed, so this worker's local catalog can never shift a result
-    away from what the cache key promises.
+    request at admission (see :mod:`repro.serve.protocol`), passed as
+    ``AppSpec.run(tuned=...)``: an empty one runs untuned, and either
+    way this worker's local catalog is never read, so it can never shift
+    a result away from what the cache key promises.
     """
-    from repro.tune import catalog as tune_catalog
+    from repro.tune.catalog import TunedConfig
 
     spec = registry.get(request.app)
     machine = get_machine(request.machine)
-    if request.tuned:
-        tuned_scope = tune_catalog.applying(
-            tune_catalog.TunedConfig.from_dict(request.tuned)
-        )
+    tuned = TunedConfig.from_dict(request.tuned or {})
+    if request.backend == "fuzzed":
+        schedule, mode = fuzzed_schedule(request.seed), "sequential"
     else:
-        tuned_scope = tune_catalog.disabled()
+        schedule, mode = nullcontext(), backends.get(request.backend).mode
     started = time.perf_counter()
-    with scoped_registry() as job_registry, tuned_scope:
+    with scoped_registry() as job_registry, schedule:
         if request.tuned:
             _TUNED_RUNS.inc()
-        if request.backend == "fuzzed":
-            with fuzzed_schedule(request.seed):
-                result = spec.run(
-                    request.params, machine=machine, mode="sequential", trace=trace
-                )
-        else:
-            result = spec.run(
-                request.params,
-                machine=machine,
-                mode=backends.get(request.backend).mode,
-                trace=trace,
-            )
+        result = spec.run(
+            request.params, machine=machine, mode=mode, trace=trace, tuned=tuned
+        )
         snapshot = job_registry.snapshot()
     host_seconds = time.perf_counter() - started
     return JobOutcome(

@@ -105,10 +105,6 @@ class JobRequest:
             raise ServeError(str(exc)) from None
         if not isinstance(self.params, dict):
             raise ServeError(f"params must be an object, got {type(self.params).__name__}")
-        try:
-            params = spec.params_with(self.params)
-        except ReproError as exc:
-            raise ServeError(str(exc)) from None
         if self.machine not in list_machines():
             raise ServeError(
                 f"unknown machine {self.machine!r}; choose from {list_machines()}"
@@ -117,43 +113,34 @@ class JobRequest:
             backend = backends.resolve(self.backend)
         except ReproError as exc:
             raise ServeError(str(exc)) from None
-        if self.timeout is not None and self.timeout <= 0:
+        _check("seed", self.seed, int)
+        _check("priority", self.priority, int)
+        if self.timeout is not None and not _check("timeout", self.timeout, float) > 0:
             raise ServeError(f"timeout must be positive, got {self.timeout}")
-        if self.weight <= 0:
+        if not _check("weight", self.weight, float) > 0:
             raise ServeError(f"weight must be positive, got {self.weight}")
-        from repro.tune import catalog as tune_catalog
+        from repro.tune.catalog import TunedConfig
 
         if self.tuned is None:
-            entry = tune_catalog.consult(
-                self.app, self.machine, int(params.get("nprocs", 0))
-            )
-            config = tune_catalog.TunedConfig() if entry is None else entry.config
+            config = None  # resolved from the server's catalog
         elif isinstance(self.tuned, dict):
             try:
-                config = tune_catalog.TunedConfig.from_dict(self.tuned)
+                config = TunedConfig.from_dict(self.tuned)
             except (TypeError, ValueError) as exc:
                 raise ServeError(f"malformed tuned config: {exc}") from None
         else:
             raise ServeError(
                 f"tuned must be an object or null, got {type(self.tuned).__name__}"
             )
+        try:
+            params, config = spec.configure(self.params, self.machine, config)
+        except ReproError as exc:
+            raise ServeError(str(exc)) from None
         # Pin the canonical form: keys the config does not have are
         # dropped, and a default config (a default winner included) pins
         # as {}, so one run cannot be cached under two keys.
         tuned = {} if config.is_default() else config.to_dict()
-        # Tuned parameter knobs fill only keys the caller left at the
-        # app's defaults — explicit params always win.
-        for key, value in config.params.items():
-            if key in spec.defaults and key not in self.params:
-                params[key] = value
-        return replace(
-            self,
-            params=params,
-            seed=int(self.seed),
-            backend=backend,
-            tuned=tuned,
-            priority=int(self.priority),
-        )
+        return replace(self, params=params, backend=backend, tuned=tuned)
 
     def cache_key(self) -> str:
         """Content address of this request (validate first).
@@ -187,6 +174,16 @@ class JobRequest:
         if unknown:
             raise ServeError(f"unknown request field(s) {unknown}")
         return cls(**data)
+
+
+def _check(name: str, value: Any, kind: type) -> Any:
+    """*value* when it is a JSON number of *kind* (``float`` admits
+    integers; a bool is neither), else :class:`ServeError`."""
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        what = "a number" if kind is float else "an integer"
+        raise ServeError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 def dumps(data: Any) -> bytes:

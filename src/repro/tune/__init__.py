@@ -12,14 +12,12 @@ entry points — the app registry's ``AppSpec.run`` and the job server's
 admission — find them by default.
 """
 
-from repro.tune.catalog import TunedConfig, TunedEntry, applying, disabled
+from repro.tune.catalog import TunedConfig, TunedEntry
 from repro.tune.search import SearchOutcome, search
 
 __all__ = [
     "TunedConfig",
     "TunedEntry",
-    "applying",
-    "disabled",
     "SearchOutcome",
     "search",
 ]

@@ -167,8 +167,9 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
             # path: a registry run that picks up the tuned config must
             # reproduce the untuned run's canonical value bit-for-bit.
             tuned_run = spec.run(overrides, machine=machine)
-            with catalog.disabled():
-                default_run = spec.run(overrides, machine=machine)
+            default_run = spec.run(
+                overrides, machine=machine, tuned=catalog.TunedConfig()
+            )
             check(
                 f"{app} @ {machine}: tuned run digest == untuned run digest",
                 canonical_digest(spec, tuned_run)

@@ -8,24 +8,25 @@ makespans, the default's makespan, the canonical result digest, and a
 signature of the search space), so a later ``search`` over an unchanged
 space is a catalog hit that re-measures nothing.
 
-Who consults: the named-app entry points, once per run —
-:meth:`repro.apps.registry.AppSpec.run` (registry, obs, verify and tune
+Who consults: the named-app entry point, once per run —
+:meth:`repro.apps.registry.AppSpec.configure`, which
+:meth:`~repro.apps.registry.AppSpec.run` (registry, obs, verify and tune
 callers) and :meth:`repro.serve.protocol.JobRequest.validated` (the job
-server, at admission).  ``Archetype.run`` never does: a program run
-directly depends on its arguments alone, and ``proc_grid=`` is how a
-caller pins a grid by hand.  Consultation rules (enforced by
-:func:`consult`):
+server, at admission) both call.  ``Archetype.run`` never does: a
+program run directly depends on its arguments alone, and ``proc_grid=``
+is how a caller pins a grid by hand.  Consultation rules:
 
 * explicit parameters always win — registry callers' explicit params
   are never overridden by tuned ones;
-* ``REPRO_TUNE=0`` disables lookup entirely;
-* while a configuration scope is open (:func:`applying` or
-  :func:`disabled`), consultation is a no-op, so the searcher's
-  candidate measurements and the serve executor's pinned config reach
-  ``AppSpec.run`` without a stored winner stacking on top.
+* ``REPRO_TUNE=0`` disables lookup entirely (:func:`consult`);
+* a caller that passes a configuration (``AppSpec.run(tuned=...)``) is
+  never consulted for one: the searcher measures each candidate, the
+  serve executor runs the config pinned at admission, and
+  ``tuned=TunedConfig()`` is the untuned baseline beside a stored winner.
 
-Applying a config is env-backed (:data:`repro.comm.cart.PROC_GRID_ENV`)
-so forked parallel-backend workers inherit it.
+A config's process grid reaches the program as ``Archetype.run(proc_grid=)``,
+which is env-backed (:data:`repro.comm.cart.PROC_GRID_ENV`) so forked
+parallel-backend workers inherit it.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
-from repro.comm.cart import proc_grid_override
 from repro.obs.metrics import counter_handle
 
 #: bump when the entry layout changes; mismatched files are ignored
@@ -49,10 +48,6 @@ DIR_ENV = "REPRO_TUNE_DIR"
 
 _HITS = counter_handle("core.tune.catalog_hits", help="catalog lookups that found an entry")
 _MISSES = counter_handle("core.tune.catalog_misses", help="catalog lookups that found nothing")
-
-#: nesting depth of applied/suppressed configuration scopes
-_active = 0
-
 
 def enabled() -> bool:
     """Whether tuned-config consultation is on (``REPRO_TUNE=0`` turns it off)."""
@@ -204,42 +199,9 @@ def lookup(app: str, machine: str, nprocs: int) -> TunedEntry | None:
     return load(app, machine).get(str(nprocs))
 
 
-def active() -> bool:
-    """Whether a configuration scope (applied or suppressed) is open."""
-    return _active > 0
-
-
-@contextmanager
-def _scope() -> Iterator[None]:
-    global _active
-    _active += 1
-    try:
-        yield
-    finally:
-        _active -= 1
-
-
-@contextmanager
-def applying(config: TunedConfig) -> Iterator[None]:
-    """Apply *config*'s process grid for the scope (env-backed, so the
-    parallel backend's forked workers see it); suppresses nested
-    catalog consultation."""
-    with _scope(), proc_grid_override(config.proc_grid):
-        yield
-
-
-@contextmanager
-def disabled() -> Iterator[None]:
-    """Suppress catalog consultation for the scope without applying
-    anything — how the serve executor runs a request pinned untuned and
-    how a caller measures the untuned baseline beside a stored winner."""
-    with _scope():
-        yield
-
-
 def consult(app: str, machine: str, nprocs: int) -> TunedEntry | None:
-    """Catalog lookup honouring the consultation rules (with counters)."""
-    if not enabled() or active():
+    """:func:`lookup`, unless ``REPRO_TUNE=0`` (with hit/miss counters)."""
+    if not enabled():
         return None
     entry = lookup(app, machine, nprocs)
     if entry is None:

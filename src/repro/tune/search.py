@@ -21,9 +21,9 @@ make the loop trustworthy:
   searched space; a later search over an unchanged space returns the
   stored entry without measuring anything.
 
-Measurements run inside :func:`repro.tune.catalog.disabled`-style
-scopes (``applying`` suppresses nested consultation), so a stored
-winner can never contaminate the baseline it is compared against.
+Each measurement passes its candidate as ``AppSpec.run(tuned=...)``,
+which never consults the catalog, so a stored winner can never
+contaminate the baseline it is compared against.
 """
 
 from __future__ import annotations
@@ -128,10 +128,9 @@ def _measure(
     mode: str,
 ) -> tuple[float, str]:
     """(virtual makespan, canonical digest) of one candidate run."""
-    run_params = dict(params)
-    run_params.update(config.params)
-    with catalog.applying(config):
-        result = spec.run(run_params, machine=machine, mode=mode)
+    result = spec.run(
+        {**params, **config.params}, machine=machine, mode=mode, tuned=config
+    )
     return result.elapsed, canonical_digest(spec, result)
 
 

@@ -92,7 +92,7 @@ class TestRegistration:
             name=spec.name,
             archetype=spec.archetype,
             description="different",
-            runner=spec.runner,
+            build=spec.build,
             defaults=spec.defaults,
         )
         with pytest.raises(ReproError, match="already registered"):
@@ -103,7 +103,7 @@ class TestRegistration:
             name="throwaway-test-app",
             archetype="test",
             description="",
-            runner=lambda params, *, machine, mode, trace: None,
+            build=lambda params: None,
             defaults={},
         )
         registry.register(spec)

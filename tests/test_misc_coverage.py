@@ -160,14 +160,14 @@ class TestRunResultSurface:
 
 class TestVersion1PoissonWithSource:
     def test_source_variant_matches_reference(self):
-        from repro.apps.poisson import reference_poisson
-        from repro.apps.version1 import poisson_v1
+        """Version 1 (the declared program at P = 1) with a source term."""
+        from repro.apps.poisson import poisson_archetype, reference_poisson
 
         f = lambda i, j: np.full(np.broadcast(i, j).shape, 2.0)  # noqa: E731
-        u1, it1 = poisson_v1(8, 8, f=f, tolerance=1e-3)
+        v1 = poisson_archetype().run(1, 8, 8, f=f, tolerance=1e-3).values[0]
         u2, it2 = reference_poisson(8, 8, f=f, tolerance=1e-3)
-        assert it1 == it2
-        assert np.allclose(u1, u2, atol=1e-12)
+        assert v1.iterations == it2
+        assert np.allclose(v1.solution, u2, atol=1e-12)
 
 
 class TestPayloadVariety:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps import registry
-from repro.tune.catalog import TunedConfig, disabled
+from repro.tune.catalog import TunedConfig
 from repro.tune.space import build_space
 from tests.test_predict import TOLERANCE, _agree
 
@@ -55,7 +55,6 @@ def test_model_agrees_with_the_simulator(app, machine, nprocs):
     # small-message gap).  The bound is not loosened for it.
     spec = registry.get(app)
     params = {"nprocs": nprocs}
-    with disabled():
-        simulated = spec.run(params, machine=machine).elapsed
+    simulated = spec.run(params, machine=machine, tuned=TunedConfig()).elapsed
     predicted = spec.predict(params, machine)
     assert _agree(predicted, simulated, TOLERANCE), (predicted / simulated)

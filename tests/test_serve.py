@@ -53,17 +53,14 @@ def _direct_digest(app: str, params: dict, machine: str, seed: int = 0, fuzzed=F
 
 
 # -- a gate-controlled app for crash/timeout/batching tests -----------------
-def _sleeper_runner(params, *, machine, mode, trace):
+def _sleeper_build(params):
     deadline = time.monotonic() + params["max_wait"]
     while params["gate"] and os.path.exists(params["gate"]):
         if time.monotonic() > deadline:  # pragma: no cover - safety net
             break
         time.sleep(0.02)
-    return registry.get("mergesort").runner(
-        {"nprocs": 2, "n": params["n"], "seed": params["seed"]},
-        machine=machine,
-        mode=mode,
-        trace=trace,
+    return registry.get("mergesort").build(
+        {"nprocs": 2, "n": params["n"], "seed": params["seed"]}
     )
 
 
@@ -73,7 +70,7 @@ registry.register(
         name="serve-test-sleeper",
         archetype="test",
         description="blocks while its gate file exists, then sorts",
-        runner=_sleeper_runner,
+        build=_sleeper_build,
         defaults={"gate": "", "n": 256, "seed": 0, "max_wait": 30.0},
     )
 )
@@ -341,6 +338,11 @@ class TestServerE2E:
             {"app": "no-such-app"},
             {"app": "mergesort", "params": {"bogus": 1}},
             {"app": "mergesort", "frobnicate": True},
+            {"app": "mergesort", "seed": "abc"},
+            {"app": "mergesort", "priority": "hi"},
+            {"app": "mergesort", "timeout": "5"},
+            {"app": "mergesort", "weight": None},
+            {"app": "mergesort", "seed": True},
         ):
             status, payload = _http(f"{server.url}/v1/jobs", "POST", bad)
             assert status == 400 and "error" in payload

@@ -231,7 +231,6 @@ class TestSortedKeys:
         src = Path(repro.__file__).parent
         files = [
             *(src / "apps" / "sorting").glob("*.py"),
-            src / "apps" / "version1.py",
             *(src / "util").glob("*.py"),
         ]
         asked_for_stable = sorted(

@@ -115,13 +115,24 @@ class TestCatalogStore:
         assert not catalog.enabled()
 
     def test_applying_sets_and_restores_env(self):
+        """A config passed as ``tuned=`` applies its grid for the run alone."""
         before = dict(os.environ)
-        with catalog.applying(TunedConfig(proc_grid=(4, 1))):
-            # The process grid is the one thing a config puts in the env.
-            assert dict(os.environ) == {**before, PROC_GRID_ENV: "4x1"}
-            assert catalog.active()
+        probe = registry.register(
+            registry.AppSpec(
+                name="tune-test-env-probe",
+                archetype="test",
+                description="returns the environment its ranks see",
+                build=lambda p: (MeshProgram(lambda mesh: dict(os.environ)), 4, (), {}),
+                defaults={},
+            )
+        )
+        try:
+            seen = probe.run(tuned=TunedConfig(proc_grid=(4, 1))).values
+        finally:
+            registry.unregister(probe.name)
+        # The process grid is the one thing a config puts in the env.
+        assert seen == [{**before, PROC_GRID_ENV: "4x1"}] * 4
         assert dict(os.environ) == before
-        assert not catalog.active()
 
     def test_retired_and_unknown_keys_still_load(self):
         """Files written when the config had tile/shm fields load as the
@@ -134,10 +145,20 @@ class TestCatalogStore:
             TunedConfig.from_dict({"proc_grid": [0, 4]})
 
     def test_consult_suppressed_while_active(self):
-        catalog.store("poisson", "ibm-sp", 4, _entry(TunedConfig(proc_grid=(4, 1))))
+        """An explicit config, the empty one included, is never consulted
+        for one: the stored winner applies only to ``tuned=None``."""
+        spec = registry.get("poisson")
+        machine = get_machine("ibm-sp")
+        stored = TunedConfig(proc_grid=(4, 1))
+        untuned = spec.run(TINY_POISSON, machine=machine, tuned=TunedConfig())
+        gridded = spec.run(TINY_POISSON, machine=machine, tuned=stored)
+        catalog.store("poisson", "ibm-sp", 4, _entry(stored))
         assert catalog.consult("poisson", "ibm-sp", 4) is not None
-        with catalog.disabled():
-            assert catalog.consult("poisson", "ibm-sp", 4) is None
+        with scoped_registry() as reg:
+            again = spec.run(TINY_POISSON, machine=machine, tuned=TunedConfig())
+            assert "core.tune.catalog_hits" not in reg.snapshot()
+        assert again.times == untuned.times != gridded.times
+        assert spec.run(TINY_POISSON, machine=machine).times == gridded.times
 
 
 class TestSpace:
@@ -184,8 +205,7 @@ class TestSpace:
         params = spec.params_with(TINY_POISSON)
         machine = get_machine("cloud-25gbe")
         predicted = spec.predict(params, machine)
-        with catalog.disabled():
-            measured = spec.run(params, machine=machine).elapsed
+        measured = spec.run(params, machine=machine, tuned=TunedConfig()).elapsed
         assert predicted == pytest.approx(measured, rel=0.25)
 
 
@@ -247,10 +267,11 @@ class TestSearch:
         assert all(r.config.proc_grid is not None for r in rejected)
         # ... and the winner still reproduces the default digest.
         spec = registry.get("fdtd")
-        with catalog.disabled():
-            base = spec.run(
-                {"nx": 8, "ny": 8, "nz": 8, "steps": 2}, machine="numa-epyc"
-            )
+        base = spec.run(
+            {"nx": 8, "ny": 8, "nz": 8, "steps": 2},
+            machine="numa-epyc",
+            tuned=TunedConfig(),
+        )
         assert outcome.entry.digest == canonical_digest(spec, base)
 
     def test_parallel_measurement_ranks_identically(self):
@@ -271,10 +292,8 @@ class TestConsultation:
         spec = registry.get(app)
         params = spec.params_with(TINY_POISSON)
         machine_model = get_machine(machine)
-        with catalog.applying(TunedConfig(proc_grid=grid)):
-            tuned = spec.run(params, machine=machine_model)
-        with catalog.disabled():
-            default = spec.run(params, machine=machine_model)
+        tuned = spec.run(params, machine=machine_model, tuned=TunedConfig(proc_grid=grid))
+        default = spec.run(params, machine=machine_model, tuned=TunedConfig())
         entry = TunedEntry(
             config=TunedConfig(proc_grid=grid),
             predicted=None,
@@ -343,9 +362,8 @@ class TestConsultation:
             space_signature="sig",
         )
         catalog.store("poisson", "ibm-sp", params["nprocs"], entry)
-        with catalog.disabled():
-            blocking = spec.run(dict(params, overlap=False), machine=machine)
-            overlapped = spec.run(dict(params, overlap=True), machine=machine)
+        blocking = spec.run(dict(params, overlap=False), machine=machine, tuned=TunedConfig())
+        overlapped = spec.run(dict(params, overlap=True), machine=machine, tuned=TunedConfig())
         assert blocking.times != overlapped.times
         # Caller silent on overlap: the tuned value (False) applies.
         implicit = spec.run(TINY_POISSON, machine=machine)
