@@ -19,12 +19,11 @@ from typing import Any
 from repro.errors import CommError
 from repro.comm.reductions import Op
 from repro.runtime.context import RankContext
+from repro.runtime.message import COLL_TAG_BASE as _COLL_TAG_BASE
+from repro.runtime.message import MAX_USER_TAG
 from repro.util.nbytes import nbytes_of
 
-#: user tags must stay below this value
-MAX_USER_TAG = 1 << 20
 #: collective tags occupy [_COLL_TAG_BASE, _COLL_TAG_BASE + _COLL_TAG_SPAN)
-_COLL_TAG_BASE = 1 << 24
 _COLL_TAG_SPAN = 1 << 20
 
 

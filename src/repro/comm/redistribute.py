@@ -111,12 +111,18 @@ def redistribute(
     outgoing: list[list[tuple[Rect, np.ndarray]] | None] = []
     parcels = 0
     parcel_bytes = 0
-    for send in sends:
+    for dest, send in enumerate(sends):
         if send is None:
             outgoing.append(None)
         else:
             overlap, where = send
-            piece = np.ascontiguousarray(local[where])
+            piece = local[where]
+            if dest != comm.rank:
+                # One contiguous copy, frozen here so the send shares it
+                # instead of copying it again (copy-on-write contract);
+                # this rank's own piece is never sent, so it stays a view.
+                piece = piece.copy()
+                piece.flags.writeable = False
             outgoing.append([(overlap, piece)])
             parcels += 1
             parcel_bytes += piece.nbytes

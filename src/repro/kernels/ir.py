@@ -174,6 +174,11 @@ class Kernel:
         self.fn = fn
         self.name = name
 
+    def bind(self, views: tuple) -> tuple[Callable[..., None], tuple]:
+        """``(body, args)`` for one tile's *views*: the execution walk
+        builds it once per plan and calls ``body(*args)`` every run."""
+        return self.fn, views
+
 
 class RegionKernel(Kernel):
     """A kernel body called as ``fn(region)`` with interior-coordinate
@@ -192,6 +197,9 @@ class Ref:
     index: int
     offset: tuple[int, ...] | None = None
 
+
+#: globals of an expression kernel's evaluation: no builtins
+_NO_BUILTINS: dict = {"__builtins__": {}}
 
 #: root operators whose ufunc can write the kernel's result in place
 _ROOT_UFUNCS = {
@@ -237,7 +245,15 @@ class ExprKernel(Kernel):
         parts = (root,) if self._root is None else (root.left, root.right)
         self._operands = [compile(ast.Expression(part), filename, "eval") for part in parts]
 
+    def bind(self, views: tuple) -> tuple[Callable[..., None], tuple]:
+        """Resolve the bindings against one tile's views once; the walk
+        then evaluates over the same namespace every run."""
+        return self._run, (self._namespace(views), views[0])
+
     def _evaluate(self, *views: Any) -> None:
+        self._run(self._namespace(views), views[0])
+
+    def _namespace(self, views: tuple) -> dict[str, object]:
         ns: dict[str, object] = {}
         for name, binding in self.bindings.items():
             if isinstance(binding, Ref):
@@ -253,12 +269,20 @@ class ExprKernel(Kernel):
                     ns[name] = view
             else:
                 ns[name] = binding
-        operands = [eval(code, {"__builtins__": {}}, ns) for code in self._operands]
+        return ns
+
+    def _run(self, ns: dict[str, object], out: np.ndarray) -> None:
+        operands = self._operands
         if self._root is None:
-            views[0][...] = operands[0]
+            out[...] = eval(operands[0], _NO_BUILTINS, ns)
         else:
             # casting: what the assignment above would do with the result
-            self._root(*operands, out=views[0], casting="unsafe")
+            self._root(
+                eval(operands[0], _NO_BUILTINS, ns),
+                eval(operands[1], _NO_BUILTINS, ns),
+                out=out,
+                casting="unsafe",
+            )
 
 
 class ParLoop:

@@ -147,18 +147,18 @@ def _row_tiles(
 
 def _walk(group: LoopGroup, fused: bool) -> tuple[int, list[tuple]]:
     """The group's execution walk in one fusion mode — ``(tile count,
-    [(body, views), ...])``, tile-major; row tiles when *fused*, else the
-    whole region — built on first use and kept on the group: the views
-    are of ``grid.local``, which a grid never rebinds, so they stay valid."""
+    [(body, args), ...])``, tile-major; row tiles when *fused*, else the
+    whole region — built on first use and kept on the group, each call
+    bound once by :meth:`~repro.kernels.ir.Kernel.bind`: the views are
+    of ``grid.local``, which a grid never rebinds, so they stay valid."""
     walk = group.walks.get(fused)
     if walk is None:
         tiles = _row_tiles(group.region, group) if fused else [group.region]
         walk = group.walks[fused] = (
             len(tiles),
             [
-                (
-                    loop.kernel.fn,
-                    (tile,) if loop.kernel.kind == "region" else tuple(build_views(loop, tile)),
+                loop.kernel.bind(
+                    (tile,) if loop.kernel.kind == "region" else tuple(build_views(loop, tile))
                 )
                 for tile in tiles
                 for loop in group.loops
@@ -301,5 +301,5 @@ class KernelEngine:
             _TILES.inc(ntiles)
             if len(group.loops) > 1:
                 _LOOPS_FUSED.inc(len(group.loops))
-        for fn, views in calls:
-            fn(*views)
+        for body, args in calls:
+            body(*args)

@@ -12,14 +12,22 @@ A process-wide default registry is always available via
 fresh registry with :func:`scoped_registry` and observe one run in
 isolation.  All instruments are thread-safe (ranks run on threads).
 
-Hot paths (the mailbox, the scheduler, request completion) use the
-bind-once *handle* API instead — :func:`counter_handle`,
+Sites that record often (kernel loops, collectives, phases, the server)
+use the bind-once *handle* API instead — :func:`counter_handle`,
 :func:`gauge_handle`, :func:`histogram_handle` — which resolves the
 instrument once and then records with a single registry-identity check
 per event (no lock, no dict lookup, no name formatting).  Handles stay
 correct across :func:`scoped_registry`/:func:`set_registry` swaps: a
 swap is detected by identity comparison and the handle re-binds against
 the new registry on its next use.
+
+The per-message runtime instruments (``runtime.mailbox.*``,
+``runtime.scheduler.steps``/``blocks``, ``comm.requests.*``) touch no
+registry while a run is live: each rank keeps plain tallies on its
+endpoint, its mailbox and the engine, and
+:func:`repro.runtime.spmd.publish_run` lands them in the current
+registry once, when the run ends (histogram samples are bucketed there
+by :meth:`Histogram.observe_many`).
 
 This module sits below :mod:`repro.runtime` in the layering: it imports
 nothing from the rest of the package, so the runtime can import it
@@ -32,6 +40,8 @@ import contextlib
 import threading
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
+
+import numpy as np
 
 #: default histogram buckets for virtual-time observations (seconds):
 #: one decade per bucket from 1 microsecond to 100 seconds
@@ -138,6 +148,29 @@ class Histogram:
             self._sum += value
             self._min = min(self._min, value)
             self._max = max(self._max, value)
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Fold a batch of observations in at once.
+
+        Buckets, count, min and max come out exactly as from one
+        :meth:`observe` per value (``searchsorted(side="left")`` is the
+        first bound >= value, overflow past the end); the sum is the
+        same total added in another order.
+        """
+        if not len(values):
+            return
+        samples = np.asarray(values, dtype=np.float64)
+        bins = np.bincount(
+            np.searchsorted(self.buckets, samples, side="left"),
+            minlength=len(self._counts),
+        )
+        with self._lock:
+            for i, count in enumerate(bins.tolist()):
+                self._counts[i] += count
+            self._count += len(samples)
+            self._sum += float(samples.sum())
+            self._min = min(self._min, float(samples.min()))
+            self._max = max(self._max, float(samples.max()))
 
     @property
     def count(self) -> int:
@@ -349,8 +382,11 @@ class CounterHandle(_Handle):
     ``inc`` mutates the counter without taking its lock: the
     run-to-block backends have exactly one live thread, so the update is
     race-free by construction.  On the threaded backend a concurrent
-    increment can (rarely, under free-running GIL preemption) be lost;
-    metrics are observability, not semantics, and the trade is accepted.
+    increment through a handle can (rarely, under free-running GIL
+    preemption) be lost.  The runtime and comm instruments are exact on
+    every engine: they are per-rank tallies, each written by its own
+    rank (a mailbox under its rank's lock), and summed once when the run
+    ends (:func:`repro.runtime.spmd.publish_run`).
     """
 
     def _create(self, registry: MetricsRegistry) -> Counter:

@@ -24,24 +24,11 @@ import numpy as np
 
 from repro.errors import CommError
 from repro.machines.model import MachineModel
-from repro.obs.metrics import TIME_BUCKETS, counter_handle, histogram_handle
-from repro.runtime.message import ANY_SOURCE, ANY_TAG, Message
+from repro.runtime.message import ANY_SOURCE, ANY_TAG, COLL_TAG_BASE, MAX_USER_TAG, Message
 from repro.runtime.request import Request
 from repro.runtime.scheduler import Backend
 from repro.trace.tracer import Tracer
 from repro.util.nbytes import _OVERHEAD_BYTES, _SCALAR_BYTES, _nbytes
-
-_REQ_POSTED = counter_handle(
-    "comm.requests.posted", help="nonblocking requests posted"
-)
-_REQ_COMPLETED = counter_handle(
-    "comm.requests.completed", help="nonblocking requests completed"
-)
-_REQ_WAIT = histogram_handle(
-    "comm.requests.wait_seconds",
-    buckets=TIME_BUCKETS,
-    help="virtual time spent blocked completing a request",
-)
 
 
 def _array_frozen(array: np.ndarray) -> bool:
@@ -158,12 +145,19 @@ def _freeze_measure(payload: Any) -> tuple[Any, int]:
 
 @dataclass
 class _Endpoint:
-    """Per-rank state shared by every communicator view of the rank."""
+    """Per-rank state shared by every communicator view of the rank.
+
+    ``next_req`` doubles as the rank's count of requests posted, and
+    ``waits`` holds one sample per request completed: the virtual time
+    the completion blocked.  Both are per-run tallies, published by
+    :func:`repro.runtime.spmd.publish_run`.
+    """
 
     clock: float = 0.0
     send_seq: int = 0
     next_ctx: int = field(default=1)
     next_req: int = 0
+    waits: list[float] = field(default_factory=list)
 
 
 class RankContext:
@@ -229,16 +223,18 @@ class RankContext:
         return self.rank == 0
 
     def check_peer(self, peer: int) -> None:
-        """Validate a peer rank id."""
+        """Validate a peer rank id.  The messaging calls test the range
+        inline and call this only to raise."""
         if not 0 <= peer < self.size:
             raise CommError(
                 f"rank {peer} out of range for a {self.size}-rank computation"
             )
 
     def _validate_send_tag(self, tag: int) -> None:
-        """Reject an invalid send tag (``send``, ``isend`` and ``sendrecv``
-        all call this).  Subclasses that restrict the tag space (the
-        communicator's user-tag window) override it."""
+        """Reject an invalid send tag.  The sends call this only for a tag
+        that is negative or in ``[MAX_USER_TAG, COLL_TAG_BASE)``; every
+        other tag is valid for every context.  Subclasses that restrict
+        the tag space (the communicator's user-tag window) override it."""
         if tag < 0:
             raise CommError(f"tags must be >= 0 (got {tag}); negatives are wildcards")
 
@@ -246,9 +242,9 @@ class RankContext:
         """Constants of the machine's per-message cost formulas for this
         (machine, size) pair, cached on the instance.
 
-        ``isend``, ``waitall`` and ``sendrecv`` inline
-        :meth:`MachineModel.message_time` / ``send_overhead`` /
-        ``recv_overhead`` to skip three method calls per exchange.  Each
+        The messaging calls inline :meth:`MachineModel.message_time` /
+        ``send_overhead`` / ``recv_overhead`` to skip a method call per
+        message.  Each
         product below groups terms exactly as the model's own expressions
         associate them, so the inlined arithmetic is bitwise identical to
         calling the model.
@@ -323,31 +319,32 @@ class RankContext:
         the same buffer at every tree hop.  It must equal
         ``nbytes_of(payload)``; virtual costs depend on it.
         """
-        self.check_peer(dest)
-        self._validate_send_tag(tag)
+        if not 0 <= dest < self.size:
+            self.check_peer(dest)
+        if tag < 0 or MAX_USER_TAG <= tag < COLL_TAG_BASE:
+            self._validate_send_tag(tag)
         if nbytes is None:
             payload, nbytes = _freeze_measure(payload)
             nbytes += _OVERHEAD_BYTES
         else:
             payload = _freeze_payload(payload)
-        start = self.clock
-        self.clock += self.machine.message_time(nbytes, nodes=self.size)
-        self._endpoint.send_seq += 1
-        msg = Message(
-            source=self.global_rank,
-            dest=self._to_global(dest),
-            tag=tag,
-            payload=payload,
-            nbytes=nbytes,
-            arrival=self.clock,
-            seq=self._endpoint.send_seq,
-            ctx=self._ctx,
+        ep = self._endpoint
+        costs = self._cost_cache
+        if costs is None or costs[0] is not self.machine or costs[1] != self.size:
+            costs = self._machine_costs()
+        start = ep.clock
+        arrival = ep.clock = start + (costs[3] + costs[4] * nbytes) * costs[2]
+        ep.send_seq += 1
+        group = self._group
+        if group is None:
+            rank, global_dest = self.rank, dest
+        else:
+            rank, global_dest = group[self.rank], group[dest]
+        self._backend.deliver(
+            Message(rank, global_dest, tag, payload, nbytes, arrival, ep.send_seq, self._ctx)
         )
-        self._backend.deliver(msg)
         if self._tracer is not None:
-            self._tracer.comm(
-                self.global_rank, "send", msg.dest, tag, nbytes, start, self.clock
-            )
+            self._tracer.comm(rank, "send", global_dest, tag, nbytes, start, arrival)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Receive and return the payload of a matching message (blocking)."""
@@ -359,26 +356,29 @@ class RankContext:
         The returned envelope's ``source`` is expressed in this
         communicator's (local) rank numbering.
         """
+        group = self._group
+        global_source = source
         if source != ANY_SOURCE:
-            self.check_peer(source)
-        start = self.clock
-        global_source = source if source == ANY_SOURCE else self._to_global(source)
-        msg = self._backend.wait_for_match(
-            self.global_rank, global_source, tag, self._ctx, source
-        )
-        self.clock = max(self.clock, msg.arrival)
-        self.clock += self.machine.recv_overhead(msg.nbytes, nodes=self.size)
+            if not 0 <= source < self.size:
+                self.check_peer(source)
+            if group is not None:
+                global_source = group[source]
+        rank = self.rank if group is None else group[self.rank]
+        ep = self._endpoint
+        start = ep.clock
+        msg = self._backend.wait_for_match(rank, global_source, tag, self._ctx, source)
+        costs = self._cost_cache
+        if costs is None or costs[0] is not self.machine or costs[1] != self.size:
+            costs = self._machine_costs()
+        # a blocked rank's clock does not move: it is still `start`
+        arrival = msg.arrival
+        nbytes = msg.nbytes
+        ep.clock = (arrival if arrival > start else start) + (
+            costs[7] + costs[8] * nbytes
+        ) * costs[2]
         if self._tracer is not None:
-            self._tracer.comm(
-                self.global_rank,
-                "recv",
-                msg.source,
-                msg.tag,
-                msg.nbytes,
-                start,
-                self.clock,
-            )
-        if self._group is not None:
+            self._tracer.comm(rank, "recv", msg.source, msg.tag, nbytes, start, ep.clock)
+        if group is not None:
             msg = replace(msg, source=self._to_local(msg.source))
         return msg
 
@@ -419,56 +419,42 @@ class RankContext:
         send would produce; only the post overhead is charged here.
         ``nbytes`` as for :meth:`send`.
         """
-        self.check_peer(dest)
-        self._validate_send_tag(tag)
+        if not 0 <= dest < self.size:
+            self.check_peer(dest)
+        if tag < 0 or MAX_USER_TAG <= tag < COLL_TAG_BASE:
+            self._validate_send_tag(tag)
         if nbytes is None:
             payload, nbytes = _freeze_measure(payload)
             nbytes += _OVERHEAD_BYTES
         else:
             payload = _freeze_payload(payload)
-        start = self.clock
+        ep = self._endpoint
         costs = self._cost_cache
         if costs is None or costs[0] is not self.machine or costs[1] != self.size:
             costs = self._machine_costs()
+        start = ep.clock
         arrival = start + (costs[3] + costs[4] * nbytes) * costs[2]
-        self.clock = start + (costs[5] + costs[6] * nbytes) * costs[2]
-        self._endpoint.send_seq += 1
-        msg = Message(
-            source=self.global_rank,
-            dest=self._to_global(dest),
-            tag=tag,
-            payload=payload,
-            nbytes=nbytes,
-            arrival=arrival,
-            seq=self._endpoint.send_seq,
-            ctx=self._ctx,
+        ep.clock = start + (costs[5] + costs[6] * nbytes) * costs[2]
+        ep.send_seq += 1
+        group = self._group
+        if group is None:
+            rank, global_dest = self.rank, dest
+        else:
+            rank, global_dest = group[self.rank], group[dest]
+        self._backend.deliver(
+            Message(rank, global_dest, tag, payload, nbytes, arrival, ep.send_seq, self._ctx)
         )
-        self._backend.deliver(msg)
+        req_id = ep.next_req
+        ep.next_req += 1
         req = Request(
-            "send",
-            self,
-            self._new_req_id(),
-            dest,
-            tag,
-            nbytes,
-            posted_at=start,
-            complete_at=arrival,
+            "send", self, req_id, dest, tag, nbytes, posted_at=start, complete_at=arrival
         )
-        _REQ_POSTED.inc()
         if self._tracer is not None:
             self._tracer.comm(
-                self.global_rank,
-                "send",
-                msg.dest,
-                tag,
-                nbytes,
-                start,
-                self.clock,
-                arrival=arrival,
+                rank, "send", global_dest, tag, nbytes, start, ep.clock, arrival=arrival
             )
             self._tracer.request(
-                self.global_rank, self.clock, "isend", "post", req.req_id,
-                msg.dest, tag, nbytes,
+                rank, ep.clock, "isend", "post", req_id, global_dest, tag, nbytes
             )
         return req
 
@@ -497,7 +483,6 @@ class RankContext:
             posted_at=self.clock,
             post_id=post_id,
         )
-        _REQ_POSTED.inc()
         if self._tracer is not None:
             self._tracer.request(
                 self.global_rank, self.clock, "irecv", "post", req.req_id,
@@ -518,8 +503,7 @@ class RankContext:
         pre = owner.clock
         owner.clock = max(owner.clock, request.complete_at)
         request.done = True
-        _REQ_COMPLETED.inc()
-        _REQ_WAIT.observe(max(0.0, request.complete_at - pre))
+        owner._endpoint.waits.append(max(0.0, request.complete_at - pre))
         if owner._tracer is not None:
             owner._tracer.request(
                 owner.global_rank, owner.clock, "isend", "complete",
@@ -534,8 +518,7 @@ class RankContext:
         owner.clock = max(owner.clock, msg.arrival)
         owner.clock += owner.machine.recv_overhead(msg.nbytes, nodes=owner.size)
         request.nbytes = msg.nbytes
-        _REQ_COMPLETED.inc()
-        _REQ_WAIT.observe(max(0.0, msg.arrival - pre))
+        owner._endpoint.waits.append(max(0.0, msg.arrival - pre))
         if owner._tracer is not None:
             owner._tracer.comm(
                 owner.global_rank,
@@ -607,8 +590,7 @@ class RankContext:
                     ]
                     post_id = ready[backend.choose_completion(rank, candidates)]
                 fulfilled.append((pending.pop(post_id), backend.take_post(rank, post_id)))
-        completed = 0
-        observe_wait = _REQ_WAIT.observe
+        waits = ep.waits
         for r in requests:
             if r.kind == "send" and not r.done:
                 owner = r.owner
@@ -618,8 +600,7 @@ class RankContext:
                 if finish > pre:
                     oep.clock = finish
                 r.done = True
-                completed += 1
-                observe_wait(finish - pre if finish > pre else 0.0)
+                waits.append(finish - pre if finish > pre else 0.0)
                 if owner._tracer is not None:
                     owner._tracer.request(
                         owner.global_rank, oep.clock, "isend", "complete",
@@ -641,8 +622,7 @@ class RankContext:
                 costs[7] + costs[8] * msg.nbytes
             ) * costs[2]
             r.nbytes = msg.nbytes
-            completed += 1
-            observe_wait(arrival - pre if arrival > pre else 0.0)
+            waits.append(arrival - pre if arrival > pre else 0.0)
             if owner._tracer is not None:
                 owner._tracer.comm(
                     owner.global_rank, "recv", msg.source, msg.tag, msg.nbytes,
@@ -656,8 +636,6 @@ class RankContext:
                 msg = replace(msg, source=owner._to_local(msg.source))
             r.message = msg
             r.done = True
-        if completed:
-            _REQ_COMPLETED.inc(completed)
         return [r.payload if r.kind == "recv" else None for r in requests]
 
     def waitany(self, requests: list[Request]) -> tuple[int, Any]:
@@ -734,8 +712,8 @@ class RankContext:
         Observably ``irecv``/``isend``/``waitall`` fused into one frame
         with no :class:`Request` objects: the same validation order,
         payload detachment, clock charges (send completion first, then
-        the receive), request-id allocation, metric totals, trace events
-        and backend call sequence (post, deliver, one ``wait_any_post``).
+        the receive), request-id allocation, tallies, trace events and
+        backend call sequence (post, deliver, one ``wait_any_post``).
         """
         recv_tag = send_tag if recv_tag is None else recv_tag
         ep = self._endpoint
@@ -750,9 +728,11 @@ class RankContext:
         nreq = 0
         post_id = None
         if source is not None:
+            global_source = source
             if source != ANY_SOURCE:
-                self.check_peer(source)
-            global_source = source if source == ANY_SOURCE else self._to_global(source)
+                if not 0 <= source < self.size:
+                    self.check_peer(source)
+                global_source = self._to_global(source)
             post_id = backend.post_receive(rank, global_source, recv_tag, self._ctx)
             recv_req_id = ep.next_req
             ep.next_req += 1
@@ -764,8 +744,10 @@ class RankContext:
                 )
         send_arrival = None
         if dest is not None:
-            self.check_peer(dest)
-            self._validate_send_tag(send_tag)
+            if not 0 <= dest < self.size:
+                self.check_peer(dest)
+            if send_tag < 0 or MAX_USER_TAG <= send_tag < COLL_TAG_BASE:
+                self._validate_send_tag(send_tag)
             payload, nbytes = _freeze_measure(payload)
             nbytes += _OVERHEAD_BYTES
             start = ep.clock
@@ -775,14 +757,8 @@ class RankContext:
             global_dest = self._to_global(dest)
             backend.deliver(
                 Message(
-                    source=rank,
-                    dest=global_dest,
-                    tag=send_tag,
-                    payload=payload,
-                    nbytes=nbytes,
-                    arrival=send_arrival,
-                    seq=ep.send_seq,
-                    ctx=self._ctx,
+                    rank, global_dest, send_tag, payload, nbytes, send_arrival,
+                    ep.send_seq, self._ctx,
                 )
             )
             send_req_id = ep.next_req
@@ -797,18 +773,15 @@ class RankContext:
                     rank, ep.clock, "isend", "post", send_req_id,
                     global_dest, send_tag, nbytes,
                 )
-        _REQ_POSTED.inc(nreq)
         got = None
         if post_id is not None:
             ready = backend.wait_any_post(rank, (post_id,), ("waitall", nreq, self._ctx))
             got = backend.take_post(rank, ready[0])
-        completed = 0
         if send_arrival is not None:
             pre = ep.clock
             if send_arrival > pre:
                 ep.clock = send_arrival
-            completed += 1
-            _REQ_WAIT.observe(send_arrival - pre if send_arrival > pre else 0.0)
+            ep.waits.append(send_arrival - pre if send_arrival > pre else 0.0)
             if tracer is not None:
                 tracer.request(
                     rank, ep.clock, "isend", "complete", send_req_id,
@@ -820,8 +793,7 @@ class RankContext:
             ep.clock = (arrival if arrival > pre else pre) + (
                 recv_a + recv_b * got.nbytes
             ) * congestion
-            completed += 1
-            _REQ_WAIT.observe(arrival - pre if arrival > pre else 0.0)
+            ep.waits.append(arrival - pre if arrival > pre else 0.0)
             if tracer is not None:
                 tracer.comm(
                     rank, "recv", got.source, got.tag, got.nbytes,
@@ -831,5 +803,4 @@ class RankContext:
                     rank, ep.clock, "irecv", "complete", recv_req_id,
                     got.source, got.tag, got.nbytes,
                 )
-        _REQ_COMPLETED.inc(completed)
         return None if got is None else got.payload

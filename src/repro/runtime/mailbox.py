@@ -36,23 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.obs.metrics import COUNT_BUCKETS, counter_handle, histogram_handle
 from repro.runtime.message import ANY_SOURCE, ANY_TAG, Message
-
-_ENQUEUED = counter_handle(
-    "runtime.mailbox.enqueued", help="messages delivered to mailboxes"
-)
-_MATCHED = counter_handle(
-    "runtime.mailbox.matched", help="messages removed by a matching receive"
-)
-_DEPTH = histogram_handle(
-    "runtime.mailbox.depth",
-    buckets=COUNT_BUCKETS,
-    help="pending-queue depth observed at each delivery",
-)
-_POSTED = counter_handle(
-    "runtime.mailbox.posted", help="receive patterns posted (irecv)"
-)
 
 
 @dataclass
@@ -83,20 +67,41 @@ class Mailbox:
         #: live posts by id, post order (open or bound, until taken)
         self._posts: dict[int, _PostedRecv] = {}
         self._next_post_id = 0
+        #: per-run tallies (see :meth:`tally`): deliveries bound straight
+        #: to an open post, and the pending depth after each queued one
+        self._bound = 0
+        self._depths: list[int] = []
 
     def __len__(self) -> int:
         return self._len
+
+    def tally(self) -> tuple[int, int, int, list[int]]:
+        """This mailbox's counts so far: ``(enqueued, matched, posted,
+        depth samples)``.
+
+        Every delivery either binds to a post (matched at once) or is
+        queued (one depth sample); a queued message leaves only by a
+        matching take.  So ``enqueued`` and ``matched`` follow from two
+        tallies and what is still pending, and ``posted`` is the next
+        post id.
+        """
+        enqueued = self._bound + len(self._depths)
+        return enqueued, enqueued - self._len, self._next_post_id, self._depths
 
     # -- delivery ----------------------------------------------------------
     def put(self, msg: Message) -> _PostedRecv | None:
         """Deliver a message: bind it to the oldest matching open posted
         receive and return that post, else queue it on its channel and
         return ``None``."""
-        _ENQUEUED.inc()
         for post in self._posts.values():
-            if post.msg is None and msg.matches(post.source, post.tag, post.ctx):
+            if (
+                post.msg is None
+                and post.ctx == msg.ctx
+                and (post.source == ANY_SOURCE or post.source == msg.source)
+                and (post.tag == ANY_TAG or post.tag == msg.tag)
+            ):
                 post.msg = msg
-                _MATCHED.inc()
+                self._bound += 1
                 return post
         key = (msg.source, msg.tag, msg.ctx)
         queue = self._pending.get(key)
@@ -104,7 +109,7 @@ class Mailbox:
             queue = self._pending[key] = deque()
         queue.append(msg)
         self._len += 1
-        _DEPTH.observe(self._len)
+        self._depths.append(self._len)
         return None
 
     # -- matching ----------------------------------------------------------
@@ -147,7 +152,6 @@ class Mailbox:
         if not queue:
             del self._pending[key]
         self._len -= 1
-        _MATCHED.inc()
         return msg
 
     def take_match(self, source: int, tag: int, ctx: int = 0) -> Message | None:
@@ -172,7 +176,6 @@ class Mailbox:
         self._next_post_id += 1
         post.msg = self.take_match(source, tag, ctx)
         self._posts[post.post_id] = post
-        _POSTED.inc()
         return post.post_id
 
     def post_ready(self, post_id: int) -> bool:

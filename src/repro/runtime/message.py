@@ -9,6 +9,11 @@ from typing import Any
 ANY_SOURCE = -1
 #: Wildcard: match a message with any tag.
 ANY_TAG = -1
+#: Send tags below this value are user tags.
+MAX_USER_TAG = 1 << 20
+#: Collective tags start here; a communicator rejects sends tagged in
+#: ``[MAX_USER_TAG, COLL_TAG_BASE)``.
+COLL_TAG_BASE = 1 << 24
 
 
 @dataclass

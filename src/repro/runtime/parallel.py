@@ -407,6 +407,7 @@ def _worker_main(
     backend.tracer = tracer
 
     from repro.comm.communicator import Comm
+    from repro.runtime.spmd import publish_run
 
     # A fresh registry for the run: with the fork start method the child
     # inherits the parent's counters, and merging those back would
@@ -428,6 +429,7 @@ def _worker_main(
                 ("error", rank, (_portable_error(exc), traceback.format_exc()))
             )
             return
+        publish_run(backend, [comm])
         snapshot = registry.snapshot()
     events = tracer.events[rank] if tracer is not None else None
     wiring.states[rank] = _DONE

@@ -39,12 +39,6 @@ from repro.obs.metrics import counter_handle
 from repro.runtime.mailbox import Mailbox, _earliest
 from repro.runtime.message import ANY_SOURCE, ANY_TAG, Message
 
-_STEPS = counter_handle(
-    "runtime.scheduler.steps", help="run-to-block scheduling decisions"
-)
-_BLOCKS = counter_handle(
-    "runtime.scheduler.blocks", help="ranks suspended awaiting a message"
-)
 _DEADLOCKS = counter_handle(
     "runtime.scheduler.deadlocks", help="runs aborted as deadlocked"
 )
@@ -145,6 +139,11 @@ class Backend:
         #: scheduling-relevant matching decisions (the fuzzed backend's
         #: wildcard perturbation) record them here when present
         self.tracer = None
+        #: per-run tallies of the run-to-block engines: scheduling
+        #: decisions and rank suspensions (published by
+        #: :func:`repro.runtime.spmd.publish_run`; zero elsewhere)
+        self.steps = 0
+        self.blocks = 0
 
     def set_clock_source(self, clock_of: Callable[[int], float]) -> None:
         """Install the per-rank virtual-clock accessor.
@@ -301,7 +300,7 @@ class DeterministicBackend(Backend):
         if nxt is None:
             self._to_scheduler.set()
             return False
-        _STEPS.inc()
+        self.steps += 1
         self._status[nxt] = _Status.RUNNING
         if nxt == rank:
             return True
@@ -343,7 +342,7 @@ class DeterministicBackend(Backend):
         # rank is not wakeable until a delivery satisfies it.
         if self._abort:
             raise _Aborted()
-        _BLOCKS.inc()
+        self.blocks += 1
         self._waiting[rank] = waiting
         self._label[rank] = label
         self._status[rank] = _Status.BLOCKED
@@ -379,7 +378,7 @@ class DeterministicBackend(Backend):
                 nxt = self._pick_next()
                 if nxt is not None:
                     # A terminal signal raced a wake; resume and keep going.
-                    _STEPS.inc()
+                    self.steps += 1
                     self._status[nxt] = _Status.RUNNING
                     self._resume[nxt].release()
                     continue

@@ -12,13 +12,16 @@ from __future__ import annotations
 import contextlib
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 from repro.errors import ReproError
 from repro.machines.catalog import IDEAL
 from repro.machines.model import MachineModel
+from repro.obs.metrics import COUNT_BUCKETS, TIME_BUCKETS, get_registry
 from repro.runtime import backends
-from repro.runtime.scheduler import FaultPlan, FuzzedBackend
+from repro.runtime.context import RankContext
+from repro.runtime.scheduler import Backend, FaultPlan, FuzzedBackend
 from repro.trace.tracer import Tracer
 
 
@@ -101,6 +104,48 @@ class RunResult:
         if self.elapsed <= 0:
             raise ReproError("run has zero elapsed virtual time")
         return sequential_time / self.elapsed
+
+
+def publish_run(engine: Backend, contexts: Sequence[RankContext]) -> None:
+    """Land one run's per-message tallies in the current registry.
+
+    While a run is live, no message touches the metrics registry: each
+    rank counts on its endpoint (requests posted, one wait sample per
+    completion), on its mailbox (deliveries, matches, posts, depth
+    samples) and the engine counts its scheduling steps and blocks.
+    This sums those partials once, when the run ends — for the
+    in-process engines from :func:`spmd_run`, and in every process-engine
+    worker, over its one rank, before it ships its snapshot.  An
+    instrument appears only once something was recorded in it.
+    """
+    registry = get_registry()
+    mailboxes = [mailbox.tally() for mailbox in engine.mailboxes]
+    endpoints = [context._endpoint for context in contexts]
+    for name, value, help in (
+        ("runtime.mailbox.enqueued", sum(t[0] for t in mailboxes),
+         "messages delivered to mailboxes"),
+        ("runtime.mailbox.matched", sum(t[1] for t in mailboxes),
+         "messages removed by a matching receive"),
+        ("runtime.mailbox.posted", sum(t[2] for t in mailboxes),
+         "receive patterns posted (irecv)"),
+        ("comm.requests.posted", sum(ep.next_req for ep in endpoints),
+         "nonblocking requests posted"),
+        ("comm.requests.completed", sum(len(ep.waits) for ep in endpoints),
+         "nonblocking requests completed"),
+        ("runtime.scheduler.steps", engine.steps, "run-to-block scheduling decisions"),
+        ("runtime.scheduler.blocks", engine.blocks, "ranks suspended awaiting a message"),
+    ):  # fmt: skip
+        if value:
+            registry.counter(name, help).inc(value)
+    for name, buckets, per_rank, help in (
+        ("runtime.mailbox.depth", COUNT_BUCKETS, [t[3] for t in mailboxes],
+         "pending-queue depth observed at each delivery"),
+        ("comm.requests.wait_seconds", TIME_BUCKETS, [ep.waits for ep in endpoints],
+         "virtual time spent blocked completing a request"),
+    ):  # fmt: skip
+        samples = list(chain.from_iterable(per_rank))
+        if samples:
+            registry.histogram(name, buckets, help).observe_many(samples)
 
 
 def spmd_run(
@@ -211,7 +256,10 @@ def spmd_run(
 
         return body
 
-    engine.run([make_body(rank) for rank in range(nprocs)])
+    try:
+        engine.run([make_body(rank) for rank in range(nprocs)])
+    finally:
+        publish_run(engine, comms)
     return RunResult(
         values=values,
         times=[c.clock for c in comms],

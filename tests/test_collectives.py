@@ -269,6 +269,30 @@ class TestCollectiveSequences:
             spmd_run(1, body)
         assert isinstance(info.value.original, CommError)
 
+    def test_send_tag_checks_defer_to_the_context(self):
+        """Sends test a tag inline and ask the context's validator only
+        about a negative tag or one in ``[MAX_USER_TAG, COLL_TAG_BASE)``:
+        a bare context accepts that window (the communicator rejects it,
+        above), and every send path rejects a negative tag."""
+        from repro.comm.communicator import MAX_USER_TAG
+        from repro.machines.catalog import IDEAL
+        from repro.runtime.context import RankContext
+
+        class Sink:
+            def deliver(self, msg):
+                pass
+
+        ctx = RankContext(0, 2, Sink(), IDEAL)
+        ctx.send(1, "x", tag=MAX_USER_TAG + 5)
+        ctx.isend(1, "x", tag=MAX_USER_TAG + 5)
+        for send in (
+            lambda: ctx.send(1, "x", tag=-1),
+            lambda: ctx.isend(1, "x", tag=-1),
+            lambda: ctx.sendrecv(1, "x", None, send_tag=-1),
+        ):
+            with pytest.raises(CommError, match="negatives are wildcards"):
+                send()
+
     def test_backend_equivalence_compound(self):
         def body(comm):
             data = np.arange(10) + comm.rank

@@ -146,7 +146,7 @@ class TestCatalog:
 
 
 class _CollectingBackend:
-    """Just enough backend for ``isend``: keeps what was delivered."""
+    """Just enough backend for ``send``/``isend``: keeps what was delivered."""
 
     def __init__(self):
         self.delivered = []
@@ -225,6 +225,16 @@ class TestCatalogInvariants:
                 assert (recv_a + recv_b * n) * congestion == machine.recv_overhead(
                     n, nodes=size
                 ), where
+
+    def test_send_charges_what_the_model_says(self, machine):
+        for size in self.COST_SIZES:
+            for n in self.COST_NBYTES:
+                backend = _CollectingBackend()
+                ctx = RankContext(0, size, backend, machine)
+                ctx.send(0, None, nbytes=n)
+                where = f"size={size} nbytes={n}"
+                assert ctx.clock == machine.message_time(n, nodes=size), where
+                assert backend.delivered[0].arrival == ctx.clock, where
 
     def test_isend_charges_what_the_model_says(self, machine):
         for size in self.COST_SIZES:

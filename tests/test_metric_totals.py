@@ -1,0 +1,61 @@
+"""Per-run metric totals agree across engines.
+
+The runtime and comm instruments are per-rank tallies that land in the
+registry once, when a run ends (:func:`repro.runtime.spmd.publish_run`):
+from ``spmd_run`` for the in-process engines and from each process-engine
+worker before it ships its snapshot.  A race-free program sends, posts
+and completes the same messages and requests whatever the schedule, so
+every registered app at its verify sizes must report the same totals on
+the deterministic, fuzzed, threaded and process engines.  (Queue depths
+and wait times depend on the interleaving; only the wait *count* is
+compared.)
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.apps import registry
+from repro.obs.metrics import scoped_registry
+from repro.runtime import backends
+from repro.verify import fuzzed_schedule
+from repro.verify.conformance import run_app
+
+COUNTERS = (
+    "runtime.mailbox.enqueued",
+    "runtime.mailbox.matched",
+    "runtime.mailbox.posted",
+    "comm.requests.posted",
+    "comm.requests.completed",
+)
+FUZZ_SEED = 5
+
+
+def _totals(app: str, engine: str) -> dict[str, float]:
+    mode = backends.get("deterministic" if engine == "fuzzed" else engine).mode
+    with scoped_registry() as metrics:
+        if engine == "fuzzed":
+            with fuzzed_schedule(FUZZ_SEED):
+                result = run_app(app, mode=mode)
+        else:
+            result = run_app(app, mode=mode)
+        snapshot = metrics.snapshot()
+    assert result.backend == engine
+    totals = {name: snapshot.get(name, {}).get("value", 0.0) for name in COUNTERS}
+    waits = snapshot.get("comm.requests.wait_seconds", {})
+    totals["comm.requests.wait_seconds.count"] = waits.get("count", 0)
+    return totals
+
+
+@pytest.mark.parametrize("app", registry.names())
+def test_totals_equal_on_every_engine(app):
+    reference = _totals(app, "deterministic")
+    assert reference["runtime.mailbox.enqueued"] > 0, f"{app} sent no message"
+    assert reference["runtime.mailbox.matched"] == reference["runtime.mailbox.enqueued"]
+    assert (
+        reference["comm.requests.completed"]
+        == reference["comm.requests.posted"]
+        == reference["comm.requests.wait_seconds.count"]
+    )
+    for engine in ("fuzzed", "threads", "parallel"):
+        assert _totals(app, engine) == reference, f"{app} on {engine}"

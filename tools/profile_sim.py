@@ -14,13 +14,15 @@ prints each case's total self time and the share of it in the application
 bodies (``repro/apps`` + ``<kernel ...>``), the par-loop layer
 (``repro/kernels``), the archetype skeletons (``repro/core``: mesh context
 and grids, the pipeline, the one-deep skeleton), the engine
-(``repro/runtime`` + ``repro/comm`` + ``repro/obs``) and native code, and
-beside them how many ``ParLoop`` objects the case built for how many loop
-runs (every mesh app declares its loops above the time loop, so it builds
-ranks x declared loops: ``sim_comm`` poisson 32/1280, cfd 32/192;
-``sim_kernel`` smog 16/80, spectralflow 48/120, poisson 4/96, cfd 4/56,
-fdtd 4/96); with
-an app it prints that case's self time by module and its top functions.
+(``repro/runtime`` + ``repro/comm`` + ``repro/obs``) and native code;
+beside them the messages delivered (``runtime.mailbox.enqueued``) and
+scheduling steps (``runtime.scheduler.steps``), so self time per message
+can be read off the row, and how many ``ParLoop`` objects the case built
+for how many loop runs (every mesh app declares its loops above the time
+loop, so it builds ranks x declared loops: ``sim_comm`` poisson 32/1280,
+cfd 32/192; ``sim_kernel`` smog 16/80, spectralflow 48/120, poisson 4/96,
+cfd 4/56, fdtd 4/96); with an app it prints that case's self time by
+module and its top functions.  Piped into ``head``, it stops quietly.
 Either way every case's perfbench pin is asserted (perfbench is imported,
 never changed).
 cProfile taxes Python calls and not native code: this finds candidates,
@@ -48,9 +50,10 @@ LAYERS = (
 )
 
 
-def profile_case(workload: str, app: str) -> tuple[dict, int, str]:
-    """``({(file, line, function): self seconds}, threads, "built/runs")`` of
-    one warm run: the profile, and ``ParLoop`` constructions per loop run."""
+def profile_case(workload: str, app: str) -> tuple[dict, int, str, str]:
+    """``({(file, line, function): self seconds}, threads, "msgs/steps",
+    "built/runs")`` of one warm run: the profile, messages delivered and
+    scheduling steps, and ``ParLoop`` constructions per loop run."""
     from perfbench import cases, pins
     from repro.kernels.ir import ParLoop
     from repro.kernels.runtime import KernelEngine
@@ -85,8 +88,16 @@ def profile_case(workload: str, app: str) -> tuple[dict, int, str]:
         code = fn.__code__
         return stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
 
+    def count(name: str) -> int:
+        return int(run.counters.get(name, {}).get("value", 0))
+
     runs = calls(KernelEngine.submit)
-    return rows, len(profiles), f"{calls(ParLoop.__init__)}/{runs}" if runs else "-"
+    return (
+        rows,
+        len(profiles),
+        f"{count('runtime.mailbox.enqueued')}/{count('runtime.scheduler.steps')}",
+        f"{calls(ParLoop.__init__)}/{runs}" if runs else "-",
+    )
 
 
 def by_module(rows: dict) -> Counter[str]:
@@ -107,10 +118,10 @@ def main(workload: str, app: str | None = None) -> None:
             print(
                 f"{'case':<24} {'self ms':>8} "
                 + " ".join(f"{name:>9}" for name, _ in LAYERS)
-                + "  ParLoops built/run"
+                + f" {'msgs/steps':>12}  ParLoops built/run"
             )
             for case, _ in cases.SIM_CASES[workload]:
-                rows, _, built = profile_case(workload, case)
+                rows, _, traffic, built = profile_case(workload, case)
                 modules = by_module(rows)
                 total = sum(modules.values())
                 shares = (
@@ -120,15 +131,15 @@ def main(workload: str, app: str | None = None) -> None:
                 print(
                     f"{workload + '/' + case:<24} {total * 1e3:8.1f} "
                     + " ".join(f"{share:9.1%}" for share in shares)
-                    + f"  {built}"
+                    + f" {traffic:>12}  {built}"
                 )
             print("every pin holds")
             return
-        rows, threads, built = profile_case(workload, app)
+        rows, threads, traffic, built = profile_case(workload, app)
     total = sum(rows.values())
     print(
         f"{workload}/{app}: {total * 1e3:.1f} ms self time on {threads} threads "
-        f"(pin holds; ParLoops built/run: {built})"
+        f"(pin holds; msgs/steps: {traffic}; ParLoops built/run: {built})"
     )
     for module, self_s in by_module(rows).most_common(12):
         print(f"{self_s * 1e3:9.1f} ms {self_s / total:6.1%}  {module}")
@@ -138,4 +149,11 @@ def main(workload: str, app: str | None = None) -> None:
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    try:
+        main(*sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (``| head``): point stdout at /dev/null so the
+        # interpreter's final flush cannot raise again, and stop.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
