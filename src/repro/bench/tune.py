@@ -21,9 +21,7 @@ machine models.
 
 from __future__ import annotations
 
-import os
 import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.machines.catalog import MODERN_MACHINES
@@ -93,22 +91,6 @@ class TuneRow:
         }
 
 
-@contextmanager
-def _scratch_catalog():
-    """A throwaway catalog so the ablation never reads or writes the
-    user's tuned configs."""
-    saved = os.environ.get(catalog.DIR_ENV)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-tune-") as tmp:
-        os.environ[catalog.DIR_ENV] = tmp
-        try:
-            yield
-        finally:
-            if saved is None:
-                os.environ.pop(catalog.DIR_ENV, None)
-            else:
-                os.environ[catalog.DIR_ENV] = saved
-
-
 def _prediction_error(outcome: SearchOutcome) -> float | None:
     errors = [
         abs(r.predicted - r.measured) / r.measured
@@ -149,7 +131,7 @@ def run_ablation(
 ) -> list[TuneRow]:
     """Exhaustive tuned-vs-default searches over cases × machines."""
     rows: list[TuneRow] = []
-    with _scratch_catalog():
+    with tempfile.TemporaryDirectory(prefix="repro-bench-tune-") as tmp, catalog.rooted(tmp):
         for case, app, overrides in cases:
             for machine in machines:
                 rows.append(_row(case, app, overrides, machine))

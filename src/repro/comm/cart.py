@@ -8,20 +8,11 @@ chooses a near-square process grid for a given P.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Iterator
 
 from repro.errors import DistributionError
-
-#: Environment override for the default ("blocks") process grid, e.g. "4x1".
-#: Env-backed rather than module state so forked parallel-backend workers
-#: inherit it; :func:`choose_proc_grid` itself stays pure (and memoised) —
-#: the override is consulted *upstream*, never folded into the cache.
-PROC_GRID_ENV = "REPRO_PROC_GRID"
 
 
 @dataclass(frozen=True)
@@ -117,53 +108,6 @@ def choose_proc_grid(nprocs: int, ndim: int) -> tuple[int, ...]:
     for f in sorted(factors, reverse=True):
         dims[dims.index(min(dims))] *= f
     return tuple(sorted(dims, reverse=True))
-
-
-def parse_proc_grid(spec: str) -> tuple[int, ...]:
-    """Parse a grid spec like ``"4x2"`` (or ``"4,2"``) into dims."""
-    parts = spec.replace(",", "x").split("x")
-    try:
-        dims = tuple(int(p) for p in parts)
-    except ValueError:
-        raise DistributionError(f"malformed process-grid spec {spec!r}") from None
-    if not dims or any(d < 1 for d in dims):
-        raise DistributionError(f"malformed process-grid spec {spec!r}")
-    return dims
-
-
-def override_for(nprocs: int, ndim: int) -> tuple[int, ...] | None:
-    """The :data:`PROC_GRID_ENV` override, when one is set *and* applies.
-
-    The override only takes effect when it matches both the rank count
-    and the dimensionality of the grid being resolved — a "4x1" override
-    silently steps aside for a 3-rank run or a 3-D grid, so one tuner
-    candidate cannot corrupt unrelated grids created in the same run.
-    """
-    spec = os.environ.get(PROC_GRID_ENV)
-    if not spec:
-        return None
-    dims = parse_proc_grid(spec)
-    if len(dims) == ndim and prod(dims) == nprocs:
-        return dims
-    return None
-
-
-@contextmanager
-def proc_grid_override(dims: tuple[int, ...] | None) -> Iterator[None]:
-    """Scope a process-grid override (``None`` is a no-op passthrough)."""
-    if dims is None:
-        yield
-        return
-    spec = "x".join(str(int(d)) for d in dims)
-    prev = os.environ.get(PROC_GRID_ENV)
-    os.environ[PROC_GRID_ENV] = spec
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop(PROC_GRID_ENV, None)
-        else:
-            os.environ[PROC_GRID_ENV] = prev
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 from typing import Any
 
-from repro.comm.cart import proc_grid_override
 from repro.errors import ArchetypeError
 from repro.machines.catalog import IDEAL
 from repro.machines.model import MachineModel
@@ -59,6 +58,9 @@ class Archetype:
 
     #: archetype name used in diagnostics
     name: str = "archetype"
+    #: whether :meth:`body` takes the ``proc_grid`` that ``run(proc_grid=)``
+    #: pins (the mesh-spectral archetype); other archetypes ignore it
+    pins_proc_grid: bool = False
 
     def body(self, comm: Any, *args: Any, **kwargs: Any) -> Any:
         """The per-rank program.  Subclasses must override."""
@@ -91,9 +93,11 @@ class Archetype:
         sequential execution.
 
         *proc_grid* pins the default ("blocks") process-grid factorisation
-        for the run.  Nothing else is looked up: a run depends on its
-        arguments and the machine model alone, so the paper's curves do
-        not move with what a tuner stored on this host.  The tuned-config
+        for the run: it reaches every rank as an argument of :meth:`body`,
+        on every engine (archetypes without :attr:`pins_proc_grid` ignore
+        it).  Nothing else is looked up: a run depends on its arguments
+        and the machine model alone, so the paper's curves do not move
+        with what a tuner stored on this host.  The tuned-config
         catalog is consulted by the named-app entry points instead
         (:meth:`repro.apps.registry.AppSpec.run`, the job server's
         admission).
@@ -102,13 +106,14 @@ class Archetype:
             raise ArchetypeError(f"{self.name}: nprocs must be >= 1, got {nprocs}")
         backend = None if mode is None else ExecutionMode(mode).backend
         body_args, body_kwargs = self.prepare(nprocs, *args, **kwargs)
-        with proc_grid_override(proc_grid):
-            return spmd_run(
-                nprocs,
-                self.body,
-                args=body_args,
-                kwargs=body_kwargs,
-                machine=machine,
-                backend=backend,
-                trace=trace,
-            )
+        if proc_grid is not None and self.pins_proc_grid:
+            body_kwargs = {**body_kwargs, "proc_grid": tuple(proc_grid)}
+        return spmd_run(
+            nprocs,
+            self.body,
+            args=body_args,
+            kwargs=body_kwargs,
+            machine=machine,
+            backend=backend,
+            trace=trace,
+        )

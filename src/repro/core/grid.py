@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import DistributionError
 from repro.comm.boundary import exchange_ghosts
-from repro.comm.cart import CartGrid, choose_proc_grid, override_for
+from repro.comm.cart import CartGrid, choose_proc_grid
 from repro.comm.communicator import Comm
 from repro.comm.layout import Layout, block_layout
 from repro.comm.redistribute import gather_to_root, redistribute, scatter_from_root
@@ -28,9 +28,7 @@ def _resolve_proc_grid(
     if isinstance(dist, tuple):
         grid = dist
     elif dist == "blocks":
-        # Only the *default* factorisation is overridable: explicit dims
-        # and the rows/cols spectral distributions mean what they say.
-        grid = override_for(comm.size, ndim) or choose_proc_grid(comm.size, ndim)
+        grid = choose_proc_grid(comm.size, ndim)
     elif dist == "rows":
         grid = (comm.size, *([1] * (ndim - 1)))
     elif dist == "cols":

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable
+from math import prod
 from pathlib import Path
 from typing import Any
 
@@ -82,8 +83,16 @@ def _instrumented(method):
 class MeshContext:
     """The operations a mesh-spectral program is written against."""
 
-    def __init__(self, comm: Comm, overlap: bool = True):
+    def __init__(
+        self, comm: Comm, overlap: bool = True, proc_grid: tuple[int, ...] | None = None
+    ):
         self.comm = comm
+        #: the process grid ``dist="blocks"`` stands for when this context
+        #: lays a grid out by shape (:meth:`grid`, :meth:`redistribute`,
+        #: :meth:`read_grid_partitioned`) and the pin fits (same rank count
+        #: and dimensionality); elsewhere, and when ``None``, "blocks" is
+        #: the near-square factorisation
+        self.proc_grid = proc_grid
         #: per-rank working-set size (bytes) used by the machine's memory
         #: model; set via :meth:`set_working_set`
         self.working_set: float | None = None
@@ -114,7 +123,15 @@ class MeshContext:
         fill: float = 0.0,
     ) -> DistGrid:
         """Create a distributed grid (see :class:`DistGrid`)."""
+        dist = self._dist(dist, len(global_shape))
         return DistGrid(self.comm, global_shape, dist=dist, ghost=ghost, dtype=dtype, fill=fill)
+
+    def _dist(self, dist: str | tuple[int, ...], ndim: int) -> str | tuple[int, ...]:
+        """*dist*, with "blocks" pinned to :attr:`proc_grid` where it fits."""
+        pin = self.proc_grid
+        if dist == "blocks" and pin and len(pin) == ndim and prod(pin) == self.comm.size:
+            return pin
+        return dist
 
     def global_var(self, value: Any = None, sync: bool = False) -> GlobalVar:
         """Create a copy-consistent global variable."""
@@ -270,7 +287,7 @@ class MeshContext:
     def redistribute(self, grid: DistGrid, dist: str | tuple[int, ...]) -> DistGrid:
         """Move a grid to a different distribution (paper Figure 7)."""
         self.kernels.flush()
-        return grid.redistributed(dist)
+        return grid.redistributed(self._dist(dist, grid.ndim))
 
     # -- reductions -------------------------------------------------------------
     def reduce(self, local: Any, op: Op) -> Any:
@@ -380,7 +397,9 @@ class MeshContext:
         directory = Path(directory)
         manifest = np.load(directory / "manifest.npy", allow_pickle=True)[0]
         global_shape = tuple(manifest["global_shape"])
-        grid = DistGrid(self.comm, global_shape, dist=dist, ghost=ghost)
+        grid = DistGrid(
+            self.comm, global_shape, dist=self._dist(dist, len(global_shape)), ghost=ghost
+        )
         my = grid.rect
         for stored_rank, rect in enumerate(manifest["rects"]):
             overlap = []
@@ -423,12 +442,15 @@ class MeshProgram(Archetype):
     """
 
     name = "mesh-spectral"
+    pins_proc_grid = True
 
     def __init__(self, program: Callable[..., Any]):
         self.program = program
 
-    def body(self, comm: Comm, *args: Any, **kwargs: Any) -> Any:
-        return self.program(MeshContext(comm), *args, **kwargs)
+    def body(
+        self, comm: Comm, *args: Any, proc_grid: tuple[int, ...] | None = None, **kwargs: Any
+    ) -> Any:
+        return self.program(MeshContext(comm, proc_grid=proc_grid), *args, **kwargs)
 
 
 # Re-exported reduction ops so mesh programs rarely need repro.comm imports.

@@ -56,10 +56,10 @@ as a hang.
 
 Use ``backend="parallel"`` on :func:`~repro.runtime.spmd.spmd_run` /
 ``mode="parallel"`` on :meth:`Archetype.run`, or set
-``REPRO_BACKEND=parallel``.  The start method defaults to ``fork``
-(closures and lambdas work unchanged); set ``REPRO_PARALLEL_START`` to
-``forkserver`` or ``spawn`` for the stricter methods, under which the
-program body and its arguments must be picklable/importable.
+``REPRO_BACKEND=parallel``.  The start method is ``fork`` where the host
+has it (closures and lambdas work unchanged); ``run_parallel(
+start_method="forkserver")`` or ``"spawn"`` runs under a stricter one,
+where the program body and its arguments must be picklable/importable.
 """
 
 from __future__ import annotations
@@ -106,18 +106,6 @@ _DESC_BYTES = 192
 _RUNNING, _BLOCKED, _DONE = 0, 1, 2
 
 _RUN_IDS = itertools.count()
-
-
-def default_start_method() -> str:
-    """The start method used when none is requested: ``REPRO_PARALLEL_START``
-    if set, else ``fork`` where available (closures work unchanged), else
-    ``spawn``."""
-    import multiprocessing as mp
-
-    env = os.environ.get("REPRO_PARALLEL_START")
-    if env:
-        return env
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 def _untrack(name: str) -> None:
@@ -496,6 +484,8 @@ def run_parallel(
     virtual clocks, a merged tracer when *trace* is set, and every
     worker's metrics folded into the parent's registry.  *threshold* is
     the ndarray size (bytes) at which payloads switch to shared memory.
+    *start_method* ``None`` is ``fork`` where available (closures work
+    unchanged), else ``spawn``.
     """
     import multiprocessing as mp
 
@@ -503,7 +493,9 @@ def run_parallel(
     from repro.runtime.spmd import RunResult
 
     machine = IDEAL if machine is None else machine
-    ctx = mp.get_context(start_method or default_start_method())
+    if start_method is None:
+        start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+    ctx = mp.get_context(start_method)
     prefix = f"repro-{os.getpid()}-{next(_RUN_IDS)}"
     wiring = _Wiring(ctx, nprocs, prefix, threshold)
     procs = [

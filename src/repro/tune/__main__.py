@@ -4,23 +4,20 @@
 
     python -m repro.tune search --app poisson,fft2d --machine numa-epyc,cloud-25gbe
     python -m repro.tune show
-    python -m repro.tune apply --app poisson --machine cloud-25gbe --nprocs 4
     python -m repro.tune smoke          # (also: python -m repro.tune --smoke)
 
-``search`` tunes and persists winners; ``show`` prints the catalog;
-``apply`` emits shell ``export`` lines for a stored winner (for running
-outside the simulator harness, e.g. under ``REPRO_BACKEND=parallel``);
-``smoke`` is the CI gate: a tiny end-to-end search that asserts a
-catalog entry is written, a re-run is a catalog hit that measures
-nothing, and the tuned configuration reproduces the untuned run's
-canonical digest bit-for-bit.
+``search`` tunes and persists winners, which every named-app run
+(``registry.get(app).run``, the job server) then applies; ``show``
+prints the catalog; ``smoke`` is the CI gate: a tiny end-to-end search
+in a throwaway catalog that asserts a catalog entry is written, a re-run
+is a catalog hit that measures nothing, and the tuned configuration
+reproduces the untuned run's canonical digest bit-for-bit.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 
@@ -108,25 +105,6 @@ def _cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_apply(args: argparse.Namespace) -> int:
-    entry = catalog.lookup(args.app, args.machine, args.nprocs)
-    if entry is None:
-        print(
-            f"no entry for {args.app} @ {args.machine} (P={args.nprocs}); "
-            "run `python -m repro.tune search` first",
-            file=sys.stderr,
-        )
-        return 1
-    cfg = entry.config
-    if cfg.proc_grid:
-        print("export REPRO_PROC_GRID=" + "x".join(str(d) for d in cfg.proc_grid))
-    for key, value in sorted(cfg.params.items()):
-        print(f"# app parameter: {key}={json.dumps(value)}")
-    if cfg.is_default():
-        print("# tuned winner is the default configuration; nothing to export")
-    return 0
-
-
 _SMOKE_MACHINES = ("numa-epyc", "cloud-25gbe")
 
 
@@ -139,9 +117,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         if not ok:
             raise SystemExit(1)
 
-    with tempfile.TemporaryDirectory(prefix="repro-tune-smoke-") as tmp:
-        if not os.environ.get(catalog.DIR_ENV):
-            os.environ[catalog.DIR_ENV] = tmp
+    with tempfile.TemporaryDirectory(prefix="repro-tune-smoke-") as tmp, catalog.rooted(tmp):
         # every registered app at its verify_overrides sizes, so the
         # smoke search stays in CI-seconds territory
         plan = [(spec, m) for spec in registry.specs() for m in _SMOKE_MACHINES]
@@ -217,12 +193,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--app", default=None)
     p.add_argument("--machine", default=None)
     p.set_defaults(fn=_cmd_show)
-
-    p = sub.add_parser("apply", help="emit export lines for a stored winner")
-    p.add_argument("--app", required=True)
-    p.add_argument("--machine", required=True)
-    p.add_argument("--nprocs", type=int, default=4)
-    p.set_defaults(fn=_cmd_apply)
 
     p = sub.add_parser("smoke", help="CI smoke: search, hit, digest checks")
     p.set_defaults(fn=_cmd_smoke)

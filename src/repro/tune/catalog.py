@@ -1,12 +1,13 @@
 """Versioned on-disk catalog of tuned configurations.
 
-One JSON file per (app, machine) under the catalog root —
-``$REPRO_TUNE_DIR`` when set, else ``~/.cache/repro/tuned`` — with one
-entry per rank count.  Entries record the winning :class:`TunedConfig`
-together with the evidence for it (predicted and measured virtual
-makespans, the default's makespan, the canonical result digest, and a
-signature of the search space), so a later ``search`` over an unchanged
-space is a catalog hit that re-measures nothing.
+One JSON file per (app, machine) under the catalog root — the directory
+a :func:`rooted` block names, else ``$REPRO_TUNE_DIR`` when set, else
+``~/.cache/repro/tuned`` — with one entry per rank count.  Entries
+record the winning :class:`TunedConfig` together with the evidence for
+it (predicted and measured virtual makespans, the default's makespan,
+the canonical result digest, and a signature of the search space), so a
+later ``search`` over an unchanged space is a catalog hit that
+re-measures nothing.
 
 Who consults: the named-app entry point, once per run —
 :meth:`repro.apps.registry.AppSpec.configure`, which
@@ -18,15 +19,14 @@ is how a caller pins a grid by hand.  Consultation rules:
 
 * explicit parameters always win — registry callers' explicit params
   are never overridden by tuned ones;
-* ``REPRO_TUNE=0`` disables lookup entirely (:func:`consult`);
 * a caller that passes a configuration (``AppSpec.run(tuned=...)``) is
   never consulted for one: the searcher measures each candidate, the
   serve executor runs the config pinned at admission, and
-  ``tuned=TunedConfig()`` is the untuned baseline beside a stored winner.
+  ``tuned=TunedConfig()`` (a job request's ``"tuned": {}``) is the
+  untuned run — the only off switch there is.
 
 A config's process grid reaches the program as ``Archetype.run(proc_grid=)``,
-which is env-backed (:data:`repro.comm.cart.PROC_GRID_ENV`) so forked
-parallel-backend workers inherit it.
+an argument every rank's body receives, on every engine.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -43,23 +45,35 @@ from repro.obs.metrics import counter_handle
 #: bump when the entry layout changes; mismatched files are ignored
 SCHEMA_VERSION = 1
 
-TUNE_ENV = "REPRO_TUNE"
 DIR_ENV = "REPRO_TUNE_DIR"
 
 _HITS = counter_handle("core.tune.catalog_hits", help="catalog lookups that found an entry")
 _MISSES = counter_handle("core.tune.catalog_misses", help="catalog lookups that found nothing")
 
-def enabled() -> bool:
-    """Whether tuned-config consultation is on (``REPRO_TUNE=0`` turns it off)."""
-    return os.environ.get(TUNE_ENV, "1").lower() not in ("0", "false", "off")
+#: the directory of the innermost :func:`rooted` block, if any
+_root: Path | None = None
 
 
 def root() -> Path:
     """The catalog directory (not created until something is stored)."""
+    if _root is not None:
+        return _root
     override = os.environ.get(DIR_ENV)
     if override:
         return Path(override)
     return Path.home() / ".cache" / "repro" / "tuned"
+
+
+@contextmanager
+def rooted(path: str | Path) -> Iterator[Path]:
+    """Use the catalog under *path* for the block: a throwaway catalog
+    that neither reads nor writes the user's tuned configs."""
+    global _root
+    previous, _root = _root, Path(path)
+    try:
+        yield _root
+    finally:
+        _root = previous
 
 
 def entry_path(app: str, machine: str) -> Path:
@@ -200,9 +214,7 @@ def lookup(app: str, machine: str, nprocs: int) -> TunedEntry | None:
 
 
 def consult(app: str, machine: str, nprocs: int) -> TunedEntry | None:
-    """:func:`lookup`, unless ``REPRO_TUNE=0`` (with hit/miss counters)."""
-    if not enabled():
-        return None
+    """:func:`lookup`, counting hits and misses."""
     entry = lookup(app, machine, nprocs)
     if entry is None:
         _MISSES.inc()

@@ -4,7 +4,9 @@ Every ``REPRO_*`` environment variable the package knows is one row of
 the README's "Configuration" table, and each is *resolved* — read from
 ``os.environ`` to decide something — in exactly the one module its row
 names.  A new knob therefore cannot arrive undocumented, and a second
-read site for an old one cannot arrive at all.
+read site for an old one cannot arrive at all.  Nothing under ``src/``
+writes the environment: a setting that has to reach a run travels as an
+argument.
 """
 
 from __future__ import annotations
@@ -50,15 +52,15 @@ def _scope_nodes(scope: ast.AST):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def _environ_keys(scope: ast.AST) -> tuple[list[ast.AST], bool]:
-    """(key expressions *scope* reads from ``os.environ``, whether it writes it)."""
-    reads, writes = [], False
+def _environ_keys(scope: ast.AST) -> tuple[list[ast.AST], int]:
+    """(key expressions *scope* reads from ``os.environ``, how often it writes it)."""
+    reads, writes = [], 0
     for node in _scope_nodes(scope):
         if isinstance(node, ast.Subscript) and _is_environ(node.value):
             if isinstance(node.ctx, ast.Load):
                 reads.append(node.slice)
             else:
-                writes = True
+                writes += 1
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -67,15 +69,29 @@ def _environ_keys(scope: ast.AST) -> tuple[list[ast.AST], bool]:
             if node.func.attr == "get":
                 reads.append(node.args[0])
             else:  # pop / setdefault / update
-                writes = True
+                writes += 1
     return reads, writes
+
+
+def _scopes(tree: ast.Module) -> list[ast.AST]:
+    return [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]
 
 
 def test_knobs_in_src_are_exactly_the_documented_table():
     found = set()
     for path in SRC.rglob("*.py"):
         found.update(KNOB.findall(path.read_text()))
-    assert found == set(_table()) and len(found) == 5
+    assert found == set(_table()) and len(found) == 2
+
+
+def test_src_never_writes_the_environment():
+    writers = {
+        module
+        for module, tree in _modules().items()
+        for scope in _scopes(tree)
+        if _environ_keys(scope)[1]
+    }
+    assert writers == set()
 
 
 def test_each_knob_is_resolved_in_the_one_module_its_row_names():
@@ -101,12 +117,8 @@ def test_each_knob_is_resolved_in_the_one_module_its_row_names():
 
     readers: dict[str, set[str]] = {}
     for module, tree in modules.items():
-        scopes = [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]
-        for scope in scopes:
-            reads, writes = _environ_keys(scope)
-            if writes:
-                continue  # a scoped setter saving the value it will restore
-            for key in reads:
+        for scope in _scopes(tree):
+            for key in _environ_keys(scope)[0]:
                 knob = knob_of(key)
                 assert knob is not None, f"{module}: unresolvable environ key"
                 readers.setdefault(knob, set()).add(module)

@@ -28,7 +28,6 @@ from repro.bench.figures import (
     figure17_fdtd,
     figure18_spectral,
 )
-from repro.comm.cart import proc_grid_override
 from repro.comm.reductions import SUM
 from repro.machines.catalog import (
     ETHERNET_SUNS,
@@ -37,6 +36,7 @@ from repro.machines.catalog import (
     INTEL_PARAGON,
 )
 from repro.trace.analysis import summarize
+from repro.tune.catalog import TunedConfig
 
 
 class TestFigures:
@@ -178,12 +178,12 @@ class TestAblations:
         time hides the effect in a compute-dominated stencil code."""
 
         def comm_profile(machine, proc_grid):
-            with proc_grid_override(proc_grid):
-                run = registry.get("poisson").run(
-                    {"nprocs": 16, "nx": 128, "ny": 128, "max_iters": 10},
-                    machine=machine,
-                    trace=True,
-                )
+            run = registry.get("poisson").run(
+                {"nprocs": 16, "nx": 128, "ny": 128, "max_iters": 10},
+                machine=machine,
+                trace=True,
+                tuned=TunedConfig(proc_grid=proc_grid),
+            )
             return summarize(run.tracer)
 
         profiles = {

@@ -220,10 +220,9 @@ def _hard_exit_body(comm):
 
 class TestStartMethods:
     @pytest.mark.parametrize("method", ["forkserver", "spawn"])
-    def test_strict_start_methods(self, method, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_START", method)
+    def test_strict_start_methods(self, method):
         ser = spmd_run(2, _ring_body, args=(2000,))
-        par = spmd_run(2, _ring_body, args=(2000,), backend="parallel")
+        par = run_parallel(2, _ring_body, args=(2000,), start_method=method)
         assert par.values == ser.values
         assert par.times == ser.times
         assert _segments() == []

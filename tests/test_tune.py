@@ -5,18 +5,13 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.apps import registry
-from repro.comm.cart import (
-    PROC_GRID_ENV,
-    choose_proc_grid,
-    override_for,
-    parse_proc_grid,
-    proc_grid_override,
-)
+from repro.apps.sorting.mergesort import one_deep_mergesort
+from repro.comm.cart import choose_proc_grid
 from repro.core.meshspectral import MeshProgram
-from repro.errors import DistributionError
 from repro.machines.catalog import get_machine
 from repro.obs.metrics import scoped_registry
 from repro.serve.executor import execute
@@ -40,36 +35,23 @@ def _entry(config: TunedConfig, signature: str = "sig") -> TunedEntry:
     )
 
 
+def _grid_dims(mesh, *shapes):
+    return tuple(mesh.grid(shape).cart.dims for shape in shapes)
+
+
 class TestProcGridOverride:
-    def test_parse(self):
-        assert parse_proc_grid("4x2") == (4, 2)
-        assert parse_proc_grid("4,2,1") == (4, 2, 1)
-        with pytest.raises(DistributionError):
-            parse_proc_grid("4x")
-        with pytest.raises(DistributionError):
-            parse_proc_grid("0x4")
-
-    def test_override_applies_only_when_it_matches(self, monkeypatch):
-        monkeypatch.setenv(PROC_GRID_ENV, "4x1")
-        assert override_for(4, 2) == (4, 1)
-        assert override_for(8, 2) is None  # wrong rank count
-        assert override_for(4, 3) is None  # wrong dimensionality
-
-    def test_context_manager_restores(self):
-        assert os.environ.get(PROC_GRID_ENV) is None
-        with proc_grid_override((2, 2)):
-            assert os.environ[PROC_GRID_ENV] == "2x2"
-            with proc_grid_override((4, 1)):
-                assert os.environ[PROC_GRID_ENV] == "4x1"
-            assert os.environ[PROC_GRID_ENV] == "2x2"
-        assert os.environ.get(PROC_GRID_ENV) is None
+    def test_override_applies_only_when_it_matches(self):
+        # A pin steps aside for a grid of another dimensionality, and for
+        # a run of another rank count.
+        program = MeshProgram(lambda mesh: _grid_dims(mesh, (8, 8), (4, 4, 4)))
+        assert program.run(4, proc_grid=(4, 1)).values == [((4, 1), (2, 2, 1))] * 4
+        assert program.run(8, proc_grid=(4, 1)).values == [((4, 2), (2, 2, 2))] * 8
 
     def test_choose_proc_grid_cache_not_poisoned(self):
         default = choose_proc_grid(4, 2)
-        with proc_grid_override((4, 1)):
-            # The memoised factorisation is pure; the override lives
-            # upstream of it.
-            assert choose_proc_grid(4, 2) == default
+        # The memoised factorisation is pure; a pin lives upstream of it.
+        program = MeshProgram(lambda mesh: _grid_dims(mesh, (8, 8)))
+        assert program.run(4, proc_grid=(4, 1)).values == [((4, 1),)] * 4
         assert choose_proc_grid(4, 2) == default
 
     def test_archetype_run_explicit_grid_wins(self):
@@ -84,6 +66,15 @@ class TestProcGridOverride:
             lambda mesh: mesh.grid((8, 8), dist="rows", ghost=0).cart.dims
         )
         assert program.run(4, proc_grid=(2, 2)).values == [(4, 1)] * 4
+
+    def test_pin_reaches_process_engine_ranks(self):
+        program = MeshProgram(lambda mesh: _grid_dims(mesh, (8, 8)))
+        assert program.run(4, proc_grid=(4, 1), mode="parallel").values == [((4, 1),)] * 4
+
+    def test_archetypes_without_grids_ignore_the_pin(self):
+        data = np.arange(64)[::-1].copy()
+        pinned = one_deep_mergesort().run(4, data, proc_grid=(4, 1))
+        assert pinned.times == one_deep_mergesort().run(4, data).times
 
 
 class TestCatalogStore:
@@ -109,20 +100,27 @@ class TestCatalogStore:
         path.write_text(json.dumps(doc))
         assert catalog.load("poisson", "ibm-sp") == {}
 
-    def test_enabled_env(self, monkeypatch):
-        assert catalog.enabled()
-        monkeypatch.setenv(catalog.TUNE_ENV, "0")
-        assert not catalog.enabled()
+    def test_rooted_scopes_the_catalog_directory(self, tmp_path):
+        outer = catalog.root()
+        with catalog.rooted(tmp_path / "scratch") as scratch:
+            assert catalog.root() == scratch
+            catalog.store("poisson", "ibm-sp", 4, _entry(TunedConfig()))
+        assert catalog.root() == outer
+        assert catalog.lookup("poisson", "ibm-sp", 4) is None
+        assert (scratch / "poisson--ibm-sp.json").is_file()
 
-    def test_applying_sets_and_restores_env(self):
-        """A config passed as ``tuned=`` applies its grid for the run alone."""
+    def test_tuned_grid_is_an_argument_not_the_environment(self):
+        """A config passed as ``tuned=`` reaches the ranks as an argument
+        of the run; the environment they see is the caller's, unchanged."""
         before = dict(os.environ)
         probe = registry.register(
             registry.AppSpec(
                 name="tune-test-env-probe",
                 archetype="test",
-                description="returns the environment its ranks see",
-                build=lambda p: (MeshProgram(lambda mesh: dict(os.environ)), 4, (), {}),
+                description="returns its pin and the environment its ranks see",
+                build=lambda p: (
+                    MeshProgram(lambda mesh: (mesh.proc_grid, dict(os.environ))), 4, (), {}
+                ),
                 defaults={},
             )
         )
@@ -130,8 +128,7 @@ class TestCatalogStore:
             seen = probe.run(tuned=TunedConfig(proc_grid=(4, 1))).values
         finally:
             registry.unregister(probe.name)
-        # The process grid is the one thing a config puts in the env.
-        assert seen == [{**before, PROC_GRID_ENV: "4x1"}] * 4
+        assert seen == [((4, 1), before)] * 4
         assert dict(os.environ) == before
 
     def test_retired_and_unknown_keys_still_load(self):
@@ -276,15 +273,22 @@ class TestSearch:
 
     def test_parallel_measurement_ranks_identically(self):
         seq = search("poisson", "numa-epyc", overrides=TINY_POISSON)
-        cfg_dir = os.environ["REPRO_TUNE_DIR"]
-        os.environ["REPRO_TUNE_DIR"] = cfg_dir + "-par"
-        try:
+        with catalog.rooted(f"{catalog.root()}-par"):
             par = search(
                 "poisson", "numa-epyc", overrides=TINY_POISSON, mode="threads"
             )
-        finally:
-            os.environ["REPRO_TUNE_DIR"] = cfg_dir
         assert par.entry == seq.entry  # same winner, makespans, digest
+
+
+class TestCLI:
+    def test_search_then_show(self, capsys):
+        from repro.tune.__main__ import main
+
+        params = ["--param=nx=64", "--param=ny=16", "--param=max_iters=2"]
+        assert main(["search", "--app=poisson", "--machine=cloud-25gbe", *params]) == 0
+        assert "grid=4x1" in capsys.readouterr().out
+        assert main(["show", "--app=poisson"]) == 0
+        assert capsys.readouterr().out.startswith("poisson @ cloud-25gbe (P=4): grid=4x1")
 
 
 class TestConsultation:
@@ -371,12 +375,6 @@ class TestConsultation:
         # Caller explicit: the tuned value must not override it.
         explicit = spec.run(dict(TINY_POISSON, overlap=True), machine=machine)
         assert explicit.times == overlapped.times
-
-    def test_repro_tune_zero_disables(self, monkeypatch):
-        params, tuned, default = self._store_grid_entry()
-        monkeypatch.setenv(catalog.TUNE_ENV, "0")
-        result = registry.get("poisson").run(params, machine="ibm-sp")
-        assert result.times == default.times
 
 
 class TestServeIntegration:
