@@ -14,7 +14,9 @@ No suite keeps its own list of apps.  The conformance suite, the
 cross-backend matrix and the chaos sweep (:mod:`repro.verify`), the
 version-1 chain (``tests/test_version1.py``), the obs CLI, the tuner and
 the job server all iterate :func:`names`, so adding an app is adding one
-:class:`AppSpec` here.
+:class:`AppSpec` here.  The paper's figures (:mod:`repro.bench.figures`)
+run registered apps too, so every curve is a run of a program those
+suites verify.
 
 Determinism contract: an app's ``build`` derives *all* of its input from
 the parameter dict (data seeds included), so two runs with equal
@@ -214,6 +216,12 @@ def _build_mergesort(p: dict) -> Build:
     return one_deep_mergesort(), p["nprocs"], (_keys(p),), {}
 
 
+def _build_mergesort_tree(p: dict) -> Build:
+    from repro.apps.sorting.mergesort import traditional_mergesort
+
+    return traditional_mergesort(), p["nprocs"], (_keys(p),), {}
+
+
 def _model_mergesort(p: dict, machine, proc_grid) -> float:
     from repro.bench.predict import predict_onedeep_sort
 
@@ -353,6 +361,16 @@ register(
         defaults={"nprocs": 4, "n": 4096, "seed": 0},
         verify_overrides={"n": 512},
         model=_model_mergesort,
+    )
+)
+register(
+    AppSpec(
+        name="mergesort-tree",
+        archetype="traditional-dc",
+        description="traditional mergesort (Figure 1 baseline: recursive halving from rank 0)",
+        build=_build_mergesort_tree,
+        defaults={"nprocs": 4, "n": 4096, "seed": 0},
+        verify_overrides={"n": 512},
     )
 )
 register(

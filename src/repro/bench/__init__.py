@@ -3,7 +3,8 @@
 :mod:`repro.bench.harness` runs speedup experiments (virtual parallel
 time vs. a sequential baseline on a modelled machine);
 :mod:`repro.bench.figures` defines one experiment per numeric figure of
-the paper (Figures 6, 12, 15, 16, 17, 18); :mod:`repro.bench.report`
+the paper (Figures 6, 12, 15, 16, 17, 18), each a sweep of registered
+apps (:mod:`repro.apps.registry`); :mod:`repro.bench.report`
 renders the series as the tables/ASCII plots ``python -m repro.bench``
 prints.  Virtual time only: host seconds are ``perfbench``'s.
 """

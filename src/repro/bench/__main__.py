@@ -17,7 +17,10 @@ byte for byte (a tier-1 test holds it to that).  Host seconds — what the
 simulator, the process engine or the server cost to run — are measured
 by ``perfbench`` and ``make bench-pairs`` and nowhere in this package.
 
-Each figure command runs the corresponding experiment, prints the
+Each command is one :class:`Command` row of :data:`COMMANDS` — its
+experiment, description, machine models and reduced ``all`` scale,
+declared once.  A figure command runs the corresponding experiment (a
+sweep of registered apps, :mod:`repro.bench.figures`), prints the
 speedup table and an ASCII plot, and optionally writes the series as
 JSON.  ``overlap`` compares blocking and overlapped ghost exchange on
 the mesh apps.  ``pipeline`` sweeps the image pipeline's blur-farm width
@@ -33,54 +36,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from collections.abc import Callable
+from typing import NamedTuple
 
 from repro.bench import figures
 from repro.bench import tune as tune_bench
 from repro.bench.harness import SpeedupCurve
 from repro.bench.report import format_curves, render_ascii_plot
 
-FIGURES = {
-    "fig06": (figures.figure06_mergesort, "traditional vs one-deep mergesort (Delta)"),
-    "fig12": (figures.figure12_fft2d, "2-D FFT (IBM SP)"),
-    "fig15": (figures.figure15_poisson, "Poisson solver (IBM SP)"),
-    "fig16": (figures.figure16_cfd, "2-D CFD (Delta)"),
-    "fig17": (figures.figure17_fdtd, "3-D FDTD (IBM SP)"),
-    "fig18": (figures.figure18_spectral, "spectral flow vs 5-proc base (IBM SP)"),
-}
-
 #: default output of ``python -m repro.bench all``
 ARTIFACT = "BENCH_FIGURES.json"
-
-_BOTH_MACHINES = ", ".join(m.name for m in figures.OVERLAP_MACHINES)
-
-#: machine model(s) each command's artifact entry runs on (matches the
-#: experiments' defaults)
-FIGURE_MACHINES = {
-    "fig06": "intel-delta",
-    "fig12": "ibm-sp",
-    "fig15": "ibm-sp",
-    "fig16": "intel-delta",
-    "fig17": "ibm-sp",
-    "fig18": "ibm-sp-small-mem",
-    "overlap": _BOTH_MACHINES,
-    "pipeline": _BOTH_MACHINES,
-}
-
-#: reduced problem scales for the ``all`` sweep — the same sizes the test
-#: suite exercises, so the sweep finishes in seconds while preserving
-#: every figure's shape claim
-FAST_PARAMS: dict[str, dict] = {
-    "fig06": {"n": 1 << 14, "procs": (1, 4, 16)},
-    "fig12": {"shape": (64, 64), "repeats": 2, "procs": (1, 4, 16)},
-    "fig15": {"nx": 128, "ny": 128, "iters": 5, "procs": (1, 4, 16)},
-    "fig16": {"nx": 128, "ny": 128, "steps": 2, "procs": (1, 4, 16)},
-    "fig17": {"n": 16, "steps": 2, "procs": (1, 8, 16, 18)},
-    "fig18": {"nr": 128, "nz": 256, "steps": 1, "procs": (5, 10, 20), "base_procs": 5},
-    "overlap": {"procs": 4},
-    "pipeline": {"widths": (1, 2, 4), "items": 16, "shape": (16, 16)},
-    "tune": {},
-}
 
 
 def curves_to_json(curves: list[SpeedupCurve]) -> list[dict]:
@@ -123,53 +88,110 @@ def render_overlap_table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def commands() -> dict[str, tuple]:
-    """Every runnable command: ``name -> (run, render, check, description)``.
+class Command(NamedTuple):
+    """One ``python -m repro.bench`` command, declared once."""
 
-    ``run(**params)`` returns the result (curves or rows), ``render``
-    turns it into the printed table, ``check`` (or ``None``) lists what
-    is wrong with it.  Built per call from :data:`FIGURES`, which stays
-    the one place a figure is registered."""
-    table: dict[str, tuple] = {
-        name: (experiment, partial(format_curves, f"{name} — {description}"), None, description)
-        for name, (experiment, description) in FIGURES.items()
-    }
-    table["overlap"] = (
+    #: ``run(**params)``: speedup curves (a figure) or rows (an ablation)
+    run: Callable[..., list]
+    description: str
+    #: the machine model(s) the experiment's defaults run on
+    machines: tuple[str, ...]
+    #: the reduced problem scale of the ``all`` sweep — the sizes the test
+    #: suite exercises, so the sweep finishes in seconds while preserving
+    #: every figure's shape claim
+    fast: dict
+    #: ``render(rows) -> table`` for an ablation; ``None`` for a figure,
+    #: which prints its speedup curves
+    render: Callable[[list], str] | None = None
+    #: ``check(rows)`` lists what is wrong with the result
+    check: Callable[[list], list[str]] | None = None
+
+    @property
+    def is_figure(self) -> bool:
+        return self.render is None
+
+
+_BOTH_MACHINES = tuple(m.name for m in figures.OVERLAP_MACHINES)
+
+#: every runnable command, in the order ``all`` runs them
+COMMANDS: dict[str, Command] = {
+    "fig06": Command(
+        figures.figure06_mergesort,
+        "traditional vs one-deep mergesort (Delta)",
+        ("intel-delta",),
+        {"n": 1 << 14, "procs": (1, 4, 16)},
+    ),
+    "fig12": Command(
+        figures.figure12_fft2d,
+        "2-D FFT (IBM SP)",
+        ("ibm-sp",),
+        {"shape": (64, 64), "repeats": 2, "procs": (1, 4, 16)},
+    ),
+    "fig15": Command(
+        figures.figure15_poisson,
+        "Poisson solver (IBM SP)",
+        ("ibm-sp",),
+        {"nx": 128, "ny": 128, "iters": 5, "procs": (1, 4, 16)},
+    ),
+    "fig16": Command(
+        figures.figure16_cfd,
+        "2-D CFD (Delta)",
+        ("intel-delta",),
+        {"nx": 128, "ny": 128, "steps": 2, "procs": (1, 4, 16)},
+    ),
+    "fig17": Command(
+        figures.figure17_fdtd,
+        "3-D FDTD (IBM SP)",
+        ("ibm-sp",),
+        {"n": 16, "steps": 2, "procs": (1, 8, 16, 18)},
+    ),
+    "fig18": Command(
+        figures.figure18_spectral,
+        "spectral flow vs 5-proc base (IBM SP)",
+        ("ibm-sp-small-mem",),
+        {"nr": 128, "nz": 256, "steps": 1, "procs": (5, 10, 20), "base_procs": 5},
+    ),
+    "overlap": Command(
         figures.overlap_ablation,
-        render_overlap_table,
-        None,
         "blocking vs overlapped ghost exchange makespan",
-    )
-    table["pipeline"] = (
+        _BOTH_MACHINES,
+        {"procs": 4},
+        render_overlap_table,
+    ),
+    "pipeline": Command(
         figures.pipeline_farm,
-        render_pipeline_table,
-        None,
         "image pipeline throughput/latency vs blur-farm width",
-    )
-    table["tune"] = (
+        _BOTH_MACHINES,
+        {"widths": (1, 2, 4), "items": 16, "shape": (16, 16)},
+        render_pipeline_table,
+    ),
+    "tune": Command(
         tune_bench.run_ablation,
-        tune_bench.render_table,
-        tune_bench.check_rows,
         "autotuned vs default virtual makespan, exhaustive "
         "search (predicted-vs-measured error and prune hit-rate per case)",
-    )
-    return table
+        tune_bench.MACHINES,
+        {},
+        tune_bench.render_table,
+        tune_bench.check_rows,
+    ),
+}
 
 
 def execute(name: str, params: dict, plot: bool = False) -> tuple[list[dict], list[str]]:
     """Run one command and print its table; returns its JSON series and
     what its check found wrong."""
-    run, render, check, _ = commands()[name]
-    result = run(**params)
-    print(render(result))
-    if name in FIGURES:
+    command = COMMANDS[name]
+    result = command.run(**params)
+    if command.is_figure:
+        print(format_curves(f"{name} — {command.description}", result))
         if plot:
             print()
             print(render_ascii_plot(result))
         series = curves_to_json(result)
     else:
+        print(command.render(result))
         series = [r if isinstance(r, dict) else r.to_json() for r in result]
-    return series, check(result) if check else []
+    return series, command.check(result) if command.check else []
 
 
 def finish(payload, problems: list[str], json_path: str | None) -> int:
@@ -190,37 +212,35 @@ def run_all(json_path: str) -> int:
     """Sweep every command at reduced scale and write the JSON artifact."""
     report: dict = {"artifact": ARTIFACT.removesuffix(".json"), "figures": {}}
     problems: list[str] = []
-    for name, (_, _, _, description) in commands().items():
-        params = FAST_PARAMS[name]
-        series, bad = execute(name, params)
+    for name, command in COMMANDS.items():
+        series, bad = execute(name, command.fast)
         print()
         problems += bad
         if name == "tune":
             report["tune"] = {
-                "description": description,
-                "machines": list(tune_bench.MACHINES),
+                "description": command.description,
+                "machines": list(command.machines),
                 "rows": series,
             }
             continue
-        is_figure = name in FIGURES
-        report["figures"][name if is_figure else f"fig_{name}"] = {
-            "description": description,
-            "machine": FIGURE_MACHINES[name],
-            "params": {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()},
-            "curves" if is_figure else "rows": series,
+        params = {k: list(v) if isinstance(v, tuple) else v for k, v in command.fast.items()}
+        report["figures"][name if command.is_figure else f"fig_{name}"] = {
+            "description": command.description,
+            "machine": ", ".join(command.machines),
+            "params": params,
+            "curves" if command.is_figure else "rows": series,
         }
     return finish(report, problems, json_path)
 
 
 def main(argv: list[str] | None = None) -> int:
-    table = commands()
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate a figure from Massingill & Chandy (IPPS 1999).",
     )
     parser.add_argument(
         "figure",
-        choices=[*table, "all", "list"],
+        choices=[*COMMANDS, "all", "list"],
         help="figure or ablation to run (see 'list'), 'all' for the "
         f"reduced-scale sweep of every one (writes {ARTIFACT}), or 'list' "
         "to enumerate them",
@@ -232,8 +252,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.figure == "list":
-        for name, (_, _, _, description) in table.items():
-            print(f"  {name}: {description}")
+        for name, command in COMMANDS.items():
+            print(f"  {name}: {command.description}")
         return 0
     if args.figure == "all":
         return run_all(args.json or ARTIFACT)

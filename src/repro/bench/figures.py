@@ -7,33 +7,30 @@ regime the prose describes (see EXPERIMENTS.md); the assertions
 ``tests/test_paper_claims.py`` applies at these defaults check the
 *shape* claims the paper makes in text, not absolute numbers.
 
-All experiments execute the real algorithms on real data through the
-virtual machine; virtual times come from the machine model applied to
-the actual message pattern and the analytic work charges.
+Every point is a run of a registered app (:mod:`repro.apps.registry`):
+the same declaration, input data (drawn from the build's ``seed``) and
+run path the conformance and chaos suites verify.  Runs are untuned
+(``tuned=TunedConfig()``), so a figure depends on the machine model and
+the problem size alone, never on the tuned-config catalog.  Virtual
+times come from the machine model applied to the actual message pattern
+and the analytic work charges.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
+from repro.apps import registry
+from repro.apps.cfd import sequential_cfd_time
+from repro.apps.fdtd import sequential_fdtd_time
+from repro.apps.fft2d import sequential_fft2d_time
+from repro.apps.poisson import sequential_poisson_time
+from repro.apps.sorting.mergesort import sequential_sort_time
 from repro.bench.harness import SpeedupCurve, measure_speedups
 from repro.machines.catalog import IBM_SP, INTEL_DELTA
 from repro.machines.model import MachineModel
-from repro.apps.sorting.mergesort import (
-    one_deep_mergesort,
-    sequential_sort_time,
-    traditional_mergesort,
-)
-from repro.apps.fft2d import fft2d_archetype, sequential_fft2d_time
-from repro.apps.poisson import poisson_archetype, sequential_poisson_time
-from repro.apps.cfd import cfd_archetype, sequential_cfd_time
-from repro.apps.fdtd import fdtd_archetype, sequential_fdtd_time
-from repro.apps.spectralflow import (
-    sequential_spectralflow_time,
-    spectralflow_archetype,
-)
+from repro.runtime.spmd import RunResult
+from repro.tune.catalog import TunedConfig
 
 #: default process counts per figure (the paper's x-axes)
 FIG06_PROCS = (1, 2, 4, 8, 16, 32, 64)
@@ -42,6 +39,25 @@ FIG15_PROCS = (1, 2, 4, 8, 16, 32, 40)
 FIG16_PROCS = (1, 2, 4, 9, 16, 25, 49, 100)
 FIG17_PROCS = (1, 2, 4, 8, 12, 16, 18)
 FIG18_PROCS = (5, 10, 15, 20, 25, 30, 35, 40)
+
+
+def _run(app: str, machine: MachineModel, **params) -> RunResult:
+    """One untuned run of registered *app* with *params* over its defaults."""
+    return registry.get(app).run(params, machine=machine, tuned=TunedConfig())
+
+
+def _sweep(
+    label: str,
+    app: str,
+    procs: tuple[int, ...],
+    machine: MachineModel,
+    t_seq: float,
+    **params,
+) -> SpeedupCurve:
+    """The speedup curve of *app* over *procs* against baseline *t_seq*."""
+    return measure_speedups(
+        label, lambda p: _run(app, machine, nprocs=p, **params), procs, t_seq
+    )
 
 
 def figure06_mergesort(
@@ -56,27 +72,14 @@ def figure06_mergesort(
     2^20 keys (the comm/compute ratio, which sets the curve shapes, is
     nearly size-independent for sort workloads at these scales).
     """
-    rng = np.random.default_rng(seed)
-    data = rng.integers(0, np.iinfo(np.int64).max, size=n)
     t_seq = sequential_sort_time(n, machine)
-
-    onedeep = one_deep_mergesort()
-    traditional = traditional_mergesort()
-    curves = [
-        measure_speedups(
-            "one-deep mergesort",
-            lambda p: onedeep.run(p, data, machine=machine),
-            procs,
-            t_seq,
-        ),
-        measure_speedups(
-            "traditional mergesort",
-            lambda p: traditional.run(p, data, machine=machine),
-            procs,
-            t_seq,
-        ),
+    return [
+        _sweep(label, app, procs, machine, t_seq, n=n, seed=seed)
+        for label, app in (
+            ("one-deep mergesort", "mergesort"),
+            ("traditional mergesort", "mergesort-tree"),
+        )
     ]
-    return curves
 
 
 def figure12_fft2d(
@@ -92,16 +95,12 @@ def figure12_fft2d(
     of too small a ratio of computation to communication"; the modest
     grid keeps the experiment in that regime.
     """
-    rng = np.random.default_rng(seed)
-    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rows, cols = shape
     t_seq = sequential_fft2d_time(shape, repeats, machine)
-    arch = fft2d_archetype()
     return [
-        measure_speedups(
-            "2-D FFT",
-            lambda p: arch.run(p, data, repeats, machine=machine),
-            procs,
-            t_seq,
+        _sweep(
+            "2-D FFT", "fft2d", procs, machine, t_seq,
+            rows=rows, cols=cols, repeats=repeats, seed=seed,
         )
     ]
 
@@ -117,22 +116,11 @@ def figure15_poisson(
 
     Runs a fixed number of Jacobi sweeps (tolerance set unreachably low
     so every process count does identical work)."""
-    arch = poisson_archetype()
     t_seq = sequential_poisson_time(nx, ny, iters, machine)
     return [
-        measure_speedups(
-            "Poisson solver",
-            lambda p: arch.run(
-                p,
-                nx,
-                ny,
-                machine=machine,
-                tolerance=0.0,
-                max_iters=iters,
-                gather_solution=False,
-            ),
-            procs,
-            t_seq,
+        _sweep(
+            "Poisson solver", "poisson", procs, machine, t_seq,
+            nx=nx, ny=ny, tolerance=0.0, max_iters=iters,
         )
     ]
 
@@ -152,23 +140,11 @@ def figure16_cfd(
     the production optimisations real codes used: packed boundary
     messages and a CFL reduction computed once per run.
     """
-    arch = cfd_archetype()
     t_seq = sequential_cfd_time(nx, ny, steps, machine)
     return [
-        measure_speedups(
-            "2-D CFD",
-            lambda p: arch.run(
-                p,
-                nx,
-                ny,
-                steps,
-                ic="smooth",
-                machine=machine,
-                gather=False,
-                cfl_interval=steps,
-            ),
-            procs,
-            t_seq,
+        _sweep(
+            "2-D CFD", "cfd", procs, machine, t_seq,
+            nx=nx, ny=ny, steps=steps, ic="smooth", cfl_interval=steps,
         )
     ]
 
@@ -185,15 +161,9 @@ def figure17_fdtd(
     results from the ratio of computation to communication dropping too
     low for efficiency" — a small grid per node plus switch congestion
     reproduces the peak-then-decline."""
-    arch = fdtd_archetype()
     t_seq = sequential_fdtd_time(n, n, n, steps, machine)
     return [
-        measure_speedups(
-            "3-D FDTD",
-            lambda p: arch.run(p, n, n, n, steps=steps, machine=machine, gather=False),
-            procs,
-            t_seq,
-        )
+        _sweep("3-D FDTD", "fdtd", procs, machine, t_seq, nx=n, ny=n, nz=n, steps=steps)
     ]
 
 
@@ -225,25 +195,14 @@ def figure18_spectral(
             mem_per_node=working_set_total / base_procs * 0.96,
             name="ibm-sp-small-mem",
         )
-    arch = spectralflow_archetype()
-    base = arch.run(
-        base_procs, nr, nz, steps=steps, dt=1e-3, machine=machine, gather=False
-    )
-    t_base = base.elapsed
-    curve = measure_speedups(
-        f"spectral flow (vs {base_procs} procs)",
-        lambda p: arch.run(
-            p, nr, nz, steps=steps, dt=1e-3, machine=machine, gather=False
-        ),
-        procs,
-        t_base,
-    )
-    return [curve]
-
-
-def sequential_spectral_reference(nr: int, nz: int, steps: int, machine: MachineModel) -> float:
-    """Exposed for analysis: the (paged) sequential baseline of Fig. 18."""
-    return sequential_spectralflow_time(nr, nz, steps, machine)
+    params = {"nr": nr, "nz": nz, "steps": steps, "dt": 1e-3}
+    t_base = _run("spectralflow", machine, nprocs=base_procs, **params).elapsed
+    return [
+        _sweep(
+            f"spectral flow (vs {base_procs} procs)",
+            "spectralflow", procs, machine, t_base, **params,
+        )
+    ]
 
 
 #: default machine models for the overlap ablation (one high-latency
@@ -272,43 +231,18 @@ def overlap_ablation(
     differs, because the overlapped path charges ``max(compute, wire)``
     where the blocking path charges their sum.
     """
-    rows: list[dict] = []
-    runs = {
-        "poisson": lambda machine, overlap: poisson_archetype().run(
-            procs,
-            poisson_n,
-            poisson_n,
-            machine=machine,
-            tolerance=0.0,
-            max_iters=poisson_iters,
-            gather_solution=False,
-            overlap=overlap,
-        ),
-        "cfd": lambda machine, overlap: cfd_archetype().run(
-            procs,
-            cfd_n,
-            cfd_n,
-            cfd_steps,
-            ic="smooth",
-            machine=machine,
-            gather=False,
-            overlap=overlap,
-        ),
-        "fdtd": lambda machine, overlap: fdtd_archetype().run(
-            procs,
-            fdtd_n,
-            fdtd_n,
-            fdtd_n,
-            steps=fdtd_steps,
-            machine=machine,
-            gather=False,
-            overlap=overlap,
-        ),
+    apps = {
+        "poisson": {"nx": poisson_n, "ny": poisson_n, "tolerance": 0.0, "max_iters": poisson_iters},
+        "cfd": {"nx": cfd_n, "ny": cfd_n, "steps": cfd_steps, "ic": "smooth"},
+        "fdtd": {"nx": fdtd_n, "ny": fdtd_n, "nz": fdtd_n, "steps": fdtd_steps},
     }
+    rows: list[dict] = []
     for machine in machines:
-        for app, run in runs.items():
-            blocking = run(machine, False).elapsed
-            overlapped = run(machine, True).elapsed
+        for app, params in apps.items():
+            blocking, overlapped = (
+                _run(app, machine, nprocs=procs, overlap=overlap, **params).elapsed
+                for overlap in (False, True)
+            )
             rows.append(
                 {
                     "app": app,
@@ -341,25 +275,23 @@ def pipeline_farm(
     widening the farm past that point buys nothing, while per-frame
     latency stays flat throughout (farming adds bandwidth, not speed).
     """
-    from repro.apps.imagepipe import imagepipe_archetype, make_images
-
-    stream = make_images(items, shape, seed=0)
-    single = make_images(1, shape, seed=0)
-    rows: list[dict] = []
+    rows, cols = shape
+    out: list[dict] = []
     for machine in machines:
         for width in widths:
-            pipeline = imagepipe_archetype(blur_workers=width, window=window)
-            makespan = pipeline.run(pipeline.nprocs, stream, machine=machine).elapsed
-            latency = pipeline.run(pipeline.nprocs, single, machine=machine).elapsed
-            rows.append(
+            params = {"width": width, "window": window, "rows": rows, "cols": cols, "seed": 0}
+            stream = _run("imagepipe", machine, items=items, **params)
+            latency = _run("imagepipe", machine, items=1, **params).elapsed
+            makespan = stream.elapsed
+            out.append(
                 {
                     "machine": machine.name,
                     "width": width,
-                    "procs": pipeline.nprocs,
+                    "procs": stream.nprocs,
                     "items": items,
                     "makespan": makespan,
                     "throughput": items / makespan if makespan else float("inf"),
                     "latency": latency,
                 }
             )
-    return rows
+    return out

@@ -22,7 +22,7 @@ declared par-loop over the undistributed grid — a ``forall`` whose reads
 precede its writes because a loop's output may not overlap its halo
 inputs (paper §3.1).  ``tests/test_version1.py`` closes the chain
 *sequential == version 1 == version 2 (SPMD)* for every registered
-one-deep and mesh app.
+one-deep, traditional and mesh app.
 """
 
 from __future__ import annotations

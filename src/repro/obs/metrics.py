@@ -416,16 +416,6 @@ class GaugeHandle(_Handle):
             self._registry = registry
         self._instrument._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        registry = _default_registry
-        if self._registry is not registry:
-            self._instrument = self._create(registry)
-            self._registry = registry
-        self._instrument._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
 
 class HistogramHandle(_Handle):
     """Cached handle to a :class:`Histogram` (see :func:`histogram_handle`).

@@ -68,7 +68,6 @@ def _make_fuzzed(nprocs: int, **options) -> "object":
     return FuzzedBackend(
         nprocs,
         seed=options.get("seed", 0),
-        perturb_matching=options.get("perturb_matching", True),
         faults=options.get("faults"),
     )
 
@@ -164,8 +163,8 @@ def create(name: str | None, nprocs: int, **options) -> "object":
     """Construct an in-process backend by name.
 
     *options* are the union of every backend's knobs (``seed``,
-    ``perturb_matching``, ``faults``, ``deadlock_timeout``); each factory
-    picks what it understands.  The process-parallel backend has no
+    ``faults``, ``deadlock_timeout``); each factory picks what it
+    understands.  The process-parallel backend has no
     in-process factory — callers must dispatch on
     :attr:`BackendSpec.in_process` first.
     """

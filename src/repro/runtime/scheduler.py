@@ -36,7 +36,7 @@ from enum import Enum
 
 from repro.errors import DeadlockError, InjectedFaultError, RankFailedError
 from repro.obs.metrics import counter_handle
-from repro.runtime.mailbox import Mailbox, _earliest
+from repro.runtime.mailbox import Mailbox
 from repro.runtime.message import ANY_SOURCE, ANY_TAG, Message
 
 _DEADLOCKS = counter_handle(
@@ -473,10 +473,10 @@ class FuzzedBackend(DeterministicBackend):
     whole execution stays exactly reproducible: same seed ⇒ same
     scheduling decisions ⇒ same mailbox states ⇒ same results and traces.
 
-    With ``perturb_matching`` (default on), a *wildcard* receive that has
-    several candidates pending takes a random one instead of the
-    earliest-arriving one.  It draws from the same candidate set the
-    deterministic backend chooses from (:meth:`Mailbox.candidates
+    A *wildcard* receive that has several candidates pending takes a
+    random one instead of the earliest-arriving one.  It draws from the
+    same candidate set the deterministic backend chooses from
+    (:meth:`Mailbox.candidates
     <repro.runtime.mailbox.Mailbox.candidates>`: each sender's oldest
     matching message, so non-overtaking holds), which holds only choices
     a real machine could make.  Each wildcard match is recorded as a
@@ -494,12 +494,10 @@ class FuzzedBackend(DeterministicBackend):
         self,
         nprocs: int,
         seed: int = 0,
-        perturb_matching: bool = True,
         faults: FaultPlan | None = None,
     ):
         super().__init__(nprocs)
         self.seed = seed
-        self.perturb_matching = perturb_matching
         self.faults = faults
         self._rng = random.Random(seed)
         #: scheduling decisions: one (rank, virtual clock at pick time)
@@ -553,10 +551,10 @@ class FuzzedBackend(DeterministicBackend):
         candidates = mailbox.candidates(source, tag, ctx)
         if not candidates:
             return None
-        if self.perturb_matching and len(candidates) > 1:
+        if len(candidates) > 1:
             chosen = mailbox.take(self._rng.choice(candidates))
         else:
-            chosen = mailbox.take(_earliest(candidates))
+            chosen = mailbox.take(candidates[0])
         if self.tracer is not None:
             self.tracer.match(
                 rank=rank,
@@ -584,7 +582,7 @@ class FuzzedBackend(DeterministicBackend):
         so the verification layer can report completion-order
         nondeterminism alongside wildcard races.
         """
-        if len(candidates) <= 1 or not self.perturb_matching:
+        if len(candidates) <= 1:
             return 0
         pos = self._rng.randrange(len(candidates))
         if self.tracer is not None:

@@ -30,7 +30,6 @@ class _ScheduleOverride:
     """Active :func:`fuzzed_schedule` directive."""
 
     seed: int
-    perturb_matching: bool
     faults: FaultPlan | None
 
 
@@ -38,11 +37,7 @@ _override: _ScheduleOverride | None = None
 
 
 @contextlib.contextmanager
-def fuzzed_schedule(
-    seed: int,
-    perturb_matching: bool = True,
-    faults: FaultPlan | None = None,
-) -> Iterator[None]:
+def fuzzed_schedule(seed: int, faults: FaultPlan | None = None) -> Iterator[None]:
     """Force ``backend="deterministic"`` runs inside the block onto a
     :class:`~repro.runtime.scheduler.FuzzedBackend` with *seed*.
 
@@ -57,7 +52,7 @@ def fuzzed_schedule(
     """
     global _override
     previous = _override
-    _override = _ScheduleOverride(seed, perturb_matching, faults)
+    _override = _ScheduleOverride(seed, faults)
     try:
         yield
     finally:
@@ -158,7 +153,6 @@ def spmd_run(
     trace: bool = False,
     deadlock_timeout: float = 30.0,
     seed: int = 0,
-    perturb_matching: bool = True,
     faults: FaultPlan | None = None,
 ) -> RunResult:
     """Run ``fn(comm, *args, **kwargs)`` on *nprocs* ranks.
@@ -190,10 +184,9 @@ def spmd_run(
         For the threaded and parallel backends, seconds a receive may
         starve (parallel: seconds of global no-progress with every rank
         blocked) before the run is declared deadlocked.
-    seed, perturb_matching, faults:
+    seed, faults:
         Fuzzed-backend knobs (ignored by the other backends): the PRNG
-        seed selecting the interleaving, whether wildcard-receive matching
-        is randomised among legal candidates, and an optional
+        seed selecting the interleaving and an optional
         :class:`~repro.runtime.scheduler.FaultPlan` to inject.
 
     A surrounding :func:`fuzzed_schedule` context overrides
@@ -210,7 +203,6 @@ def spmd_run(
     if backend == "deterministic" and _override is not None:
         backend = "fuzzed"
         seed = _override.seed
-        perturb_matching = _override.perturb_matching
         faults = _override.faults
 
     if not backends.get(backend).in_process:
@@ -235,7 +227,6 @@ def spmd_run(
         backend,
         nprocs,
         seed=seed,
-        perturb_matching=perturb_matching,
         faults=faults,
         deadlock_timeout=deadlock_timeout,
     )

@@ -60,10 +60,6 @@ class TraceSummary:
     def max_comm_time(self) -> float:
         return max((r.comm_time for r in self.ranks), default=0.0)
 
-    @property
-    def max_compute_time(self) -> float:
-        return max((r.compute_time for r in self.ranks), default=0.0)
-
     def comm_fraction(self) -> float:
         """Fraction of the busiest-rank timeline spent communicating."""
         busiest = max(

@@ -119,22 +119,13 @@ class ScheduleExplorer:
         :meth:`Archetype.run <repro.core.archetype.Archetype.run>` call.
         If it returns a :class:`~repro.runtime.spmd.RunResult`, digests
         are computed per rank; any other value is digested as one unit.
-    perturb_matching:
-        Forwarded to the fuzzed backend: randomise which legal candidate
-        a wildcard receive takes.
     faults:
         Optional :class:`~repro.runtime.scheduler.FaultPlan` applied to
         every fuzzed run (never to the baseline).
     """
 
-    def __init__(
-        self,
-        program: Callable[[], Any],
-        perturb_matching: bool = True,
-        faults: FaultPlan | None = None,
-    ):
+    def __init__(self, program: Callable[[], Any], faults: FaultPlan | None = None):
         self._program = program
-        self.perturb_matching = perturb_matching
         self.faults = faults
         self._baseline: Any = None
         self._have_baseline = False
@@ -172,9 +163,7 @@ class ScheduleExplorer:
 
     def run_seed(self, seed: int) -> Any:
         """One fuzzed run under *seed* (exactly reproducible)."""
-        with fuzzed_schedule(
-            seed, perturb_matching=self.perturb_matching, faults=self.faults
-        ):
+        with fuzzed_schedule(seed, faults=self.faults):
             return self._program()
 
     def replay(self, seed: int) -> Any:

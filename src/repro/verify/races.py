@@ -21,6 +21,7 @@ them for observability.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.runtime.spmd import RunResult
@@ -52,6 +53,25 @@ class RaceFinding:
         )
 
 
+def _scan(result: RunResult, seed: int, kind: Callable[[MatchEvent], bool]) -> list[RaceFinding]:
+    """Every traced match of *kind* that had more than one candidate."""
+    if result.tracer is None:
+        return []
+    return [
+        RaceFinding(
+            seed=seed,
+            rank=event.rank,
+            clock=event.start,
+            tag=event.tag,
+            chosen=event.source,
+            candidates=event.candidates,
+        )
+        for rank_events in result.tracer.events
+        for event in rank_events
+        if isinstance(event, MatchEvent) and kind(event) and len(event.candidates) > 1
+    ]
+
+
 def scan_races(result: RunResult, seed: int) -> list[RaceFinding]:
     """Extract wildcard races from a traced (fuzzed) run.
 
@@ -60,27 +80,7 @@ def scan_races(result: RunResult, seed: int) -> list[RaceFinding]:
     races; a wildcard tag with a single source still matches in FIFO
     order, which the schedule cannot change.
     """
-    if result.tracer is None:
-        return []
-    findings: list[RaceFinding] = []
-    for rank_events in result.tracer.events:
-        for event in rank_events:
-            if (
-                isinstance(event, MatchEvent)
-                and event.wildcard_source
-                and len(event.candidates) > 1
-            ):
-                findings.append(
-                    RaceFinding(
-                        seed=seed,
-                        rank=event.rank,
-                        clock=event.start,
-                        tag=event.tag,
-                        chosen=event.source,
-                        candidates=event.candidates,
-                    )
-                )
-    return findings
+    return _scan(result, seed, lambda event: event.wildcard_source)
 
 
 def scan_completion_races(result: RunResult, seed: int) -> list[RaceFinding]:
@@ -93,24 +93,4 @@ def scan_completion_races(result: RunResult, seed: int) -> list[RaceFinding]:
     program branching on ``waitany``'s *index* is schedule-dependent in
     the same way a wildcard receive is — so the explorer surfaces them.
     """
-    if result.tracer is None:
-        return []
-    findings: list[RaceFinding] = []
-    for rank_events in result.tracer.events:
-        for event in rank_events:
-            if (
-                isinstance(event, MatchEvent)
-                and event.completion
-                and len(event.candidates) > 1
-            ):
-                findings.append(
-                    RaceFinding(
-                        seed=seed,
-                        rank=event.rank,
-                        clock=event.start,
-                        tag=event.tag,
-                        chosen=event.source,
-                        candidates=event.candidates,
-                    )
-                )
-    return findings
+    return _scan(result, seed, lambda event: event.completion)

@@ -7,7 +7,16 @@ from repro.apps.registry import AppSpec
 from repro.errors import ReproError
 from repro.verify.digest import value_digest
 
-EXPECTED_APPS = {"mergesort", "quicksort", "skyline", "poisson", "fft2d", "imagepipe", "knapfarm"}
+EXPECTED_APPS = {
+    "mergesort",
+    "mergesort-tree",
+    "quicksort",
+    "skyline",
+    "poisson",
+    "fft2d",
+    "imagepipe",
+    "knapfarm",
+}
 
 
 def _digest(result):

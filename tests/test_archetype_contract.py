@@ -24,8 +24,8 @@ PROGRAM_NAMES = sorted(PROGRAMS)
 
 
 def test_registry_covers_all_archetypes():
-    """The registry must keep covering the three archetype families."""
-    assert set(archetypes()) >= {"one-deep-dc", "mesh-spectral", "pipeline-farm"}
+    """The registry must keep covering the four archetype families."""
+    assert set(archetypes()) >= {"one-deep-dc", "traditional-dc", "mesh-spectral", "pipeline-farm"}
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS), ids=str)

@@ -161,6 +161,21 @@ class TestFigureExperimentsSmall:
         assert curve.at(20).speedup < 20 / 5
 
 
+    def test_points_are_registered_app_runs(self):
+        """A figure point is the untuned run of a registered app: the
+        Figure 1 baseline's curve is app ``mergesort-tree``."""
+        from repro.apps import registry
+        from repro.bench.figures import figure06_mergesort
+        from repro.machines.catalog import INTEL_DELTA
+        from repro.tune.catalog import TunedConfig
+
+        _, trad = figure06_mergesort(n=1 << 10, procs=(4,), seed=3)
+        run = registry.get("mergesort-tree").run(
+            {"n": 1 << 10, "seed": 3, "nprocs": 4}, machine=INTEL_DELTA, tuned=TunedConfig()
+        )
+        assert trad.at(4).t_par == run.elapsed
+
+
 class TestBenchArtifact:
     """Machine-readable results from `python -m repro.bench all`."""
 
@@ -168,7 +183,7 @@ class TestBenchArtifact:
         import json
         from pathlib import Path
 
-        from repro.bench.__main__ import ARTIFACT, FIGURE_MACHINES, FIGURES, main
+        from repro.bench.__main__ import ARTIFACT, COMMANDS, main
 
         out = tmp_path / ARTIFACT
         assert main(["all", "--json", str(out)]) == 0
@@ -182,11 +197,12 @@ class TestBenchArtifact:
         data = json.loads(out.read_text())
         assert data["artifact"] == "BENCH_FIGURES"
         assert set(data) == {"artifact", "figures", "tune"}
-        assert set(data["figures"]) == set(FIGURES) | {"fig_overlap", "fig_pipeline"}
+        figures = {name for name, c in COMMANDS.items() if c.is_figure}
+        assert set(data["figures"]) == figures | {"fig_overlap", "fig_pipeline"}
         for name, entry in data["figures"].items():
             if name in ("fig_overlap", "fig_pipeline"):
                 continue
-            assert entry["machine"] == FIGURE_MACHINES[name]
+            assert entry["machine"] == ", ".join(COMMANDS[name].machines)
             assert entry["description"]
             assert entry["curves"], name
             for curve in entry["curves"]:
@@ -239,8 +255,10 @@ class TestBenchArtifact:
         check reports is printed as FAIL, nothing is written, exit 1."""
         import repro.bench.__main__ as cli
 
-        failing = (lambda: [], lambda rows: "table", lambda rows: ["tuned is worse"], "d")
-        monkeypatch.setattr(cli, "commands", lambda: {"tune": failing})
+        failing = cli.Command(
+            lambda: [], "d", (), {}, lambda rows: "table", lambda rows: ["tuned is worse"]
+        )
+        monkeypatch.setattr(cli, "COMMANDS", {"tune": failing})
         out = tmp_path / "out.json"
         for run in (lambda: cli.run_all(str(out)), lambda: cli.main(["tune", "--json", str(out)])):
             assert run() == 1

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.__main__ import FIGURES, curves_to_json, main
+from repro.bench.__main__ import COMMANDS, curves_to_json, main
 from repro.bench.harness import SpeedupCurve, SpeedupPoint
 
 
@@ -28,7 +28,7 @@ class TestMain:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in FIGURES:
+        for name in COMMANDS:
             assert name in out
 
     def test_runs_small_figure(self, capsys, tmp_path, monkeypatch):
@@ -37,9 +37,12 @@ class TestMain:
         from repro.bench.figures import figure17_fdtd
 
         monkeypatch.setitem(
-            cli.FIGURES,
+            cli.COMMANDS,
             "fig17",
-            (lambda: figure17_fdtd(n=12, steps=2, procs=(1, 4, 8)), "tiny fdtd"),
+            cli.COMMANDS["fig17"]._replace(
+                run=lambda: figure17_fdtd(n=12, steps=2, procs=(1, 4, 8)),
+                description="tiny fdtd",
+            ),
         )
         out_json = tmp_path / "series.json"
         assert main(["fig17", "--json", str(out_json), "--no-plot"]) == 0

@@ -5,10 +5,11 @@ a small one on the same channel *arrives* after it in virtual time.  The
 receiver must still take them in send order — through a blocking
 receive, a wildcard-tag receive and a pair of posted receives — and
 give the same answer on the deterministic, fuzzed, threaded and process
-engines.  The per-engine tests are marked ``chaos``, which runs each
-eight times and turns their ``deterministic`` runs into seeded fuzzed
-ones; the last test holds the unfuzzed deterministic engine to the same
-answers.
+engines.  The same matrix holds ``probe``, ``test``, ``wait`` and
+``waitany`` to the answers program order fixes.  The per-engine tests
+are marked ``chaos``, which runs each eight times and turns their
+``deterministic`` runs into seeded fuzzed ones; the last test holds the
+unfuzzed deterministic engine to the same answers.
 """
 
 import numpy as np
@@ -47,6 +48,30 @@ def _irecv_twice(comm):
     return comm.waitall([comm.irecv(0, 5), comm.irecv(0, 5)])
 
 
+def _probe_test_wait(comm):
+    """``probe``/``test``/``wait``/``waitany`` only where program order
+    fixes the answer: after a later message on the same channel has been
+    received, before a message its sender holds back, and on a message a
+    rank sent itself.  (A ``test`` spin would never yield on the
+    run-to-block engines.)"""
+    if comm.rank == 0:
+        for word in ("a", "b", "c"):
+            comm.send(1, word, tag=5)
+        comm.recv(1, 7)
+        comm.send(1, "d", tag=6)
+        return None
+    first, second = comm.irecv(0, 5), comm.irecv(0, 5)
+    # "c" is received only after "a" and "b" arrived and bound the posts.
+    answers = [comm.recv(0, 5), first.test(), comm.test(second), comm.probe(0, 5)]
+    answers += [first.wait(), comm.waitany([first, second])]
+    held = comm.irecv(0, 6)  # rank 0 sends it only after "go"
+    answers += [held.test(), comm.probe(0, 6)]
+    comm.send(1, "self", tag=9)
+    answers += [comm.probe(1, 9), comm.recv(1, 9)]
+    comm.send(0, "go", tag=7)
+    return answers + [comm.waitany([held])]
+
+
 def _run(body, engine, seed=0, trace=False):
     # An explicit "fuzzed" run is never promoted; seed it apart from the
     # chaos seeds the promoted "deterministic" runs use.
@@ -72,6 +97,12 @@ def _check_any_tag(engine, seed=0):
 
 def _check_irecv(engine, seed=0):
     _assert_big_then_small(_run(_irecv_twice, engine, seed).values[1])
+
+
+def _check_probe_test_wait(engine, seed=0):
+    assert _run(_probe_test_wait, engine, seed).values[1] == [
+        "c", True, True, False, "a", (1, "b"), False, False, True, "self", (0, "d"),
+    ]
 
 
 def _check_trace_pairs(engine, seed=0):
@@ -102,12 +133,18 @@ def test_posted_receives_bind_in_send_order(engine, _chaos_seed):
 
 
 @per_engine
+def test_probe_test_wait_answer_as_program_order_fixes(engine, _chaos_seed):
+    _check_probe_test_wait(engine, _chaos_seed)
+
+
+@per_engine
 def test_trace_pairs_each_send_with_its_own_receive(engine, _chaos_seed):
     _check_trace_pairs(engine, _chaos_seed)
 
 
 @pytest.mark.parametrize(
-    "check", [_check_recv, _check_any_tag, _check_irecv, _check_trace_pairs]
+    "check",
+    [_check_recv, _check_any_tag, _check_irecv, _check_probe_test_wait, _check_trace_pairs],
 )
 def test_unfuzzed_deterministic_engine(check):
     check("deterministic")

@@ -11,7 +11,9 @@ Version 1 is derived from each program's declaration, never written a
 second time: a one-deep program's is :meth:`OneDeepDC.version1` (its
 phase callbacks under ``parfor``), and a mesh program's is the same
 declared program at P = 1, where every grid operation is a par-loop over
-the undistributed grid — a ``forall``.
+the undistributed grid — a ``forall``.  The traditional (Figure 1)
+tree's is likewise its program at P = 1: no split, the leaf solve on the
+whole problem.
 
 Families outside the method: a pipeline-farm app is a process graph of
 stages, not a loop nest over independent iterations, so the paper's
@@ -34,7 +36,7 @@ from repro.verify.digest import value_digest
 UNTUNED = TunedConfig()
 #: families whose version 1 the declaration gives (see the module docstring
 #: for the others)
-V1_FAMILIES = ("one-deep-dc", "mesh-spectral")
+V1_FAMILIES = ("one-deep-dc", "traditional-dc", "mesh-spectral")
 OUTSIDE_V1 = ("pipeline-farm",)
 V1_APPS = [s.name for s in registry.specs() if s.archetype in V1_FAMILIES]
 
@@ -174,7 +176,9 @@ def _gathered(spec) -> dict:
 
 def _version1(spec, params: dict):
     """Version 1 of a registered app, derived from its declaration: the
-    one-deep phases under parfor, or the mesh program at P = 1."""
+    one-deep phases under parfor, or the declared program at P = 1 (a
+    mesh program, or a traditional tree whose P = 1 run is its leaf
+    solve on the whole problem)."""
     if spec.archetype == "one-deep-dc":
         archetype, nparts, args, kwargs = spec.build(spec.params_with(params))
         return archetype.version1(nparts, *args, **kwargs)
@@ -183,13 +187,13 @@ def _version1(spec, params: dict):
 
 def _version2(spec, params: dict):
     """The deterministic SPMD run: per-rank values for a one-deep app,
-    rank 0's gathered result for a mesh app."""
+    rank 0's result (gathered, for a mesh app) otherwise."""
     values = spec.run(params, machine="ibm-sp", mode="sequential", tuned=UNTUNED).values
     return values if spec.archetype == "one-deep-dc" else values[0]
 
 
 class TestRegistryChain:
-    """v1 == v2 for every registered one-deep and mesh app."""
+    """v1 == v2 for every registered one-deep, traditional and mesh app."""
 
     @pytest.mark.parametrize("p", [2, 3, 4, 7])
     @pytest.mark.parametrize("app", V1_APPS)
@@ -210,7 +214,9 @@ class TestRegistryChain:
     def test_every_registered_family_is_placed(self):
         families = {s.archetype for s in registry.specs() if s.archetype != "test"}
         assert families == set(V1_FAMILIES) | set(OUTSIDE_V1)
-        assert {"mergesort", "quicksort", "skyline", "poisson", "fft2d"} <= set(V1_APPS)
+        assert {"mergesort", "mergesort-tree", "quicksort", "skyline", "poisson", "fft2d"} <= set(
+            V1_APPS
+        )
 
     def test_hull_version1_equals_v2(self, rng):
         """hull is one-deep but unregistered: its version 1 comes from the
