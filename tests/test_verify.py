@@ -1,11 +1,15 @@
 """The verification subsystem: fuzzed backend, explorer, faults, races."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import spmd_run
 from repro.comm import SUM
 from repro.errors import DeadlockError, InjectedFaultError, RankFailedError
+from repro.machines.catalog import IBM_SP
 from repro.runtime.message import ANY_SOURCE
 from repro.runtime.scheduler import FaultPlan
 from repro.trace.events import MatchEvent
@@ -20,6 +24,43 @@ from tests.conftest import assert_equal_values
 
 def _allreduce_body(comm):
     return comm.allreduce(comm.rank + 1, SUM)
+
+
+def _collectives_body(comm):
+    total = comm.allreduce(comm.rank + 1, SUM)
+    comm.barrier()
+    return total, comm.alltoall([comm.rank * 10 + d for d in range(comm.size)])
+
+
+#: ``tests/data/fault_pins.json``: fault-injected fuzzed runs recorded
+#: before the fuzzed engine became a choice policy of the deterministic
+#: one (the delay queue and crash logic moved then).  Each row is
+#: :func:`_fault_row` of one (plan, seed); regenerate nothing — a change
+#: that alters a row alters an interleaving.
+_FAULT_PINS = json.loads(
+    (Path(__file__).parent / "data" / "fault_pins.json").read_text()
+)
+
+
+def _fault_row(plan: dict, seed: int) -> dict:
+    """Run the collectives body under *plan* (``nprocs`` plus
+    :class:`FaultPlan` fields) and describe the run: pick-log digest,
+    ``float.hex`` clocks, value and trace digests — or, for a run that
+    fails, its error text."""
+    fields = {k: v for k, v in plan.items() if k != "nprocs"}
+    try:
+        res = spmd_run(
+            plan["nprocs"], _collectives_body, machine=IBM_SP, backend="fuzzed",
+            seed=seed, faults=FaultPlan(**fields), trace=True,
+        )  # fmt: skip
+    except (RankFailedError, DeadlockError) as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {
+        "schedule": value_digest(res.schedule),
+        "clocks": [float(t).hex() for t in res.times],
+        "values": value_digest(res.values),
+        "trace": value_digest([repr(e) for rank in res.tracer.events for e in rank]),
+    }
 
 
 class TestFuzzedBackend:
@@ -245,6 +286,15 @@ class TestFaultInjection:
         with pytest.raises(DeadlockError) as info:
             spmd_run(3, body, backend="fuzzed", seed=2, faults=plan)
         assert set(info.value.waiting) == {0, 1, 2}
+
+    @pytest.mark.parametrize(
+        "index", range(len(_FAULT_PINS)), ids=lambda i: _FAULT_PINS[i]["id"]
+    )
+    def test_fault_injected_runs_reproduce_pins(self, index):
+        """Delay queues and crashes draw from the schedule's seeded
+        stream, so every draw and its order is pinned behaviour."""
+        pin = _FAULT_PINS[index]
+        assert _fault_row(pin["plan"], pin["seed"]) == pin["row"], pin["id"]
 
     def test_explorer_reports_crash_seeds_as_failures(self):
         explorer = ScheduleExplorer.for_body(
