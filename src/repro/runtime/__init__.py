@@ -18,10 +18,10 @@ environment variable):
     debugging methodology.
 
 ``fuzzed``
-    Run-to-block like ``deterministic``, but every scheduling decision is
-    drawn from a seeded PRNG and wildcard-receive matching may be
-    perturbed among legal candidates: each seed is a distinct,
-    reproducible legal interleaving.  A
+    The same run-to-block engine under a seeded choice policy: which rank
+    resumes, which legal candidate a wildcard receive takes and which
+    completion a wait observes are drawn from a seeded PRNG, so each seed
+    is a distinct, reproducible legal interleaving.  A
     :class:`~repro.runtime.scheduler.FaultPlan` can additionally inject
     message delays and rank crashes.  This is the substrate of the
     :mod:`repro.verify` schedule-verification layer.

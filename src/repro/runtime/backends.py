@@ -63,13 +63,9 @@ def _make_deterministic(nprocs: int, **options) -> "object":
 
 
 def _make_fuzzed(nprocs: int, **options) -> "object":
-    from repro.runtime.scheduler import FuzzedBackend
+    from repro.runtime.scheduler import DeterministicBackend, Seeded
 
-    return FuzzedBackend(
-        nprocs,
-        seed=options.get("seed", 0),
-        faults=options.get("faults"),
-    )
+    return DeterministicBackend(nprocs, Seeded(options.get("seed", 0)), options.get("faults"))
 
 
 def _make_threads(nprocs: int, **options) -> "object":
@@ -106,8 +102,8 @@ register(
 register(
     BackendSpec(
         name="fuzzed",
-        description="seeded-PRNG run-to-block scheduling with legal wildcard "
-        "perturbation and fault injection (the verification backend)",
+        description="seeded policy of the run-to-block engine: random picks, "
+        "legal wildcard perturbation and fault injection (the verification backend)",
         in_process=True,
         factory=_make_fuzzed,
     )

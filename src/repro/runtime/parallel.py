@@ -362,12 +362,6 @@ class ParallelBackend(Backend):
         self._drain_nowait()
         return self.mailboxes[rank].post_ready(post_id)
 
-    def run(self, bodies) -> None:
-        raise ReproError(
-            "ParallelBackend is driven by repro.runtime.parallel.run_parallel, "
-            "not Backend.run"
-        )
-
 
 def _portable_error(exc: BaseException) -> BaseException:
     """An exception safe to ship through a pipe (pickle fallback to repr)."""

@@ -1,27 +1,19 @@
-"""Backends: deterministic, fuzzed, and free-running thread scheduling.
+"""Scheduling backends: the run-to-block engine and free-running threads.
 
-All backends expose the same two operations to the communication layer:
+A blocked rank waits on one small value — a receive pattern ``(source,
+tag, ctx)`` or a tuple of post ids — beside a *label* tuple that
+:func:`describe_wait` turns into text only when the wait is reported.
 
-- ``deliver(msg)`` — place a message in the destination rank's mailbox and
-  wake anyone waiting for it;
-- ``wait_for_match(rank, source, tag, ctx)`` — block the calling rank
-  until a matching message is available, then remove and return it.
-
-A blocked rank waits on one small value — a receive pattern
-``(source, tag, ctx)`` or a tuple of post ids — beside a *label* tuple
-that :func:`describe_wait` turns into text only when the wait is
-reported.  The deterministic backend runs exactly one rank at a time and
-always picks the runnable rank furthest behind in virtual time (ties by
-rank id), so executions are reproducible and a global block is detected
-immediately and reported as a :class:`~repro.errors.DeadlockError` naming
-what each rank was waiting for.
-
-The fuzzed backend (:class:`FuzzedBackend`) keeps the run-to-block
-machinery but drives every scheduling decision from a seeded PRNG, so each
-seed is a distinct — yet fully reproducible — legal interleaving.  It can
-also perturb which of a *wildcard* receive's candidates it takes and inject faults
-(message delay/reordering, rank crashes) from a :class:`FaultPlan`.  The
-verification layer (:mod:`repro.verify`) builds on it.
+:class:`DeterministicBackend` is the run-to-block engine: one rank runs
+at a time, and a global block is reported at once as a
+:class:`~repro.errors.DeadlockError` naming what each rank waits for.
+Its *choice policy* decides which runnable rank resumes, which candidate
+a wildcard receive takes and which completion a wait observes first.
+:class:`Canonical` (the ``deterministic`` backend) makes the one
+reproducible choice; :class:`Seeded` (the ``fuzzed`` backend, which
+:mod:`repro.verify` builds on) draws all three from a seeded PRNG, and
+under it a :class:`FaultPlan` can delay messages and crash a rank.
+:class:`ThreadedBackend` runs the ranks as free OS threads.
 """
 
 from __future__ import annotations
@@ -34,9 +26,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.errors import DeadlockError, InjectedFaultError, RankFailedError
+from repro.errors import DeadlockError, InjectedFaultError, RankFailedError, ReproError
 from repro.obs.metrics import counter_handle
-from repro.runtime.mailbox import Mailbox
+from repro.runtime.mailbox import Mailbox, _earliest
 from repro.runtime.message import ANY_SOURCE, ANY_TAG, Message
 
 _DEADLOCKS = counter_handle(
@@ -97,29 +89,18 @@ def _wait_holds(mailbox: Mailbox, waiting: tuple, label: tuple) -> bool:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Faults for a :class:`FuzzedBackend` to inject, seeded by its PRNG.
+    """Faults for the run-to-block engine to inject, drawn from the stream
+    of its :class:`Seeded` policy.
 
-    Attributes
-    ----------
-    delay_prob:
-        Probability that a delivered message is held back for a random
-        number of scheduler steps before it reaches the destination
-        mailbox.  Delays are per-(source, dest) FIFO, so MPI's
-        non-overtaking guarantee is preserved: a delayed message also
-        delays every later message on the same channel.  Cross-channel
-        delivery *is* reordered, which is exactly the legal nondeterminism
-        wildcard receives are exposed to.
-    max_delay_steps:
-        Upper bound (inclusive lower bound is 1) on the number of
-        scheduler steps a delayed message is held.
-    crash_rank:
-        Rank to crash, or ``None`` for no crash.
-    crash_at_step:
-        Scheduler step count at (or after) which the crash fires.  The
-        rank raises :class:`~repro.errors.InjectedFaultError` at its next
-        communication point, which surfaces as a
-        :class:`~repro.errors.RankFailedError` naming the rank — never as
-        a hang.
+    ``delay_prob`` is the probability that a delivered message is held
+    back 1..``max_delay_steps`` scheduler steps.  Delays are per-(source,
+    dest) FIFO, so a delayed message delays every later one on its
+    channel (MPI's non-overtaking holds); cross-channel delivery *is*
+    reordered, the legal nondeterminism wildcard receives are exposed to.
+    ``crash_rank`` (``None``: no crash) raises
+    :class:`~repro.errors.InjectedFaultError` at its first communication
+    point at or after step ``crash_at_step``, which surfaces as a
+    :class:`~repro.errors.RankFailedError` naming the rank — never a hang.
     """
 
     delay_prob: float = 0.0
@@ -129,17 +110,26 @@ class FaultPlan:
 
 
 class Backend:
-    """Interface shared by the scheduling backends."""
+    """What the scheduling backends share: per-rank mailboxes, the clock
+    accessor, the tracer, and the posted-receive operations.
+
+    Each backend adds ``deliver``, ``wait_for_match`` and
+    ``wait_any_post``; the in-process ones add ``run(bodies)``.  Their
+    contracts are documented on :class:`DeterministicBackend`.
+    """
+
+    #: the run's ``(rank, clock)`` pick log when a :class:`Seeded` policy
+    #: made the picks, else ``None``
+    schedule: list[tuple[int, float]] | None = None
 
     def __init__(self, nprocs: int):
         self.nprocs = nprocs
         self.mailboxes = [Mailbox() for _ in range(nprocs)]
         self._clock_of: Callable[[int], float] = lambda rank: 0.0
-        #: optional tracer installed by the runner; backends that make
-        #: scheduling-relevant matching decisions (the fuzzed backend's
-        #: wildcard perturbation) record them here when present
+        #: optional tracer installed by the runner; a seeded policy's
+        #: wildcard and completion choices are recorded here when present
         self.tracer = None
-        #: per-run tallies of the run-to-block engines: scheduling
+        #: per-run tallies of the run-to-block engine: scheduling
         #: decisions and rank suspensions (published by
         #: :func:`repro.runtime.spmd.publish_run`; zero elsewhere)
         self.steps = 0
@@ -148,28 +138,14 @@ class Backend:
     def set_clock_source(self, clock_of: Callable[[int], float]) -> None:
         """Install the per-rank virtual-clock accessor.
 
-        Contract: only the run-to-block backends consult this accessor.
-        :class:`DeterministicBackend` reads it on every scheduling decision
-        to run ranks in virtual-time order, and :class:`FuzzedBackend`
-        reads it to timestamp its schedule log and match events.
-        :class:`ThreadedBackend` **ignores it entirely** — free-running OS
-        threads interleave in wall-clock order, so virtual-time ordering
-        applies only to deterministic/fuzzed executions.  (Virtual clocks
-        themselves are still maintained by the contexts and remain correct
-        on every backend; only *scheduling* order is affected.)
+        Contract: only the run-to-block engine consults it — its
+        :class:`Canonical` policy to run ranks in virtual-time order, a
+        :class:`Seeded` one to timestamp its pick log and match events.
+        :class:`ThreadedBackend` **ignores it entirely**: free-running OS
+        threads interleave in wall-clock order.  (The contexts keep the
+        virtual clocks themselves correct on every backend.)
         """
         self._clock_of = clock_of
-
-    def deliver(self, msg: Message) -> None:
-        raise NotImplementedError
-
-    def wait_for_match(
-        self, rank: int, source: int, tag: int, ctx: int, shown_source: int | None = None
-    ) -> Message:
-        """Block *rank* until a message matches (source, tag, ctx), then
-        take it.  *shown_source* is *source* as the caller's communicator
-        numbers it, for the report of a wait that never ends."""
-        raise NotImplementedError
 
     def probe_match(self, rank: int, source: int, tag: int, ctx: int) -> bool:
         """Non-blocking: is a matching message available to *rank* now?
@@ -181,7 +157,7 @@ class Backend:
         return self.mailboxes[rank].has_match(source, tag, ctx)
 
     # -- posted receives (the nonblocking layer) --------------------------
-    # The run-to-block backends mutate mailboxes only from the single
+    # The run-to-block engine mutates mailboxes only from the single
     # running rank, so the base implementations need no locking; the
     # threaded backend overrides them to serialise under the destination
     # rank's condition lock.
@@ -201,46 +177,129 @@ class Backend:
         """The message bound to a fulfilled posted receive (not removed)."""
         return self.mailboxes[rank].peek_post(post_id)
 
-    def wait_any_post(self, rank: int, post_ids: tuple[int, ...], label: tuple) -> list[int]:
-        """Block *rank* until at least one of its posted receives is
-        fulfilled; returns the fulfilled subset in post order.  *label*
-        is the wait's :func:`describe_wait` label."""
-        raise NotImplementedError
-
     def choose_completion(self, rank: int, candidates: list[tuple[int, int]]) -> int:
         """Pick which of several simultaneously-completable requests a
         ``waitany``/``waitall`` observes first.
 
         *candidates* is the canonical-order list of ``(source, tag)``
-        pairs; the return value is a position in it.  The default (and
-        the deterministic/threaded behaviour) is the first — virtual
+        pairs; the return value is a position in it.  The default (the
+        threaded and process-parallel behaviour) is the first — virtual
         clocks are charged canonically regardless, so this choice only
-        affects observation order.  The fuzzed backend randomises it and
-        records a completion :class:`~repro.trace.events.MatchEvent`.
+        affects observation order.  The run-to-block engine asks its
+        choice policy.
         """
         return 0
 
-    def run(self, bodies: list[Callable[[], None]]) -> None:
-        """Execute one body per rank to completion; raise on failure."""
-        raise NotImplementedError
+
+class Canonical:
+    """The deterministic engine's choices: the one canonical interleaving.
+
+    Resumes the runnable rank furthest behind in virtual time, ties by
+    rank; a wildcard receive takes the earliest-arriving candidate
+    (:meth:`Mailbox.take_match <repro.runtime.mailbox.Mailbox.take_match>`'s
+    choice); a wait observes the first completion.  The choices are a
+    function of the program, so none is logged or traced.
+    """
+
+    schedule = None  # no pick log
+
+    def __init__(self) -> None:
+        #: (clock, rank) entries for wakeable ranks; lazily invalidated
+        self._heap: list[tuple[float, int]] = []
+
+    def wake(self, engine: DeterministicBackend, rank: int) -> None:
+        heapq.heappush(self._heap, (engine._clock_of(rank), rank))
+
+    def pick(self, engine: DeterministicBackend) -> int | None:
+        """The runnable rank furthest behind in virtual time, which makes
+        the engine a conservative discrete-event simulation: wildcard
+        receives observe the message population a real run would have.
+
+        A wakeable rank's clock cannot have moved since it was pushed
+        (blocked ranks do not advance), so the heap's (clock, rank) order
+        is the min-clock lowest-rank selection over all runnable ranks.
+        """
+        heap = self._heap
+        wakeable = engine._wakeable
+        while heap:
+            _, rank = heapq.heappop(heap)
+            if rank not in wakeable:
+                continue  # lazily invalidated entry
+            wakeable.discard(rank)
+            if engine._is_runnable(rank):
+                return rank
+        return None
+
+    def message(self, candidates: list[Message]) -> Message:
+        return _earliest(candidates)
+
+    def completion(self, count: int) -> int:
+        return 0
+
+
+class Seeded:
+    """Schedule fuzzing: every choice drawn from ``random.Random(seed)``.
+
+    Each step resumes a uniformly random runnable rank, logged with its
+    clock; a wildcard receive takes a random candidate and a wait
+    observes a random completion first.  The candidates are
+    :class:`Canonical`'s (each sender's oldest match, so non-overtaking
+    holds), so every seed is a legal interleaving, and a reproducible
+    one: same seed ⇒ same draws ⇒ same results and traces.
+    """
+
+    def __init__(self, seed: int = 0) -> None:
+        self.seed = seed
+        self.rng = random.Random(seed)
+        #: one (rank, virtual clock at pick time) pair per step — the
+        #: replay/reproducibility log
+        self.schedule: list[tuple[int, float]] = []
+
+    def wake(self, engine: DeterministicBackend, rank: int) -> None:
+        pass  # picks draw from the wakeable set itself
+
+    def pick(self, engine: DeterministicBackend, runnable: list[int] | None = None) -> int | None:
+        """A random rank of *runnable* (default: the wakeable set), sorted
+        so the draw is a function of the seed and the set alone."""
+        if runnable is None:
+            runnable = sorted(engine._wakeable)
+        if not runnable:
+            return None
+        choice = self.rng.choice(runnable)
+        engine._wakeable.discard(choice)
+        self.schedule.append((choice, engine._clock_of(choice)))
+        return choice
+
+    def message(self, candidates: list[Message]) -> Message:
+        return self.rng.choice(candidates) if len(candidates) > 1 else candidates[0]
+
+    def completion(self, count: int) -> int:
+        return self.rng.randrange(count)
 
 
 class DeterministicBackend(Backend):
-    """Run-to-block scheduling: one rank at a time, lowest runnable first.
+    """The run-to-block engine: one rank at a time, choices by *policy*.
 
-    Scheduling decisions come from a clock-keyed heap of *wakeable*
-    ranks maintained at the moments runnability can actually change — a
-    rank blocking, or a delivery satisfying a blocked rank's wait — so a
-    pick is O(log P) rather than an O(P) re-evaluation of every blocked
-    rank's wait on every step.  Runnability is monotone while a rank is
-    blocked (only the owner removes messages from its mailbox), so a
-    delivery wakes the rank exactly when the message it queued matches
-    the rank's receive pattern, or the post it bound is one the rank
-    waits on — the same rank sequence a scan would select.
+    The set of *wakeable* ranks changes only when a rank blocks or a
+    delivery satisfies a blocked rank's wait (runnability is monotone
+    while blocked: only the owner removes messages from its mailbox), so
+    the policy picks from it without re-evaluating every wait each step.
+
+    *policy* makes the three choices (default :class:`Canonical`).  A
+    :class:`FaultPlan` needs a :class:`Seeded` one; its delayed messages
+    are released eagerly when no rank could otherwise run, so fault
+    injection never manufactures a false deadlock.
     """
 
-    def __init__(self, nprocs: int):
+    def __init__(
+        self, nprocs: int, policy: Canonical | Seeded | None = None, faults: FaultPlan | None = None
+    ):
         super().__init__(nprocs)
+        self.policy = Canonical() if policy is None else policy
+        self.schedule = self.policy.schedule
+        if faults is not None and self.schedule is None:
+            raise ReproError("a FaultPlan draws from a Seeded policy's stream")
+        self.faults = faults
         self._status = [_Status.READY] * nprocs
         #: per blocked rank: its receive pattern or post ids, and its label
         self._waiting: list[tuple] = [()] * nprocs
@@ -255,8 +314,11 @@ class DeterministicBackend(Backend):
         self._failures: dict[int, BaseException] = {}
         #: ranks currently believed runnable
         self._wakeable: set[int] = set()
-        #: (clock, rank) entries for wakeable ranks; lazily invalidated
-        self._heap: list[tuple[float, int]] = []
+        #: fault state: picks so far, (source, dest) -> FIFO of
+        #: (release_step, msg) still in flight, ranks already crashed
+        self._step = 0
+        self._delayed: dict[tuple[int, int], list[tuple[int, Message]]] = {}
+        self._crashed: set[int] = set()
 
     # -- wake bookkeeping -------------------------------------------------
     def _wake(self, rank: int) -> None:
@@ -264,7 +326,7 @@ class DeterministicBackend(Backend):
         if rank in self._wakeable:
             return
         self._wakeable.add(rank)
-        heapq.heappush(self._heap, (self._clock_of(rank), rank))
+        self.policy.wake(self, rank)
 
     def _deposit(self, msg: Message) -> None:
         """Put *msg* in its destination mailbox and wake the destination
@@ -283,17 +345,15 @@ class DeterministicBackend(Backend):
     def _handoff(self, rank: int | None) -> bool:
         """Hand the CPU directly to the next runnable rank.
 
-        Run-to-block has exactly one active thread, so the thread giving
-        up the CPU runs the pick itself and resumes its successor in one
-        context switch, instead of two via the scheduler thread.  Returns
-        True when *rank* picked itself (wait already satisfiable): the
-        caller keeps running, zero switches.  With no runnable rank, wakes
-        the scheduler thread, which owns run completion, failure
-        unwinding, and deadlock reporting.
+        The thread giving up the CPU runs the pick itself and resumes its
+        successor in one context switch.  Returns True when *rank* picked
+        itself (its wait already holds): no switch at all.  With no
+        runnable rank, wakes the scheduler thread, which owns run
+        completion, failure unwinding, and deadlock reporting.
         """
         if self._abort:
             # Unwinding: several aborted rank threads reach here at once;
-            # nothing is runnable, so don't touch the shared heap.
+            # nothing is runnable, so don't touch the policy's state.
             self._to_scheduler.set()
             return False
         nxt = self._pick_next()
@@ -309,12 +369,33 @@ class DeterministicBackend(Backend):
 
     # -- transport --------------------------------------------------------
     def deliver(self, msg: Message) -> None:
+        """Place *msg* in its destination's mailbox and wake the
+        destination if that satisfies its wait — or, under a plan's
+        delay, hold it back a random number of steps."""
         # Only the single running rank mutates mailboxes, so no locking.
+        plan = self.faults
+        if plan is not None and plan.delay_prob > 0.0:
+            key = (msg.source, msg.dest)
+            queue = self._delayed.get(key)
+            rng = self.policy.rng
+            # A later message on a channel with a delayed predecessor must
+            # queue behind it (non-overtaking), even if it rolled "no delay".
+            if queue or rng.random() < plan.delay_prob:
+                release = self._step + 1 + rng.randrange(max(1, plan.max_delay_steps))
+                if queue:
+                    release = max(release, queue[-1][0])
+                self._delayed.setdefault(key, []).append((release, msg))
+                return
         self._deposit(msg)
 
     def wait_for_match(
         self, rank: int, source: int, tag: int, ctx: int, shown_source: int | None = None
     ) -> Message:
+        """Block *rank* until a message matches (source, tag, ctx), then
+        take it.  *shown_source* is *source* as the caller's communicator
+        numbers it, for the report of a wait that never ends."""
+        if self.faults is not None:
+            self._check_crash(rank)
         msg = self._take_match(rank, source, tag, ctx)
         if msg is not None:
             return msg
@@ -324,10 +405,27 @@ class DeterministicBackend(Backend):
         return msg
 
     def _take_match(self, rank: int, source: int, tag: int, ctx: int) -> Message | None:
-        """Take the earliest-arriving candidate (the fuzzer overrides)."""
-        return self.mailboxes[rank].take_match(source, tag, ctx)
+        """Take a matching message: an exact receive has one candidate; a
+        wildcard receive takes the one its policy chooses among the
+        mailbox's candidates (each sender's oldest matching message)."""
+        mailbox = self.mailboxes[rank]
+        if source != ANY_SOURCE and tag != ANY_TAG:
+            return mailbox.take_match(source, tag, ctx)
+        candidates = mailbox.candidates(source, tag, ctx)
+        if not candidates:
+            return None
+        chosen = mailbox.take(self.policy.message(candidates))
+        self._record_match(
+            rank, chosen.source, chosen.tag, candidates, source == ANY_SOURCE, tag == ANY_TAG
+        )
+        return chosen
 
     def wait_any_post(self, rank: int, post_ids: tuple[int, ...], label: tuple) -> list[int]:
+        """Block *rank* until at least one of its posted receives is
+        fulfilled; returns the fulfilled subset in post order.  *label*
+        is the wait's :func:`describe_wait` label."""
+        if self.faults is not None:
+            self._check_crash(rank)
         mailbox = self.mailboxes[rank]
         ready = [p for p in post_ids if mailbox.post_ready(p)]
         if ready:
@@ -336,6 +434,33 @@ class DeterministicBackend(Backend):
         ready = [p for p in post_ids if mailbox.post_ready(p)]
         assert ready, "scheduler resumed rank without a fulfilled posted receive"
         return ready
+
+    def choose_completion(self, rank: int, candidates: list[tuple[int, int]]) -> int:
+        if len(candidates) <= 1:
+            return 0
+        pos = self.policy.completion(len(candidates))
+        self._record_match(rank, *candidates[pos], candidates)
+        return pos
+
+    def _record_match(
+        self, rank: int, source: int, tag: int, candidates: list,
+        wildcard_source: bool = False, wildcard_tag: bool = False,
+    ) -> None:  # fmt: skip
+        """Trace a seeded choice as a :class:`~repro.trace.events.MatchEvent`
+        — what :mod:`repro.verify.races` scans: a wildcard receive's take
+        among candidate messages, or (neither field a wildcard) a wait's
+        completion among ``(source, tag)`` pairs.  Canonical choices are a
+        function of the program and are not recorded."""
+        if self.schedule is None or self.tracer is None:
+            return
+        wildcard = wildcard_source or wildcard_tag
+        self.tracer.match(
+            rank=rank, clock=self._clock_of(rank), source=source, tag=tag,
+            wildcard_source=wildcard_source, wildcard_tag=wildcard_tag,
+            candidates=tuple(m.source for m in candidates) if wildcard
+            else tuple(sorted({src for src, _ in candidates})),
+            completion=not wildcard,
+        )  # fmt: skip
 
     def _block(self, rank: int, waiting: tuple, label: tuple) -> None:
         # Callers block only after failing to satisfy the wait, so the
@@ -346,15 +471,20 @@ class DeterministicBackend(Backend):
         self._waiting[rank] = waiting
         self._label[rank] = label
         self._status[rank] = _Status.BLOCKED
-        if self._handoff(rank):
-            return  # picked ourselves again: no switch needed
-        self._resume[rank].acquire()
-        if self._abort:
-            raise _Aborted()
+        if not self._handoff(rank):  # picked ourselves again: no switch
+            self._resume[rank].acquire()
+            if self._abort:
+                raise _Aborted()
+        if self.faults is not None:
+            # Resumed because the wait holds or because the crash came
+            # due while blocked; the crash wins.
+            self._check_crash(rank)
 
     # -- scheduling loop ---------------------------------------------------
     def run(self, bodies: list[Callable[[], None]]) -> None:
-        """Ranks hand off to each other directly (:meth:`_handoff`); this
+        """Execute one body per rank to completion; raise on failure.
+
+        Ranks hand off to each other directly (:meth:`_handoff`); this
         thread sleeps until a handoff finds no runnable rank, then decides
         completion / failure / deadlock."""
         threads = [
@@ -408,28 +538,37 @@ class DeterministicBackend(Backend):
         raise DeadlockError(f"no rank can make progress ({detail})", waiting=waiting)
 
     def _pick_next(self) -> int | None:
-        """The runnable rank furthest behind in virtual time.
+        """The policy's pick among the runnable ranks, or ``None``.
 
-        Scheduling in virtual-time order makes the backend a conservative
-        discrete-event simulation: wall-clock interleaving tracks the
-        modelled machine's timeline, so wildcard receives observe the
-        message population a real run would have had.  Ties break by
-        rank, keeping execution fully deterministic.
-
-        Pops the heap of wakeable ranks.  A wakeable rank's clock cannot
-        have moved since it was pushed (blocked ranks do not advance
-        their clocks), so the heap's (clock, rank) order is the min-clock
-        lowest-rank selection over all runnable ranks.
+        Under a :class:`FaultPlan` each pick is a step: due delayed messages
+        are released first, and a blocked rank whose crash is due counts as
+        runnable, so it raises instead of hanging on its receive.
         """
-        heap = self._heap
-        while heap:
-            _, rank = heapq.heappop(heap)
-            if rank not in self._wakeable:
-                continue  # lazily invalidated entry
-            self._wakeable.discard(rank)
-            if self._is_runnable(rank):
-                return rank
-        return None
+        if self.faults is None:
+            return self.policy.pick(self)
+        self._step += 1
+        for key in list(self._delayed):
+            while key in self._delayed and self._delayed[key][0][0] <= self._step:
+                self._release(key)
+        runnable = self._runnable_ranks()
+        while not runnable and self._delayed:
+            # Release the earliest message in flight rather than declare a
+            # deadlock while injected delays still hold messages.
+            self._release(min(self._delayed, key=lambda key: self._delayed[key][0][0]))
+            runnable = self._runnable_ranks()
+        crash = self.faults.crash_rank
+        if (
+            not runnable
+            and crash is not None
+            and crash not in self._crashed
+            and self._status[crash] not in (_Status.DONE, _Status.FAILED)
+        ):
+            # Everyone is blocked but a crash of a live rank is still due:
+            # let the idle time pass so the fault (not a spurious deadlock)
+            # resolves the wait.
+            self._step = max(self._step, self.faults.crash_at_step)
+            runnable = self._runnable_ranks()
+        return self.policy.pick(self, runnable)
 
     def _is_runnable(self, rank: int) -> bool:
         status = self._status[rank]
@@ -451,9 +590,7 @@ class DeterministicBackend(Backend):
             self._failures[rank] = exc
             self._status[rank] = _Status.FAILED
         finally:
-            # Hand off to the next rank directly (or wake the scheduler
-            # thread for terminal handling).
-            self._handoff(None)
+            self._handoff(None)  # the next rank, or the scheduler thread
 
     def _abort_all(self, threads: list[threading.Thread]) -> None:
         self._abort = True
@@ -463,221 +600,25 @@ class DeterministicBackend(Backend):
             except RuntimeError:
                 pass  # token still there: the deadlock path aborts twice
 
-
-class FuzzedBackend(DeterministicBackend):
-    """Schedule fuzzing: seeded-PRNG run-to-block scheduling.
-
-    Every scheduling step picks a *uniformly random* runnable rank from a
-    ``random.Random(seed)`` stream instead of the virtual-time-ordered
-    choice, so each seed explores a distinct legal interleaving while the
-    whole execution stays exactly reproducible: same seed ⇒ same
-    scheduling decisions ⇒ same mailbox states ⇒ same results and traces.
-
-    A *wildcard* receive that has several candidates pending takes a
-    random one instead of the earliest-arriving one.  It draws from the
-    same candidate set the deterministic backend chooses from
-    (:meth:`Mailbox.candidates
-    <repro.runtime.mailbox.Mailbox.candidates>`: each sender's oldest
-    matching message, so non-overtaking holds), which holds only choices
-    a real machine could make.  Each wildcard match is recorded as a
-    :class:`~repro.trace.events.MatchEvent` when a tracer is installed,
-    which is what the wildcard-race detector consumes.
-
-    A :class:`FaultPlan` adds message delay/reordering and rank crashes on
-    top of the random schedule.  Delayed messages are invisible to the
-    destination until released; the scheduler releases them eagerly when
-    no rank could otherwise run, so fault injection never manufactures a
-    false deadlock.
-    """
-
-    def __init__(
-        self,
-        nprocs: int,
-        seed: int = 0,
-        faults: FaultPlan | None = None,
-    ):
-        super().__init__(nprocs)
-        self.seed = seed
-        self.faults = faults
-        self._rng = random.Random(seed)
-        #: scheduling decisions: one (rank, virtual clock at pick time)
-        #: pair per step — the replay/reproducibility log
-        self.schedule_log: list[tuple[int, float]] = []
-        self._step = 0
-        # (source, dest) -> FIFO of (release_step, msg) still in flight
-        self._delayed: dict[tuple[int, int], list[tuple[int, Message]]] = {}
-        self._crashed: set[int] = set()
-
-    def _wake(self, rank: int) -> None:
-        # The fuzzed pick draws from the wakeable *set*; the heap the
-        # deterministic pick pops is never consulted, so skip pushing it.
-        self._wakeable.add(rank)
-
-    # -- transport --------------------------------------------------------
-    def deliver(self, msg: Message) -> None:
-        plan = self.faults
-        if plan is not None and plan.delay_prob > 0.0:
-            key = (msg.source, msg.dest)
-            queue = self._delayed.get(key)
-            # A later message on a channel with a delayed predecessor must
-            # queue behind it (non-overtaking), even if it rolled "no delay".
-            if queue or self._rng.random() < plan.delay_prob:
-                release = self._step + 1 + self._rng.randrange(
-                    max(1, plan.max_delay_steps)
-                )
-                if queue:
-                    release = max(release, queue[-1][0])
-                self._delayed.setdefault(key, []).append((release, msg))
-                return
-        self._deposit(msg)
-
-    def wait_for_match(
-        self, rank: int, source: int, tag: int, ctx: int, shown_source: int | None = None
-    ) -> Message:
-        self._check_crash(rank)
-        return super().wait_for_match(rank, source, tag, ctx, shown_source)
-
-    def _take_match(self, rank: int, source: int, tag: int, ctx: int) -> Message | None:
-        """Take a matching message, drawing a random wildcard candidate.
-
-        A wildcard receive may legally take any of the mailbox's
-        candidates — each sender's oldest matching message; picking among
-        them at random is exactly the freedom a real network's arrival
-        order has.  Exact receives have one candidate and stay canonical.
-        """
-        mailbox = self.mailboxes[rank]
-        if source != ANY_SOURCE and tag != ANY_TAG:
-            return mailbox.take_match(source, tag, ctx)
-        candidates = mailbox.candidates(source, tag, ctx)
-        if not candidates:
-            return None
-        if len(candidates) > 1:
-            chosen = mailbox.take(self._rng.choice(candidates))
-        else:
-            chosen = mailbox.take(candidates[0])
-        if self.tracer is not None:
-            self.tracer.match(
-                rank=rank,
-                clock=self._clock_of(rank),
-                source=chosen.source,
-                tag=chosen.tag,
-                wildcard_source=source == ANY_SOURCE,
-                wildcard_tag=tag == ANY_TAG,
-                candidates=tuple(m.source for m in candidates),
-            )
-        return chosen
-
-    def wait_any_post(self, rank: int, post_ids: tuple[int, ...], label: tuple) -> list[int]:
-        self._check_crash(rank)
-        return super().wait_any_post(rank, post_ids, label)
-
-    def choose_completion(self, rank: int, candidates: list[tuple[int, int]]) -> int:
-        """Randomise which fulfilled request a wait observes first.
-
-        Any completion order among simultaneously-fulfilled requests is
-        legal on a real machine; exploring them perturbs the scheduler
-        interleaving that follows (the rank re-blocks on the remaining
-        requests after each observation).  Each perturbed choice is
-        recorded as a completion :class:`~repro.trace.events.MatchEvent`
-        so the verification layer can report completion-order
-        nondeterminism alongside wildcard races.
-        """
-        if len(candidates) <= 1:
-            return 0
-        pos = self._rng.randrange(len(candidates))
-        if self.tracer is not None:
-            source, tag = candidates[pos]
-            self.tracer.match(
-                rank=rank,
-                clock=self._clock_of(rank),
-                source=source,
-                tag=tag,
-                wildcard_source=False,
-                wildcard_tag=False,
-                candidates=tuple(sorted({src for src, _ in candidates})),
-                completion=True,
-            )
-        return pos
-
-    # -- scheduling -------------------------------------------------------
-    def _pick_next(self) -> int | None:
-        self._step += 1
-        self._flush_delayed()
-        runnable = self._runnable_ranks()
-        while not runnable and self._force_release_delayed():
-            runnable = self._runnable_ranks()
-        if not runnable and self._crash_scheduled():
-            # Everyone is blocked but a crash is still due in the future:
-            # let the idle time pass so the fault (not a spurious deadlock)
-            # resolves the wait.
-            self._step = max(self._step, self.faults.crash_at_step)
-            runnable = self._runnable_ranks()
-        if not runnable:
-            return None
-        choice = self._rng.choice(runnable)
-        self._wakeable.discard(choice)
-        self.schedule_log.append((choice, self._clock_of(choice)))
-        return choice
-
+    # -- fault injection --------------------------------------------------
     def _runnable_ranks(self) -> list[int]:
-        # A blocked rank whose crash is due counts as runnable so it can be
-        # scheduled once more and raise, instead of hanging forever on a
-        # receive that will never be satisfied.
-        # The wakeable set is exactly {READY, or BLOCKED with its wait held}
-        # (monotone runnability, maintained at deposit/block time); sorted
-        # ascending so the rng.choice stream is a function of the seed and
-        # the runnable set alone.
         ranks = set(self._wakeable)
-        plan = self.faults
-        if plan is not None and plan.crash_rank is not None:
-            crash_rank = plan.crash_rank
-            if self._status[crash_rank] == _Status.BLOCKED and self._crash_due(
-                crash_rank
-            ):
-                ranks.add(crash_rank)
+        crash = self.faults.crash_rank
+        if crash is not None and self._status[crash] == _Status.BLOCKED and self._crash_due(crash):
+            ranks.add(crash)
         return sorted(ranks)
 
-    def _flush_delayed(self) -> None:
-        for key in list(self._delayed):
-            queue = self._delayed[key]
-            while queue and queue[0][0] <= self._step:
-                self._deposit(queue.pop(0)[1])
-            if not queue:
-                del self._delayed[key]
-
-    def _force_release_delayed(self) -> bool:
-        """Release the earliest in-flight delayed message (avoids declaring
-        a deadlock while injected delays still hold messages)."""
-        best_key = None
-        for key, queue in self._delayed.items():
-            if best_key is None or queue[0][0] < self._delayed[best_key][0][0]:
-                best_key = key
-        if best_key is None:
-            return False
-        queue = self._delayed[best_key]
+    def _release(self, key: tuple[int, int]) -> None:
+        """Deposit the oldest delayed message of channel *key*."""
+        queue = self._delayed[key]
         self._deposit(queue.pop(0)[1])
         if not queue:
-            del self._delayed[best_key]
-        return True
-
-    # -- fault injection --------------------------------------------------
-    def _crash_scheduled(self) -> bool:
-        """A crash is planned and has not fired yet, and its target rank is
-        still alive (so fast-forwarding to the crash step can unblock)."""
-        plan = self.faults
-        return (
-            plan is not None
-            and plan.crash_rank is not None
-            and plan.crash_rank not in self._crashed
-            and self._status[plan.crash_rank]
-            not in (_Status.DONE, _Status.FAILED)
-        )
+            del self._delayed[key]
 
     def _crash_due(self, rank: int) -> bool:
         plan = self.faults
         return (
-            plan is not None
-            and plan.crash_rank == rank
+            plan.crash_rank == rank
             and self._step >= plan.crash_at_step
             and rank not in self._crashed
         )
@@ -688,12 +629,6 @@ class FuzzedBackend(DeterministicBackend):
             raise InjectedFaultError(
                 f"injected crash of rank {rank} at scheduler step {self._step}"
             )
-
-    def _block(self, rank: int, waiting: tuple, label: tuple) -> None:
-        super()._block(rank, waiting, label)
-        # Resumed either because the wait holds or because the crash came
-        # due while blocked; the crash wins.
-        self._check_crash(rank)
 
 
 class ThreadedBackend(Backend):
@@ -743,11 +678,8 @@ class ThreadedBackend(Backend):
         while not _wait_holds(mailbox, waiting, label):
             if self._failed.is_set():
                 raise _Aborted()
-            # Wait out the full remaining budget on the condition
-            # variable: a delivery or failure notifies, so idle waits
-            # burn no wake cycles, and the timeout is measured from the
-            # monotonic clock instead of accumulated in coarse polling
-            # steps that could overshoot by up to 100 ms.
+            # Wait out the full remaining budget: a delivery or failure
+            # notifies, so idle waits burn no wake cycles.
             waited = time.monotonic() - start
             remaining = self.deadlock_timeout - waited
             if remaining <= 0.0:

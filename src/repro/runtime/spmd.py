@@ -21,7 +21,7 @@ from repro.machines.model import MachineModel
 from repro.obs.metrics import COUNT_BUCKETS, TIME_BUCKETS, get_registry
 from repro.runtime import backends
 from repro.runtime.context import RankContext
-from repro.runtime.scheduler import Backend, FaultPlan, FuzzedBackend
+from repro.runtime.scheduler import Backend, FaultPlan
 from repro.trace.tracer import Tracer
 
 
@@ -38,8 +38,10 @@ _override: _ScheduleOverride | None = None
 
 @contextlib.contextmanager
 def fuzzed_schedule(seed: int, faults: FaultPlan | None = None) -> Iterator[None]:
-    """Force ``backend="deterministic"`` runs inside the block onto a
-    :class:`~repro.runtime.scheduler.FuzzedBackend` with *seed*.
+    """Force ``backend="deterministic"`` runs inside the block onto the
+    fuzzed backend: the run-to-block engine with a
+    :class:`~repro.runtime.scheduler.Seeded` policy of *seed* (and
+    *faults*, when given).
 
     This is how existing programs and tests are promoted to schedule
     fuzzing without changing their call sites: any :func:`spmd_run` (or
@@ -79,7 +81,7 @@ class RunResult:
     times: list[float]
     machine: MachineModel
     tracer: Tracer | None = field(default=None, repr=False)
-    #: for fuzzed runs, the backend's (rank, clock) scheduling log —
+    #: for fuzzed runs, the seeded policy's (rank, clock) pick log —
     #: identical across runs with the same seed (else ``None``)
     schedule: list[tuple[int, float]] | None = field(default=None, repr=False)
     #: canonical name of the backend that produced this result
@@ -172,8 +174,8 @@ def spmd_run(
     backend:
         A name registered in :mod:`repro.runtime.backends`:
         ``"deterministic"`` (reproducible run-to-block scheduling),
-        ``"fuzzed"`` (seeded random run-to-block scheduling — see
-        :class:`~repro.runtime.scheduler.FuzzedBackend`), ``"threads"``
+        ``"fuzzed"`` (the same engine with a seeded choice policy — see
+        :class:`~repro.runtime.scheduler.Seeded`), ``"threads"``
         (free-running OS threads), or ``"parallel"`` (one OS process per
         rank — :mod:`repro.runtime.parallel`).  ``None`` (the default)
         resolves the ``REPRO_BACKEND`` environment variable, falling back
@@ -185,8 +187,9 @@ def spmd_run(
         starve (parallel: seconds of global no-progress with every rank
         blocked) before the run is declared deadlocked.
     seed, faults:
-        Fuzzed-backend knobs (ignored by the other backends): the PRNG
-        seed selecting the interleaving and an optional
+        Fuzzed-backend knobs (ignored by the other backends): the
+        :class:`~repro.runtime.scheduler.Seeded` policy's seed selecting
+        the interleaving and an optional
         :class:`~repro.runtime.scheduler.FaultPlan` to inject.
 
     A surrounding :func:`fuzzed_schedule` context overrides
@@ -256,6 +259,6 @@ def spmd_run(
         times=[c.clock for c in comms],
         machine=machine,
         tracer=tracer,
-        schedule=list(engine.schedule_log) if isinstance(engine, FuzzedBackend) else None,
+        schedule=None if engine.schedule is None else list(engine.schedule),
         backend=backend,
     )

@@ -45,7 +45,7 @@ class CommEvent(Event):
 
 @dataclass(frozen=True)
 class MatchEvent(Event):
-    """A nondeterministic matching decision (recorded by the fuzzed backend).
+    """A nondeterministic matching decision (recorded under a seeded policy).
 
     ``source``/``tag`` identify the message actually taken;
     ``wildcard_source``/``wildcard_tag`` say which pattern fields of the

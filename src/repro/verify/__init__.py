@@ -5,8 +5,8 @@ structure, so application code is correct under *any* legal interleaving
 of the ranks.  This package checks that claim instead of assuming it:
 
 - :class:`~repro.verify.explorer.ScheduleExplorer` runs a program under
-  many seeded-PRNG schedules (the runtime's
-  :class:`~repro.runtime.scheduler.FuzzedBackend`) and compares per-rank
+  many seeded-PRNG schedules (the run-to-block engine with a
+  :class:`~repro.runtime.scheduler.Seeded` choice policy) and compares per-rank
   result digests against the deterministic baseline; any divergence is a
   *nondeterminism finding* carrying the seed that reproduces it;
 - :func:`~repro.verify.races.scan_races` flags wildcard receives where
@@ -25,7 +25,7 @@ of the ranks.  This package checks that claim instead of assuming it:
 ``docs/verification.md`` for the workflow.
 """
 
-from repro.runtime.scheduler import FaultPlan, FuzzedBackend
+from repro.runtime.scheduler import FaultPlan
 from repro.runtime.spmd import fuzzed_schedule
 from repro.verify.digest import value_digest
 from repro.verify.explorer import (
@@ -37,7 +37,6 @@ from repro.verify.races import RaceFinding, scan_completion_races, scan_races
 
 __all__ = [
     "FaultPlan",
-    "FuzzedBackend",
     "fuzzed_schedule",
     "value_digest",
     "ScheduleExplorer",

@@ -2,8 +2,9 @@
 
 Schedule fuzzing: marking a test ``@pytest.mark.chaos`` re-runs it once
 per seed with every ``backend="deterministic"`` run inside it promoted to
-the seeded :class:`~repro.runtime.scheduler.FuzzedBackend` (via
-:func:`repro.verify.fuzzed_schedule`), so the test's own assertions check
+the fuzzed backend — the same run-to-block engine with a
+:class:`~repro.runtime.scheduler.Seeded` choice policy (via
+:func:`repro.verify.fuzzed_schedule`) — so the test's own assertions check
 schedule-independence.  ``--chaos-seeds=N`` sets the seed count globally;
 ``@pytest.mark.chaos(seeds=K)`` raises it per test (the larger wins).
 """

@@ -38,13 +38,18 @@ class TestRegistry:
 
     def test_create_in_process_backends(self):
         from repro.runtime.scheduler import (
+            Canonical,
             DeterministicBackend,
-            FuzzedBackend,
+            Seeded,
             ThreadedBackend,
         )
 
-        assert isinstance(backends.create("deterministic", 2), DeterministicBackend)
-        assert isinstance(backends.create("fuzzed", 2, seed=3), FuzzedBackend)
+        deterministic = backends.create("deterministic", 2)
+        assert isinstance(deterministic, DeterministicBackend)
+        assert isinstance(deterministic.policy, Canonical)
+        fuzzed = backends.create("fuzzed", 2, seed=3)
+        assert isinstance(fuzzed, DeterministicBackend)
+        assert isinstance(fuzzed.policy, Seeded) and fuzzed.policy.seed == 3
         assert isinstance(backends.create("threads", 2), ThreadedBackend)
 
     def test_parallel_has_no_in_process_factory(self):

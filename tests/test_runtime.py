@@ -266,10 +266,10 @@ class TestClockSourceContract:
         assert calls, "deterministic backend never read the clock source"
 
     def test_fuzzed_consults_accessor(self):
-        from repro.runtime.scheduler import FuzzedBackend
+        from repro.runtime.scheduler import DeterministicBackend, Seeded
 
         calls = []
-        engine = FuzzedBackend(2, seed=0)
+        engine = DeterministicBackend(2, Seeded(0))
         engine.set_clock_source(lambda rank: calls.append(rank) or 0.0)
         engine.run(self._ping(engine))
         assert calls, "fuzzed backend never read the clock source"

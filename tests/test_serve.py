@@ -25,6 +25,7 @@ import pytest
 from repro.apps import registry
 from repro.apps.registry import AppSpec
 from repro.obs.metrics import get_registry, scoped_registry
+from repro.serve.__main__ import main as serve_main
 from repro.serve.cache import ResultCache
 from repro.serve.executor import execute
 from repro.serve.pool import WorkerPool, fork_available
@@ -365,6 +366,53 @@ class TestServerE2E:
         assert metrics["core.serve.jobs.submitted"]["value"] >= 1
         # Per-job snapshots merged into the server registry on completion.
         assert "comm.requests.posted" in metrics
+
+
+class TestClientCLI:
+    """``python -m repro.serve``'s client commands against a live server."""
+
+    def test_every_client_command(self, server, tmp_path, capsys):
+        def cli(*argv: str):
+            code = serve_main(["--server", server.url, *argv])
+            return code, capsys.readouterr()
+
+        ids, digests = [], []
+        for backend in ("fuzzed", "deterministic"):
+            code, out = cli(
+                "submit", "mergesort", "--param", "n=256", "--backend", backend,
+                "--seed", "3", "--wait",
+            )  # fmt: skip
+            assert code == 0, out.err
+            lines = out.out.splitlines()
+            ids.append(lines[0].split(":")[0])
+            digests.append(next(line.split()[1] for line in lines if line.startswith("digest:")))
+        # The fuzzed job ran the seeded engine; mergesort is schedule-free.
+        assert digests[0] == digests[1] and len(digests[0]) == 64
+
+        code, out = cli("status")
+        assert code == 0 and "queue depth" in out.out
+        code, out = cli("status", ids[0])
+        assert code == 0 and json.loads(out.out)["state"] == "done"
+
+        trace_path = tmp_path / "trace.json"
+        code, out = cli("result", ids[0], "--json", "--metrics", "--trace", str(trace_path))
+        assert code == 0, out.err
+        assert f"digest:  {digests[0]}" in out.out
+        assert json.loads(trace_path.read_text())["traceEvents"]
+
+        code, out = cli("apps")
+        assert code == 0
+        assert all(name in out.out for name in registry.names())
+
+        code, out = cli("submit", "mergesort", "--param", "n")
+        assert code == 1 and "--param expects key=value" in out.err
+
+        code, out = cli("shutdown")
+        assert code == 0 and out.out.strip() == "stopping"
+        wait_until(
+            lambda: not any(w.process.is_alive() for w in server.pool.workers()),
+            timeout=15.0, desc="workers stopped after shutdown",
+        )  # fmt: skip
 
 
 class TestKeepAliveFraming:
