@@ -4,7 +4,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify test obs-smoke chaos bench bench-smoke bench-check bench-pairs \
-	bench-pipeline serve-smoke tune-smoke unreached lint
+	bench-pipeline serve-smoke tune-smoke unreached examples lint
 
 # Default gate: lint (when ruff is available), tier-1 tests, and the
 # observability smoke check.
@@ -103,6 +103,16 @@ bench-pairs:
 # tuned end-to-end run's digest is bitwise-equal to the untuned run's.
 tune-smoke:
 	$(PYTHON) -m repro.tune smoke
+
+# Every examples/*.py, each run from a throwaway directory (the demos
+# save their fields into the working directory); fails on the first
+# script that exits non-zero.
+examples:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for script in examples/*.py; do \
+		echo "== $$script"; \
+		(cd "$$tmp" && PYTHONPATH="$(CURDIR)/src" $(PYTHON) "$(CURDIR)/$$script" >/dev/null) || exit 1; \
+	done
 
 # Deletion by evidence: every function under src/repro that no process
 # of tier-1, the five CLI smokes, `repro.bench all`/`pipeline`, the

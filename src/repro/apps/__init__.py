@@ -4,9 +4,7 @@ One-deep divide-and-conquer applications (§2.4–§2.5):
 
 - :mod:`repro.apps.sorting` — mergesort (sequential, traditional
   parallel, one-deep) and one-deep quicksort;
-- :mod:`repro.apps.skyline` — the skyline problem;
-- :mod:`repro.apps.hull` — planar convex hull;
-- :mod:`repro.apps.nearest` — closest pair of points.
+- :mod:`repro.apps.skyline` — the skyline problem.
 
 Mesh-spectral applications (§4):
 

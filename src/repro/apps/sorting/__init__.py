@@ -19,7 +19,7 @@ from repro.apps.sorting.mergesort import (
     sequential_sort_time,
     traditional_mergesort,
 )
-from repro.apps.sorting.quicksort import one_deep_quicksort, sequential_quicksort
+from repro.apps.sorting.quicksort import one_deep_quicksort
 
 __all__ = [
     "SORT_FLOPS_PER_KEY",
@@ -31,6 +31,5 @@ __all__ = [
     "sequential_sort_time",
     "one_deep_mergesort",
     "traditional_mergesort",
-    "sequential_quicksort",
     "one_deep_quicksort",
 ]

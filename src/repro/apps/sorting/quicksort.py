@@ -19,11 +19,6 @@ from repro.util.sampling import splitters_from_samples
 OVERSAMPLE = 32
 
 
-def sequential_quicksort(data: np.ndarray) -> np.ndarray:
-    """In-place-style sequential quicksort (introspective variant)."""
-    return np.sort(np.asarray(data), kind="quicksort")
-
-
 def _sample_unsorted(local: np.ndarray, s: int) -> np.ndarray:
     """Evenly strided sample of an *unsorted* local block."""
     arr = np.asarray(local)

@@ -30,6 +30,7 @@ still valid (see ``docs/kernel_layer.md``).
 from __future__ import annotations
 
 import functools
+import json
 from collections.abc import Callable
 from math import prod
 from pathlib import Path
@@ -246,44 +247,6 @@ class MeshContext:
         block[...] = result.T
 
     @_instrumented
-    def axis_op(
-        self,
-        fn: Callable[[np.ndarray], np.ndarray],
-        grid: DistGrid,
-        axis: int,
-        flops_per_vector: float = 0.0,
-        label: str = "axis_op",
-    ) -> None:
-        """Apply an independent transform to every vector along *axis*.
-
-        The N-dimensional generalisation of row/column operations (paper
-        §3.1: "analogous operations can be defined on subsets of grids
-        with more than 2 dimensions").  Requires the grid distributed so
-        each rank holds whole extents along *axis*.  *fn* receives the
-        local block with *axis* moved last — each row of its input is one
-        vector — and must return the transformed block in that layout.
-        """
-        if not 0 <= axis < grid.ndim:
-            raise ArchetypeError(f"axis {axis} out of range for {grid.ndim}-D grid")
-        self.kernels.flush()
-        self._require_whole_axis(grid, axis, f"an axis-{axis} operation")
-        self.kernels.note_write(grid)
-        block = grid.interior
-        nvectors = block.size // max(block.shape[axis], 1)
-        if flops_per_vector:
-            self.comm.charge(
-                flops_per_vector * nvectors, label=label, working_set_bytes=self.working_set
-            )
-        moved = np.ascontiguousarray(np.moveaxis(block, axis, -1))
-        result = fn(moved)
-        if result is None or result.shape != moved.shape:
-            raise ArchetypeError(
-                "axis_op callbacks receive an axis-last copy and must return "
-                "a same-shaped transformed block"
-            )
-        block[...] = np.moveaxis(result, -1, axis)
-
-    @_instrumented
     def redistribute(self, grid: DistGrid, dist: str | tuple[int, ...]) -> DistGrid:
         """Move a grid to a different distribution (paper Figure 7)."""
         self.kernels.flush()
@@ -372,7 +335,7 @@ class MeshContext:
                 "nranks": self.comm.size,
                 "rects": [grid.layout.rect(r) for r in range(self.comm.size)],
             }
-            np.save(directory / "manifest.npy", np.array([manifest], dtype=object))
+            (directory / "manifest.json").write_text(json.dumps(manifest))
         self.comm.barrier()  # manifest/directory exists before section writes
         np.save(
             directory / f"section{self.comm.rank:05d}.npy",
@@ -395,7 +358,7 @@ class MeshContext:
         """
         self.kernels.flush()
         directory = Path(directory)
-        manifest = np.load(directory / "manifest.npy", allow_pickle=True)[0]
+        manifest = json.loads((directory / "manifest.json").read_text())
         global_shape = tuple(manifest["global_shape"])
         grid = DistGrid(
             self.comm, global_shape, dist=self._dist(dist, len(global_shape)), ghost=ghost

@@ -166,9 +166,6 @@ class WorkerPool:
                 return worker
         return None
 
-    def pids(self) -> dict[int, int | None]:
-        return {wid: w.process.pid for wid, w in self._workers.items()}
-
     # -- dispatch ----------------------------------------------------------
     def dispatch(self, worker: _Worker, jobs: list[tuple[str, dict]]) -> int:
         """Send a batch to *worker*; returns the batch id."""

@@ -1,7 +1,13 @@
 """The shared app registry: one source of truth for named workloads."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.apps import registry
 from repro.apps.registry import AppSpec
 from repro.errors import ReproError
@@ -63,6 +69,38 @@ class TestParams:
     def test_params_with_none_is_defaults(self):
         spec = registry.get("fft2d")
         assert spec.params_with(None) == dict(spec.defaults)
+
+
+#: builds every registered app, then prints each module under repro.apps
+#: that no build imported
+_UNBUILT_MODULES = """
+import pkgutil, sys
+import repro.apps
+from repro.apps import registry
+
+for spec in registry.specs():
+    spec.build(spec.params_with(spec.verify_overrides))
+built = set(sys.modules)
+for module in pkgutil.walk_packages(repro.apps.__path__, "repro.apps."):
+    if module.name not in built:
+        print(module.name)
+"""
+
+
+class TestEveryAppIsRegistered:
+    def test_every_apps_module_is_imported_by_a_build(self):
+        """An app module no registered app builds is run by no contract,
+        figure or workload: register it or delete it.  A fresh interpreter,
+        so modules other tests imported cannot stand in for a build."""
+        src = str(Path(repro.__file__).parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", _UNBUILT_MODULES],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout == ""
 
 
 class TestRuns:

@@ -13,8 +13,6 @@ import pytest
 from repro.apps.cfd import cfd_archetype
 from repro.apps.fdtd import fdtd_archetype
 from repro.apps.fft2d import fft2d_archetype
-from repro.apps.hull import one_deep_hull
-from repro.apps.nearest import one_deep_closest_pair
 from repro.apps.poisson import poisson_archetype
 from repro.apps.skyline import concat_region_skylines, one_deep_skyline
 from repro.apps.smog import smog_archetype
@@ -60,16 +58,6 @@ class TestSequentialEqualsParallel:
         assert np.allclose(
             concat_region_skylines(seq.values), concat_region_skylines(thr.values)
         )
-
-    def test_hull(self, rng):
-        pts = rng.normal(size=(400, 2))
-        seq, thr = _both_modes(one_deep_hull(), 4, pts)
-        assert np.array_equal(seq.values[0], thr.values[0])
-
-    def test_closest_pair(self, rng):
-        pts = rng.uniform(0, 10, size=(300, 2))
-        seq, thr = _both_modes(one_deep_closest_pair(), 4, pts)
-        assert seq.values == thr.values
 
     def test_fft2d(self, rng):
         arr = rng.normal(size=(16, 16)).astype(complex)

@@ -238,6 +238,26 @@ class TestRowColOps:
         expected = 2.0 * np.outer(np.arange(1.0, 5), np.arange(1.0, 5)) + 1
         assert np.array_equal(res.values[0], expected)
 
+    @pytest.mark.parametrize(
+        "op, flops, seconds",
+        [
+            ("row_op", {"flops_per_row": 100.0}, 400e-6),
+            ("col_op", {"flops_per_col": 100.0}, 600e-6),
+        ],
+    )
+    def test_charges_per_vector(self, op, flops, seconds):
+        """One charge per row (4 of them) or per column (6 of them)."""
+        from repro.machines.model import MachineModel
+
+        toy = MachineModel("toy", alpha=0, beta=0, flop_time=1e-6)
+
+        def prog(mesh):
+            g = mesh.grid((4, 6))
+            getattr(mesh, op)(lambda b: b, g, **flops)
+
+        res = run_mesh(1, prog, machine=toy)
+        assert res.times[0] == pytest.approx(seconds)
+
 
 class TestReductions:
     @pytest.mark.parametrize("p", [1, 2, 4, 5])
@@ -352,7 +372,7 @@ class TestPartitionedIO:
             assert all(run_mesh(p, reader).values), p
 
     def test_manifest_records_shape(self, tmp_path):
-        import numpy as np
+        import json
 
         def writer(mesh):
             g = mesh.grid((4, 6), fill=2.0)
@@ -360,8 +380,9 @@ class TestPartitionedIO:
             return True
 
         run_mesh(2, writer)
-        manifest = np.load(tmp_path / "g2" / "manifest.npy", allow_pickle=True)[0]
-        assert tuple(manifest["global_shape"]) == (4, 6)
+        with open(tmp_path / "g2" / "manifest.json") as f:
+            manifest = json.load(f)
+        assert manifest["global_shape"] == [4, 6]
         assert manifest["nranks"] == 2
 
     def test_roundtrip_preserves_dtype_values(self, tmp_path):

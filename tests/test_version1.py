@@ -17,9 +17,7 @@ whole problem.
 
 Families outside the method: a pipeline-farm app is a process graph of
 stages, not a loop nest over independent iterations, so the paper's
-version 1 does not apply to it; and nearest (the closest pair) subclasses
-``Archetype`` directly, with a neighbour-exchange merge written in the
-body, so it has no declarative phases to derive a version 1 from.
+version 1 does not apply to it.
 """
 
 import numpy as np
@@ -217,19 +215,3 @@ class TestRegistryChain:
         assert {"mergesort", "mergesort-tree", "quicksort", "skyline", "poisson", "fft2d"} <= set(
             V1_APPS
         )
-
-    def test_hull_version1_equals_v2(self, rng):
-        """hull is one-deep but unregistered: its version 1 comes from the
-        same method."""
-        from repro.apps.hull import convex_hull, one_deep_hull
-
-        points = rng.normal(size=(300, 2))
-        for p in (2, 3, 4, 7):
-            v1 = one_deep_hull().version1(p, points)
-            assert value_digest(v1) == value_digest(one_deep_hull().run(p, points).values)
-        assert np.array_equal(v1[0], convex_hull(points))
-
-    def test_nearest_has_no_declared_phases(self):
-        from repro.apps.nearest import one_deep_closest_pair
-
-        assert not hasattr(one_deep_closest_pair(), "version1")
