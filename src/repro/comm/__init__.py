@@ -13,7 +13,7 @@ live in :mod:`repro.comm.redistribute`, :mod:`repro.comm.boundary`, and
 """
 
 from repro.comm.communicator import Comm
-from repro.comm.reductions import BAND, BOR, LAND, LOR, MAX, MIN, PROD, SUM, Op, make_op
+from repro.comm.reductions import LAND, LOR, MAX, MIN, PROD, SUM, Op, make_op
 from repro.comm.layout import (
     Layout,
     block_layout,
@@ -44,8 +44,6 @@ __all__ = [
     "MIN",
     "LAND",
     "LOR",
-    "BAND",
-    "BOR",
     "Layout",
     "row_layout",
     "col_layout",

@@ -104,14 +104,6 @@ def _lor(a, b):
     )
 
 
-def _band(a, b):
-    return np.bitwise_and(a, b) if isinstance(a, np.ndarray) else a & b
-
-
-def _bor(a, b):
-    return np.bitwise_or(a, b) if isinstance(a, np.ndarray) else a | b
-
-
 #: elementwise sum
 SUM = Op("sum", _add)
 #: elementwise product
@@ -124,7 +116,3 @@ MIN = Op("min", _min)
 LAND = Op("land", _land)
 #: logical or
 LOR = Op("lor", _lor)
-#: bitwise and
-BAND = Op("band", _band)
-#: bitwise or
-BOR = Op("bor", _bor)

@@ -46,52 +46,27 @@ def _array_frozen(array: np.ndarray) -> bool:
     return base is None or isinstance(base, bytes)
 
 
-def _freeze_payload(payload: Any) -> Any:
-    """Produce an immutable equivalent of *payload*, sharing what it can.
-
-    Send-by-value without the eager deep copy: ndarrays are copied
-    **once** and marked read-only at first injection; a payload
-    that is already frozen (every forwarded hop of a ``bcast``, the
-    ring-passed slabs of an ``allgather``) is shared zero-copy, because
-    neither sender nor receiver can mutate it.  Mutable containers are
-    rebuilt (cheap — pointers only) so a sender appending to a sent list
-    cannot reach the receiver; their array leaves are shared frozen.
-    """
-    if payload is None or isinstance(
-        payload, (bool, int, float, complex, str, bytes, frozenset, np.generic)
-    ):
-        return payload
-    if isinstance(payload, np.ndarray):
-        if _array_frozen(payload):
-            return payload
-        frozen = payload.copy()
-        frozen.flags.writeable = False
-        return frozen
-    if isinstance(payload, tuple):
-        return tuple(_freeze_payload(item) for item in payload)
-    if isinstance(payload, list):
-        return [_freeze_payload(item) for item in payload]
-    if isinstance(payload, dict):
-        return {k: _freeze_payload(v) for k, v in payload.items()}
-    return copy.deepcopy(payload)
-
-
 def _freeze_measure(payload: Any) -> tuple[Any, int]:
-    """Freeze *payload* and measure its wire size in one traversal.
+    """Detach *payload* from its sender and measure its wire size, in one
+    traversal.
 
-    Returns ``(frozen, nbytes)`` where ``frozen`` is exactly
-    :func:`_freeze_payload`'s result and ``nbytes`` exactly
+    Returns ``(frozen, nbytes)`` where ``nbytes`` is exactly
     ``repro.util.nbytes._nbytes``'s (the envelope overhead is added by
-    the caller).  Fusing the two walks matters for nested payloads (a
-    redistribution parcel is a list of (rect, block) tuples): the
-    structure is visited once instead of twice.  Types outside the hot
-    set delegate to the reference implementations.
+    the caller).  ``frozen`` is an immutable equivalent of the payload,
+    sharing what it can — send-by-value without the eager deep copy:
+    ndarrays are copied **once** and marked read-only at first
+    injection; a payload that is already frozen (every forwarded hop of
+    a ``bcast``, the ring-passed slabs of an ``allgather``) is shared
+    zero-copy, because neither sender nor receiver can mutate it.
+    Mutable containers are rebuilt (cheap — pointers only) so a sender
+    appending to a sent list cannot reach the receiver; their array
+    leaves are shared frozen.  Anything else is deep-copied.
     """
-    # Exact-type dispatch first: the hot payloads are plain
-    # tuples/lists/ints/floats/ndarrays (a parcel is mostly small-int
-    # rectangle tuples), and ``type() is`` beats isinstance chains.
-    # Subclasses fall through to the isinstance chain below, which
-    # computes the identical result.
+    # Exact-type dispatch first: the hot containers are plain tuples and
+    # lists of ints and floats (a parcel is mostly small-int rectangle
+    # tuples), and ``type() is`` beats isinstance chains.  Subclasses
+    # fall through to the isinstance chain below, which computes the
+    # identical result.
     t = type(payload)
     if t is tuple or t is list:
         items = []
@@ -106,7 +81,7 @@ def _freeze_measure(payload: Any) -> tuple[Any, int]:
                 items.append(frozen)
                 total += nbytes + 2
         return (tuple(items) if t is tuple else items), total
-    if t is np.ndarray:
+    if isinstance(payload, np.ndarray):
         nbytes = int(payload.nbytes)
         if _array_frozen(payload):
             return payload, nbytes
@@ -115,13 +90,6 @@ def _freeze_measure(payload: Any) -> tuple[Any, int]:
         return frozen, nbytes
     if payload is None:
         return payload, 0
-    if isinstance(payload, np.ndarray):
-        nbytes = int(payload.nbytes)
-        if _array_frozen(payload):
-            return payload, nbytes
-        frozen = payload.copy()
-        frozen.flags.writeable = False
-        return frozen, nbytes
     if isinstance(payload, (bool, int, float, complex)):
         return payload, _SCALAR_BYTES
     if isinstance(payload, (tuple, list)):
@@ -140,7 +108,9 @@ def _freeze_measure(payload: Any) -> tuple[Any, int]:
             out[key] = frozen
             total += _nbytes(key) + nbytes + 2
         return out, total
-    return _freeze_payload(payload), _nbytes(payload)
+    if isinstance(payload, (str, bytes, frozenset, np.generic)):
+        return payload, _nbytes(payload)
+    return copy.deepcopy(payload), _nbytes(payload)
 
 
 @dataclass
@@ -217,11 +187,6 @@ class RankContext:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RankContext rank={self.rank}/{self.size} t={self.clock:.6g}s>"
 
-    @property
-    def is_root(self) -> bool:
-        """True on rank 0 (the conventional master for degenerate phases)."""
-        return self.rank == 0
-
     def check_peer(self, peer: int) -> None:
         """Validate a peer rank id.  The messaging calls test the range
         inline and call this only to raise."""
@@ -242,14 +207,17 @@ class RankContext:
         """Constants of the machine's per-message cost formulas for this
         (machine, size) pair, cached on the instance.
 
-        The messaging calls inline :meth:`MachineModel.message_time` /
-        ``send_overhead`` / ``recv_overhead`` to skip a method call per
-        message.  Each
-        product below groups terms exactly as the model's own expressions
-        associate them, so the inlined arithmetic is bitwise identical to
-        calling the model.
+        :meth:`_post` and :meth:`_finish_recv` inline
+        :meth:`MachineModel.message_time` / ``send_overhead`` /
+        ``recv_overhead`` to skip the model's size check and congestion
+        product per message.  Each product below groups terms exactly as
+        the model's own expressions associate them, so the inlined
+        arithmetic is bitwise identical to calling the model.
         """
+        cache = self._cost_cache
         m = self.machine
+        if cache is not None and cache[0] is m and cache[1] == self.size:
+            return cache
         congestion = 1.0 + m.congestion_per_node * max(self.size - 2, 0)
         cache = (
             m,
@@ -313,27 +281,35 @@ class RankContext:
         ``np.asarray(x).copy()``), and already-frozen payloads
         (collective forwards) are shared zero-copy.
 
-        ``nbytes`` overrides the payload-size traversal when the caller
-        already knows the size — collectives forwarding a received
-        message reuse its envelope's ``nbytes`` instead of re-measuring
-        the same buffer at every tree hop.  It must equal
+        ``nbytes`` overrides the measured payload size when the caller
+        already knows it — collectives forwarding a received message
+        reuse its envelope's ``nbytes``.  It must equal
         ``nbytes_of(payload)``; virtual costs depend on it.
+        """
+        self._post(dest, payload, tag, nbytes, True)
+
+    def _post(
+        self, dest: int, payload: Any, tag: int, nbytes: int | None, blocking: bool
+    ) -> Request | None:
+        """Post one message: validate, detach, charge, deliver, trace.
+
+        A blocking send pays the whole Hockney transfer, so its clock ends
+        at the arrival stamp; a nonblocking one pays only the post
+        overhead and returns the request whose completion waits out the
+        wire (:meth:`_finish_send`).
         """
         if not 0 <= dest < self.size:
             self.check_peer(dest)
         if tag < 0 or MAX_USER_TAG <= tag < COLL_TAG_BASE:
             self._validate_send_tag(tag)
+        payload, size = _freeze_measure(payload)
         if nbytes is None:
-            payload, nbytes = _freeze_measure(payload)
-            nbytes += _OVERHEAD_BYTES
-        else:
-            payload = _freeze_payload(payload)
+            nbytes = size + _OVERHEAD_BYTES
+        _, _, congestion, alpha, beta, send_a, send_b, _, _ = self._machine_costs()
         ep = self._endpoint
-        costs = self._cost_cache
-        if costs is None or costs[0] is not self.machine or costs[1] != self.size:
-            costs = self._machine_costs()
         start = ep.clock
-        arrival = ep.clock = start + (costs[3] + costs[4] * nbytes) * costs[2]
+        arrival = start + (alpha + beta * nbytes) * congestion
+        ep.clock = arrival if blocking else start + (send_a + send_b * nbytes) * congestion
         ep.send_seq += 1
         group = self._group
         if group is None:
@@ -343,8 +319,29 @@ class RankContext:
         self._backend.deliver(
             Message(rank, global_dest, tag, payload, nbytes, arrival, ep.send_seq, self._ctx)
         )
-        if self._tracer is not None:
-            self._tracer.comm(rank, "send", global_dest, tag, nbytes, start, arrival)
+        tracer = self._tracer
+        if blocking:
+            if tracer is not None:
+                tracer.comm(rank, "send", global_dest, tag, nbytes, start, arrival)
+            return None
+        req_id = ep.next_req
+        ep.next_req += 1
+        if tracer is not None:
+            tracer.comm(
+                rank, "send", global_dest, tag, nbytes, start, ep.clock, arrival=arrival
+            )
+            tracer.request(
+                rank, ep.clock, "isend", "post", req_id, global_dest, tag, nbytes
+            )
+        return Request("send", self, req_id, dest, tag, nbytes, start, arrival)
+
+    def _global_source(self, source: int) -> int:
+        """Validate a receive's *source* and map it to the world numbering."""
+        if source == ANY_SOURCE:
+            return source
+        if not 0 <= source < self.size:
+            self.check_peer(source)
+        return source if self._group is None else self._group[source]
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Receive and return the payload of a matching message (blocking)."""
@@ -356,58 +353,83 @@ class RankContext:
         The returned envelope's ``source`` is expressed in this
         communicator's (local) rank numbering.
         """
-        group = self._group
-        global_source = source
-        if source != ANY_SOURCE:
-            if not 0 <= source < self.size:
-                self.check_peer(source)
-            if group is not None:
-                global_source = group[source]
-        rank = self.rank if group is None else group[self.rank]
+        global_source = self._global_source(source)
+        msg = self._backend.wait_for_match(
+            self.global_rank, global_source, tag, self._ctx, source
+        )
+        return self._finish_recv(msg, None)
+
+    def _finish_recv(self, msg: Message, request: Request | None) -> Message:
+        """Ingest *msg* on this rank; returns it with a local ``source``.
+
+        The clock waits for the arrival (a blocked rank's clock does not
+        move, so the wait is measured from the clock at the call), then
+        pays the receiver's ingest overhead.  A request completion also
+        tallies its wait, traces the arrival and the request's completion,
+        and stores the envelope on *request*; a blocking receive
+        (``request=None``) does none of those.
+        """
+        _, _, congestion, _, _, _, _, recv_a, recv_b = self._machine_costs()
         ep = self._endpoint
-        start = ep.clock
-        msg = self._backend.wait_for_match(rank, global_source, tag, self._ctx, source)
-        costs = self._cost_cache
-        if costs is None or costs[0] is not self.machine or costs[1] != self.size:
-            costs = self._machine_costs()
-        # a blocked rank's clock does not move: it is still `start`
+        pre = ep.clock
         arrival = msg.arrival
         nbytes = msg.nbytes
-        ep.clock = (arrival if arrival > start else start) + (
-            costs[7] + costs[8] * nbytes
-        ) * costs[2]
-        if self._tracer is not None:
-            self._tracer.comm(rank, "recv", msg.source, msg.tag, nbytes, start, ep.clock)
-        if group is not None:
+        ep.clock = (arrival if arrival > pre else pre) + (recv_a + recv_b * nbytes) * congestion
+        tracer = self._tracer
+        if request is None:
+            if tracer is not None:
+                tracer.comm(self.global_rank, "recv", msg.source, msg.tag, nbytes, pre, ep.clock)
+        else:
+            ep.waits.append(arrival - pre if arrival > pre else 0.0)
+            if tracer is not None:
+                rank = self.global_rank
+                tracer.comm(
+                    rank, "recv", msg.source, msg.tag, nbytes, pre, ep.clock,
+                    arrival=arrival,
+                )
+                tracer.request(
+                    rank, ep.clock, "irecv", "complete", request.req_id,
+                    msg.source, msg.tag, nbytes,
+                )
+        if self._group is not None:
             msg = replace(msg, source=self._to_local(msg.source))
+        if request is not None:
+            request.nbytes = nbytes
+            request.message = msg
+            request.done = True
         return msg
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """True when a matching message is already waiting (non-blocking)."""
-        global_source = source if source == ANY_SOURCE else self._to_global(source)
-        return self._backend.probe_match(self.global_rank, global_source, tag, self._ctx)
+        return self._backend.probe_match(
+            self.global_rank, self._global_source(source), tag, self._ctx
+        )
 
     # -- nonblocking point-to-point -----------------------------------------
     #
     # Cost model: ``isend`` charges only the sender-side post overhead and
     # records the wire-completion time on the request; ``irecv`` is free to
-    # post.  Completion (``wait``/``waitall``) advances the clock to at
-    # least the transfer's finish time, so compute performed between post
-    # and wait is absorbed into ``max(compute, transfer)`` — the
-    # compute/communication overlap the archetypes exploit.  An isend (or
-    # irecv) followed immediately by its wait costs exactly the blocking
-    # call, by construction.
+    # post.  Completion (``wait``/``waitall``/``waitany``) advances the
+    # clock to at least the transfer's finish time, so compute performed
+    # between post and wait is absorbed into ``max(compute, transfer)`` —
+    # the compute/communication overlap the archetypes exploit.  An isend
+    # (or irecv) followed immediately by its wait costs exactly the
+    # blocking call, by construction.
+    #
+    # Each message event has one charge method, and every call that causes
+    # the event goes through it: :meth:`_post` (``send``, ``isend``,
+    # ``sendrecv``), :meth:`_finish_send` (a send request's completion) and
+    # :meth:`_finish_recv` (``recv_msg`` and a receive request's
+    # completion).  A completion is charged by the request's owner — the
+    # view that posted it, whose size sets the congestion and whose group
+    # numbers the peers — even when another view of the rank waits on it.
     #
     # ``waitall`` observes completions in whatever order the backend
     # reports (the fuzzer perturbs this) but *charges* them in a canonical
     # order, so virtual clocks stay schedule-independent.  ``waitany`` is
     # inherently order-sensitive, like a wildcard receive, and is charged
-    # at the observed completion.
-
-    def _new_req_id(self) -> int:
-        rid = self._endpoint.next_req
-        self._endpoint.next_req += 1
-        return rid
+    # at the observed completion.  ``sendrecv`` is ``irecv`` + ``isend`` +
+    # ``waitall`` on the same charge methods.
 
     def isend(
         self, dest: int, payload: Any, tag: int = 0, *, nbytes: int | None = None
@@ -419,44 +441,7 @@ class RankContext:
         send would produce; only the post overhead is charged here.
         ``nbytes`` as for :meth:`send`.
         """
-        if not 0 <= dest < self.size:
-            self.check_peer(dest)
-        if tag < 0 or MAX_USER_TAG <= tag < COLL_TAG_BASE:
-            self._validate_send_tag(tag)
-        if nbytes is None:
-            payload, nbytes = _freeze_measure(payload)
-            nbytes += _OVERHEAD_BYTES
-        else:
-            payload = _freeze_payload(payload)
-        ep = self._endpoint
-        costs = self._cost_cache
-        if costs is None or costs[0] is not self.machine or costs[1] != self.size:
-            costs = self._machine_costs()
-        start = ep.clock
-        arrival = start + (costs[3] + costs[4] * nbytes) * costs[2]
-        ep.clock = start + (costs[5] + costs[6] * nbytes) * costs[2]
-        ep.send_seq += 1
-        group = self._group
-        if group is None:
-            rank, global_dest = self.rank, dest
-        else:
-            rank, global_dest = group[self.rank], group[dest]
-        self._backend.deliver(
-            Message(rank, global_dest, tag, payload, nbytes, arrival, ep.send_seq, self._ctx)
-        )
-        req_id = ep.next_req
-        ep.next_req += 1
-        req = Request(
-            "send", self, req_id, dest, tag, nbytes, posted_at=start, complete_at=arrival
-        )
-        if self._tracer is not None:
-            self._tracer.comm(
-                rank, "send", global_dest, tag, nbytes, start, ep.clock, arrival=arrival
-            )
-            self._tracer.request(
-                rank, ep.clock, "isend", "post", req_id, global_dest, tag, nbytes
-            )
-        return req
+        return self._post(dest, payload, tag, nbytes, False)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Post a nonblocking receive pattern; costs nothing until waited.
@@ -467,28 +452,17 @@ class RankContext:
         no longer be stolen by other receives — MPI posted-receive
         semantics.
         """
-        if source != ANY_SOURCE:
-            self.check_peer(source)
-        global_source = source if source == ANY_SOURCE else self._to_global(source)
-        post_id = self._backend.post_receive(
-            self.global_rank, global_source, tag, self._ctx
-        )
-        req = Request(
-            "recv",
-            self,
-            self._new_req_id(),
-            source,
-            tag,
-            0,
-            posted_at=self.clock,
-            post_id=post_id,
-        )
+        global_source = self._global_source(source)
+        rank = self.global_rank
+        post_id = self._backend.post_receive(rank, global_source, tag, self._ctx)
+        ep = self._endpoint
+        req_id = ep.next_req
+        ep.next_req += 1
         if self._tracer is not None:
             self._tracer.request(
-                self.global_rank, self.clock, "irecv", "post", req.req_id,
-                global_source, tag, 0,
+                rank, ep.clock, "irecv", "post", req_id, global_source, tag, 0
             )
-        return req
+        return Request("recv", self, req_id, source, tag, 0, ep.clock, 0.0, post_id)
 
     def _check_request(self, request: Request) -> None:
         if request.owner._endpoint is not self._endpoint:
@@ -497,47 +471,21 @@ class RankContext:
                 f"{request.owner.global_rank}, not rank {self.global_rank}"
             )
 
-    def _complete_send(self, request: Request) -> None:
-        """Charge a send completion: wait out the wire if it hasn't drained."""
-        owner = request.owner
-        pre = owner.clock
-        owner.clock = max(owner.clock, request.complete_at)
+    def _finish_send(self, request: Request) -> None:
+        """Complete a send request on this rank: wait out the wire if it
+        has not drained, tally the wait, trace the completion."""
+        ep = self._endpoint
+        pre = ep.clock
+        finish = request.complete_at
+        if finish > pre:
+            ep.clock = finish
         request.done = True
-        owner._endpoint.waits.append(max(0.0, request.complete_at - pre))
-        if owner._tracer is not None:
-            owner._tracer.request(
-                owner.global_rank, owner.clock, "isend", "complete",
-                request.req_id, owner._to_global(request.peer), request.tag,
-                request.nbytes,
+        ep.waits.append(finish - pre if finish > pre else 0.0)
+        if self._tracer is not None:
+            self._tracer.request(
+                self.global_rank, ep.clock, "isend", "complete", request.req_id,
+                self._to_global(request.peer), request.tag, request.nbytes,
             )
-
-    def _complete_recv(self, request: Request, msg: Message) -> None:
-        """Charge a receive completion and store the matched envelope."""
-        owner = request.owner
-        pre = owner.clock
-        owner.clock = max(owner.clock, msg.arrival)
-        owner.clock += owner.machine.recv_overhead(msg.nbytes, nodes=owner.size)
-        request.nbytes = msg.nbytes
-        owner._endpoint.waits.append(max(0.0, msg.arrival - pre))
-        if owner._tracer is not None:
-            owner._tracer.comm(
-                owner.global_rank,
-                "recv",
-                msg.source,
-                msg.tag,
-                msg.nbytes,
-                pre,
-                owner.clock,
-                arrival=msg.arrival,
-            )
-            owner._tracer.request(
-                owner.global_rank, owner.clock, "irecv", "complete",
-                request.req_id, msg.source, msg.tag, msg.nbytes,
-            )
-        if owner._group is not None:
-            msg = replace(msg, source=owner._to_local(msg.source))
-        request.message = msg
-        request.done = True
 
     def wait(self, request: Request) -> Any:
         """Complete one request; returns the payload for receives."""
@@ -545,14 +493,13 @@ class RankContext:
         if request.done:
             return request.payload if request.kind == "recv" else None
         if request.kind == "send":
-            self._complete_send(request)
+            request.owner._finish_send(request)
             return None
         rank = self.global_rank
         if not self._backend.post_ready(rank, request.post_id):
             label = ("wait", request.req_id, request.peer, request.tag, self._ctx)
             self._backend.wait_any_post(rank, (request.post_id,), label)
-        msg = self._backend.take_post(rank, request.post_id)
-        self._complete_recv(request, msg)
+        request.owner._finish_recv(self._backend.take_post(rank, request.post_id), request)
         return request.payload
 
     def waitall(self, requests: list[Request]) -> list[Any]:
@@ -590,52 +537,15 @@ class RankContext:
                     ]
                     post_id = ready[backend.choose_completion(rank, candidates)]
                 fulfilled.append((pending.pop(post_id), backend.take_post(rank, post_id)))
-        waits = ep.waits
         for r in requests:
             if r.kind == "send" and not r.done:
-                owner = r.owner
-                oep = owner._endpoint
-                pre = oep.clock
-                finish = r.complete_at
-                if finish > pre:
-                    oep.clock = finish
-                r.done = True
-                waits.append(finish - pre if finish > pre else 0.0)
-                if owner._tracer is not None:
-                    owner._tracer.request(
-                        owner.global_rank, oep.clock, "isend", "complete",
-                        r.req_id, owner._to_global(r.peer), r.tag, r.nbytes,
-                    )
+                r.owner._finish_send(r)
         if len(fulfilled) > 1:
             fulfilled.sort(
                 key=lambda pair: (pair[1].arrival, pair[1].source, pair[1].seq)
             )
         for r, msg in fulfilled:
-            owner = r.owner
-            oep = owner._endpoint
-            pre = oep.clock
-            arrival = msg.arrival
-            costs = owner._cost_cache
-            if costs is None or costs[0] is not owner.machine or costs[1] != owner.size:
-                costs = owner._machine_costs()
-            oep.clock = (arrival if arrival > pre else pre) + (
-                costs[7] + costs[8] * msg.nbytes
-            ) * costs[2]
-            r.nbytes = msg.nbytes
-            waits.append(arrival - pre if arrival > pre else 0.0)
-            if owner._tracer is not None:
-                owner._tracer.comm(
-                    owner.global_rank, "recv", msg.source, msg.tag, msg.nbytes,
-                    pre, oep.clock, arrival=arrival,
-                )
-                owner._tracer.request(
-                    owner.global_rank, oep.clock, "irecv", "complete",
-                    r.req_id, msg.source, msg.tag, msg.nbytes,
-                )
-            if owner._group is not None:
-                msg = replace(msg, source=owner._to_local(msg.source))
-            r.message = msg
-            r.done = True
+            r.owner._finish_recv(msg, r)
         return [r.payload if r.kind == "recv" else None for r in requests]
 
     def waitany(self, requests: list[Request]) -> tuple[int, Any]:
@@ -667,16 +577,16 @@ class RankContext:
         candidates = []
         for _, r in ready:
             if r.kind == "send":
-                candidates.append((self._to_global(r.peer), r.tag))
+                candidates.append((r.owner._to_global(r.peer), r.tag))
             else:
                 m = self._backend.peek_post(rank, r.post_id)
                 candidates.append((m.source, m.tag))
         pos = self._backend.choose_completion(rank, candidates)
         index, request = ready[pos]
         if request.kind == "send":
-            self._complete_send(request)
+            request.owner._finish_send(request)
             return index, None
-        self._complete_recv(request, self._backend.take_post(rank, request.post_id))
+        request.owner._finish_recv(self._backend.take_post(rank, request.post_id), request)
         return index, request.payload
 
     def test(self, request: Request) -> bool:
@@ -709,98 +619,23 @@ class RankContext:
         of a non-periodic shifted exchange), in which case a skipped
         receive returns ``None``.
 
-        Observably ``irecv``/``isend``/``waitall`` fused into one frame
-        with no :class:`Request` objects: the same validation order,
-        payload detachment, clock charges (send completion first, then
-        the receive), request-id allocation, tallies, trace events and
-        backend call sequence (post, deliver, one ``wait_any_post``).
+        Exactly ``irecv(source, recv_tag)``, ``isend(dest, payload,
+        send_tag)`` and a ``waitall`` on the two: the same clock charges
+        (send completion first, then the receive), request ids, tallies,
+        trace events and backend calls.
         """
         recv_tag = send_tag if recv_tag is None else recv_tag
-        ep = self._endpoint
-        backend = self._backend
-        machine = self.machine
-        rank = self.global_rank
-        tracer = self._tracer
-        costs = self._cost_cache
-        if costs is None or costs[0] is not machine or costs[1] != self.size:
-            costs = self._machine_costs()
-        _, _, congestion, alpha, beta, send_a, send_b, recv_a, recv_b = costs
-        nreq = 0
-        post_id = None
-        if source is not None:
-            global_source = source
-            if source != ANY_SOURCE:
-                if not 0 <= source < self.size:
-                    self.check_peer(source)
-                global_source = self._to_global(source)
-            post_id = backend.post_receive(rank, global_source, recv_tag, self._ctx)
-            recv_req_id = ep.next_req
-            ep.next_req += 1
-            nreq += 1
-            if tracer is not None:
-                tracer.request(
-                    rank, ep.clock, "irecv", "post", recv_req_id,
-                    global_source, recv_tag, 0,
-                )
-        send_arrival = None
-        if dest is not None:
-            if not 0 <= dest < self.size:
-                self.check_peer(dest)
-            if send_tag < 0 or MAX_USER_TAG <= send_tag < COLL_TAG_BASE:
-                self._validate_send_tag(send_tag)
-            payload, nbytes = _freeze_measure(payload)
-            nbytes += _OVERHEAD_BYTES
-            start = ep.clock
-            send_arrival = start + (alpha + beta * nbytes) * congestion
-            ep.clock = start + (send_a + send_b * nbytes) * congestion
-            ep.send_seq += 1
-            global_dest = self._to_global(dest)
-            backend.deliver(
-                Message(
-                    rank, global_dest, send_tag, payload, nbytes, send_arrival,
-                    ep.send_seq, self._ctx,
-                )
-            )
-            send_req_id = ep.next_req
-            ep.next_req += 1
-            nreq += 1
-            if tracer is not None:
-                tracer.comm(
-                    rank, "send", global_dest, send_tag, nbytes,
-                    start, ep.clock, arrival=send_arrival,
-                )
-                tracer.request(
-                    rank, ep.clock, "isend", "post", send_req_id,
-                    global_dest, send_tag, nbytes,
-                )
-        got = None
-        if post_id is not None:
-            ready = backend.wait_any_post(rank, (post_id,), ("waitall", nreq, self._ctx))
-            got = backend.take_post(rank, ready[0])
-        if send_arrival is not None:
-            pre = ep.clock
-            if send_arrival > pre:
-                ep.clock = send_arrival
-            ep.waits.append(send_arrival - pre if send_arrival > pre else 0.0)
-            if tracer is not None:
-                tracer.request(
-                    rank, ep.clock, "isend", "complete", send_req_id,
-                    global_dest, send_tag, nbytes,
-                )
-        if got is not None:
-            pre = ep.clock
-            arrival = got.arrival
-            ep.clock = (arrival if arrival > pre else pre) + (
-                recv_a + recv_b * got.nbytes
-            ) * congestion
-            ep.waits.append(arrival - pre if arrival > pre else 0.0)
-            if tracer is not None:
-                tracer.comm(
-                    rank, "recv", got.source, got.tag, got.nbytes,
-                    pre, ep.clock, arrival=arrival,
-                )
-                tracer.request(
-                    rank, ep.clock, "irecv", "complete", recv_req_id,
-                    got.source, got.tag, got.nbytes,
-                )
-        return None if got is None else got.payload
+        recv_req = None if source is None else self.irecv(source, recv_tag)
+        send_req = None if dest is None else self._post(dest, payload, send_tag, None, False)
+        msg = None
+        if recv_req is not None:
+            rank = self.global_rank
+            label = ("waitall", 1 if send_req is None else 2, self._ctx)
+            ready = self._backend.wait_any_post(rank, (recv_req.post_id,), label)
+            msg = self._backend.take_post(rank, ready[0])
+        if send_req is not None:
+            self._finish_send(send_req)
+        if msg is None:
+            return None
+        self._finish_recv(msg, recv_req)
+        return msg.payload

@@ -128,6 +128,19 @@ class TestSendRecv:
 
         assert spmd_run(1, body).values[0] == "self"
 
+    def test_probe_rejects_out_of_range_source(self):
+        """``probe`` validates its peer like ``recv``/``irecv``, on the world
+        communicator and on a ``split`` one."""
+
+        def body(comm):
+            for view in (comm, comm.split(comm.rank % 2)):
+                for source in (view.size, -2):
+                    with pytest.raises(CommError, match="out of range"):
+                        view.probe(source=source)
+            return True
+
+        assert spmd_run(4, body).values == [True] * 4
+
     def test_sendrecv_exchange(self, backend):
         def body(comm):
             partner = comm.size - 1 - comm.rank

@@ -151,6 +151,33 @@ class TestWaitAllAny:
 
         assert all(run_both_backends(2, body).values)
 
+    def test_waitany_names_send_peers_in_the_world_numbering(self):
+        """A send posted on a split view and completed by ``waitany`` on the
+        world view offers its peer's global rank as the completion
+        candidate, so the traced choice names the real peer."""
+        from repro.trace.events import MatchEvent
+
+        def body(comm):
+            sub = comm.split(comm.rank % 2)
+            if comm.rank == 1:
+                reqs = [sub.isend(1, "to 3"), comm.isend(0, "to 0")]
+                comm.waitany(reqs)
+                comm.waitall(reqs)
+            elif comm.rank == 3:
+                return sub.recv(0)
+            elif comm.rank == 0:
+                return comm.recv(1)
+            return None
+
+        res = spmd_run(4, body, backend="fuzzed", seed=0, trace=True)
+        assert res.values == ["to 0", None, None, "to 3"]
+        choices = [
+            ev for ev in res.tracer.events_for(1)
+            if isinstance(ev, MatchEvent) and ev.completion
+        ]
+        assert [ev.candidates for ev in choices] == [(0, 3)]
+        assert choices[0].source in (0, 3)
+
     @pytest.mark.chaos(seeds=8)
     def test_waitall_charging_is_schedule_independent(self):
         """Fuzzed completion orders must not move any virtual clock."""
@@ -193,6 +220,77 @@ class TestSendrecv:
             return a == "ping" and b == other
 
         assert all(run_both_backends(2, body).values)
+
+
+def _exchange(view, dest, payload, source, fused):
+    """One shifted exchange, as ``sendrecv`` or as the requests it stands for."""
+    if fused:
+        return view.sendrecv(dest, payload, source, send_tag=3)
+    reqs = [] if source is None else [view.irecv(source, 3)]
+    if dest is not None:
+        reqs.append(view.isend(dest, payload, 3))
+    values = view.waitall(reqs)
+    return None if source is None else values[0]
+
+
+def _shifts(comm, fused):
+    """Right, left and periodic shifts on the world and on a split view;
+    the skewed compute makes the completions wait."""
+    comm.charge(1000.0 * (comm.rank % 3))
+    got = []
+    for view in (comm, comm.split(comm.rank % 2)):
+        r, n = view.rank, view.size
+        right = r + 1 if r + 1 < n else None
+        left = r - 1 if r > 0 else None
+        payload = np.arange(4.0) * comm.rank
+        got.append(_exchange(view, right, payload, left, fused))
+        got.append(_exchange(view, left, [comm.rank], right, fused))
+        got.append(_exchange(view, (r + 1) % n, comm.rank, (r - 1) % n, fused))
+    return got
+
+
+class TestSendrecvIsRequests:
+    """``sendrecv`` is ``irecv`` + ``isend`` + ``waitall``: same values,
+    clocks, trace events, request ids and request tallies."""
+
+    @staticmethod
+    def _observe(fused, backend):
+        from repro.obs.metrics import scoped_registry
+
+        with scoped_registry() as metrics:
+            res = spmd_run(
+                4, _shifts, args=(fused,), machine=IBM_SP, backend=backend, trace=True
+            )
+            snapshot = metrics.snapshot()
+        return (
+            [float.hex(t) for t in res.times],
+            [list(res.tracer.events_for(rank)) for rank in range(4)],
+            {k: v for k, v in snapshot.items() if k.startswith("comm.requests.")},
+            res.values,
+        )
+
+    @pytest.mark.parametrize("backend", ["deterministic", "fuzzed"])
+    def test_sendrecv_equals_irecv_isend_waitall(self, backend):
+        from repro.trace.events import RequestEvent
+
+        clocks, events, tallies, values = self._observe(True, backend)
+        want_clocks, want_events, want_tallies, want_values = self._observe(False, backend)
+        assert clocks == want_clocks
+        assert events == want_events
+        assert tallies == want_tallies
+        assert tallies["comm.requests.posted"]["value"] > 0
+        ids = [ev.req_id for ev in events[1] if isinstance(ev, RequestEvent)]
+        assert ids and ids == [
+            ev.req_id for ev in want_events[1] if isinstance(ev, RequestEvent)
+        ]
+        for got, want in zip(values, want_values):
+            assert len(got) == len(want) == 6
+            for a, b in zip(got, want):
+                assert (a is None and b is None) or np.array_equal(a, b)
+        # the open ends were exercised: rank 0 receives nothing on its first
+        # world shift, and the last rank of each split view nothing on its
+        # second
+        assert values[0][0] is None and values[3][4] is None
 
 
 class TestPostedReceiveSemantics:
