@@ -367,7 +367,8 @@ class RankContext:
         pays the receiver's ingest overhead.  A request completion also
         tallies its wait, traces the arrival and the request's completion,
         and stores the envelope on *request*; a blocking receive
-        (``request=None``) does none of those.
+        (``request=None``) traces only its ``recv`` event, tallies no
+        wait and fills no request.
         """
         _, _, congestion, _, _, _, _, recv_a, recv_b = self._machine_costs()
         ep = self._endpoint
@@ -417,8 +418,8 @@ class RankContext:
     # blocking call, by construction.
     #
     # Each message event has one charge method, and every call that causes
-    # the event goes through it: :meth:`_post` (``send``, ``isend``,
-    # ``sendrecv``), :meth:`_finish_send` (a send request's completion) and
+    # the event goes through it: :meth:`_post` (``send``, ``isend``),
+    # :meth:`_finish_send` (a send request's completion) and
     # :meth:`_finish_recv` (``recv_msg`` and a receive request's
     # completion).  A completion is charged by the request's owner — the
     # view that posted it, whose size sets the congestion and whose group
@@ -428,8 +429,8 @@ class RankContext:
     # reports (the fuzzer perturbs this) but *charges* them in a canonical
     # order, so virtual clocks stay schedule-independent.  ``waitany`` is
     # inherently order-sensitive, like a wildcard receive, and is charged
-    # at the observed completion.  ``sendrecv`` is ``irecv`` + ``isend`` +
-    # ``waitall`` on the same charge methods.
+    # at the observed completion.  ``sendrecv`` calls ``irecv``, ``isend``
+    # and ``waitall``.
 
     def isend(
         self, dest: int, payload: Any, tag: int = 0, *, nbytes: int | None = None
@@ -619,23 +620,12 @@ class RankContext:
         of a non-periodic shifted exchange), in which case a skipped
         receive returns ``None``.
 
-        Exactly ``irecv(source, recv_tag)``, ``isend(dest, payload,
-        send_tag)`` and a ``waitall`` on the two: the same clock charges
-        (send completion first, then the receive), request ids, tallies,
-        trace events and backend calls.
+        It is ``irecv(source, recv_tag)``, ``isend(dest, payload,
+        send_tag)`` and a ``waitall`` on the two.
         """
         recv_tag = send_tag if recv_tag is None else recv_tag
-        recv_req = None if source is None else self.irecv(source, recv_tag)
-        send_req = None if dest is None else self._post(dest, payload, send_tag, None, False)
-        msg = None
-        if recv_req is not None:
-            rank = self.global_rank
-            label = ("waitall", 1 if send_req is None else 2, self._ctx)
-            ready = self._backend.wait_any_post(rank, (recv_req.post_id,), label)
-            msg = self._backend.take_post(rank, ready[0])
-        if send_req is not None:
-            self._finish_send(send_req)
-        if msg is None:
-            return None
-        self._finish_recv(msg, recv_req)
-        return msg.payload
+        reqs = [] if source is None else [self.irecv(source, recv_tag)]
+        if dest is not None:
+            reqs.append(self.isend(dest, payload, send_tag))
+        values = self.waitall(reqs)
+        return None if source is None else values[0]
