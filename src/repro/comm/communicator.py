@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import CommError
-from repro.comm.reductions import Op
+from repro.comm.reductions import Op, tally_applies
 from repro.runtime.context import RankContext
 from repro.runtime.message import COLL_TAG_BASE as _COLL_TAG_BASE
 from repro.runtime.message import MAX_USER_TAG
@@ -79,14 +79,17 @@ class Comm(RankContext):
         members = sorted((k, r) for c, k, r in entries if c == color)
         member_ranks = [r for _, r in members]
         group = type(self).__new__(type(self))
-        group.rank = member_ranks.index(self.rank)
-        group.size = len(member_ranks)
         group.machine = self.machine
         group._backend = self._backend
         group._tracer = self._tracer
         group._endpoint = self._endpoint
+        group.tallies = self.tallies
         group._ctx = ctx
-        group._group = [self._to_global(r) for r in member_ranks]
+        group._bind_view(
+            member_ranks.index(self.rank),
+            len(member_ranks),
+            [self._to_global(r) for r in member_ranks],
+        )
         group._coll_seq = 0
         return group
 
@@ -151,6 +154,7 @@ class Comm(RankContext):
         # it (ops like min/max return an operand, so the accumulator is
         # often exactly a received buffer).  None ⇒ send re-measures.
         acc_nbytes: int | None = None
+        applies = 0
         mask = 1
         while mask < self.size:
             if relrank & mask:
@@ -164,12 +168,15 @@ class Comm(RankContext):
                 # The child's subtree covers higher relative ranks, so the
                 # canonical (rank-ordered) combination is acc `op` received.
                 combined = op(acc, received)
+                applies += 1
                 if combined is received:
                     acc_nbytes = msg.nbytes
                 elif combined is not acc:
                     acc_nbytes = None
                 acc = combined
             mask <<= 1
+        if applies:
+            tally_applies(self.tallies, op, applies)
         return acc if self.rank == root else None
 
     def allreduce(self, value: Any, op: Op) -> Any:
@@ -187,6 +194,7 @@ class Comm(RankContext):
         while pof2 * 2 <= size:
             pof2 *= 2
         rem = size - pof2
+        applies = 0
 
         # Fold the surplus ranks into the power-of-two core.
         if self.rank < 2 * rem:
@@ -196,6 +204,7 @@ class Comm(RankContext):
             else:
                 received = self.recv(self.rank - 1, tag=tag)
                 value = op(received, value)
+                applies += 1
                 newrank = self.rank // 2
         else:
             newrank = self.rank - rem
@@ -209,6 +218,7 @@ class Comm(RankContext):
                 )
                 other = self.sendrecv(partner, value, partner, send_tag=tag)
                 value = op(other, value) if partner_new < newrank else op(value, other)
+                applies += 1
                 mask <<= 1
 
         # Unfold: surviving odd ranks push the result back to their pair.
@@ -217,6 +227,8 @@ class Comm(RankContext):
                 self.send(self.rank - 1, value, tag=tag)
             else:
                 value = self.recv(self.rank + 1, tag=tag)
+        if applies:
+            tally_applies(self.tallies, op, applies)
         return value
 
     # -- gather / scatter ----------------------------------------------------------
@@ -300,6 +312,7 @@ class Comm(RankContext):
             d <<= 1
         tags = [self._coll_tag() for _ in range(rounds)]
         acc = value
+        applies = 0
         d = 1
         for tag in tags:
             dest = self.rank + d if self.rank + d < self.size else None
@@ -307,5 +320,8 @@ class Comm(RankContext):
             received = self.sendrecv(dest, acc, source, send_tag=tag)
             if source is not None:
                 acc = op(received, acc)
+                applies += 1
             d <<= 1
+        if applies:
+            tally_applies(self.tallies, op, applies)
         return acc

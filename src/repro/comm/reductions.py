@@ -22,8 +22,7 @@ from repro.obs.metrics import CounterHandle, counter_handle
 _APPLIES = counter_handle(
     "comm.reductions.applies", help="binary reduction-operator applications"
 )
-#: one cached handle per operator name — applies are per-element-free but
-#: per-call hot, and the old f-string + registry lookup dominated them
+#: one cached handle per operator name
 _APPLIES_BY_NAME: dict[str, CounterHandle] = {}
 
 
@@ -35,6 +34,16 @@ def _applies_handle(name: str) -> CounterHandle:
             help=f"applications of the {name!r} operator",
         )
     return handle
+
+
+def tally_applies(tallies: dict, op: "Op", count: int) -> None:
+    """Count *count* applications of *op* in one rank's per-run
+    *tallies* (``RankContext.tallies``), which
+    :func:`repro.runtime.spmd.publish_run` lands in the registry once,
+    when the run ends.  The collectives call this once per call, not per
+    application."""
+    tallies[_APPLIES] += count
+    tallies[_applies_handle(op.name)] += count
 
 
 @dataclass(frozen=True)
@@ -50,8 +59,6 @@ class Op:
     commutative: bool = True
 
     def __call__(self, a: Any, b: Any) -> Any:
-        _APPLIES.inc()
-        _applies_handle(self.name).inc()
         return self.fn(a, b)
 
 

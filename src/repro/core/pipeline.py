@@ -245,7 +245,7 @@ class _Downstream:
         w = k % self.width
         dest = self.ranks[w]
         if self.outstanding[w] >= self.window:
-            _CREDIT_WAITS.inc()
+            self.comm.tallies[_CREDIT_WAITS] += 1
             self.comm.recv(source=dest, tag=self.tag_credit)
             self.outstanding[w] -= 1
         self.comm.send(dest, ("item", value), tag=self.tag_data)
@@ -500,7 +500,7 @@ class PipelineArchetype(Archetype):
             down.push(k, out)
             up.ack(k)
             processed += 1
-            _ITEMS.inc()
+            comm.tallies[_ITEMS] += 1
         down.close()
         _STAGE_SECONDS.observe(comm.clock - entry)
         return StageReport(stage=stage.name, worker=w, processed=processed, state=state)

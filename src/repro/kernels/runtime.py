@@ -172,6 +172,9 @@ class KernelEngine:
 
     def __init__(self, mesh):
         self.mesh = mesh
+        #: the rank's per-run tallies: the ``core.kernels.*`` counts land
+        #: in the registry once, when the run ends
+        self._tallies = mesh.comm.tallies
         self.queue: list[ParLoop] = []
         self._fuse_depth = 0
         #: the groups of every flushed sequence of loops that had all run
@@ -184,7 +187,7 @@ class KernelEngine:
     # -- submission -----------------------------------------------------------
     def submit(self, loop: ParLoop) -> None:
         """Queue one loop; executes immediately outside a fuse block."""
-        _LOOPS.inc()
+        self._tallies[_LOOPS] += 1
         loop.runs += 1
         self.queue.append(loop)
         if self._fuse_depth == 0:
@@ -230,9 +233,10 @@ class KernelEngine:
     def _run_group(self, group: LoopGroup) -> None:
         comm = self.mesh.comm
         plan = plan_exchanges(group)
-        _GROUPS.inc()
+        tallies = self._tallies
+        tallies[_GROUPS] += 1
         if plan.hoisted:
-            _EXCHANGES_HOISTED.inc(plan.hoisted)
+            tallies[_EXCHANGES_HOISTED] += plan.hoisted
         overlapped = group.overlap and bool(plan.packs)
         handles = []
         for pack in plan.packs:
@@ -244,13 +248,13 @@ class KernelEngine:
                     handles.append(exchange_ghosts_many_start(comm, arrays, *where))
                 else:
                     exchange_ghosts_many(comm, arrays, *where)
-                _DATS_PACKED.inc(len(pack))
+                tallies[_DATS_PACKED] += len(pack)
             elif overlapped:
                 handles.append(exchange_ghosts_start(comm, grid.local, *where))
             else:
                 exchange_ghosts(comm, grid.local, *where)
         if plan.packs:
-            _EXCHANGES.inc(len(plan.packs))
+            tallies[_EXCHANGES] += len(plan.packs)
         for a in plan.fills:
             # physical-edge ghosts have no neighbour; filling them does
             # not race in-flight slabs.
@@ -298,8 +302,8 @@ class KernelEngine:
         fused = fusion_enabled()
         ntiles, calls = _walk(group, fused)
         if fused:
-            _TILES.inc(ntiles)
+            self._tallies[_TILES] += ntiles
             if len(group.loops) > 1:
-                _LOOPS_FUSED.inc(len(group.loops))
+                self._tallies[_LOOPS_FUSED] += len(group.loops)
         for body, args in calls:
             body(*args)

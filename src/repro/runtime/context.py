@@ -17,7 +17,9 @@ of scheduling backend or host machine speed.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from collections import defaultdict
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -29,6 +31,24 @@ from repro.runtime.request import Request
 from repro.runtime.scheduler import Backend
 from repro.trace.tracer import Tracer
 from repro.util.nbytes import _OVERHEAD_BYTES, _SCALAR_BYTES, _nbytes
+
+#: the message path builds its envelopes and requests with these C-level
+#: constructors, so no Python frame runs per object
+_new_message = tuple.__new__
+_new_request = object.__new__
+
+#: the canonical order of completed receives: by their messages' arrival,
+#: source and send sequence
+_arrival_order = attrgetter("message.arrival", "message.source", "message.seq")
+
+#: exact payload types sent as they are, by their wire size (``_nbytes``'s)
+_SCALAR_SIZE: dict[type, int] = {
+    type(None): 0,
+    bool: _SCALAR_BYTES,
+    int: _SCALAR_BYTES,
+    float: _SCALAR_BYTES,
+    complex: _SCALAR_BYTES,
+}
 
 
 def _array_frozen(array: np.ndarray) -> bool:
@@ -53,64 +73,112 @@ def _freeze_measure(payload: Any) -> tuple[Any, int]:
     Returns ``(frozen, nbytes)`` where ``nbytes`` is exactly
     ``repro.util.nbytes._nbytes``'s (the envelope overhead is added by
     the caller).  ``frozen`` is an immutable equivalent of the payload,
-    sharing what it can — send-by-value without the eager deep copy:
-    ndarrays are copied **once** and marked read-only at first
-    injection; a payload that is already frozen (every forwarded hop of
-    a ``bcast``, the ring-passed slabs of an ``allgather``) is shared
-    zero-copy, because neither sender nor receiver can mutate it.
-    Mutable containers are rebuilt (cheap — pointers only) so a sender
-    appending to a sent list cannot reach the receiver; their array
-    leaves are shared frozen.  Anything else is deep-copied.
+    of the payload's own type, sharing what it can — send-by-value
+    without the eager deep copy: ndarrays are copied **once** and marked
+    read-only at first injection; a payload that is already frozen (every
+    forwarded hop of a ``bcast``, the ring-passed slabs of an
+    ``allgather``) is shared zero-copy, because neither sender nor
+    receiver can mutate it.  Mutable containers are rebuilt (cheap —
+    pointers only) so a sender appending to a sent list cannot reach the
+    receiver; their array leaves are shared frozen.  A memoryview becomes
+    a read-only view of a private copy.  Anything else is deep-copied.
     """
-    # Exact-type dispatch first: the hot containers are plain tuples and
-    # lists of ints and floats (a parcel is mostly small-int rectangle
-    # tuples), and ``type() is`` beats isinstance chains.  Subclasses
-    # fall through to the isinstance chain below, which computes the
-    # identical result.
+    # Exact types first, by table and ``type() is``: scalars, arrays,
+    # the plain tuples and lists of ints and floats a parcel is mostly
+    # made of, and bytes.  Subclasses and everything else take the
+    # isinstance chain below.
     t = type(payload)
+    size = _SCALAR_SIZE.get(t)
+    if size is not None:
+        return payload, size
+    if isinstance(payload, np.ndarray):
+        nbytes = int(payload.nbytes)
+        if not payload.flags.writeable and _array_frozen(payload):
+            return payload, nbytes
+        frozen = payload.copy()
+        frozen.flags.writeable = False
+        return frozen, nbytes
     if t is tuple or t is list:
         items = []
         total = 0
         for item in payload:
             ti = type(item)
             if ti is int or ti is float:
-                items.append(item)
                 total += _SCALAR_BYTES + 2
             else:
-                frozen, nbytes = _freeze_measure(item)
-                items.append(frozen)
-                total += nbytes + 2
+                item, size = _freeze_measure(item)
+                total += size + 2
+            items.append(item)
         return (tuple(items) if t is tuple else items), total
-    if isinstance(payload, np.ndarray):
-        nbytes = int(payload.nbytes)
-        if _array_frozen(payload):
-            return payload, nbytes
-        frozen = payload.copy()
-        frozen.flags.writeable = False
-        return frozen, nbytes
-    if payload is None:
-        return payload, 0
+    if t is bytes:
+        return payload, len(payload)
+    # NumPy scalars before Python's: np.float64 and np.complex128 subclass
+    # float and complex, but their size is their own.
+    if isinstance(payload, np.generic):
+        return payload, int(payload.nbytes)
     if isinstance(payload, (bool, int, float, complex)):
         return payload, _SCALAR_BYTES
     if isinstance(payload, (tuple, list)):
+        # A subclass (a namedtuple, say) arrives as its own type.
         items = []
         total = 0
         for item in payload:
             frozen, nbytes = _freeze_measure(item)
             items.append(frozen)
             total += nbytes + 2
-        return (tuple(items), total) if isinstance(payload, tuple) else (items, total)
+        if isinstance(payload, tuple):
+            out = tuple.__new__(t, items)
+        else:
+            out = list.__new__(t)
+            list.extend(out, items)
+        state = getattr(payload, "__dict__", None)
+        if state:
+            out.__dict__.update(copy.deepcopy(state))
+        return out, total
     if isinstance(payload, dict):
-        out = {}
+        # A subclass keeps its type and its own state (a defaultdict's
+        # factory, say); only the values are replaced.
+        out = {} if t is dict else copy.copy(payload)
         total = 0
         for key, value in payload.items():
             frozen, nbytes = _freeze_measure(value)
-            out[key] = frozen
+            dict.__setitem__(out, key, frozen)
             total += _nbytes(key) + nbytes + 2
         return out, total
-    if isinstance(payload, (str, bytes, frozenset, np.generic)):
+    if isinstance(payload, (str, bytes, frozenset)):
         return payload, _nbytes(payload)
+    if isinstance(payload, memoryview):
+        frozen = memoryview(payload.tobytes())
+        try:
+            frozen = frozen.cast(payload.format, payload.shape)
+        except (TypeError, ValueError):
+            pass  # a format cast cannot take: the view stays bytes
+        return frozen, _nbytes(payload)
     return copy.deepcopy(payload), _nbytes(payload)
+
+
+def message_costs(machine: MachineModel, size: int) -> tuple[float, ...]:
+    """``(congestion, alpha, beta, send_alpha, send_beta, recv_alpha,
+    recv_beta)``: the terms of :meth:`MachineModel.message_time` /
+    ``send_overhead`` / ``recv_overhead`` on *size* nodes.
+
+    :meth:`RankContext._post` and :meth:`RankContext._finish_recv`
+    compute ``(alpha + beta * nbytes) * congestion`` (and the send and
+    receive analogues) from them, skipping the model's size check and
+    congestion product per message.  Each product groups terms exactly as
+    the model's own expressions associate them, so the inlined arithmetic
+    is bitwise identical to calling the model.
+    """
+    m = machine
+    return (
+        1.0 + m.congestion_per_node * max(size - 2, 0),
+        m.alpha,
+        m.beta,
+        m.SEND_ALPHA_FRACTION * m.alpha,
+        m.SEND_BETA_FRACTION * m.beta,
+        m.RECV_ALPHA_FRACTION * m.alpha,
+        m.RECV_BETA_FRACTION * m.beta,
+    )
 
 
 @dataclass
@@ -119,8 +187,11 @@ class _Endpoint:
 
     ``next_req`` doubles as the rank's count of requests posted, and
     ``waits`` holds one sample per request completed: the virtual time
-    the completion blocked.  Both are per-run tallies, published by
-    :func:`repro.runtime.spmd.publish_run`.
+    the completion blocked.  ``tallies`` counts the other per-operation
+    instruments of the run (reduction applies, par-loop and pipeline
+    counts), keyed by their
+    :class:`~repro.obs.metrics.CounterHandle`.  All are per-run tallies,
+    published by :func:`repro.runtime.spmd.publish_run`.
     """
 
     clock: float = 0.0
@@ -128,15 +199,17 @@ class _Endpoint:
     next_ctx: int = field(default=1)
     next_req: int = 0
     waits: list[float] = field(default_factory=list)
+    tallies: defaultdict = field(default_factory=lambda: defaultdict(int))
 
 
 class RankContext:
-    """One rank's view of the virtual machine (possibly a group view)."""
+    """One rank's view of the virtual machine (possibly a group view).
 
-    #: per-(machine, size) constants for the inlined cost formulas; instances
-    #: populate their own cache on first use (group views built by
-    #: ``split`` bypass ``__init__`` and inherit this class default)
-    _cost_cache: tuple | None = None
+    What a view needs per message is an attribute set when the view is
+    made (:meth:`_bind_view`, from ``__init__`` and from
+    :meth:`repro.comm.Comm.split`): its rank in the world numbering and
+    the machine's per-message cost constants for its size.
+    """
 
     def __init__(
         self,
@@ -146,10 +219,6 @@ class RankContext:
         machine: MachineModel,
         tracer: Tracer | None = None,
     ):
-        #: this rank's id within this communicator, in ``[0, size)``
-        self.rank = rank
-        #: number of ranks in this communicator
-        self.size = size
         self.machine = machine
         self._backend = backend
         self._tracer = tracer
@@ -157,31 +226,35 @@ class RankContext:
         # (sub-communicators created by split() alias the same node, so
         # virtual time and send ordering are per-rank, not per-group).
         self._endpoint = _Endpoint()
+        #: this rank's tallies of per-operation instruments (see
+        #: :class:`_Endpoint`); shared by every view of the rank
+        self.tallies = self._endpoint.tallies
         #: communication context id; messages only match within a context
         self._ctx = 0
+        self._bind_view(rank, size, None)
+
+    def _bind_view(self, rank: int, size: int, group: list[int] | None) -> None:
+        """Set this view's numbering and its per-message cost constants
+        (:func:`message_costs` at this size)."""
+        #: this rank's id within this communicator, in ``[0, size)``
+        self.rank = rank
+        #: number of ranks in this communicator
+        self.size = size
         #: member global ranks, or None for the world communicator
-        self._group: list[int] | None = None
+        self._group = group
+        #: this rank's id in the world communicator
+        self.global_rank = rank if group is None else group[rank]
+        self._costs = message_costs(self.machine, size)
 
     # -- group plumbing -------------------------------------------------------
     @property
     def clock(self) -> float:
-        """Virtual time on this rank, in seconds (shared across groups)."""
+        """Virtual time on this rank, in seconds (shared across groups;
+        :meth:`charge`, :meth:`advance` and the messaging calls move it)."""
         return self._endpoint.clock
-
-    @clock.setter
-    def clock(self, value: float) -> None:
-        self._endpoint.clock = value
-
-    @property
-    def global_rank(self) -> int:
-        """This rank's id in the world communicator."""
-        return self.rank if self._group is None else self._group[self.rank]
 
     def _to_global(self, rank: int) -> int:
         return rank if self._group is None else self._group[rank]
-
-    def _to_local(self, global_rank: int) -> int:
-        return global_rank if self._group is None else self._group.index(global_rank)
 
     # -- queries -----------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -203,36 +276,6 @@ class RankContext:
         if tag < 0:
             raise CommError(f"tags must be >= 0 (got {tag}); negatives are wildcards")
 
-    def _machine_costs(self) -> tuple:
-        """Constants of the machine's per-message cost formulas for this
-        (machine, size) pair, cached on the instance.
-
-        :meth:`_post` and :meth:`_finish_recv` inline
-        :meth:`MachineModel.message_time` / ``send_overhead`` /
-        ``recv_overhead`` to skip the model's size check and congestion
-        product per message.  Each product below groups terms exactly as
-        the model's own expressions associate them, so the inlined
-        arithmetic is bitwise identical to calling the model.
-        """
-        cache = self._cost_cache
-        m = self.machine
-        if cache is not None and cache[0] is m and cache[1] == self.size:
-            return cache
-        congestion = 1.0 + m.congestion_per_node * max(self.size - 2, 0)
-        cache = (
-            m,
-            self.size,
-            congestion,
-            m.alpha,
-            m.beta,
-            m.SEND_ALPHA_FRACTION * m.alpha,
-            m.SEND_BETA_FRACTION * m.beta,
-            m.RECV_ALPHA_FRACTION * m.alpha,
-            m.RECV_BETA_FRACTION * m.beta,
-        )
-        self._cost_cache = cache
-        return cache
-
     # -- compute accounting --------------------------------------------------
     def charge(
         self,
@@ -247,16 +290,17 @@ class RankContext:
         adding a paging penalty when ``working_set_bytes`` exceeds node
         memory.
         """
-        start = self.clock
-        self.clock += self.machine.compute_time(flops, working_set_bytes)
+        ep = self._endpoint
+        start = ep.clock
+        ep.clock = start + self.machine.compute_time(flops, working_set_bytes)
         if self._tracer is not None:
-            self._tracer.compute(self.rank, flops, label, start, self.clock)
+            self._tracer.compute(self.rank, flops, label, start, ep.clock)
 
     def advance(self, seconds: float) -> None:
         """Advance the virtual clock by a raw time amount (rarely needed)."""
         if seconds < 0:
             raise CommError(f"cannot advance clock by negative time {seconds}")
-        self.clock += seconds
+        self._endpoint.clock += seconds
 
     # -- point-to-point ------------------------------------------------------
     def send(
@@ -302,22 +346,24 @@ class RankContext:
             self.check_peer(dest)
         if tag < 0 or MAX_USER_TAG <= tag < COLL_TAG_BASE:
             self._validate_send_tag(tag)
-        payload, size = _freeze_measure(payload)
+        size = _SCALAR_SIZE.get(type(payload))
+        if size is None:
+            payload, size = _freeze_measure(payload)
         if nbytes is None:
             nbytes = size + _OVERHEAD_BYTES
-        _, _, congestion, alpha, beta, send_a, send_b, _, _ = self._machine_costs()
+        congestion, alpha, beta, send_a, send_b, _, _ = self._costs
         ep = self._endpoint
         start = ep.clock
         arrival = start + (alpha + beta * nbytes) * congestion
         ep.clock = arrival if blocking else start + (send_a + send_b * nbytes) * congestion
         ep.send_seq += 1
-        group = self._group
-        if group is None:
-            rank, global_dest = self.rank, dest
-        else:
-            rank, global_dest = group[self.rank], group[dest]
+        rank = self.global_rank
+        global_dest = dest if self._group is None else self._group[dest]
         self._backend.deliver(
-            Message(rank, global_dest, tag, payload, nbytes, arrival, ep.send_seq, self._ctx)
+            _new_message(
+                Message,
+                (rank, global_dest, tag, payload, nbytes, arrival, ep.send_seq, self._ctx),
+            )
         )
         tracer = self._tracer
         if blocking:
@@ -333,15 +379,17 @@ class RankContext:
             tracer.request(
                 rank, ep.clock, "isend", "post", req_id, global_dest, tag, nbytes
             )
-        return Request("send", self, req_id, dest, tag, nbytes, start, arrival)
-
-    def _global_source(self, source: int) -> int:
-        """Validate a receive's *source* and map it to the world numbering."""
-        if source == ANY_SOURCE:
-            return source
-        if not 0 <= source < self.size:
-            self.check_peer(source)
-        return source if self._group is None else self._group[source]
+        request = _new_request(Request)
+        request.kind = "send"
+        request.owner = self
+        request.req_id = req_id
+        request.peer = dest
+        request.tag = tag
+        request.nbytes = nbytes
+        request.complete_at = arrival
+        request.done = False
+        request.message = None
+        return request
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Receive and return the payload of a matching message (blocking)."""
@@ -353,7 +401,12 @@ class RankContext:
         The returned envelope's ``source`` is expressed in this
         communicator's (local) rank numbering.
         """
-        global_source = self._global_source(source)
+        global_source = source  # validated and mapped as in irecv and probe
+        if source != ANY_SOURCE:
+            if not 0 <= source < self.size:
+                self.check_peer(source)
+            if self._group is not None:
+                global_source = self._group[source]
         msg = self._backend.wait_for_match(
             self.global_rank, global_source, tag, self._ctx, source
         )
@@ -370,7 +423,7 @@ class RankContext:
         (``request=None``) traces only its ``recv`` event, tallies no
         wait and fills no request.
         """
-        _, _, congestion, _, _, _, _, recv_a, recv_b = self._machine_costs()
+        congestion, _, _, _, _, recv_a, recv_b = self._costs
         ep = self._endpoint
         pre = ep.clock
         arrival = msg.arrival
@@ -393,7 +446,7 @@ class RankContext:
                     msg.source, msg.tag, nbytes,
                 )
         if self._group is not None:
-            msg = replace(msg, source=self._to_local(msg.source))
+            msg = msg._replace(source=self._group.index(msg.source))
         if request is not None:
             request.nbytes = nbytes
             request.message = msg
@@ -402,9 +455,13 @@ class RankContext:
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """True when a matching message is already waiting (non-blocking)."""
-        return self._backend.probe_match(
-            self.global_rank, self._global_source(source), tag, self._ctx
-        )
+        global_source = source  # validated and mapped as in recv_msg
+        if source != ANY_SOURCE:
+            if not 0 <= source < self.size:
+                self.check_peer(source)
+            if self._group is not None:
+                global_source = self._group[source]
+        return self._backend.probe_match(self.global_rank, global_source, tag, self._ctx)
 
     # -- nonblocking point-to-point -----------------------------------------
     #
@@ -451,19 +508,35 @@ class RankContext:
         blocking receive would take now (or the next matching delivery,
         oldest post first), and a bound message can
         no longer be stolen by other receives — MPI posted-receive
-        semantics.
+        semantics.  The request is itself the mailbox post.
         """
-        global_source = self._global_source(source)
-        rank = self.global_rank
-        post_id = self._backend.post_receive(rank, global_source, tag, self._ctx)
+        global_source = source  # validated and mapped as in recv_msg
+        if source != ANY_SOURCE:
+            if not 0 <= source < self.size:
+                self.check_peer(source)
+            if self._group is not None:
+                global_source = self._group[source]
         ep = self._endpoint
         req_id = ep.next_req
         ep.next_req += 1
+        request = _new_request(Request)
+        request.kind = "recv"
+        request.owner = self
+        request.req_id = req_id
+        request.peer = source
+        request.tag = tag
+        request.source = global_source
+        request.ctx = self._ctx
+        request.nbytes = 0
+        request.done = False
+        request.message = None
+        rank = self.global_rank
+        self._backend.post_receive(rank, request)
         if self._tracer is not None:
             self._tracer.request(
                 rank, ep.clock, "irecv", "post", req_id, global_source, tag, 0
             )
-        return Request("recv", self, req_id, source, tag, 0, ep.clock, 0.0, post_id)
+        return request
 
     def _check_request(self, request: Request) -> None:
         if request.owner._endpoint is not self._endpoint:
@@ -496,12 +569,11 @@ class RankContext:
         if request.kind == "send":
             request.owner._finish_send(request)
             return None
-        rank = self.global_rank
-        if not self._backend.post_ready(rank, request.post_id):
+        if request.message is None:
             label = ("wait", request.req_id, request.peer, request.tag, self._ctx)
-            self._backend.wait_any_post(rank, (request.post_id,), label)
-        request.owner._finish_recv(self._backend.take_post(rank, request.post_id), request)
-        return request.payload
+            self._backend.wait_any_post(self.global_rank, (request,), label)
+        request.owner._finish_recv(request.message, request)
+        return request.message.payload
 
     def waitall(self, requests: list[Request]) -> list[Any]:
         """Complete every request; returns payloads (None at send slots).
@@ -516,38 +588,39 @@ class RankContext:
         position 0 without consuming randomness or tracing.
         """
         ep = self._endpoint
-        backend = self._backend
-        rank = self.global_rank
-        pending: dict[int, Request] = {}
+        pending: list[Request] = []
         for r in requests:
             if r.owner._endpoint is not ep:
                 self._check_request(r)
             if r.kind == "recv" and not r.done:
-                pending[r.post_id] = r
-        fulfilled: list[tuple[Request, Message]] = []
+                pending.append(r)
+        fulfilled: list[Request] = []
         if pending:
+            backend = self._backend
+            rank = self.global_rank
             label = ("waitall", len(requests), self._ctx)
             while pending:
                 ready = backend.wait_any_post(rank, tuple(pending), label)
                 if len(ready) == 1:
-                    post_id = ready[0]
+                    r = ready[0]
                 else:
-                    candidates = [
-                        (m.source, m.tag)
-                        for m in (backend.peek_post(rank, pid) for pid in ready)
-                    ]
-                    post_id = ready[backend.choose_completion(rank, candidates)]
-                fulfilled.append((pending.pop(post_id), backend.take_post(rank, post_id)))
+                    candidates = []
+                    for p in ready:
+                        candidates.append((p.message.source, p.message.tag))
+                    r = ready[backend.choose_completion(rank, candidates)]
+                pending.remove(r)
+                fulfilled.append(r)
         for r in requests:
             if r.kind == "send" and not r.done:
                 r.owner._finish_send(r)
         if len(fulfilled) > 1:
-            fulfilled.sort(
-                key=lambda pair: (pair[1].arrival, pair[1].source, pair[1].seq)
-            )
-        for r, msg in fulfilled:
-            r.owner._finish_recv(msg, r)
-        return [r.payload if r.kind == "recv" else None for r in requests]
+            fulfilled.sort(key=_arrival_order)
+        for r in fulfilled:
+            r.owner._finish_recv(r.message, r)
+        values = []
+        for r in requests:  # a loop, not a comprehension: no frame of its own
+            values.append(r.message.payload if r.kind == "recv" else None)
+        return values
 
     def waitany(self, requests: list[Request]) -> tuple[int, Any]:
         """Complete exactly one incomplete request; returns (index, payload).
@@ -565,29 +638,26 @@ class RankContext:
         ready = [
             (i, r)
             for i, r in incomplete
-            if r.kind == "send" or self._backend.post_ready(rank, r.post_id)
+            if r.kind == "send" or self._backend.post_ready(rank, r)
         ]
         if not ready:
             label = ("waitany", len(incomplete), self._ctx)
-            got = set(
-                self._backend.wait_any_post(
-                    rank, tuple(r.post_id for _, r in incomplete), label
-                )
+            got = self._backend.wait_any_post(
+                rank, tuple(r for _, r in incomplete), label
             )
-            ready = [(i, r) for i, r in incomplete if r.post_id in got]
+            ready = [(i, r) for i, r in incomplete if r in got]
         candidates = []
         for _, r in ready:
             if r.kind == "send":
                 candidates.append((r.owner._to_global(r.peer), r.tag))
             else:
-                m = self._backend.peek_post(rank, r.post_id)
-                candidates.append((m.source, m.tag))
+                candidates.append((r.message.source, r.message.tag))
         pos = self._backend.choose_completion(rank, candidates)
         index, request = ready[pos]
         if request.kind == "send":
             request.owner._finish_send(request)
             return index, None
-        request.owner._finish_recv(self._backend.take_post(rank, request.post_id), request)
+        request.owner._finish_recv(request.message, request)
         return index, request.payload
 
     def test(self, request: Request) -> bool:
@@ -601,8 +671,8 @@ class RankContext:
         if request.done:
             return True
         if request.kind == "send":
-            return self.clock >= request.complete_at
-        return self._backend.post_ready(self.global_rank, request.post_id)
+            return self._endpoint.clock >= request.complete_at
+        return self._backend.post_ready(self.global_rank, request)
 
     # -- exchange helper -------------------------------------------------------
     def sendrecv(

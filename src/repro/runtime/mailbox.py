@@ -18,12 +18,17 @@ order.  An exact receive reads one channel head; a wildcard receive
 reads the heads of the channels its pattern covers.
 
 Posted receives (the nonblocking layer's half of matching): a rank may
-*post* a (source, tag, ctx) pattern ahead of time with :meth:`post`.  A
-post binds immediately to the candidate a blocking receive would take,
-if one exists; otherwise the next delivered matching message binds to
-the oldest matching open post — MPI's posted-receive-queue semantics.
-Bound messages never enter the pending queues, so a concurrent blocking
-receive cannot steal a message already claimed by a posted request.
+*post* a receive ahead of time with :meth:`Mailbox.post`.  A post is any
+object with ``source``, ``tag`` and ``ctx`` fields and a ``message``
+field that starts ``None`` — at run time the receive
+:class:`~repro.runtime.request.Request` itself.  A post binds at once to
+the candidate a blocking receive would take, if one exists; otherwise it
+stays *open* and the next delivered matching message binds to the oldest
+matching open post — MPI's posted-receive-queue semantics.  Binding sets
+the post's ``message`` and closes it.  Bound messages never enter the
+pending queues, so a concurrent blocking receive cannot steal a message
+already claimed by a posted request, and completing a post takes nothing
+out of the mailbox.
 
 :class:`_LinearMailbox` is the single-list linear-scan reference the
 property tests pit :class:`Mailbox` against; nothing constructs it at
@@ -33,42 +38,41 @@ run time.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any
 
 from repro.errors import ReproError
 from repro.runtime.message import ANY_SOURCE, ANY_TAG, Message
 
-
-@dataclass
-class _PostedRecv:
-    """One posted (nonblocking) receive awaiting or holding its message."""
-
-    post_id: int
-    source: int
-    tag: int
-    ctx: int
-    msg: Message | None = None
+_arrival = attrgetter("arrival")
 
 
 def _earliest(candidates: list[Message]) -> Message:
     """The earliest-arriving of *candidates* (``min`` keeps the first of
     equals, so source order breaks ties)."""
-    return min(candidates, key=lambda msg: msg.arrival)
+    return min(candidates, key=_arrival)
 
 
 class Mailbox:
-    """Pending-message store for one rank: a FIFO per channel."""
+    """Pending-message store for one rank: a FIFO per channel.
+
+    Channel keys hold real sources and tags (both ``>= 0``), so a pattern
+    with a wildcard is never a key: looking a pattern up in the channel
+    table finds a queue exactly when the pattern is exact and a message
+    waits on it.
+    """
 
     def __init__(self) -> None:
         #: pending messages per (source, tag, ctx), delivery order; a
         #: channel that empties is dropped
         self._pending: dict[tuple[int, int, int], deque[Message]] = {}
         self._len = 0
-        #: live posts by id, post order (open or bound, until taken)
-        self._posts: dict[int, _PostedRecv] = {}
-        self._next_post_id = 0
-        #: per-run tallies (see :meth:`tally`): deliveries bound straight
-        #: to an open post, and the pending depth after each queued one
+        #: open posts (no message bound yet), post order
+        self._open: list[Any] = []
+        #: per-run tallies (see :meth:`tally`): posts made, deliveries
+        #: bound straight to an open post, and the pending depth after
+        #: each queued one
+        self._posted = 0
         self._bound = 0
         self._depths: list[int] = []
 
@@ -82,25 +86,23 @@ class Mailbox:
         Every delivery either binds to a post (matched at once) or is
         queued (one depth sample); a queued message leaves only by a
         matching take.  So ``enqueued`` and ``matched`` follow from two
-        tallies and what is still pending, and ``posted`` is the next
-        post id.
+        tallies and what is still pending.
         """
         enqueued = self._bound + len(self._depths)
-        return enqueued, enqueued - self._len, self._next_post_id, self._depths
+        return enqueued, enqueued - self._len, self._posted, self._depths
 
     # -- delivery ----------------------------------------------------------
-    def put(self, msg: Message) -> _PostedRecv | None:
-        """Deliver a message: bind it to the oldest matching open posted
-        receive and return that post, else queue it on its channel and
-        return ``None``."""
-        for post in self._posts.values():
+    def put(self, msg: Message) -> Any:
+        """Deliver a message: bind it to the oldest matching open post and
+        return that post, else queue it on its channel and return ``None``."""
+        for i, post in enumerate(self._open):
             if (
-                post.msg is None
-                and post.ctx == msg.ctx
+                post.ctx == msg.ctx
                 and (post.source == ANY_SOURCE or post.source == msg.source)
                 and (post.tag == ANY_TAG or post.tag == msg.tag)
             ):
-                post.msg = msg
+                del self._open[i]
+                post.message = msg
                 self._bound += 1
                 return post
         key = (msg.source, msg.tag, msg.ctx)
@@ -132,74 +134,62 @@ class Mailbox:
             queue = self._pending.get((source, tag, ctx))
             return [queue[0]] if queue else []
         oldest: dict[int, Message] = {}
-        for queue in self._matching_queues(source, tag, ctx):
-            head = queue[0]
-            best = oldest.get(head.source)
-            if best is None or head.seq < best.seq:
-                oldest[head.source] = head
+        for (src, tg, cx), queue in self._pending.items():  # _matching_queues, inline
+            if cx == ctx and source in (ANY_SOURCE, src) and tag in (ANY_TAG, tg):
+                head = queue[0]
+                best = oldest.get(src)
+                if best is None or head.seq < best.seq:
+                    oldest[src] = head
+        if len(oldest) < 2:
+            return list(oldest.values())
         return [oldest[src] for src in sorted(oldest)]
 
     def take(self, msg: Message) -> Message:
         """Remove candidate *msg* — the head of its channel — and return it."""
-        key = (msg.source, msg.tag, msg.ctx)
-        queue = self._pending.get(key)
+        queue = self._pending.get((msg.source, msg.tag, msg.ctx))
         if not queue or queue[0] is not msg:
             raise ReproError("mailbox take of a message that is not a candidate")
-        return self._pop(key, queue)
-
-    def _pop(self, key: tuple[int, int, int], queue: deque[Message]) -> Message:
-        msg = queue.popleft()
-        if not queue:
-            del self._pending[key]
-        self._len -= 1
-        return msg
+        return self.take_match(msg.source, msg.tag, msg.ctx)
 
     def take_match(self, source: int, tag: int, ctx: int = 0) -> Message | None:
         """Remove and return the earliest-arriving candidate (ties broken
         by source), or ``None``."""
+        key = (source, tag, ctx)
+        queue = self._pending.get(key)
+        if queue is not None:  # an exact pattern: its channel's head
+            msg = queue.popleft()
+            if not queue:
+                del self._pending[key]
+            self._len -= 1
+            return msg
         if source != ANY_SOURCE and tag != ANY_TAG:
-            key = (source, tag, ctx)
-            queue = self._pending.get(key)
-            return None if queue is None else self._pop(key, queue)
+            return None
         candidates = self.candidates(source, tag, ctx)
         return self.take(_earliest(candidates)) if candidates else None
 
     # -- posted receives ---------------------------------------------------
-    def post(self, source: int, tag: int, ctx: int = 0) -> int:
-        """Post a receive pattern; returns its post id.
-
-        If a candidate is pending, the post binds to the one a blocking
-        receive would take; otherwise it binds to the next matching
-        delivery, in post order.
-        """
-        post = _PostedRecv(self._next_post_id, source, tag, ctx)
-        self._next_post_id += 1
-        post.msg = self.take_match(source, tag, ctx)
-        self._posts[post.post_id] = post
-        return post.post_id
-
-    def post_ready(self, post_id: int) -> bool:
-        """True when the posted receive has its message bound."""
-        return self._posts[post_id].msg is not None
-
-    def peek_post(self, post_id: int) -> Message:
-        """The message bound to a fulfilled posted receive, not removed."""
-        post = self._posts[post_id]
-        if post.msg is None:
-            raise ReproError(f"posted receive {post_id} peeked before fulfilment")
-        return post.msg
-
-    def take_post(self, post_id: int) -> Message:
-        """Remove a fulfilled posted receive and return its message."""
-        post = self._posts[post_id]
-        if post.msg is None:
-            raise ReproError(f"posted receive {post_id} taken before fulfilment")
-        del self._posts[post_id]
-        return post.msg
+    def post(self, post: Any) -> None:
+        """Post a receive: bind *post* to the candidate a blocking receive
+        would take now, or leave it open for the next matching delivery
+        (oldest open post first)."""
+        self._posted += 1
+        key = (post.source, post.tag, post.ctx)
+        queue = self._pending.get(key)
+        if queue is not None:  # an exact pattern: take_match's channel head
+            post.message = queue.popleft()
+            if not queue:
+                del self._pending[key]
+            self._len -= 1
+            return
+        if post.source == ANY_SOURCE or post.tag == ANY_TAG:
+            post.message = self.take_match(*key)
+            if post.message is not None:
+                return
+        self._open.append(post)
 
     def posts_pending(self) -> int:
-        """How many posted receives are still unfulfilled (diagnostics)."""
-        return sum(1 for post in self._posts.values() if post.msg is None)
+        """How many posted receives are still open (diagnostics)."""
+        return len(self._open)
 
     def snapshot(self) -> list[Message]:
         """Copy of the pending messages, channel by channel (diagnostics only)."""
@@ -213,16 +203,16 @@ class _LinearMailbox(Mailbox):
 
     def __init__(self) -> None:
         self._list: list[Message] = []
-        self._posts: dict[int, _PostedRecv] = {}
-        self._next_post_id = 0
+        self._open: list[Any] = []
 
     def __len__(self) -> int:
         return len(self._list)
 
-    def put(self, msg: Message) -> _PostedRecv | None:
-        for post in self._posts.values():
-            if post.msg is None and msg.matches(post.source, post.tag, post.ctx):
-                post.msg = msg
+    def put(self, msg: Message) -> Any:
+        for i, post in enumerate(self._open):
+            if msg.matches(post.source, post.tag, post.ctx):
+                del self._open[i]
+                post.message = msg
                 return post
         self._list.append(msg)
         return None
@@ -245,12 +235,10 @@ class _LinearMailbox(Mailbox):
         candidates = self.candidates(source, tag, ctx)
         return self.take(_earliest(candidates)) if candidates else None
 
-    def post(self, source: int, tag: int, ctx: int = 0) -> int:
-        msg = self.take_match(source, tag, ctx)
-        post = _PostedRecv(self._next_post_id, source, tag, ctx, msg)
-        self._next_post_id += 1
-        self._posts[post.post_id] = post
-        return post.post_id
+    def post(self, post: Any) -> None:
+        post.message = self.take_match(post.source, post.tag, post.ctx)
+        if post.message is None:
+            self._open.append(post)
 
     def snapshot(self) -> list[Message]:
         return list(self._list)

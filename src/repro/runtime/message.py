@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 #: Wildcard: match a message from any source rank.
 ANY_SOURCE = -1
@@ -16,8 +15,7 @@ MAX_USER_TAG = 1 << 20
 COLL_TAG_BASE = 1 << 24
 
 
-@dataclass
-class Message:
+class Message(NamedTuple):
     """A message in flight or waiting in a mailbox.
 
     ``arrival`` is the virtual time at which the message becomes visible
@@ -33,6 +31,10 @@ class Message:
     sending communicator: receives only match messages of their own
     context, isolating sub-communicators (MPI-style groups) from the
     world communicator and from each other even under wildcard receives.
+
+    An envelope is immutable (``_replace`` makes a changed copy).  The
+    send path builds one with ``tuple.__new__(Message, fields)``, which
+    runs no Python code; its fields read through C-level accessors.
     """
 
     source: int
@@ -41,8 +43,8 @@ class Message:
     payload: Any
     nbytes: int
     arrival: float
-    seq: int = field(default=0)
-    ctx: int = field(default=0)
+    seq: int = 0
+    ctx: int = 0
 
     def matches(self, source: int, tag: int, ctx: int = 0) -> bool:
         """Does this message satisfy a receive for (source, tag) in *ctx*?"""

@@ -289,13 +289,15 @@ class ParallelBackend(Backend):
         if msg.dest == self.rank:
             self.mailboxes[self.rank].put(msg)
             return
-        msg.payload = _encode_payload(msg.payload, self._threshold, self._stager)
+        msg = msg._replace(
+            payload=_encode_payload(msg.payload, self._threshold, self._stager)
+        )
         if not isinstance(msg.payload, _ShmRef):
             _PICKLED.inc()
         self._wiring.inboxes[msg.dest].put(msg)
 
     def _deposit(self, msg: Message) -> None:
-        msg.payload = _decode_payload(msg.payload, self._attached)
+        msg = msg._replace(payload=_decode_payload(msg.payload, self._attached))
         self.mailboxes[self.rank].put(msg)
         self._wiring.progress[self.rank] += 1
 
@@ -347,20 +349,19 @@ class ParallelBackend(Backend):
         self._await((source, tag, ctx), _recv_label(source, tag, ctx, shown_source))
         return self.mailboxes[rank].take_match(source, tag, ctx)
 
-    def wait_any_post(self, rank: int, post_ids: tuple[int, ...], label: tuple) -> list[int]:
-        self._await(post_ids, label)
-        mailbox = self.mailboxes[rank]
-        return [p for p in post_ids if mailbox.post_ready(p)]
+    def wait_any_post(self, rank: int, posts: tuple, label: tuple) -> list:
+        self._await(posts, label)
+        return [post for post in posts if post.message is not None]
 
     def probe_match(self, rank: int, source: int, tag: int, ctx: int) -> bool:
         self._drain_nowait()
         return self.mailboxes[rank].has_match(source, tag, ctx)
 
-    def post_ready(self, rank: int, post_id: int) -> bool:
+    def post_ready(self, rank: int, post) -> bool:
         # Non-blocking test(): ingest pending deliveries so a completion
         # already sitting in the queue is observable.
         self._drain_nowait()
-        return self.mailboxes[rank].post_ready(post_id)
+        return post.message is not None
 
 
 def _portable_error(exc: BaseException) -> BaseException:

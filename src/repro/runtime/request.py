@@ -10,10 +10,15 @@ clock needs to charge the overlap-aware cost path:
   waiting on it advances the clock to at least that time (so an isend
   followed immediately by a wait costs exactly one blocking send, and
   compute performed in between is absorbed by the ``max``);
-- a *recv* request carries the mailbox post id; waiting on it advances
+- a *recv* request is a posted receive pattern; waiting on it advances
   the clock to at least the message's arrival plus the receiver ingest
   overhead — again, compute performed between post and wait shrinks the
   idle portion.
+
+A receive request is also its own posted receive: the mailbox matches on
+its ``source`` (world numbering), ``tag`` and ``ctx`` and binds the
+message straight onto its ``message`` field, so completing it takes
+nothing out of the mailbox.
 
 Requests belong to the context that created them; completing one from a
 different rank raises.  ``request.wait()`` is shorthand for
@@ -25,62 +30,46 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import CommError
-from repro.runtime.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.context import RankContext
 
 
 class Request:
-    """Handle on one in-flight nonblocking send or receive."""
+    """Handle on one in-flight nonblocking send or receive.
+
+    :meth:`RankContext.isend <repro.runtime.context.RankContext.isend>`
+    and :meth:`~repro.runtime.context.RankContext.irecv` build a request
+    field by field on ``object.__new__(Request)``: no Python frame runs
+    per request.  A send sets ``kind``, ``owner``, ``req_id``, ``peer``,
+    ``tag``, ``nbytes``, ``complete_at``, ``done`` and ``message``
+    (``None``); a receive sets ``source`` and ``ctx`` in place of
+    ``complete_at``.
+    """
 
     __slots__ = (
+        #: ``"send"`` or ``"recv"``
         "kind",
+        #: the context that created (and must complete) this request
         "owner",
+        #: rank-unique id tying the post/complete trace markers together
         "req_id",
+        #: peer rank in the owner communicator's numbering (or ANY_SOURCE)
         "peer",
         "tag",
+        #: payload size; for receives, filled in at completion
         "nbytes",
-        "posted_at",
+        #: sends only: virtual time the wire transfer completes
         "complete_at",
-        "post_id",
+        #: receives only: the pattern the mailbox matches — the source in
+        #: world numbering (or ANY_SOURCE) and the communication context
+        "source",
+        "ctx",
         "done",
+        #: receives only: the bound envelope once a message matched; after
+        #: completion its source is in the owner communicator's numbering
         "message",
     )
-
-    def __init__(
-        self,
-        kind: str,
-        owner: "RankContext",
-        req_id: int,
-        peer: int,
-        tag: int,
-        nbytes: int,
-        posted_at: float,
-        complete_at: float = 0.0,
-        post_id: int = -1,
-    ):
-        #: ``"send"`` or ``"recv"``
-        self.kind = kind
-        #: the context that created (and must complete) this request
-        self.owner = owner
-        #: rank-unique id tying the post/complete trace markers together
-        self.req_id = req_id
-        #: peer rank in the owner communicator's numbering (or ANY_SOURCE)
-        self.peer = peer
-        self.tag = tag
-        #: payload size; for receives, filled in at completion
-        self.nbytes = nbytes
-        #: owner's virtual clock when the request was posted
-        self.posted_at = posted_at
-        #: sends only: virtual time the wire transfer completes
-        self.complete_at = complete_at
-        #: receives only: the mailbox post id
-        self.post_id = post_id
-        self.done = False
-        #: receives only: the matched envelope, after completion (source
-        #: expressed in the owner communicator's local numbering)
-        self.message: Message | None = None
 
     @property
     def payload(self) -> Any:

@@ -1,7 +1,7 @@
 """Scheduling backends: the run-to-block engine and free-running threads.
 
 A blocked rank waits on one small value — a receive pattern ``(source,
-tag, ctx)`` or a tuple of post ids — beside a *label* tuple that
+tag, ctx)`` or a tuple of posted receive requests — beside a *label* tuple that
 :func:`describe_wait` turns into text only when the wait is reported.
 
 :class:`DeterministicBackend` is the run-to-block engine: one rank runs
@@ -81,10 +81,10 @@ def _recv_label(source: int, tag: int, ctx: int, shown_source: int | None) -> tu
 
 def _wait_holds(mailbox: Mailbox, waiting: tuple, label: tuple) -> bool:
     """Is the wait satisfied: a pending match for a receive pattern, or a
-    bound message on one of a tuple of post ids?"""
+    bound message on one of a tuple of posted receives?"""
     if label[0] == "recv":
         return mailbox.has_match(*waiting)
-    return any(mailbox.post_ready(p) for p in waiting)
+    return any(post.message is not None for post in waiting)
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,11 @@ class Backend:
 
     Each backend adds ``deliver``, ``wait_for_match`` and
     ``wait_any_post``; the in-process ones add ``run(bodies)``.  Their
-    contracts are documented on :class:`DeterministicBackend`.
+    contracts are documented on :class:`DeterministicBackend`.  A
+    receive request is its own mailbox post (see
+    :mod:`repro.runtime.mailbox`): once a message is bound to it, the
+    request holds it, so completing a request is the context's work and
+    no engine operation.
     """
 
     #: the run's ``(rank, clock)`` pick log when a :class:`Seeded` policy
@@ -161,21 +165,14 @@ class Backend:
     # running rank, so the base implementations need no locking; the
     # threaded backend overrides them to serialise under the destination
     # rank's condition lock.
-    def post_receive(self, rank: int, source: int, tag: int, ctx: int) -> int:
-        """Post a receive pattern on *rank*'s mailbox; returns a post id."""
-        return self.mailboxes[rank].post(source, tag, ctx)
+    def post_receive(self, rank: int, post) -> None:
+        """Post receive request *post* on *rank*'s mailbox: it binds now to
+        a pending match or to the next matching delivery."""
+        self.mailboxes[rank].post(post)
 
-    def post_ready(self, rank: int, post_id: int) -> bool:
-        """True when the posted receive has a message bound (non-blocking)."""
-        return self.mailboxes[rank].post_ready(post_id)
-
-    def take_post(self, rank: int, post_id: int) -> Message:
-        """Remove a fulfilled posted receive and return its message."""
-        return self.mailboxes[rank].take_post(post_id)
-
-    def peek_post(self, rank: int, post_id: int) -> Message:
-        """The message bound to a fulfilled posted receive (not removed)."""
-        return self.mailboxes[rank].peek_post(post_id)
+    def post_ready(self, rank: int, post) -> bool:
+        """True when posted receive *post* has a message bound (non-blocking)."""
+        return post.message is not None
 
     def choose_completion(self, rank: int, candidates: list[tuple[int, int]]) -> int:
         """Pick which of several simultaneously-completable requests a
@@ -218,15 +215,15 @@ class Canonical:
         A wakeable rank's clock cannot have moved since it was pushed
         (blocked ranks do not advance), so the heap's (clock, rank) order
         is the min-clock lowest-rank selection over all runnable ranks.
+        Every wakeable rank is runnable (see :class:`DeterministicBackend`),
+        so the first one popped is the pick.
         """
         heap = self._heap
         wakeable = engine._wakeable
         while heap:
             _, rank = heapq.heappop(heap)
-            if rank not in wakeable:
-                continue  # lazily invalidated entry
-            wakeable.discard(rank)
-            if engine._is_runnable(rank):
+            if rank in wakeable:  # else a lazily invalidated entry
+                wakeable.discard(rank)
                 return rank
         return None
 
@@ -283,7 +280,9 @@ class DeterministicBackend(Backend):
     The set of *wakeable* ranks changes only when a rank blocks or a
     delivery satisfies a blocked rank's wait (runnability is monotone
     while blocked: only the owner removes messages from its mailbox), so
-    the policy picks from it without re-evaluating every wait each step.
+    the policy picks from it without re-evaluating every wait each step:
+    a rank is wakeable exactly while it is ready to start or blocked on a
+    wait that holds.
 
     *policy* makes the three choices (default :class:`Canonical`).  A
     :class:`FaultPlan` needs a :class:`Seeded` one; its delayed messages
@@ -300,8 +299,10 @@ class DeterministicBackend(Backend):
         if faults is not None and self.schedule is None:
             raise ReproError("a FaultPlan draws from a Seeded policy's stream")
         self.faults = faults
+        #: whether the plan holds messages back (see :meth:`_hold`)
+        self._delays = faults is not None and faults.delay_prob > 0.0
         self._status = [_Status.READY] * nprocs
-        #: per blocked rank: its receive pattern or post ids, and its label
+        #: per blocked rank: its receive pattern or posts, and its label
         self._waiting: list[tuple] = [()] * nprocs
         self._label: list[tuple] = [()] * nprocs
         #: one bare lock per rank, held at rest: ``release()`` hands the
@@ -328,44 +329,51 @@ class DeterministicBackend(Backend):
         self._wakeable.add(rank)
         self.policy.wake(self, rank)
 
-    def _deposit(self, msg: Message) -> None:
-        """Put *msg* in its destination mailbox and wake the destination
-        if that satisfied its wait."""
-        rank = msg.dest
-        post = self.mailboxes[rank].put(msg)
-        if self._status[rank] == _Status.BLOCKED and rank not in self._wakeable:
-            waiting = self._waiting[rank]
-            if self._label[rank][0] == "recv":
-                satisfied = post is None and msg.matches(*waiting)
-            else:
-                satisfied = post is not None and post.post_id in waiting
-            if satisfied:
-                self._wake(rank)
-
-    def _handoff(self, rank: int | None) -> bool:
-        """Hand the CPU directly to the next runnable rank.
+    def _handoff(self, rank: int | None = None, waiting: tuple = (), label: tuple = ()) -> None:
+        """Hand the CPU directly to the next runnable rank — after
+        blocking *rank* on *waiting* (described by *label*), when given.
 
         The thread giving up the CPU runs the pick itself and resumes its
-        successor in one context switch.  Returns True when *rank* picked
-        itself (its wait already holds): no switch at all.  With no
-        runnable rank, wakes the scheduler thread, which owns run
-        completion, failure unwinding, and deadlock reporting.
+        successor in one context switch; a blocking rank returns once a
+        delivery satisfied its wait and it was picked again (at once, with
+        no switch at all, when it picks itself).  With no runnable rank,
+        wakes the scheduler thread, which owns run completion, failure
+        unwinding, and deadlock reporting.
         """
         if self._abort:
             # Unwinding: several aborted rank threads reach here at once;
             # nothing is runnable, so don't touch the policy's state.
+            if rank is not None:
+                raise _Aborted()
             self._to_scheduler.set()
-            return False
-        nxt = self._pick_next()
+            return
+        if rank is not None:
+            # Callers block only after failing to satisfy the wait, so the
+            # rank is not wakeable until a delivery satisfies it.
+            self.blocks += 1
+            self._waiting[rank] = waiting
+            self._label[rank] = label
+            self._status[rank] = _Status.BLOCKED
+        # _pick_next, with its no-plan case inline: one handoff per block
+        nxt = self.policy.pick(self) if self.faults is None else self._pick_next()
         if nxt is None:
             self._to_scheduler.set()
-            return False
-        self.steps += 1
-        self._status[nxt] = _Status.RUNNING
-        if nxt == rank:
-            return True
-        self._resume[nxt].release()
-        return False
+        else:
+            self.steps += 1
+            self._status[nxt] = _Status.RUNNING
+            if nxt != rank:
+                self._resume[nxt].release()
+        if rank is None:
+            return
+        if nxt != rank:
+            self._resume[rank].acquire()
+            if self._abort:
+                raise _Aborted()
+        self._waiting[rank] = ()  # hold no request, and its payload, past the wait
+        if self.faults is not None:
+            # Resumed because the wait holds or because the crash came
+            # due while blocked; the crash wins.
+            self._check_crash(rank)
 
     # -- transport --------------------------------------------------------
     def deliver(self, msg: Message) -> None:
@@ -373,65 +381,91 @@ class DeterministicBackend(Backend):
         destination if that satisfies its wait — or, under a plan's
         delay, hold it back a random number of steps."""
         # Only the single running rank mutates mailboxes, so no locking.
-        plan = self.faults
-        if plan is not None and plan.delay_prob > 0.0:
-            key = (msg.source, msg.dest)
-            queue = self._delayed.get(key)
-            rng = self.policy.rng
-            # A later message on a channel with a delayed predecessor must
-            # queue behind it (non-overtaking), even if it rolled "no delay".
-            if queue or rng.random() < plan.delay_prob:
-                release = self._step + 1 + rng.randrange(max(1, plan.max_delay_steps))
-                if queue:
-                    release = max(release, queue[-1][0])
-                self._delayed.setdefault(key, []).append((release, msg))
-                return
-        self._deposit(msg)
+        if self._delays and self._hold(msg):
+            return
+        rank = msg.dest
+        post = self.mailboxes[rank].put(msg)
+        if self._status[rank] is _Status.BLOCKED and rank not in self._wakeable:
+            waiting = self._waiting[rank]
+            if self._label[rank][0] == "recv":
+                # msg.matches(*waiting), inline: a queued message that
+                # matches the blocked receive's pattern
+                source, tag, ctx = waiting
+                satisfied = (
+                    post is None
+                    and msg.ctx == ctx
+                    and (source == ANY_SOURCE or source == msg.source)
+                    and (tag == ANY_TAG or tag == msg.tag)
+                )
+            else:
+                satisfied = post is not None and post in waiting
+            if satisfied:
+                self._wakeable.add(rank)
+                self.policy.wake(self, rank)
 
     def wait_for_match(
         self, rank: int, source: int, tag: int, ctx: int, shown_source: int | None = None
     ) -> Message:
         """Block *rank* until a message matches (source, tag, ctx), then
         take it.  *shown_source* is *source* as the caller's communicator
-        numbers it, for the report of a wait that never ends."""
+        numbers it, for the report of a wait that never ends.
+
+        An exact receive takes its channel's head; a wildcard receive
+        takes the candidate its policy chooses (:meth:`_choose_match`).
+        """
         if self.faults is not None:
             self._check_crash(rank)
-        msg = self._take_match(rank, source, tag, ctx)
+        mailbox = self.mailboxes[rank]
+        exact = source != ANY_SOURCE and tag != ANY_TAG
+        if exact:
+            msg = mailbox.take_match(source, tag, ctx)
+        else:
+            msg = self._choose_match(rank, source, tag, ctx)
         if msg is not None:
             return msg
-        self._block(rank, (source, tag, ctx), _recv_label(source, tag, ctx, shown_source))
-        msg = self._take_match(rank, source, tag, ctx)
+        # _recv_label, inline: the label is built only for a wait
+        label = ("recv", source if shown_source is None else shown_source, tag, ctx)
+        self._handoff(rank, (source, tag, ctx), label)
+        if exact:
+            msg = mailbox.take_match(source, tag, ctx)
+        else:
+            msg = self._choose_match(rank, source, tag, ctx)
         assert msg is not None, "scheduler resumed rank without a matching message"
         return msg
 
-    def _take_match(self, rank: int, source: int, tag: int, ctx: int) -> Message | None:
-        """Take a matching message: an exact receive has one candidate; a
-        wildcard receive takes the one its policy chooses among the
-        mailbox's candidates (each sender's oldest matching message)."""
+    def _choose_match(self, rank: int, source: int, tag: int, ctx: int) -> Message | None:
+        """Take the message the policy chooses among a wildcard receive's
+        candidates (each sender's oldest matching message), or ``None``."""
         mailbox = self.mailboxes[rank]
-        if source != ANY_SOURCE and tag != ANY_TAG:
-            return mailbox.take_match(source, tag, ctx)
         candidates = mailbox.candidates(source, tag, ctx)
         if not candidates:
             return None
-        chosen = mailbox.take(self.policy.message(candidates))
-        self._record_match(
-            rank, chosen.source, chosen.tag, candidates, source == ANY_SOURCE, tag == ANY_TAG
-        )
+        # One candidate is every policy's choice, made without a draw.
+        chosen = candidates[0] if len(candidates) == 1 else self.policy.message(candidates)
+        # A candidate heads its channel: the exact take of its own key.
+        mailbox.take_match(chosen.source, chosen.tag, chosen.ctx)
+        if self.schedule is not None:
+            self._record_match(
+                rank, chosen.source, chosen.tag, candidates,
+                source == ANY_SOURCE, tag == ANY_TAG,
+            )  # fmt: skip
         return chosen
 
-    def wait_any_post(self, rank: int, post_ids: tuple[int, ...], label: tuple) -> list[int]:
-        """Block *rank* until at least one of its posted receives is
-        fulfilled; returns the fulfilled subset in post order.  *label*
-        is the wait's :func:`describe_wait` label."""
+    def wait_any_post(self, rank: int, posts: tuple, label: tuple) -> list:
+        """Block *rank* until at least one of its posted receive requests
+        *posts* has a message bound; returns the bound subset in the
+        given order.  *label* is the wait's :func:`describe_wait` label."""
         if self.faults is not None:
             self._check_crash(rank)
-        mailbox = self.mailboxes[rank]
-        ready = [p for p in post_ids if mailbox.post_ready(p)]
-        if ready:
-            return ready
-        self._block(rank, post_ids, label)
-        ready = [p for p in post_ids if mailbox.post_ready(p)]
+        for post in posts:
+            if post.message is not None:
+                break
+        else:
+            self._handoff(rank, posts, label)
+        ready = []
+        for post in posts:  # a loop, not a comprehension: no frame of its own
+            if post.message is not None:
+                ready.append(post)
         assert ready, "scheduler resumed rank without a fulfilled posted receive"
         return ready
 
@@ -439,7 +473,8 @@ class DeterministicBackend(Backend):
         if len(candidates) <= 1:
             return 0
         pos = self.policy.completion(len(candidates))
-        self._record_match(rank, *candidates[pos], candidates)
+        if self.schedule is not None:
+            self._record_match(rank, *candidates[pos], candidates)
         return pos
 
     def _record_match(
@@ -462,24 +497,6 @@ class DeterministicBackend(Backend):
             completion=not wildcard,
         )  # fmt: skip
 
-    def _block(self, rank: int, waiting: tuple, label: tuple) -> None:
-        # Callers block only after failing to satisfy the wait, so the
-        # rank is not wakeable until a delivery satisfies it.
-        if self._abort:
-            raise _Aborted()
-        self.blocks += 1
-        self._waiting[rank] = waiting
-        self._label[rank] = label
-        self._status[rank] = _Status.BLOCKED
-        if not self._handoff(rank):  # picked ourselves again: no switch
-            self._resume[rank].acquire()
-            if self._abort:
-                raise _Aborted()
-        if self.faults is not None:
-            # Resumed because the wait holds or because the crash came
-            # due while blocked; the crash wins.
-            self._check_crash(rank)
-
     # -- scheduling loop ---------------------------------------------------
     def run(self, bodies: list[Callable[[], None]]) -> None:
         """Execute one body per rank to completion; raise on failure.
@@ -501,7 +518,7 @@ class DeterministicBackend(Backend):
         try:
             for rank in range(self.nprocs):
                 self._wake(rank)
-            self._handoff(None)  # kick the first rank
+            self._handoff()  # kick the first rank
             while True:
                 self._to_scheduler.wait()
                 self._to_scheduler.clear()
@@ -570,14 +587,6 @@ class DeterministicBackend(Backend):
             runnable = self._runnable_ranks()
         return self.policy.pick(self, runnable)
 
-    def _is_runnable(self, rank: int) -> bool:
-        status = self._status[rank]
-        if status == _Status.READY:
-            return True
-        return status == _Status.BLOCKED and _wait_holds(
-            self.mailboxes[rank], self._waiting[rank], self._label[rank]
-        )
-
     def _rank_main(self, rank: int, body: Callable[[], None]) -> None:
         self._resume[rank].acquire()
         try:
@@ -590,7 +599,7 @@ class DeterministicBackend(Backend):
             self._failures[rank] = exc
             self._status[rank] = _Status.FAILED
         finally:
-            self._handoff(None)  # the next rank, or the scheduler thread
+            self._handoff()  # the next rank, or the scheduler thread
 
     def _abort_all(self, threads: list[threading.Thread]) -> None:
         self._abort = True
@@ -601,6 +610,33 @@ class DeterministicBackend(Backend):
                 pass  # token still there: the deadlock path aborts twice
 
     # -- fault injection --------------------------------------------------
+    def _hold(self, msg: Message) -> bool:
+        """Whether to hold *msg* back instead of delivering it now.
+
+        A held message waits 1..``max_delay_steps`` scheduler steps in its
+        (source, dest) channel's FIFO.  A later message on a channel with
+        a held predecessor must queue behind it (non-overtaking), even if
+        it rolled "no delay".  :meth:`_release` passes a channel's head
+        back through :meth:`deliver`, which is the one case that leaves
+        the FIFO here and is delivered.
+        """
+        key = (msg.source, msg.dest)
+        queue = self._delayed.get(key)
+        if queue and queue[0][1] is msg:  # released
+            queue.pop(0)
+            if not queue:
+                del self._delayed[key]
+            return False
+        plan = self.faults
+        rng = self.policy.rng
+        if queue or rng.random() < plan.delay_prob:
+            release = self._step + 1 + rng.randrange(max(1, plan.max_delay_steps))
+            if queue:
+                release = max(release, queue[-1][0])
+            self._delayed.setdefault(key, []).append((release, msg))
+            return True
+        return False
+
     def _runnable_ranks(self) -> list[int]:
         ranks = set(self._wakeable)
         crash = self.faults.crash_rank
@@ -609,11 +645,8 @@ class DeterministicBackend(Backend):
         return sorted(ranks)
 
     def _release(self, key: tuple[int, int]) -> None:
-        """Deposit the oldest delayed message of channel *key*."""
-        queue = self._delayed[key]
-        self._deposit(queue.pop(0)[1])
-        if not queue:
-            del self._delayed[key]
+        """Deliver the oldest delayed message of channel *key*."""
+        self.deliver(self._delayed[key][0][1])
 
     def _crash_due(self, rank: int) -> bool:
         plan = self.faults
@@ -663,11 +696,10 @@ class ThreadedBackend(Backend):
             self._await(rank, (source, tag, ctx), _recv_label(source, tag, ctx, shown_source))
             return self.mailboxes[rank].take_match(source, tag, ctx)
 
-    def wait_any_post(self, rank: int, post_ids: tuple[int, ...], label: tuple) -> list[int]:
-        mailbox = self.mailboxes[rank]
+    def wait_any_post(self, rank: int, posts: tuple, label: tuple) -> list:
         with self._conds[rank]:
-            self._await(rank, post_ids, label)
-            return [p for p in post_ids if mailbox.post_ready(p)]
+            self._await(rank, posts, label)
+            return [post for post in posts if post.message is not None]
 
     def _await(self, rank: int, waiting: tuple, label: tuple) -> None:
         """Sleep on *rank*'s condition (held by the caller) until its wait
@@ -694,21 +726,13 @@ class ThreadedBackend(Backend):
 
     # Posted-receive operations serialise with deliveries under the
     # destination rank's condition lock (the mailbox itself is unlocked).
-    def post_receive(self, rank: int, source: int, tag: int, ctx: int) -> int:
+    def post_receive(self, rank: int, post) -> None:
         with self._conds[rank]:
-            return self.mailboxes[rank].post(source, tag, ctx)
+            self.mailboxes[rank].post(post)
 
-    def post_ready(self, rank: int, post_id: int) -> bool:
+    def post_ready(self, rank: int, post) -> bool:
         with self._conds[rank]:
-            return self.mailboxes[rank].post_ready(post_id)
-
-    def take_post(self, rank: int, post_id: int) -> Message:
-        with self._conds[rank]:
-            return self.mailboxes[rank].take_post(post_id)
-
-    def peek_post(self, rank: int, post_id: int) -> Message:
-        with self._conds[rank]:
-            return self.mailboxes[rank].peek_post(post_id)
+            return post.message is not None
 
     def probe_match(self, rank: int, source: int, tag: int, ctx: int) -> bool:
         with self._conds[rank]:

@@ -104,12 +104,14 @@ class RunResult:
 
 
 def publish_run(engine: Backend, contexts: Sequence[RankContext]) -> None:
-    """Land one run's per-message tallies in the current registry.
+    """Land one run's per-message and per-operation tallies in the
+    current registry.
 
     While a run is live, no message touches the metrics registry: each
     rank counts on its endpoint (requests posted, one wait sample per
-    completion), on its mailbox (deliveries, matches, posts, depth
-    samples) and the engine counts its scheduling steps and blocks.
+    completion, and the ``tallies`` of the reductions, the par-loop
+    layer and the pipeline), on its mailbox (deliveries, matches, posts,
+    depth samples) and the engine counts its scheduling steps and blocks.
     This sums those partials once, when the run ends — for the
     in-process engines from :func:`spmd_run`, and in every process-engine
     worker, over its one rank, before it ships its snapshot.  An
@@ -134,6 +136,13 @@ def publish_run(engine: Backend, contexts: Sequence[RankContext]) -> None:
     ):  # fmt: skip
         if value:
             registry.counter(name, help).inc(value)
+    tallies: dict = {}
+    for endpoint in endpoints:
+        for handle, value in endpoint.tallies.items():
+            tallies[handle] = tallies.get(handle, 0) + value
+    for handle, value in tallies.items():
+        if value:
+            handle.inc(value)
     for name, buckets, per_rank, help in (
         ("runtime.mailbox.depth", COUNT_BUCKETS, [t[3] for t in mailboxes],
          "pending-queue depth observed at each delivery"),
@@ -240,7 +249,8 @@ def spmd_run(
         Comm(rank=rank, size=nprocs, backend=engine, machine=machine, tracer=tracer)
         for rank in range(nprocs)
     ]
-    engine.set_clock_source(lambda rank: comms[rank].clock)
+    endpoints = [comm._endpoint for comm in comms]
+    engine.set_clock_source(lambda rank: endpoints[rank].clock)
     values: list[Any] = [None] * nprocs
     kwargs = dict(kwargs or {})
 

@@ -18,16 +18,21 @@ Two families of checks:
   is the runtime.  Clocks must be *bitwise* identical.
 - **Copy-on-write contract** — a received ndarray is read-only
   (``np.asarray(x).copy()`` to mutate) and shares no mutable memory with
-  the sender; forwarded frozen payloads are shared zero-copy.
+  the sender; forwarded frozen payloads are shared zero-copy; a payload
+  arrives as its own type (a namedtuple as that namedtuple) and is
+  measured exactly as ``nbytes_of`` measures it.
 """
 
 import json
+from collections import defaultdict, namedtuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import spmd_run
+from repro.runtime.context import _freeze_measure
+from repro.util.nbytes import nbytes_of
 from repro.verify import fuzzed_schedule, value_digest
 from tests.conftest import WORKLOADS
 
@@ -141,3 +146,83 @@ def _recv_then_forward(comm):
 def test_forwarding_a_received_array_shares_it():
     res = spmd_run(3, _recv_then_forward)
     assert res.values[2] is res.values[1]
+
+
+# -- what _freeze_measure returns -------------------------------------------
+_Point = namedtuple("_Point", "x y")
+
+
+class _Tagged(tuple):
+    pass
+
+
+class _Stack(list):
+    pass
+
+
+class TestFreezeMeasure:
+    """The detachment walk keeps a payload's type and measures exactly
+    what ``nbytes_of`` does (less the envelope)."""
+
+    PAYLOADS = [
+        None, 7, 2.5, 1 + 2j, True, b"abc", "text", (1, 2.0), [3, (4, 5)],
+        {"k": np.zeros(3)}, np.arange(4.0), np.float64(1.5), np.int32(3),
+        np.complex128(1j), np.bool_(True), _Point(1, 2.5), _Tagged((1, "a")),
+        _Stack([np.zeros(2), 3]), defaultdict(int, a=1), frozenset({1, 2}),
+        memoryview(b"abcdef"), memoryview(np.arange(6.0)), bytearray(b"xy"),
+    ]  # fmt: skip
+
+    @pytest.mark.parametrize("payload", PAYLOADS, ids=lambda p: type(p).__name__)
+    def test_size_is_nbytes_of(self, payload):
+        _, size = _freeze_measure(payload)
+        assert size + 16 == nbytes_of(payload)
+
+    @pytest.mark.parametrize(
+        "payload", [_Point(1, 2.5), _Tagged((1, "a")), _Stack([1, 2]), defaultdict(int, a=1)],
+        ids=lambda p: type(p).__name__,
+    )  # fmt: skip
+    def test_subclass_keeps_its_type(self, payload):
+        frozen, _ = _freeze_measure(payload)
+        assert type(frozen) is type(payload)
+        assert frozen == payload
+
+    def test_subclass_keeps_its_attributes(self):
+        stack = _Stack([1, 2])
+        stack.label = ["halo"]
+        frozen, _ = _freeze_measure(stack)
+        assert frozen.label == ["halo"] and frozen.label is not stack.label
+
+    def test_namedtuple_arrives_as_itself(self):
+        def body(comm):
+            if comm.rank == 0:
+                comm.send(1, _Point(np.arange(2.0), 3))
+                return None
+            return comm.recv(0)
+
+        got = spmd_run(2, body).values[1]
+        assert type(got) is _Point and got.y == 3
+        np.testing.assert_array_equal(got.x, np.arange(2.0))
+        assert not got.x.flags.writeable
+
+    def test_complex128_is_sixteen_bytes(self):
+        assert _freeze_measure(np.complex128(1j)) == (np.complex128(1j), 16)
+
+    def test_memoryview_is_detached(self):
+        source = bytearray(b"abcd")
+
+        def body(comm):
+            if comm.rank == 0:
+                comm.send(1, memoryview(source))
+                source[0] = ord("z")  # after the send: must not reach rank 1
+                return None
+            return comm.recv(0)
+
+        got = spmd_run(2, body).values[1]
+        assert isinstance(got, memoryview) and got.readonly
+        assert got.tobytes() == b"abcd"
+
+    def test_memoryview_keeps_format_and_shape(self):
+        view = memoryview(np.arange(6.0).reshape(2, 3))
+        frozen, _ = _freeze_measure(view)
+        assert (frozen.format, frozen.shape) == (view.format, view.shape)
+        assert frozen.tolist() == view.tolist()

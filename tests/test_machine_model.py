@@ -201,19 +201,17 @@ class TestCatalogInvariants:
         assert machine.send_overhead(0) <= machine.alpha
 
 
-    # RankContext inlines the per-message cost formulas from cached
-    # constants instead of calling the model; the two must agree bitwise
-    # (exact ==, not approx), or virtual clocks would depend on which
-    # call site charged a message.
+    # RankContext inlines the per-message cost formulas from constants
+    # set when the view is made instead of calling the model; the two must
+    # agree bitwise (exact ==, not approx), or virtual clocks would depend
+    # on which call site charged a message.
     COST_SIZES = (1, 2, 3, 16, 64)
     COST_NBYTES = (0, 24, 4096, 2**23)
 
     def test_context_cost_constants_reproduce_the_model(self, machine):
         for size in self.COST_SIZES:
             ctx = RankContext(0, size, _CollectingBackend(), machine)
-            _, _, congestion, alpha, beta, send_a, send_b, recv_a, recv_b = (
-                ctx._machine_costs()
-            )
+            congestion, alpha, beta, send_a, send_b, recv_a, recv_b = ctx._costs
             for n in self.COST_NBYTES:
                 where = f"size={size} nbytes={n}"
                 assert (alpha + beta * n) * congestion == machine.message_time(

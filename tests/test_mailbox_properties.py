@@ -26,6 +26,15 @@ from repro.runtime.message import ANY_SOURCE, ANY_TAG, Message
 SEEDS = range(20)
 
 
+class _Post:
+    """A posted receive as the mailbox sees one: a pattern and the
+    message bound to it (a receive request, at run time)."""
+
+    def __init__(self, source: int, tag: int, ctx: int = 0):
+        self.source, self.tag, self.ctx = source, tag, ctx
+        self.message: Message | None = None
+
+
 def _random_messages(rng: random.Random, n: int) -> list[Message]:
     """Legal ``isend`` traffic to one rank, in a random interleaving of
     four senders: per-source ``seq`` strictly increasing in list order.
@@ -248,7 +257,9 @@ def test_indexed_mailbox_equals_linear_reference(seed):
     fast = Mailbox()
     ref = _LinearMailbox()
     feed = iter(_random_messages(rng, 80))
-    live_posts: list[int] = []  # post ids number alike in both
+    # (fast's post, ref's post) pairs: one pattern posted to each mailbox
+    posts: list[tuple[_Post, _Post]] = []
+    live_posts: list[tuple[_Post, _Post]] = []
     for _ in range(400):
         action = rng.random()
         source = rng.choice([ANY_SOURCE, 0, 1, 2, 3])
@@ -259,7 +270,9 @@ def test_indexed_mailbox_equals_linear_reference(seed):
                 pa, pb = fast.put(msg), ref.put(msg)
                 assert (pa is None) == (pb is None)
                 if pa is not None:
-                    assert pa.post_id == pb.post_id
+                    assert [a for a, _ in posts].index(pa) == [
+                        b for _, b in posts
+                    ].index(pb)
         elif action < 0.55:
             a, b = fast.take_match(source, tag), ref.take_match(source, tag)
             assert a is b, f"take_match({source}, {tag}) diverged"
@@ -272,16 +285,17 @@ def test_indexed_mailbox_equals_linear_reference(seed):
                 k = rng.randrange(len(ca))
                 assert fast.take(ca[k]) is ref.take(cb[k])
         elif action < 0.80:
-            post_id = fast.post(source, tag)
-            assert ref.post(source, tag) == post_id
-            live_posts.append(post_id)
+            pair = (_Post(source, tag), _Post(source, tag))
+            fast.post(pair[0])
+            ref.post(pair[1])
+            posts.append(pair)
+            live_posts.append(pair)
         elif action < 0.90 and live_posts:
-            post_id = rng.choice(live_posts)
-            assert fast.post_ready(post_id) == ref.post_ready(post_id)
-            if fast.post_ready(post_id):
-                assert fast.peek_post(post_id) is ref.peek_post(post_id)
-                assert fast.take_post(post_id) is ref.take_post(post_id)
-                live_posts.remove(post_id)
+            pa, pb = pair = rng.choice(live_posts)
+            assert (pa.message is None) == (pb.message is None)
+            if pa.message is not None:
+                assert pa.message is pb.message
+                live_posts.remove(pair)
         else:
             assert fast.has_match(source, tag) == ref.has_match(source, tag)
         assert len(fast) == len(ref)

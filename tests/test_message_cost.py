@@ -1,0 +1,113 @@
+"""The run-to-block engine's message path, held to a Python call budget.
+
+Host time on message-heavy runs is the simulator's per-message path, and
+most of that is Python calls.  Time is noisy; the number of calls is not:
+on the deterministic engine a program makes the same calls on every run.
+So each pattern below is run under a counting-only profile hook
+(``tools/msg_cost.py``'s ``count_calls``), once with its rounds and once
+with none, and the difference per message — calls into ``repro`` code,
+dataclass- and namedtuple-generated methods (file ``<string>``)
+included — must stay within a ceiling.
+
+Each ceiling is the count of the path as written plus at most 10 %; the
+path before it was rebuilt made 39.1 (``sendrecv``), 45.7 (ring), 40.0
+(halo) and 43.5 (``allreduce``) calls per message on these patterns.  A
+change that needs more calls per message must say why and raise the
+ceiling.  Python 3.12 inlines comprehensions and counts fewer calls, so
+a ceiling set on 3.10 or 3.11 holds there too.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro import spmd_run
+from repro.comm import SUM
+from repro.machines.catalog import get_machine
+
+_SPEC = importlib.util.spec_from_file_location(
+    "msg_cost", Path(__file__).resolve().parent.parent / "tools" / "msg_cost.py"
+)
+msg_cost = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(msg_cost)
+
+REPRO = (str(Path(repro.__file__).resolve().parent) + os.sep, "<string>")
+MACHINE = get_machine("ibm-sp")
+TOKEN = b"8 bytes."
+
+
+def _sendrecv(comm, rounds: int) -> None:
+    other = 1 - comm.rank
+    for _ in range(rounds):
+        comm.sendrecv(other, TOKEN, other)
+
+
+def _ring(comm, laps: int) -> None:
+    """Blocking ``send`` and a wildcard-tag ``recv``, a token round."""
+    succ, pred = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+    for _ in range(laps):
+        if comm.rank == 0:
+            comm.send(succ, TOKEN)
+            comm.recv(pred)
+        else:
+            comm.recv(pred)
+            comm.send(succ, TOKEN)
+
+
+def _halo(comm, rounds: int) -> None:
+    left, right = (comm.rank - 1) % comm.size, (comm.rank + 1) % comm.size
+    for _ in range(rounds):
+        comm.waitall(
+            [
+                comm.irecv(left, 1),
+                comm.irecv(right, 2),
+                comm.isend(right, TOKEN, 1),
+                comm.isend(left, TOKEN, 2),
+            ]
+        )
+
+
+def _allreduce(comm, rounds: int) -> None:
+    for _ in range(rounds):
+        comm.allreduce(1.5, SUM)
+
+
+#: (pattern, ranks, body, rounds, messages per round, ceiling in calls/message)
+CASES = [
+    ("sendrecv-2", 2, _sendrecv, 200, 2, 16.5),  # 15.06 as written
+    ("ring-16", 16, _ring, 50, 16, 19.6),  # 17.90
+    ("halo-4", 4, _halo, 50, 8, 14.9),  # 13.56
+    ("allreduce-16", 16, _allreduce, 20, 64, 18.7),  # 17.02
+]
+
+
+def calls_per_message(nprocs: int, body, rounds: int, per_round: int) -> float:
+    def calls(rounds: int) -> int:
+        run = lambda: spmd_run(  # noqa: E731
+            nprocs, body, args=(rounds,), machine=MACHINE, backend="deterministic"
+        )
+        return msg_cost.count_calls(run, REPRO)[0]
+
+    calls(1)  # warm: lazy imports and first-use caches
+    return (calls(rounds) - calls(0)) / (rounds * per_round)
+
+
+@pytest.mark.parametrize(
+    "nprocs, body, rounds, per_round, ceiling",
+    [case[1:] for case in CASES],
+    ids=[case[0] for case in CASES],
+)
+def test_calls_per_message_within_budget(nprocs, body, rounds, per_round, ceiling):
+    measured = calls_per_message(nprocs, body, rounds, per_round)
+    assert measured <= ceiling, f"{measured:.2f} calls/message, budget {ceiling}"
+
+
+def test_count_is_exact():
+    """The gauge is a count, not a sample: two runs agree exactly."""
+    first = calls_per_message(2, _sendrecv, 20, 2)
+    assert calls_per_message(2, _sendrecv, 20, 2) == first

@@ -8,7 +8,10 @@ and completes the same messages and requests whatever the schedule, so
 every registered app at its verify sizes must report the same totals on
 the deterministic, fuzzed, threaded and process engines.  (Queue depths
 and wait times depend on the interleaving; only the wait *count* is
-compared.)
+compared.)  The per-operation counters of the reductions, the par-loop
+layer and the pipeline are per-rank tallies landed the same way, and are
+compared by name: each engine must report the same set with the same
+values.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ COUNTERS = (
     "comm.requests.posted",
     "comm.requests.completed",
 )
+#: per-operation counters, compared by name (an app reports the ones its
+#: skeleton uses)
+TALLIED = ("comm.reductions.", "core.kernels.", "core.pipeline.")
 FUZZ_SEED = 5
 
 
@@ -42,6 +48,11 @@ def _totals(app: str, engine: str) -> dict[str, float]:
         snapshot = metrics.snapshot()
     assert result.backend == engine
     totals = {name: snapshot.get(name, {}).get("value", 0.0) for name in COUNTERS}
+    totals.update(
+        (name, entry["value"])
+        for name, entry in snapshot.items()
+        if name.startswith(TALLIED) and entry["kind"] == "counter"
+    )
     waits = snapshot.get("comm.requests.wait_seconds", {})
     totals["comm.requests.wait_seconds.count"] = waits.get("count", 0)
     return totals

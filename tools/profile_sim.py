@@ -17,12 +17,16 @@ and grids, the pipeline, the one-deep skeleton), the engine
 (``repro/runtime`` + ``repro/comm`` + ``repro/obs``) and native code;
 beside them the messages delivered (``runtime.mailbox.enqueued``) and
 scheduling steps (``runtime.scheduler.steps``), so self time per message
-can be read off the row, and how many ``ParLoop`` objects the case built
+can be read off the row, then the exact Python-level calls per delivered
+message (``py calls/msg``: every call of the warm run, counted in a pass of
+its own by ``msg_cost.count_calls``, a counting-only profile hook, not
+under cProfile), and how many ``ParLoop`` objects the case built
 for how many loop runs (every mesh app declares its loops above the time
 loop, so it builds ranks x declared loops: ``sim_comm`` poisson 32/1280,
 cfd 32/192; ``sim_kernel`` smog 16/80, spectralflow 48/120, poisson 4/96,
 cfd 4/56, fdtd 4/96); with an app it prints that case's self time by
-module and its top functions.  Piped into ``head``, it stops quietly.
+module and its top functions.  The summary ends with the workload's total
+Python-level calls.  Piped into ``head``, it stops quietly.
 Either way every case's perfbench pin is asserted (perfbench is imported,
 never changed).
 cProfile taxes Python calls and not native code: this finds candidates,
@@ -37,6 +41,8 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+from msg_cost import count_calls
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src") + os.sep
 
@@ -50,10 +56,12 @@ LAYERS = (
 )
 
 
-def profile_case(workload: str, app: str) -> tuple[dict, int, str, str]:
+def profile_case(workload: str, app: str) -> tuple[dict, int, str, str, int, int]:
     """``({(file, line, function): self seconds}, threads, "msgs/steps",
-    "built/runs")`` of one warm run: the profile, messages delivered and
-    scheduling steps, and ``ParLoop`` constructions per loop run."""
+    "built/runs", calls, msgs)`` of one warm run: the profile, messages
+    delivered and scheduling steps, ``ParLoop`` constructions per loop
+    run, and, from a further warm run under :func:`count_calls`, its
+    Python-level calls beside the messages delivered."""
     from perfbench import cases, pins
     from repro.kernels.ir import ParLoop
     from repro.kernels.runtime import KernelEngine
@@ -92,11 +100,14 @@ def profile_case(workload: str, app: str) -> tuple[dict, int, str, str]:
         return int(run.counters.get(name, {}).get("value", 0))
 
     runs = calls(KernelEngine.submit)
+    python_calls, _ = count_calls(lambda: pins.run_case(app, params))
     return (
         rows,
         len(profiles),
         f"{count('runtime.mailbox.enqueued')}/{count('runtime.scheduler.steps')}",
         f"{calls(ParLoop.__init__)}/{runs}" if runs else "-",
+        python_calls,
+        count("runtime.mailbox.enqueued"),
     )
 
 
@@ -118,24 +129,27 @@ def main(workload: str, app: str | None = None) -> None:
             print(
                 f"{'case':<24} {'self ms':>8} "
                 + " ".join(f"{name:>9}" for name, _ in LAYERS)
-                + f" {'msgs/steps':>12}  ParLoops built/run"
+                + f" {'msgs/steps':>12} {'py calls/msg':>12}  ParLoops built/run"
             )
+            total_calls = 0
             for case, _ in cases.SIM_CASES[workload]:
-                rows, _, traffic, built = profile_case(workload, case)
+                rows, _, traffic, built, python_calls, msgs = profile_case(workload, case)
+                total_calls += python_calls
                 modules = by_module(rows)
                 total = sum(modules.values())
                 shares = (
                     sum(s for m, s in modules.items() if m.startswith(prefixes)) / total
                     for _, prefixes in LAYERS
                 )
+                per_msg = f"{python_calls / msgs:.1f}" if msgs else "-"
                 print(
                     f"{workload + '/' + case:<24} {total * 1e3:8.1f} "
                     + " ".join(f"{share:9.1%}" for share in shares)
-                    + f" {traffic:>12}  {built}"
+                    + f" {traffic:>12} {per_msg:>12}  {built}"
                 )
-            print("every pin holds")
+            print(f"{total_calls} Python-level calls in all; every pin holds")
             return
-        rows, threads, traffic, built = profile_case(workload, app)
+        rows, threads, traffic, built, _, _ = profile_case(workload, app)
     total = sum(rows.values())
     print(
         f"{workload}/{app}: {total * 1e3:.1f} ms self time on {threads} threads "
