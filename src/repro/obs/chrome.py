@@ -30,9 +30,10 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.trace.events import CommEvent, ComputeEvent, MatchEvent, RequestEvent
-from repro.trace.tracer import Tracer
-from repro.obs.critical import pair_messages, trace_makespan
+from repro.obs.critical import pair_rows
+from repro.trace.tracer import (
+    COMPUTE, END, IRECV, ISEND, KIND_NAMES, MATCH, ROW, SEND, START, Tracer, rows,
+)  # fmt: skip
 
 #: virtual seconds -> trace-event timestamp units (microseconds)
 _US = 1e6
@@ -63,8 +64,11 @@ def _slice(
 
 
 def chrome_trace(tracer: Tracer) -> dict:
-    """Build the trace document (a JSON-serialisable dict)."""
-    makespan = trace_makespan(tracer)
+    """Build the trace document (a JSON-serialisable dict).
+
+    Reads the tracer's columns directly; no event object is built.
+    """
+    makespan = tracer.makespan()
     events: list[dict] = [
         {
             "ph": "M",
@@ -94,94 +98,89 @@ def chrome_trace(tracer: Tracer) -> dict:
             }
         )
 
-    for rank in range(tracer.nprocs):
+    for rank, log in enumerate(tracer.logs):
         cursor = 0.0
-        for ev in tracer.events_for(rank):
-            if ev.start - cursor > _MIN_IDLE:
-                events.append(_slice(rank, "idle", "idle", cursor, ev.start))
-            cursor = max(cursor, ev.end)
-            if isinstance(ev, ComputeEvent):
+        for kind, start, end, peer, tag, nbytes, arrival, aux in rows(log):
+            if start - cursor > _MIN_IDLE:
+                events.append(_slice(rank, "idle", "idle", cursor, start))
+            cursor = max(cursor, end)
+            if kind == COMPUTE:
                 events.append(
-                    _slice(
-                        rank,
-                        ev.label or "compute",
-                        "compute",
-                        ev.start,
-                        ev.end,
-                        {"flops": ev.flops},
-                    )
+                    _slice(rank, aux or "compute", "compute", start, end, {"flops": nbytes})
                 )
-            elif isinstance(ev, MatchEvent):
+            elif kind == MATCH:
                 events.append(
                     {
                         "ph": "i",
                         "pid": 0,
                         "tid": rank,
-                        "name": f"match source={ev.source} tag={ev.tag}",
+                        "name": f"match source={peer} tag={tag}",
                         "cat": "match",
-                        "ts": ev.start * _US,
+                        "ts": start * _US,
                         "s": "t",
-                        "args": {"candidates": list(ev.candidates)},
+                        "args": {"candidates": list(aux)},
                     }
                 )
-            elif isinstance(ev, RequestEvent):
+            elif kind == ISEND or kind == IRECV:
                 events.append(
                     {
                         "ph": "i",
                         "pid": 0,
                         "tid": rank,
-                        "name": f"{ev.kind} {ev.op} #{ev.req_id}",
+                        "name": f"{KIND_NAMES[kind]} {aux} #{arrival}",
                         "cat": "request",
-                        "ts": ev.start * _US,
+                        "ts": start * _US,
                         "s": "t",
                         "args": {
-                            "peer": ev.peer,
-                            "tag": ev.tag,
-                            "nbytes": ev.nbytes,
-                            "req_id": ev.req_id,
+                            "peer": peer,
+                            "tag": tag,
+                            "nbytes": nbytes,
+                            "req_id": arrival,
                         },
                     }
                 )
-            elif isinstance(ev, CommEvent):
-                name = (
-                    f"send -> {ev.peer}" if ev.kind == "send" else f"recv <- {ev.peer}"
-                )
+            else:
+                name = f"send -> {peer}" if kind == SEND else f"recv <- {peer}"
                 events.append(
                     _slice(
                         rank,
                         name,
-                        ev.kind,
-                        ev.start,
-                        ev.end,
-                        {"peer": ev.peer, "tag": ev.tag, "nbytes": ev.nbytes},
+                        KIND_NAMES[kind],
+                        start,
+                        end,
+                        {"peer": peer, "tag": tag, "nbytes": nbytes},
                     )
                 )
         if makespan - cursor > _MIN_IDLE:
             events.append(_slice(rank, "idle", "idle", cursor, makespan))
 
-    for flow_id, pair in enumerate(pair_messages(tracer), start=1):
+    logs = tracer.logs
+    for flow_id, (send_rank, send_index, recv_rank, recv_index, arrival) in enumerate(
+        pair_rows(tracer), start=1
+    ):
         # Arrow from inside the send slice to inside the recv slice: the
         # binding point is the message's arrival stamp (for nonblocking
         # sends that is after the send slice — the wire drains while the
         # sender computes), clamped into the recv slice for receives that
         # did not wait.
-        arrival = min(max(pair.arrival, pair.recv.start), pair.recv.end)
+        recv, recv_log = recv_index * ROW, logs[recv_rank]
+        arrival = min(max(arrival, recv_log[recv + START]), recv_log[recv + END])
         events.append(
             {
                 "ph": "s",
                 "pid": 0,
-                "tid": pair.send_rank,
+                "tid": send_rank,
                 "name": "msg",
                 "cat": "msg",
                 "id": flow_id,
-                "ts": pair.send.start * _US,
+                "ts": logs[send_rank][send_index * ROW + START] * _US,
             }
         )
         events.append(
             {
                 "ph": "f",
                 "pid": 0,
-                "tid": pair.recv_rank,
+                "tid": recv_rank,
                 "name": "msg",
                 "cat": "msg",
                 "id": flow_id,

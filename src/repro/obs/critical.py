@@ -32,7 +32,23 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.trace.events import CommEvent, ComputeEvent, Event, MatchEvent
-from repro.trace.tracer import Tracer
+from repro.trace.tracer import (
+    ARRIVAL, COMPUTE, END, KIND, NBYTES, PEER, RECV, ROW, SEND, START, TAG, Tracer,
+)  # fmt: skip
+
+
+def message_arrival(recv_arrival: float, send_arrival: float, send_end: float) -> float:
+    """When a message reached the receiver's mailbox (virtual time).
+
+    Prefers the arrival stamp recorded on either event (nonblocking
+    transfers end their send event at the post overhead, well before
+    the wire drains); a blocking send's end *is* the arrival.
+    """
+    if recv_arrival >= 0.0:
+        return recv_arrival
+    if send_arrival >= 0.0:
+        return send_arrival
+    return send_end
 
 
 @dataclass(frozen=True)
@@ -48,17 +64,9 @@ class MessagePair:
 
     @property
     def arrival(self) -> float:
-        """When the message reached the receiver's mailbox (virtual time).
-
-        Prefers the arrival stamp recorded on either event (nonblocking
-        transfers end their send event at the post overhead, well before
-        the wire drains); a blocking send's end *is* the arrival.
-        """
-        if self.recv.arrival >= 0.0:
-            return self.recv.arrival
-        if self.send.arrival >= 0.0:
-            return self.send.arrival
-        return self.send.end
+        """When the message reached the receiver's mailbox (see
+        :func:`message_arrival`)."""
+        return message_arrival(self.recv.arrival, self.send.arrival, self.send.end)
 
     @property
     def wait(self) -> float:
@@ -66,32 +74,53 @@ class MessagePair:
         return min(max(self.arrival - self.recv.start, 0.0), self.recv.duration)
 
 
-def pair_messages(tracer: Tracer) -> list[MessagePair]:
-    """Match send events to recv events by per-channel FIFO order.
+def pair_rows(tracer: Tracer) -> list[tuple[int, int, int, int, float]]:
+    """Match send rows to recv rows by per-channel FIFO order.
 
     Channels are (source, dest, tag) triples.  Within a channel the
     mailbox takes messages in send order (a FIFO per channel, whatever
     their arrivals), so pairing the k-th send with the k-th recv
-    reconstructs the actual matching.
-    Unmatched events (none in a completed run) are skipped.
+    reconstructs the actual matching.  Returns ``(send_rank,
+    send_index, recv_rank, recv_index, arrival)`` per message (see
+    :func:`message_arrival`), in receive order: by receiving rank, then
+    position in its log.  Unmatched events (none in a completed run)
+    are skipped.
     """
-    pending: dict[tuple[int, int, int], deque[tuple[int, int, CommEvent]]] = {}
-    for rank in range(tracer.nprocs):
-        for index, ev in enumerate(tracer.events_for(rank)):
-            if isinstance(ev, CommEvent) and ev.kind == "send":
-                key = (ev.rank, ev.peer, ev.tag)
-                pending.setdefault(key, deque()).append((rank, index, ev))
-    pairs: list[MessagePair] = []
-    for rank in range(tracer.nprocs):
-        for index, ev in enumerate(tracer.events_for(rank)):
-            if isinstance(ev, CommEvent) and ev.kind == "recv":
-                queue = pending.get((ev.peer, ev.rank, ev.tag))
+    logs = tracer.logs
+    pending: dict[tuple[int, int, int], deque[tuple[int, int]]] = {}
+    for rank, log in enumerate(logs):
+        for index, (kind, peer, tag) in enumerate(
+            zip(log[KIND::ROW], log[PEER::ROW], log[TAG::ROW])
+        ):
+            if kind == SEND:
+                pending.setdefault((rank, peer, tag), deque()).append((rank, index))
+    pairs: list[tuple[int, int, int, int, float]] = []
+    for rank, log in enumerate(logs):
+        for index, (kind, peer, tag, arrival) in enumerate(
+            zip(log[KIND::ROW], log[PEER::ROW], log[TAG::ROW], log[ARRIVAL::ROW])
+        ):
+            if kind == RECV:
+                queue = pending.get((peer, rank, tag))
                 if queue:
-                    send_rank, send_index, send = queue.popleft()
-                    pairs.append(
-                        MessagePair(send_rank, send_index, send, rank, index, ev)
+                    send_rank, send_index = queue.popleft()
+                    send = send_index * ROW
+                    send_log = logs[send_rank]
+                    arrival = message_arrival(
+                        arrival, send_log[send + ARRIVAL], send_log[send + END]
                     )
+                    pairs.append((send_rank, send_index, rank, index, arrival))
     return pairs
+
+
+def pair_messages(tracer: Tracer) -> list[MessagePair]:
+    """:func:`pair_rows` with each pair's two events built."""
+    return [
+        MessagePair(
+            send_rank, send_index, tracer.event(send_rank, send_index),
+            recv_rank, recv_index, tracer.event(recv_rank, recv_index),
+        )  # fmt: skip
+        for send_rank, send_index, recv_rank, recv_index, _ in pair_rows(tracer)
+    ]
 
 
 def _event_kind(ev: Event) -> str:
@@ -186,14 +215,6 @@ class CriticalPathReport:
         return "\n".join(lines)
 
 
-def trace_makespan(tracer: Tracer) -> float:
-    """The latest event end time across all ranks (0.0 for an empty trace)."""
-    return max(
-        (ev.end for rank in range(tracer.nprocs) for ev in tracer.events_for(rank)),
-        default=0.0,
-    )
-
-
 def critical_path(tracer: Tracer) -> CriticalPathReport:
     """Walk the happens-before DAG backwards from the last event to end.
 
@@ -202,51 +223,46 @@ def critical_path(tracer: Tracer) -> CriticalPathReport:
     receive, the matched send — the constraint that actually determined
     when the event could complete.  Each event contributes the interval
     from its binding predecessor's end to its own end, so the segment
-    durations telescope to the makespan.
+    durations telescope to the makespan.  The walk reads the columns;
+    only the events on the path are built.
     """
-    makespan = trace_makespan(tracer)
+    makespan = tracer.makespan()
     report = CriticalPathReport(makespan=makespan)
     if makespan <= 0.0:
         return report
 
-    events = [tracer.events_for(rank) for rank in range(tracer.nprocs)]
-    send_of: dict[int, tuple[int, int]] = {
-        id(pair.recv): (pair.send_rank, pair.send_index)
-        for pair in pair_messages(tracer)
+    ends = [log[END::ROW] for log in tracer.logs]
+    send_of = {
+        (recv_rank, recv_index): (send_rank, send_index, arrival)
+        for send_rank, send_index, recv_rank, recv_index, arrival in pair_rows(tracer)
     }
 
     # Terminal: the event that ends last (ties broken by lowest rank).
     terminal: tuple[int, int] | None = None
-    for rank in range(tracer.nprocs):
-        for index, ev in enumerate(events[rank]):
-            if terminal is None or ev.end > events[terminal[0]][terminal[1]].end:
+    for rank, rank_ends in enumerate(ends):
+        for index, end in enumerate(rank_ends):
+            if terminal is None or end > ends[terminal[0]][terminal[1]]:
                 terminal = (rank, index)
     assert terminal is not None
 
     segments: list[PathSegment] = []
     rank, index = terminal
     while True:
-        ev = events[rank][index]
+        ev = tracer.event(rank, index)
         pred: tuple[int, int] | None = None
         if index > 0:
             pred = (rank, index - 1)
-        if isinstance(ev, CommEvent) and ev.kind == "recv":
-            sender = send_of.get(id(ev))
-            if sender is not None:
-                send_ev = events[sender[0]][sender[1]]
-                # The send binds when the message's *arrival* is later
-                # than the local predecessor's end (i.e. the receiver
-                # actually waited on the wire).  For nonblocking sends the
-                # send event ends at the post overhead, so compare against
-                # the arrival stamp; a blocking send's end is its arrival.
-                arrival = ev.arrival
-                if arrival < 0.0:
-                    arrival = (
-                        send_ev.arrival if send_ev.arrival >= 0.0 else send_ev.end
-                    )
-                if pred is None or arrival > events[pred[0]][pred[1]].end:
-                    pred = sender
-        released = events[pred[0]][pred[1]].end if pred is not None else 0.0
+        sender = send_of.get((rank, index))
+        if sender is not None:
+            # The send binds when the message's *arrival* is later than
+            # the local predecessor's end (i.e. the receiver actually
+            # waited on the wire).  For nonblocking sends the send event
+            # ends at the post overhead, so compare against the arrival
+            # stamp; a blocking send's end is its arrival.
+            send_rank, send_index, arrival = sender
+            if pred is None or arrival > ends[pred[0]][pred[1]]:
+                pred = (send_rank, send_index)
+        released = ends[pred[0]][pred[1]] if pred is not None else 0.0
         segments.append(
             PathSegment(
                 rank=ev.rank,
@@ -284,29 +300,31 @@ class RankActivity:
 
 def rank_activity(tracer: Tracer) -> list[RankActivity]:
     """Per-rank busy/wait/idle breakdown against the trace makespan."""
-    makespan = trace_makespan(tracer)
-    wait_by_rank = [0.0] * tracer.nprocs
-    waits: dict[int, float] = {}
-    for pair in pair_messages(tracer):
-        waits[id(pair.recv)] = pair.wait
+    makespan = tracer.makespan()
+    logs = tracer.logs
+    waits: dict[tuple[int, int], float] = {}
+    for _, _, recv_rank, recv_index, arrival in pair_rows(tracer):
+        row, log = recv_index * ROW, logs[recv_rank]
+        start, end = log[row + START], log[row + END]
+        waits[recv_rank, recv_index] = min(max(arrival - start, 0.0), end - start)
     out: list[RankActivity] = []
-    for rank in range(tracer.nprocs):
+    for rank, log in enumerate(logs):
         compute = send = recv = wait = 0.0
         idle = 0.0
         cursor = 0.0
-        for ev in tracer.events_for(rank):
-            idle += max(ev.start - cursor, 0.0)
-            cursor = max(cursor, ev.end)
-            if isinstance(ev, ComputeEvent):
-                compute += ev.duration
-            elif isinstance(ev, CommEvent):
-                if ev.kind == "send":
-                    send += ev.duration
-                else:
-                    recv += ev.duration
-                    wait += waits.get(id(ev), 0.0)
+        for index, (kind, start, end) in enumerate(
+            zip(log[KIND::ROW], log[START::ROW], log[END::ROW])
+        ):
+            idle += max(start - cursor, 0.0)
+            cursor = max(cursor, end)
+            if kind == COMPUTE:
+                compute += end - start
+            elif kind == SEND:
+                send += end - start
+            elif kind == RECV:
+                recv += end - start
+                wait += waits.get((rank, index), 0.0)
         idle += max(makespan - cursor, 0.0)
-        wait_by_rank[rank] = wait
         out.append(
             RankActivity(
                 rank=rank, compute=compute, send=send, recv=recv, wait=wait, idle=idle
@@ -316,7 +334,7 @@ def rank_activity(tracer: Tracer) -> list[RankActivity]:
 
 
 def comm_matrix(tracer: Tracer) -> tuple[list[list[int]], list[list[int]]]:
-    """Rank x rank communication matrices from the send events.
+    """Rank x rank communication matrices from the send rows.
 
     Returns ``(messages, bytes)``: ``messages[src][dst]`` is how many
     messages *src* sent to *dst*, ``bytes[src][dst]`` the payload total.
@@ -324,11 +342,11 @@ def comm_matrix(tracer: Tracer) -> tuple[list[list[int]], list[list[int]]]:
     n = tracer.nprocs
     messages = [[0] * n for _ in range(n)]
     volume = [[0] * n for _ in range(n)]
-    for rank in range(n):
-        for ev in tracer.events_for(rank):
-            if isinstance(ev, CommEvent) and ev.kind == "send" and 0 <= ev.peer < n:
-                messages[ev.rank][ev.peer] += 1
-                volume[ev.rank][ev.peer] += ev.nbytes
+    for rank, log in enumerate(tracer.logs):
+        for kind, peer, nbytes in zip(log[KIND::ROW], log[PEER::ROW], log[NBYTES::ROW]):
+            if kind == SEND and 0 <= peer < n:
+                messages[rank][peer] += 1
+                volume[rank][peer] += nbytes
     return messages, volume
 
 

@@ -414,10 +414,10 @@ def _worker_main(
             return
         publish_run(backend, [comm])
         snapshot = registry.snapshot()
-    events = tracer.events[rank] if tracer is not None else None
+    log = tracer.logs[rank] if tracer is not None else None
     wiring.states[rank] = _DONE
     wiring.progress[rank] += 1
-    record = ("done", rank, (value, comm.clock, events, snapshot))
+    record = ("done", rank, (value, comm.clock, log, snapshot))
     try:
         wiring.results.put(record)
     except Exception as exc:  # noqa: BLE001 - e.g. an unpicklable return value
@@ -588,11 +588,11 @@ def run_parallel(
     times = [0.0] * nprocs
     tracer = Tracer(nprocs) if trace else None
     registry = get_registry()
-    for rank, (value, clock, events, snapshot) in done.items():
+    for rank, (value, clock, log, snapshot) in done.items():
         values[rank] = value
         times[rank] = clock
-        if tracer is not None and events is not None:
-            tracer.adopt(rank, events)
+        if tracer is not None and log is not None:
+            tracer.adopt(rank, log)
         registry.merge_snapshot(snapshot)
     return RunResult(
         values=values,

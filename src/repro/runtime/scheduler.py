@@ -305,6 +305,8 @@ class DeterministicBackend(Backend):
         #: per blocked rank: its receive pattern or posts, and its label
         self._waiting: list[tuple] = [()] * nprocs
         self._label: list[tuple] = [()] * nprocs
+        #: per rank: the tag of the delivery that last satisfied its wait
+        self._woke_tag: list[int] = [0] * nprocs
         #: one bare lock per rank, held at rest: ``release()`` hands the
         #: rank its token to run, the rank's own ``acquire()`` consumes it
         self._resume = [threading.Lock() for _ in range(nprocs)]
@@ -400,6 +402,7 @@ class DeterministicBackend(Backend):
             else:
                 satisfied = post is not None and post in waiting
             if satisfied:
+                self._woke_tag[rank] = msg.tag
                 self._wakeable.add(rank)
                 self.policy.wake(self, rank)
 
@@ -411,7 +414,9 @@ class DeterministicBackend(Backend):
         numbers it, for the report of a wait that never ends.
 
         An exact receive takes its channel's head; a wildcard receive
-        takes the candidate its policy chooses (:meth:`_choose_match`).
+        takes the candidate its policy chooses (:meth:`_choose_match`),
+        except that a named-source receive which had to wait takes the
+        head of the channel whose delivery woke it.
         """
         if self.faults is not None:
             self._check_crash(rank)
@@ -428,6 +433,13 @@ class DeterministicBackend(Backend):
         self._handoff(rank, (source, tag, ctx), label)
         if exact:
             msg = mailbox.take_match(source, tag, ctx)
+        elif source != ANY_SOURCE:
+            # A named source: nothing of its was pending at the block, and
+            # one sender's messages arrive in send order, so the delivery
+            # that woke the rank heads its oldest match.  No rescan.
+            msg = mailbox.take_match(source, self._woke_tag[rank], ctx)
+            if self.schedule is not None:
+                self._record_match(rank, source, msg.tag, (msg,), False, True)
         else:
             msg = self._choose_match(rank, source, tag, ctx)
         assert msg is not None, "scheduler resumed rank without a matching message"

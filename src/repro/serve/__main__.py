@@ -16,7 +16,9 @@ client against ``--server`` (default ``http://127.0.0.1:8642``).
 ``smoke`` is self-contained: it starts a server on an ephemeral port,
 submits the same job twice over real HTTP, asserts the second submission
 is answered from the cache with the identical digest and no additional
-worker dispatch, verifies a sampled hit bitwise, and shuts down cleanly.
+worker dispatch, fetches both jobs' traces (exported from the stored log
+on GET) and checks they are valid and equal, verifies a sampled hit
+bitwise, and shuts down cleanly.
 """
 
 from __future__ import annotations
@@ -215,6 +217,7 @@ def cmd_shutdown(args: argparse.Namespace) -> int:
 
 def cmd_smoke(args: argparse.Namespace) -> int:
     """The ``make serve-smoke`` gate (see module docstring)."""
+    from repro.obs.chrome import validate_chrome_trace
     from repro.obs.metrics import scoped_registry
     from repro.serve.server import ServeServer
 
@@ -240,6 +243,18 @@ def cmd_smoke(args: argparse.Namespace) -> int:
             d2 = _call(url, "GET", f"/v1/jobs/{second['id']}/result")["record"]["digest"]
             if d1 != d2:
                 failures.append(f"cache-hit digest diverged: {d1[:16]} vs {d2[:16]}")
+            # The trace is exported from the stored log on GET: the miss
+            # and the hit read one entry, so both documents must be
+            # valid and equal.
+            traces = [
+                _call(url, "GET", f"/v1/jobs/{job['id']}/trace") for job in (first, second)
+            ]
+            for job, trace in zip(("miss", "hit"), traces):
+                problems = validate_chrome_trace(trace)
+                if problems:
+                    failures.append(f"{job} trace fails validation: {problems[:3]}")
+            if traces[0] != traces[1]:
+                failures.append("miss and hit trace documents differ")
             metrics_after = _call(url, "GET", "/v1/metrics")
             dispatched = lambda m: m.get("core.serve.jobs.dispatched", {}).get("value", 0)  # noqa: E731
             if dispatched(metrics_after) != dispatched(metrics_between):
@@ -262,6 +277,7 @@ def cmd_smoke(args: argparse.Namespace) -> int:
             print(
                 f"[{'FAIL' if failures else 'ok'}] submit/run/cache-hit/verify "
                 f"round-trip on {url}: digest {d1[:16]}, "
+                f"{len(traces[0]['traceEvents'])} trace events on GET, "
                 f"hit verified={third.get('verified')}"
             )
             print(

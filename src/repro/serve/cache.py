@@ -7,7 +7,10 @@ Layout: ``root/<key[:2]>/<key>/`` holds one completed run —
 - ``outputs.pkl`` — the per-rank return values (pickle: outputs are
   arbitrary Python objects, often ndarrays);
 - ``metrics.json`` — the job's metrics snapshot;
-- ``trace.json`` — the Chrome trace-event document (when traced).
+- ``trace.pkl`` — the run's columnar event log, one flat list per rank
+  (when traced).  The Chrome trace-event document is built from it on
+  read (:meth:`CachedResult.trace`), so a job nobody asks the trace of
+  never pays for the export.
 
 Entries are written into a temporary sibling directory and renamed into
 place, so readers never observe a half-written entry; a second writer
@@ -28,7 +31,9 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
+from repro.obs.chrome import chrome_trace
 from repro.obs.metrics import counter_handle
+from repro.trace.tracer import Tracer
 
 _STORES = counter_handle("core.serve.cache.stores", help="cache entries written")
 _EVICTIONS = counter_handle(
@@ -55,10 +60,13 @@ class CachedResult:
         return json.loads((self._path / "metrics.json").read_text())
 
     def trace(self) -> dict[str, Any] | None:
-        path = self._path / "trace.json"
+        """The run's Chrome trace document, exported from the stored log
+        (``None`` when the run was untraced)."""
+        path = self._path / "trace.pkl"
         if not path.exists():
             return None
-        return json.loads(path.read_text())
+        with path.open("rb") as fh:
+            return chrome_trace(Tracer.from_logs(pickle.load(fh)))
 
 
 class ResultCache:
@@ -94,7 +102,7 @@ class ResultCache:
         record: dict[str, Any],
         outputs: list[Any],
         metrics: dict[str, dict],
-        trace: dict[str, Any] | None,
+        trace: Tracer | None,
     ) -> CachedResult:
         """Persist one completed run under *key* (atomic rename)."""
         final = self._entry_dir(key)
@@ -109,7 +117,8 @@ class ResultCache:
                 pickle.dump(outputs, fh)
             (tmp / "metrics.json").write_text(json.dumps(metrics, sort_keys=True))
             if trace is not None:
-                (tmp / "trace.json").write_text(json.dumps(trace))
+                with (tmp / "trace.pkl").open("wb") as fh:
+                    pickle.dump(trace.logs, fh)
             try:
                 os.rename(tmp, final)
             except OSError:

@@ -7,8 +7,9 @@ re-runs to re-derive a cached digest).  It resolves the app through
 with the request's seed, every other name goes through the backend
 registry's mode resolution — and reduces the :class:`RunResult` to a
 wire-friendly outcome: the verify digest (the cache key's counterpart on
-the result side), per-rank virtual clocks, a trace summary, the Chrome
-trace document, and the run's metrics snapshot.
+the result side), per-rank virtual clocks, a trace summary, the run's
+event log (the Chrome document is built from it only when
+``GET /v1/jobs/<id>/trace`` asks), and the run's metrics snapshot.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ import numpy as np
 
 from repro.apps import registry
 from repro.machines.catalog import get_machine
-from repro.obs.chrome import chrome_trace
 from repro.obs.metrics import counter_handle, scoped_registry
 from repro.runtime import backends
 from repro.runtime.spmd import RunResult, fuzzed_schedule
 from repro.serve.protocol import JobRequest
 from repro.trace.analysis import summarize
+from repro.trace.tracer import Tracer
 from repro.verify.digest import value_digest
 
 _TUNED_RUNS = counter_handle(
@@ -46,8 +47,8 @@ class JobOutcome:
     values: list[Any]
     #: plain-data trace summary (per-rank compute/comm/idle and totals)
     summary: dict[str, Any]
-    #: validated Chrome trace-event document (``None`` when untraced)
-    trace: dict[str, Any] | None
+    #: the run's columnar event log (``None`` when untraced)
+    trace: Tracer | None
     #: the run's metrics snapshot (shipped per job, merged server-side)
     metrics: dict[str, dict]
     #: host seconds the run took inside the worker
@@ -150,7 +151,7 @@ def execute(request: JobRequest, trace: bool = True) -> JobOutcome:
         elapsed=result.elapsed,
         values=list(result.values),
         summary=_summary_json(result),
-        trace=chrome_trace(result.tracer) if result.tracer is not None else None,
+        trace=result.tracer,
         metrics=snapshot,
         host_seconds=host_seconds,
     )

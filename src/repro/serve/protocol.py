@@ -45,10 +45,12 @@ from repro.machines.catalog import list_machines
 from repro.runtime import backends
 from repro.verify.digest import value_digest
 
-#: protocol version; bump on incompatible request-encoding changes so a
-#: stale cache can never satisfy a request it does not actually match
-#: (2: tuned-config pinning entered the request schema and cache key)
-SCHEMA_VERSION = 2
+#: protocol version; bump on incompatible request-encoding or cache-entry
+#: changes so a stale cache can never satisfy a request it does not
+#: actually match, nor be read in a format it was not written in
+#: (2: tuned-config pinning entered the request schema and cache key;
+#: 3: a cache entry stores the event log, not the Chrome document)
+SCHEMA_VERSION = 3
 
 #: default per-job timeout (seconds) when neither the request nor the
 #: server configuration names one

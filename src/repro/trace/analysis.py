@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.trace.events import CommEvent, ComputeEvent
-from repro.trace.tracer import Tracer
+from repro.trace.tracer import (
+    AUX, COMPUTE, END, KIND, NBYTES, RECV, ROW, SEND, START, Tracer,
+)  # fmt: skip
 
 
 @dataclass
@@ -76,11 +77,13 @@ def phase_breakdown(tracer: Tracer) -> dict[str, float]:
     breakdown maps directly onto the archetype's phases.
     """
     out: dict[str, float] = {}
-    for rank in range(tracer.nprocs):
-        for ev in tracer.events_for(rank):
-            if isinstance(ev, ComputeEvent):
-                key = ev.label or "(unlabelled)"
-                out[key] = out.get(key, 0.0) + ev.duration
+    for log in tracer.logs:
+        for kind, start, end, label in zip(
+            log[KIND::ROW], log[START::ROW], log[END::ROW], log[AUX::ROW]
+        ):
+            if kind == COMPUTE:
+                key = label or "(unlabelled)"
+                out[key] = out.get(key, 0.0) + (end - start)
     return out
 
 
@@ -90,19 +93,16 @@ def render_gantt(
     """ASCII Gantt chart of the run: one row per rank, virtual time on
     the x-axis; ``#`` marks charged compute, ``.`` communication
     (including waits), space idle-at-end."""
-    end = max(
-        (ev.end for rank in range(tracer.nprocs) for ev in tracer.events_for(rank)),
-        default=0.0,
-    )
+    end = tracer.makespan()
     if end <= 0:
         return "(empty trace)"
     lines = [f"virtual time 0 .. {end:.4g}s ({compute_char}=compute, {comm_char}=comm)"]
-    for rank in range(tracer.nprocs):
+    for rank, log in enumerate(tracer.logs):
         row = [" "] * width
-        for ev in tracer.events_for(rank):
-            lo = int(ev.start / end * (width - 1))
-            hi = max(int(ev.end / end * (width - 1)), lo)
-            mark = compute_char if isinstance(ev, ComputeEvent) else comm_char
+        for kind, ev_start, ev_end in zip(log[KIND::ROW], log[START::ROW], log[END::ROW]):
+            lo = int(ev_start / end * (width - 1))
+            hi = max(int(ev_end / end * (width - 1)), lo)
+            mark = compute_char if kind == COMPUTE else comm_char
             for x in range(lo, hi + 1):
                 # compute wins over comm when events round to one cell
                 if row[x] != compute_char:
@@ -112,36 +112,48 @@ def render_gantt(
 
 
 def summarize(tracer: Tracer) -> TraceSummary:
-    """Reduce a tracer's event lists to a :class:`TraceSummary`.
+    """Reduce a tracer's logs to a :class:`TraceSummary`.
 
-    Idle time is derived from the gaps the event lists leave open: the
-    lead-in before a rank's first event, gaps between consecutive
-    events, and the tail from its last event to the run's makespan (the
-    latest end time across all ranks).
+    Idle time is derived from the gaps the logs leave open: the lead-in
+    before a rank's first event, gaps between consecutive events, and
+    the tail from its last event to the run's makespan (the latest end
+    time across all ranks).  Reads the kind, start, end and nbytes
+    columns; no event object is built.
     """
-    makespan = max(
-        (ev.end for rank in range(tracer.nprocs) for ev in tracer.events_for(rank)),
-        default=0.0,
-    )
+    makespan = tracer.makespan()
     summary = TraceSummary()
-    for rank in range(tracer.nprocs):
-        rs = RankSummary(rank=rank)
+    for rank, log in enumerate(tracer.logs):
         cursor = 0.0
-        for ev in tracer.events_for(rank):
-            rs.idle_time += max(ev.start - cursor, 0.0)
-            cursor = max(cursor, ev.end)
-            if isinstance(ev, ComputeEvent):
-                rs.compute_time += ev.duration
-                rs.flops += ev.flops
-            elif isinstance(ev, CommEvent):
-                if ev.kind == "send":
-                    rs.send_time += ev.duration
-                    rs.messages_sent += 1
-                    rs.bytes_sent += ev.nbytes
-                else:
-                    rs.recv_time += ev.duration
-                    rs.messages_received += 1
-                    rs.bytes_received += ev.nbytes
-        rs.idle_time += max(makespan - cursor, 0.0)
-        summary.ranks.append(rs)
+        compute_time = send_time = recv_time = idle_time = flops = 0.0
+        sent = received = bytes_sent = bytes_received = 0
+        for kind, start, end, amount in zip(
+            log[KIND::ROW], log[START::ROW], log[END::ROW], log[NBYTES::ROW]
+        ):
+            idle_time += max(start - cursor, 0.0)
+            cursor = max(cursor, end)
+            if kind == COMPUTE:
+                compute_time += end - start
+                flops += amount
+            elif kind == SEND:
+                send_time += end - start
+                sent += 1
+                bytes_sent += amount
+            elif kind == RECV:
+                recv_time += end - start
+                received += 1
+                bytes_received += amount
+        summary.ranks.append(
+            RankSummary(
+                rank=rank,
+                compute_time=compute_time,
+                send_time=send_time,
+                recv_time=recv_time,
+                idle_time=idle_time + max(makespan - cursor, 0.0),
+                flops=flops,
+                messages_sent=sent,
+                messages_received=received,
+                bytes_sent=bytes_sent,
+                bytes_received=bytes_received,
+            )
+        )
     return summary

@@ -31,8 +31,11 @@ def _nbytes(obj: object) -> int:
         return int(obj.nbytes)
     if isinstance(obj, np.generic):
         return int(obj.nbytes)
-    if isinstance(obj, (bytes, bytearray, memoryview)):
+    if isinstance(obj, (bytes, bytearray)):
         return len(obj)
+    if isinstance(obj, memoryview):
+        # len() counts the first dimension's items, not bytes
+        return obj.nbytes
     if isinstance(obj, str):
         return len(obj.encode("utf-8", errors="replace"))
     if isinstance(obj, (bool, int, float, complex)):

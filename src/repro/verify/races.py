@@ -21,11 +21,10 @@ them for observability.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.runtime.spmd import RunResult
-from repro.trace.events import MatchEvent
+from repro.trace.tracer import COMPLETION, MATCH, WILDCARD_SOURCE, rows
 
 
 @dataclass(frozen=True)
@@ -53,22 +52,18 @@ class RaceFinding:
         )
 
 
-def _scan(result: RunResult, seed: int, kind: Callable[[MatchEvent], bool]) -> list[RaceFinding]:
-    """Every traced match of *kind* that had more than one candidate."""
+def _scan(result: RunResult, seed: int, flag: int) -> list[RaceFinding]:
+    """Every traced match with *flag* set that had more than one
+    candidate (reads the tracer's ``MATCH`` rows)."""
     if result.tracer is None:
         return []
     return [
         RaceFinding(
-            seed=seed,
-            rank=event.rank,
-            clock=event.start,
-            tag=event.tag,
-            chosen=event.source,
-            candidates=event.candidates,
+            seed=seed, rank=rank, clock=clock, tag=tag, chosen=source, candidates=candidates
         )
-        for rank_events in result.tracer.events
-        for event in rank_events
-        if isinstance(event, MatchEvent) and kind(event) and len(event.candidates) > 1
+        for rank, log in enumerate(result.tracer.logs)
+        for kind, clock, _, source, tag, flags, _, candidates in rows(log)
+        if kind == MATCH and flags & flag and len(candidates) > 1
     ]
 
 
@@ -80,7 +75,7 @@ def scan_races(result: RunResult, seed: int) -> list[RaceFinding]:
     races; a wildcard tag with a single source still matches in FIFO
     order, which the schedule cannot change.
     """
-    return _scan(result, seed, lambda event: event.wildcard_source)
+    return _scan(result, seed, WILDCARD_SOURCE)
 
 
 def scan_completion_races(result: RunResult, seed: int) -> list[RaceFinding]:
@@ -93,4 +88,4 @@ def scan_completion_races(result: RunResult, seed: int) -> list[RaceFinding]:
     program branching on ``waitany``'s *index* is schedule-dependent in
     the same way a wildcard receive is — so the explorer surfaces them.
     """
-    return _scan(result, seed, lambda event: event.completion)
+    return _scan(result, seed, COMPLETION)

@@ -26,7 +26,7 @@ suites (or a REPL) can call them against any conformance program.
 from __future__ import annotations
 
 from repro.obs.chrome import chrome_trace, validate_chrome_trace
-from repro.obs.critical import critical_path, trace_makespan
+from repro.obs.critical import critical_path
 from repro.runtime.spmd import RunResult
 from repro.verify import fuzzed_schedule
 from repro.verify.conformance import PROGRAMS, run_app
@@ -100,7 +100,7 @@ def check_critical_path_equals_makespan(name: str) -> None:
     """Contract 4: the traced longest path accounts for the makespan."""
     result = run_program(name, trace=True)
     report = critical_path(result.tracer)
-    makespan = trace_makespan(result.tracer)
+    makespan = result.tracer.makespan()
     assert abs(report.length - makespan) < 1e-12, (
         f"{name}: critical path {report.length} != makespan {makespan}"
     )

@@ -223,6 +223,7 @@ class TestFreezeMeasure:
 
     def test_memoryview_keeps_format_and_shape(self):
         view = memoryview(np.arange(6.0).reshape(2, 3))
-        frozen, _ = _freeze_measure(view)
+        frozen, size = _freeze_measure(view)
         assert (frozen.format, frozen.shape) == (view.format, view.shape)
         assert frozen.tolist() == view.tolist()
+        assert size == 48  # the buffer's bytes, not its first dimension

@@ -80,7 +80,7 @@ def _allreduce(comm, rounds: int) -> None:
 #: (pattern, ranks, body, rounds, messages per round, ceiling in calls/message)
 CASES = [
     ("sendrecv-2", 2, _sendrecv, 200, 2, 16.5),  # 15.06 as written
-    ("ring-16", 16, _ring, 50, 16, 19.6),  # 17.90
+    ("ring-16", 16, _ring, 50, 16, 15.94),  # exact (17.90 before resumes took the waker)
     ("halo-4", 4, _halo, 50, 8, 14.9),  # 13.56
     ("allreduce-16", 16, _allreduce, 20, 64, 18.7),  # 17.02
 ]

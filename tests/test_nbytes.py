@@ -30,6 +30,12 @@ class TestNbytesOf:
         assert nbytes_of(b"abcd") == 16 + 4
         assert nbytes_of("abcd") == 16 + 4
 
+    def test_memoryview_is_its_buffer_size(self):
+        # a view of 6 float64s is 48 bytes, not len() == 6
+        assert nbytes_of(memoryview(np.arange(6.0))) == 16 + 48
+        assert nbytes_of(memoryview(np.zeros((2, 3), dtype=np.int32))) == 16 + 24
+        assert nbytes_of(memoryview(b"abcd")) == 16 + 4
+
     def test_containers_recursive(self):
         inner = np.zeros(10)
         assert nbytes_of([inner, inner]) == 16 + 2 * (80 + 2)

@@ -20,7 +20,6 @@ from repro.obs.critical import (
     pair_messages,
     rank_activity,
     render_comm_matrix,
-    trace_makespan,
 )
 from repro.obs.metrics import (
     COUNT_BUCKETS,
@@ -389,7 +388,7 @@ class TestCriticalPath:
         report = critical_path(res.tracer)
         assert report.makespan == 0.0
         assert report.segments == []
-        assert trace_makespan(res.tracer) == 0.0
+        assert res.tracer.makespan() == 0.0
 
 
 class TestRankActivity:
@@ -493,7 +492,7 @@ class TestChromeTrace:
             if ev["ph"] == "X" and ev["cat"] == "idle" and ev["tid"] == 0
         ]
         assert idle, "fast rank should get a trailing idle slice"
-        makespan_us = trace_makespan(tracer) * 1e6
+        makespan_us = tracer.makespan() * 1e6
         assert idle[-1]["ts"] + idle[-1]["dur"] == pytest.approx(makespan_us)
 
 

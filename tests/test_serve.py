@@ -10,6 +10,7 @@ digest).
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import json
 import os
@@ -19,17 +20,21 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.apps import registry
+from repro import spmd_run
 from repro.apps.registry import AppSpec
+from repro.comm.reductions import SUM
+from repro.obs.chrome import chrome_trace
 from repro.obs.metrics import get_registry, scoped_registry
 from repro.serve.__main__ import main as serve_main
 from repro.serve.cache import ResultCache
 from repro.serve.executor import execute
 from repro.serve.pool import WorkerPool, fork_available
-from repro.serve.protocol import JobRequest, ServeError
+from repro.serve.protocol import JobRequest, ServeError, dumps
 from repro.serve.scheduler import AdmissionQueue, Job
 from repro.serve.server import HOST_TIME_BUCKETS, ServeServer
 from repro.verify import fuzzed_schedule
@@ -188,16 +193,27 @@ class TestResultCache:
     RECORD = {"digest": "d" * 64, "times": [1.0], "elapsed": 1.0}
 
     def test_store_lookup_roundtrip(self, tmp_path):
+        tracer = spmd_run(2, lambda comm: comm.allreduce(comm.rank, SUM), trace=True).tracer
         cache = ResultCache(tmp_path)
         key = "ab" + "0" * 62
-        cache.store(key, self.RECORD, outputs=[1, 2], metrics={}, trace={"traceEvents": []})
+        cache.store(key, self.RECORD, outputs=[1, 2], metrics={}, trace=tracer)
         hit = cache.lookup(key)
         assert hit is not None
         assert hit.digest == self.RECORD["digest"]
         assert hit.record["key"] == key
         assert hit.outputs() == [1, 2]
-        assert hit.trace() == {"traceEvents": []}
+        # The entry holds the event log; the Chrome document is built on read.
+        assert sorted(p.name for p in (tmp_path / key[:2] / key).iterdir()) == [
+            "metrics.json", "outputs.pkl", "result.json", "trace.pkl",
+        ]
+        assert hit.trace() == chrome_trace(tracer)
         assert len(cache) == 1
+
+    def test_untraced_entry_has_no_trace(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "ac" + "0" * 62
+        cache.store(key, self.RECORD, outputs=[], metrics={}, trace=None)
+        assert cache.lookup(key).trace() is None
 
     def test_missing_key_is_a_miss(self, tmp_path):
         assert ResultCache(tmp_path).lookup("ff" + "0" * 62) is None
@@ -221,6 +237,25 @@ class TestResultCache:
         cache.store(key, self.RECORD, outputs=["second"], metrics={}, trace=None)
         assert cache.lookup(key).outputs() == ["first"]
         assert len(cache) == 1
+
+
+class TestTraceExportOnGet:
+    """``GET /v1/jobs/<id>/trace`` exports the stored log on read, and
+    the body is byte for byte what the eager export at execute time
+    gave for every serve job template (pinned before the export moved)."""
+
+    PINS = json.loads((Path(__file__).parent / "data" / "serve_trace_pins.json").read_text())
+
+    @pytest.mark.parametrize("app", sorted(PINS["pins"]))
+    def test_get_time_export_matches_eager_pin(self, app, tmp_path):
+        request = JobRequest.from_json(dict(self.PINS["request"], app=app)).validated()
+        outcome = execute(request)
+        cache = ResultCache(tmp_path)
+        key = request.cache_key()
+        cache.store(key, {"digest": outcome.digest}, outcome.values, outcome.metrics, outcome.trace)
+        body = dumps(cache.lookup(key).trace())
+        pin = self.PINS["pins"][app]
+        assert (len(body), hashlib.sha256(body).hexdigest()) == (pin["bytes"], pin["sha256"])
 
 
 # -- admission queue --------------------------------------------------------
