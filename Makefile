@@ -4,7 +4,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify test obs-smoke chaos bench bench-smoke bench-check bench-pairs \
-	bench-pipeline serve-smoke tune-smoke unreached examples lint
+	bench-pipeline serve-smoke tune-smoke unreached examples lint size
 
 # Default gate: lint (when ruff is available), tier-1 tests, and the
 # observability smoke check.
@@ -121,3 +121,9 @@ examples:
 # tools/unreached_report.txt, so `git diff` shows what changed.
 unreached:
 	python3 tools/unreached.py --out tools/unreached_report.txt
+
+# The two size numbers every change reports in CHANGES.md: src/ lines
+# (`wc -l` over src/**/*.py) and the REPRO_* environment knobs src/ names.
+size:
+	@echo "src lines: $$(find src -name '*.py' -exec cat {} + | wc -l)"
+	@echo "REPRO_* knobs: $$(grep -rhoE 'REPRO_[A-Z_]+' src --include='*.py' | sort -u | wc -l)"

@@ -9,7 +9,10 @@ from its real message pattern, exactly as on the paper's testbeds.
 The archetype-specific operations the paper calls for — general data
 redistribution (§4.3), ghost-boundary exchange (§4.3), and reductions —
 live in :mod:`repro.comm.redistribute`, :mod:`repro.comm.boundary`, and
-:mod:`repro.comm.reductions`.
+:mod:`repro.comm.reductions`.  A ghost exchange has two entry points:
+``start_exchange`` (one array or several packed into one message per
+neighbour, blocking or overlapped) and ``exchange_ghosts``, its blocking
+one-array form.
 """
 
 from repro.comm.communicator import Comm
@@ -24,13 +27,7 @@ from repro.comm.layout import (
 )
 from repro.comm.cart import CartGrid, choose_proc_grid
 from repro.comm.redistribute import redistribute
-from repro.comm.boundary import (
-    GhostExchange,
-    exchange_ghosts,
-    exchange_ghosts_many,
-    exchange_ghosts_many_start,
-    exchange_ghosts_start,
-)
+from repro.comm.boundary import GhostExchange, exchange_ghosts, start_exchange
 from repro.runtime.request import Request
 
 __all__ = [
@@ -55,7 +52,5 @@ __all__ = [
     "redistribute",
     "GhostExchange",
     "exchange_ghosts",
-    "exchange_ghosts_many",
-    "exchange_ghosts_many_start",
-    "exchange_ghosts_start",
+    "start_exchange",
 ]

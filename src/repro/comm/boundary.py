@@ -7,18 +7,20 @@ axis, each rank swaps a ``ghost``-deep slab with its face neighbours.
 
 Who talks to whom, under which tag, about which slab is static — a
 function of the rank, the process grid, the local shape, the ghost width
-and the periodicity — so every variant reads it from one memoised
+and the periodicity — so every exchange reads it from one memoised
 :func:`exchange_geometry` and only posts, waits and copies per call.
 
-Two variants are provided:
+:func:`start_exchange` is the one entry point (:func:`exchange_ghosts` is
+its blocking single-array spelling); it packs several arrays into one
+message per neighbour per direction, and runs in one of two ways:
 
 - the **blocking** exchange processes axes in order, each slab spanning
   the *full* extent of the other axes (ghost layers included), so after
   the final axis corner and edge ghost cells are correct too — the
   standard trick that makes one face-exchange pass sufficient for
   9-point/27-point stencils;
-- the **overlapped** exchange (``exchange_ghosts_start``) posts every
-  face transfer at once and returns a :class:`GhostExchange` handle, so
+- the **overlapped** exchange (``overlap=True``) posts every face
+  transfer at once and returns the in-flight :class:`GhostExchange`, so
   the caller can compute on interior cells while the slabs are in
   flight.  Because all slabs are extracted before any ghost is written,
   corner/edge ghost cells (which would need a second pass) are *stale*
@@ -147,11 +149,10 @@ class GhostExchange:
     (messages copy-on-send), so the caller may update interior cells
     freely between start and wait.
 
-    The blocking exchanges drive one of these per axis, in axis order, so
-    each axis's slabs carry the ghosts the previous axis filled and
-    corner/edge ghost cells come out right.  The overlapped exchanges
-    (:func:`exchange_ghosts_start` / :func:`exchange_ghosts_many_start`)
-    post every axis at once and hand the object to the caller, who
+    A blocking :func:`start_exchange` drives one of these per axis, in
+    axis order, so each axis's slabs carry the ghosts the previous axis
+    filled and corner/edge ghost cells come out right.  An overlapped one
+    posts every axis at once and hands the object to the caller, who
     computes on cells that do not read ghosts while the slabs travel;
     there axes are *not* serialised, so ghost cells in the corner/edge
     regions (offsets along more than one axis) hold stale values
@@ -235,19 +236,41 @@ def _geometry_for(
     )
 
 
-def _exchange_blocking(
+def start_exchange(
     comm: Comm,
-    locals_: list[np.ndarray],
+    arrays: list[np.ndarray],
     grid: CartGrid,
-    ghost: int,
-    periodic: tuple[bool, ...] | bool,
-    packed: bool,
-) -> None:
-    # One axis at a time: the two directions' wires overlap, but axes
-    # stay serialised so corner ghosts are built up correctly.
-    offset = _PACKED_OFFSET if packed else 0
-    for axis in _geometry_for(comm, locals_, grid, ghost, periodic, offset):
-        GhostExchange(comm, locals_, (axis,), packed).wait()
+    ghost: int = 1,
+    periodic: tuple[bool, ...] | bool = False,
+    *,
+    overlap: bool,
+) -> GhostExchange:
+    """Refresh the ghost layers of *arrays* (same-shaped sections
+    *including* ``ghost >= 1`` cells on each side of every axis) from the
+    face neighbours on the Cartesian process grid *grid*
+    (``grid.nranks == comm.size``); *periodic* is per axis, or one bool
+    for all.
+
+    Several arrays pack: their slabs travel stacked, one message per
+    neighbour per direction — what production stencil codes do to
+    amortise the per-message latency.  With *overlap* every axis is
+    posted at once and the in-flight handle returned: compute on cells
+    that do not read ghosts, then ``wait()``.  Without it the axes
+    complete one at a time, so each axis's slabs carry the ghosts the
+    previous one filled and corner ghosts come out right; the returned
+    handle is already done.  On non-periodic physical edges the ghost
+    cells are left untouched (they hold boundary conditions maintained
+    by the application).
+    """
+    packed = len(arrays) > 1
+    offset = (_OVERLAP_OFFSET if overlap else 0) + (_PACKED_OFFSET if packed else 0)
+    axes = _geometry_for(comm, arrays, grid, ghost, periodic, offset)
+    if overlap:
+        return GhostExchange(comm, arrays, axes, packed)
+    for axis in axes:
+        handle = GhostExchange(comm, arrays, (axis,), packed)
+        handle.wait()
+    return handle
 
 
 def exchange_ghosts(
@@ -257,73 +280,9 @@ def exchange_ghosts(
     ghost: int = 1,
     periodic: tuple[bool, ...] | bool = False,
 ) -> None:
-    """Refresh the ghost layers of *local* in place (blocking).
-
-    Parameters
-    ----------
-    local:
-        This rank's section *including* ghost layers: ``ghost`` cells on
-        each side of every axis.
-    grid:
-        The Cartesian process grid (``grid.nranks == comm.size``).
-    ghost:
-        Ghost width (>= 1).
-    periodic:
-        Per-axis periodicity (or one bool for all axes).  On non-periodic
-        physical edges the ghost cells are left untouched (they hold
-        boundary conditions maintained by the application).
-    """
-    _exchange_blocking(comm, [local], grid, ghost, periodic, packed=False)
-
-
-def exchange_ghosts_many(
-    comm: Comm,
-    locals_: list[np.ndarray],
-    grid: CartGrid,
-    ghost: int = 1,
-    periodic: tuple[bool, ...] | bool = False,
-) -> None:
-    """Refresh ghost layers of several same-shaped arrays in one message
-    per neighbour per direction (blocking).
-
-    Production stencil codes pack all state components into a single
-    boundary message to amortise the per-message latency; this is the
-    packed variant of :func:`exchange_ghosts` (and the subject of the
-    message-packing ablation benchmark).
-    """
-    if locals_:
-        _exchange_blocking(comm, locals_, grid, ghost, periodic, packed=True)
-
-
-def exchange_ghosts_start(
-    comm: Comm,
-    local: np.ndarray,
-    grid: CartGrid,
-    ghost: int = 1,
-    periodic: tuple[bool, ...] | bool = False,
-) -> GhostExchange:
-    """Begin an overlapped ghost exchange of one array; returns the
-    in-flight handle.  Compute on non-ghost-reading cells, then
-    ``handle.wait()`` before touching cells that read ghosts."""
-    axes = _geometry_for(comm, [local], grid, ghost, periodic, _OVERLAP_OFFSET)
-    return GhostExchange(comm, [local], axes, packed=False)
-
-
-def exchange_ghosts_many_start(
-    comm: Comm,
-    locals_: list[np.ndarray],
-    grid: CartGrid,
-    ghost: int = 1,
-    periodic: tuple[bool, ...] | bool = False,
-) -> GhostExchange:
-    """Packed overlapped exchange of several same-shaped arrays (one
-    message per neighbour per direction); returns the in-flight handle."""
-    if not locals_:
-        return GhostExchange(comm, locals_, (), packed=True)
-    axes = _geometry_for(
-        comm, locals_, grid, ghost, periodic, _OVERLAP_OFFSET + _PACKED_OFFSET
-    )
-    return GhostExchange(comm, locals_, axes, packed=True)
+    """Refresh the ghost layers of one array in place (blocking; see
+    :func:`start_exchange`)."""
+    start_exchange(comm, [local], grid, ghost, periodic, overlap=False)
 
 
 def add_ghosts(section: np.ndarray, ghost: int, fill: float = 0.0) -> np.ndarray:
@@ -359,8 +318,8 @@ def exchange_plan_key(
 
     Requests with equal keys extract identically-shaped slabs toward the
     same neighbours, so ``np.stack`` combines them losslessly into one
-    message per neighbour per direction (``exchange_ghosts_many``).  The
-    dtype is part of the key — stacking mixed dtypes would silently
+    message per neighbour per direction (a packed :func:`start_exchange`).
+    The dtype is part of the key — stacking mixed dtypes would silently
     upcast the packed buffer and change the bytes on the wire.
     (:class:`repro.kernels.plan.LoopGroup` keys each request once.)
     """

@@ -188,6 +188,8 @@ class DistGrid:
         clears them.  Interior-facing ghosts are owned by :meth:`exchange`
         and are not touched here.
         """
+        if mode not in ("copy", "zero"):
+            raise DistributionError(f"edge mode must be 'copy' or 'zero', got {mode!r}")
         if self.ghost == 0:
             raise DistributionError("grid has no ghost layers to fill")
         g = self.ghost

@@ -3,10 +3,9 @@
 Programs declare *what* each grid sweep reads and writes (``Dat`` data
 descriptors, ``READ``/``WRITE``/``RW``/``INC`` access modes with halo
 depths, ``Kernel`` bodies); the runtime fuses adjacent compatible
-loops, and hoists and packs ghost exchanges.  ``fusion_forced(False)``
-switches to loop-by-loop execution that is bitwise- and
-virtual-clock-identical — the reference the identity tests compare
-against.  See ``docs/kernel_layer.md``.
+loops, and hoists and packs ghost exchanges.  A fused group has one
+execution walk, row tile by row tile; the tile size changes no value,
+clock or trace (bodies are elementwise).  See ``docs/kernel_layer.md``.
 """
 
 from repro.kernels.ir import (
@@ -27,7 +26,7 @@ from repro.kernels.ir import (
     split_deep_shell,
 )
 from repro.kernels.plan import LoopGroup, build_groups, can_fuse, plan_exchanges
-from repro.kernels.runtime import KernelEngine, fusion_enabled, fusion_forced
+from repro.kernels.runtime import KernelEngine
 
 __all__ = [
     "Access",
@@ -50,6 +49,4 @@ __all__ = [
     "can_fuse",
     "plan_exchanges",
     "KernelEngine",
-    "fusion_enabled",
-    "fusion_forced",
 ]

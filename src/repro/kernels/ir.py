@@ -104,7 +104,8 @@ class Arg:
     deep/shell split; the exchange itself always refreshes the grid's
     full ghost width (slab geometry is fixed by the allocation).
     *periodic*/*edges* describe the ghost configuration a halo read
-    needs (``edges`` as in :meth:`DistGrid.fill_edge_ghosts`).
+    needs (``edges`` is ``None``, or ``"copy"`` / ``"zero"`` as in
+    :meth:`DistGrid.fill_edge_ghosts`).
     *exchange=False* declares the halo already valid by construction
     (the caller manages ghosts).
 
@@ -138,6 +139,8 @@ class Arg:
             raise ArchetypeError(
                 f"declared halo {halo} exceeds grid ghost width {dat.grid.ghost}"
             )
+        if edges not in (None, "copy", "zero"):
+            raise ArchetypeError(f"edges must be None, 'copy' or 'zero', got {edges!r}")
         self.dat = dat
         self.mode = mode
         self.halo = halo
@@ -259,7 +262,7 @@ class ExprKernel(Kernel):
             if isinstance(binding, Ref):
                 view = views[binding.index]
                 if isinstance(view, StencilView):
-                    ns[name] = view[binding.offset] if binding.offset else view.center
+                    ns[name] = view[binding.offset or (0,) * len(view._region)]
                 elif binding.offset and any(binding.offset):
                     raise ArchetypeError(
                         f"binding {name!r} has offset {binding.offset} but its "
@@ -391,11 +394,6 @@ class StencilView:
         return self._arr[
             tuple(slice(s.start + o, s.stop + o) for s, o in zip(self._region, offsets))
         ]
-
-    @property
-    def center(self) -> np.ndarray:
-        """The unshifted view (offset all-zero)."""
-        return self._arr[self._region]
 
 
 def split_deep_shell(

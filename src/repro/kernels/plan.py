@@ -6,11 +6,11 @@ that may legally execute tile-interleaved, and derives each group's
 redundant (hoisted — the dat's ghosts are still valid from an earlier
 group), and how the remaining refreshes pack into combined messages.
 
-The plan is a pure function of the declared access sets, *not* of the
-fusion switch: ``fusion_forced(False)`` changes only how group bodies
-are walked (loop-by-loop instead of tile-interleaved), never the
-grouping, the exchanges, or the charge sequence — that is what makes the
-fused path bitwise- and virtual-clock-identical to the unfused one.
+The plan is a pure function of the declared access sets, *not* of how
+the engine executes a group: the tile budget changes only how many row
+blocks the bodies are walked in, never the grouping, the exchanges, or
+the charge sequence — that is what keeps every tile budget bitwise- and
+virtual-clock-identical to running each loop once over its whole region.
 
 Legality (for loops sharing one region and overlap mode), per pair of
 an earlier loop A and a candidate B:
@@ -62,7 +62,7 @@ class LoopGroup:
     one per distinct (dat, ghost key) in first-seen order — a refresh
     serves every reader — each with the geometry key it packs under;
     *charges* the ``(flops per point, label)`` of every charging loop, in
-    declaration order; *walks* the engine's walks, by fusion mode.
+    declaration order; *walk* the engine's execution walk, once built.
     """
 
     def __init__(self, loops: list[ParLoop], overlap: bool):
@@ -83,7 +83,7 @@ class LoopGroup:
         self.charges = [
             (loop.flops_per_point, loop.label) for loop in loops if loop.flops_per_point
         ]
-        self.walks: dict[bool, tuple] = {}
+        self.walk: tuple | None = None
         #: an overlapped run's charge phases: deep points, then each shell's
         self.phase_points: tuple[int, ...] = ()
         if overlap and self.requests:
@@ -118,8 +118,8 @@ def can_fuse(group: list[ParLoop], loop: ParLoop) -> bool:
 def build_groups(loops: list[ParLoop]) -> list[LoopGroup]:
     """Greedy in-order grouping: each loop joins the current group when
     legal, else starts a new one.  Order is preserved — groups never
-    reorder loops, so unfused execution is exactly the declared
-    sequence."""
+    reorder loops, so a group walked as one tile runs exactly the
+    declared sequence."""
     groups: list[list[ParLoop]] = []
     for loop in loops:
         if groups and can_fuse(groups[-1], loop):
@@ -133,9 +133,9 @@ def build_groups(loops: list[ParLoop]) -> list[LoopGroup]:
 class ExchangePlan:
     """The ghost refreshes one run of a group performs.
 
-    *packs* are lists of same-geometry args combined into one
-    ``exchange_ghosts_many`` (one message per neighbour per direction
-    covering every dat); singleton packs use the unpacked variant.
+    *packs* are lists of same-geometry args refreshed by one
+    :func:`~repro.comm.boundary.start_exchange` — several pack into one
+    message per neighbour per direction covering every dat.
     *fills* are the physical-edge ghost fills to apply after the
     refresh.  *hoisted* counts reads whose ghosts were already valid;
     *performed* lists the args whose dat to mark clean under their key.

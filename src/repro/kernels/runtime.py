@@ -16,8 +16,7 @@ counts, row tiles, the views each body is called on — is derived when a
 :class:`~repro.kernels.plan.LoopGroup` is built, and the engine keeps
 the groups of every sequence of loops it is handed again (a time loop
 submits the same loop objects every sweep).  State is read at every run:
-which ghosts are valid (``dat.clean``), the mesh's overlap default, the
-fusion switch.
+which ghosts are valid (``dat.clean``) and the mesh's overlap default.
 
 **A group is walked twice: once for the virtual clock, once for the
 values.**  The *accounting walk* is the modelled machine's schedule —
@@ -36,21 +35,17 @@ cache on a whole-region call.  Kernel bodies are elementwise, so the
 blocks compute what one call did, bit for bit; a region inside the
 budget is one call.
 
-**The fusion switch changes execution, never the plan.**  Groups,
-exchange packs, hoists and the charge sequence are computed identically
-whether :func:`fusion_forced` has fusion on or off; the switch only
-selects how the execution walk covers the region —
-
-- *fused*: the region is tiled into cache-sized row blocks and every
-  loop body runs per tile (loop-interleaved, hot data stays resident);
-- *unfused*: each loop body runs once over the whole region, in order.
-
-Because kernel bodies are elementwise, the two walks compute the same
-value at every point in the same per-point order, so results are
-bitwise-identical — and since neither communication nor charges depend
-on the switch, virtual clocks and traces are identical too.  That
-invariant is what lets ``tests/test_kernels.py`` gate fusion with the
-digest machinery across all four backends.
+**The tile budget changes execution, never the plan.**  Groups,
+exchange packs, hoists and the charge sequence follow from the
+declarations alone; :data:`_TILE_BYTES` only decides how many row blocks
+the execution walk cuts a region into.  Kernel bodies are elementwise (a
+loop's outputs are disjoint from its stencil inputs, paper §3.1), so
+every budget — one-row tiles, or one past every region, which runs each
+body once over the whole region in declaration order — computes the same
+value at every point in the same per-point order, and since neither
+communication nor charges read the budget, virtual clocks and traces are
+identical too.  ``tests/test_kernels.py::TestFusionIdentity`` holds the
+five mesh applications to that.
 """
 
 from __future__ import annotations
@@ -58,12 +53,7 @@ from __future__ import annotations
 import contextlib
 from collections.abc import Iterator
 
-from repro.comm.boundary import (
-    exchange_ghosts,
-    exchange_ghosts_many,
-    exchange_ghosts_many_start,
-    exchange_ghosts_start,
-)
+from repro.comm.boundary import start_exchange
 from repro.kernels.ir import ParLoop, build_views, region_size
 from repro.kernels.plan import LoopGroup, build_groups, plan_exchanges
 from repro.obs.metrics import counter_handle
@@ -73,8 +63,6 @@ from repro.obs.metrics import counter_handle
 #: of declared arrays the temporaries still fit a 4 MiB L2, at 4 MiB only
 #: the arrays themselves do (docs/kernel_layer.md has the per-case table).
 _TILE_BYTES = 1 << 20
-
-_fusion_enabled = True
 
 _LOOPS = counter_handle("core.kernels.loops", help="par-loops declared")
 _GROUPS = counter_handle("core.kernels.groups", help="fusion groups executed")
@@ -94,30 +82,6 @@ _DATS_PACKED = counter_handle(
     help="dats whose refresh rode a packed multi-array exchange",
 )
 _TILES = counter_handle("core.kernels.tiles", help="row-block tiles executed")
-
-
-def fusion_enabled() -> bool:
-    """True when fused (tile-interleaved) group execution is active."""
-    return _fusion_enabled
-
-
-@contextlib.contextmanager
-def fusion_forced(flag: bool) -> Iterator[None]:
-    """Force fusion on/off for the duration of the block — the A/B lever
-    of the fused-vs-unfused identity tests.
-
-    The flag is module state: thread ranks share it and forked rank
-    processes inherit it.  Rank processes started by ``spawn`` or
-    ``forkserver`` import the module afresh and run fused, which the
-    identity contract makes bitwise-identical.
-    """
-    global _fusion_enabled
-    previous = _fusion_enabled
-    _fusion_enabled = bool(flag)
-    try:
-        yield
-    finally:
-        _fusion_enabled = previous
 
 
 def _row_tiles(
@@ -145,16 +109,16 @@ def _row_tiles(
     ]
 
 
-def _walk(group: LoopGroup, fused: bool) -> tuple[int, list[tuple]]:
-    """The group's execution walk in one fusion mode — ``(tile count,
-    [(body, args), ...])``, tile-major; row tiles when *fused*, else the
-    whole region — built on first use and kept on the group, each call
-    bound once by :meth:`~repro.kernels.ir.Kernel.bind`: the views are
-    of ``grid.local``, which a grid never rebinds, so they stay valid."""
-    walk = group.walks.get(fused)
+def _walk(group: LoopGroup) -> tuple[int, list[tuple]]:
+    """The group's execution walk — ``(tile count, [(body, args), ...])``,
+    tile-major over its row tiles — built on first use and kept on the
+    group, each call bound once by :meth:`~repro.kernels.ir.Kernel.bind`:
+    the views are of ``grid.local``, which a grid never rebinds, so they
+    stay valid."""
+    walk = group.walk
     if walk is None:
-        tiles = _row_tiles(group.region, group) if fused else [group.region]
-        walk = group.walks[fused] = (
+        tiles = _row_tiles(group.region, group)
+        walk = group.walk = (
             len(tiles),
             [
                 loop.kernel.bind(
@@ -241,18 +205,14 @@ class KernelEngine:
         handles = []
         for pack in plan.packs:
             grid = pack[0].grid
-            where = (grid.cart, grid.ghost, pack[0].periodic)
+            arrays = [a.grid.local for a in pack]
+            handles.append(
+                start_exchange(
+                    comm, arrays, grid.cart, grid.ghost, pack[0].periodic, overlap=overlapped
+                )
+            )
             if len(pack) > 1:
-                arrays = [a.grid.local for a in pack]
-                if overlapped:
-                    handles.append(exchange_ghosts_many_start(comm, arrays, *where))
-                else:
-                    exchange_ghosts_many(comm, arrays, *where)
                 tallies[_DATS_PACKED] += len(pack)
-            elif overlapped:
-                handles.append(exchange_ghosts_start(comm, grid.local, *where))
-            else:
-                exchange_ghosts(comm, grid.local, *where)
         if plan.packs:
             tallies[_EXCHANGES] += len(plan.packs)
         for a in plan.fills:
@@ -284,8 +244,8 @@ class KernelEngine:
         phase of *npoints* points.
 
         The charge sequence (one charge per loop, declaration order,
-        zero-point phases silent) is fixed here and shared by both
-        fusion modes — the virtual-clock half of the A/B identity.
+        zero-point phases silent) is fixed here, whatever the tile
+        budget — the virtual-clock half of the tiling identity.
         """
         if npoints == 0:
             return
@@ -299,11 +259,9 @@ class KernelEngine:
         block by row block, after all of the group's charges and waits."""
         if group.points == 0:
             return
-        fused = fusion_enabled()
-        ntiles, calls = _walk(group, fused)
-        if fused:
-            self._tallies[_TILES] += ntiles
-            if len(group.loops) > 1:
-                self._tallies[_LOOPS_FUSED] += len(group.loops)
+        ntiles, calls = _walk(group)
+        self._tallies[_TILES] += ntiles
+        if len(group.loops) > 1:
+            self._tallies[_LOOPS_FUSED] += len(group.loops)
         for body, args in calls:
             body(*args)

@@ -353,7 +353,8 @@ class _Handle:
     Created at import time by instrumentation sites; resolves its
     instrument on first use and re-resolves automatically whenever the
     default registry is swapped (:func:`scoped_registry` /
-    :func:`set_registry`), detected by a plain identity check.
+    :func:`set_registry`), detected by a plain identity check; each
+    subclass's ``_create`` makes its kind of instrument.
     """
 
     __slots__ = ("name", "help", "_registry", "_instrument")
@@ -363,17 +364,6 @@ class _Handle:
         self.help = help
         self._registry: MetricsRegistry | None = None
         self._instrument: Counter | Gauge | Histogram | None = None
-
-    def _create(self, registry: MetricsRegistry):
-        raise NotImplementedError
-
-    def resolve(self) -> Counter | Gauge | Histogram:
-        """The live instrument in the *current* default registry."""
-        registry = _default_registry
-        if self._registry is not registry:
-            self._instrument = self._create(registry)
-            self._registry = registry
-        return self._instrument
 
 
 class CounterHandle(_Handle):

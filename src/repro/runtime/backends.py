@@ -28,6 +28,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
+from repro.runtime.scheduler import DeterministicBackend, Seeded, ThreadedBackend
 
 #: environment variable naming the default backend
 BACKEND_ENV = "REPRO_BACKEND"
@@ -57,20 +58,14 @@ class BackendSpec:
 
 
 def _make_deterministic(nprocs: int, **options) -> "object":
-    from repro.runtime.scheduler import DeterministicBackend
-
     return DeterministicBackend(nprocs)
 
 
 def _make_fuzzed(nprocs: int, **options) -> "object":
-    from repro.runtime.scheduler import DeterministicBackend, Seeded
-
     return DeterministicBackend(nprocs, Seeded(options.get("seed", 0)), options.get("faults"))
 
 
 def _make_threads(nprocs: int, **options) -> "object":
-    from repro.runtime.scheduler import ThreadedBackend
-
     return ThreadedBackend(
         nprocs, deadlock_timeout=options.get("deadlock_timeout", 30.0)
     )

@@ -11,10 +11,8 @@ from repro.comm import boundary
 from repro.comm.boundary import (
     add_ghosts,
     exchange_geometry,
-    exchange_ghosts_many,
-    exchange_ghosts_many_start,
-    exchange_ghosts_start,
     interior,
+    start_exchange,
     strip_ghosts,
 )
 from tests.conftest import run_both_backends
@@ -168,7 +166,7 @@ class TestExchangeMany:
             _, lb = _ghosted_sections(comm, full_b, (2, 1), ghost=1)
             la2, lb2 = la.copy(), lb.copy()
             cart = CartGrid((2, 1))
-            exchange_ghosts_many(comm, [la, lb], cart, ghost=1)
+            start_exchange(comm, [la, lb], cart, ghost=1, overlap=False)
             exchange_ghosts(comm, la2, cart, ghost=1)
             exchange_ghosts(comm, lb2, cart, ghost=1)
             return np.array_equal(la, la2) and np.array_equal(lb, lb2)
@@ -184,7 +182,7 @@ class TestExchangeMany:
         def packed(comm):
             _, la = _ghosted_sections(comm, full, (2, 1), ghost=1)
             _, lb = _ghosted_sections(comm, full, (2, 1), ghost=1)
-            exchange_ghosts_many(comm, [la, lb], CartGrid((2, 1)), ghost=1)
+            start_exchange(comm, [la, lb], CartGrid((2, 1)), ghost=1, overlap=False)
 
         def unpacked(comm):
             _, la = _ghosted_sections(comm, full, (2, 1), ghost=1)
@@ -198,8 +196,11 @@ class TestExchangeMany:
 
     def test_shape_mismatch_rejected(self):
         def body(comm):
-            exchange_ghosts_many(
-                comm, [np.zeros((4, 4)), np.zeros((5, 4))], CartGrid((comm.size, 1))
+            start_exchange(
+                comm,
+                [np.zeros((4, 4)), np.zeros((5, 4))],
+                CartGrid((comm.size, 1)),
+                overlap=False,
             )
 
         with pytest.raises(RankFailedError) as info:
@@ -337,7 +338,7 @@ class TestOverlappedExchange:
             _, ov = _ghosted_sections(comm, full, (2, 2), ghost=2, fill=-5.0)
             _, bl = _ghosted_sections(comm, full, (2, 2), ghost=2, fill=-5.0)
             cart = CartGrid((2, 2))
-            handle = exchange_ghosts_start(comm, ov, cart, ghost=2, periodic=periodic)
+            handle = start_exchange(comm, [ov], cart, ghost=2, periodic=periodic, overlap=True)
             handle.wait()
             assert handle.done
             handle.wait()  # idempotent
@@ -360,9 +361,9 @@ class TestOverlappedExchange:
             _, ba = _ghosted_sections(comm, full_a, (2, 1), ghost=1)
             _, bb = _ghosted_sections(comm, full_b, (2, 1), ghost=1)
             cart = CartGrid((2, 1))
-            handle = exchange_ghosts_many_start(comm, [oa, ob], cart, ghost=1)
+            handle = start_exchange(comm, [oa, ob], cart, ghost=1, overlap=True)
             handle.wait()
-            exchange_ghosts_many(comm, [ba, bb], cart, ghost=1)
+            start_exchange(comm, [ba, bb], cart, ghost=1, overlap=False)
             for ov, bl in ((oa, ba), (ob, bb)):
                 assert np.array_equal(strip_ghosts(ov, 1), strip_ghosts(bl, 1))
                 for sel in _face_slabs(ov.shape, 1):
@@ -381,8 +382,8 @@ class TestOverlappedExchange:
             _, la = _ghosted_sections(comm, full_a, (2, 1), ghost=1)
             _, lb = _ghosted_sections(comm, full_b, (2, 1), ghost=1)
             cart = CartGrid((2, 1))
-            ha = exchange_ghosts_start(comm, la, cart, ghost=1)
-            hb = exchange_ghosts_start(comm, lb, cart, ghost=1)
+            ha = start_exchange(comm, [la], cart, ghost=1, overlap=True)
+            hb = start_exchange(comm, [lb], cart, ghost=1, overlap=True)
             hb.wait()
             ha.wait()
             lay = block_layout(full_a.shape, (2, 1))
@@ -393,6 +394,28 @@ class TestOverlappedExchange:
             return True
 
         assert all(run_both_backends(2, body).values)
+
+    def test_packing_and_overlap_pick_the_tag_block(self):
+        """``start_exchange`` keeps the tag blocks of the four exchange
+        kinds (+0 blocking, +16 overlapped, +32 packed, +48 both), so
+        messages never change with the entry point; a blocking call
+        returns its handle already done."""
+        cart = CartGrid((2, 1))
+
+        def body(comm):
+            done = []
+            for overlap in (False, True):
+                for arrays in ([np.zeros((4, 4))], [np.zeros((4, 4)), np.zeros((4, 4))]):
+                    handle = start_exchange(comm, arrays, cart, overlap=overlap)
+                    done.append(handle.done)
+                    handle.wait()
+            return done
+
+        res = spmd_run(2, body, trace=True)
+        assert res.values[0] == [True, True, False, False]
+        tags = [e.tag for e in res.tracer.events[0] if e.kind == "send"]
+        base = boundary._BOUNDARY_TAG_BASE
+        assert [t - base for t in tags] == [1, 33, 17, 49]
 
 
 def _reference_geometry(rank, dims, shape, ghost, periodic, tag_base):
@@ -486,15 +509,13 @@ class TestExchangeGeometry:
             )
             for local in blocking:
                 exchange_ghosts(comm, local, cart, ghost, periodic)
-            exchange_ghosts_many(comm, packed, cart, ghost, periodic)
+            start_exchange(comm, packed, cart, ghost, periodic, overlap=False)
             handles = [
-                exchange_ghosts_start(comm, local, cart, ghost, periodic)
+                start_exchange(comm, [local], cart, ghost, periodic, overlap=True)
                 for local in overlapped
             ]
             handles.append(
-                exchange_ghosts_many_start(
-                    comm, overlapped_packed, cart, ghost, periodic
-                )
+                start_exchange(comm, overlapped_packed, cart, ghost, periodic, overlap=True)
             )
             for handle in handles:
                 handle.wait()
