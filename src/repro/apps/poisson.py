@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.meshspectral import MeshContext, MeshProgram
 from repro.comm.reductions import MAX
-from repro.kernels import READ, WRITE, Arg, ExprKernel, Ref
+from repro.kernels import READ, WRITE, Arg, StencilView
 from repro.machines.model import MachineModel
 
 #: flops charged per interior point per Jacobi sweep (update + residual)
@@ -92,23 +92,15 @@ def poisson_program(
     diffmax = mesh.global_var(tolerance + 1.0)
     iterations = 0
 
-    # The Jacobi sweep as a declared expression kernel: u is read at the
-    # four axis neighbours (halo 1), f only at the centre (halo 0) — so
-    # the kernel layer exchanges u's ghosts each iteration but knows f
-    # needs no refresh at all, unlike the historical per-op path which
-    # re-exchanged the never-written source term every sweep.
-    jacobi = ExprKernel(
-        "0.25 * (un + us + uw + ue - h2 * f)",
-        {
-            "un": Ref(1, (-1, 0)),
-            "us": Ref(1, (1, 0)),
-            "uw": Ref(1, (0, -1)),
-            "ue": Ref(1, (0, 1)),
-            "f": Ref(2),
-            "h2": h2,
-        },
-        name="jacobi",
-    )
+    # The Jacobi sweep as a declared kernel: u is read at the four axis
+    # neighbours (halo 1), f only at the centre (halo 0) — so the kernel
+    # layer exchanges u's ghosts each iteration but knows f needs no
+    # refresh at all, unlike the historical per-op path which re-exchanged
+    # the never-written source term every sweep.  The multiply writes
+    # straight into the output view, so no region-sized result is built
+    # only to be copied.
+    def jacobi(out: np.ndarray, u: StencilView, f: np.ndarray) -> None:
+        np.multiply(0.25, u[-1, 0] + u[1, 0] + u[0, -1] + u[0, 1] - h2 * f, out=out)
 
     def copy_new_to_old(old: np.ndarray, new: np.ndarray) -> None:
         old[...] = new

@@ -254,8 +254,7 @@ def spectralflow_program(
         # psi is a new grid every step, so these two are declared where
         # they run.  Both read psi at halo 1; the kernel layer exchanges
         # psi's ghosts once for the first loop and *hoists* the second
-        # exchange automatically (the historical code hand-managed this
-        # with an ``exchange=False`` flag).
+        # exchange automatically (the historical code skipped it by hand).
         with mesh.fuse():
             mesh.parloop(
                 lambda out, p: out.__setitem__(..., (p[0, 1] - p[0, -1]) / (2 * dz)),

@@ -59,7 +59,14 @@ class DistGrid:
     local:
         This rank's section *including* ghost layers; mutate freely, then
         call :meth:`exchange` before any stencil read of neighbours.
+    clean:
+        The ghost key ``(periodic, edges)`` the kernel layer last
+        refreshed this grid's ghosts under, or ``None`` when they are
+        stale (:mod:`repro.kernels.plan` hoists a refresh under the
+        clean key; a declared or noted write clears it).
     """
+
+    clean: tuple | None = None
 
     def __init__(
         self,

@@ -1,11 +1,12 @@
 """repro.kernels — the declarative par-loop layer.
 
-Programs declare *what* each grid sweep reads and writes (``Dat`` data
-descriptors, ``READ``/``WRITE``/``RW``/``INC`` access modes with halo
-depths, ``Kernel`` bodies); the runtime fuses adjacent compatible
-loops, and hoists and packs ghost exchanges.  A fused group has one
-execution walk, row tile by row tile; the tile size changes no value,
-clock or trace (bodies are elementwise).  See ``docs/kernel_layer.md``.
+Programs declare *what* each grid sweep reads and writes (``Arg``: a
+grid, a ``READ``/``WRITE``/``RW``/``INC`` access mode and a halo depth)
+and give its body as a plain callable (``Kernel`` takes one view per
+argument, ``RegionKernel`` the region's slices); the runtime fuses
+adjacent compatible loops, and hoists and packs ghost exchanges.  A
+fused group has one execution walk, row tile by row tile; the tile size
+changes no value, clock or trace (bodies are elementwise).  See ``docs/kernel_layer.md``.
 """
 
 from repro.kernels.ir import (
@@ -15,14 +16,10 @@ from repro.kernels.ir import (
     WRITE,
     Access,
     Arg,
-    Dat,
-    ExprKernel,
     Kernel,
     ParLoop,
-    Ref,
     RegionKernel,
     StencilView,
-    dat_of,
     split_deep_shell,
 )
 from repro.kernels.plan import LoopGroup, build_groups, can_fuse, plan_exchanges
@@ -35,12 +32,8 @@ __all__ = [
     "RW",
     "INC",
     "Arg",
-    "Dat",
-    "dat_of",
     "Kernel",
     "RegionKernel",
-    "ExprKernel",
-    "Ref",
     "ParLoop",
     "StencilView",
     "split_deep_shell",

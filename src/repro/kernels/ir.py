@@ -1,12 +1,14 @@
-"""The par-loop IR: data descriptors, access modes, kernels, loops.
+"""The par-loop IR: access modes, arguments, kernels, loops.
 
 A grid operation (paper §3.1) is *declared*, so the runtime sees across
 sweeps (the PyOP2 Sets/Dats/Kernels move, and the access-mode vocabulary
-of Danelutto & Torquati's state-access-pattern work): a :class:`Dat`
-wraps a distributed grid field, an :class:`Arg` binds it to one loop
-with an access mode (:data:`READ`/:data:`WRITE`/:data:`RW`/:data:`INC`)
-and a declared halo depth, and a :class:`ParLoop` pairs a
-:class:`Kernel` body with its argument list.  The runtime
+of Danelutto & Torquati's state-access-pattern work): an :class:`Arg`
+binds a distributed grid to one loop with an access mode
+(:data:`READ`/:data:`WRITE`/:data:`RW`/:data:`INC`) and a declared halo
+depth, and a :class:`ParLoop` pairs a kernel body with its argument
+list.  A body is a plain callable of one of two kinds: a
+:class:`Kernel` is called on one view per argument, a
+:class:`RegionKernel` on the region's slices.  The runtime
 (:mod:`repro.kernels.runtime`) then fuses adjacent loops whose access
 sets compose and hoists ghost exchanges that feed multiple loops —
 legality rules live in :mod:`repro.kernels.plan`.
@@ -18,10 +20,8 @@ imports only errors + numpy.
 
 from __future__ import annotations
 
-import ast
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # import cycle guard: core.grid is above us in layering
 
 
 class Access(enum.Enum):
-    """How one loop argument touches its dat (per point)."""
+    """How one loop argument touches its grid (per point)."""
 
     READ = "read"
     WRITE = "write"
@@ -55,79 +55,32 @@ RW = Access.RW
 INC = Access.INC
 
 
-def _normalize_periodic(
-    periodic: tuple[bool, ...] | bool, ndim: int
-) -> tuple[bool, ...]:
-    if isinstance(periodic, bool):
-        return (periodic,) * ndim
-    return tuple(bool(p) for p in periodic)
-
-
-class Dat:
-    """Data descriptor: a distributed grid field plus kernel bookkeeping.
-
-    One :class:`Dat` exists per grid per rank (use :func:`dat_of`, which
-    caches the descriptor on the grid object — never keyed by ``id()``,
-    which could be reused after garbage collection).  ``clean`` is the
-    ghost key ``(periodic, edges)`` this dat's ghosts were last refreshed
-    under, or ``None`` when they are stale: one slot, because a refresh
-    under one key overwrites what another key put in the ghosts.  The
-    planner skips (hoists) an exchange whose key is the clean one; any
-    declared write clears the slot, and a raw write is reported through
-    :meth:`repro.kernels.runtime.KernelEngine.note_write`.
-    """
-
-    __slots__ = ("grid", "clean")
-
-    def __init__(self, grid: DistGrid):
-        self.grid = grid
-        self.clean: tuple | None = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Dat(shape={self.grid.interior.shape}, ghost={self.grid.ghost})"
-
-
-def dat_of(grid: DistGrid) -> Dat:
-    """The (cached) data descriptor for *grid* on this rank."""
-    dat = getattr(grid, "_kernel_dat", None)
-    if dat is None:
-        dat = Dat(grid)
-        grid._kernel_dat = dat
-    return dat
-
-
 class Arg:
-    """One loop argument: a dat bound to an access mode.
+    """One loop argument: a grid bound to an access mode.
 
     *halo* is the stencil radius the kernel body reads around each
     point (0 = pointwise).  It drives fusion legality and the
     deep/shell split; the exchange itself always refreshes the grid's
     full ghost width (slab geometry is fixed by the allocation).
     *periodic*/*edges* describe the ghost configuration a halo read
-    needs (``edges`` is ``None``, or ``"copy"`` / ``"zero"`` as in
+    needs (``periodic`` is one flag or one per axis; ``edges`` is
+    ``None``, or ``"copy"`` / ``"zero"`` as in
     :meth:`DistGrid.fill_edge_ghosts`).
-    *exchange=False* declares the halo already valid by construction
-    (the caller manages ghosts).
 
     Derived here: *needs_exchange* (the planner owes a ghost refresh) and
     *ghost_key* (two refreshes with equal keys are interchangeable).
     """
 
-    __slots__ = (
-        "dat", "mode", "halo", "periodic", "edges", "exchange", "needs_exchange", "ghost_key",
-    )  # fmt: skip
+    __slots__ = ("grid", "mode", "halo", "periodic", "edges", "needs_exchange", "ghost_key")
 
     def __init__(
         self,
-        dat: Dat | DistGrid,
+        grid: DistGrid,
         mode: Access,
         halo: int = 0,
         periodic: tuple[bool, ...] | bool = False,
         edges: str | None = None,
-        exchange: bool = True,
     ):
-        if not isinstance(dat, Dat):
-            dat = dat_of(dat)
         if halo < 0:
             raise ArchetypeError(f"negative halo {halo}")
         if halo > 0 and mode is not READ:
@@ -135,24 +88,25 @@ class Arg:
                 "halo reads require mode READ; writes are pointwise "
                 "(paper §3.1: outputs disjoint from stencil inputs)"
             )
-        if halo > 0 and dat.grid.ghost < max(1, halo):
+        if halo > 0 and grid.ghost < max(1, halo):
             raise ArchetypeError(
-                f"declared halo {halo} exceeds grid ghost width {dat.grid.ghost}"
+                f"declared halo {halo} exceeds grid ghost width {grid.ghost}"
             )
         if edges not in (None, "copy", "zero"):
             raise ArchetypeError(f"edges must be None, 'copy' or 'zero', got {edges!r}")
-        self.dat = dat
+        if isinstance(periodic, bool):
+            periodic = (periodic,) * grid.ndim
+        elif len(periodic) != grid.ndim:
+            raise ArchetypeError(
+                f"periodic flags {periodic} do not match grid rank {grid.ndim}"
+            )
+        self.grid = grid
         self.mode = mode
         self.halo = halo
-        self.periodic = _normalize_periodic(periodic, dat.grid.ndim)
+        self.periodic = tuple(map(bool, periodic))
         self.edges = edges
-        self.exchange = exchange
-        self.needs_exchange = mode.reads and halo > 0 and exchange
+        self.needs_exchange = mode.reads and halo > 0
         self.ghost_key = (self.periodic, edges)
-
-    @property
-    def grid(self) -> DistGrid:
-        return self.dat.grid
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Arg({self.mode.name}, halo={self.halo})"
@@ -177,11 +131,6 @@ class Kernel:
         self.fn = fn
         self.name = name
 
-    def bind(self, views: tuple) -> tuple[Callable[..., None], tuple]:
-        """``(body, args)`` for one tile's *views*: the execution walk
-        builds it once per plan and calls ``body(*args)`` every run."""
-        return self.fn, views
-
 
 class RegionKernel(Kernel):
     """A kernel body called as ``fn(region)`` with interior-coordinate
@@ -192,102 +141,6 @@ class RegionKernel(Kernel):
     kind = "region"
 
 
-@dataclass(frozen=True)
-class Ref:
-    """A binding to one loop argument: *index* into the arg list, read
-    at *offset* (a stencil shift; ``None`` means the aligned view)."""
-
-    index: int
-    offset: tuple[int, ...] | None = None
-
-
-#: globals of an expression kernel's evaluation: no builtins
-_NO_BUILTINS: dict = {"__builtins__": {}}
-
-#: root operators whose ufunc can write the kernel's result in place
-_ROOT_UFUNCS = {
-    ast.Add: np.add,
-    ast.Sub: np.subtract,
-    ast.Mult: np.multiply,
-    ast.Div: np.true_divide,
-}
-
-
-class ExprKernel(Kernel):
-    """A kernel body given as one elementwise expression string.
-
-    ``bindings`` maps each free name of *expr* to a :class:`Ref` (a view
-    of one loop argument, optionally stencil-shifted) or a plain scalar
-    constant.  The expression is compiled once and evaluated by numpy
-    over the views; the result lands in argument 0's view.  When the
-    expression's root is ``+ - * /`` its two operands are compiled
-    separately and the root's ufunc writes straight into that view
-    (``out=``), so no full-size result is built only to be copied; any
-    other root is evaluated whole and assigned.  It is self-describing
-    for docs and traces where a Python callable is opaque.  Example —
-    the Jacobi sweep::
-
-        ExprKernel(
-            "0.25 * (un + us + uw + ue - h2 * f)",
-            {"un": Ref(1, (-1, 0)), "us": Ref(1, (1, 0)),
-             "uw": Ref(1, (0, -1)), "ue": Ref(1, (0, 1)),
-             "f": Ref(2), "h2": h2},
-            name="jacobi",
-        )
-    """
-
-    __slots__ = ("expr", "bindings", "_root", "_operands")
-
-    def __init__(self, expr: str, bindings: dict[str, Ref | float], name: str = "expr"):
-        super().__init__(self._evaluate, name=name)
-        self.expr = expr
-        self.bindings = dict(bindings)
-        filename = f"<kernel {name}>"
-        root = ast.parse(expr, filename, "eval").body
-        self._root = _ROOT_UFUNCS.get(type(root.op)) if isinstance(root, ast.BinOp) else None
-        parts = (root,) if self._root is None else (root.left, root.right)
-        self._operands = [compile(ast.Expression(part), filename, "eval") for part in parts]
-
-    def bind(self, views: tuple) -> tuple[Callable[..., None], tuple]:
-        """Resolve the bindings against one tile's views once; the walk
-        then evaluates over the same namespace every run."""
-        return self._run, (self._namespace(views), views[0])
-
-    def _evaluate(self, *views: Any) -> None:
-        self._run(self._namespace(views), views[0])
-
-    def _namespace(self, views: tuple) -> dict[str, object]:
-        ns: dict[str, object] = {}
-        for name, binding in self.bindings.items():
-            if isinstance(binding, Ref):
-                view = views[binding.index]
-                if isinstance(view, StencilView):
-                    ns[name] = view[binding.offset or (0,) * len(view._region)]
-                elif binding.offset and any(binding.offset):
-                    raise ArchetypeError(
-                        f"binding {name!r} has offset {binding.offset} but its "
-                        "argument is pointwise (declare a halo on the READ arg)"
-                    )
-                else:
-                    ns[name] = view
-            else:
-                ns[name] = binding
-        return ns
-
-    def _run(self, ns: dict[str, object], out: np.ndarray) -> None:
-        operands = self._operands
-        if self._root is None:
-            out[...] = eval(operands[0], _NO_BUILTINS, ns)
-        else:
-            # casting: what the assignment above would do with the result
-            self._root(
-                eval(operands[0], _NO_BUILTINS, ns),
-                eval(operands[1], _NO_BUILTINS, ns),
-                out=out,
-                casting="unsafe",
-            )
-
-
 class ParLoop:
     """One declared parallel loop: kernel + args + iteration region.
 
@@ -296,7 +149,7 @@ class ParLoop:
     times.  Declaration validates and derives what depends only on what
     was declared: the *region* — the owned interior of the first
     argument's grid intersected with *margin* cells from the **global**
-    edge — *halo_max* and the dats it *writes*.  Ghost validity and
+    edge — *halo_max* and the grids it *writes*.  Ghost validity and
     ``overlap=None`` (the mesh's default) are state, read at every run.
     """
 
@@ -339,7 +192,7 @@ class ParLoop:
         self.args = args
         self.region = anchor.interior_intersection(margin)
         self.halo_max = max([a.halo for a in halo_reads], default=0)
-        self.writes = [a.dat for a in writes]
+        self.writes = [a.grid for a in writes]
         self.flops_per_point = float(flops_per_point)
         self.overlap = overlap
         #: submissions so far; the engine keeps a plan from the second on
@@ -387,13 +240,13 @@ class StencilView:
             raise ArchetypeError(
                 f"stencil offset {offsets} does not match grid rank {self._arr.ndim}"
             )
-        if any(abs(o) > self._ghost for o in offsets):
-            raise ArchetypeError(
-                f"stencil offset {offsets} exceeds ghost width {self._ghost}"
-            )
-        return self._arr[
-            tuple(slice(s.start + o, s.stop + o) for s, o in zip(self._region, offsets))
-        ]
+        ghost = self._ghost
+        index = []
+        for s, o in zip(self._region, offsets):
+            if abs(o) > ghost:
+                raise ArchetypeError(f"stencil offset {offsets} exceeds ghost width {ghost}")
+            index.append(slice(s.start + o, s.stop + o))
+        return self._arr[tuple(index)]
 
 
 def split_deep_shell(

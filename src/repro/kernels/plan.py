@@ -2,8 +2,8 @@
 
 Given the queued loops, the planner forms **groups** of adjacent loops
 that may legally execute tile-interleaved, and derives each group's
-**exchange plan**: which dats need a ghost refresh, which refreshes are
-redundant (hoisted — the dat's ghosts are still valid from an earlier
+**exchange plan**: which grids need a ghost refresh, which refreshes are
+redundant (hoisted — the grid's ghosts are still valid from an earlier
 group), and how the remaining refreshes pack into combined messages.
 
 The plan is a pure function of the declared access sets, *not* of how
@@ -15,7 +15,7 @@ virtual-clock-identical to running each loop once over its whole region.
 Legality (for loops sharing one region and overlap mode), per pair of
 an earlier loop A and a candidate B:
 
-- A writes dat d and B reads d with halo > 0 → **break** (B's halo read
+- A writes grid d and B reads d with halo > 0 → **break** (B's halo read
   needs a ghost refresh of A's result first; "a WRITE between two READs
   breaks fusion").
 - A reads d with halo > 0 and B writes d → **break** (tile-interleaving
@@ -31,9 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from repro.comm.boundary import exchange_plan_key
-from repro.kernels.ir import Arg, Dat, ParLoop, region_size, split_deep_shell
+from repro.kernels.ir import Arg, ParLoop, region_size, split_deep_shell
+
+if TYPE_CHECKING:  # import cycle guard: core.grid is above us in layering
+    from repro.core.grid import DistGrid
 
 
 @lru_cache(maxsize=1024)
@@ -59,7 +63,7 @@ class LoopGroup:
     it is handed again (:meth:`repro.kernels.runtime.KernelEngine.flush`).
     Ghost validity is not in here: :func:`plan_exchanges` reads it at
     every run.  *requests* are the ghost refreshes the group may need,
-    one per distinct (dat, ghost key) in first-seen order — a refresh
+    one per distinct (grid, ghost key) in first-seen order — a refresh
     serves every reader — each with the geometry key it packs under;
     *charges* the ``(flops per point, label)`` of every charging loop, in
     declaration order; *walk* the engine's execution walk, once built.
@@ -70,12 +74,12 @@ class LoopGroup:
         self.overlap = overlap
         self.region = loops[0].region
         self.points = region_size(self.region)
-        self.writes: list[Dat] = [dat for loop in loops for dat in loop.writes]
+        self.writes: list[DistGrid] = [grid for loop in loops for grid in loop.writes]
         first: dict[tuple, Arg] = {}
         for loop in loops:
             for a in loop.args:
                 if a.needs_exchange:
-                    first.setdefault((id(a.dat), a.ghost_key), a)
+                    first.setdefault((id(a.grid), a.ghost_key), a)
         self.requests = [
             (a, exchange_plan_key(a.grid.local, a.grid.cart, a.grid.ghost, a.periodic))
             for a in first.values()
@@ -103,14 +107,14 @@ def can_fuse(group: list[ParLoop], loop: ParLoop) -> bool:
     if loop.overlapped != head.overlapped:
         return False
     for prev in group:
-        prev_writes = {id(dat) for dat in prev.writes}
-        prev_halo_reads = {id(a.dat): a.ghost_key for a in prev.args if a.halo > 0}
+        prev_writes = {id(grid) for grid in prev.writes}
+        prev_halo_reads = {id(a.grid): a.ghost_key for a in prev.args if a.halo > 0}
         for a in loop.args:
-            if a.halo > 0 and id(a.dat) in prev_writes:
+            if a.halo > 0 and id(a.grid) in prev_writes:
                 return False
-            if a.mode.writes and id(a.dat) in prev_halo_reads:
+            if a.mode.writes and id(a.grid) in prev_halo_reads:
                 return False
-            if a.halo > 0 and prev_halo_reads.get(id(a.dat), a.ghost_key) != a.ghost_key:
+            if a.halo > 0 and prev_halo_reads.get(id(a.grid), a.ghost_key) != a.ghost_key:
                 return False
     return True
 
@@ -135,10 +139,10 @@ class ExchangePlan:
 
     *packs* are lists of same-geometry args refreshed by one
     :func:`~repro.comm.boundary.start_exchange` — several pack into one
-    message per neighbour per direction covering every dat.
+    message per neighbour per direction covering every grid.
     *fills* are the physical-edge ghost fills to apply after the
     refresh.  *hoisted* counts reads whose ghosts were already valid;
-    *performed* lists the args whose dat to mark clean under their key.
+    *performed* lists the args whose grid to mark clean under their key.
     """
 
     packs: list[list[Arg]] = field(default_factory=list)
@@ -149,7 +153,7 @@ class ExchangePlan:
 
 def plan_exchanges(group: LoopGroup, epoch: object = None) -> ExchangePlan:
     """This run's exchange plan: the group's requests checked against
-    each dat's clean ghost key.  Due requests pack together when their
+    each grid's clean ghost key.  Due requests pack together when their
     arrays stack and their exchanges coincide
     (:func:`repro.comm.boundary.exchange_plan_key`); first-seen order is
     kept across packs and within one, so the message schedule is
@@ -159,7 +163,7 @@ def plan_exchanges(group: LoopGroup, epoch: object = None) -> ExchangePlan:
     plan = ExchangePlan()
     packs: dict[tuple, list[Arg]] = {}
     for a, pack_key in group.requests:
-        if a.dat.clean == a.ghost_key:
+        if a.grid.clean == a.ghost_key:
             plan.hoisted += 1
             continue
         plan.performed.append(a)

@@ -16,7 +16,7 @@ counts, row tiles, the views each body is called on — is derived when a
 :class:`~repro.kernels.plan.LoopGroup` is built, and the engine keeps
 the groups of every sequence of loops it is handed again (a time loop
 submits the same loop objects every sweep).  State is read at every run:
-which ghosts are valid (``dat.clean``) and the mesh's overlap default.
+which ghosts are valid (``grid.clean``) and the mesh's overlap default.
 
 **A group is walked twice: once for the virtual clock, once for the
 values.**  The *accounting walk* is the modelled machine's schedule —
@@ -75,11 +75,11 @@ _EXCHANGES = counter_handle(
 )
 _EXCHANGES_HOISTED = counter_handle(
     "core.kernels.exchanges_hoisted",
-    help="ghost exchanges skipped because the dat's halo was still valid",
+    help="ghost exchanges skipped because the grid's halo was still valid",
 )
 _DATS_PACKED = counter_handle(
     "core.kernels.dats_packed",
-    help="dats whose refresh rode a packed multi-array exchange",
+    help="grids whose refresh rode a packed multi-array exchange",
 )
 _TILES = counter_handle("core.kernels.tiles", help="row-block tiles executed")
 
@@ -112,17 +112,17 @@ def _row_tiles(
 def _walk(group: LoopGroup) -> tuple[int, list[tuple]]:
     """The group's execution walk — ``(tile count, [(body, args), ...])``,
     tile-major over its row tiles — built on first use and kept on the
-    group, each call bound once by :meth:`~repro.kernels.ir.Kernel.bind`:
-    the views are of ``grid.local``, which a grid never rebinds, so they
-    stay valid."""
+    group: the views are of ``grid.local``, which a grid never rebinds,
+    so they stay valid."""
     walk = group.walk
     if walk is None:
         tiles = _row_tiles(group.region, group)
         walk = group.walk = (
             len(tiles),
             [
-                loop.kernel.bind(
-                    (tile,) if loop.kernel.kind == "region" else tuple(build_views(loop, tile))
+                (
+                    loop.kernel.fn,
+                    (tile,) if loop.kernel.kind == "region" else tuple(build_views(loop, tile)),
                 )
                 for tile in tiles
                 for loop in group.loops
@@ -189,9 +189,7 @@ class KernelEngine:
     def note_write(self, grid) -> None:
         """Record that *grid* was written outside any kernel (row/col
         ops, redistribution targets, file input): its ghosts are stale."""
-        dat = getattr(grid, "_kernel_dat", None)
-        if dat is not None:
-            dat.clean = None
+        grid.clean = None
 
     # -- execution ------------------------------------------------------------
     def _run_group(self, group: LoopGroup) -> None:
@@ -231,13 +229,13 @@ class KernelEngine:
         else:
             self._charge_phase(group, group.points)
         self._execute(group)
-        # Post-state: refreshed dats are clean under the key they were
-        # refreshed with, written dats are dirty (clean marks land first,
-        # so a dat both read and written in the group correctly ends dirty).
+        # Post-state: refreshed grids are clean under the key they were
+        # refreshed with, written grids are dirty (clean marks land first,
+        # so a grid both read and written in the group correctly ends dirty).
         for a in plan.performed:
-            a.dat.clean = a.ghost_key
-        for dat in group.writes:
-            dat.clean = None
+            a.grid.clean = a.ghost_key
+        for grid in group.writes:
+            grid.clean = None
 
     def _charge_phase(self, group: LoopGroup, npoints: int) -> None:
         """The accounting walk's step: charge every group loop for one

@@ -21,21 +21,6 @@ from __future__ import annotations
 from repro.apps import registry
 from repro.runtime.spmd import RunResult
 
-#: app -> the conformance program name it had before every registered app
-#: was a conformance program.  Kept only so existing test ids keep their
-#: names; every other app's program name is the app name.
-_OLD_NAMES = {
-    "mergesort": "onedeep",
-    "poisson": "meshspectral",
-    "smog": "fusedmesh",
-    "cfd": "cfdmesh",
-    "fdtd": "fdtdmesh",
-}
-
-#: program name -> registered app, one per app in registration order
-PROGRAMS: dict[str, str] = {_OLD_NAMES.get(app, app): app for app in registry.names()}
-
-
 def run_app(app: str, mode: str | None = None, trace: bool = False) -> RunResult:
     """One verification run of *app*: its ``verify_overrides`` on IBM SP."""
     spec = registry.get(app)

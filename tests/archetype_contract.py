@@ -17,10 +17,10 @@ the virtual-clock runtime (ROADMAP "uniform correctness contracts"):
    the deterministic engine's digest bitwise.
 
 ``tests/test_archetype_contract.py`` applies these checks to every
-program in :mod:`repro.verify.conformance` (one per registered app) ×
+registered app (run by :func:`repro.verify.conformance.run_app`) ×
 every registered backend; a new app gets the whole battery by
 registering one ``AppSpec``.  The checks are plain functions so other
-suites (or a REPL) can call them against any conformance program.
+suites (or a REPL) can call them against any app.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.obs.chrome import chrome_trace, validate_chrome_trace
 from repro.obs.critical import critical_path
 from repro.runtime.spmd import RunResult
 from repro.verify import fuzzed_schedule
-from repro.verify.conformance import PROGRAMS, run_app
+from repro.verify.conformance import run_app
 from repro.verify.digest import value_digest
 
 #: every registered backend, in contract-suite order
@@ -40,10 +40,9 @@ FUZZ_SEEDS = tuple(range(8))
 
 
 def run_program(
-    name: str, backend: str = "deterministic", seed: int = 0, trace: bool = False
+    app: str, backend: str = "deterministic", seed: int = 0, trace: bool = False
 ) -> RunResult:
-    """Run conformance program *name* on *backend* (seeded when fuzzed)."""
-    app = PROGRAMS[name]
+    """Run registered *app* on *backend* (seeded when fuzzed)."""
     if backend == "fuzzed":
         with fuzzed_schedule(seed):
             return run_app(app, mode="sequential", trace=trace)
@@ -134,7 +133,6 @@ __all__ = [
     "BACKENDS",
     "CHECKS",
     "FUZZ_SEEDS",
-    "PROGRAMS",
     "check_backend_identity",
     "check_clock_canonicality",
     "check_critical_path_equals_makespan",

@@ -164,18 +164,17 @@ class TestRegistration:
 
 class TestSharedConsumers:
     def test_conformance_programs_resolve_registry_apps(self):
-        from repro.verify.conformance import PROGRAMS
+        from test_archetype_contract import APPS, PRE_REGISTRY_IDS
 
-        for app in PROGRAMS.values():
-            registry.get(app)
-        # Only the programs that predate the registry keep another name.
-        renamed = {program for program, app in PROGRAMS.items() if program != app}
-        assert renamed == {"onedeep", "meshspectral", "fusedmesh", "cfdmesh", "fdtdmesh"}
+        # The conformance programs are the registered apps; only the
+        # test ids that predate the registry read another name.
+        assert set(PRE_REGISTRY_IDS) < set(APPS)
+        assert set(PRE_REGISTRY_IDS.values()).isdisjoint(registry.names())
 
     def test_every_suite_iterates_the_registry(self):
         from repro.obs.__main__ import _parser
         from repro.verify.__main__ import PROGRAMS as CHAOS
-        from repro.verify.conformance import PROGRAMS as CONFORMANCE
+        from test_archetype_contract import APPS as CONFORMANCE
         from repro.verify.crossbackend import cross_backend_matrix
 
         # Other test modules register throwaway apps (archetype "test")
@@ -188,7 +187,7 @@ class TestSharedConsumers:
             return tuple(n for n in names if n not in scratch | controls)
 
         names = apps(registry.names())
-        assert apps(CONFORMANCE.values()) == names
+        assert apps(CONFORMANCE) == names
         matrix = cross_backend_matrix(backends=("deterministic",))
         assert apps(cell.program for cell in matrix.cells) == names
         assert apps(CHAOS) == names and controls < set(CHAOS)

@@ -2,7 +2,7 @@
 
 The application bodies were rewritten to evaluate each value once (one
 flux per axis on a widened window, select-then-scale upwind differences,
-``out=`` through ``ExprKernel``, blocked reductions, scratch blocks) and
+``out=`` into the output view, blocked reductions, scratch blocks) and
 each operator once (FFT plans, Thomas factors), and every group now runs
 row block by row block.  None of that may move a bit.  Two layers hold it
 there:
@@ -32,7 +32,6 @@ from repro.apps import fftlib, registry, spectralflow
 from repro.apps.fftlib import bit_reverse_indices, fft
 from repro.apps.smog import sea_breeze_wind, upwind_step
 from repro.apps.spectralflow import thomas_apply, thomas_factor, thomas_solve
-from repro.kernels import ExprKernel, Ref
 from repro.verify import value_digest
 
 _PINS = json.loads((Path(__file__).parent / "data" / "body_pins.json").read_text())
@@ -116,11 +115,6 @@ def _ref_upwind(q, u, v, dx, dy, dt, kdiff):
         q[0, 1] - 2 * q[0, 0] + q[0, -1]
     ) / dy**2
     return q[0, 0] - dt * (adv_x + adv_y) + dt * kdiff * lap
-
-
-def _ref_expr_evaluate(expr: str, namespace: dict, out: np.ndarray) -> None:
-    """``ExprKernel._evaluate`` after its bindings are resolved."""
-    out[...] = eval(compile(expr, "<ref>", "eval"), {"__builtins__": {}}, namespace)
 
 
 def _ref_sea_breeze_wind(i, j, nx, ny, t):
@@ -317,61 +311,6 @@ class TestUpwind:
             sea_breeze_wind(ii, jj, 20, 12, t), _ref_sea_breeze_wind(ii, jj, 20, 12, t)
         ):
             assert same_bits(got, expected)
-
-
-# -- ExprKernel -------------------------------------------------------------------
-
-
-def _expr_case(expr: str, scalars: dict | None = None, dtype=np.float64):
-    """Run *expr* over x = arg 1, y = arg 2 both ways; (kernel's out, reference out)."""
-    rng = np.random.default_rng(len(expr))
-    x, y = rng.standard_normal((2, 4, 5))
-    names = {"x": Ref(1), "y": Ref(2), **(scalars or {})}
-    bindings = {k: v for k, v in names.items() if k in expr}
-    got, expected = np.full((4, 5), 7, dtype=dtype), np.full((4, 5), 7, dtype=dtype)
-    ExprKernel(expr, bindings, name="case").fn(got, x, y)
-    _ref_expr_evaluate(expr, {"x": x, "y": y, **(scalars or {})}, expected)
-    return got, expected
-
-
-class TestExprKernelRoot:
-    @pytest.mark.parametrize(
-        "expr",
-        [
-            "x + y",
-            "x - y * c",
-            "c * (x + y - c * x)",
-            "(x - y) / (c + x * x)",
-            "-x",  # unary root
-            "-(x + y)",
-            "x ** 2",  # a BinOp with no in-place ufunc here: evaluated whole
-            "x > y",  # non-BinOp root, cast on assignment
-            "c * 3.0",  # scalars only
-            "c",
-        ],
-    )
-    def test_matches_evaluate_then_assign(self, expr):
-        assert same_bits(*_expr_case(expr, {"c": 0.25}))
-
-    def test_integer_output_casts_as_assignment_does(self):
-        assert same_bits(*_expr_case("x * c", {"c": 2.5}, dtype=np.int64))
-
-    def test_which_roots_write_in_place(self):
-        assert ExprKernel("x + 1", {"x": Ref(1)})._root is np.add
-        assert ExprKernel("x / y", {"x": Ref(1), "y": Ref(2)})._root is np.true_divide
-        for whole in ("-x", "x ** 2", "x > 1", "x"):
-            assert ExprKernel(whole, {"x": Ref(1)})._root is None
-
-    @pytest.mark.parametrize("expr", ["u + x", "x * u - u", "c / u"])
-    def test_output_aliasing_a_pointwise_input(self, expr):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((4, 5))
-        got, expected = (rng.standard_normal((4, 5)) for _ in range(2))
-        expected[...] = got
-        bindings = {k: v for k, v in {"u": Ref(0), "x": Ref(1), "c": 0.5}.items() if k in expr}
-        ExprKernel(expr, bindings).fn(got, x)
-        _ref_expr_evaluate(expr, {"u": expected, "x": x, "c": 0.5}, expected)
-        assert same_bits(got, expected)
 
 
 # -- applications -----------------------------------------------------------------

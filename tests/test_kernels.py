@@ -21,8 +21,6 @@ from repro.kernels import (
     RW,
     WRITE,
     Arg,
-    ExprKernel,
-    Ref,
     RegionKernel,
     build_groups,
 )
@@ -273,7 +271,7 @@ class TestExchangeHoisting:
         assert counters.get("exchanges_hoisted", 0) == 0
 
     def test_refresh_under_another_key_is_not_hoisted_over(self):
-        """``dat.clean`` is one slot: after copy(); zero() the ghosts
+        """``grid.clean`` is one slot: after copy(); zero() the ghosts
         hold zero's fill, so the second copy() must refresh again, not
         find its own mark still standing."""
 
@@ -554,6 +552,7 @@ class TestDeclaredLoops:
                 "halo write": lambda: mesh.loop(body, Arg(a, WRITE, halo=1)),
                 "halo > ghost": lambda: mesh.loop(body, Arg(a, WRITE), Arg(bare, READ, halo=1)),
                 "negative halo": lambda: mesh.loop(body, Arg(a, READ, halo=-1)),
+                "periodic rank": lambda: mesh.loop(body, Arg(a, READ, halo=1, periodic=(True,))),
             }
             raised = {}
             for name, declare in cases.items():
@@ -571,6 +570,7 @@ class TestDeclaredLoops:
             "(paper §3.1: outputs disjoint from stencil inputs)",
             "halo > ghost": "declared halo 1 exceeds grid ghost width 0",
             "negative halo": "negative halo -1",
+            "periodic rank": "periodic flags (True,) do not match grid rank 2",
         }
 
     def test_unknown_edge_mode_is_rejected(self):
@@ -652,20 +652,3 @@ class TestDeclaredLoops:
         MeshProgram(prog).run(2)
         gc.collect()
         assert len(alive) == 8 and [ref() for ref in alive] == [None] * 8
-
-
-class TestExprKernelJIT:
-    def test_expression_evaluates_exactly(self):
-        kernel = ExprKernel("2.0 * x + c", {"x": Ref(1), "c": 3.0}, name="axpc")
-        x = np.arange(12.0).reshape(3, 4)
-        out = np.empty_like(x)
-        kernel.fn(out, x)
-        assert np.array_equal(out, 2.0 * x + 3.0)
-
-    def test_pointwise_offset_rejected(self):
-        from repro.errors import ArchetypeError
-
-        kernel = ExprKernel("x", {"x": Ref(1, (1, 0))}, name="bad")
-        x = np.zeros((3, 3))
-        with pytest.raises(ArchetypeError):
-            kernel.fn(np.empty_like(x), x)

@@ -11,9 +11,7 @@ the 24 older entries came out byte-identical) — value digest, every
 rank's final virtual clock (``float.hex``), ``runtime.mailbox.enqueued``,
 the ``core.kernels.*`` counters, and a SHA-256 of the trace event list
 on the deterministic engine, the process-parallel engine and eight
-fuzzed schedules.  The counters sit under ``"fused"``: the file also
-keeps those of the loop-by-loop walk a module switch once selected,
-which no longer exists and which nothing reads.
+fuzzed schedules.  The counters sit under ``"fused"``.
 ``python tests/test_loop_identity.py`` re-records the file from the tree
 it runs in (run it at the parent of a port only).
 """
@@ -106,8 +104,7 @@ _PINS = json.loads(_PATH.read_text()) if _PATH.exists() else {"pins": {}}
 @pytest.mark.parametrize("nprocs", _NPROCS)
 @pytest.mark.parametrize("case", _CASES)
 def test_declared_loops_reproduce_the_parent(case, nprocs):
-    pinned = _PINS["pins"][f"{case}-p{nprocs}"]
-    assert _pin(case, nprocs) == {**pinned, "counters": {"fused": pinned["counters"]["fused"]}}
+    assert _pin(case, nprocs) == _PINS["pins"][f"{case}-p{nprocs}"]
 
 
 if __name__ == "__main__":
