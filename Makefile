@@ -4,7 +4,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify test obs-smoke chaos bench bench-smoke bench-check bench-pairs \
-	bench-pipeline serve-smoke tune-smoke unreached examples lint size
+	bench-pipeline serve-smoke tune-smoke unreached examples lint size msg-cost
 
 # Default gate: lint (when ruff is available), tier-1 tests, and the
 # observability smoke check.
@@ -127,3 +127,10 @@ unreached:
 size:
 	@echo "src lines: $$(find src -name '*.py' -exec cat {} + | wc -l)"
 	@echo "REPRO_* knobs: $$(grep -rhoE 'REPRO_[A-Z_]+' src --include='*.py' | sort -u | wc -l)"
+
+# Host cost per small message on the run-to-block engine (~20 s, pinned
+# to one CPU): µs and exact Python calls per message for 2-rank ping-pong
+# and sendrecv and a 16-rank ring, and the bare thread switch.
+# Report-only, no threshold: tests/test_message_cost.py holds the calls.
+msg-cost:
+	python3 tools/msg_cost.py

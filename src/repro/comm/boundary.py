@@ -11,8 +11,10 @@ and the periodicity — so every exchange reads it from one memoised
 :func:`exchange_geometry` and only posts, waits and copies per call.
 
 :func:`start_exchange` is the one entry point (:func:`exchange_ghosts` is
-its blocking single-array spelling); it packs several arrays into one
-message per neighbour per direction, and runs in one of two ways:
+its blocking single-array spelling; the kernel layer calls its two
+halves, :func:`checked_geometry` once per pack and :func:`run_exchange`
+per run); it packs several arrays into one message per neighbour per
+direction, and runs in one of two ways:
 
 - the **blocking** exchange processes axes in order, each slab spanning
   the *full* extent of the other axes (ghost layers included), so after
@@ -182,9 +184,17 @@ class GhostExchange:
                 self._recvs.append((req, sel))
         for _, sends in axes:
             for peer, tag, sel in sends:
-                piece = (
-                    np.stack([a[sel] for a in locals_]) if packed else locals_[0][sel]
-                )
+                if packed:
+                    # One buffer, filled slab by slab and frozen here, so
+                    # the send shares it instead of copying it again
+                    # (copy-on-write contract).
+                    first = locals_[0][sel]
+                    piece = np.empty((len(locals_), *first.shape), first.dtype)
+                    for i, a in enumerate(locals_):
+                        piece[i] = a[sel]
+                    piece.flags.writeable = False
+                else:
+                    piece = locals_[0][sel]
                 self._requests.append(comm.isend(peer, piece, tag=tag))
         self._done = not axes
 
@@ -207,17 +217,22 @@ class GhostExchange:
         self._done = True
 
 
-def _geometry_for(
+def checked_geometry(
     comm: Comm,
-    locals_: list[np.ndarray],
+    arrays: list[np.ndarray],
     grid: CartGrid,
     ghost: int,
     periodic: tuple[bool, ...] | bool,
-    tag_offset: int,
+    *,
+    overlap: bool,
 ) -> tuple[AxisTransfers, ...]:
-    """Validate one exchange request and look its geometry up."""
-    first = locals_[0]
-    for arr in locals_[1:]:
+    """Validate an exchange of *arrays* (see :func:`start_exchange`) and
+    look its geometry up.  What this returns depends only on the arrays'
+    shape and the arguments, so a caller that repeats one exchange — a
+    :class:`repro.kernels.plan.LoopGroup`, per pack — asks once and hands
+    the answer to :func:`run_exchange` at every run."""
+    first = arrays[0]
+    for arr in arrays[1:]:
         if arr.shape != first.shape:
             raise DistributionError(
                 "a packed exchange needs same-shaped arrays; got "
@@ -226,14 +241,35 @@ def _geometry_for(
     periodic = _check_exchange_args(
         comm, first.shape, first.ndim, grid, ghost, periodic
     )
+    offset = (_OVERLAP_OFFSET if overlap else 0) + (_PACKED_OFFSET if len(arrays) > 1 else 0)
     return exchange_geometry(
         comm.rank,
         tuple(grid.dims),
         first.shape,
         ghost,
         tuple(periodic),
-        _BOUNDARY_TAG_BASE + tag_offset,
+        _BOUNDARY_TAG_BASE + offset,
     )
+
+
+def run_exchange(
+    comm: Comm,
+    arrays: list[np.ndarray],
+    axes: tuple[AxisTransfers, ...],
+    *,
+    overlap: bool,
+) -> GhostExchange:
+    """Run the exchange whose geometry :func:`checked_geometry` returned
+    for *arrays* and *overlap*: every axis posted at once and the
+    in-flight handle returned, or (without *overlap*) the axes completed
+    one at a time and a done handle returned."""
+    packed = len(arrays) > 1
+    if overlap:
+        return GhostExchange(comm, arrays, axes, packed)
+    for axis in axes:
+        handle = GhostExchange(comm, arrays, (axis,), packed)
+        handle.wait()
+    return handle
 
 
 def start_exchange(
@@ -262,15 +298,8 @@ def start_exchange(
     cells are left untouched (they hold boundary conditions maintained
     by the application).
     """
-    packed = len(arrays) > 1
-    offset = (_OVERLAP_OFFSET if overlap else 0) + (_PACKED_OFFSET if packed else 0)
-    axes = _geometry_for(comm, arrays, grid, ghost, periodic, offset)
-    if overlap:
-        return GhostExchange(comm, arrays, axes, packed)
-    for axis in axes:
-        handle = GhostExchange(comm, arrays, (axis,), packed)
-        handle.wait()
-    return handle
+    axes = checked_geometry(comm, arrays, grid, ghost, periodic, overlap=overlap)
+    return run_exchange(comm, arrays, axes, overlap=overlap)
 
 
 def exchange_ghosts(
@@ -317,7 +346,7 @@ def exchange_plan_key(
     """Geometry key under which two exchange requests are *packable*.
 
     Requests with equal keys extract identically-shaped slabs toward the
-    same neighbours, so ``np.stack`` combines them losslessly into one
+    same neighbours, so one buffer stacks them losslessly into one
     message per neighbour per direction (a packed :func:`start_exchange`).
     The dtype is part of the key — stacking mixed dtypes would silently
     upcast the packed buffer and change the bytes on the wire.

@@ -84,6 +84,7 @@ class Comm(RankContext):
         group._tracer = self._tracer
         group._endpoint = self._endpoint
         group.tallies = self.tallies
+        group.samples = self.samples
         group._ctx = ctx
         group._bind_view(
             member_ranks.index(self.rank),

@@ -37,8 +37,9 @@ _VIRTUAL_SECONDS = histogram_handle(
 )
 
 
-def _intersect(a: Rect, b: Rect) -> Rect | None:
-    """Intersection of two rectangles, or ``None`` when empty."""
+def intersect(a: Rect, b: Rect) -> Rect | None:
+    """Intersection of two rectangles, or ``None`` when empty (the one
+    rule redistribution and partitioned file input share)."""
     out = []
     for (alo, ahi), (blo, bhi) in zip(a, b):
         lo, hi = max(alo, blo), min(ahi, bhi)
@@ -48,7 +49,7 @@ def _intersect(a: Rect, b: Rect) -> Rect | None:
     return tuple(out)
 
 
-def _local_slices(rect: Rect, base: Rect) -> tuple[slice, ...]:
+def local_slices(rect: Rect, base: Rect) -> tuple[slice, ...]:
     """Slices selecting global rectangle *rect* inside a local array whose
     origin is *base*'s low corner."""
     return tuple(slice(lo - blo, hi - blo) for (lo, hi), (blo, _) in zip(rect, base))
@@ -66,14 +67,14 @@ def _transfers(old: Layout, new: Layout, rank: int) -> tuple[tuple, tuple]:
     my_old, my_new = old.rect(rank), new.rect(rank)
     sends = []
     for dest in range(new.nranks):
-        overlap = _intersect(my_old, new.rect(dest))
+        overlap = intersect(my_old, new.rect(dest))
         sends.append(
-            None if overlap is None else (overlap, _local_slices(overlap, my_old))
+            None if overlap is None else (overlap, local_slices(overlap, my_old))
         )
     pastes = []
     for src in range(old.nranks):
-        overlap = _intersect(old.rect(src), my_new)
-        pastes.append(None if overlap is None else _local_slices(overlap, my_new))
+        overlap = intersect(old.rect(src), my_new)
+        pastes.append(None if overlap is None else local_slices(overlap, my_new))
     return tuple(sends), tuple(pastes)
 
 
@@ -129,10 +130,11 @@ def redistribute(
 
     incoming = comm.alltoall(outgoing)
 
-    _CALLS.inc()
-    _BYTES.inc(parcel_bytes)
-    _PARCELS.observe(parcels)
-    _VIRTUAL_SECONDS.observe(comm.clock - entry_clock)
+    tallies, samples = comm.tallies, comm.samples
+    tallies[_CALLS] += 1
+    tallies[_BYTES] += parcel_bytes
+    samples[_PARCELS].append(parcels)
+    samples[_VIRTUAL_SECONDS].append(comm.clock - entry_clock)
 
     out = np.empty(new.shape(comm.rank), dtype=local.dtype)
     filled = 0

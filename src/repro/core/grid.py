@@ -59,14 +59,24 @@ class DistGrid:
     local:
         This rank's section *including* ghost layers; mutate freely, then
         call :meth:`exchange` before any stencil read of neighbours.
+    rect:
+        Global ``(lo, hi)`` bounds of this rank's owned section.
     clean:
         The ghost key ``(periodic, edges)`` the kernel layer last
         refreshed this grid's ghosts under, or ``None`` when they are
         stale (:mod:`repro.kernels.plan` hoists a refresh under the
         clean key; a declared or noted write clears it).
+
+    What the grid's shape fixes — ``rect``, the slices of the interior
+    and the slabs of the physical-edge ghosts — is computed once, not on
+    every access.  The grid keeps slices, never a second view of
+    ``local``, so a copy (a pickled grid, say) cannot come apart.
     """
 
     clean: tuple | None = None
+    #: (ghost slab, edge slab) pairs :meth:`fill_edge_ghosts` walks, in
+    #: fill order; built on the first fill
+    _edge_slabs: tuple | None = None
 
     def __init__(
         self,
@@ -88,6 +98,9 @@ class DistGrid:
         self.dtype = np.dtype(dtype)
         shape = tuple(n + 2 * ghost for n in self.layout.shape(comm.rank))
         self.local = np.full(shape, fill, dtype=self.dtype)
+        self.rect = self.layout.rect(comm.rank)
+        if ghost:
+            self._inner = tuple(slice(ghost, n - ghost) for n in shape)
 
     # -- construction helpers ------------------------------------------------
     @classmethod
@@ -119,6 +132,10 @@ class DistGrid:
         out.ghost = self.ghost
         out.dtype = np.dtype(dtype) if dtype is not None else self.dtype
         out.local = np.full(self.local.shape, fill, dtype=out.dtype)
+        out.rect = self.rect
+        if self.ghost:
+            out._inner = self._inner
+            out._edge_slabs = self._edge_slabs
         return out
 
     # -- geometry ----------------------------------------------------------------
@@ -127,17 +144,11 @@ class DistGrid:
         return len(self.global_shape)
 
     @property
-    def rect(self) -> tuple[tuple[int, int], ...]:
-        """Global (lo, hi) bounds of this rank's owned section."""
-        return self.layout.rect(self.comm.rank)
-
-    @property
     def interior(self) -> np.ndarray:
         """View of the owned section (ghost layers excluded)."""
         if self.ghost == 0:
             return self.local
-        g = self.ghost
-        return self.local[tuple(slice(g, n - g) for n in self.local.shape)]
+        return self.local[self._inner]
 
     def owned_shape(self) -> tuple[int, ...]:
         return self.layout.shape(self.comm.rank)
@@ -199,29 +210,37 @@ class DistGrid:
             raise DistributionError(f"edge mode must be 'copy' or 'zero', got {mode!r}")
         if self.ghost == 0:
             raise DistributionError("grid has no ghost layers to fill")
+        slabs = self._edge_slabs
+        if slabs is None:
+            slabs = self._edge_slabs = self._edge_slab_pairs()
+        local = self.local
+        if mode == "copy":
+            for dst, src in slabs:
+                local[dst] = local[src]
+        else:
+            for dst, _ in slabs:
+                local[dst] = 0.0
+
+    def _edge_slab_pairs(self) -> tuple:
+        """Per axis, low edge then high: the ghost slab on each physical
+        edge this rank owns and the owned edge slab a copy fill reads."""
         g = self.ghost
-        for axis in range(self.ndim):
+        ndim = self.ndim
+
+        def slab(axis: int, start: int, stop: int) -> tuple[slice, ...]:
+            return tuple(
+                slice(start, stop) if d == axis else slice(None) for d in range(ndim)
+            )
+
+        pairs = []
+        for axis in range(ndim):
             lo, hi = self.rect[axis]
             n = self.local.shape[axis]
             if lo == 0:
-                dst = tuple(
-                    slice(0, g) if d == axis else slice(None) for d in range(self.ndim)
-                )
-                src = tuple(
-                    slice(g, g + 1) if d == axis else slice(None)
-                    for d in range(self.ndim)
-                )
-                self.local[dst] = self.local[src] if mode == "copy" else 0.0
+                pairs.append((slab(axis, 0, g), slab(axis, g, g + 1)))
             if hi == self.global_shape[axis]:
-                dst = tuple(
-                    slice(n - g, n) if d == axis else slice(None)
-                    for d in range(self.ndim)
-                )
-                src = tuple(
-                    slice(n - g - 1, n - g) if d == axis else slice(None)
-                    for d in range(self.ndim)
-                )
-                self.local[dst] = self.local[src] if mode == "copy" else 0.0
+                pairs.append((slab(axis, n - g, n), slab(axis, n - g - 1, n - g)))
+        return tuple(pairs)
 
     def redistributed(self, dist: str | tuple[int, ...], ghost: int | None = None) -> "DistGrid":
         """A copy of the grid under a different distribution (paper Fig. 7)."""

@@ -41,6 +41,7 @@ import numpy as np
 from repro.errors import ArchetypeError
 from repro.comm.communicator import Comm
 from repro.comm.reductions import MAX, MIN, SUM, Op
+from repro.comm.redistribute import intersect, local_slices
 from repro.core.archetype import Archetype
 from repro.core.globals import GlobalVar
 from repro.core.grid import DistGrid
@@ -64,7 +65,8 @@ _OP_SECONDS = histogram_handle(
 
 
 def _instrumented(method):
-    """Record one ``core.mesh.<op>`` count and the op's virtual duration."""
+    """Tally one ``core.mesh.<op>`` count and the op's virtual duration
+    on the rank (landed when the run ends)."""
     name = method.__name__
     counter = counter_handle(
         f"core.mesh.{name}", help=f"mesh-spectral {name} operations"
@@ -72,10 +74,11 @@ def _instrumented(method):
 
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
-        entry = self.comm.clock
+        comm = self.comm
+        entry = comm.clock
         result = method(self, *args, **kwargs)
-        counter.inc()
-        _OP_SECONDS.observe(self.comm.clock - entry)
+        comm.tallies[counter] += 1
+        comm.samples[_OP_SECONDS].append(comm.clock - entry)
         return result
 
     return wrapper
@@ -84,9 +87,7 @@ def _instrumented(method):
 class MeshContext:
     """The operations a mesh-spectral program is written against."""
 
-    def __init__(
-        self, comm: Comm, overlap: bool = True, proc_grid: tuple[int, ...] | None = None
-    ):
+    def __init__(self, comm: Comm, proc_grid: tuple[int, ...] | None = None):
         self.comm = comm
         #: the process grid ``dist="blocks"`` stands for when this context
         #: lays a grid out by shape (:meth:`grid`, :meth:`redistribute`,
@@ -97,10 +98,11 @@ class MeshContext:
         #: per-rank working-set size (bytes) used by the machine's memory
         #: model; set via :meth:`set_working_set`
         self.working_set: float | None = None
-        #: default for the ``overlap=`` argument of stencil operations:
-        #: when True, ghost exchanges run nonblocking and interior cells
-        #: are updated while boundary slabs are in flight
-        self.overlap = overlap
+        #: the exchange mode of every par-loop run: when True, ghost
+        #: exchanges run nonblocking and interior cells are updated while
+        #: boundary slabs are in flight; a program sets it (read at each
+        #: run)
+        self.overlap = True
         #: the per-rank par-loop engine (queue, fusion, exchange hoisting)
         self.kernels = KernelEngine(self)
 
@@ -146,7 +148,6 @@ class MeshContext:
         margin: int | tuple[int, ...] = 0,
         flops_per_point: float = 0.0,
         label: str | None = None,
-        overlap: bool | None = None,
     ) -> ParLoop:
         """Declare one par-loop (the kernel-layer front door); calling
         the returned :class:`~repro.kernels.ir.ParLoop` runs it.
@@ -160,7 +161,7 @@ class MeshContext:
         runs at once or, inside a :meth:`fuse` block, queues so adjacent
         compatible loops fuse and ghost exchanges dedup across them.
         Exchanges for halo reads whose ghosts are still valid are hoisted;
-        ``overlap=None`` follows :attr:`overlap` as it stands at each run.
+        the exchange mode is :attr:`overlap` as it stands at each run.
         """
         if not isinstance(kernel, Kernel):
             kernel = Kernel(kernel, name=label or "parloop")
@@ -171,7 +172,6 @@ class MeshContext:
             margin=margin,
             flops_per_point=flops_per_point,
             label=label,
-            overlap=overlap,
         )
 
     def parloop(self, kernel: Kernel | Callable[..., None], *args: Arg, **declaration) -> None:
@@ -365,26 +365,11 @@ class MeshContext:
         )
         my = grid.rect
         for stored_rank, rect in enumerate(manifest["rects"]):
-            overlap = []
-            empty = False
-            for (alo, ahi), (blo, bhi) in zip(my, rect):
-                lo, hi = max(alo, blo), min(ahi, bhi)
-                if lo >= hi:
-                    empty = True
-                    break
-                overlap.append((lo, hi))
-            if empty or any(hi - lo == 0 for lo, hi in rect):
+            overlap = intersect(my, rect)
+            if overlap is None:
                 continue
             section = np.load(directory / f"section{stored_rank:05d}.npy")
-            src = tuple(
-                slice(lo - blo, hi - blo)
-                for (lo, hi), (blo, _) in zip(overlap, rect)
-            )
-            dst = tuple(
-                slice(lo - alo, hi - alo)
-                for (lo, hi), (alo, _) in zip(overlap, my)
-            )
-            grid.interior[dst] = section[src]
+            grid.interior[local_slices(overlap, my)] = section[local_slices(overlap, rect)]
         self.comm.barrier()
         return grid
 

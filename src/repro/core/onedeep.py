@@ -47,14 +47,15 @@ _PHASE_BY_LABEL: dict[str, CounterHandle] = {}
 
 
 def _record_phase(comm: Comm, label: str, entry_clock: float) -> None:
-    """Metrics for one completed phase on one rank (counter + duration)."""
+    """Tally one completed phase on one rank (count + duration; landed
+    when the run ends)."""
     handle = _PHASE_BY_LABEL.get(label)
     if handle is None:
         handle = _PHASE_BY_LABEL[label] = counter_handle(
             f"core.onedeep.phase.{label}", help=f"one-deep {label} phases completed"
         )
-    handle.inc()
-    _PHASE_SECONDS.observe(comm.clock - entry_clock)
+    comm.tallies[handle] += 1
+    comm.samples[_PHASE_SECONDS].append(comm.clock - entry_clock)
 
 
 class SplitterStrategy(str, enum.Enum):

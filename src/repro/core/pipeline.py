@@ -502,7 +502,7 @@ class PipelineArchetype(Archetype):
             processed += 1
             comm.tallies[_ITEMS] += 1
         down.close()
-        _STAGE_SECONDS.observe(comm.clock - entry)
+        comm.samples[_STAGE_SECONDS].append(comm.clock - entry)
         return StageReport(stage=stage.name, worker=w, processed=processed, state=state)
 
     def _collect(self, comm: Comm) -> list[Any]:

@@ -149,8 +149,8 @@ class ParLoop:
     times.  Declaration validates and derives what depends only on what
     was declared: the *region* — the owned interior of the first
     argument's grid intersected with *margin* cells from the **global**
-    edge — *halo_max* and the grids it *writes*.  Ghost validity and
-    ``overlap=None`` (the mesh's default) are state, read at every run.
+    edge — *halo_max* and the grids it *writes*.  Ghost validity and the
+    exchange mode (``mesh.overlap``) are state, read at every run.
     """
 
     def __init__(
@@ -161,7 +161,6 @@ class ParLoop:
         margin: int | tuple[int, ...] = 0,
         flops_per_point: float = 0.0,
         label: str | None = None,
-        overlap: bool | None = None,
     ):
         if not args:
             raise ArchetypeError("a par-loop needs at least one argument")
@@ -194,7 +193,6 @@ class ParLoop:
         self.halo_max = max([a.halo for a in halo_reads], default=0)
         self.writes = [a.grid for a in writes]
         self.flops_per_point = float(flops_per_point)
-        self.overlap = overlap
         #: submissions so far; the engine keeps a plan from the second on
         self.runs = 0
 
@@ -206,11 +204,6 @@ class ParLoop:
     def shape(self) -> tuple[int, ...]:
         """The owned section's shape (what a deep/shell split measures)."""
         return self.args[0].grid.owned_shape()
-
-    @property
-    def overlapped(self) -> bool:
-        """The exchange mode a run submitted now would use."""
-        return self.mesh.overlap if self.overlap is None else self.overlap
 
 
 class StencilView:

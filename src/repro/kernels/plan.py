@@ -12,7 +12,7 @@ blocks the bodies are walked in, never the grouping, the exchanges, or
 the charge sequence — that is what keeps every tile budget bitwise- and
 virtual-clock-identical to running each loop once over its whole region.
 
-Legality (for loops sharing one region and overlap mode), per pair of
+Legality (for loops sharing one region), per pair of
 an earlier loop A and a candidate B:
 
 - A writes grid d and B reads d with halo > 0 → **break** (B's halo read
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from repro.comm.boundary import exchange_plan_key
+from repro.comm.boundary import checked_geometry, exchange_plan_key
 from repro.kernels.ir import Arg, ParLoop, region_size, split_deep_shell
 
 if TYPE_CHECKING:  # import cycle guard: core.grid is above us in layering
@@ -67,6 +67,8 @@ class LoopGroup:
     serves every reader — each with the geometry key it packs under;
     *charges* the ``(flops per point, label)`` of every charging loop, in
     declaration order; *walk* the engine's execution walk, once built.
+    The exchange geometry of each pack a run performs is validated and
+    looked up on its first run (:meth:`pack_geometry`) and kept.
     """
 
     def __init__(self, loops: list[ParLoop], overlap: bool):
@@ -88,6 +90,8 @@ class LoopGroup:
             (loop.flops_per_point, loop.label) for loop in loops if loop.flops_per_point
         ]
         self.walk: tuple | None = None
+        #: (pack key, packed?) -> the pack's exchange geometry
+        self._geometry: dict[tuple, tuple] = {}
         #: an overlapped run's charge phases: deep points, then each shell's
         self.phase_points: tuple[int, ...] = ()
         if overlap and self.requests:
@@ -97,14 +101,32 @@ class LoopGroup:
                 loops[0].shape,
             )
 
+    def pack_geometry(self, comm, pack: list[Arg], pack_key: tuple, overlap: bool) -> tuple:
+        """The exchange geometry of *pack* (due args sharing *pack_key*),
+        checked by :func:`~repro.comm.boundary.checked_geometry` the first
+        time a run performs it.  A group's exchange mode is fixed when it
+        is built, so the key is the pack key and whether several arrays
+        travel together."""
+        key = (pack_key, len(pack) > 1)
+        axes = self._geometry.get(key)
+        if axes is None:
+            grid = pack[0].grid
+            axes = self._geometry[key] = checked_geometry(
+                comm,
+                [a.grid.local for a in pack],
+                grid.cart,
+                grid.ghost,
+                pack[0].periodic,
+                overlap=overlap,
+            )
+        return axes
+
 
 def can_fuse(group: list[ParLoop], loop: ParLoop) -> bool:
     """May *loop* join the loops of *group* (tile-interleaved execution
     stays bitwise-identical to loop-by-loop execution)?"""
     head = group[0]
     if loop.region != head.region or loop.shape != head.shape:
-        return False
-    if loop.overlapped != head.overlapped:
         return False
     for prev in group:
         prev_writes = {id(grid) for grid in prev.writes}
@@ -130,22 +152,22 @@ def build_groups(loops: list[ParLoop]) -> list[LoopGroup]:
             groups[-1].append(loop)
         else:
             groups.append([loop])
-    return [LoopGroup(group, group[0].overlapped) for group in groups]
+    return [LoopGroup(group, group[0].mesh.overlap) for group in groups]
 
 
 @dataclass
 class ExchangePlan:
     """The ghost refreshes one run of a group performs.
 
-    *packs* are lists of same-geometry args refreshed by one
-    :func:`~repro.comm.boundary.start_exchange` — several pack into one
-    message per neighbour per direction covering every grid.
+    *packs* are ``(pack key, args)`` pairs, the args of one geometry
+    refreshed by one exchange — several pack into one message per
+    neighbour per direction covering every grid.
     *fills* are the physical-edge ghost fills to apply after the
     refresh.  *hoisted* counts reads whose ghosts were already valid;
     *performed* lists the args whose grid to mark clean under their key.
     """
 
-    packs: list[list[Arg]] = field(default_factory=list)
+    packs: list[tuple[tuple, list[Arg]]] = field(default_factory=list)
     fills: list[Arg] = field(default_factory=list)
     hoisted: int = 0
     performed: list[Arg] = field(default_factory=list)
@@ -170,5 +192,5 @@ def plan_exchanges(group: LoopGroup, epoch: object = None) -> ExchangePlan:
         packs.setdefault(pack_key, []).append(a)
         if a.edges is not None:
             plan.fills.append(a)
-    plan.packs = list(packs.values())
+    plan.packs = list(packs.items())
     return plan

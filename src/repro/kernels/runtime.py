@@ -16,7 +16,8 @@ counts, row tiles, the views each body is called on — is derived when a
 :class:`~repro.kernels.plan.LoopGroup` is built, and the engine keeps
 the groups of every sequence of loops it is handed again (a time loop
 submits the same loop objects every sweep).  State is read at every run:
-which ghosts are valid (``grid.clean``) and the mesh's overlap default.
+which ghosts are valid (``grid.clean``) and the mesh's exchange mode
+(``mesh.overlap``).
 
 **A group is walked twice: once for the virtual clock, once for the
 values.**  The *accounting walk* is the modelled machine's schedule —
@@ -53,7 +54,7 @@ from __future__ import annotations
 import contextlib
 from collections.abc import Iterator
 
-from repro.comm.boundary import start_exchange
+from repro.comm.boundary import run_exchange
 from repro.kernels.ir import ParLoop, build_views, region_size
 from repro.kernels.plan import LoopGroup, build_groups, plan_exchanges
 from repro.obs.metrics import counter_handle
@@ -201,13 +202,10 @@ class KernelEngine:
             tallies[_EXCHANGES_HOISTED] += plan.hoisted
         overlapped = group.overlap and bool(plan.packs)
         handles = []
-        for pack in plan.packs:
-            grid = pack[0].grid
-            arrays = [a.grid.local for a in pack]
+        for pack_key, pack in plan.packs:
+            axes = group.pack_geometry(comm, pack, pack_key, overlapped)
             handles.append(
-                start_exchange(
-                    comm, arrays, grid.cart, grid.ghost, pack[0].periodic, overlap=overlapped
-                )
+                run_exchange(comm, [a.grid.local for a in pack], axes, overlap=overlapped)
             )
             if len(pack) > 1:
                 tallies[_DATS_PACKED] += len(pack)

@@ -12,8 +12,7 @@ A process-wide default registry is always available via
 fresh registry with :func:`scoped_registry` and observe one run in
 isolation.  All instruments are thread-safe (ranks run on threads).
 
-Sites that record often (kernel loops, collectives, phases, the server)
-use the bind-once *handle* API instead — :func:`counter_handle`,
+Sites that record often use the bind-once *handle* API instead — :func:`counter_handle`,
 :func:`gauge_handle`, :func:`histogram_handle` — which resolves the
 instrument once and then records with a single registry-identity check
 per event (no lock, no dict lookup, no name formatting).  Handles stay
@@ -21,13 +20,18 @@ correct across :func:`scoped_registry`/:func:`set_registry` swaps: a
 swap is detected by identity comparison and the handle re-binds against
 the new registry on its next use.
 
-The per-message runtime instruments (``runtime.mailbox.*``,
-``runtime.scheduler.steps``/``blocks``, ``comm.requests.*``) touch no
-registry while a run is live: each rank keeps plain tallies on its
-endpoint, its mailbox and the engine, and
-:func:`repro.runtime.spmd.publish_run` lands them in the current
+Every instrument a run records touches no registry while the run is
+live: the per-message ones (``runtime.mailbox.*``,
+``runtime.scheduler.steps``/``blocks``, ``comm.requests.*``) are plain
+tallies on each rank's endpoint, its mailbox and the engine, and the
+per-operation ones (``comm.reductions.*``, ``comm.redistribute.*``,
+``core.kernels.*``, ``core.mesh.*``, ``core.onedeep.*``,
+``core.pipeline.*``) are counts in the rank's ``comm.tallies`` and
+values in its ``comm.samples``, keyed by handle.
+:func:`repro.runtime.spmd.publish_run` lands them all in the current
 registry once, when the run ends (histogram samples are bucketed there
-by :meth:`Histogram.observe_many`).
+by :meth:`Histogram.observe_many`).  A handle's own ``inc``/``observe``
+is for sites outside a run: the tuner, the catalog, the server.
 
 This module sits below :mod:`repro.runtime` in the layering: it imports
 nothing from the rest of the package, so the runtime can import it
@@ -369,14 +373,13 @@ class _Handle:
 class CounterHandle(_Handle):
     """Cached handle to a :class:`Counter` (see :func:`counter_handle`).
 
-    ``inc`` mutates the counter without taking its lock: the
-    run-to-block backends have exactly one live thread, so the update is
-    race-free by construction.  On the threaded backend a concurrent
-    increment through a handle can (rarely, under free-running GIL
-    preemption) be lost.  The runtime and comm instruments are exact on
-    every engine: they are per-rank tallies, each written by its own
-    rank (a mailbox under its rank's lock), and summed once when the run
-    ends (:func:`repro.runtime.spmd.publish_run`).
+    ``inc`` mutates the counter without taking its lock, so two
+    threads incrementing at once (rank threads of the threaded engine,
+    under free-running GIL preemption) could lose an update.  No rank
+    does: every instrument of a run is a per-rank tally, written only by
+    its own rank (``comm.tallies[handle] += n``) and summed once when the
+    run ends (:func:`repro.runtime.spmd.publish_run`), so run totals are
+    exact on every engine.  ``inc`` serves the sites outside a run.
     """
 
     def _create(self, registry: MetricsRegistry) -> Counter:
@@ -410,7 +413,9 @@ class GaugeHandle(_Handle):
 class HistogramHandle(_Handle):
     """Cached handle to a :class:`Histogram` (see :func:`histogram_handle`).
 
-    Lock-free, like :class:`CounterHandle`; the bucket search uses
+    Lock-free, like :class:`CounterHandle`, and for the same sites: in
+    a run, a rank appends to ``comm.samples[handle]`` instead.  The
+    bucket search uses
     ``bisect_left``, which lands on the same bucket as
     :meth:`Histogram.observe`'s linear scan (first bound >= value,
     overflow past the end).

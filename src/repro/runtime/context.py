@@ -188,10 +188,12 @@ class _Endpoint:
     ``next_req`` doubles as the rank's count of requests posted, and
     ``waits`` holds one sample per request completed: the virtual time
     the completion blocked.  ``tallies`` counts the other per-operation
-    instruments of the run (reduction applies, par-loop and pipeline
-    counts), keyed by their
-    :class:`~repro.obs.metrics.CounterHandle`.  All are per-run tallies,
-    published by :func:`repro.runtime.spmd.publish_run`.
+    instruments of the run (reduction applies, redistributions, mesh ops,
+    one-deep phases, par-loop and pipeline counts), keyed by their
+    :class:`~repro.obs.metrics.CounterHandle`, and ``samples`` holds the
+    values their histograms observe, keyed by
+    :class:`~repro.obs.metrics.HistogramHandle`.  All are per-run
+    tallies, published by :func:`repro.runtime.spmd.publish_run`.
     """
 
     clock: float = 0.0
@@ -200,6 +202,7 @@ class _Endpoint:
     next_req: int = 0
     waits: list[float] = field(default_factory=list)
     tallies: defaultdict = field(default_factory=lambda: defaultdict(int))
+    samples: defaultdict = field(default_factory=lambda: defaultdict(list))
 
 
 class RankContext:
@@ -229,6 +232,7 @@ class RankContext:
         #: this rank's tallies of per-operation instruments (see
         #: :class:`_Endpoint`); shared by every view of the rank
         self.tallies = self._endpoint.tallies
+        self.samples = self._endpoint.samples
         #: communication context id; messages only match within a context
         self._ctx = 0
         self._bind_view(rank, size, None)

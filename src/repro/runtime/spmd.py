@@ -109,8 +109,9 @@ def publish_run(engine: Backend, contexts: Sequence[RankContext]) -> None:
 
     While a run is live, no message touches the metrics registry: each
     rank counts on its endpoint (requests posted, one wait sample per
-    completion, and the ``tallies`` of the reductions, the par-loop
-    layer and the pipeline), on its mailbox (deliveries, matches, posts,
+    completion, and the ``tallies`` and ``samples`` of the reductions,
+    redistributions, mesh ops, one-deep phases, the par-loop layer and
+    the pipeline), on its mailbox (deliveries, matches, posts,
     depth samples) and the engine counts its scheduling steps and blocks.
     This sums those partials once, when the run ends — for the
     in-process engines from :func:`spmd_run`, and in every process-engine
@@ -137,12 +138,17 @@ def publish_run(engine: Backend, contexts: Sequence[RankContext]) -> None:
         if value:
             registry.counter(name, help).inc(value)
     tallies: dict = {}
+    samples: dict = {}
     for endpoint in endpoints:
         for handle, value in endpoint.tallies.items():
             tallies[handle] = tallies.get(handle, 0) + value
+        for handle, values in endpoint.samples.items():
+            samples.setdefault(handle, []).extend(values)
     for handle, value in tallies.items():
         if value:
             handle.inc(value)
+    for handle, values in samples.items():
+        registry.histogram(handle.name, handle.buckets, handle.help).observe_many(values)
     for name, buckets, per_rank, help in (
         ("runtime.mailbox.depth", COUNT_BUCKETS, [t[3] for t in mailboxes],
          "pending-queue depth observed at each delivery"),

@@ -495,10 +495,9 @@ class TestDeclaredLoops:
         def explicit(mesh, modes=modes):
             a, b = grids(mesh)
             for mode in modes:
-                mesh.parloop(
-                    body, Arg(b, WRITE), Arg(a, READ, halo=1), margin=1, flops_per_point=2.0, overlap=mode
-                )
-                mesh.parloop(lambda x: None, Arg(a, RW), overlap=mode)
+                mesh.overlap = mode
+                mesh.parloop(body, Arg(b, WRITE), Arg(a, READ, halo=1), margin=1, flops_per_point=2.0)
+                mesh.parloop(lambda x: None, Arg(a, RW))
 
         got, expected = self._observe(declared), self._observe(explicit)
         assert got == expected

@@ -15,6 +15,13 @@ path before it was rebuilt made 39.1 (``sendrecv``), 45.7 (ring), 40.0
 change that needs more calls per message must say why and raise the
 ceiling.  Python 3.12 inlines comprehensions and counts fewer calls, so
 a ceiling set on 3.10 or 3.11 holds there too.
+
+A run of a declared par-loop is held the same way, per rank: planning,
+the packed ghost exchange (its messages included), edge fills, charges
+and the walk.  What a grid's shape fixes — interior slices, owned
+rectangle, edge slabs, each pack's exchange geometry — is built once, so
+a run only posts, copies and charges; before it was, a run made 115.2
+calls.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ import pytest
 import repro
 from repro import spmd_run
 from repro.comm import SUM
+from repro.core.meshspectral import MeshContext
+from repro.kernels import READ, WRITE, Arg
 from repro.machines.catalog import get_machine
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -95,6 +104,40 @@ def calls_per_message(nprocs: int, body, rounds: int, per_round: int) -> float:
 
     calls(1)  # warm: lazy imports and first-use caches
     return (calls(rounds) - calls(0)) / (rounds * per_round)
+
+
+def _mesh_sweeps(comm, rounds: int) -> None:
+    """Two declared loops, each reading a packed pair of grids with a
+    halo and copy edges and writing the other pair: every run exchanges."""
+    mesh = MeshContext(comm)
+    u, v, p, q = (mesh.grid((32, 32), ghost=1, fill=1.0) for _ in range(4))
+
+    def body(out_a, out_b, a, b):
+        pass
+
+    def sweep(dst, src):
+        return mesh.loop(
+            body,
+            *(Arg(grid, WRITE) for grid in dst),
+            *(Arg(grid, READ, halo=1, edges="copy") for grid in src),
+            flops_per_point=4.0,
+        )
+
+    forth, back = sweep((p, q), (u, v)), sweep((u, v), (p, q))
+    for _ in range(rounds):
+        forth()
+        back()
+
+
+#: calls per rank per loop run on 16 ranks (83.36 as written)
+MESH_LOOP_CEILING = 91.6
+
+
+def test_mesh_loop_run_within_budget():
+    measured = calls_per_message(16, _mesh_sweeps, 20, 2 * 16)
+    assert measured <= MESH_LOOP_CEILING, (
+        f"{measured:.2f} calls per loop run, budget {MESH_LOOP_CEILING}"
+    )
 
 
 @pytest.mark.parametrize(

@@ -8,10 +8,11 @@ and completes the same messages and requests whatever the schedule, so
 every registered app at its verify sizes must report the same totals on
 the deterministic, fuzzed, threaded and process engines.  (Queue depths
 and wait times depend on the interleaving; only the wait *count* is
-compared.)  The per-operation counters of the reductions, the par-loop
-layer and the pipeline are per-rank tallies landed the same way, and are
+compared.)  The per-operation counters of the reductions, the
+redistributions, the mesh ops, the one-deep phases, the par-loop layer
+and the pipeline are per-rank tallies landed the same way, and are
 compared by name: each engine must report the same set with the same
-values.
+values.  No instrument of a run is in the registry before that run ends.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import registry
-from repro.obs.metrics import scoped_registry
-from repro.runtime import backends
+from repro.obs.metrics import get_registry, scoped_registry
+from repro.runtime import backends, spmd
 from repro.verify import fuzzed_schedule
 from repro.verify.conformance import run_app
 
@@ -33,7 +34,14 @@ COUNTERS = (
 )
 #: per-operation counters, compared by name (an app reports the ones its
 #: skeleton uses)
-TALLIED = ("comm.reductions.", "core.kernels.", "core.pipeline.")
+TALLIED = (
+    "comm.reductions.",
+    "comm.redistribute.",
+    "core.kernels.",
+    "core.mesh.",
+    "core.onedeep.",
+    "core.pipeline.",
+)
 FUZZ_SEED = 5
 
 
@@ -70,3 +78,24 @@ def test_totals_equal_on_every_engine(app):
     )
     for engine in ("fuzzed", "threads", "parallel"):
         assert _totals(app, engine) == reference, f"{app} on {engine}"
+
+
+@pytest.mark.parametrize("engine", ["deterministic", "threads"])
+@pytest.mark.parametrize("app", registry.names())
+def test_instruments_land_when_the_run_ends(app, engine, monkeypatch):
+    """The registry holds none of a run's instruments until
+    ``publish_run`` lands them: every rank body has returned by then, and
+    nothing a body did was written to the registry from its thread.
+    (The named run consults the tuned catalog first, outside the run.)"""
+    seen: list[list[str]] = []
+    publish = spmd.publish_run
+
+    def publish_run(engine_, contexts):
+        names = get_registry().names()
+        seen.append([name for name in names if name.startswith(("runtime.", *TALLIED))])
+        publish(engine_, contexts)
+
+    monkeypatch.setattr(spmd, "publish_run", publish_run)
+    with scoped_registry():
+        run_app(app, mode=backends.get(engine).mode)
+    assert seen == [[]], f"{app} on {engine}: in the registry before the run ended"

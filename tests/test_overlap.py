@@ -202,7 +202,7 @@ class TestTwoWalks:
                 s = StencilView(u, region)
                 out.interior[region] = s[-1, 0] + s[1, 0] + s[0, -1] + s[0, 1]
 
-            declaration = dict(flops_per_point=4.0, overlap=True)
+            declaration = dict(flops_per_point=4.0)
             args = (RegionKernel(apply), Arg(u, READ, halo=1), Arg(out, WRITE))
             # declared above the poisoning or at the point of use: what a
             # run exchanges is state, read when it runs
@@ -243,7 +243,6 @@ class TestTwoWalks:
                 Arg(u, READ, halo=1),
                 Arg(u.like(), WRITE),
                 flops_per_point=1.0,
-                overlap=True,
                 label="walk",
             )
 
@@ -267,7 +266,7 @@ class TestTwoWalks:
                 raise ValueError("body failed")
 
             mesh.parloop(
-                RegionKernel(apply), Arg(u, READ, halo=1), Arg(u.like(), WRITE), overlap=True
+                RegionKernel(apply), Arg(u, READ, halo=1), Arg(u.like(), WRITE)
             )
 
         with pytest.raises(RankFailedError) as info:

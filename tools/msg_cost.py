@@ -12,7 +12,9 @@ message), a 16-rank ring — perfbench's own handoff bodies — and a 2-rank
 off: microseconds, fastest of N runs, and the Python-level calls made into
 ``repro`` code (:func:`count_calls`; exact, the same on every run).  Then
 the bare thread switch those include — a token passed round 2 and 16
-threads by one held-at-rest lock each, the engine's handoff primitive — so
+threads by one held-at-rest lock each, the engine's handoff primitive, on
+threads under the engine's rank-thread scheduling policy
+(``repro.runtime.scheduler.batch_thread``, where the checkout has one) — so
 the rest of a message's time is the simulator's own Python.
 ``docs/performance_model.md`` ("Measuring the simulator itself") has the
 table this prints; ``tests/test_message_cost.py`` holds the call counts to
@@ -66,13 +68,15 @@ def _exchange(comm, rounds: int) -> None:
         comm.sendrecv(other, b"8 bytes.", other)
 
 
-def _switch(nthreads: int, laps: int) -> float:
-    """Seconds per handoff of a token round *nthreads* threads."""
+def _switch(nthreads: int, laps: int, policy) -> float:
+    """Seconds per handoff of a token round *nthreads* threads, each of
+    which first calls *policy* (the engine's rank-thread setup)."""
     locks = [threading.Lock() for _ in range(nthreads)]
     for lock in locks:
         lock.acquire()
 
     def body(i: int) -> None:
+        policy()
         mine, succ = locks[i], locks[(i + 1) % nthreads]
         for _ in range(laps):
             mine.acquire()
@@ -93,7 +97,10 @@ def main(src: str) -> None:
     sys.path[:0] = [src, str(ROOT)]
     from perfbench.layers import _ping_pong, _ring
     from repro.machines.catalog import get_machine
+    from repro.runtime import scheduler
     from repro.runtime.spmd import spmd_run
+
+    policy = getattr(scheduler, "batch_thread", lambda: None)
 
     machine = get_machine("ibm-sp")
     repro = (str(Path(src).resolve() / "repro") + os.sep, "<string>")
@@ -122,7 +129,7 @@ def main(src: str) -> None:
         ncalls = (calls(nprocs, body, rounds) - calls(nprocs, empty, 0)) / messages
         print(f"{name:<22} {cost * 1e6:6.2f} us/message {ncalls:6.2f} calls/message")
     for nthreads, laps in ((2, 4000), (16, 400)):
-        cost = min(_switch(nthreads, laps) for _ in range(RUNS))
+        cost = min(_switch(nthreads, laps, policy) for _ in range(RUNS))
         print(f"switch, {nthreads:>2} threads      {cost * 1e6:6.2f} us")
 
 
