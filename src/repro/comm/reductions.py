@@ -17,16 +17,16 @@ from typing import Any
 
 import numpy as np
 
-from repro.obs.metrics import CounterHandle, counter_handle
+from repro.obs.metrics import Metric, counter_handle
 
 _APPLIES = counter_handle(
     "comm.reductions.applies", help="binary reduction-operator applications"
 )
-#: one cached handle per operator name
-_APPLIES_BY_NAME: dict[str, CounterHandle] = {}
+#: one declaration per operator name
+_APPLIES_BY_NAME: dict[str, Metric] = {}
 
 
-def _applies_handle(name: str) -> CounterHandle:
+def _applies_handle(name: str) -> Metric:
     handle = _APPLIES_BY_NAME.get(name)
     if handle is None:
         handle = _APPLIES_BY_NAME[name] = counter_handle(

@@ -37,13 +37,13 @@ from repro.errors import ArchetypeError
 from repro.comm.communicator import Comm
 from repro.core.archetype import Archetype
 from repro.core.parfor import parfor
-from repro.obs.metrics import CounterHandle, counter_handle, histogram_handle
+from repro.obs.metrics import Metric, counter_handle, histogram_handle
 from repro.util.partition import split_evenly
 
 _PHASE_SECONDS = histogram_handle(
     "core.onedeep.phase_seconds", help="per-rank virtual time inside a phase"
 )
-_PHASE_BY_LABEL: dict[str, CounterHandle] = {}
+_PHASE_BY_LABEL: dict[str, Metric] = {}
 
 
 def _record_phase(comm: Comm, label: str, entry_clock: float) -> None:

@@ -3,11 +3,12 @@
 Three layers, all built on artifacts the runtime already produces:
 
 - :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry` of
-  counters, gauges, and fixed-bucket histograms.  The runtime, the
-  communication library, and the archetype skeletons are instrumented at
-  their choke points (scheduler steps/blocks, mailbox enqueue/match,
-  collective entry/exit, archetype phase boundaries), so every run
-  populates the registry without any application changes.
+  counters, gauges, and fixed-bucket histograms, each declared once as a
+  :class:`Metric`.  The runtime, the communication library, and the
+  archetype skeletons are instrumented at their choke points (scheduler
+  steps/blocks, mailbox enqueue/match, collective entry/exit, archetype
+  phase boundaries) as per-rank tallies that land when a run ends, so
+  every run populates the registry without any application changes.
 - :mod:`repro.obs.critical` — happens-before analysis of a
   :class:`~repro.trace.tracer.Tracer`'s event logs: message send/recv
   pairing, the critical path (the longest virtual-time chain, whose
@@ -38,8 +39,12 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    Metric,
     MetricsRegistry,
+    counter_handle,
+    gauge_handle,
     get_registry,
+    histogram_handle,
     scoped_registry,
     set_registry,
 )
@@ -48,7 +53,11 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Metric",
     "MetricsRegistry",
+    "counter_handle",
+    "gauge_handle",
+    "histogram_handle",
     "get_registry",
     "set_registry",
     "scoped_registry",

@@ -7,31 +7,30 @@ collectives, archetype phases) record *what the runtime did*, and the
 ``python -m repro.obs`` CLI or a test reads the numbers back.
 
 A process-wide default registry is always available via
-:func:`get_registry`; instrumentation sites call
-``get_registry().counter("...").inc()`` so that tests can swap in a
-fresh registry with :func:`scoped_registry` and observe one run in
-isolation.  All instruments are thread-safe (ranks run on threads).
+:func:`get_registry`; tests swap in a fresh one with
+:func:`scoped_registry` to observe one run in isolation.  Every write
+to an instrument takes that instrument's lock.
 
-Sites that record often use the bind-once *handle* API instead — :func:`counter_handle`,
-:func:`gauge_handle`, :func:`histogram_handle` — which resolves the
-instrument once and then records with a single registry-identity check
-per event (no lock, no dict lookup, no name formatting).  Handles stay
-correct across :func:`scoped_registry`/:func:`set_registry` swaps: a
-swap is detected by identity comparison and the handle re-binds against
-the new registry on its next use.
+Instrumentation sites declare their instruments once, at import time,
+with :func:`counter_handle`, :func:`gauge_handle` and
+:func:`histogram_handle`: a :class:`Metric` is a plain declaration
+(kind, name, help, buckets) that holds no value.  There are two ways to
+record, one per kind of state:
 
-Every instrument a run records touches no registry while the run is
-live: the per-message ones (``runtime.mailbox.*``,
-``runtime.scheduler.steps``/``blocks``, ``comm.requests.*``) are plain
-tallies on each rank's endpoint, its mailbox and the engine, and the
-per-operation ones (``comm.reductions.*``, ``comm.redistribute.*``,
-``core.kernels.*``, ``core.mesh.*``, ``core.onedeep.*``,
-``core.pipeline.*``) are counts in the rank's ``comm.tallies`` and
-values in its ``comm.samples``, keyed by handle.
-:func:`repro.runtime.spmd.publish_run` lands them all in the current
-registry once, when the run ends (histogram samples are bucketed there
-by :meth:`Histogram.observe_many`).  A handle's own ``inc``/``observe``
-is for sites outside a run: the tuner, the catalog, the server.
+- **Outside a run** (the tuner, the catalog, the server), a site calls
+  the declaration's ``inc``/``set``/``observe``, which records into the
+  current registry's instrument under that instrument's lock.
+- **In a run**, no rank writes the registry while the run is live.  The
+  per-message instruments (``runtime.mailbox.*``,
+  ``runtime.scheduler.steps``/``blocks``, ``comm.requests.*``) are plain
+  tallies on each rank's endpoint, its mailbox and the engine, and the
+  per-operation ones (``comm.reductions.*``, ``comm.redistribute.*``,
+  ``core.kernels.*``, ``core.mesh.*``, ``core.onedeep.*``,
+  ``core.pipeline.*``, ``runtime.parallel.*``) are counts in the rank's
+  ``comm.tallies`` and values in its ``comm.samples``, keyed by
+  declaration.  :func:`repro.runtime.spmd.publish_run` lands them all
+  in the current registry once, when the run ends (histogram samples
+  are bucketed there by :meth:`Histogram.observe_many`).
 
 This module sits below :mod:`repro.runtime` in the layering: it imports
 nothing from the rest of the package, so the runtime can import it
@@ -100,13 +99,6 @@ class Gauge:
         with self._lock:
             self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         return self._value
@@ -143,23 +135,15 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        with self._lock:
-            i = 0
-            while i < len(self.buckets) and value > self.buckets[i]:
-                i += 1
-            self._counts[i] += 1
-            self._count += 1
-            self._sum += value
-            self._min = min(self._min, value)
-            self._max = max(self._max, value)
+        self._fold(((bisect_left(self.buckets, value), 1),), 1, value, value, value)
 
     def observe_many(self, values: Sequence[float]) -> None:
         """Fold a batch of observations in at once.
 
         Buckets, count, min and max come out exactly as from one
-        :meth:`observe` per value (``searchsorted(side="left")`` is the
-        first bound >= value, overflow past the end); the sum is the
-        same total added in another order.
+        :meth:`observe` per value (``searchsorted(side="left")`` is
+        ``bisect_left``: the first bound >= value, overflow past the
+        end); the sum is the same total added in another order.
         """
         if not len(values):
             return
@@ -168,13 +152,25 @@ class Histogram:
             np.searchsorted(self.buckets, samples, side="left"),
             minlength=len(self._counts),
         )
+        self._fold(
+            enumerate(bins.tolist()),
+            len(samples),
+            float(samples.sum()),
+            float(samples.min()),
+            float(samples.max()),
+        )
+
+    def _fold(self, bins, count: int, total: float, low: float, high: float) -> None:
+        """Add ``(bucket index, count)`` pairs and a batch's count, sum,
+        min and max: the one update behind :meth:`observe`,
+        :meth:`observe_many` and :meth:`MetricsRegistry.merge_snapshot`."""
         with self._lock:
-            for i, count in enumerate(bins.tolist()):
-                self._counts[i] += count
-            self._count += len(samples)
-            self._sum += float(samples.sum())
-            self._min = min(self._min, float(samples.min()))
-            self._max = max(self._max, float(samples.max()))
+            for i, n in bins:
+                self._counts[i] += n
+            self._count += count
+            self._sum += total
+            self._min = min(self._min, low)
+            self._max = max(self._max, high)
 
     @property
     def count(self) -> int:
@@ -204,6 +200,40 @@ class Histogram:
         }
 
 
+_SCALARS = {"counter": Counter, "gauge": Gauge}
+
+
+class Metric:
+    """The declaration of one instrument: ``kind``, ``name``, ``help`` and
+    ``buckets`` (histograms only), made once at import time by
+    :func:`counter_handle`, :func:`gauge_handle` or :func:`histogram_handle`.
+
+    It holds no value.  Outside a run, :meth:`inc`, :meth:`set` and
+    :meth:`observe` record into the current registry's instrument, under
+    that instrument's lock.  In a run, a rank keys its ``comm.tallies``
+    and ``comm.samples`` by the declaration (hashed by identity) and
+    :func:`repro.runtime.spmd.publish_run` lands them through
+    :meth:`MetricsRegistry.instrument` when the run ends.
+    """
+
+    __slots__ = ("kind", "name", "help", "buckets")
+
+    def __init__(self, kind: str, name: str, help: str = "", buckets: Sequence[float] = ()):
+        self.kind = kind
+        self.name = name
+        self.help = help
+        self.buckets = buckets
+
+    def inc(self, amount: float = 1.0) -> None:
+        _default_registry.instrument(self).inc(amount)
+
+    def set(self, value: float) -> None:
+        _default_registry.instrument(self).set(value)
+
+    def observe(self, value: float) -> None:
+        _default_registry.instrument(self).observe(value)
+
+
 class MetricsRegistry:
     """A named collection of instruments with get-or-create access.
 
@@ -216,31 +246,36 @@ class MetricsRegistry:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
         self._lock = threading.Lock()
 
-    def _get_or_create(self, name: str, factory, kind: str):
-        with self._lock:
-            inst = self._instruments.get(name)
-            if inst is None:
-                inst = factory()
-                self._instruments[name] = inst
-            elif inst.kind != kind:
-                raise MetricsError(
-                    f"metric {name!r} already registered as a {inst.kind}, "
-                    f"requested as a {kind}"
-                )
-            return inst
+    def instrument(self, metric: Metric) -> Counter | Gauge | Histogram:
+        """The instrument *metric* declares, created on first use; a name
+        registered as another kind raises :class:`MetricsError`."""
+        inst = self._instruments.get(metric.name)
+        if inst is None:
+            with self._lock:
+                inst = self._instruments.get(metric.name)
+                if inst is None:
+                    if metric.kind == "histogram":
+                        inst = Histogram(metric.name, metric.buckets, metric.help)
+                    else:
+                        inst = _SCALARS[metric.kind](metric.name, metric.help)
+                    self._instruments[metric.name] = inst
+        if inst.kind != metric.kind:
+            raise MetricsError(
+                f"metric {metric.name!r} already registered as a {inst.kind}, "
+                f"requested as a {metric.kind}"
+            )
+        return inst
 
     def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(name, lambda: Counter(name, help), "counter")
+        return self.instrument(Metric("counter", name, help))
 
     def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name, help), "gauge")
+        return self.instrument(Metric("gauge", name, help))
 
     def histogram(
         self, name: str, buckets: Sequence[float] = TIME_BUCKETS, help: str = ""
     ) -> Histogram:
-        return self._get_or_create(
-            name, lambda: Histogram(name, buckets, help), "histogram"
-        )
+        return self.instrument(Metric("histogram", name, help, buckets))
 
     def get(self, name: str) -> Counter | Gauge | Histogram | None:
         """The instrument registered under *name*, or ``None``."""
@@ -288,15 +323,13 @@ class MetricsRegistry:
                         f"histogram {name!r} bucket mismatch: registry has "
                         f"{hist.buckets}, snapshot has {bounds}"
                     )
-                with hist._lock:
-                    for i, count in enumerate(bucket_counts.values()):
-                        hist._counts[i] += count
-                    hist._count += data["count"]
-                    hist._sum += data["sum"]
-                    if data["min"] is not None:
-                        hist._min = min(hist._min, data["min"])
-                    if data["max"] is not None:
-                        hist._max = max(hist._max, data["max"])
+                hist._fold(
+                    enumerate(bucket_counts.values()),
+                    data["count"],
+                    data["sum"],
+                    float("inf") if data["min"] is None else data["min"],
+                    float("-inf") if data["max"] is None else data["max"],
+                )
             else:
                 raise MetricsError(f"metric {name!r} has unknown kind {kind!r}")
 
@@ -351,113 +384,16 @@ def scoped_registry(
         set_registry(previous)
 
 
-class _Handle:
-    """Bind-once accessor for one instrument of the process-wide registry.
-
-    Created at import time by instrumentation sites; resolves its
-    instrument on first use and re-resolves automatically whenever the
-    default registry is swapped (:func:`scoped_registry` /
-    :func:`set_registry`), detected by a plain identity check; each
-    subclass's ``_create`` makes its kind of instrument.
-    """
-
-    __slots__ = ("name", "help", "_registry", "_instrument")
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self._registry: MetricsRegistry | None = None
-        self._instrument: Counter | Gauge | Histogram | None = None
+def counter_handle(name: str, help: str = "") -> Metric:
+    """Declare a counter."""
+    return Metric("counter", name, help)
 
 
-class CounterHandle(_Handle):
-    """Cached handle to a :class:`Counter` (see :func:`counter_handle`).
-
-    ``inc`` mutates the counter without taking its lock, so two
-    threads incrementing at once (rank threads of the threaded engine,
-    under free-running GIL preemption) could lose an update.  No rank
-    does: every instrument of a run is a per-rank tally, written only by
-    its own rank (``comm.tallies[handle] += n``) and summed once when the
-    run ends (:func:`repro.runtime.spmd.publish_run`), so run totals are
-    exact on every engine.  ``inc`` serves the sites outside a run.
-    """
-
-    def _create(self, registry: MetricsRegistry) -> Counter:
-        return registry.counter(self.name, self.help)
-
-    def inc(self, amount: float = 1.0) -> None:
-        registry = _default_registry
-        if self._registry is not registry:
-            self._instrument = self._create(registry)
-            self._registry = registry
-        self._instrument._value += amount
+def gauge_handle(name: str, help: str = "") -> Metric:
+    """Declare a gauge."""
+    return Metric("gauge", name, help)
 
 
-class GaugeHandle(_Handle):
-    """Cached handle to a :class:`Gauge` (see :func:`gauge_handle`).
-
-    Lock-free, like :class:`CounterHandle`.
-    """
-
-    def _create(self, registry: MetricsRegistry) -> Gauge:
-        return registry.gauge(self.name, self.help)
-
-    def set(self, value: float) -> None:
-        registry = _default_registry
-        if self._registry is not registry:
-            self._instrument = self._create(registry)
-            self._registry = registry
-        self._instrument._value = float(value)
-
-
-class HistogramHandle(_Handle):
-    """Cached handle to a :class:`Histogram` (see :func:`histogram_handle`).
-
-    Lock-free, like :class:`CounterHandle`, and for the same sites: in
-    a run, a rank appends to ``comm.samples[handle]`` instead.  The
-    bucket search uses
-    ``bisect_left``, which lands on the same bucket as
-    :meth:`Histogram.observe`'s linear scan (first bound >= value,
-    overflow past the end).
-    """
-
-    __slots__ = ("buckets",)
-
-    def __init__(self, name: str, buckets: Sequence[float] = TIME_BUCKETS, help: str = ""):
-        super().__init__(name, help)
-        self.buckets = buckets
-
-    def _create(self, registry: MetricsRegistry) -> Histogram:
-        return registry.histogram(self.name, self.buckets, self.help)
-
-    def observe(self, value: float) -> None:
-        registry = _default_registry
-        if self._registry is not registry:
-            self._instrument = self._create(registry)
-            self._registry = registry
-        inst = self._instrument
-        value = float(value)
-        inst._counts[bisect_left(inst.buckets, value)] += 1
-        inst._count += 1
-        inst._sum += value
-        if value < inst._min:
-            inst._min = value
-        if value > inst._max:
-            inst._max = value
-
-
-def counter_handle(name: str, help: str = "") -> CounterHandle:
-    """A bind-once counter accessor for hot instrumentation sites."""
-    return CounterHandle(name, help)
-
-
-def gauge_handle(name: str, help: str = "") -> GaugeHandle:
-    """A bind-once gauge accessor for hot instrumentation sites."""
-    return GaugeHandle(name, help)
-
-
-def histogram_handle(
-    name: str, buckets: Sequence[float] = TIME_BUCKETS, help: str = ""
-) -> HistogramHandle:
-    """A bind-once histogram accessor for hot instrumentation sites."""
-    return HistogramHandle(name, buckets, help)
+def histogram_handle(name: str, buckets: Sequence[float] = TIME_BUCKETS, help: str = "") -> Metric:
+    """Declare a histogram."""
+    return Metric("histogram", name, help, buckets)

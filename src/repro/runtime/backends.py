@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.runtime.scheduler import DeterministicBackend, Seeded, ThreadedBackend
@@ -46,8 +46,6 @@ class BackendSpec:
     in_process: bool
     #: ``factory(nprocs, **options) -> Backend`` for in-process backends
     factory: Callable | None = None
-    #: alternative names accepted by :func:`resolve`
-    aliases: tuple[str, ...] = field(default=())
     #: the :class:`~repro.core.archetype.ExecutionMode` string that drives
     #: this backend through ``Archetype.run(mode=...)``.  The fuzzed
     #: backend shares ``"sequential"`` with the deterministic one — it is
@@ -72,7 +70,6 @@ def _make_threads(nprocs: int, **options) -> "object":
 
 
 _REGISTRY: dict[str, BackendSpec] = {}
-_ALIASES: dict[str, str] = {}
 
 
 def register(spec: BackendSpec) -> None:
@@ -81,8 +78,6 @@ def register(spec: BackendSpec) -> None:
     if existing is not None and existing != spec:
         raise ReproError(f"backend {spec.name!r} already registered")
     _REGISTRY[spec.name] = spec
-    for alias in spec.aliases:
-        _ALIASES[alias] = spec.name
 
 
 register(
@@ -110,7 +105,6 @@ register(
         "(concurrent, GIL-serialised)",
         in_process=True,
         factory=_make_threads,
-        aliases=("threaded",),
         mode="threads",
     )
 )
@@ -120,7 +114,6 @@ register(
         description="one OS process per rank with shared-memory payload "
         "transport (real multi-core execution)",
         in_process=False,
-        aliases=("processes",),
         mode="parallel",
     )
 )
@@ -132,21 +125,20 @@ def names() -> tuple[str, ...]:
 
 
 def resolve(name: str | None) -> str:
-    """Canonicalise *name* (``None`` → the ``REPRO_BACKEND`` default).
+    """Resolve *name* (``None`` → the ``REPRO_BACKEND`` default).
 
     Raises :class:`~repro.errors.ReproError` for unknown names, listing
     the registered choices.
     """
     if name is None:
         name = os.environ.get(BACKEND_ENV) or "deterministic"
-    name = _ALIASES.get(name, name)
     if name not in _REGISTRY:
         raise ReproError(f"unknown backend {name!r}; choose from {names()}")
     return name
 
 
 def get(name: str | None) -> BackendSpec:
-    """The :class:`BackendSpec` registered under *name* (aliases resolved)."""
+    """The :class:`BackendSpec` registered under *name*."""
     return _REGISTRY[resolve(name)]
 
 

@@ -189,11 +189,11 @@ class _Endpoint:
     ``waits`` holds one sample per request completed: the virtual time
     the completion blocked.  ``tallies`` counts the other per-operation
     instruments of the run (reduction applies, redistributions, mesh ops,
-    one-deep phases, par-loop and pipeline counts), keyed by their
-    :class:`~repro.obs.metrics.CounterHandle`, and ``samples`` holds the
-    values their histograms observe, keyed by
-    :class:`~repro.obs.metrics.HistogramHandle`.  All are per-run
-    tallies, published by :func:`repro.runtime.spmd.publish_run`.
+    one-deep phases, par-loop, pipeline and payload-transport counts), and
+    ``samples`` holds the values their histograms observe, both keyed by
+    the instrument's :class:`~repro.obs.metrics.Metric` declaration.  All
+    are per-run tallies, published by
+    :func:`repro.runtime.spmd.publish_run`.
     """
 
     clock: float = 0.0

@@ -80,12 +80,16 @@ from repro.errors import DeadlockError, RankFailedError, ReproError
 from repro.machines.model import MachineModel
 from repro.obs.metrics import counter_handle, get_registry, scoped_registry
 from repro.runtime.message import Message
-from repro.runtime.scheduler import Backend, _Aborted, _recv_label, _wait_holds, describe_wait
+from repro.runtime.scheduler import (
+    _DEADLOCKS,
+    Backend,
+    _Aborted,
+    _recv_label,
+    _wait_holds,
+    describe_wait,
+)
 from repro.trace.tracer import Tracer
 
-_DEADLOCKS = counter_handle(
-    "runtime.scheduler.deadlocks", help="runs aborted as deadlocked"
-)
 _SHM_SENT = counter_handle(
     "runtime.parallel.shm_segments", help="payload arrays staged in shared memory"
 )
@@ -139,18 +143,19 @@ class _SegmentStager:
     def __init__(self, prefix: str, rank: int):
         self._prefix = prefix
         self._rank = rank
-        self._seq = 0
+        #: segments staged so far: the next one's sequence number, and
+        #: this rank's ``runtime.parallel.shm_segments`` tally for the run
+        self.staged = 0
 
     def stage(self, array: np.ndarray) -> _ShmRef:
         data = np.ascontiguousarray(array)
-        name = f"{self._prefix}.{self._rank}.{self._seq}"
-        self._seq += 1
+        name = f"{self._prefix}.{self._rank}.{self.staged}"
+        self.staged += 1
         seg = shared_memory.SharedMemory(name=name, create=True, size=data.nbytes)
         np.frombuffer(seg.buf, dtype=data.dtype).reshape(data.shape)[...] = data
         tracked = seg._name  # the registered name (leading slash included)
         seg.close()
         _untrack(tracked)
-        _SHM_SENT.inc()
         return _ShmRef(name, data.dtype.str, data.shape)
 
 
@@ -282,6 +287,9 @@ class ParallelBackend(Backend):
         self._threshold = wiring.shm_threshold
         #: received segments, parked to pin their mappings for the run
         self._attached: list = []
+        #: payloads sent by the pickle fallback: this rank's
+        #: ``runtime.parallel.pickled_payloads`` tally for the run
+        self.pickled = 0
 
     # -- transport ---------------------------------------------------------
     def deliver(self, msg: Message) -> None:
@@ -293,7 +301,7 @@ class ParallelBackend(Backend):
             payload=_encode_payload(msg.payload, self._threshold, self._stager)
         )
         if not isinstance(msg.payload, _ShmRef):
-            _PICKLED.inc()
+            self.pickled += 1
         self._wiring.inboxes[msg.dest].put(msg)
 
     def _deposit(self, msg: Message) -> None:
@@ -412,6 +420,8 @@ def _worker_main(
                 ("error", rank, (_portable_error(exc), traceback.format_exc()))
             )
             return
+        comm.tallies[_SHM_SENT] += backend._stager.staged
+        comm.tallies[_PICKLED] += backend.pickled
         publish_run(backend, [comm])
         snapshot = registry.snapshot()
     log = tracer.logs[rank] if tracer is not None else None

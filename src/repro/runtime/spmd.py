@@ -18,11 +18,30 @@ from typing import Any
 from repro.errors import ReproError
 from repro.machines.catalog import IDEAL
 from repro.machines.model import MachineModel
-from repro.obs.metrics import COUNT_BUCKETS, TIME_BUCKETS, get_registry
+from repro.obs.metrics import COUNT_BUCKETS, counter_handle, get_registry, histogram_handle
 from repro.runtime import backends
 from repro.runtime.context import RankContext
 from repro.runtime.scheduler import Backend, FaultPlan
 from repro.trace.tracer import Tracer
+
+
+_ENQUEUED = counter_handle("runtime.mailbox.enqueued", help="messages delivered to mailboxes")
+_MATCHED = counter_handle(
+    "runtime.mailbox.matched", help="messages removed by a matching receive"
+)
+_POSTED = counter_handle("runtime.mailbox.posted", help="receive patterns posted (irecv)")
+_DEPTH = histogram_handle(
+    "runtime.mailbox.depth",
+    buckets=COUNT_BUCKETS,
+    help="pending-queue depth observed at each delivery",
+)
+_REQUESTS = counter_handle("comm.requests.posted", help="nonblocking requests posted")
+_COMPLETED = counter_handle("comm.requests.completed", help="nonblocking requests completed")
+_WAIT_SECONDS = histogram_handle(
+    "comm.requests.wait_seconds", help="virtual time spent blocked completing a request"
+)
+_STEPS = counter_handle("runtime.scheduler.steps", help="run-to-block scheduling decisions")
+_BLOCKS = counter_handle("runtime.scheduler.blocks", help="ranks suspended awaiting a message")
 
 
 @dataclass(frozen=True)
@@ -110,54 +129,43 @@ def publish_run(engine: Backend, contexts: Sequence[RankContext]) -> None:
     While a run is live, no message touches the metrics registry: each
     rank counts on its endpoint (requests posted, one wait sample per
     completion, and the ``tallies`` and ``samples`` of the reductions,
-    redistributions, mesh ops, one-deep phases, the par-loop layer and
-    the pipeline), on its mailbox (deliveries, matches, posts,
+    redistributions, mesh ops, one-deep phases, the par-loop layer, the
+    pipeline and the process engine's payload transport), on its mailbox (deliveries, matches, posts,
     depth samples) and the engine counts its scheduling steps and blocks.
     This sums those partials once, when the run ends — for the
     in-process engines from :func:`spmd_run`, and in every process-engine
-    worker, over its one rank, before it ships its snapshot.  An
-    instrument appears only once something was recorded in it.
+    worker, over its one rank, before it ships its snapshot.  Every
+    tally lands through the registry's own instrument, keyed by its
+    :class:`~repro.obs.metrics.Metric` declaration.  An instrument
+    appears only once something was recorded in it.
     """
-    registry = get_registry()
     mailboxes = [mailbox.tally() for mailbox in engine.mailboxes]
     endpoints = [context._endpoint for context in contexts]
-    for name, value, help in (
-        ("runtime.mailbox.enqueued", sum(t[0] for t in mailboxes),
-         "messages delivered to mailboxes"),
-        ("runtime.mailbox.matched", sum(t[1] for t in mailboxes),
-         "messages removed by a matching receive"),
-        ("runtime.mailbox.posted", sum(t[2] for t in mailboxes),
-         "receive patterns posted (irecv)"),
-        ("comm.requests.posted", sum(ep.next_req for ep in endpoints),
-         "nonblocking requests posted"),
-        ("comm.requests.completed", sum(len(ep.waits) for ep in endpoints),
-         "nonblocking requests completed"),
-        ("runtime.scheduler.steps", engine.steps, "run-to-block scheduling decisions"),
-        ("runtime.scheduler.blocks", engine.blocks, "ranks suspended awaiting a message"),
-    ):  # fmt: skip
-        if value:
-            registry.counter(name, help).inc(value)
-    tallies: dict = {}
-    samples: dict = {}
+    tallies = {
+        _ENQUEUED: sum(t[0] for t in mailboxes),
+        _MATCHED: sum(t[1] for t in mailboxes),
+        _POSTED: sum(t[2] for t in mailboxes),
+        _REQUESTS: sum(ep.next_req for ep in endpoints),
+        _COMPLETED: sum(len(ep.waits) for ep in endpoints),
+        _STEPS: engine.steps,
+        _BLOCKS: engine.blocks,
+    }
+    samples = {
+        _DEPTH: list(chain.from_iterable(t[3] for t in mailboxes)),
+        _WAIT_SECONDS: list(chain.from_iterable(ep.waits for ep in endpoints)),
+    }
     for endpoint in endpoints:
-        for handle, value in endpoint.tallies.items():
-            tallies[handle] = tallies.get(handle, 0) + value
-        for handle, values in endpoint.samples.items():
-            samples.setdefault(handle, []).extend(values)
-    for handle, value in tallies.items():
+        for metric, value in endpoint.tallies.items():
+            tallies[metric] = tallies.get(metric, 0) + value
+        for metric, values in endpoint.samples.items():
+            samples.setdefault(metric, []).extend(values)
+    registry = get_registry()
+    for metric, value in tallies.items():
         if value:
-            handle.inc(value)
-    for handle, values in samples.items():
-        registry.histogram(handle.name, handle.buckets, handle.help).observe_many(values)
-    for name, buckets, per_rank, help in (
-        ("runtime.mailbox.depth", COUNT_BUCKETS, [t[3] for t in mailboxes],
-         "pending-queue depth observed at each delivery"),
-        ("comm.requests.wait_seconds", TIME_BUCKETS, [ep.waits for ep in endpoints],
-         "virtual time spent blocked completing a request"),
-    ):  # fmt: skip
-        samples = list(chain.from_iterable(per_rank))
-        if samples:
-            registry.histogram(name, buckets, help).observe_many(samples)
+            registry.instrument(metric).inc(value)
+    for metric, values in samples.items():
+        if values:
+            registry.instrument(metric).observe_many(values)
 
 
 def spmd_run(

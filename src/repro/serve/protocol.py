@@ -12,7 +12,7 @@ Cache-key derivation
 name, the fully-merged parameter dict (defaults overlaid with the
 caller's overrides, so ``{}`` and an explicit restatement of the
 defaults key identically), the machine name, the schedule seed, the
-resolved backend name (aliases collapse), and the *pinned tuned
+resolved backend name (``null`` takes the default), and the *pinned tuned
 configuration*.  The digest reuses
 :func:`repro.verify.digest.value_digest` — the same canonical encoding
 that certifies cross-backend identity — so the key is stable across
@@ -97,7 +97,7 @@ class JobRequest:
     def validated(self) -> JobRequest:
         """Canonicalise and validate; raises :class:`ServeError` on bad input.
 
-        Returns a request with the backend alias resolved and the params
+        Returns a request with the backend name resolved and the params
         fully merged over the app's registered defaults (so equivalent
         requests are *equal* requests).
         """

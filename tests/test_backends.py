@@ -1,4 +1,4 @@
-"""Backend registry: names, aliases, env resolution, runner plumbing."""
+"""Backend registry: names, env resolution, runner plumbing."""
 
 from __future__ import annotations
 
@@ -22,18 +22,15 @@ class TestRegistry:
     def test_canonical_names(self):
         assert backends.names() == ("deterministic", "fuzzed", "threads", "parallel")
 
-    def test_aliases_resolve(self):
-        assert backends.resolve("threaded") == "threads"
-        assert backends.resolve("processes") == "parallel"
-
     def test_unknown_name_raises_listing_choices(self):
-        with pytest.raises(ReproError, match="unknown backend 'warp'"):
-            backends.resolve("warp")
+        for name in ("warp", "threaded"):
+            with pytest.raises(ReproError, match=f"unknown backend '{name}'"):
+                backends.resolve(name)
 
     def test_none_resolves_env_default(self, monkeypatch):
         monkeypatch.delenv(backends.BACKEND_ENV, raising=False)
         assert backends.resolve(None) == "deterministic"
-        monkeypatch.setenv(backends.BACKEND_ENV, "threaded")
+        monkeypatch.setenv(backends.BACKEND_ENV, "threads")
         assert backends.resolve(None) == "threads"
 
     def test_create_in_process_backends(self):
@@ -71,7 +68,7 @@ class TestRunnerPlumbing:
 
     def test_result_records_backend(self):
         assert spmd_run(2, _rank_id).backend == "deterministic"
-        assert spmd_run(2, _rank_id, backend="threaded").backend == "threads"
+        assert spmd_run(2, _rank_id, backend="threads").backend == "threads"
 
     def test_execution_modes_map_to_backends(self):
         assert ExecutionMode.SEQUENTIAL.backend == "deterministic"

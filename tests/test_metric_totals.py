@@ -12,13 +12,16 @@ compared.)  The per-operation counters of the reductions, the
 redistributions, the mesh ops, the one-deep phases, the par-loop layer
 and the pipeline are per-rank tallies landed the same way, and are
 compared by name: each engine must report the same set with the same
-values.  No instrument of a run is in the registry before that run ends.
+values.  No instrument of a run is in the registry before that run ends,
+on the process engine's workers either.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro import spmd_run
 from repro.apps import registry
 from repro.obs.metrics import get_registry, scoped_registry
 from repro.runtime import backends, spmd
@@ -99,3 +102,30 @@ def test_instruments_land_when_the_run_ends(app, engine, monkeypatch):
     with scoped_registry():
         run_app(app, mode=backends.get(engine).mode)
     assert seen == [[]], f"{app} on {engine}: in the registry before the run ended"
+
+
+TRANSPORT = ("runtime.parallel.shm_segments", "runtime.parallel.pickled_payloads")
+
+
+def _transport_probe(comm):
+    """Rank 0 sends one array past the 32 KiB shared-memory threshold and
+    one small payload; each rank then lists the transport instruments
+    its worker's registry already holds."""
+    if comm.rank == 0:
+        comm.send(1, np.zeros(8192))
+        comm.send(1, 1.0)
+    else:
+        comm.recv(source=0)
+        comm.recv(source=0)
+    return [name for name in TRANSPORT if get_registry().get(name) is not None]
+
+
+def test_process_engine_transport_lands_when_the_run_ends():
+    """The process engine's transport counters are per-run tallies too: a
+    worker's registry holds neither while its rank body runs, and the
+    parent's totals count the one segment and the one pickled payload."""
+    with scoped_registry() as metrics:
+        result = spmd_run(2, _transport_probe, backend="parallel")
+        snapshot = metrics.snapshot()
+    assert result.values == [[], []]
+    assert [snapshot[name]["value"] for name in TRANSPORT] == [1, 1]

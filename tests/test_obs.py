@@ -1,6 +1,8 @@
 """The observability subsystem: metrics, critical path, Chrome export, CLI."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -28,7 +30,10 @@ from repro.obs.metrics import (
     Histogram,
     MetricsError,
     MetricsRegistry,
+    counter_handle,
+    gauge_handle,
     get_registry,
+    histogram_handle,
     scoped_registry,
     set_registry,
 )
@@ -52,8 +57,7 @@ class TestInstruments:
     def test_gauge_moves_both_ways(self):
         g = Gauge("g")
         g.set(10)
-        g.dec(4)
-        g.inc()
+        g.set(7)
         assert g.value == 7.0
 
     def test_histogram_buckets_observations(self):
@@ -77,6 +81,25 @@ class TestInstruments:
         # Regression: default bucket tuples must pass their own validation.
         assert Histogram("t").buckets  # TIME_BUCKETS default
         assert Histogram("c", buckets=COUNT_BUCKETS).buckets
+
+    @pytest.mark.parametrize("value, bucket", [(1.0, 0), (10.0, 1), (10.5, 2)])
+    def test_one_bucket_rule(self, value, bucket):
+        """A value equal to a bound lands in that bound's bucket, one past
+        the last bound in the overflow bucket, whether it is observed,
+        observed in a batch or merged from a snapshot."""
+        bounds = (1.0, 10.0)
+        one = Histogram("h", buckets=bounds)
+        one.observe(value)
+        batch = Histogram("h", buckets=bounds)
+        batch.observe_many([value])
+        merged = MetricsRegistry()
+        merged.merge_snapshot({"h": batch.snapshot()})
+        expected = [0, 0, 0]
+        expected[bucket] = 1
+        assert one.bucket_counts == expected
+        assert batch.bucket_counts == expected
+        assert merged.histogram("h", buckets=bounds).bucket_counts == expected
+        assert one.snapshot() == batch.snapshot() == merged.snapshot()["h"]
 
     def test_histogram_snapshot_names_overflow_bucket(self):
         h = Histogram("h", buckets=(1.0,))
@@ -134,6 +157,64 @@ class TestRegistry:
             assert get_registry() is fresh
         finally:
             set_registry(previous)
+
+
+class TestDeclarations:
+    """Recording outside a run: a declaration's ``inc``/``set``/``observe``
+    write the current registry's instrument under that instrument's lock."""
+
+    def test_declaration_records_into_the_current_registry(self):
+        depth = gauge_handle("decl.depth")
+        with scoped_registry() as reg:
+            depth.set(3)
+            depth.set(1)
+        assert reg.gauge("decl.depth").value == 1
+        assert get_registry().get("decl.depth") is None
+
+    def test_kind_is_checked_against_the_registry(self):
+        with scoped_registry() as reg:
+            reg.counter("decl.x")
+            with pytest.raises(MetricsError):
+                histogram_handle("decl.x").observe(1.0)
+
+    def test_concurrent_records_are_exact_across_a_swap(self):
+        """N threads make M records each, the registry is swapped, and
+        they make M more: each registry holds exactly N x M (threads are
+        switched often, so an unlocked write would lose updates)."""
+        hits = counter_handle("decl.hits")
+        latency = histogram_handle("decl.latency", buckets=(1.0,))
+        threads, calls = 4, 2000
+        swapped = threading.Barrier(threads + 1, timeout=60)
+
+        def work():
+            for phase in range(2):
+                for _ in range(calls):
+                    hits.inc()
+                    latency.observe(0.5)
+                if phase == 0:
+                    swapped.wait()  # every phase-0 record is made
+                    swapped.wait()  # the registry is swapped
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with scoped_registry() as first:
+                workers = [threading.Thread(target=work) for _ in range(threads)]
+                for worker in workers:
+                    worker.start()
+                swapped.wait()
+                with scoped_registry() as second:
+                    swapped.wait()
+                    for worker in workers:
+                        worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for reg in (first, second):
+            assert reg.counter("decl.hits").value == threads * calls
+            hist = reg.histogram("decl.latency", buckets=(1.0,))
+            assert hist.count == threads * calls
+            assert hist.bucket_counts == [threads * calls, 0]
 
 
 class TestMergeSnapshot:
