@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 
+from repro.comm.cart import choose_proc_grid
 from repro.machines.model import MachineModel
 from repro.util.nbytes import _OVERHEAD_BYTES
 from repro.apps.sorting.common import MERGE_FLOPS_PER_KEY, merge_cost, sort_cost
@@ -150,10 +151,7 @@ def predict_poisson(
     copy passes plus the convergence allreduce stay on the critical path
     either way.
     """
-    if proc_grid is None:
-        from repro.comm.cart import choose_proc_grid
-
-        proc_grid = choose_proc_grid(nodes, 2)  # type: ignore[assignment]
+    proc_grid = proc_grid or choose_proc_grid(nodes, 2)
     pr, pc = proc_grid
     points = nx * ny / nodes
     slabs = ((ny / pc) * 8.0, (nx / pr) * 8.0)
@@ -218,10 +216,7 @@ def predict_smog(
     """
     from repro.apps.smog import CHEMISTRY_FLOPS, TRANSPORT_FLOPS
 
-    if proc_grid is None:
-        from repro.comm.cart import choose_proc_grid
-
-        proc_grid = choose_proc_grid(nodes, 2)  # type: ignore[assignment]
+    proc_grid = proc_grid or choose_proc_grid(nodes, 2)
     pr, pc = proc_grid
     cells = nx * ny / nodes
     transport_compute = 3 * TRANSPORT_FLOPS * cells * machine.flop_time
@@ -260,10 +255,7 @@ def predict_cfd(
     """
     from repro.apps.cfd import FLOPS_PER_CELL
 
-    if proc_grid is None:
-        from repro.comm.cart import choose_proc_grid
-
-        proc_grid = choose_proc_grid(nodes, 2)  # type: ignore[assignment]
+    proc_grid = proc_grid or choose_proc_grid(nodes, 2)
     pr, pc = proc_grid
     cells = nx * ny / nodes
     step_compute = FLOPS_PER_CELL * cells * machine.flop_time

@@ -39,6 +39,7 @@ import numpy as np
 from repro.errors import DistributionError
 from repro.comm.cart import CartGrid
 from repro.comm.communicator import Comm, MAX_USER_TAG
+from repro.comm.layout import slab
 from repro.runtime.request import Request
 
 #: tag space reserved for boundary exchange (below the user-tag cap):
@@ -115,12 +116,6 @@ def exchange_geometry(
     """
     grid = CartGrid(dims)
     ndim = len(shape)
-
-    def slab(axis: int, start: int, stop: int) -> tuple[slice, ...]:
-        return tuple(
-            slice(start, stop) if d == axis else slice(None) for d in range(ndim)
-        )
-
     axes = []
     for axis in range(grid.ndim):
         n = shape[axis]
@@ -131,12 +126,12 @@ def exchange_geometry(
         recvs: list[Transfer] = []
         sends: list[Transfer] = []
         if hi_nbr is not None:
-            recvs.append((hi_nbr, tag_lo, slab(axis, n - ghost, n)))
+            recvs.append((hi_nbr, tag_lo, slab(ndim, axis, n - ghost, n)))
         if lo_nbr is not None:
-            recvs.append((lo_nbr, tag_hi, slab(axis, 0, ghost)))
-            sends.append((lo_nbr, tag_lo, slab(axis, ghost, 2 * ghost)))
+            recvs.append((lo_nbr, tag_hi, slab(ndim, axis, 0, ghost)))
+            sends.append((lo_nbr, tag_lo, slab(ndim, axis, ghost, 2 * ghost)))
         if hi_nbr is not None:
-            sends.append((hi_nbr, tag_hi, slab(axis, n - 2 * ghost, n - ghost)))
+            sends.append((hi_nbr, tag_hi, slab(ndim, axis, n - 2 * ghost, n - ghost)))
         axes.append((tuple(recvs), tuple(sends)))
     return tuple(axes)
 

@@ -9,7 +9,6 @@ chooses a near-square process grid for a given P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 
 from repro.errors import DistributionError
@@ -20,8 +19,8 @@ class CartGrid:
     """A row-major Cartesian arrangement of ranks.
 
     ``dims`` gives the process count along each axis; rank 0 is at the
-    origin and the *last* axis varies fastest (row-major), matching
-    :func:`repro.comm.layout.block_layout`.
+    origin and the *last* axis varies fastest (row-major); :meth:`coords`
+    is the one rank-to-coordinates rule, which block layouts read too.
     """
 
     dims: tuple[int, ...]
@@ -81,14 +80,14 @@ class CartGrid:
         return self.rank_of(tuple(coords))
 
 
-@lru_cache(maxsize=256)
 def choose_proc_grid(nprocs: int, ndim: int) -> tuple[int, ...]:
     """Factor *nprocs* into *ndim* near-equal dimensions (largest first).
 
     Mirrors ``MPI_Dims_create``: repeatedly assign the largest remaining
     prime factor to the currently smallest dimension, then sort
     descending so axis 0 (usually the longest data axis) gets the most
-    processes.  Pure in its arguments, so results are memoised.
+    processes.  A grid's "blocks" spec resolves here once, when its
+    :func:`repro.comm.layout.geometry` is first interned.
     """
     if nprocs < 1 or ndim < 1:
         raise DistributionError(f"need nprocs >= 1 and ndim >= 1, got {nprocs}, {ndim}")

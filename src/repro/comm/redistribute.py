@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import DistributionError
 from repro.comm.communicator import Comm
-from repro.comm.layout import Layout, Rect
+from repro.comm.layout import Layout, Rect, single_owner_layout
 from repro.obs.metrics import COUNT_BUCKETS, counter_handle, histogram_handle
 
 _CALLS = counter_handle(
@@ -56,26 +56,41 @@ def local_slices(rect: Rect, base: Rect) -> tuple[slice, ...]:
 
 
 @lru_cache(maxsize=1024)
-def _transfers(old: Layout, new: Layout, rank: int) -> tuple[tuple, tuple]:
-    """The static half of a redistribution, for *rank*: ``sends[dest]``
-    is the global rectangle *dest* gets from this rank with the slices of
-    the old local array that hold it, ``pastes[src]`` the slices of the
-    new local array *src*'s piece fills — ``None`` where the rectangles
-    do not meet.  A pure function of two (frozen, hashable) layouts and a
-    rank, asked for again at every step of a time loop; key and result
-    hold ints and slices only, never an array."""
-    my_old, my_new = old.rect(rank), new.rect(rank)
-    sends = []
-    for dest in range(new.nranks):
-        overlap = intersect(my_old, new.rect(dest))
-        sends.append(
-            None if overlap is None else (overlap, local_slices(overlap, my_old))
-        )
+def _transfers(old: Layout, new: Layout, rank: int) -> tuple:
+    """The static half of a redistribution, for *rank*:
+    ``(old_shape, new_shape, box, sends, pastes)``.  *box* selects the
+    bounding box of the rectangles sent to *other* ranks in the old local
+    array (``None`` when nothing leaves): what a call copies.
+    ``sends[dest]`` is the rectangle *dest* gets with its slices — into
+    the box's copy, or into the old local array for *rank* itself —
+    ``pastes[src]`` the new local array's slices *src*'s piece fills;
+    ``None`` where rectangles do not meet.  Pure in two (hashable)
+    layouts and a rank, asked for again at every step of a time loop; it
+    holds ints and slices only.  Keyed by layouts, not geometries: a
+    :func:`redistribute` caller need not hold one.
+    """
+    my_old, my_new = old.rects[rank], new.rects[rank]
+    overlaps = [intersect(my_old, rect) for rect in new.rects]
+    away = [o for dest, o in enumerate(overlaps) if o is not None and dest != rank]
+    # per axis, the lowest lo and highest hi of the rectangles sent away
+    box = tuple((min(los), max(his)) for los, his in (zip(*ax) for ax in zip(*away))) or None
+    sends = tuple(
+        None
+        if overlap is None
+        else (overlap, local_slices(overlap, my_old if dest == rank else box))
+        for dest, overlap in enumerate(overlaps)
+    )
     pastes = []
-    for src in range(old.nranks):
-        overlap = intersect(old.rect(src), my_new)
+    for rect in old.rects:
+        overlap = intersect(rect, my_new)
         pastes.append(None if overlap is None else local_slices(overlap, my_new))
-    return tuple(sends), tuple(pastes)
+    return (
+        old.shape(rank),
+        new.shape(rank),
+        None if box is None else local_slices(box, my_old),
+        sends,
+        tuple(pastes),
+    )
 
 
 def redistribute(
@@ -89,26 +104,35 @@ def redistribute(
     *local* must be this rank's section under layout *old* (shape
     ``old.shape(comm.rank)``).  Both layouts must describe the same global
     shape and the same number of ranks.  Works for any dimensionality.
+
+    What leaves the rank is copied once, as a frozen snapshot of the box
+    bounding every outgoing rectangle; each parcel is a read-only view of
+    it, which the send shares (copy-on-write contract).  The rank's own
+    piece is never sent and stays a view of *local*.
     """
     if old.global_shape != new.global_shape:
         raise DistributionError(
             f"layout shapes differ: {old.global_shape} vs {new.global_shape}"
         )
-    if old.nranks != comm.size or new.nranks != comm.size:
+    if len(old.rects) != comm.size or len(new.rects) != comm.size:
         raise DistributionError(
             f"layouts sized for {old.nranks}/{new.nranks} ranks on a "
             f"{comm.size}-rank communicator"
         )
     local = np.asarray(local)
-    if local.shape != old.shape(comm.rank):
+    old_shape, new_shape, box, sends, pastes = _transfers(old, new, comm.rank)
+    if local.shape != old_shape:
         raise DistributionError(
             f"rank {comm.rank}: local shape {local.shape} does not match "
-            f"old layout section {old.shape(comm.rank)}"
+            f"old layout section {old_shape}"
         )
 
     entry_clock = comm.clock
-    sends, pastes = _transfers(old, new, comm.rank)
-    # Build one parcel per destination: list of (global_rect, block) pieces.
+    snapshot = None
+    if box is not None:
+        snapshot = local[box].copy()
+        snapshot.flags.writeable = False
+    # One parcel per destination: a list of (global_rect, block) pieces.
     outgoing: list[list[tuple[Rect, np.ndarray]] | None] = []
     parcels = 0
     parcel_bytes = 0
@@ -117,13 +141,7 @@ def redistribute(
             outgoing.append(None)
         else:
             overlap, where = send
-            piece = local[where]
-            if dest != comm.rank:
-                # One contiguous copy, frozen here so the send shares it
-                # instead of copying it again (copy-on-write contract);
-                # this rank's own piece is never sent, so it stays a view.
-                piece = piece.copy()
-                piece.flags.writeable = False
+            piece = local[where] if dest == comm.rank else snapshot[where]
             outgoing.append([(overlap, piece)])
             parcels += 1
             parcel_bytes += piece.nbytes
@@ -136,7 +154,7 @@ def redistribute(
     samples[_PARCELS].append(parcels)
     samples[_VIRTUAL_SECONDS].append(comm.clock - entry_clock)
 
-    out = np.empty(new.shape(comm.rank), dtype=local.dtype)
+    out = np.empty(new_shape, dtype=local.dtype)
     filled = 0
     for parcel, where in zip(incoming, pastes):
         if parcel is None:
@@ -160,8 +178,6 @@ def gather_to_root(
     Convenience wrapper: redistribution to a single-owner layout.  Used by
     the archetypes' sequential file-output pattern.
     """
-    from repro.comm.layout import single_owner_layout
-
     target = single_owner_layout(layout.global_shape, comm.size, owner=root)
     assembled = redistribute(comm, local, layout, target)
     return assembled if comm.rank == root else None
@@ -179,8 +195,6 @@ def scatter_from_root(
     Non-root ranks pass ``full=None``; ``dtype`` must then be supplied (or
     it is broadcast from root).  Inverse of :func:`gather_to_root`.
     """
-    from repro.comm.layout import single_owner_layout
-
     if comm.rank == root:
         if full is None:
             raise DistributionError("root must supply the full array")

@@ -185,8 +185,8 @@ class MeshContext:
 
     # -- row / column operations ---------------------------------------------------
     def _require_whole_axis(self, grid: DistGrid, axis: int, what: str) -> None:
-        lo, hi = grid.rect[axis]
-        if (lo, hi) != (0, grid.global_shape[axis]):
+        geom = grid.geometry
+        if geom.layout.rects[self.comm.rank][axis] != (0, geom.global_shape[axis]):
             raise ArchetypeError(
                 f"{what} requires data distributed so each rank holds whole "
                 f"extents along axis {axis}; redistribute first (the paper's "

@@ -30,7 +30,6 @@ an earlier loop A and a candidate B:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from repro.comm.boundary import checked_geometry, exchange_plan_key
@@ -38,20 +37,6 @@ from repro.kernels.ir import Arg, ParLoop, region_size, split_deep_shell
 
 if TYPE_CHECKING:  # import cycle guard: core.grid is above us in layering
     from repro.core.grid import DistGrid
-
-
-@lru_cache(maxsize=1024)
-def _phase_points(
-    bounds: tuple[tuple[int, int], ...], ghost: int, shape: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Point counts of an overlapped group's charge phases: the deep
-    tile first, then each shell tile (:func:`split_deep_shell` order).
-    *bounds* are the region's ``(start, stop)`` pairs (slices do not
-    hash).  Geometry only, so one-shot loops share it here."""
-    deep, shells = split_deep_shell(
-        tuple(slice(lo, hi) for lo, hi in bounds), ghost, shape
-    )
-    return (region_size(deep), *(region_size(tile) for tile in shells))
 
 
 class LoopGroup:
@@ -95,11 +80,10 @@ class LoopGroup:
         #: an overlapped run's charge phases: deep points, then each shell's
         self.phase_points: tuple[int, ...] = ()
         if overlap and self.requests:
-            self.phase_points = _phase_points(
-                tuple((s.start, s.stop) for s in self.region),
-                max(1, *(loop.halo_max for loop in loops)),
-                loops[0].shape,
+            deep, shells = split_deep_shell(
+                self.region, max(1, *(loop.halo_max for loop in loops)), loops[0].shape
             )
+            self.phase_points = tuple(map(region_size, (deep, *shells)))
 
     def pack_geometry(self, comm, pack: list[Arg], pack_key: tuple, overlap: bool) -> tuple:
         """The exchange geometry of *pack* (due args sharing *pack_key*),

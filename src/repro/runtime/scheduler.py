@@ -445,7 +445,10 @@ class DeterministicBackend(Backend):
         if exact:
             msg = mailbox.take_match(source, tag, ctx)
         else:
-            msg = self._choose_match(rank, source, tag, ctx)
+            # scanned here, so a wildcard receive that must wait makes no
+            # choice at all
+            candidates = mailbox.candidates(source, tag, ctx)
+            msg = self._choose_match(rank, candidates, source, tag) if candidates else None
         if msg is not None:
             return msg
         # _recv_label, inline: the label is built only for a wait
@@ -461,21 +464,17 @@ class DeterministicBackend(Backend):
             if self.schedule is not None:
                 self._record_match(rank, source, msg.tag, (msg,), False, True)
         else:
-            msg = self._choose_match(rank, source, tag, ctx)
+            msg = self._choose_match(rank, mailbox.candidates(source, tag, ctx), source, tag)
         assert msg is not None, "scheduler resumed rank without a matching message"
         return msg
 
-    def _choose_match(self, rank: int, source: int, tag: int, ctx: int) -> Message | None:
+    def _choose_match(self, rank: int, candidates: list[Message], source: int, tag: int) -> Message:
         """Take the message the policy chooses among a wildcard receive's
-        candidates (each sender's oldest matching message), or ``None``."""
-        mailbox = self.mailboxes[rank]
-        candidates = mailbox.candidates(source, tag, ctx)
-        if not candidates:
-            return None
+        non-empty *candidates* (each sender's oldest matching message)."""
         # One candidate is every policy's choice, made without a draw.
         chosen = candidates[0] if len(candidates) == 1 else self.policy.message(candidates)
         # A candidate heads its channel: the exact take of its own key.
-        mailbox.take_match(chosen.source, chosen.tag, chosen.ctx)
+        self.mailboxes[rank].take_match(chosen.source, chosen.tag, chosen.ctx)
         if self.schedule is not None:
             self._record_match(
                 rank, chosen.source, chosen.tag, candidates,

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.apps.registry import AppSpec
+from repro.comm.cart import choose_proc_grid
 from repro.runtime.spmd import RunResult
 from repro.tune.catalog import TunedConfig
 from repro.verify.digest import value_digest
@@ -68,8 +69,6 @@ def build_space(spec: AppSpec, params: Mapping[str, Any]) -> list[TunedConfig]:
                 }:
                     candidates.append(cfg)
         return candidates
-
-    from repro.comm.cart import choose_proc_grid
 
     nprocs = int(params.get("nprocs", 1))
     # The candidate grids must match the app's data dimensionality — an

@@ -36,7 +36,20 @@ class TestRunOne:
         tree = _tree(tmp_path, f"print('progress')\nprint({json.dumps(json.dumps(_LINE))})\n")
         assert bench_pairs.run_one(tree, "sim_kernel", 7, 1.0) == {
             "correct": True, "attempted": 5, "failed": 0, "metrics": {"run_s": 1.25},
+            "calibration_ms": None,
         }  # fmt: skip
+
+    def test_row_keeps_the_host_speed_of_its_detail_report(self, tmp_path):
+        detail = {"detail": {"provenance": {"calibration_ms": 41.5, "host_cpus": 2}}}
+        tree = _tree(
+            tmp_path,
+            "import json, sys\n"
+            "path = sys.argv[sys.argv.index('--detail') + 1]\n"
+            f"open(path, 'w').write({json.dumps(json.dumps(detail))})\n"
+            f"print({json.dumps(json.dumps(_LINE))})\n",
+        )
+        row = bench_pairs.run_one(tree, "sim_kernel", 7, 1.0)
+        assert row["calibration_ms"] == 41.5 and row["metrics"] == {"run_s": 1.25}
 
     def test_crash_is_a_row_with_status_and_stderr_tail(self, tmp_path):
         tree = _tree(
@@ -54,7 +67,9 @@ class TestRunOne:
         assert row["crashed"] is True and row["returncode"] == 0
 
 
-def _rows(values: dict[str, list[float | None]]) -> list[dict]:
+def _rows(
+    values: dict[str, list[float | None]], speeds: dict[str, list[float]] | None = None
+) -> list[dict]:
     rows = []
     for side, series in values.items():
         for pair, value in enumerate(series):
@@ -63,6 +78,7 @@ def _rows(values: dict[str, list[float | None]]) -> list[dict]:
                 row.update(crashed=True, returncode=1, stderr=["boom"])
             else:
                 row.update(correct=True, attempted=1, failed=0, metrics={"run_s": value})
+                row["calibration_ms"] = speeds[side][pair] if speeds else None
             rows.append(row)
     return rows
 
@@ -93,6 +109,31 @@ class TestSummarise:
         summary, broken = bench_pairs.summarise(rows, ["w"], _DECLARED)
         assert not broken and summary["w"]["crashed_pairs"] == []
         assert summary["w"]["metrics"]["run_s"]["verdict"] == "same"
+
+
+class TestHostSpeed:
+    """Each side's median host speed and the within-pair ratios stand
+    beside the quartiles, so a verdict that went with the host shows."""
+
+    def test_median_calibration_per_side_and_ratio_span(self, capsys):
+        rows = _rows(
+            {"base": [1.0, 2.0, 4.0], "change": [1.1, 1.8, 4.4]},
+            {"base": [40.0, 50.0, 45.0], "change": [60.0, 41.0, 42.0]},
+        )
+        summary, _ = bench_pairs.summarise(rows, ["w"], _DECLARED)
+        assert summary["w"]["calibration_ms"] == {"base": 45.0, "change": 42.0}
+        ratio = summary["w"]["metrics"]["run_s"]["ratio"]
+        assert ratio == pytest.approx({"min": 0.9, "max": 1.1})
+        out = capsys.readouterr().out
+        assert "calibration_ms" in out and "45" in out and "42" in out
+        assert "0.900-1.100" in out
+
+    def test_rows_without_a_calibration_read_none(self, capsys):
+        summary, _ = bench_pairs.summarise(
+            _rows({"base": [1.0, 1.1], "change": [1.0, 1.1]}), ["w"], _DECLARED
+        )
+        assert summary["w"]["calibration_ms"] == {"base": None, "change": None}
+        assert summary["w"]["metrics"]["run_s"]["ratio"] == {"min": 1.0, "max": 1.0}
 
 
 def _artifact(values: dict[str, list[float | None]], workload: str = "sim_comm") -> dict:

@@ -1,9 +1,18 @@
 """DistGrid: block-distributed grids with ghost boundaries."""
 
+import dataclasses
+import gc
+import pickle
+import sys
+import threading
+import types
+
 import numpy as np
 import pytest
 
 from repro import spmd_run
+from repro.comm.cart import CartGrid, choose_proc_grid
+from repro.comm.layout import Geometry, Layout, block_layout, geometry, resolve_proc_grid
 from repro.core.grid import DistGrid
 from repro.errors import DistributionError, RankFailedError
 
@@ -215,3 +224,134 @@ class TestExchangeIntegration:
     def test_exchange_requires_ghosts(self):
         with pytest.raises(RankFailedError):
             spmd_run(2, lambda comm: DistGrid(comm, (4, 4)).exchange())
+
+
+class TestGeometryValue:
+    """A grid reads one interned geometry; equal (shape, process grid,
+    ghost) is one object, and the cache holds geometry only."""
+
+    def test_equal_geometries_are_one_object_within_and_across_runs(self):
+        def body(comm):
+            blocks = DistGrid(comm, (8, 6), ghost=1)
+            explicit = DistGrid(comm, (8, 6), dist=(2, 2), ghost=1)
+            back = blocks.redistributed("rows").redistributed((2, 2))
+            return blocks.geometry, explicit.geometry, blocks.like().geometry, back.geometry
+
+        geometry.cache_clear()  # interned here, by one rank at a time
+        first, second = spmd_run(4, body), spmd_run(4, body)
+        geometries = [g for res in (first, second) for value in res.values for g in value]
+        assert all(g is geometries[0] for g in geometries)
+        assert geometries[0] == Geometry((8, 6), (2, 2), 1)
+        assert geometries[0].cart.dims == (2, 2)
+
+    def test_a_geometry_is_a_value(self):
+        interned = geometry((8, 6), "cols", 3, 2)
+        built = Geometry((8, 6), (1, 3), 2)
+        assert built == interned and hash(built) == hash(interned)
+        assert built != Geometry((8, 6), (1, 3), 1)
+        assert built.layout.rects == interned.layout.rects
+        assert pickle.loads(pickle.dumps(built)) is interned  # unpickling re-interns
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            interned.ghost = 0
+
+    def test_racing_first_lookups_store_one_site_per_rank(self):
+        """Rank threads racing to derive the same sites all end up with
+        the one stored value per rank (a lost update would hand two
+        ranks different objects)."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(4):
+                shape = (96 + trial, 40 + trial)
+
+                def body(comm):
+                    geom = geometry(shape, "blocks", comm.size, 1)
+                    return geom, [geom.sites[rank] for rank in range(comm.size)]
+
+                values = spmd_run(8, body, backend="threads").values
+                for geom, sites in values:
+                    assert all(site is geom.sites[r] for r, site in enumerate(sites))
+                    assert sites == values[0][1]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_interning_cache_is_bounded_and_holds_geometry_only(self, monkeypatch):
+        from repro.apps import registry
+        from repro.comm.communicator import Comm
+        from repro.core import grid as grid_module
+        from repro.runtime.mailbox import Mailbox
+
+        assert geometry.cache_info().maxsize
+        keys = []
+
+        def recording(*key):
+            keys.append(key)
+            return geometry(*key)
+
+        monkeypatch.setattr(grid_module, "geometry", recording)
+        for app in ("poisson", "cfd", "fft2d"):
+            spec = registry.get(app)
+            spec.run(spec.verify_overrides, machine="ibm-sp")
+        assert keys
+        forbidden = (np.ndarray, Comm, DistGrid, Mailbox)
+        for key in set(keys):
+            found = _reachable((key, geometry(*key)))
+            assert not [o for o in found if isinstance(o, forbidden)], key
+
+    def test_warm_fft2d_run_misses_the_cache_zero_times(self):
+        from repro.apps import registry
+
+        spec = registry.get("fft2d")
+        params = {"nprocs": 16, "rows": 128, "cols": 128, "repeats": 8}
+        spec.run(params, machine="ibm-sp")
+        misses = geometry.cache_info().misses
+        spec.run(params, machine="ibm-sp")
+        assert geometry.cache_info().misses == misses
+
+    def test_warm_grids_derive_nothing(self):
+        """On a warm run, building a grid, ``like()`` and
+        ``redistributed()`` resolve no process grid and build no
+        ``CartGrid`` or layout, nor ask a layout for a shape or rect."""
+        derivations = {
+            fn.__code__
+            for fn in (
+                resolve_proc_grid, choose_proc_grid, block_layout,
+                CartGrid.__post_init__, Layout.shape, Layout.rect,
+            )
+        }  # fmt: skip
+        called = []
+
+        def body(comm):
+            grid = DistGrid(comm, (12, 8), ghost=1)
+            grid.like()
+            grid.redistributed("rows", ghost=0).redistributed("cols", ghost=2)
+
+        spmd_run(4, body)
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code in derivations:
+                called.append(frame.f_code.co_name)
+
+        threading.setprofile(hook)
+        sys.setprofile(hook)
+        try:
+            spmd_run(4, body)
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+        assert called == []
+
+
+def _reachable(root) -> list:
+    """Every object *root* reaches, not descending into types, modules
+    and functions (which reach everything)."""
+    seen: set[int] = set()
+    stack, found = [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro import spmd_run
 from repro.errors import DistributionError, RankFailedError
 from repro.comm import (
+    Comm,
     block_layout,
     col_layout,
     redistribute,
@@ -137,6 +138,92 @@ class TestGatherScatterRoot:
         with pytest.raises(RankFailedError) as info:
             spmd_run(2, body)
         assert isinstance(info.value.original, DistributionError)
+
+
+def _recording_alltoall(monkeypatch) -> tuple[dict, dict]:
+    """Record, per rank, what it hands ``alltoall`` and what it gets back."""
+    sent: dict[int, list] = {}
+    received: dict[int, list] = {}
+    real = Comm.alltoall
+
+    def alltoall(self, values):
+        sent[self.rank] = values
+        received[self.rank] = real(self, values)
+        return received[self.rank]
+
+    monkeypatch.setattr(Comm, "alltoall", alltoall)
+    return sent, received
+
+
+def _rect_slices(rect) -> tuple[slice, ...]:
+    return tuple(slice(lo, hi) for lo, hi in rect)
+
+
+class TestOneSnapshot:
+    """What leaves a rank is copied once: one frozen snapshot, of which
+    every outgoing piece is a read-only view; the rank's own piece stays
+    a view of its local array."""
+
+    def test_sender_writes_after_return_reach_no_receiver(self, monkeypatch):
+        full = _global((12, 10))
+        _, received = _recording_alltoall(monkeypatch)
+
+        def body(comm):
+            old, new = row_layout(full.shape, comm.size), col_layout(full.shape, comm.size)
+            local = full[old.slices(comm.rank)].copy()
+            moved = redistribute(comm, local, old, new)
+            local[...] = -1.0
+            comm.barrier()  # every sender has overwritten before any check
+            return np.array_equal(moved, full[new.slices(comm.rank)])
+
+        assert all(spmd_run(4, body).values)
+        for rank, parcels in received.items():
+            for src, parcel in enumerate(parcels):
+                if parcel is not None and src != rank:
+                    for rect, piece in parcel:
+                        assert np.array_equal(piece, full[_rect_slices(rect)])
+
+    def test_every_received_piece_is_read_only(self, monkeypatch):
+        full = _global((9, 8))
+        _, received = _recording_alltoall(monkeypatch)
+
+        def body(comm):
+            old = block_layout(full.shape, (2, 2))
+            new = row_layout(full.shape, comm.size)
+            redistribute(comm, full[old.slices(comm.rank)].copy(), old, new)
+
+        spmd_run(4, body)
+        pieces = [
+            piece
+            for rank, parcels in received.items()
+            for src, parcel in enumerate(parcels)
+            if parcel is not None and src != rank
+            for _, piece in parcel
+        ]
+        assert pieces and not any(piece.flags.writeable for piece in pieces)
+
+    def test_pieces_one_rank_sends_share_one_buffer(self, monkeypatch):
+        full = _global((32, 32))
+        sent, received = _recording_alltoall(monkeypatch)
+
+        def body(comm):
+            old, new = row_layout(full.shape, comm.size), col_layout(full.shape, comm.size)
+            redistribute(comm, full[old.slices(comm.rank)].copy(), old, new)
+
+        spmd_run(16, body)
+        for rank in (0, 7):
+            pieces = [
+                parcel[0][1] for dest, parcel in enumerate(sent[rank]) if dest != rank
+            ]
+            buffer = pieces[0].base
+            assert len(pieces) == 15 and buffer is not None
+            assert all(np.shares_memory(piece, buffer) for piece in pieces)
+            # the send shares the snapshot instead of copying it again
+            assert all(
+                np.shares_memory(received[dest][rank][0][1], buffer)
+                for dest in range(16)
+                if dest != rank
+            )
 
 
 class TestErrors:

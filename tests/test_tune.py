@@ -11,6 +11,7 @@ import pytest
 from repro.apps import registry
 from repro.apps.sorting.mergesort import one_deep_mergesort
 from repro.comm.cart import choose_proc_grid
+from repro.comm.layout import geometry
 from repro.core.meshspectral import MeshProgram
 from repro.machines.catalog import get_machine
 from repro.obs.metrics import scoped_registry
@@ -49,10 +50,12 @@ class TestProcGridOverride:
 
     def test_choose_proc_grid_cache_not_poisoned(self):
         default = choose_proc_grid(4, 2)
-        # The memoised factorisation is pure; a pin lives upstream of it.
+        # The geometry cache resolves "blocks" to the factorisation once;
+        # a pin lives upstream of it, as an explicit grid.
         program = MeshProgram(lambda mesh: _grid_dims(mesh, (8, 8)))
         assert program.run(4, proc_grid=(4, 1)).values == [((4, 1),)] * 4
-        assert choose_proc_grid(4, 2) == default
+        assert geometry((8, 8), "blocks", 4, 0).proc_grid == default
+        assert program.run(4).values == [(default,)] * 4
 
     def test_archetype_run_explicit_grid_wins(self):
         program = MeshProgram(lambda mesh: mesh.grid((8, 8), ghost=1).cart.dims)

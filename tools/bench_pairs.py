@@ -15,6 +15,12 @@ true``, exit status, the end of its stderr); its pair is left out of both
 sides' statistics, the table says so, the remaining runs are still made and
 written, and the command exits 1.
 
+Each run also writes perfbench's ``--detail`` report to a temp file, of
+which its row keeps the host speed (``provenance.calibration_ms``).  Beside
+the quartiles the table prints each side's median host speed per workload
+and, per metric, the lowest and highest within-pair change/base ratio — so
+an artifact shows whether a verdict that flipped went with the host.
+
 Verdicts (direction and bound per metric come from ``BENCHMARK.json``):
 
 - ``better``: the change wins >= 9/10 of all pairs (ties count for neither
@@ -65,16 +71,26 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in *tree*, as the fields of its row: what its JSON
-    result line (the last line it prints) says, or ``{"crashed": True, ...}``
-    with the exit status and the last 20 lines of stderr when the process
-    died or printed no result."""
-    done = subprocess.run(
-        [
-            "python3", "-m", "perfbench", "--workload", workload,
-            "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0",
-        ],
-        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )  # fmt: skip
+    result line (the last line it prints) says, with the host speed its
+    ``--detail`` report measured (``provenance.calibration_ms``, ``None``
+    when the report holds none), or ``{"crashed": True, ...}`` with the
+    exit status and the last 20 lines of stderr when the process died or
+    printed no result."""
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-detail-") as tmp:
+        detail = Path(tmp) / "detail.json"
+        done = subprocess.run(
+            [
+                "python3", "-m", "perfbench", "--workload", workload,
+                "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0",
+                "--detail", str(detail),
+            ],
+            cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )  # fmt: skip
+        try:
+            provenance = json.loads(detail.read_text())["detail"]["provenance"]
+            calibration = provenance.get("calibration_ms")
+        except (OSError, KeyError, TypeError, ValueError):
+            calibration = None
     if done.returncode == 0:
         try:
             line = json.loads(done.stdout.strip().splitlines()[-1])
@@ -82,6 +98,7 @@ def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                 "correct": line["correct"], "attempted": line["attempted"],
                 "failed": line["failed"],
                 "metrics": {k: v["value"] for k, v in line["metrics"].items()},
+                "calibration_ms": calibration,
             }  # fmt: skip
         except (IndexError, KeyError, TypeError, ValueError):
             pass  # printed no result line: reported like a crash
@@ -114,11 +131,13 @@ def judge(base: list[float], change: list[float], better: str, bound: float) -> 
     else:
         verdict = "same"
     limit = bound * abs(bmed)
+    ratios = [c / b for b, c in zip(base, change) if b]
     return {
         "base": {"q1": bq1, "median": bmed, "q3": bq3},
         "change": {"q1": cq1, "median": cmed, "q3": cq3},
         "wins": wins, "ties": ties, "pairs": len(base), "verdict": verdict,
         "spread": {"change_iqr": cq3 - cq1, "limit": limit, "ok": cq3 - cq1 <= limit},
+        "ratio": {"min": min(ratios), "max": max(ratios)} if ratios else None,
     }  # fmt: skip
 
 
@@ -128,7 +147,8 @@ def summarise(rows: list[dict], workloads: list[str], declared: dict) -> tuple[d
     broken = False
     print(
         f"{'workload':<11} {'metric':<15} {'base q1/med/q3':>26} {'change q1/med/q3':>26}"
-        f"  wins ties  {'verdict':<10}  spread (change iqr / bound x base median)"
+        f"  {'change/base':>13}  wins ties  {'verdict':<10}"
+        "  spread (change iqr / bound x base median)"
     )
     for workload in workloads:
         mine = [r for r in rows if r["workload"] == workload]
@@ -145,8 +165,16 @@ def summarise(rows: list[dict], workloads: list[str], declared: dict) -> tuple[d
             "crashed_pairs": crashed,
             "failed": {s: sum(r["failed"] for r in mine if r["side"] == s) for s in ("base", "change")},
             "all_correct": all(r["correct"] for r in mine),
+            # each side's median host speed: a verdict that flips with it
+            # was the host's, not the change's
+            "calibration_ms": {s: _median_calibration(mine, s) for s in ("base", "change")},
             "metrics": {},
         }
+        speed = summary[workload]["calibration_ms"]
+        print(
+            f"{workload:<11} {'calibration_ms':<15} {_fmt(speed['base']):>26} "
+            f"{_fmt(speed['change']):>26}  (median host speed per side)"
+        )
         for name, spec in declared.items():
             sides = {
                 s: [r["metrics"][name] for r in mine if r["side"] == s] for s in ("base", "change")
@@ -154,10 +182,12 @@ def summarise(rows: list[dict], workloads: list[str], declared: dict) -> tuple[d
             result = judge(sides["base"], sides["change"], spec["better"], spec["bound"])
             summary[workload]["metrics"][name] = result
             b, c, spread = result["base"], result["change"], result["spread"]
+            ratio = result["ratio"]
+            span = f"{ratio['min']:.3f}-{ratio['max']:.3f}" if ratio else "-"
             print(
                 f"{workload:<11} {name:<15} "
                 f"{b['q1']:>8.4g}/{b['median']:>8.4g}/{b['q3']:>8.4g} "
-                f"{c['q1']:>8.4g}/{c['median']:>8.4g}/{c['q3']:>8.4g}  "
+                f"{c['q1']:>8.4g}/{c['median']:>8.4g}/{c['q3']:>8.4g}  {span:>13}  "
                 f"{result['wins']:>2}/{result['pairs']:<2} {result['ties']:>3}  {result['verdict']:<10}  "
                 f"{spread['change_iqr']:.3g} / {spread['limit']:.3g}{'' if spread['ok'] else '  WIDE'}"
             )
@@ -169,6 +199,15 @@ def summarise(rows: list[dict], workloads: list[str], declared: dict) -> tuple[d
             for m in summary[workload]["metrics"].values()
         )
     return summary, broken
+
+
+def _median_calibration(rows: list[dict], side: str) -> float | None:
+    values = [r["calibration_ms"] for r in rows if r["side"] == side and r.get("calibration_ms")]
+    return statistics.median(values) if values else None
+
+
+def _fmt(value: float | None) -> str:
+    return "-" if value is None else f"{value:.4g}"
 
 
 #: the trajectory's columns: the metric each workload exists to show
